@@ -249,31 +249,32 @@ def _cmd_build_rmatrix(args, rep: Reporter) -> None:
 
 def _cmd_hierarchy(args, rep: Reporter) -> None:
     doc = _load_document(args.file)
-    bad = set(args.word) - {"+", "-"}
+    # argparse (Python 3.11) strips the value of --word=-- to an empty list;
+    # no other value arrives as a list
+    word = "--" if args.word == [] else args.word
+    bad = set(word) - {"+", "-"}
     if bad:
         raise UsageError(f"hierarchy words use only + and -, got {''.join(sorted(bad))!r}")
     r = _tensor_rmatrix(doc, args.tensor)
     algebra = r.algebra
     try:
-        levels = hierarchy_trace(algebra, r, args.word)
+        levels = hierarchy_trace(algebra, r, word)
     except HierarchyError as exc:
         raise CheckFailed(str(exc)) from None
-    rep.check(f"walked word {args.word!r}", True)
+    rep.check(f"walked word {word!r}", True)
     if args.trace:
         for depth, level in enumerate(levels, start=1):
-            rep.note(f"# level {depth}: {args.word[:depth]}")
+            rep.note(f"# level {depth}: {word[:depth]}")
             rep.document(
                 _document_for_algebra(
-                    level.algebra, tensors={args.tensor + "_" + args.word[:depth]: level.tensor}
+                    level.algebra, tensors={args.tensor + "_" + word[:depth]: level.tensor}
                 ),
                 key=f"level{depth}",
             )
     else:
         final = levels[-1] if levels else r
         rep.document(
-            _document_for_algebra(
-                final.algebra, tensors={args.tensor + "_" + args.word: final.tensor}
-            )
+            _document_for_algebra(final.algebra, tensors={args.tensor + "_" + word: final.tensor})
         )
 
 

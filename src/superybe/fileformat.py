@@ -50,7 +50,7 @@ class RawRep:
         report = check_representation(algebra, self.space, self.action)
         if not report.ok:
             raise ValueError(f"rep {self.name}: {report.failures()[0].detail}")
-        return Representation(algebra, self.space, self.action)
+        return Representation._trusted(algebra, self.space, self.action)
 
 
 @dataclass

@@ -98,8 +98,15 @@ def check_representation(
 class Representation:
     """A verified action of a Lie superalgebra on a superspace.
 
-    Verification runs at construction; downstream constructions may
-    assume their inputs are genuine representations.
+    Verification runs once, where an action enters from outside: a direct
+    `Representation(...)` call, `from_images`, `RawRep.verify` and
+    `adjoint(g)` (a `LieSuperAlgebra` is not checked on construction) run
+    `check_representation` and raise `ValueError` on failure.
+    Constructions whose output is a representation by theorem whenever
+    their input is one skip the check: `trivial_rep`, `dual_rep`,
+    `parity_reverse_rep`, direct sums, and the adjoint of an algebra
+    already known to be Lie, as in the hierarchy steps.  Downstream
+    constructions may assume their inputs are genuine representations.
     """
 
     algebra: LieSuperAlgebra
@@ -110,6 +117,18 @@ class Representation:
         report = check_representation(self.algebra, self.space, self.action)
         if not report.ok:
             raise ValueError(f"not a representation: {report.failures()[0].detail}")
+
+    @classmethod
+    def _trusted(
+        cls, algebra: LieSuperAlgebra, space: SuperSpace, action: tuple[GradedLinearMap, ...]
+    ) -> "Representation":
+        """Build without `check_representation`, for an action that is a
+        representation by construction or by a check already made."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "algebra", algebra)
+        object.__setattr__(rep, "space", space)
+        object.__setattr__(rep, "action", action)
+        return rep
 
     @staticmethod
     def from_images(g: LieSuperAlgebra, space: SuperSpace, images) -> "Representation":
@@ -135,15 +154,22 @@ class Representation:
         return out
 
 
+def _lie_adjoint(g: LieSuperAlgebra) -> Representation:
+    """The adjoint representation of an algebra known to satisfy the Lie
+    axioms; ad is then a representation by the super Jacobi identity."""
+    return Representation._trusted(g, g.space, tuple(g.ad(i) for i in range(g.space.dim)))
+
+
 def adjoint(g: LieSuperAlgebra) -> Representation:
-    return Representation(g, g.space, tuple(g.ad(i) for i in range(g.space.dim)))
+    """The adjoint representation, verified: g may break the Jacobi identity."""
+    return Representation(g, g.space, _lie_adjoint(g).action)
 
 
 def trivial_rep(g: LieSuperAlgebra, space: SuperSpace) -> Representation:
     action = tuple(
         GradedLinearMap.zero(space, space, g.space.parities[i]) for i in range(g.space.dim)
     )
-    return Representation(g, space, action)
+    return Representation._trusted(g, space, action)
 
 
 def dual_rep(rho: Representation) -> Representation:
@@ -159,7 +185,7 @@ def dual_rep(rho: Representation) -> Representation:
             for j in range(n)
         )
         action.append(GradedLinearMap(dual, dual, pa, mat))
-    return Representation(rho.algebra, dual, tuple(action))
+    return Representation._trusted(rho.algebra, dual, tuple(action))
 
 
 def coadjoint(g: LieSuperAlgebra) -> Representation:
@@ -181,7 +207,7 @@ def parity_reverse_rep(rho: Representation) -> Representation:
                 if m.matrix[i][j] != 0:
                     grid[perm[i]][perm[j]] = s * m.matrix[i][j]
         action.append(GradedLinearMap(svspace, svspace, pa, tuple(tuple(r) for r in grid)))
-    return Representation(rho.algebra, svspace, tuple(action))
+    return Representation._trusted(rho.algebra, svspace, tuple(action))
 
 
 def _sum_spaces(a: SuperSpace, b: SuperSpace):
@@ -194,16 +220,6 @@ def _sum_spaces(a: SuperSpace, b: SuperSpace):
 
 def direct_sum_with_embeddings(rho1: Representation, rho2: Representation):
     """The block-diagonal sum plus the index embeddings of both summands."""
-    rep, emb1, emb2 = _direct_sum_impl(rho1, rho2)
-    return rep, emb1, emb2
-
-
-def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation:
-    """Block-diagonal action on the canonical merge of the two spaces."""
-    return _direct_sum_impl(rho1, rho2)[0]
-
-
-def _direct_sum_impl(rho1: Representation, rho2: Representation):
     if rho1.algebra != rho2.algebra:
         raise ValueError("direct sum requires representations of the same algebra")
     total, emb1, emb2 = _sum_spaces(rho1.space, rho2.space)
@@ -224,7 +240,12 @@ def _direct_sum_impl(rho1: Representation, rho2: Representation):
         action.append(
             GradedLinearMap(total, total, rho1.algebra.space.parities[a], tuple(tuple(r) for r in grid))
         )
-    return Representation(rho1.algebra, total, tuple(action)), emb1, emb2
+    return Representation._trusted(rho1.algebra, total, tuple(action)), emb1, emb2
+
+
+def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation:
+    """Block-diagonal action on the canonical merge of the two spaces."""
+    return direct_sum_with_embeddings(rho1, rho2)[0]
 
 
 def self_reversing_double(rho: Representation) -> Representation:

@@ -28,12 +28,13 @@ from .graded import (
 from .liesuper import (
     BilinearForm,
     LieSuperAlgebra,
+    check_lie_axioms,
     classify_form,
     semidirect_labels,
     semidirect_product,
 )
 from .oop import _check_candidate, is_intertwiner
-from .reps import Representation, adjoint, dual_rep, parity_reverse_rep
+from .reps import Representation, _lie_adjoint, dual_rep, parity_reverse_rep
 
 
 @dataclass(frozen=True)
@@ -320,8 +321,11 @@ class HierarchyError(Exception):
     pass
 
 
+# each step takes g to a semidirect product of g with a representation,
+# again a Lie superalgebra, so once hierarchy_trace has checked the
+# starting algebra the adjoint of every level is trusted
 def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
-    rho = adjoint(g)
+    rho = _lie_adjoint(g)
     h = semidirect_product(g, rho)  # g |x_ad g
     alg_labels, mod_labels = semidirect_labels(g.space, g.space)
     terms: dict = {}
@@ -337,7 +341,7 @@ def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
 
 
 def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
-    srho = parity_reverse_rep(adjoint(g))
+    srho = parity_reverse_rep(_lie_adjoint(g))
     h = semidirect_product(g, srho)
     alg_labels, mod_labels = semidirect_labels(g.space, srho.space)
     _, perm = g.space.suspended_with_permutation()
@@ -357,11 +361,16 @@ def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
 def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
     """Apply the letters of word left to right; one output per level.
 
-    Requires a pan-supersymmetric solution of the super CYBE to start;
-    every level then remains one.
+    Requires a Lie superalgebra and a pan-supersymmetric solution of the
+    super CYBE over it to start; every level then remains one, so the
+    levels are not checked again.
     """
     if r.algebra != g:
         raise ValueError("tensor does not live over the given algebra")
+    failures = check_lie_axioms(g).failures()
+    if failures:
+        item = failures[0]
+        raise HierarchyError(f"the algebra is not a Lie superalgebra: {item.name} {item.detail}")
     if not is_pan_supersymmetric(r):
         raise HierarchyError("the starting tensor is not pan-supersymmetric")
     if not is_super_rmatrix(r):

@@ -97,3 +97,23 @@ def equivalence_cases():
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def rep_checks(monkeypatch):
+    """The list of check_representation calls made while the test runs,
+    through any superybe module that binds the function."""
+    import superybe.reps
+
+    original = superybe.reps.check_representation
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "superybe" or name.startswith("superybe."):
+            if getattr(module, "check_representation", None) is original:
+                monkeypatch.setattr(module, "check_representation", counting)
+    return calls

@@ -4,6 +4,7 @@ import pytest
 
 from superybe.cli import main
 from superybe.fileformat import parse
+from superybe.rmatrix import RMatrix
 
 EX32 = """\
 [space]
@@ -71,6 +72,19 @@ f1 v2 = 1 w2
 f1 w1 = 1 v1
 f2 v1 = 1 w1
 f2 w2 = 1 v2
+"""
+
+
+# [x, [y, z]] = [x, y] != [[x, y], z] + [y, [x, z]] = 0: Jacobi fails
+NONLIE = """\
+[space]
+even = x y z
+
+[bracket]
+x y = 1 z
+y z = 1 y
+
+[tensor r]
 """
 
 
@@ -221,6 +235,22 @@ class TestHierarchy:
 
     def test_non_solution_start_exits_one(self, ex32_file):
         assert main(["hierarchy", ex32_file, "--tensor", "ref", "--word", "+"]) == 1
+
+    def test_non_lie_algebra_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nonlie.sy"
+        path.write_text(NONLIE)
+        assert main(["hierarchy", str(path), "--tensor", "r", "--word=+"]) == 1
+        assert "super Jacobi" in capsys.readouterr().out
+
+    def test_double_minus_word(self, ex32_file, capsys):
+        from superybe import hierarchy_walk
+
+        assert main(["hierarchy", ex32_file, "--tensor", "r0", "--word=--"]) == 0
+        out = capsys.readouterr().out
+        doc = parse(out[out.index("[space]") :])
+        start = parse(EX32)
+        r0 = RMatrix(start.algebra, start.tensors["r0"])
+        assert doc.tensors["r0_--"] == hierarchy_walk(start.algebra, r0, "--").tensor
 
     def test_malformed_word_exits_two(self, ex32_file):
         assert main(["hierarchy", ex32_file, "--tensor", "r0", "--word", "+x"]) == 2

@@ -117,6 +117,20 @@ class TestParse:
         assert again == doc
         assert again.reps["rho"].verify(doc.algebra) == rho
 
+    def test_rep_verify_checks_once(self, rep_checks):
+        rho = load_fixture("ex2.3").parts["rho"]
+        raw = RawRep("rho", rho.space, rho.action)
+        rep_checks.clear()
+        assert raw.verify(rho.algebra) == rho
+        assert len(rep_checks) == 1
+
+    def test_rep_verify_rejects_a_non_representation(self):
+        fx = load_fixture("ex2.3")
+        rho = fx.parts["rho"]
+        raw = RawRep("bad", rho.space, (rho.action[1],) * len(rho.action))
+        with pytest.raises(ValueError, match="rep bad"):
+            raw.verify(fx.parts["algebra"])
+
     def test_prelie_shift_inference(self):
         fx = load_fixture("ex3.20")
         doc = Document()

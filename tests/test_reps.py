@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superybe import (
     EVEN,
@@ -12,7 +16,9 @@ from superybe import (
     coadjoint,
     direct_sum_rep,
     dual_rep,
+    check_lie_axioms,
     find_even_isomorphism,
+    fixture_names,
     is_intertwiner,
     is_self_reversing,
     load_fixture,
@@ -21,6 +27,8 @@ from superybe import (
     trivial_rep,
 )
 from superybe.graded import format_vector
+from superybe.reps import _lie_adjoint
+from superybe.rmatrix import _dual_semidirect, _plain_semidirect
 
 from conftest import equivalence_cases
 
@@ -250,3 +258,88 @@ class TestIsomorphismSearch:
         action = GradedLinearMap.from_images(v, v, EVEN, {"u6": {"u6": 1}})
         rho2 = Representation(g, v, (action,))
         assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# derived constructions are trusted; these tests keep the guarantee the
+# constructors no longer check
+
+
+@lru_cache(maxsize=None)
+def _catalog_starts():
+    """Every representation of the catalog fixtures, plus the adjoint and
+    coadjoint of every catalog algebra, by name."""
+    starts = {}
+    for name in fixture_names():
+        for part, value in load_fixture(name).parts.items():
+            if isinstance(value, Representation):
+                starts[f"{name}:{part}"] = value
+            elif isinstance(value, LieSuperAlgebra):
+                starts[f"{name}:ad {part}"] = adjoint(value)
+                starts[f"{name}:coad {part}"] = coadjoint(value)
+    return starts
+
+
+_STEPS = {
+    "dual": dual_rep,
+    "reverse": parity_reverse_rep,
+    "double": self_reversing_double,
+    "sum with dual": lambda rho: direct_sum_rep(rho, dual_rep(rho)),
+}
+
+
+def _is_rep(rho):
+    return check_representation(rho.algebra, rho.space, rho.action).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.sampled_from(sorted(_catalog_starts())),
+    steps=st.lists(st.sampled_from(sorted(_STEPS)), max_size=2),
+)
+def test_derived_representations_pass_the_check(start, steps):
+    rho = _catalog_starts()[start]
+    assert _is_rep(rho)
+    for step in steps:
+        rho = _STEPS[step](rho)
+        assert _is_rep(rho)
+
+
+@settings(max_examples=20, deadline=None)
+@given(start=st.sampled_from(sorted(_catalog_starts())), variant=st.sampled_from(["plain", "dual"]))
+def test_semidirect_host_representations_pass_the_check(start, variant):
+    """The module reps of the semidirect hosts, and the trusted adjoint and
+    reversed adjoint of the host that a hierarchy step builds."""
+    rho = _catalog_starts()[start]
+    if variant == "plain":
+        module = dual_rep(rho)
+        h = _plain_semidirect(rho)[0]
+    else:
+        module = dual_rep(parity_reverse_rep(rho))
+        h = _dual_semidirect(rho)[0]
+    assert _is_rep(module)
+    assert check_lie_axioms(h).ok
+    ad = _lie_adjoint(h)
+    assert _is_rep(ad)
+    assert _is_rep(parity_reverse_rep(ad))
+
+
+class TestTrustBoundary:
+    def test_coadjoint_checks_once(self, rep_checks):
+        g = load_fixture("ex3.2").parts["algebra"]
+        rep_checks.clear()
+        coadjoint(g)
+        assert len(rep_checks) == 1
+
+    def test_adjoint_of_a_non_lie_algebra_is_rejected(self):
+        space = SuperSpace.make(even=["x", "y", "z"])
+        g = LieSuperAlgebra.from_brackets(space, {("x", "y"): {"z": 1}, ("y", "z"): {"y": 1}})
+        with pytest.raises(ValueError, match="not a representation"):
+            adjoint(g)
+
+    def test_derived_constructions_make_no_check(self, rep_checks):
+        rho = load_fixture("ex2.3").parts["rho"]
+        rep_checks.clear()
+        self_reversing_double(dual_rep(rho))
+        trivial_rep(rho.algebra, rho.space)
+        assert rep_checks == []

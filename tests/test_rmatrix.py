@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from superybe import (
     SuperSpace,
     beta_cocycle_check,
     beta_form,
+    check_lie_axioms,
     classify_form,
     coadjoint,
     hierarchy_trace,
@@ -285,6 +288,40 @@ class TestHierarchy:
         bad = RMatrix.from_terms(g, {("e", "e"): 1})
         with pytest.raises(HierarchyError):
             hierarchy_walk(g, bad, "+")
+
+    def test_non_lie_algebra_rejected_at_entry(self):
+        space = SuperSpace.make(even=["x", "y", "z"])
+        g = LieSuperAlgebra.from_brackets(space, {("x", "y"): {"z": 1}, ("y", "z"): {"y": 1}})
+        zero = RMatrix.from_terms(g, {})
+        with pytest.raises(HierarchyError, match="super Jacobi"):
+            hierarchy_walk(g, zero, "+")
+
+    def test_level_algebras_satisfy_the_lie_axioms(self):
+        # the levels are trusted to be Lie superalgebras; check each one up
+        # to dim 16 (every prefix of every length-3 word)
+        fx = load_fixture("ex4.4")
+        g = fx.parts["algebra"]
+        levels = {}
+        for letters in itertools.product("+-", repeat=3):
+            word = "".join(letters)
+            for depth, level in enumerate(hierarchy_trace(g, fx.parts["r1"], word), start=1):
+                levels[word[:depth]] = level.algebra
+        assert len(levels) == 14
+        for word, h in levels.items():
+            assert check_lie_axioms(h).ok, word
+
+    def test_walk_makes_no_representation_check(self, rep_checks):
+        fx = load_fixture("ex4.4")
+        rep_checks.clear()
+        hierarchy_walk(fx.parts["algebra"], fx.parts["r1"], "++++")
+        assert rep_checks == []
+
+    def test_depth_five_walk_within_five_seconds(self):
+        fx = load_fixture("ex4.4")
+        start = time.perf_counter()
+        r = hierarchy_walk(fx.parts["algebra"], fx.parts["r1"], "+++++")
+        assert time.perf_counter() - start < 5.0
+        assert r.algebra.space.dim == 64
 
     def test_deeper_words_keep_all_stated_properties(self):
         fx = load_fixture("ex4.4")
