@@ -10,9 +10,11 @@ plain report 1:1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import catalog
 from .fileformat import ALGEBRA_SPACE_NAME, Document, FormatError, RawRep, emit, parse
@@ -350,10 +352,8 @@ def _cmd_search(args, rep: Reporter) -> None:
         token = token.strip()
         if token:
             try:
-                from fractions import Fraction
-
                 entries.append(Fraction(token))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise UsageError(f"malformed rational {token!r} in --entries")
     if not entries:
         raise UsageError("--entries needs at least one rational")
@@ -397,6 +397,8 @@ def _cmd_demo(args, rep: Reporter) -> None:
 # argument parsing
 
 
+# one parser per process: building it costs more than a short command
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superybe",

@@ -102,7 +102,10 @@ _MAP_HEADER_RE = re.compile(r"^map\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s+parity\s+(
 def _parse_rational(token: str, line: int) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise FormatError(f"malformed rational {token!r}", line)
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in {token!r}", line) from None
 
 
 def _parse_terms(rhs: str, space: SuperSpace, line: int) -> "dict[str, Fraction]":
@@ -432,9 +435,14 @@ def parse(text: str) -> Document:
     return doc
 
 
-def _format_terms(space: SuperSpace, vector) -> str:
-    terms = [f"{c} {space.labels[k]}" for k, c in enumerate(vector) if c != 0]
+def _format_pairs(space: SuperSpace, pairs) -> str:
+    """Terms from (index, coefficient) pairs with nonzero coefficients."""
+    terms = [f"{c} {space.labels[k]}" for k, c in pairs]
     return " + ".join(terms) if terms else "0"
+
+
+def _format_terms(space: SuperSpace, vector) -> str:
+    return _format_pairs(space, ((k, c) for k, c in enumerate(vector) if c != 0))
 
 
 def emit(doc: Document) -> str:
@@ -451,13 +459,11 @@ def emit(doc: Document) -> str:
     if doc.algebra is not None:
         space = doc.algebra.space
         out.append("[bracket]")
-        n = space.dim
-        for i in range(n):
-            for j in range(i, n):
-                vec = doc.algebra.structure[i][j]
-                if any(c != 0 for c in vec):
+        for i, row in enumerate(doc.algebra.nonzero):
+            for j in range(i, space.dim):
+                if row[j]:
                     out.append(
-                        f"{space.labels[i]} {space.labels[j]} = {_format_terms(space, vec)}"
+                        f"{space.labels[i]} {space.labels[j]} = {_format_pairs(space, row[j])}"
                     )
         out.append("")
 

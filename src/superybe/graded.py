@@ -201,14 +201,6 @@ def vec_is_zero(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def vector_parity(space: SuperSpace, v) -> "Parity | None":
-    """Common parity of the nonzero components, or None if mixed/zero-free."""
-    parities = {space.parities[i] for i, x in enumerate(v) if x != 0}
-    if len(parities) == 1:
-        return parities.pop()
-    return None
-
-
 def format_vector(space: SuperSpace, v) -> str:
     terms = []
     for i, x in enumerate(v):
@@ -471,12 +463,6 @@ class Tensor2:
     @staticmethod
     def zero(left: SuperSpace, right: SuperSpace, parity: "Parity | None" = None) -> "Tensor2":
         return Tensor2(left, right, ((ZERO,) * right.dim,) * left.dim, parity)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        if self.parity is not None:
-            return True
-        return _infer_parity(self.left, self.right, self.coeffs) is not None or self.is_zero()
 
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.coeffs for c in row)

@@ -7,7 +7,9 @@ action and Rota-Baxter operators along an even invariant form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, TYPE_CHECKING
 
 from . import linalg
@@ -23,7 +25,6 @@ from .graded import (
     parity_name,
     rat,
     sign,
-    vec_scale,
 )
 
 if TYPE_CHECKING:
@@ -105,104 +106,99 @@ class LieSuperAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def bracket_basis(self, i: int, j: int) -> tuple[Scalar, ...]:
-        return self.structure[i][j]
+    @cached_property
+    def nonzero(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
+        """nonzero[i][j]: the pairs (k, c_ij^k) with c_ij^k != 0, in
+        ascending k.  Every kernel reads the structure constants here."""
+        return tuple(
+            tuple(tuple((k, c) for k, c in enumerate(entry) if c != 0) for entry in row)
+            for row in self.structure
+        )
 
     def bracket(self, x, y) -> tuple[Scalar, ...]:
         """[x, y] for coordinate vectors x, y."""
-        n = self.space.dim
-        out = [ZERO] * n
+        out = [ZERO] * self.space.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cij = self.structure[i][j]
+            row = self.nonzero[i]
+            for j, yj in ys:
                 coeff = xi * yj
-                for k in range(n):
-                    if cij[k] != 0:
-                        out[k] += coeff * cij[k]
+                for k, c in row[j]:
+                    out[k] += coeff * c
         return tuple(out)
 
     def ad(self, i: int) -> GradedLinearMap:
         """The adjoint action of the i-th basis element."""
         n = self.space.dim
-        m = tuple(
-            tuple(self.structure[i][j][k] for j in range(n)) for k in range(n)
+        m = [[ZERO] * n for _ in range(n)]
+        for j, entry in enumerate(self.nonzero[i]):
+            for k, c in entry:
+                m[k][j] = c
+        return GradedLinearMap(
+            self.space, self.space, self.space.parities[i], tuple(tuple(r) for r in m)
         )
-        return GradedLinearMap(self.space, self.space, self.space.parities[i], m)
 
     def is_abelian(self) -> bool:
-        return all(
-            c == 0 for plane in self.structure for row in plane for c in row
-        )
+        return not any(entry for row in self.nonzero for entry in row)
+
+
+def _first_failure(name: str, witnesses) -> CheckItem:
+    """The check item for the first witness detail, passing when none."""
+    detail = next(iter(witnesses), None)
+    return CheckItem(name, detail is None, detail or "")
 
 
 def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
     """Verify parity consistency, super skew-symmetry and the super Jacobi
     identity exhaustively; each axiom reports its first offending triple."""
-    space = g.space
-    n = space.dim
-    L = space.labels
-    P = space.parities
+    n = g.space.dim
+    L = g.space.labels
+    P = g.space.parities
+    C = g.nonzero
 
-    parity_item = CheckItem("parity consistency", True)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if g.structure[i][j][k] != 0 and P[k] != (P[i] + P[j]) % 2:
-                    parity_item = CheckItem(
-                        "parity consistency",
-                        False,
-                        f"[{L[i]}, {L[j]}] has a component along {L[k]} of wrong parity",
-                    )
-                    break
-            if not parity_item.ok:
-                break
-        if not parity_item.ok:
-            break
+    def parity_witnesses():
+        for i in range(n):
+            for j in range(n):
+                for k, _ in C[i][j]:
+                    if P[k] != (P[i] + P[j]) % 2:
+                        yield f"[{L[i]}, {L[j]}] has a component along {L[k]} of wrong parity"
 
-    skew_item = CheckItem("super skew-symmetry", True)
-    for i in range(n):
-        for j in range(n):
-            s = sign(P[i] * P[j])
-            for k in range(n):
-                if g.structure[i][j][k] != -s * g.structure[j][i][k]:
-                    skew_item = CheckItem(
-                        "super skew-symmetry",
-                        False,
-                        f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]",
-                    )
-                    break
-            if not skew_item.ok:
-                break
-        if not skew_item.ok:
-            break
+    def skew_witnesses():
+        # the failing pairs are symmetric, so the first one has i <= j
+        for i in range(n):
+            for j in range(i, n):
+                s = sign(P[i] * P[j])
+                if C[i][j] != tuple((k, -s * c) for k, c in C[j][i]):
+                    yield f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]"
 
-    jacobi_item = CheckItem("super Jacobi", True)
-    for i in range(n):
-        ei = space.basis_vector(i)
-        for j in range(n):
-            ej = space.basis_vector(j)
-            for k in range(n):
-                ek = space.basis_vector(k)
-                lhs = g.bracket(ei, g.bracket(ej, ek))
-                rhs1 = g.bracket(g.bracket(ei, ej), ek)
-                rhs2 = vec_scale(sign(P[i] * P[j]), g.bracket(ej, g.bracket(ei, ek)))
-                if any(a != b + c for a, b, c in zip(lhs, rhs1, rhs2)):
-                    jacobi_item = CheckItem(
-                        "super Jacobi",
-                        False,
-                        f"fails at triple ({L[i]}, {L[j]}, {L[k]})",
-                    )
-                    break
-            if not jacobi_item.ok:
-                break
-        if not jacobi_item.ok:
-            break
+    def jacobi_witnesses():
+        # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - (-1)^{|i||j|} [e_j, [e_i, e_k]]
+        for i in range(n):
+            for j in range(n):
+                s = sign(P[i] * P[j])
+                for k in range(n):
+                    defect: dict = {}
+                    for m, c in C[j][k]:
+                        for q, d in C[i][m]:
+                            defect[q] = defect.get(q, ZERO) + c * d
+                    for m, c in C[i][j]:
+                        for q, d in C[m][k]:
+                            defect[q] = defect.get(q, ZERO) - c * d
+                    for m, c in C[i][k]:
+                        for q, d in C[j][m]:
+                            defect[q] = defect.get(q, ZERO) - s * c * d
+                    if any(x != 0 for x in defect.values()):
+                        yield f"fails at triple ({L[i]}, {L[j]}, {L[k]})"
 
-    return CheckReport((parity_item, skew_item, jacobi_item))
+    return CheckReport(
+        (
+            _first_failure("parity consistency", parity_witnesses()),
+            _first_failure("super skew-symmetry", skew_witnesses()),
+            _first_failure("super Jacobi", jacobi_witnesses()),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,53 +277,23 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
         B[i][j] == -sign(P[i] * P[j]) * B[j][i] for i in range(n) for j in range(n)
     )
 
-    def beta_vec(x, y) -> Scalar:
-        total = ZERO
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj != 0 and B[i][j] != 0:
-                    total += xi * yj * B[i][j]
-        return total
+    C = g.nonzero
 
-    invariant = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = sum(
-                    (g.structure[i][j][m] * B[m][k] for m in range(n)), ZERO
-                )
-                rhs = sum(
-                    (B[i][m] * g.structure[j][k][m] for m in range(n)), ZERO
-                )
-                if lhs != rhs:
-                    invariant = False
-                    break
-            if not invariant:
-                break
-        if not invariant:
-            break
+    def left(i, j, k) -> Scalar:
+        """beta([e_i, e_j], e_k)"""
+        return sum((c * B[m][k] for m, c in C[i][j]), ZERO)
 
-    cocycle = skew
-    if cocycle:
-        for i in range(n):
-            ei = space.basis_vector(i)
-            for j in range(n):
-                ej = space.basis_vector(j)
-                for k in range(n):
-                    ek = space.basis_vector(k)
-                    lhs = beta_vec(g.bracket(ei, ej), ek)
-                    rhs = sign(P[j] * P[k]) * beta_vec(g.bracket(ei, ek), ej) + beta_vec(
-                        ei, g.bracket(ej, ek)
-                    )
-                    if lhs != rhs:
-                        cocycle = False
-                        break
-                if not cocycle:
-                    break
-            if not cocycle:
-                break
+    def right(i, j, k) -> Scalar:
+        """beta(e_i, [e_j, e_k])"""
+        return sum((B[i][m] * c for m, c in C[j][k]), ZERO)
+
+    invariant = all(
+        left(i, j, k) == right(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+    )
+    cocycle = skew and all(
+        left(i, j, k) == sign(P[j] * P[k]) * left(i, k, j) + right(i, j, k)
+        for i, j, k in itertools.product(range(n), repeat=3)
+    )
 
     nondeg = linalg.rank([list(r) for r in B]) == n
     return FormFlags(supersym, skew, invariant, cocycle, nondeg)
@@ -372,10 +338,8 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
 
     for i in range(ng):
         for j in range(ng):
-            for k in range(ng):
-                v = g.structure[i][j][k]
-                if v != 0:
-                    c[alg_embed[i]][alg_embed[j]][alg_embed[k]] = v
+            for k, v in g.nonzero[i][j]:
+                c[alg_embed[i]][alg_embed[j]][alg_embed[k]] = v
 
     for a in range(ng):
         act = rho.action[a]

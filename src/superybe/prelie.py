@@ -192,7 +192,9 @@ def left_regular_rep(a: PreLieSuperAlgebra) -> Representation:
     for i in range(n):
         m = tuple(tuple(a.product[i][j][k] for j in range(n)) for k in range(n))
         action.append(GradedLinearMap(a.space, a.space, a.space.parities[i], m))
-    return Representation(g, a.space, tuple(action))
+    # subadjacent has checked the pre-Lie identity, which makes L a
+    # representation by theorem
+    return Representation._trusted(g, a.space, tuple(action))
 
 
 def identity_oop(a: PreLieSuperAlgebra) -> OOperatorCandidate:

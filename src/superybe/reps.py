@@ -70,12 +70,11 @@ def check_representation(
                 s = sign(g.space.parities[i] * g.space.parities[j])
                 ij = mat_mul(mats[i], mats[j])
                 ji = mat_mul(mats[j], mats[i])
+                cij = g.nonzero[i][j]
                 ok = True
                 for r in range(d):
                     for c in range(d):
-                        lhs = sum(
-                            (g.structure[i][j][k] * mats[k][r][c] for k in range(n)), ZERO
-                        )
+                        lhs = sum((x * mats[k][r][c] for k, x in cij), ZERO)
                         if lhs != ij[r][c] - s * ji[r][c]:
                             ok = False
                             break

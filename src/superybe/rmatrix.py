@@ -83,26 +83,25 @@ def scybe_defect(r: RMatrix, threads: "int | None" = None) -> Tensor3:
     space = g.space
     n = space.dim
     P = space.parities
+    C = g.nonzero
     entries = list(r.tensor.nonzero())
 
     def accumulate(pairs):
         grid = Tensor3.zero_grid(n)
         for (i, j), a in pairs:
+            Ci, Cj = C[i], C[j]
             for (k, l), b in entries:
+                c1, c2, c3 = Ci[k], Cj[k], Cj[l]
+                if not (c1 or c2 or c3):
+                    continue
                 coeff = a * b
-                s = sign(P[j] * P[k])
-                c1 = g.structure[i][k]
-                for m in range(n):
-                    if c1[m] != 0:
-                        grid[m][j][l] += s * coeff * c1[m]
-                c2 = g.structure[j][k]
-                for m in range(n):
-                    if c2[m] != 0:
-                        grid[i][m][l] += coeff * c2[m]
-                c3 = g.structure[j][l]
-                for m in range(n):
-                    if c3[m] != 0:
-                        grid[i][k][m] += s * coeff * c3[m]
+                signed = sign(P[j] * P[k]) * coeff
+                for m, c in c1:
+                    grid[m][j][l] += signed * c
+                for m, c in c2:
+                    grid[i][m][l] += coeff * c
+                for m, c in c3:
+                    grid[i][k][m] += signed * c
         return grid
 
     if not threads or threads <= 1 or len(entries) < 2:

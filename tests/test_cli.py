@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from superybe.cli import main
+from superybe.cli import _build_parser, main
 from superybe.fileformat import parse
 from superybe.rmatrix import RMatrix
 
@@ -130,6 +130,13 @@ class TestValidate:
         path.write_text("[space]\neven = e\nodd = f\n[bracket]\ne f = 1 e\n")
         assert main(["validate", str(path)]) == 2
         assert "line 5" in capsys.readouterr().err
+
+    def test_zero_denominator_exits_two_with_line(self, tmp_path, capsys):
+        path = tmp_path / "zero.sy"
+        path.write_text("[space]\neven = e\nodd = f\n[bracket]\ne f = 1/0 f\n")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "zero denominator" in err
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent.sy"]) == 2
@@ -350,6 +357,11 @@ class TestSearch:
         args = ["search", sl11_file, "--rep", "rho", "--parity", "odd", "--entries", "x"]
         assert main(args) == 2
 
+    def test_zero_denominator_entry_exits_two(self, sl11_file, capsys):
+        args = ["search", sl11_file, "--rep", "rho", "--parity", "even", "--entries=0,1/0"]
+        assert main(args) == 2
+        assert "malformed rational '1/0'" in capsys.readouterr().err
+
 
 class TestDemo:
     def test_demo_ex44(self, capsys):
@@ -376,3 +388,17 @@ class TestDemo:
 def test_usage_error_exit_code():
     assert main(["not-a-command"]) == 2
     assert main([]) == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self, ex32_file, capsys):
+        _build_parser.cache_clear()
+        assert main(["check-cybe", ex32_file, "--tensor", "r0"]) == 0
+        assert main(["check-cybe", ex32_file, "--tensor", "ref"]) == 1
+        assert _build_parser.cache_info().misses == 1
+
+    def test_usage_error_on_a_later_call_exits_two(self, ex32_file, capsys):
+        assert main(["check-cybe", ex32_file, "--tensor", "r0"]) == 0
+        assert main(["check-cybe", ex32_file]) == 2
+        assert main(["no-such-command"]) == 2
+        assert main(["check-cybe", ex32_file, "--tensor", "r0"]) == 0

@@ -89,6 +89,19 @@ class TestParse:
         assert err.value.line == 5
         assert "malformed rational" in str(err.value)
 
+    def test_zero_denominator_reports_line(self):
+        text = "[space]\neven = e\nodd = f\n[tensor r]\ne e = 1/0\n"
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert err.value.line == 5
+        assert "zero denominator" in str(err.value)
+
+    def test_zero_denominator_in_terms_reports_line(self):
+        text = "[space]\neven = e\nodd = f\n[bracket]\ne f = 3/0 f\n"
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert err.value.line == 5
+
     def test_out_of_order_bracket_rejected(self):
         text = "[space]\neven = e\nodd = f\n[bracket]\nf e = -1 f\n"
         with pytest.raises(FormatError) as err:

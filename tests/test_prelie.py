@@ -8,9 +8,11 @@ from superybe import (
     SuperSpace,
     check_lie_axioms,
     check_prelie,
+    check_representation,
     compatible_prelie,
     identity_oop,
     induced_prelie,
+    left_regular_rep,
     load_fixture,
     oop_holds,
     parity_dual_oop,
@@ -85,6 +87,19 @@ class TestLeftRegular:
         star = fx.parts["prelie"]
         f = star.space.index("f")
         assert lrep.action[f].image_of("f") == star.space.vector({"e": -1})
+
+    @pytest.mark.parametrize(
+        "fixture, part", [("closing-prelie", "prelie"), ("ex3.20", "circ"), ("ex3.20", "star")]
+    )
+    def test_left_regular_passes_the_check(self, fixture, part):
+        lrep = left_regular_rep(load_fixture(fixture).parts[part])
+        assert check_representation(lrep.algebra, lrep.space, lrep.action).ok
+
+    def test_left_regular_makes_no_representation_check(self, rep_checks):
+        a = load_fixture("closing-prelie").parts["prelie"]
+        before = len(rep_checks)
+        left_regular_rep(a)
+        assert len(rep_checks) == before
 
     def test_identity_is_an_even_oop(self):
         fx = load_fixture("closing-prelie")
