@@ -11,13 +11,11 @@ from .graded import (
     Tensor3,
     double_dual_embedding,
     dual_map,
-    dual_space,
     pair2_eval,
     pair_eval,
     pair_eval_reversed,
     rat,
     suspend_map,
-    suspend_space,
     twist,
 )
 from .liesuper import (

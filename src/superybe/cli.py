@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,6 +20,8 @@ from .fileformat import ALGEBRA_SPACE_NAME, Document, FormatError, RawRep, emit,
 from .graded import (
     EVEN,
     ODD,
+    GradedLinearMap,
+    Tensor2,
     format_vector,
     parity_name,
     suspend_map,
@@ -28,7 +29,7 @@ from .graded import (
 from .liesuper import check_lie_axioms, classify_form
 from .oop import GridSearchCapExceeded, grid_search_oops, is_oop
 from .prelie import check_prelie, prelie_rmatrix_pair, product_from_oop, subadjacent
-from .reps import Representation, parity_reverse_rep
+from .reps import Representation, check_representation, parity_reverse_rep
 from .rmatrix import (
     HierarchyError,
     RMatrix,
@@ -123,24 +124,25 @@ def _tensor_rmatrix(doc: Document, name: str) -> RMatrix:
     if tensor.parity is None and not tensor.is_zero():
         raise CheckFailed(f"tensor {name} is inhomogeneous")
     if tensor.parity is None:
-        from .graded import Tensor2
-
         tensor = Tensor2(tensor.left, tensor.right, tensor.coeffs, EVEN)
     return RMatrix(algebra, tensor)
 
 
-def _document_for_algebra(algebra, tensors=None, maps=None, reps=None, prelies=None) -> str:
+def _fitting_map(doc: Document, args) -> tuple[GradedLinearMap, Representation]:
+    """The --map and the verified --rep; the map must go from V to g."""
+    t = _named(doc.maps, args.map, "map")
+    rho = _verified_rep(doc, args.rep)
+    if t.domain != rho.space or t.codomain != rho.algebra.space:
+        raise UsageError(f"map {args.map} does not fit rep {args.rep}")
+    return t, rho
+
+
+def _document_for_algebra(algebra, tensors=None) -> str:
     doc = Document()
     doc.spaces[ALGEBRA_SPACE_NAME] = algebra.space
     doc.algebra = algebra
     for name, t in (tensors or {}).items():
         doc.tensors[name] = t
-    for name, m in (maps or {}).items():
-        doc.maps[name] = m
-    for name, r in (reps or {}).items():
-        doc.reps[name] = r
-    for name, p in (prelies or {}).items():
-        doc.prelies[name] = p
     return emit(doc)
 
 
@@ -158,8 +160,6 @@ def _cmd_validate(args, rep: Reporter) -> None:
     for name, raw in doc.reps.items():
         if algebra is None:
             raise UsageError("a [rep] section needs a [bracket] section")
-        from .reps import check_representation
-
         report = check_representation(algebra, raw.space, raw.action)
         for item in report.items:
             rep.check(f"rep {name} {item.name}", item.ok, item.detail)
@@ -179,10 +179,7 @@ def _cmd_validate(args, rep: Reporter) -> None:
 
 def _cmd_check_oop(args, rep: Reporter) -> None:
     doc = _load_document(args.file)
-    t = _named(doc.maps, args.map, "map")
-    rho = _verified_rep(doc, args.rep)
-    if t.domain != rho.space or t.codomain != rho.algebra.space:
-        raise UsageError(f"map {args.map} does not fit rep {args.rep}")
+    t, rho = _fitting_map(doc, args)
     report = is_oop(t, rho)
     rep.check(
         f"{args.map} is an O-operator ({parity_name(t.parity)})",
@@ -200,7 +197,7 @@ def _cmd_check_oop(args, rep: Reporter) -> None:
 def _cmd_check_cybe(args, rep: Reporter) -> None:
     doc = _load_document(args.file)
     r = _tensor_rmatrix(doc, args.tensor)
-    defect = scybe_defect(r, threads=args.threads)
+    defect = scybe_defect(r)
     rep.check(f"{args.tensor} solves the super CYBE", defect.is_zero())
     pan = is_pan_supersymmetric(r)
     rep.note(f"{args.tensor} is pan-supersymmetric: {'yes' if pan else 'no'}")
@@ -218,10 +215,7 @@ def _cmd_check_cybe(args, rep: Reporter) -> None:
 
 def _cmd_dualize(args, rep: Reporter) -> None:
     doc = _load_document(args.file)
-    t = _named(doc.maps, args.map, "map")
-    rho = _verified_rep(doc, args.rep)
-    if t.domain != rho.space or t.codomain != rho.algebra.space:
-        raise UsageError(f"map {args.map} does not fit rep {args.rep}")
+    t, rho = _fitting_map(doc, args)
     ts = suspend_map(t)
     srho = parity_reverse_rep(rho)
     out = Document()
@@ -235,12 +229,9 @@ def _cmd_dualize(args, rep: Reporter) -> None:
 
 def _cmd_build_rmatrix(args, rep: Reporter) -> None:
     doc = _load_document(args.file)
-    t = _named(doc.maps, args.map, "map")
-    rho = _verified_rep(doc, args.rep)
-    if t.domain != rho.space or t.codomain != rho.algebra.space:
-        raise UsageError(f"map {args.map} does not fit rep {args.rep}")
+    t, rho = _fitting_map(doc, args)
     r = operator_to_rmatrix(t, rho, args.variant)
-    defect_zero = scybe_defect(r, threads=args.threads).is_zero()
+    defect_zero = scybe_defect(r).is_zero()
     rep.check(
         f"induced tensor ({parity_name(r.parity)}) solves the super CYBE",
         defect_zero,
@@ -289,23 +280,20 @@ def _cmd_prelie(args, rep: Reporter) -> None:
             a = next(iter(doc.prelies.values()))
         else:
             a = _named(doc.prelies, args.prelie, "prelie")
-        report = check_prelie(a)
-        if not report.ok:
-            raise CheckFailed(f"invalid pre-Lie product: {report.failures()[0].detail}")
+        # both constructions check the pre-Lie identity first
+        try:
+            if args.action == "subadjacent":
+                g = subadjacent(a)
+            else:
+                even_r, odd_r = prelie_rmatrix_pair(a)
+        except ValueError as exc:
+            raise CheckFailed(str(exc)) from None
         if args.action == "subadjacent":
-            g = subadjacent(a)
             rep.check("sub-adjacent bracket satisfies the axioms", check_lie_axioms(g).ok)
             rep.document(_document_for_algebra(g))
         else:
-            even_r, odd_r = prelie_rmatrix_pair(a)
-            rep.check(
-                "even tensor solves the super CYBE",
-                scybe_defect(even_r, threads=args.threads).is_zero(),
-            )
-            rep.check(
-                "odd tensor solves the super CYBE",
-                scybe_defect(odd_r, threads=args.threads).is_zero(),
-            )
+            rep.check("even tensor solves the super CYBE", scybe_defect(even_r).is_zero())
+            rep.check("odd tensor solves the super CYBE", scybe_defect(odd_r).is_zero())
             rep.note("# plain variant")
             rep.document(
                 _document_for_algebra(even_r.algebra, tensors={"r_id": even_r.tensor}),
@@ -358,9 +346,7 @@ def _cmd_search(args, rep: Reporter) -> None:
     if not entries:
         raise UsageError("--entries needs at least one rational")
     try:
-        found = grid_search_oops(
-            algebra, rho, parity, entries, threads=args.threads
-        )
+        found = grid_search_oops(algebra, rho, parity, entries)
     except GridSearchCapExceeded as exc:
         raise UsageError(str(exc)) from None
     rep.check(f"search finished: {len(found)} O-operator(s)", True)
@@ -382,7 +368,7 @@ def _cmd_demo(args, rep: Reporter) -> None:
     tensors = {}
     for part_name, part in fixture.parts.items():
         if isinstance(part, RMatrix):
-            defect = scybe_defect(part, threads=args.threads)
+            defect = scybe_defect(part)
             nonzero = sum(1 for _ in defect.nonzero())
             rep.note(f"tensor {part_name} = {part.tensor}")
             rep.note(f"SCYBE defect: {nonzero if nonzero else 0}")
@@ -408,12 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads for search/defect (default: SUPERYBE_THREADS)",
-        )
 
     p = sub.add_parser("validate", help="axiom and representation checks")
     p.add_argument("file")
@@ -491,14 +471,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "threads", None) is None:
-        env = os.environ.get("SUPERYBE_THREADS")
-        if env:
-            try:
-                args.threads = int(env)
-            except ValueError:
-                print(f"error: SUPERYBE_THREADS={env!r} is not an integer", file=sys.stderr)
-                return EXIT_USAGE
     reporter = Reporter(getattr(args, "json", False))
     try:
         _HANDLERS[args.command](args, reporter)

@@ -150,22 +150,14 @@ class SuperSpace:
         return SuperSpace(labels, parities), tuple(perm)
 
 
-def suspend_space(space: SuperSpace) -> SuperSpace:
-    """Interchange the even and odd parts; labels get the toggled s-marker."""
-    return space.suspended()
-
-
-def dual_space(space: SuperSpace) -> SuperSpace:
-    return space.dual()
-
-
 def merge_spaces(a: SuperSpace, b: SuperSpace) -> "tuple[SuperSpace, tuple[int, ...], tuple[int, ...]]":
-    """Concatenate two spaces (disjoint labels) and re-sort into canonical
-    block order, stably, a's basis first.  Returns the merged space and the
-    embeddings old-index -> merged-index for a and for b."""
-    clash = set(a.labels) & set(b.labels)
-    if clash:
-        raise ValueError(f"label collision while merging spaces: {sorted(clash)}")
+    """Concatenate two spaces and re-sort into canonical block order,
+    stably, a's basis first.  When the label sets meet, every label takes
+    pair notation, (x,0) for a and (0,v) for b.  Returns the merged space
+    and the embeddings old-index -> merged-index for a and for b."""
+    if set(a.labels) & set(b.labels):
+        a = SuperSpace(tuple(f"({l},0)" for l in a.labels), a.parities)
+        b = SuperSpace(tuple(f"(0,{l})" for l in b.labels), b.parities)
     labels = a.labels + b.labels
     parities = a.parities + b.parities
     order = [i for i, p in enumerate(parities) if p == EVEN]

@@ -304,32 +304,24 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
 
 
 def semidirect_labels(g_space: SuperSpace, module_space: SuperSpace):
-    """Deterministic labels for the two embedded summands of g (+) V.
-
-    Plain labels when disjoint; pair notation (x,0) / (0,v) on collision.
-    """
-    if set(g_space.labels) & set(module_space.labels):
-        alg = tuple(f"({l},0)" for l in g_space.labels)
-        mod = tuple(f"(0,{l})" for l in module_space.labels)
-    else:
-        alg = g_space.labels
-        mod = module_space.labels
-    return alg, mod
+    """The labels the two summands of g (+) V carry in the merged space."""
+    total, alg_embed, mod_embed = merge_spaces(g_space, module_space)
+    return (
+        tuple(total.labels[k] for k in alg_embed),
+        tuple(total.labels[k] for k in mod_embed),
+    )
 
 
 def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlgebra:
     """g |x V with [(x,u), (y,v)] = ([x,y], rho(x)v - (-1)^{|u||y|} rho(y)u).
 
     Basis order: g first, then the module, re-sorted into canonical parity
-    blocks.  The adjoint summand gets pair labels to avoid collisions.
+    blocks; colliding labels take pair notation as in `merge_spaces`.
     """
     if rho.algebra != g:
         raise ValueError("representation is not over this algebra")
     V = rho.space
-    alg_labels, mod_labels = semidirect_labels(g.space, V)
-    a_space = SuperSpace(alg_labels, g.space.parities)
-    m_space = SuperSpace(mod_labels, V.parities)
-    total, alg_embed, mod_embed = merge_spaces(a_space, m_space)
+    total, alg_embed, mod_embed = merge_spaces(g.space, V)
 
     n = total.dim
     ng = g.space.dim

@@ -8,7 +8,6 @@ grid search used as a classification oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graded import (
@@ -17,6 +16,7 @@ from .graded import (
     Parity,
     SuperSpace,
     format_vector,
+    merge_spaces,
     rat,
     sign,
     suspend_map,
@@ -25,7 +25,7 @@ from .graded import (
     vec_sub,
 )
 from .liesuper import LieSuperAlgebra
-from .reps import Representation, is_intertwiner, parity_reverse_rep
+from .reps import Representation, direct_sum_rep, is_intertwiner, parity_reverse_rep
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,10 @@ def parity_dual_oop(t: GradedLinearMap, rho: Representation) -> OOperatorCandida
 
 def extend_to_double(t: GradedLinearMap, rho: Representation) -> OOperatorCandidate:
     """T^(v, su) = T(v) on the self-reversing double V (+) sV."""
-    from .reps import direct_sum_with_embeddings
-
     _check_candidate(t, rho)
-    double, emb_v, _ = direct_sum_with_embeddings(rho, parity_reverse_rep(rho))
+    srho = parity_reverse_rep(rho)
+    double = direct_sum_rep(rho, srho)
+    _, emb_v, _ = merge_spaces(rho.space, srho.space)
     W = double.space
     cols = [t.codomain.zero_vector()] * W.dim
     for i in range(rho.space.dim):
@@ -192,7 +192,6 @@ def grid_search_oops(
     parity: Parity,
     entry_set,
     cap: int = GRID_SEARCH_CAP,
-    threads: "int | None" = None,
 ) -> list[GradedLinearMap]:
     """Every homogeneous map of the given parity with all free entries in
     entry_set that satisfies the O-operator identity, in lexicographic
@@ -225,19 +224,5 @@ def grid_search_oops(
             grid[k][i] = entries[digit]
         return GradedLinearMap(V, cod, parity, tuple(tuple(r) for r in grid))
 
-    def scan(lo: int, hi: int):
-        found = []
-        for index in range(lo, hi):
-            candidate = decode(index)
-            if oop_holds(candidate, rho):
-                found.append(candidate)
-        return found
-
-    if not threads or threads <= 1 or total < 2:
-        return scan(0, total)
-
-    chunk = max(1, (total + threads - 1) // threads)
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda r: scan(*r), ranges))
-    return [m for part in parts for m in part]
+    candidates = (decode(index) for index in range(total))
+    return [t for t in candidates if oop_holds(t, rho)]

@@ -26,7 +26,7 @@ from .graded import (
     vec_scale,
     vec_sub,
 )
-from .liesuper import CheckItem, CheckReport, LieSuperAlgebra
+from .liesuper import CheckReport, LieSuperAlgebra, _first_failure
 from .oop import OOperatorCandidate, _check_candidate, oop_holds
 from .reps import Representation
 from .rmatrix import operator_to_rmatrix
@@ -99,54 +99,25 @@ def check_prelie(a: PreLieSuperAlgebra) -> CheckReport:
     L = space.labels
     P = space.parities
 
-    grading = CheckItem("product grading", True)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if a.product[i][j][k] != 0 and P[k] != (P[i] + P[j] + a.parity_shift) % 2:
-                    grading = CheckItem(
-                        "product grading",
-                        False,
-                        f"{L[i]} {L[j]} has a component along {L[k]} of wrong parity",
-                    )
-                    break
-            if not grading.ok:
-                break
-        if not grading.ok:
-            break
-
-    items = [grading]
-    if a.parity_shift == EVEN:
-        leftsym = CheckItem("left-symmetric associator", True)
+    def grading_witnesses():
         for i in range(n):
-            ei = space.basis_vector(i)
             for j in range(n):
-                ej = space.basis_vector(j)
                 for k in range(n):
-                    ek = space.basis_vector(k)
-                    lhs = a.associator(ei, ej, ek)
-                    rhs = vec_scale(sign(P[i] * P[j]), a.associator(ej, ei, ek))
-                    if lhs != rhs:
-                        leftsym = CheckItem(
-                            "left-symmetric associator",
-                            False,
-                            f"fails at triple ({L[i]}, {L[j]}, {L[k]})",
-                        )
-                        break
-                if not leftsym.ok:
-                    break
-            if not leftsym.ok:
-                break
-        items.append(leftsym)
+                    if a.product[i][j][k] != 0 and P[k] != (P[i] + P[j] + a.parity_shift) % 2:
+                        yield f"{L[i]} {L[j]} has a component along {L[k]} of wrong parity"
 
+    items = [_first_failure("product grading", grading_witnesses())]
+    if a.parity_shift == EVEN:
+        items.append(_first_failure("left-symmetric associator", _left_symmetry_witnesses(a)))
     return CheckReport(tuple(items))
 
 
-def shifted_left_symmetry_holds(a: PreLieSuperAlgebra) -> bool:
-    """The associator symmetry with the shift folded into the parities:
-    (v, w, u) = (-1)^{(|v|+s)(|w|+s)} (w, v, u) on all basis triples."""
+def _left_symmetry_witnesses(a: PreLieSuperAlgebra):
+    """The basis triples breaking the associator symmetry with the shift s
+    folded into the parities: (v, w, u) = (-1)^{(|v|+s)(|w|+s)} (w, v, u)."""
     space = a.space
     n = space.dim
+    L = space.labels
     P = space.parities
     s = a.parity_shift
     for i in range(n):
@@ -157,8 +128,13 @@ def shifted_left_symmetry_holds(a: PreLieSuperAlgebra) -> bool:
             for k in range(n):
                 ek = space.basis_vector(k)
                 if a.associator(ei, ej, ek) != vec_scale(factor, a.associator(ej, ei, ek)):
-                    return False
-    return True
+                    yield f"fails at triple ({L[i]}, {L[j]}, {L[k]})"
+
+
+def shifted_left_symmetry_holds(a: PreLieSuperAlgebra) -> bool:
+    """The associator symmetry with the shift folded into the parities, on
+    all basis triples; for shift 0 the left-symmetry of check_prelie."""
+    return next(_left_symmetry_witnesses(a), None) is None
 
 
 def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:

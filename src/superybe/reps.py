@@ -23,7 +23,7 @@ from .graded import (
     vec_add,
     vec_scale,
 )
-from .liesuper import CheckItem, CheckReport, LieSuperAlgebra
+from .liesuper import CheckReport, LieSuperAlgebra, _first_failure
 
 
 def check_representation(
@@ -34,25 +34,15 @@ def check_representation(
     n = g.space.dim
     L = g.space.labels
 
-    shape_item = CheckItem("action shape and parity", True)
-    if len(action) != n:
-        shape_item = CheckItem(
-            "action shape and parity", False, f"expected {n} action maps, got {len(action)}"
-        )
-    else:
+    def shape_witnesses():
+        if len(action) != n:
+            yield f"expected {n} action maps, got {len(action)}"
+            return
         for i, m in enumerate(action):
             if m.domain != space or m.codomain != space:
-                shape_item = CheckItem(
-                    "action shape and parity", False, f"action of {L[i]} acts on the wrong space"
-                )
-                break
-            if m.parity != g.space.parities[i]:
-                shape_item = CheckItem(
-                    "action shape and parity",
-                    False,
-                    f"action of {L[i]} must have parity of {L[i]}",
-                )
-                break
+                yield f"action of {L[i]} acts on the wrong space"
+            elif m.parity != g.space.parities[i]:
+                yield f"action of {L[i]} must have parity of {L[i]}"
 
     def mat_mul(a, b):
         d = len(a)
@@ -61,8 +51,7 @@ def check_representation(
             for r in range(d)
         ]
 
-    hom_item = CheckItem("homomorphism property", True)
-    if shape_item.ok:
+    def hom_witnesses():
         d = space.dim
         mats = [m.matrix for m in action]
         for i in range(n):
@@ -71,25 +60,15 @@ def check_representation(
                 ij = mat_mul(mats[i], mats[j])
                 ji = mat_mul(mats[j], mats[i])
                 cij = g.nonzero[i][j]
-                ok = True
-                for r in range(d):
-                    for c in range(d):
-                        lhs = sum((x * mats[k][r][c] for k, x in cij), ZERO)
-                        if lhs != ij[r][c] - s * ji[r][c]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    hom_item = CheckItem(
-                        "homomorphism property",
-                        False,
-                        f"fails at pair ({L[i]}, {L[j]})",
-                    )
-                    break
-            if not hom_item.ok:
-                break
+                if any(
+                    sum((x * mats[k][r][c] for k, x in cij), ZERO) != ij[r][c] - s * ji[r][c]
+                    for r in range(d)
+                    for c in range(d)
+                ):
+                    yield f"fails at pair ({L[i]}, {L[j]})"
 
+    shape_item = _first_failure("action shape and parity", shape_witnesses())
+    hom_item = _first_failure("homomorphism property", hom_witnesses() if shape_item.ok else ())
     return CheckReport((shape_item, hom_item))
 
 
@@ -209,19 +188,11 @@ def parity_reverse_rep(rho: Representation) -> Representation:
     return Representation._trusted(rho.algebra, svspace, tuple(action))
 
 
-def _sum_spaces(a: SuperSpace, b: SuperSpace):
-    """Merge for direct sums; colliding labels fall back to pair notation."""
-    if set(a.labels) & set(b.labels):
-        a = SuperSpace(tuple(f"({l},0)" for l in a.labels), a.parities)
-        b = SuperSpace(tuple(f"(0,{l})" for l in b.labels), b.parities)
-    return merge_spaces(a, b)
-
-
-def direct_sum_with_embeddings(rho1: Representation, rho2: Representation):
-    """The block-diagonal sum plus the index embeddings of both summands."""
+def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation:
+    """Block-diagonal action on `merge_spaces` of the two spaces."""
     if rho1.algebra != rho2.algebra:
         raise ValueError("direct sum requires representations of the same algebra")
-    total, emb1, emb2 = _sum_spaces(rho1.space, rho2.space)
+    total, emb1, emb2 = merge_spaces(rho1.space, rho2.space)
     n = total.dim
     action = []
     for a in range(rho1.algebra.space.dim):
@@ -239,12 +210,7 @@ def direct_sum_with_embeddings(rho1: Representation, rho2: Representation):
         action.append(
             GradedLinearMap(total, total, rho1.algebra.space.parities[a], tuple(tuple(r) for r in grid))
         )
-    return Representation._trusted(rho1.algebra, total, tuple(action)), emb1, emb2
-
-
-def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation:
-    """Block-diagonal action on the canonical merge of the two spaces."""
-    return direct_sum_with_embeddings(rho1, rho2)[0]
+    return Representation._trusted(rho1.algebra, total, tuple(action))
 
 
 def self_reversing_double(rho: Representation) -> Representation:

@@ -9,7 +9,6 @@ representations.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,55 +72,36 @@ def is_pan_supersymmetric(r: RMatrix) -> bool:
     return twist(r.tensor).coeffs == r.tensor.scale(-sign(r.parity)).coeffs
 
 
-def scybe_defect(r: RMatrix, threads: "int | None" = None) -> Tensor3:
+def scybe_defect(r: RMatrix) -> Tensor3:
     """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23] as a 3-tensor.
 
     The three term families carry the displayed Koszul signs: the factor
     (-1)^{|y_i||x_j|} on the first and third, none on the second.
     """
     g = r.algebra
-    space = g.space
-    n = space.dim
-    P = space.parities
+    P = g.space.parities
     C = g.nonzero
     entries = list(r.tensor.nonzero())
-
-    def accumulate(pairs):
-        grid = Tensor3.zero_grid(n)
-        for (i, j), a in pairs:
-            Ci, Cj = C[i], C[j]
-            for (k, l), b in entries:
-                c1, c2, c3 = Ci[k], Cj[k], Cj[l]
-                if not (c1 or c2 or c3):
-                    continue
-                coeff = a * b
-                signed = sign(P[j] * P[k]) * coeff
-                for m, c in c1:
-                    grid[m][j][l] += signed * c
-                for m, c in c2:
-                    grid[i][m][l] += coeff * c
-                for m, c in c3:
-                    grid[i][k][m] += signed * c
-        return grid
-
-    if not threads or threads <= 1 or len(entries) < 2:
-        return Tensor3.from_grid(space, accumulate(entries))
-
-    chunk = max(1, (len(entries) + threads - 1) // threads)
-    parts = [entries[lo : lo + chunk] for lo in range(0, len(entries), chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        grids = list(pool.map(accumulate, parts))
-    total = Tensor3.zero_grid(n)
-    for grid in grids:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    total[i][j][k] += grid[i][j][k]
-    return Tensor3.from_grid(space, total)
+    grid = Tensor3.zero_grid(g.space.dim)
+    for (i, j), a in entries:
+        Ci, Cj = C[i], C[j]
+        for (k, l), b in entries:
+            c1, c2, c3 = Ci[k], Cj[k], Cj[l]
+            if not (c1 or c2 or c3):
+                continue
+            coeff = a * b
+            signed = sign(P[j] * P[k]) * coeff
+            for m, c in c1:
+                grid[m][j][l] += signed * c
+            for m, c in c2:
+                grid[i][m][l] += coeff * c
+            for m, c in c3:
+                grid[i][k][m] += signed * c
+    return Tensor3.from_grid(g.space, grid)
 
 
-def is_super_rmatrix(r: RMatrix, threads: "int | None" = None) -> bool:
-    return scybe_defect(r, threads=threads).is_zero()
+def is_super_rmatrix(r: RMatrix) -> bool:
+    return scybe_defect(r).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +273,10 @@ class DegenerateRMatrix(Exception):
 def beta_form(r: RMatrix) -> BilinearForm:
     """beta_r(u, v) = <T_r^{-1} u, v> for non-degenerate r."""
     t = rmatrix_to_operator(r)
-    if not t.is_invertible():
-        raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)")
-    inv = t.inverse()  # g -> g*
+    try:
+        inv = t.inverse()  # g -> g*
+    except ValueError:
+        raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)") from None
     n = r.space.dim
     gram = tuple(tuple(inv.matrix[j][i] for j in range(n)) for i in range(n))
     return BilinearForm(r.space, gram, r.parity)

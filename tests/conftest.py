@@ -1,3 +1,4 @@
+import importlib
 import random
 import sys
 from fractions import Fraction
@@ -99,13 +100,10 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-@pytest.fixture
-def rep_checks(monkeypatch):
-    """The list of check_representation calls made while the test runs,
+def _count_calls(monkeypatch, module_name, function_name):
+    """The list of calls to a library function made while the test runs,
     through any superybe module that binds the function."""
-    import superybe.reps
-
-    original = superybe.reps.check_representation
+    original = getattr(importlib.import_module(module_name), function_name)
     calls = []
 
     def counting(*args):
@@ -114,6 +112,18 @@ def rep_checks(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name == "superybe" or name.startswith("superybe."):
-            if getattr(module, "check_representation", None) is original:
-                monkeypatch.setattr(module, "check_representation", counting)
+            if getattr(module, function_name, None) is original:
+                monkeypatch.setattr(module, function_name, counting)
     return calls
+
+
+@pytest.fixture
+def rep_checks(monkeypatch):
+    """The check_representation calls made while the test runs."""
+    return _count_calls(monkeypatch, "superybe.reps", "check_representation")
+
+
+@pytest.fixture
+def prelie_checks(monkeypatch):
+    """The check_prelie calls made while the test runs."""
+    return _count_calls(monkeypatch, "superybe.prelie", "check_prelie")

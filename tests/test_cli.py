@@ -282,6 +282,26 @@ class TestPrelieCommand:
         payload = json.loads(capsys.readouterr().out)
         assert "plain" in payload and "dual" in payload
 
+    @pytest.mark.parametrize("action", ["subadjacent", "rmatrix-pair"])
+    def test_prelie_identity_checked_once(self, prelie_file, prelie_checks, capsys, action):
+        assert main(["prelie", prelie_file, action]) == 0
+        assert len(prelie_checks) == 1
+
+    @pytest.mark.parametrize("action", ["subadjacent", "rmatrix-pair"])
+    def test_invalid_product_exits_one(self, tmp_path, prelie_checks, capsys, action):
+        path = tmp_path / "bad.sy"
+        path.write_text(PRELIE.replace("e f = 1 f", "e f = 2 f"))
+        assert main(["prelie", str(path), action]) == 1
+        assert "invalid pre-Lie product: fails at triple (e, f, f): FAIL" in capsys.readouterr().out
+        assert len(prelie_checks) == 1
+
+    @pytest.mark.parametrize("action", ["subadjacent", "rmatrix-pair"])
+    def test_odd_product_exits_one(self, tmp_path, capsys, action):
+        path = tmp_path / "odd.sy"
+        path.write_text("[space]\neven = v\nodd = w\n\n[prelie dot]\nv v = 1 w\n")
+        assert main(["prelie", str(path), action]) == 1
+        assert "only a genuine (shift 0) product" in capsys.readouterr().out
+
     def test_from_oop(self, sl11_file, tmp_path, capsys):
         text = SL11 + "\n[map T : V -> g parity even]\nv1 = 1 e1\nw1 = 1 f2\n"
         path = tmp_path / "withmap.sy"
@@ -340,16 +360,13 @@ class TestSearch:
         for t in doc.maps.values():
             assert member(t)
 
-    def test_threads_flag_same_result(self, sl11_file, capsys):
+    def test_threads_flag_is_refused(self, sl11_file, capsys):
         args = ["search", sl11_file, "--rep", "rho", "--parity", "odd", "--entries=-1,0,1"]
         assert main(args) == 0
-        single = capsys.readouterr().out
-        assert main(args + ["--threads", "3"]) == 0
-        multi = capsys.readouterr().out
-        assert single == multi
+        assert main(args + ["--threads", "3"]) == 2
 
-    def test_threads_env_var(self, sl11_file, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERYBE_THREADS", "2")
+    def test_thread_count_variable_is_ignored(self, sl11_file, capsys, monkeypatch):
+        monkeypatch.setenv("SUPERYBE_THREADS", "abc")
         args = ["search", sl11_file, "--rep", "rho", "--parity", "odd", "--entries", "0,1"]
         assert main(args) == 0
 

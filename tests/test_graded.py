@@ -17,7 +17,6 @@ from superybe import (
     pair_eval,
     pair_eval_reversed,
     suspend_map,
-    suspend_space,
     twist,
 )
 from superybe.graded import format_vector, rat, sign, suspend_label
@@ -46,18 +45,18 @@ class TestSuperSpace:
 
     def test_suspension_flips_and_reorders(self):
         v = space_ef()
-        sv = suspend_space(v)
+        sv = v.suspended()
         assert sv.labels == ("sf", "se")
         assert sv.parities == (EVEN, ODD)
 
     def test_suspension_of_purely_even_is_purely_odd(self):
         v = SuperSpace.make(even=["u1", "u2"])
-        sv = suspend_space(v)
+        sv = v.suspended()
         assert sv.odd_dim == 2 and sv.even_dim == 0
 
     def test_suspension_is_involutive(self):
         v = SuperSpace.make(even=["e", "u"], odd=["f"])
-        assert suspend_space(suspend_space(v)) == v
+        assert v.suspended().suspended() == v
 
     def test_suspend_label_toggles(self):
         assert suspend_label("e") == "se"

@@ -254,14 +254,10 @@ class TestGridSearch:
                 cap=10**3,
             )
 
-    def test_threads_do_not_change_the_result(self):
+    def test_printed_odd_operator_is_found(self):
         fx = load_fixture("ex3.2")
-        g = fx.parts["algebra"]
-        coad = fx.parts["coadjoint"]
-        sequential = grid_search_oops(g, coad, ODD, [-1, 0, 1])
-        threaded = grid_search_oops(g, coad, ODD, [-1, 0, 1], threads=4)
-        assert sequential == threaded
-        assert fx.parts["T1"] in sequential
+        found = grid_search_oops(fx.parts["algebra"], fx.parts["coadjoint"], ODD, [-1, 0, 1])
+        assert fx.parts["T1"] in found
 
 
 class TestRotaBaxterCaveat:

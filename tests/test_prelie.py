@@ -49,6 +49,43 @@ class TestCheckPrelie:
         assert not report.ok
         assert "triple" in report.failures()[0].detail
 
+    def test_first_left_symmetry_witness_is_pinned(self):
+        space = SuperSpace.make(even=["e"], odd=["f"])
+        bad = PreLieSuperAlgebra.from_products(
+            space,
+            {
+                ("e", "e"): {"e": 1},
+                ("e", "f"): {"f": 2},
+                ("f", "e"): {"f": 1},
+                ("f", "f"): {"e": -1},
+            },
+        )
+        report = check_prelie(bad)
+        assert [(item.name, item.ok, item.detail) for item in report.items] == [
+            ("product grading", True, ""),
+            ("left-symmetric associator", False, "fails at triple (e, f, f)"),
+        ]
+        assert not shifted_left_symmetry_holds(bad)
+
+    def test_first_grading_witness_is_pinned(self):
+        # e f and f e both land on the wrong parity; e f comes first
+        space = SuperSpace.make(even=["e"], odd=["f"])
+        bad = PreLieSuperAlgebra.from_products(
+            space, {("e", "f"): {"e": 1}, ("f", "e"): {"e": 1}, ("f", "f"): {"f": 1}}
+        )
+        report = check_prelie(bad)
+        assert [(item.name, item.ok, item.detail) for item in report.items] == [
+            ("product grading", False, "e f has a component along e of wrong parity"),
+            ("left-symmetric associator", True, ""),
+        ]
+
+    def test_shifted_law_fails_for_a_broken_odd_product(self):
+        space = SuperSpace.make(even=["e"], odd=["f"])
+        bad = PreLieSuperAlgebra.from_products(
+            space, {("e", "e"): {"f": 1}, ("e", "f"): {"e": 1}}, parity_shift=ODD
+        )
+        assert not shifted_left_symmetry_holds(bad)
+
     def test_odd_product_skips_left_symmetry_but_satisfies_shifted_law(self):
         fx = load_fixture("ex3.20")
         dot = fx.parts["dot"]

@@ -24,6 +24,7 @@ from superybe import (
     load_fixture,
     parity_reverse_rep,
     self_reversing_double,
+    semidirect_product,
     trivial_rep,
 )
 from superybe.graded import format_vector
@@ -66,6 +67,54 @@ class TestCheckRepresentation:
         )
         report = check_representation(g, space, action)
         assert not report.items[0].ok
+
+    @staticmethod
+    def _items(report):
+        return [(item.name, item.ok, item.detail) for item in report.items]
+
+    def test_first_homomorphism_witness_is_pinned(self):
+        fx = load_fixture("ex2.3")
+        g = fx.parts["algebra"]
+        rho = fx.parts["rho"]
+        action = list(rho.action)
+        action[g.space.index("f1")] = GradedLinearMap.from_images(
+            rho.space, rho.space, ODD, {"v2": {"w2": 1}}
+        )
+        assert self._items(check_representation(g, rho.space, tuple(action))) == [
+            ("action shape and parity", True, ""),
+            ("homomorphism property", False, "fails at pair (f1, f2)"),
+        ]
+
+    def test_first_shape_witness_is_pinned(self):
+        fx = load_fixture("ex2.3")
+        g = fx.parts["algebra"]
+        rho = fx.parts["rho"]
+        other = SuperSpace.make(even=["u"], odd=["m"])
+        wrong_parity = GradedLinearMap.zero(rho.space, rho.space, EVEN)
+        wrong_space = GradedLinearMap.zero(other, other, ODD)
+
+        def items(action):
+            return self._items(check_representation(g, rho.space, tuple(action)))
+
+        # f1 has the wrong parity and f2 the wrong space: f1 comes first
+        assert items([rho.action[0], wrong_parity, wrong_space]) == [
+            ("action shape and parity", False, "action of f1 must have parity of f1"),
+            ("homomorphism property", True, ""),
+        ]
+        assert items([rho.action[0], rho.action[1], wrong_space]) == [
+            ("action shape and parity", False, "action of f2 acts on the wrong space"),
+            ("homomorphism property", True, ""),
+        ]
+        # the wrong space is reported before the wrong parity of one map
+        wrong_both = GradedLinearMap.zero(other, other, EVEN)
+        assert items([rho.action[0], wrong_both, rho.action[2]]) == [
+            ("action shape and parity", False, "action of f1 acts on the wrong space"),
+            ("homomorphism property", True, ""),
+        ]
+        assert items(rho.action[:2]) == [
+            ("action shape and parity", False, "expected 3 action maps, got 2"),
+            ("homomorphism property", True, ""),
+        ]
 
     def test_construction_verifies_eagerly(self):
         fx = load_fixture("ex2.3")
@@ -169,6 +218,14 @@ class TestDirectSumAndSelfReversing:
         fx = load_fixture("ex2.3")
         total = direct_sum_rep(fx.parts["rho1"], fx.parts["rho2"])
         assert find_even_isomorphism(total, fx.parts["rho"]).found
+
+    def test_colliding_labels_take_pair_notation(self):
+        g = load_fixture("ex3.2").parts["algebra"]
+        ad = adjoint(g)
+        expected = ("(e,0)", "(0,e)", "(f,0)", "(0,f)")
+        assert direct_sum_rep(ad, ad).space.labels == expected
+        assert semidirect_product(g, ad).space.labels == expected
+        assert direct_sum_rep(ad, coadjoint(g)).space.labels == ("e", "e*", "f", "f*")
 
     def test_algebra_mismatch_rejected(self):
         g1 = load_fixture("ex3.2").parts["algebra"]

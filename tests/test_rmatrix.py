@@ -121,11 +121,6 @@ class TestScybeDefect:
                 got = {key: value for key, value in scybe_defect(r).nonzero()}
                 assert got == expected
 
-    def test_threads_do_not_change_the_defect(self):
-        fx = load_fixture("ex4.4")
-        r1 = fx.parts["r1"]
-        assert scybe_defect(r1, threads=3) == scybe_defect(r1)
-
 
 class TestOperatorTensorConversions:
     def test_printed_tensors_map_to_printed_operators(self):
@@ -222,6 +217,21 @@ class TestBetaCocycle:
         fx = load_fixture("ex4.4")
         with pytest.raises(DegenerateRMatrix):
             beta_cocycle_check(fx.parts["r0"])
+
+    def test_beta_form_eliminates_once(self, monkeypatch):
+        import superybe.linalg as linalg
+
+        calls = []
+        rank, invert = linalg.rank, linalg.invert
+        monkeypatch.setattr(linalg, "rank", lambda m: calls.append("rank") or rank(m))
+        monkeypatch.setattr(linalg, "invert", lambda m: calls.append("invert") or invert(m))
+        fx = load_fixture("ex4.4")
+        beta_form(fx.parts["r1"])
+        assert calls == ["invert"]
+        calls.clear()
+        with pytest.raises(DegenerateRMatrix):
+            beta_form(fx.parts["r0"])
+        assert calls == ["invert"]
 
     def test_scaling_inverts_the_form(self):
         fx = load_fixture("ex4.4")
