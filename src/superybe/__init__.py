@@ -58,6 +58,7 @@ from .oop import (
 )
 from .rmatrix import (
     DegenerateRMatrix,
+    HierarchyCapExceeded,
     HierarchyError,
     RMatrix,
     beta_cocycle_check,

@@ -31,6 +31,7 @@ from .oop import GridSearchCapExceeded, grid_search_oops, is_oop
 from .prelie import check_prelie, prelie_rmatrix_pair, product_from_oop, subadjacent
 from .reps import Representation, check_representation, parity_reverse_rep
 from .rmatrix import (
+    HierarchyCapExceeded,
     HierarchyError,
     RMatrix,
     hierarchy_trace,
@@ -254,6 +255,8 @@ def _cmd_hierarchy(args, rep: Reporter) -> None:
         levels = hierarchy_trace(algebra, r, word)
     except HierarchyError as exc:
         raise CheckFailed(str(exc)) from None
+    except HierarchyCapExceeded as exc:
+        raise UsageError(str(exc)) from None
     rep.check(f"walked word {word!r}", True)
     if args.trace:
         for depth, level in enumerate(levels, start=1):
@@ -307,8 +310,7 @@ def _cmd_prelie(args, rep: Reporter) -> None:
     elif args.action == "from-oop":
         if not args.map or not args.rep:
             raise UsageError("from-oop needs --map and --rep")
-        t = _named(doc.maps, args.map, "map")
-        rho = _verified_rep(doc, args.rep)
+        t, rho = _fitting_map(doc, args)
         try:
             product = product_from_oop(t, rho)
         except ValueError as exc:

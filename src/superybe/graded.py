@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from . import linalg
+
 EVEN = 0
 ODD = 1
 
@@ -331,8 +333,6 @@ class GradedLinearMap:
         return all(a == 0 for row in self.matrix for a in row)
 
     def inverse(self) -> "GradedLinearMap":
-        from . import linalg
-
         if self.domain.dim != self.codomain.dim:
             raise ValueError("only square maps can be inverted")
         inv = linalg.invert([list(row) for row in self.matrix])
@@ -343,8 +343,6 @@ class GradedLinearMap:
         )
 
     def is_invertible(self) -> bool:
-        from . import linalg
-
         return self.domain.dim == self.codomain.dim and linalg.rank(
             [list(row) for row in self.matrix]
         ) == self.domain.dim

@@ -25,7 +25,7 @@ from .graded import (
     vec_sub,
 )
 from .liesuper import LieSuperAlgebra
-from .reps import Representation, direct_sum_rep, is_intertwiner, parity_reverse_rep
+from .reps import Representation, _lie_adjoint, direct_sum_rep, is_intertwiner, parity_reverse_rep
 
 
 @dataclass(frozen=True)
@@ -114,27 +114,11 @@ def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
 
 
 def is_rota_baxter(r: GradedLinearMap, g: LieSuperAlgebra) -> bool:
-    """[Rx, Ry] = R((-1)^{(|R|+|x|)|R|}[Rx, y] + [x, Ry]) on basis pairs."""
+    """[Rx, Ry] = R((-1)^{(|R|+|x|)|R|}[Rx, y] + [x, Ry]) on basis pairs:
+    the O-operator identity for the adjoint representation."""
     if r.domain != g.space or r.codomain != g.space:
         raise ValueError("a Rota-Baxter candidate must be an endomorphism of g")
-    space = g.space
-    p = r.parity
-    for i in range(space.dim):
-        x = r.column(i)
-        for j in range(space.dim):
-            y = r.column(j)
-            lhs = g.bracket(x, y)
-            s1 = sign((p + space.parities[i]) * p)
-            inner = tuple(
-                s1 * a + b
-                for a, b in zip(
-                    g.bracket(x, space.basis_vector(j)),
-                    g.bracket(space.basis_vector(i), y),
-                )
-            )
-            if not vec_is_zero(vec_sub(lhs, r.apply(inner))):
-                return False
-    return True
+    return oop_holds(r, _lie_adjoint(g))
 
 
 def parity_dual_oop(t: GradedLinearMap, rho: Representation) -> OOperatorCandidate:

@@ -22,13 +22,14 @@ from .graded import (
     Scalar,
     SuperSpace,
     sign,
+    suspend_map,
     vec_is_zero,
     vec_scale,
     vec_sub,
 )
 from .liesuper import CheckReport, LieSuperAlgebra, _first_failure
 from .oop import OOperatorCandidate, _check_candidate, oop_holds
-from .reps import Representation
+from .reps import Representation, parity_reverse_rep
 from .rmatrix import operator_to_rmatrix
 
 
@@ -202,23 +203,11 @@ def product_from_oop(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlge
 
 
 def suspended_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgebra:
-    """The genuine pre-Lie product sv o sw = s(v . w) on sV for odd T."""
+    """The genuine pre-Lie product sv o sw = s(v . w) on sV for odd T: the
+    product of the even parity-dual pair (T^s, rho^s)."""
     if t.parity != ODD:
         raise ValueError("the suspended product is defined for odd operators")
-    dot = product_from_oop(t, rho)
-    V = rho.space
-    sv, perm = V.suspended_with_permutation()
-    n = V.dim
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x = dot.product[i][j][k]
-                if x != 0:
-                    table[perm[i]][perm[j]][perm[k]] = x
-    return PreLieSuperAlgebra(
-        sv, tuple(tuple(tuple(e) for e in row) for row in table), EVEN
-    )
+    return product_from_oop(suspend_map(t), parity_reverse_rep(rho))
 
 
 def prelie_from_oop(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgebra:

@@ -54,11 +54,17 @@ def check_representation(
     def hom_witnesses():
         d = space.dim
         mats = [m.matrix for m in action]
+        later = {}  # the two products of pair (i, j), kept for pair (j, i)
         for i in range(n):
             for j in range(n):
                 s = sign(g.space.parities[i] * g.space.parities[j])
-                ij = mat_mul(mats[i], mats[j])
-                ji = mat_mul(mats[j], mats[i])
+                if (i, j) in later:
+                    ij, ji = later.pop((i, j))
+                else:
+                    ij = mat_mul(mats[i], mats[j])
+                    ji = mat_mul(mats[j], mats[i]) if i != j else ij
+                    if i < j:
+                        later[j, i] = ji, ij
                 cij = g.nonzero[i][j]
                 if any(
                     sum((x * mats[k][r][c] for k, x in cij), ZERO) != ij[r][c] - s * ji[r][c]

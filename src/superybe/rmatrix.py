@@ -20,6 +20,7 @@ from .graded import (
     SuperSpace,
     Tensor2,
     Tensor3,
+    dual_map,
     sign,
     suspend_map,
     twist,
@@ -135,24 +136,52 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
 # O-operator -> r-matrix in a semidirect product
 
 
-# the semidirect hosts depend only on the representation, not on the
-# operator; cache them so bulk verdict checks do not rebuild and reverify
-@lru_cache(maxsize=None)
-def _plain_semidirect(rho: Representation):
+def _semidirect_host(rho: Representation):
+    """g |x_{rho*} V* with the labels of its algebra and module slots."""
     rho_star = dual_rep(rho)
     h = semidirect_product(rho.algebra, rho_star)
     alg_labels, mod_labels = semidirect_labels(rho.algebra.space, rho_star.space)
     return h, alg_labels, mod_labels
 
 
+# the semidirect hosts depend only on the representation, not on the
+# operator; cache them so bulk verdict checks do not rebuild and reverify
+@lru_cache(maxsize=None)
+def _plain_semidirect(rho: Representation):
+    return _semidirect_host(rho)
+
+
 @lru_cache(maxsize=None)
 def _dual_semidirect(rho: Representation):
+    """The host of (rho^s) together with rho^s itself."""
     srho = parity_reverse_rep(rho)
-    srho_star = dual_rep(srho)
-    h = semidirect_product(rho.algebra, srho_star)
-    alg_labels, mod_labels = semidirect_labels(rho.algebra.space, srho_star.space)
-    _, perm = rho.space.suspended_with_permutation()
-    return h, alg_labels, mod_labels, perm
+    return (*_semidirect_host(srho), srho)
+
+
+def _induced_input(t: GradedLinearMap, rho: Representation, variant: str):
+    """(T, rho, host, algebra labels, module labels) of the plain
+    construction: on (T, rho) for the plain variant, on the parity-dual
+    pair (T^s, rho^s) for the dual one, whose plain tensor is r_{T^s}."""
+    _check_candidate(t, rho)
+    if variant == "plain":
+        return (t, rho, *_plain_semidirect(rho))
+    if variant == "dual":
+        h, alg_labels, mod_labels, srho = _dual_semidirect(rho)
+        return suspend_map(t), srho, h, alg_labels, mod_labels
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _pan_supersymmetric_tensor(h, alg_labels, mod_labels, mod_parities, entries, parity):
+    """The sum over the entries ((k, i), x) of
+    x (e_k (x) v_i* + (-1)^{(|r|+1)(|v_i|+1)} v_i* (x) e_k) in h, parity |r|."""
+    terms: dict = {}
+    for (k, i), x in entries:
+        s = sign((parity + 1) * (mod_parities[i] + 1))
+        key = (alg_labels[k], mod_labels[i])
+        terms[key] = terms.get(key, ZERO) + x
+        key = (mod_labels[i], alg_labels[k])
+        terms[key] = terms.get(key, ZERO) + s * x
+    return RMatrix(h, Tensor2.from_terms(h.space, h.space, terms, parity))
 
 
 def operator_to_rmatrix(
@@ -163,44 +192,18 @@ def operator_to_rmatrix(
     plain: r_T = sum_i (T v_i (x) v_i* + (-1)^{(|T|+1)(|v_i|+1)} v_i* (x) T v_i)
            in g |x_{rho*} V*, parity |T|;
     dual:  r_{T^s} = sum_i (T v_i (x) (s v_i)* + (-1)^{|T||v_i|} (s v_i)* (x) T v_i)
-           in g |x_{(rho^s)*} (sV)*, parity |T| + 1.
+           in g |x_{(rho^s)*} (sV)*, parity |T| + 1, the plain tensor of
+           (T^s, rho^s).
 
     The tensor solves the super CYBE exactly when T satisfies the
     O-operator identity.
     """
-    _check_candidate(t, rho)
-    V = rho.space
-    pt = t.parity
-    terms: dict = {}
-    if variant == "plain":
-        h, alg_labels, mod_labels = _plain_semidirect(rho)
-        parity = pt
-        for i in range(V.dim):
-            col = t.column(i)
-            s = sign((pt + 1) * (V.parities[i] + 1))
-            for k, x in enumerate(col):
-                if x != 0:
-                    key = (alg_labels[k], mod_labels[i])
-                    terms[key] = terms.get(key, ZERO) + x
-                    key = (mod_labels[i], alg_labels[k])
-                    terms[key] = terms.get(key, ZERO) + s * x
-    elif variant == "dual":
-        h, alg_labels, mod_labels, perm = _dual_semidirect(rho)
-        parity = pt ^ 1
-        for i in range(V.dim):
-            col = t.column(i)
-            s = sign(pt * V.parities[i])
-            slot = mod_labels[perm[i]]
-            for k, x in enumerate(col):
-                if x != 0:
-                    key = (alg_labels[k], slot)
-                    terms[key] = terms.get(key, ZERO) + x
-                    key = (slot, alg_labels[k])
-                    terms[key] = terms.get(key, ZERO) + s * x
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    tensor = Tensor2.from_terms(h.space, h.space, terms, parity)
-    return RMatrix(h, tensor)
+    t, rho, h, alg_labels, mod_labels = _induced_input(t, rho, variant)
+    # T v_i has coordinate x = T[k][i] along e_k
+    entries = (((k, i), x) for k, row in enumerate(t.matrix) for i, x in enumerate(row) if x != 0)
+    return _pan_supersymmetric_tensor(
+        h, alg_labels, mod_labels, rho.space.parities, entries, t.parity
+    )
 
 
 def induced_coadjoint_operator(
@@ -210,56 +213,30 @@ def induced_coadjoint_operator(
     written directly on dual(h):
 
     plain: (v_i*)* -> (-1)^{|v_i|} T(v_i),      e_j* -> -(-1)^{|T|} T*(e_j*);
-    dual:  ((sv_i)*)* -> (-1)^{|v_i|+1} T(v_i), e_j* -> (-1)^{|T|} (T^s)*(e_j*).
+    dual:  ((sv_i)*)* -> (-1)^{|v_i|+1} T(v_i), e_j* -> (-1)^{|T|} (T^s)*(e_j*),
+           the plain operator of (T^s, rho^s).
 
     It is an O-operator for the coadjoint representation of h exactly when
     T satisfies the identity; it equals rmatrix_to_operator of the induced
     tensor under the double-dual identification.
     """
-    from .graded import dual_map
-
-    _check_candidate(t, rho)
-    V = rho.space
-    g = rho.algebra
-    pt = t.parity
-    if variant == "plain":
-        h, alg_labels, mod_labels = _plain_semidirect(rho)
-        slot_of = {mod_labels[i]: i for i in range(V.dim)}
-        tstar = dual_map(t)  # g* -> V*
-        sgn_mod = lambda i: sign(V.parities[i])
-        sgn_alg = -sign(pt)
-        parity = pt
-    elif variant == "dual":
-        h, alg_labels, mod_labels, perm = _dual_semidirect(rho)
-        slot_of = {mod_labels[perm[i]]: i for i in range(V.dim)}
-        tstar = dual_map(suspend_map(t))  # g* -> (sV)*
-        sgn_mod = lambda i: sign(V.parities[i] + 1)
-        sgn_alg = sign(pt)
-        parity = pt ^ 1
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
+    t, rho, h, alg_labels, mod_labels = _induced_input(t, rho, variant)
     hspace = h.space
-    alg_pos = {lab: k for k, lab in enumerate(alg_labels)}
-    mod_pos = {lab: hspace.index(lab) for lab in mod_labels}
-    cols = []
-    for q, lab in enumerate(hspace.labels):
-        col = [ZERO] * hspace.dim
-        if lab in slot_of:
-            i = slot_of[lab]
-            image = t.column(i)
-            s = sgn_mod(i)
-            for k, x in enumerate(image):
-                if x != 0:
-                    col[hspace.index(alg_labels[k])] = s * x
-        else:
-            j = alg_pos[lab]
-            image = tstar.column(j)  # coordinates over V* resp. (sV)*
-            for m, x in enumerate(image):
-                if x != 0:
-                    col[mod_pos[mod_labels[m]]] = sgn_alg * x
-        cols.append(tuple(col))
-    return GradedLinearMap.from_columns(hspace.dual(), hspace, parity, cols)
+    alg_pos = [hspace.index(lab) for lab in alg_labels]
+    mod_pos = [hspace.index(lab) for lab in mod_labels]
+    tstar = dual_map(t)  # g* -> V*
+    sgn_alg = -sign(t.parity)
+    cols = [[ZERO] * hspace.dim for _ in range(hspace.dim)]
+    for i, q in enumerate(mod_pos):
+        s = sign(rho.space.parities[i])
+        for k, x in enumerate(t.column(i)):
+            if x != 0:
+                cols[q][alg_pos[k]] = s * x
+    for j, q in enumerate(alg_pos):
+        for m, x in enumerate(tstar.column(j)):  # coordinates over V*
+            if x != 0:
+                cols[q][mod_pos[m]] = sgn_alg * x
+    return GradedLinearMap.from_columns(hspace.dual(), hspace, t.parity, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +278,24 @@ class HierarchyError(Exception):
     pass
 
 
+class HierarchyCapExceeded(Exception):
+    pass
+
+
+# every letter doubles the dimension; 256 is a depth-7 walk from dim 2
+HIERARCHY_DIM_CAP = 256
+
+
 # each step takes g to a semidirect product of g with a representation,
 # again a Lie superalgebra, so once hierarchy_trace has checked the
 # starting algebra the adjoint of every level is trusted
 def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
-    rho = _lie_adjoint(g)
-    h = semidirect_product(g, rho)  # g |x_ad g
+    h = semidirect_product(g, _lie_adjoint(g))  # g |x_ad g
     alg_labels, mod_labels = semidirect_labels(g.space, g.space)
-    terms: dict = {}
-    p = r.parity
-    for (j, i), a in r.tensor.nonzero():
-        # coefficient a_ji sits at tensor slot (j, i)
-        s = sign((p + 1) * (g.space.parities[i] + 1))
-        key = (alg_labels[j], mod_labels[i])
-        terms[key] = terms.get(key, ZERO) + a
-        key = (mod_labels[i], alg_labels[j])
-        terms[key] = terms.get(key, ZERO) + s * a
-    return RMatrix(h, Tensor2.from_terms(h.space, h.space, terms, p))
+    # coefficient a_ji sits at tensor slot (j, i)
+    return _pan_supersymmetric_tensor(
+        h, alg_labels, mod_labels, g.space.parities, r.tensor.nonzero(), r.parity
+    )
 
 
 def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
@@ -325,17 +303,11 @@ def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
     h = semidirect_product(g, srho)
     alg_labels, mod_labels = semidirect_labels(g.space, srho.space)
     _, perm = g.space.suspended_with_permutation()
-    terms: dict = {}
-    p = r.parity
-    for (j, i), a in r.tensor.nonzero():
-        s_i = sign(g.space.parities[i])
-        s = sign(g.space.parities[i] * p)
-        slot = mod_labels[perm[i]]
-        key = (alg_labels[j], slot)
-        terms[key] = terms.get(key, ZERO) + s_i * a
-        key = (slot, alg_labels[j])
-        terms[key] = terms.get(key, ZERO) + s_i * s * a
-    return RMatrix(h, Tensor2.from_terms(h.space, h.space, terms, p ^ 1))
+    P = g.space.parities
+    entries = (((j, perm[i]), sign(P[i]) * a) for (j, i), a in r.tensor.nonzero())
+    return _pan_supersymmetric_tensor(
+        h, alg_labels, mod_labels, srho.space.parities, entries, r.parity ^ 1
+    )
 
 
 def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
@@ -343,8 +315,16 @@ def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
 
     Requires a Lie superalgebra and a pan-supersymmetric solution of the
     super CYBE over it to start; every level then remains one, so the
-    levels are not checked again.
+    levels are not checked again.  A word whose last level would pass
+    HIERARCHY_DIM_CAP dimensions is refused before any check.
     """
+    # dim g * 2^len(word) > cap, without forming 2^len(word) for a long word
+    dim, steps = g.space.dim, len(word)
+    if dim and (steps >= HIERARCHY_DIM_CAP.bit_length() or dim << steps > HIERARCHY_DIM_CAP):
+        raise HierarchyCapExceeded(
+            f"a {steps}-letter word over a dim-{dim} algebra ends above the dimension cap "
+            f"{HIERARCHY_DIM_CAP}"
+        )
     if r.algebra != g:
         raise ValueError("tensor does not live over the given algebra")
     failures = check_lie_axioms(g).failures()

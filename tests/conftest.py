@@ -127,3 +127,9 @@ def rep_checks(monkeypatch):
 def prelie_checks(monkeypatch):
     """The check_prelie calls made while the test runs."""
     return _count_calls(monkeypatch, "superybe.prelie", "check_prelie")
+
+
+@pytest.fixture
+def semidirect_products(monkeypatch):
+    """The semidirect_product calls made while the test runs."""
+    return _count_calls(monkeypatch, "superybe.liesuper", "semidirect_product")

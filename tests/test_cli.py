@@ -259,6 +259,12 @@ class TestHierarchy:
         r0 = RMatrix(start.algebra, start.tensors["r0"])
         assert doc.tensors["r0_--"] == hierarchy_walk(start.algebra, r0, "--").tensor
 
+    def test_oversized_word_exits_two(self, ex32_file, semidirect_products, capsys):
+        assert main(["hierarchy", ex32_file, "--tensor", "r0", "--word", "+" * 40]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "dimension cap 256" in err
+        assert semidirect_products == []
+
     def test_malformed_word_exits_two(self, ex32_file):
         assert main(["hierarchy", ex32_file, "--tensor", "r0", "--word", "+x"]) == 2
 
@@ -332,6 +338,13 @@ class TestPrelieCommand:
         w = product.space.vector({"w": 1})
         assert product.multiply(v, v) == product.space.vector({"w": -1})
         assert product.multiply(w, w) == w
+
+    def test_from_oop_map_that_does_not_fit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "misfit.sy"
+        retyped = "[map T0 : g -> g parity even]\nf = -1 f"
+        path.write_text(EX32.replace("[map T0 : g* -> g parity even]\nf* = -1 f", retyped))
+        assert main(["prelie", str(path), "from-oop", "--map", "T0", "--rep", "coad"]) == 2
+        assert "map T0 does not fit rep coad" in capsys.readouterr().err
 
 
 class TestSearch:

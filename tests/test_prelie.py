@@ -6,6 +6,7 @@ from superybe import (
     GradedLinearMap,
     PreLieSuperAlgebra,
     SuperSpace,
+    adjoint,
     check_lie_axioms,
     check_prelie,
     check_representation,
@@ -16,11 +17,13 @@ from superybe import (
     load_fixture,
     oop_holds,
     parity_dual_oop,
+    parity_reverse_rep,
     prelie_from_oop,
     prelie_rmatrix_pair,
     product_from_oop,
     scybe_defect,
     subadjacent,
+    suspend_map,
     suspended_prelie,
 )
 from superybe.prelie import shifted_left_symmetry_holds
@@ -156,6 +159,33 @@ class TestLeftRegular:
         dual = parity_dual_oop(ident.map, ident.rep)
         assert dual.map.parity == ODD
         assert oop_holds(dual.map, dual.rep)
+
+
+def _catalog_odd_oops():
+    """{name: (T, rho)} for every odd O-operator of the catalog."""
+    ex32, ex44, ex320, ex37 = (load_fixture(n).parts for n in ("ex3.2", "ex4.4", "ex3.20", "ex3.7"))
+    ident = load_fixture("closing-prelie").parts["identity"]
+    rb = load_fixture("rb-caveat").parts
+    return {
+        "ex3.2 T1": (ex32["T1"], ex32["coadjoint"]),
+        "ex4.4 T1": (ex44["T1"], ex44["coadjoint"]),
+        "ex3.20 T": (ex320["T"], ex320["rho"]),
+        "ex3.7 T1~": (ex37["T1_tilde"](1, 2), ex37["rho"]),
+        "ex3.7 T2~": (ex37["T2_tilde"](3), ex37["rho"]),
+        "ex3.7 T3~": (ex37["T3_tilde"](1, 2, 3, 6), ex37["rho"]),
+        "closing id^s": (suspend_map(ident.map), parity_reverse_rep(ident.rep)),
+        "rb-caveat R^s": (rb["Rs"], parity_reverse_rep(adjoint(rb["algebra"]))),
+    }
+
+
+ODD_OOPS = _catalog_odd_oops()
+
+
+@pytest.mark.parametrize("name", sorted(ODD_OOPS))
+def test_suspended_product_is_the_product_of_the_parity_dual_pair(name):
+    t, rho = ODD_OOPS[name]
+    assert t.parity == ODD and oop_holds(t, rho)
+    assert suspended_prelie(t, rho) == product_from_oop(suspend_map(t), parity_reverse_rep(rho))
 
 
 class TestProductsFromOperators:

@@ -3,12 +3,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superybe import (
     EVEN,
     ODD,
     DegenerateRMatrix,
     GradedLinearMap,
+    HierarchyCapExceeded,
     HierarchyError,
     LieSuperAlgebra,
     RMatrix,
@@ -28,9 +31,11 @@ from superybe import (
     oop_holds,
     operator_to_rmatrix,
     operator_to_tensor,
+    parity_reverse_rep,
     rmatrix_to_operator,
     same_algebra_pair,
     scybe_defect,
+    suspend_map,
 )
 
 from conftest import (
@@ -177,6 +182,26 @@ class TestOperatorToRMatrix:
                 t = random_homogeneous_map(rng, rho.space, g.space, rng.randint(0, 1))
                 for variant in ("plain", "dual"):
                     assert is_pan_supersymmetric(operator_to_rmatrix(t, rho, variant))
+
+
+# the five representations of criterion 4 and the ex3.7 module
+CATALOG_REPS = [rho for _, _, rho in equivalence_cases()] + [load_fixture("ex3.7").parts["rho"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho=st.sampled_from(CATALOG_REPS),
+    parity=st.integers(0, 1),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_dual_variant_is_the_plain_construction_on_the_parity_dual_pair(rho, parity, rnd):
+    # r_{T^s} and its coadjoint operator are the plain ones of (T^s, rho^s)
+    t = random_homogeneous_map(rnd, rho.space, rho.algebra.space, parity)
+    ts, srho = suspend_map(t), parity_reverse_rep(rho)
+    assert operator_to_rmatrix(t, rho, "dual") == operator_to_rmatrix(ts, srho, "plain")
+    assert induced_coadjoint_operator(t, rho, "dual") == induced_coadjoint_operator(
+        ts, srho, "plain"
+    )
 
 
 class TestInducedCoadjointOperator:
@@ -350,6 +375,22 @@ class TestHierarchy:
                     assert level.parity == parity
                     assert is_pan_supersymmetric(level)
                     assert scybe_defect(level).is_zero()
+
+    def test_oversized_word_refused_before_any_step(self, semidirect_products):
+        fx = load_fixture("ex4.4")
+        with pytest.raises(HierarchyCapExceeded, match="dimension cap 256"):
+            hierarchy_trace(fx.parts["algebra"], fx.parts["r1"], "+-" * 20)
+        assert semidirect_products == []
+
+    def test_cap_admits_dimension_256_exactly(self, semidirect_products):
+        # a non-solution start fails its check, so neither word is walked
+        g = load_fixture("ex3.2").parts["algebra"]
+        bad = RMatrix.from_terms(g, {("e", "e"): 1})
+        with pytest.raises(HierarchyError, match="pan-supersymmetric"):
+            hierarchy_trace(g, bad, "+" * 7)
+        with pytest.raises(HierarchyCapExceeded):
+            hierarchy_trace(g, bad, "+" * 8)
+        assert semidirect_products == []
 
     def test_trace_letters_compose(self):
         fx = load_fixture("ex4.4")
