@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from . import linalg
@@ -279,6 +280,15 @@ class GradedLinearMap:
         return GradedLinearMap(domain, codomain, parity, m)
 
     # -- evaluation ----------------------------------------------------
+
+    @cached_property
+    def nonzero(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """nonzero[i]: the pairs (k, m_ki) with m_ki != 0, in ascending k;
+        the sparse image of the i-th domain basis vector."""
+        return tuple(
+            tuple((k, row[i]) for k, row in enumerate(self.matrix) if row[i] != 0)
+            for i in range(self.domain.dim)
+        )
 
     def column(self, i: int) -> tuple[Scalar, ...]:
         """Image of the i-th domain basis vector."""

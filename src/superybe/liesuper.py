@@ -107,6 +107,15 @@ class LieSuperAlgebra:
         return self.space.dim
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.space, self.structure))
+
+    def __hash__(self) -> int:
+        # the fields are immutable, so hash them once: hosts are cached by
+        # representation and every cache lookup hashes its key
+        return self._hash
+
+    @cached_property
     def nonzero(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
         """nonzero[i][j]: the pairs (k, c_ij^k) with c_ij^k != 0, in
         ascending k.  Every kernel reads the structure constants here."""

@@ -2,8 +2,8 @@
 
 The defining identity and its defect table, weight-0 Rota-Baxter
 operators, the parity duality T <-> T^s, extension to the self-reversing
-double, transport along representation isomorphisms, and a brute-force
-grid search used as a classification oracle.
+double, transport along representation isomorphisms, and a pruned
+exhaustive grid search used as a classification oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .graded import (
     sign,
     suspend_map,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
 from .liesuper import LieSuperAlgebra
 from .reps import Representation, _lie_adjoint, direct_sum_rep, is_intertwiner, parity_reverse_rep
@@ -65,21 +63,47 @@ class OopReport:
         return "\n".join(lines)
 
 
+def _defect(rho: Representation, parity: Parity, cols, i: int, j: int) -> dict:
+    """Op(v_i, v_j) as {k: coefficient}, nonzero coefficients only, for the
+    map of the given parity whose image of v_m is the ascending (k, value)
+    pairs cols[m].  Every defect in this module is computed here:
+
+        Op(v_i, v_j) = [T v_i, T v_j] - T(s1 rho(T v_i) v_j - s2 rho(T v_j) v_i)
+
+    with s1 = (-1)^{(|T|+|v_i|)|T|} and s2 = (-1)^{|v_i|(|T|+|v_j|)}.  It
+    reads columns i and j of T and the columns in the support of the
+    argument of the outer T, nothing else."""
+    structure = rho.algebra.nonzero
+    action = rho.action
+    P = rho.space.parities
+    x, y = cols[i], cols[j]
+    out = {}
+    for a, xa in x:
+        row = structure[a]
+        for b, yb in y:
+            xy = xa * yb
+            for k, c in row[b]:
+                out[k] = out.get(k, ZERO) + xy * c
+    s1 = sign((parity + P[i]) * parity)
+    s2 = -sign(P[i] * (parity + P[j]))
+    arg = {}
+    for s, col, v in ((s1, x, j), (s2, y, i)):
+        for a, ca in col:
+            for m, r in action[a].nonzero[v]:
+                arg[m] = arg.get(m, ZERO) + s * ca * r
+    for m, w in arg.items():
+        if w != 0:
+            for k, t in cols[m]:
+                out[k] = out.get(k, ZERO) - w * t
+    return {k: c for k, c in out.items() if c != 0}
+
+
 def oop_defect(t: GradedLinearMap, rho: Representation, i: int, j: int):
     """Op(v_i, v_j): the left side of the defining identity on one pair."""
-    g = rho.algebra
-    V = rho.space
-    pt = t.parity
-    x = t.column(i)
-    y = t.column(j)
-    lhs = g.bracket(x, y)
-    s1 = sign((pt + V.parities[i]) * pt)
-    s2 = sign(V.parities[i] * (pt + V.parities[j]))
-    arg = vec_sub(
-        vec_scale(s1, rho.apply_vec(x, V.basis_vector(j))),
-        vec_scale(s2, rho.apply_vec(y, V.basis_vector(i))),
-    )
-    return vec_sub(lhs, t.apply(arg))
+    out = list(rho.algebra.space.zero_vector())
+    for k, c in _defect(rho, t.parity, t.nonzero, i, j).items():
+        out[k] = c
+    return tuple(out)
 
 
 def _check_candidate(t: GradedLinearMap, rho: Representation):
@@ -91,26 +115,20 @@ def is_oop(t: GradedLinearMap, rho: Representation) -> OopReport:
     """Check the O-operator identity on every homogeneous basis pair."""
     _check_candidate(t, rho)
     V = rho.space
-    table = []
-    ok = True
-    for i in range(V.dim):
-        for j in range(V.dim):
-            d = oop_defect(t, rho, i, j)
-            if not vec_is_zero(d):
-                ok = False
-            table.append(((V.labels[i], V.labels[j]), d))
-    return OopReport(ok, tuple(table))
+    table = tuple(
+        ((V.labels[i], V.labels[j]), oop_defect(t, rho, i, j))
+        for i in range(V.dim)
+        for j in range(V.dim)
+    )
+    return OopReport(all(vec_is_zero(d) for _, d in table), table)
 
 
 def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
     """Boolean fast path with early exit on the first nonzero defect."""
     _check_candidate(t, rho)
-    V = rho.space
-    for i in range(V.dim):
-        for j in range(V.dim):
-            if not vec_is_zero(oop_defect(t, rho, i, j)):
-                return False
-    return True
+    n = rho.space.dim
+    cols = t.nonzero
+    return not any(_defect(rho, t.parity, cols, i, j) for i in range(n) for j in range(n))
 
 
 def is_rota_baxter(r: GradedLinearMap, g: LieSuperAlgebra) -> bool:
@@ -180,7 +198,13 @@ def grid_search_oops(
     """Every homogeneous map of the given parity with all free entries in
     entry_set that satisfies the O-operator identity, in lexicographic
     order of the entry assignment (positions row-major, values in the
-    order given)."""
+    order given).
+
+    The free positions are assigned depth first, column by column.  Each
+    basis pair is tested at the first depth where every column its defect
+    can read is fixed, and a subtree is cut at its first nonzero defect;
+    only accepted assignments become maps.  The cap bounds the full grid,
+    len(entry_set) ** (number of free positions), pruned or not."""
     if rho.algebra != g:
         raise ValueError("representation is not over this algebra")
     V = rho.space
@@ -199,14 +223,55 @@ def grid_search_oops(
             f"{len(entries)}^{nfree} = {total} candidates exceeds the cap {cap}"
         )
 
-    base = len(entries)
+    order = sorted(positions, key=lambda ki: (ki[1], ki[0]))  # column by column
+    depth = {ki: d for d, ki in enumerate(order)}
+    row_major = [depth[ki] for ki in positions]
+    free_rows = [[k for k, i in order if i == c] for c in range(V.dim)]
+    fixed_at = [-1] * V.dim  # the depth that assigns a column's last free entry
+    for d, (_, i) in enumerate(order):
+        fixed_at[i] = d
 
-    def decode(index: int):
+    # tests[d]: the pairs whose defect is final once depth d is assigned.
+    # A pair that reads only columns without free positions reads zeros,
+    # so its defect vanishes and it is never tested.
+    tests = [[] for _ in range(nfree)]
+    for i in range(V.dim):
+        for j in range(V.dim):
+            read = {i, j}
+            for c, other in ((i, j), (j, i)):
+                for a in free_rows[c]:
+                    read.update(m for m, _ in rho.action[a].nonzero[other])
+            d = max(fixed_at[c] for c in read)
+            if d >= 0:
+                tests[d].append((i, j))
+
+    cols = [[] for _ in range(V.dim)]  # the sparse columns of the partial map
+    accepted = [] if nfree else [()]
+    # stack[d]: how many values depth d has tried; the last one is set
+    stack = [0] if nfree and entries else []
+    while stack:
+        d = len(stack) - 1
+        digit = stack[d]
+        k, i = order[d]
+        if digit and entries[digit - 1] != 0:
+            cols[i].pop()
+        if digit == len(entries):
+            stack.pop()
+            continue
+        stack[d] = digit + 1
+        if entries[digit] != 0:
+            cols[i].append((k, entries[digit]))
+        if any(_defect(rho, parity, cols, a, b) for a, b in tests[d]):
+            continue
+        if d + 1 < nfree:
+            stack.append(0)
+        else:
+            accepted.append(tuple(stack[r] - 1 for r in row_major))
+
+    found = []
+    for digits in sorted(accepted):
         grid = [[ZERO] * V.dim for _ in range(cod.dim)]
-        for k, i in reversed(positions):
-            index, digit = divmod(index, base)
+        for (k, i), digit in zip(positions, digits):
             grid[k][i] = entries[digit]
-        return GradedLinearMap(V, cod, parity, tuple(tuple(r) for r in grid))
-
-    candidates = (decode(index) for index in range(total))
-    return [t for t in candidates if oop_holds(t, rho)]
+        found.append(GradedLinearMap(V, cod, parity, tuple(tuple(r) for r in grid)))
+    return found

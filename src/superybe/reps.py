@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -124,6 +125,15 @@ class Representation:
                 GradedLinearMap.from_images(space, space, g.space.parities[i], table)
             )
         return Representation(g, space, tuple(action))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.algebra, self.space, self.action))
+
+    def __hash__(self) -> int:
+        # hashed once per object, as for LieSuperAlgebra: the semidirect
+        # hosts are cached by representation
+        return self._hash
 
     def act(self, i: int, v):
         return self.action[i].apply(v)

@@ -133,3 +133,9 @@ def prelie_checks(monkeypatch):
 def semidirect_products(monkeypatch):
     """The semidirect_product calls made while the test runs."""
     return _count_calls(monkeypatch, "superybe.liesuper", "semidirect_product")
+
+
+@pytest.fixture
+def oop_holds_calls(monkeypatch):
+    """The oop_holds calls made while the test runs."""
+    return _count_calls(monkeypatch, "superybe.oop", "oop_holds")

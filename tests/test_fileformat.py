@@ -1,8 +1,12 @@
+import re
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superybe import EVEN, ODD, LieSuperAlgebra, SuperSpace, Tensor2, load_fixture
+from superybe import EVEN, ODD, LieSuperAlgebra, SuperSpace, Tensor2, fixture_names, load_fixture
+from superybe.catalog import fixture_document
 from superybe.fileformat import (
     ALGEBRA_SPACE_NAME,
     Document,
@@ -217,6 +221,58 @@ def test_random_documents_round_trip(data):
     assert emit(parse(text)) == text
 
 
+@lru_cache(maxsize=None)
+def _fixture_text(name: str) -> str:
+    return emit(fixture_document(name))
+
+
+# the characters the format gives meaning to, plus label and digit samples
+FORMAT_CHARS = "[]=+-*/:#|()\n\t 0123456789abefsuvwxy"
+# tokens on the edges of the grammar, and of its rationals
+FORMAT_TOKENS = ("/0", " 1/0", "0/0", "--", " = ", " + ", "[", "]", " -> ", " parity odd", "*", "s", "\n[space]\n")
+RATIONAL_EDGES = ("1/0", "-3/0", "0/0", "1/", "/2", "--1", "+1", "1.5", "1e3", "\u00bd", "\u0663", "1/-2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_fixture_documents_parse_or_raise_format_error(data):
+    text = _fixture_text(data.draw(st.sampled_from(fixture_names())))
+    snippets = st.one_of(
+        st.sampled_from(FORMAT_TOKENS),
+        st.text(alphabet=FORMAT_CHARS, min_size=1, max_size=8),
+        st.text(max_size=3),
+    )
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        kind = data.draw(st.sampled_from(("insert", "delete", "token", "number", "line")))
+        if kind in ("insert", "delete"):
+            at = data.draw(st.integers(min_value=0, max_value=len(text)))
+            if kind == "insert":
+                text = text[:at] + data.draw(snippets) + text[at:]
+            else:
+                text = text[:at] + text[at + data.draw(st.integers(min_value=1, max_value=8)) :]
+        elif kind == "token":
+            parts = re.split(r"(\s+)", text)  # tokens at the even indices
+            i = 2 * data.draw(st.integers(min_value=0, max_value=len(parts) // 2))
+            parts[i] = data.draw(snippets)
+            text = "".join(parts)
+        elif kind == "number":
+            spans = [m.span() for m in re.finditer(r"-?[0-9]+(/[0-9]+)?", text)]
+            if spans:
+                a, b = data.draw(st.sampled_from(spans))
+                text = text[:a] + data.draw(st.sampled_from(RATIONAL_EDGES)) + text[b:]
+        else:
+            lines = text.split("\n")
+            i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            j = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            lines.insert(j, lines[i])
+            text = "\n".join(lines)
+    try:
+        doc = parse(text)
+    except FormatError:
+        return
+    assert isinstance(doc, Document)
+
+
 class TestRoundTrip:
     def test_catalog_document_round_trips(self):
         doc = ex32_document()
@@ -232,9 +288,6 @@ class TestRoundTrip:
         assert emit(parse(text)) == text
 
     def test_every_fixture_exports_and_round_trips(self):
-        from superybe import fixture_names
-        from superybe.catalog import fixture_document
-
         for name in fixture_names():
             doc = fixture_document(name)
             assert doc.algebra is not None, name
@@ -242,8 +295,6 @@ class TestRoundTrip:
             assert again == doc, name
 
     def test_exported_fixture_contains_its_objects(self):
-        from superybe.catalog import fixture_document
-
         doc = fixture_document("ex4.4")
         assert {"T0", "T1"} <= set(doc.maps)
         assert {"r0", "r1"} <= set(doc.tensors)

@@ -400,3 +400,30 @@ class TestTrustBoundary:
         self_reversing_double(dual_rep(rho))
         trivial_rep(rho.algebra, rho.space)
         assert rep_checks == []
+
+
+class TestHashing:
+    def test_equal_representations_built_apart_hash_equal(self):
+        for (name, g1, rho1), (_, g2, rho2) in zip(equivalence_cases(), equivalence_cases()):
+            assert rho1 is not rho2 and g1 is not g2, name
+            assert g1 == g2 and hash(g1) == hash(g2)
+            assert rho1 == rho2 and hash(rho1) == hash(rho2)
+            derived = (parity_reverse_rep, dual_rep, self_reversing_double)
+            for make in derived:
+                assert hash(make(rho1)) == hash(make(rho2))
+
+    def test_repeated_host_lookup_hashes_no_map(self, monkeypatch):
+        rho = coadjoint(load_fixture("ex3.2").parts["algebra"])
+        _plain_semidirect(rho)
+        _dual_semidirect(rho)
+        hashed = []
+        original = GradedLinearMap.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return original(self)
+
+        monkeypatch.setattr(GradedLinearMap, "__hash__", counting)
+        _plain_semidirect(rho)
+        _dual_semidirect(rho)
+        assert hashed == []
