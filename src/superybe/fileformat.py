@@ -132,6 +132,31 @@ def _parse_terms(rhs: str, space: SuperSpace, line: int) -> "dict[str, Fraction]
     return terms
 
 
+# section kind -> (the shape of its `a b = ...` lines, the name of one entry)
+_PAIR_LINES = {
+    "bracket": ("bracket lines look like 'a b = terms'", "bracket entry [{a}, {b}]"),
+    "tensor": ("tensor lines look like 'a b = rational'", "tensor entry {a} {b}"),
+    "prelie": ("product lines look like 'a b = terms'", "product entry {a} {b}"),
+    "form": ("form lines look like 'a b = rational'", "form entry {a} {b}"),
+}
+
+
+def _pair_key(kind: str, lhs: str, space: SuperSpace, entries, line: int) -> "tuple[str, str]":
+    """The labels (a, b) on the left of an `a b = ...` line: two labels
+    of the space, as a pair the section has not given before."""
+    shape, entry = _PAIR_LINES[kind]
+    parts = lhs.split()
+    if len(parts) != 2:
+        raise FormatError(shape, line)
+    for lab in parts:
+        if lab not in space.labels:
+            raise FormatError(f"unknown label {lab!r}", line)
+    a, b = parts
+    if (a, b) in entries:
+        raise FormatError("duplicate " + entry.format(a=a, b=b), line)
+    return a, b
+
+
 class _Section:
     def __init__(self, kind: str, line: int, **data):
         self.kind = kind
@@ -318,20 +343,13 @@ def parse(text: str) -> Document:
                 raise FormatError("space entries are 'even = ...' or 'odd = ...'", lineno)
         elif section.kind == "bracket":
             space = doc.spaces[ALGEBRA_SPACE_NAME]
-            parts = lhs.split()
-            if len(parts) != 2:
-                raise FormatError("bracket lines look like 'a b = terms'", lineno)
-            a, b = parts
-            for lab in (a, b):
-                if lab not in space.labels:
-                    raise FormatError(f"unknown label {lab!r}", lineno)
+            # an out-of-order pair is never stored, so it is never a duplicate
+            a, b = _pair_key("bracket", lhs, space, section.data["entries"], lineno)
             i, j = space.index(a), space.index(b)
             if i > j:
                 raise FormatError(
                     f"bracket entry [{a}, {b}] out of order; give the i <= j pair", lineno
                 )
-            if (a, b) in section.data["entries"]:
-                raise FormatError(f"duplicate bracket entry [{a}, {b}]", lineno)
             terms = _parse_terms(rhs, space, lineno)
             target = (space.parities[i] + space.parities[j]) % 2
             for lab, c in terms.items():
@@ -382,29 +400,13 @@ def parse(text: str) -> Document:
                         lineno,
                     )
             section.data["columns"][lhs] = terms
-        elif section.kind == "tensor":
-            space = doc.spaces[ALGEBRA_SPACE_NAME]
-            parts = lhs.split()
-            if len(parts) != 2:
-                raise FormatError("tensor lines look like 'a b = rational'", lineno)
-            a, b = parts
-            for lab in (a, b):
-                if lab not in space.labels:
-                    raise FormatError(f"unknown label {lab!r}", lineno)
-            if (a, b) in section.data["entries"]:
-                raise FormatError(f"duplicate tensor entry {a} {b}", lineno)
-            section.data["entries"][(a, b)] = _parse_rational(rhs.strip(), lineno)
+        elif section.kind in ("tensor", "form"):
+            entries = section.data["entries"]
+            key = _pair_key(section.kind, lhs, doc.spaces[ALGEBRA_SPACE_NAME], entries, lineno)
+            entries[key] = _parse_rational(rhs.strip(), lineno)
         elif section.kind == "prelie":
             space = section.data["space"]
-            parts = lhs.split()
-            if len(parts) != 2:
-                raise FormatError("product lines look like 'a b = terms'", lineno)
-            a, b = parts
-            for lab in (a, b):
-                if lab not in space.labels:
-                    raise FormatError(f"unknown label {lab!r}", lineno)
-            if (a, b) in section.data["entries"]:
-                raise FormatError(f"duplicate product entry {a} {b}", lineno)
+            a, b = _pair_key("prelie", lhs, space, section.data["entries"], lineno)
             terms = _parse_terms(rhs, space, lineno)
             base = (space.parities[space.index(a)] + space.parities[space.index(b)]) % 2
             for lab, c in terms.items():
@@ -418,18 +420,6 @@ def parse(text: str) -> Document:
                         f"parity-inconsistent entry: {a} {b} mixes grading shifts", lineno
                     )
             section.data["entries"][(a, b)] = terms
-        elif section.kind == "form":
-            space = doc.spaces[ALGEBRA_SPACE_NAME]
-            parts = lhs.split()
-            if len(parts) != 2:
-                raise FormatError("form lines look like 'a b = rational'", lineno)
-            a, b = parts
-            for lab in (a, b):
-                if lab not in space.labels:
-                    raise FormatError(f"unknown label {lab!r}", lineno)
-            if (a, b) in section.data["entries"]:
-                raise FormatError(f"duplicate form entry {a} {b}", lineno)
-            section.data["entries"][(a, b)] = _parse_rational(rhs.strip(), lineno)
 
     finalize()
     return doc
@@ -471,22 +461,19 @@ def emit(doc: Document) -> str:
         expr = doc.space_expression(raw.space)
         out.append(f"[rep {name} on {expr}]")
         g_space = doc.spaces[ALGEBRA_SPACE_NAME]
-        for a, alab in enumerate(g_space.labels):
-            m = raw.action[a]
-            for i, vlab in enumerate(raw.space.labels):
-                col = m.column(i)
-                if any(c != 0 for c in col):
-                    out.append(f"{alab} {vlab} = {_format_terms(raw.space, col)}")
+        for alab, m in zip(g_space.labels, raw.action):
+            for vlab, col in zip(raw.space.labels, m.nonzero):
+                if col:
+                    out.append(f"{alab} {vlab} = {_format_pairs(raw.space, col)}")
         out.append("")
 
     for name, m in doc.maps.items():
         src = doc.space_expression(m.domain)
         dst = doc.space_expression(m.codomain)
         out.append(f"[map {name} : {src} -> {dst} parity {parity_name(m.parity)}]")
-        for i, lab in enumerate(m.domain.labels):
-            col = m.column(i)
-            if any(c != 0 for c in col):
-                out.append(f"{lab} = {_format_terms(m.codomain, col)}")
+        for lab, col in zip(m.domain.labels, m.nonzero):
+            if col:
+                out.append(f"{lab} = {_format_pairs(m.codomain, col)}")
         out.append("")
 
     for name, t in doc.tensors.items():

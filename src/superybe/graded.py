@@ -178,10 +178,6 @@ def merge_spaces(a: SuperSpace, b: SuperSpace) -> "tuple[SuperSpace, tuple[int, 
 # vectors (plain tuples of Fractions relative to a SuperSpace)
 
 
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
@@ -213,7 +209,10 @@ class GradedLinearMap:
     """A homogeneous linear map between superspaces.
 
     The matrix is indexed (codomain basis x domain basis); homogeneity
-    means entry (k, i) vanishes unless |cod_k| = |dom_i| + parity.
+    means entry (k, i) vanishes unless |cod_k| = |dom_i| + parity.  A map
+    given by its dense matrix is scanned once for its nonzero entries;
+    derived maps are built by `_from_entries` from their nonzero entries
+    alone.  Either way homogeneity is checked on the nonzero entries.
     """
 
     domain: SuperSpace
@@ -229,30 +228,55 @@ class GradedLinearMap:
         for row in self.matrix:
             if len(row) != self.domain.dim:
                 raise ValueError("matrix column count does not match domain dimension")
-        for k in range(self.codomain.dim):
-            for i in range(self.domain.dim):
-                if self.matrix[k][i] != 0 and (
-                    self.codomain.parities[k] != (self.domain.parities[i] ^ self.parity)
-                ):
-                    raise ValueError(
-                        f"inhomogeneous map: entry ({self.codomain.labels[k]}, "
-                        f"{self.domain.labels[i]}) nonzero but parities disagree "
-                        f"with declared map parity {parity_name(self.parity)}"
-                    )
+        dom, cod = self.domain.parities, self.codomain.parities
+        offenders = [
+            (k, i)
+            for i, col in enumerate(self.nonzero)
+            for k, _ in col
+            if cod[k] != dom[i] ^ self.parity
+        ]
+        if offenders:
+            k, i = min(offenders)  # the first in row-major order
+            raise ValueError(
+                f"inhomogeneous map: entry ({self.codomain.labels[k]}, "
+                f"{self.domain.labels[i]}) nonzero but parities disagree "
+                f"with declared map parity {parity_name(self.parity)}"
+            )
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _from_entries(
+        domain: SuperSpace, codomain: SuperSpace, parity: Parity, entries
+    ) -> "GradedLinearMap":
+        """The map with the given ((k, i), value) entries, each position
+        given at most once, and zeros elsewhere.  Zero values are dropped;
+        the nonzero table is seeded from the rest, so construction checks
+        homogeneity on the given entries only."""
+        grid = [[ZERO] * domain.dim for _ in range(codomain.dim)]
+        cols = [[] for _ in range(domain.dim)]
+        for (k, i), x in entries:
+            if x != 0:
+                grid[k][i] = x
+                cols[i].append((k, x))
+        t = object.__new__(GradedLinearMap)
+        object.__setattr__(t, "domain", domain)
+        object.__setattr__(t, "codomain", codomain)
+        object.__setattr__(t, "parity", parity)
+        object.__setattr__(t, "matrix", tuple(tuple(row) for row in grid))
+        t.__dict__["nonzero"] = tuple(tuple(sorted(col)) for col in cols)
+        t.__post_init__()
+        return t
+
+    @staticmethod
     def zero(domain: SuperSpace, codomain: SuperSpace, parity: Parity) -> "GradedLinearMap":
-        row = (ZERO,) * domain.dim
-        return GradedLinearMap(domain, codomain, parity, (row,) * codomain.dim)
+        return GradedLinearMap._from_entries(domain, codomain, parity, ())
 
     @staticmethod
     def identity(space: SuperSpace) -> "GradedLinearMap":
-        m = tuple(
-            tuple(ONE if i == j else ZERO for j in range(space.dim)) for i in range(space.dim)
+        return GradedLinearMap._from_entries(
+            space, space, EVEN, (((i, i), ONE) for i in range(space.dim))
         )
-        return GradedLinearMap(space, space, EVEN, m)
 
     @staticmethod
     def from_images(
@@ -263,21 +287,11 @@ class GradedLinearMap:
     ) -> "GradedLinearMap":
         """Build from a {domain label: {codomain label: coefficient}} table;
         omitted domain labels map to zero."""
-        cols = {}
+        entries = []
         for src, terms in images.items():
-            cols[domain.index(src)] = codomain.vector(terms)
-        m = tuple(
-            tuple(cols.get(i, codomain.zero_vector())[k] for i in range(domain.dim))
-            for k in range(codomain.dim)
-        )
-        return GradedLinearMap(domain, codomain, parity, m)
-
-    @staticmethod
-    def from_columns(domain, codomain, parity, columns) -> "GradedLinearMap":
-        m = tuple(
-            tuple(columns[i][k] for i in range(domain.dim)) for k in range(codomain.dim)
-        )
-        return GradedLinearMap(domain, codomain, parity, m)
+            i = domain.index(src)
+            entries += (((codomain.index(label), i), rat(value)) for label, value in terms.items())
+        return GradedLinearMap._from_entries(domain, codomain, parity, entries)
 
     # -- evaluation ----------------------------------------------------
 
@@ -290,19 +304,26 @@ class GradedLinearMap:
             for i in range(self.domain.dim)
         )
 
+    def _entries(self):
+        """The ((k, i), m_ki) with m_ki != 0, column by column."""
+        for i, col in enumerate(self.nonzero):
+            for k, x in col:
+                yield (k, i), x
+
     def column(self, i: int) -> tuple[Scalar, ...]:
         """Image of the i-th domain basis vector."""
-        return tuple(self.matrix[k][i] for k in range(self.codomain.dim))
+        out = [ZERO] * self.codomain.dim
+        for k, x in self.nonzero[i]:
+            out[k] = x
+        return tuple(out)
 
     def apply(self, v) -> tuple[Scalar, ...]:
         out = [ZERO] * self.codomain.dim
         for i, x in enumerate(v):
             if x == 0:
                 continue
-            for k in range(self.codomain.dim):
-                m = self.matrix[k][i]
-                if m != 0:
-                    out[k] += m * x
+            for k, m in self.nonzero[i]:
+                out[k] += m * x
         return tuple(out)
 
     def image_of(self, label: str) -> tuple[Scalar, ...]:
@@ -314,9 +335,15 @@ class GradedLinearMap:
         """self after other; parities add."""
         if other.codomain != self.domain:
             raise ValueError("composition domain/codomain mismatch")
-        cols = [self.apply(other.column(i)) for i in range(other.domain.dim)]
-        return GradedLinearMap.from_columns(
-            other.domain, self.codomain, (self.parity + other.parity) % 2, cols
+        entries = []
+        for i, col in enumerate(other.nonzero):
+            out: dict = {}
+            for j, y in col:
+                for k, x in self.nonzero[j]:
+                    out[k] = out.get(k, ZERO) + x * y
+            entries += (((k, i), x) for k, x in out.items())
+        return GradedLinearMap._from_entries(
+            other.domain, self.codomain, (self.parity + other.parity) % 2, entries
         )
 
     def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
@@ -326,21 +353,22 @@ class GradedLinearMap:
             other.parity,
         ):
             raise ValueError("can only add maps of equal type and parity")
-        m = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.matrix, other.matrix)
-        )
-        return GradedLinearMap(self.domain, self.codomain, self.parity, m)
+        total = dict(self._entries())
+        for ki, x in other._entries():
+            total[ki] = total.get(ki, ZERO) + x
+        return GradedLinearMap._from_entries(self.domain, self.codomain, self.parity, total.items())
 
     def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         return self + other.scale(-1)
 
     def scale(self, c: RationalLike) -> "GradedLinearMap":
         c = rat(c) if not isinstance(c, int) else c
-        m = tuple(tuple(c * a for a in row) for row in self.matrix)
-        return GradedLinearMap(self.domain, self.codomain, self.parity, m)
+        return GradedLinearMap._from_entries(
+            self.domain, self.codomain, self.parity, ((ki, c * x) for ki, x in self._entries())
+        )
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.matrix for a in row)
+        return not any(self.nonzero)
 
     def inverse(self) -> "GradedLinearMap":
         if self.domain.dim != self.codomain.dim:
@@ -361,33 +389,21 @@ class GradedLinearMap:
 def suspend_map(t: GradedLinearMap) -> GradedLinearMap:
     """T^s(su) = T(u): same images, suspended domain, parity flipped."""
     sdom, perm = t.domain.suspended_with_permutation()
-    cols = [None] * t.domain.dim
-    for i in range(t.domain.dim):
-        cols[perm[i]] = t.column(i)
-    return GradedLinearMap.from_columns(sdom, t.codomain, t.parity ^ 1, cols)
+    entries = (((k, perm[i]), x) for (k, i), x in t._entries())
+    return GradedLinearMap._from_entries(sdom, t.codomain, t.parity ^ 1, entries)
 
 
 def dual_map(t: GradedLinearMap) -> GradedLinearMap:
     """T*: cod* -> dom* fixed by <T*(x*), v> = (-1)^{|T||x*|} <x*, T(v)>."""
-    dom, cod = t.domain, t.codomain
-    m = tuple(
-        tuple(sign(t.parity * cod.parities[j]) * t.matrix[j][i] for j in range(cod.dim))
-        for i in range(dom.dim)
-    )
-    return GradedLinearMap(cod.dual(), dom.dual(), t.parity, m)
+    P = t.codomain.parities
+    entries = (((i, j), sign(t.parity * P[j]) * x) for (j, i), x in t._entries())
+    return GradedLinearMap._from_entries(t.codomain.dual(), t.domain.dual(), t.parity, entries)
 
 
 def double_dual_embedding(space: SuperSpace) -> GradedLinearMap:
     """theta: V -> V** with e_i -> (-1)^{|e_i|} (e_i*)*."""
-    bidual = space.dual().dual()
-    m = tuple(
-        tuple(
-            (sign(space.parities[i]) * ONE if i == k else ZERO)
-            for i in range(space.dim)
-        )
-        for k in range(space.dim)
-    )
-    return GradedLinearMap(space, bidual, EVEN, m)
+    entries = (((i, i), sign(p) * ONE) for i, p in enumerate(space.parities))
+    return GradedLinearMap._from_entries(space, space.dual().dual(), EVEN, entries)
 
 
 def relabel_domain(t: GradedLinearMap, new_domain: SuperSpace) -> GradedLinearMap:
@@ -398,7 +414,7 @@ def relabel_domain(t: GradedLinearMap, new_domain: SuperSpace) -> GradedLinearMa
     old = t.domain
     if (old.even_dim, old.odd_dim) != (new_domain.even_dim, new_domain.odd_dim):
         raise ValueError("parity block dimensions do not match")
-    return GradedLinearMap(new_domain, t.codomain, t.parity, t.matrix)
+    return GradedLinearMap._from_entries(new_domain, t.codomain, t.parity, t._entries())
 
 
 # ---------------------------------------------------------------------------

@@ -140,13 +140,9 @@ class LieSuperAlgebra:
 
     def ad(self, i: int) -> GradedLinearMap:
         """The adjoint action of the i-th basis element."""
-        n = self.space.dim
-        m = [[ZERO] * n for _ in range(n)]
-        for j, entry in enumerate(self.nonzero[i]):
-            for k, c in entry:
-                m[k][j] = c
-        return GradedLinearMap(
-            self.space, self.space, self.space.parities[i], tuple(tuple(r) for r in m)
+        entries = (((k, j), c) for j, entry in enumerate(self.nonzero[i]) for k, c in entry)
+        return GradedLinearMap._from_entries(
+            self.space, self.space, self.space.parities[i], entries
         )
 
     def is_abelian(self) -> bool:
@@ -312,15 +308,6 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
 # semidirect product
 
 
-def semidirect_labels(g_space: SuperSpace, module_space: SuperSpace):
-    """The labels the two summands of g (+) V carry in the merged space."""
-    total, alg_embed, mod_embed = merge_spaces(g_space, module_space)
-    return (
-        tuple(total.labels[k] for k in alg_embed),
-        tuple(total.labels[k] for k in mod_embed),
-    )
-
-
 def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlgebra:
     """g |x V with [(x,u), (y,v)] = ([x,y], rho(x)v - (-1)^{|u||y|} rho(y)u).
 
@@ -334,7 +321,6 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
 
     n = total.dim
     ng = g.space.dim
-    nv = V.dim
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
 
     for i in range(ng):
@@ -343,14 +329,11 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
                 c[alg_embed[i]][alg_embed[j]][alg_embed[k]] = v
 
     for a in range(ng):
-        act = rho.action[a]
-        for i in range(nv):
-            col = act.column(i)
+        for i, col in enumerate(rho.action[a].nonzero):
             s = sign(V.parities[i] * g.space.parities[a])
-            for k in range(nv):
-                if col[k] != 0:
-                    c[alg_embed[a]][mod_embed[i]][mod_embed[k]] = col[k]
-                    c[mod_embed[i]][alg_embed[a]][mod_embed[k]] = -s * col[k]
+            for k, x in col:
+                c[alg_embed[a]][mod_embed[i]][mod_embed[k]] = x
+                c[mod_embed[i]][alg_embed[a]][mod_embed[k]] = -s * x
 
     return LieSuperAlgebra(total, tuple(tuple(tuple(r) for r in p) for p in c))
 
@@ -374,9 +357,8 @@ def form_to_dual_map(beta: BilinearForm, g: LieSuperAlgebra) -> GradedLinearMap:
         problems.append("degenerate")
     if problems:
         raise ValueError("form unsuitable for transport: " + ", ".join(problems))
-    n = g.space.dim
-    m = tuple(tuple(beta.gram[i][j] for i in range(n)) for j in range(n))
-    return GradedLinearMap(g.space, g.space.dual(), EVEN, m)
+    entries = (((j, i), b) for i, row in enumerate(beta.gram) for j, b in enumerate(row))
+    return GradedLinearMap._from_entries(g.space, g.space.dual(), EVEN, entries)
 
 
 def rota_baxter_transport(t: GradedLinearMap, phi: GradedLinearMap) -> GradedLinearMap:

@@ -151,11 +151,8 @@ def extend_to_double(t: GradedLinearMap, rho: Representation) -> OOperatorCandid
     srho = parity_reverse_rep(rho)
     double = direct_sum_rep(rho, srho)
     _, emb_v, _ = merge_spaces(rho.space, srho.space)
-    W = double.space
-    cols = [t.codomain.zero_vector()] * W.dim
-    for i in range(rho.space.dim):
-        cols[emb_v[i]] = t.column(i)
-    ext = GradedLinearMap.from_columns(W, t.codomain, t.parity, cols)
+    entries = (((k, emb_v[i]), x) for (k, i), x in t._entries())
+    ext = GradedLinearMap._from_entries(double.space, t.codomain, t.parity, entries)
     return OOperatorCandidate(ext, double)
 
 
@@ -268,10 +265,9 @@ def grid_search_oops(
         else:
             accepted.append(tuple(stack[r] - 1 for r in row_major))
 
-    found = []
-    for digits in sorted(accepted):
-        grid = [[ZERO] * V.dim for _ in range(cod.dim)]
-        for (k, i), digit in zip(positions, digits):
-            grid[k][i] = entries[digit]
-        found.append(GradedLinearMap(V, cod, parity, tuple(tuple(r) for r in grid)))
-    return found
+    return [
+        GradedLinearMap._from_entries(
+            V, cod, parity, ((ki, entries[digit]) for ki, digit in zip(positions, digits))
+        )
+        for digits in sorted(accepted)
+    ]

@@ -164,11 +164,10 @@ def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
 def left_regular_rep(a: PreLieSuperAlgebra) -> Representation:
     """(A, L) with L(x)y = xy, a representation of the sub-adjacent algebra."""
     g = subadjacent(a)
-    n = a.space.dim
     action = []
-    for i in range(n):
-        m = tuple(tuple(a.product[i][j][k] for j in range(n)) for k in range(n))
-        action.append(GradedLinearMap(a.space, a.space, a.space.parities[i], m))
+    for p, row in zip(a.space.parities, a.product):
+        entries = (((k, j), x) for j, e in enumerate(row) for k, x in enumerate(e))
+        action.append(GradedLinearMap._from_entries(a.space, a.space, p, entries))
     # subadjacent has checked the pre-Lie identity, which makes L a
     # representation by theorem
     return Representation._trusted(g, a.space, tuple(action))
@@ -191,12 +190,14 @@ def product_from_oop(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlge
     V = rho.space
     n = V.dim
     pt = t.parity
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, col in enumerate(t.nonzero):
         s = sign(pt * (V.parities[i] + pt))
-        ti = t.column(i)
-        for j in range(n):
-            table[i][j] = vec_scale(s, rho.apply_vec(ti, V.basis_vector(j)))
+        for a, x in col:  # rho(T v_i) = sum_a x rho(e_a)
+            for j, image in enumerate(rho.action[a].nonzero):
+                out = table[i][j]
+                for k, m in image:
+                    out[k] += s * x * m
     return PreLieSuperAlgebra(
         V, tuple(tuple(tuple(e) for e in row) for row in table), pt
     )
@@ -283,20 +284,13 @@ def compatible_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlg
     if not t.is_invertible():
         raise ValueError("the compatible product needs an invertible operator")
     tinv = t.inverse()
-    g = rho.algebra
-    space = g.space
-    n = space.dim
-    pt = t.parity
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        s = sign(pt * space.parities[i])
-        x = space.basis_vector(i)
-        for j in range(n):
-            y = tinv.column(j)
-            table[i][j] = vec_scale(s, t.apply(rho.apply_vec(x, y)))
-    return PreLieSuperAlgebra(
-        space, tuple(tuple(tuple(e) for e in row) for row in table), EVEN
-    )
+    space = rho.algebra.space
+    table = []
+    for p, act in zip(space.parities, rho.action):
+        # row i of the table: the columns of (-1)^{|T||e_i|} T rho(e_i) T^{-1}
+        m = t.compose(act).compose(tinv).scale(sign(t.parity * p))
+        table.append(tuple(m.column(j) for j in range(space.dim)))
+    return PreLieSuperAlgebra(space, tuple(table), EVEN)
 
 
 def prelie_rmatrix_pair(a: PreLieSuperAlgebra) -> "tuple[RMatrix, RMatrix]":

@@ -19,10 +19,9 @@ from .graded import (
     ZERO,
     GradedLinearMap,
     SuperSpace,
+    dual_map,
     merge_spaces,
     sign,
-    vec_add,
-    vec_scale,
 )
 from .liesuper import CheckReport, LieSuperAlgebra, _first_failure
 
@@ -45,16 +44,7 @@ def check_representation(
             elif m.parity != g.space.parities[i]:
                 yield f"action of {L[i]} must have parity of {L[i]}"
 
-    def mat_mul(a, b):
-        d = len(a)
-        return [
-            [sum((a[r][m] * b[m][c] for m in range(d) if a[r][m] != 0), ZERO) for c in range(d)]
-            for r in range(d)
-        ]
-
     def hom_witnesses():
-        d = space.dim
-        mats = [m.matrix for m in action]
         later = {}  # the two products of pair (i, j), kept for pair (j, i)
         for i in range(n):
             for j in range(n):
@@ -62,16 +52,18 @@ def check_representation(
                 if (i, j) in later:
                     ij, ji = later.pop((i, j))
                 else:
-                    ij = mat_mul(mats[i], mats[j])
-                    ji = mat_mul(mats[j], mats[i]) if i != j else ij
+                    ij = action[i].compose(action[j])
+                    ji = action[j].compose(action[i]) if i != j else ij
                     if i < j:
                         later[j, i] = ji, ij
-                cij = g.nonzero[i][j]
-                if any(
-                    sum((x * mats[k][r][c] for k, x in cij), ZERO) != ij[r][c] - s * ji[r][c]
-                    for r in range(d)
-                    for c in range(d)
-                ):
+                # rho(e_i) rho(e_j) - s rho(e_j) rho(e_i) - rho([e_i, e_j])
+                defect = dict(ij._entries())
+                for rc, x in ji._entries():
+                    defect[rc] = defect.get(rc, ZERO) - s * x
+                for k, c in g.nonzero[i][j]:
+                    for rc, x in action[k]._entries():
+                        defect[rc] = defect.get(rc, ZERO) - c * x
+                if any(x != 0 for x in defect.values()):
                     yield f"fails at pair ({L[i]}, {L[j]})"
 
     shape_item = _first_failure("action shape and parity", shape_witnesses())
@@ -135,17 +127,19 @@ class Representation:
         # hosts are cached by representation
         return self._hash
 
-    def act(self, i: int, v):
-        return self.action[i].apply(v)
-
     def apply_vec(self, x, v):
         """rho(x)v for an algebra coordinate vector x (applied termwise)."""
-        out = (ZERO,) * self.space.dim
+        out = [ZERO] * self.space.dim
+        vs = [(i, vi) for i, vi in enumerate(v) if vi != 0]
         for a, xa in enumerate(x):
             if xa == 0:
                 continue
-            out = vec_add(out, vec_scale(xa, self.action[a].apply(v)))
-        return out
+            cols = self.action[a].nonzero
+            for i, vi in vs:
+                c = xa * vi
+                for k, m in cols[i]:
+                    out[k] += c * m
+        return tuple(out)
 
 
 def _lie_adjoint(g: LieSuperAlgebra) -> Representation:
@@ -167,19 +161,10 @@ def trivial_rep(g: LieSuperAlgebra, space: SuperSpace) -> Representation:
 
 
 def dual_rep(rho: Representation) -> Representation:
-    """(V*, rho*) with <rho*(x)u*, v> = -(-1)^{|x||u*|} <u*, rho(x)v>."""
-    space = rho.space
-    dual = space.dual()
-    n = space.dim
-    action = []
-    for a, m in enumerate(rho.action):
-        pa = rho.algebra.space.parities[a]
-        mat = tuple(
-            tuple(-sign(pa * space.parities[i]) * m.matrix[i][j] for i in range(n))
-            for j in range(n)
-        )
-        action.append(GradedLinearMap(dual, dual, pa, mat))
-    return Representation._trusted(rho.algebra, dual, tuple(action))
+    """(V*, rho*) with <rho*(x)u*, v> = -(-1)^{|x||u*|} <u*, rho(x)v>:
+    rho*(x) = -rho(x)*."""
+    action = tuple(dual_map(m).scale(-1) for m in rho.action)
+    return Representation._trusted(rho.algebra, rho.space.dual(), action)
 
 
 def coadjoint(g: LieSuperAlgebra) -> Representation:
@@ -188,19 +173,12 @@ def coadjoint(g: LieSuperAlgebra) -> Representation:
 
 def parity_reverse_rep(rho: Representation) -> Representation:
     """(sV, rho^s) with rho^s(x)(sv) = (-1)^{|x|} s(rho(x)v)."""
-    space = rho.space
-    svspace, perm = space.suspended_with_permutation()
-    n = space.dim
+    svspace, perm = rho.space.suspended_with_permutation()
     action = []
-    for a, m in enumerate(rho.action):
-        pa = rho.algebra.space.parities[a]
+    for pa, m in zip(rho.algebra.space.parities, rho.action):
         s = sign(pa)
-        grid = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if m.matrix[i][j] != 0:
-                    grid[perm[i]][perm[j]] = s * m.matrix[i][j]
-        action.append(GradedLinearMap(svspace, svspace, pa, tuple(tuple(r) for r in grid)))
+        entries = (((perm[k], perm[i]), s * x) for (k, i), x in m._entries())
+        action.append(GradedLinearMap._from_entries(svspace, svspace, pa, entries))
     return Representation._trusted(rho.algebra, svspace, tuple(action))
 
 
@@ -209,23 +187,11 @@ def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation
     if rho1.algebra != rho2.algebra:
         raise ValueError("direct sum requires representations of the same algebra")
     total, emb1, emb2 = merge_spaces(rho1.space, rho2.space)
-    n = total.dim
     action = []
-    for a in range(rho1.algebra.space.dim):
-        grid = [[ZERO] * n for _ in range(n)]
-        m1 = rho1.action[a].matrix
-        for i in range(rho1.space.dim):
-            for j in range(rho1.space.dim):
-                if m1[i][j] != 0:
-                    grid[emb1[i]][emb1[j]] = m1[i][j]
-        m2 = rho2.action[a].matrix
-        for i in range(rho2.space.dim):
-            for j in range(rho2.space.dim):
-                if m2[i][j] != 0:
-                    grid[emb2[i]][emb2[j]] = m2[i][j]
-        action.append(
-            GradedLinearMap(total, total, rho1.algebra.space.parities[a], tuple(tuple(r) for r in grid))
-        )
+    for pa, m1, m2 in zip(rho1.algebra.space.parities, rho1.action, rho2.action):
+        entries = [((emb1[k], emb1[i]), x) for (k, i), x in m1._entries()]
+        entries += (((emb2[k], emb2[i]), x) for (k, i), x in m2._entries())
+        action.append(GradedLinearMap._from_entries(total, total, pa, entries))
     return Representation._trusted(rho1.algebra, total, tuple(action))
 
 
@@ -286,13 +252,7 @@ def intertwiner_space(rho1: Representation, rho2: Representation) -> list[Graded
                 if any(x != 0 for x in row):
                     rows.append(row)
     basis_raw = linalg.nullspace(rows, ncols=len(positions))
-    result = []
-    for v in basis_raw:
-        grid = [[ZERO] * V1.dim for _ in range(V2.dim)]
-        for t, (k, i) in enumerate(positions):
-            grid[k][i] = v[t]
-        result.append(GradedLinearMap(V1, V2, EVEN, tuple(tuple(r) for r in grid)))
-    return result
+    return [GradedLinearMap._from_entries(V1, V2, EVEN, zip(positions, v)) for v in basis_raw]
 
 
 _RANDOM_FALLBACK_TRIES = 200

@@ -21,6 +21,7 @@ from .graded import (
     Tensor2,
     Tensor3,
     dual_map,
+    merge_spaces,
     sign,
     suspend_map,
     twist,
@@ -30,7 +31,6 @@ from .liesuper import (
     LieSuperAlgebra,
     check_lie_axioms,
     classify_form,
-    semidirect_labels,
     semidirect_product,
 )
 from .oop import _check_candidate, is_intertwiner
@@ -112,12 +112,9 @@ def is_super_rmatrix(r: RMatrix) -> bool:
 def rmatrix_to_operator(r: RMatrix) -> GradedLinearMap:
     """T_r: g* -> g with T_r(e_i*) = (-1)^{|e_i*|} sum_j a_ji e_j."""
     space = r.space
-    n = space.dim
-    a = r.tensor.coeffs
-    m = tuple(
-        tuple(sign(space.parities[i]) * a[j][i] for i in range(n)) for j in range(n)
-    )
-    return GradedLinearMap(space.dual(), space, r.parity, m)
+    P = space.parities
+    entries = (((j, i), sign(P[i]) * a) for (j, i), a in r.tensor.nonzero())
+    return GradedLinearMap._from_entries(space.dual(), space, r.parity, entries)
 
 
 def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
@@ -137,15 +134,15 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
 
 
 def _semidirect_host(rho: Representation):
-    """g |x_{rho*} V* with the labels of its algebra and module slots."""
+    """g |x_{rho*} V* with the positions of its algebra and module slots."""
     rho_star = dual_rep(rho)
     h = semidirect_product(rho.algebra, rho_star)
-    alg_labels, mod_labels = semidirect_labels(rho.algebra.space, rho_star.space)
-    return h, alg_labels, mod_labels
+    _, alg_pos, mod_pos = merge_spaces(rho.algebra.space, rho_star.space)
+    return h, alg_pos, mod_pos
 
 
 # the semidirect hosts depend only on the representation, not on the
-# operator; cache them so bulk verdict checks do not rebuild and reverify
+# operator; cache them so bulk verdict checks build each host once
 @lru_cache(maxsize=None)
 def _plain_semidirect(rho: Representation):
     return _semidirect_host(rho)
@@ -159,29 +156,30 @@ def _dual_semidirect(rho: Representation):
 
 
 def _induced_input(t: GradedLinearMap, rho: Representation, variant: str):
-    """(T, rho, host, algebra labels, module labels) of the plain
+    """(T, rho, host, algebra positions, module positions) of the plain
     construction: on (T, rho) for the plain variant, on the parity-dual
     pair (T^s, rho^s) for the dual one, whose plain tensor is r_{T^s}."""
     _check_candidate(t, rho)
     if variant == "plain":
         return (t, rho, *_plain_semidirect(rho))
     if variant == "dual":
-        h, alg_labels, mod_labels, srho = _dual_semidirect(rho)
-        return suspend_map(t), srho, h, alg_labels, mod_labels
+        h, alg_pos, mod_pos, srho = _dual_semidirect(rho)
+        return suspend_map(t), srho, h, alg_pos, mod_pos
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _pan_supersymmetric_tensor(h, alg_labels, mod_labels, mod_parities, entries, parity):
+def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, entries, parity):
     """The sum over the entries ((k, i), x) of
-    x (e_k (x) v_i* + (-1)^{(|r|+1)(|v_i|+1)} v_i* (x) e_k) in h, parity |r|."""
-    terms: dict = {}
+    x (e_k (x) v_i* + (-1)^{(|r|+1)(|v_i|+1)} v_i* (x) e_k) in h, parity |r|,
+    where e_k and v_i* sit at positions alg_pos[k] and mod_pos[i] of h."""
+    n = h.space.dim
+    grid = [[ZERO] * n for _ in range(n)]
     for (k, i), x in entries:
         s = sign((parity + 1) * (mod_parities[i] + 1))
-        key = (alg_labels[k], mod_labels[i])
-        terms[key] = terms.get(key, ZERO) + x
-        key = (mod_labels[i], alg_labels[k])
-        terms[key] = terms.get(key, ZERO) + s * x
-    return RMatrix(h, Tensor2.from_terms(h.space, h.space, terms, parity))
+        p, q = alg_pos[k], mod_pos[i]
+        grid[p][q] += x
+        grid[q][p] += s * x
+    return RMatrix(h, Tensor2(h.space, h.space, tuple(tuple(r) for r in grid), parity))
 
 
 def operator_to_rmatrix(
@@ -198,11 +196,10 @@ def operator_to_rmatrix(
     The tensor solves the super CYBE exactly when T satisfies the
     O-operator identity.
     """
-    t, rho, h, alg_labels, mod_labels = _induced_input(t, rho, variant)
+    t, rho, h, alg_pos, mod_pos = _induced_input(t, rho, variant)
     # T v_i has coordinate x = T[k][i] along e_k
-    entries = (((k, i), x) for k, row in enumerate(t.matrix) for i, x in enumerate(row) if x != 0)
     return _pan_supersymmetric_tensor(
-        h, alg_labels, mod_labels, rho.space.parities, entries, t.parity
+        h, alg_pos, mod_pos, rho.space.parities, t._entries(), t.parity
     )
 
 
@@ -220,23 +217,15 @@ def induced_coadjoint_operator(
     T satisfies the identity; it equals rmatrix_to_operator of the induced
     tensor under the double-dual identification.
     """
-    t, rho, h, alg_labels, mod_labels = _induced_input(t, rho, variant)
-    hspace = h.space
-    alg_pos = [hspace.index(lab) for lab in alg_labels]
-    mod_pos = [hspace.index(lab) for lab in mod_labels]
-    tstar = dual_map(t)  # g* -> V*
+    t, rho, h, alg_pos, mod_pos = _induced_input(t, rho, variant)
+    P = rho.space.parities
     sgn_alg = -sign(t.parity)
-    cols = [[ZERO] * hspace.dim for _ in range(hspace.dim)]
-    for i, q in enumerate(mod_pos):
-        s = sign(rho.space.parities[i])
-        for k, x in enumerate(t.column(i)):
-            if x != 0:
-                cols[q][alg_pos[k]] = s * x
-    for j, q in enumerate(alg_pos):
-        for m, x in enumerate(tstar.column(j)):  # coordinates over V*
-            if x != 0:
-                cols[q][mod_pos[m]] = sgn_alg * x
-    return GradedLinearMap.from_columns(hspace.dual(), hspace, t.parity, cols)
+    entries = [((alg_pos[k], mod_pos[i]), sign(P[i]) * x) for (k, i), x in t._entries()]
+    # column j of T* = dual_map(t) holds the coordinates of T*(e_j*) over V*
+    entries += (
+        ((mod_pos[m], alg_pos[j]), sgn_alg * x) for (m, j), x in dual_map(t)._entries()
+    )
+    return GradedLinearMap._from_entries(h.space.dual(), h.space, t.parity, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +280,22 @@ HIERARCHY_DIM_CAP = 256
 # starting algebra the adjoint of every level is trusted
 def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
     h = semidirect_product(g, _lie_adjoint(g))  # g |x_ad g
-    alg_labels, mod_labels = semidirect_labels(g.space, g.space)
+    _, alg_pos, mod_pos = merge_spaces(g.space, g.space)
     # coefficient a_ji sits at tensor slot (j, i)
     return _pan_supersymmetric_tensor(
-        h, alg_labels, mod_labels, g.space.parities, r.tensor.nonzero(), r.parity
+        h, alg_pos, mod_pos, g.space.parities, r.tensor.nonzero(), r.parity
     )
 
 
 def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
     srho = parity_reverse_rep(_lie_adjoint(g))
     h = semidirect_product(g, srho)
-    alg_labels, mod_labels = semidirect_labels(g.space, srho.space)
+    _, alg_pos, mod_pos = merge_spaces(g.space, srho.space)
     _, perm = g.space.suspended_with_permutation()
     P = g.space.parities
     entries = (((j, perm[i]), sign(P[i]) * a) for (j, i), a in r.tensor.nonzero())
     return _pan_supersymmetric_tensor(
-        h, alg_labels, mod_labels, srho.space.parities, entries, r.parity ^ 1
+        h, alg_pos, mod_pos, srho.space.parities, entries, r.parity ^ 1
     )
 
 

@@ -311,3 +311,36 @@ class TestRoundTrip:
         doc.tensors["r"] = fx.parts["r0_plus"].tensor
         again = parse(emit(doc))
         assert again == doc
+
+
+# every error of an `a b = ...` line, per section kind, with its line
+PAIR_SECTIONS = {
+    "bracket": ("[bracket]", "e f = 1 f", "bracket lines look like 'a b = terms'",
+                "duplicate bracket entry [e, f]"),
+    "tensor": ("[tensor r]", "e f = 1", "tensor lines look like 'a b = rational'",
+               "duplicate tensor entry e f"),
+    "prelie": ("[prelie A]", "e f = 1 f", "product lines look like 'a b = terms'",
+               "duplicate product entry e f"),
+    "form": ("[form b]", "e f = 1", "form lines look like 'a b = rational'",
+             "duplicate form entry e f"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_SECTIONS))
+@pytest.mark.parametrize(
+    "case", ["one label", "three labels", "unknown left", "unknown right", "duplicate"]
+)
+def test_pair_line_errors_per_section(kind, case):
+    header, good, shape, duplicate = PAIR_SECTIONS[kind]
+    rhs = good.split("=", 1)[1]
+    bad, message = {
+        "one label": ("e =" + rhs, shape),
+        "three labels": ("e f e =" + rhs, shape),
+        "unknown left": ("x f =" + rhs, "unknown label 'x'"),
+        "unknown right": ("e y =" + rhs, "unknown label 'y'"),
+        "duplicate": (good, duplicate),
+    }[case]
+    text = f"[space]\neven = e\nodd = f\n\n{header}\n{good}\n{bad}\n"
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert (err.value.line, err.value.message) == (7, message)

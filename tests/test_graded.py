@@ -70,6 +70,26 @@ class TestGradedLinearMap:
         with pytest.raises(ValueError):
             GradedLinearMap.from_images(v, v, EVEN, {"e": {"f": 1}})
 
+    def test_homogeneity_witness_is_the_row_major_first_offender(self):
+        # two offenders: (e1, f2) comes first by rows, (f1, e2) by columns
+        v = SuperSpace.make(even=["e1", "e2"], odd=["f1", "f2"])
+        message = (
+            "inhomogeneous map: entry (e1, f2) nonzero but parities disagree "
+            "with declared map parity even"
+        )
+        m = [[Fraction(0)] * 4 for _ in range(4)]
+        m[0][3] = Fraction(1)
+        m[2][1] = Fraction(-1, 2)
+        m[1][1] = Fraction(3)
+        with pytest.raises(ValueError) as err:
+            GradedLinearMap(v, v, EVEN, tuple(tuple(r) for r in m))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            GradedLinearMap.from_images(
+                v, v, EVEN, {"e2": {"f1": "-1/2", "e2": 3}, "f2": {"e1": 1}}
+            )
+        assert str(err.value) == message
+
     def test_composition_adds_parities(self):
         v = space_ef()
         t = GradedLinearMap.from_images(v, v, ODD, {"e": {"f": 1}, "f": {"e": 1}})

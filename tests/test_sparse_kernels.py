@@ -1,7 +1,8 @@
-"""The sparse structure-constant kernels against the dense definitions.
+"""The sparse kernels and constructions against the dense definitions.
 
-Every kernel reads `LieSuperAlgebra.nonzero`; these tests recompute the
-same quantities by dense loops over `structure` and compare.
+Every bracket kernel reads `LieSuperAlgebra.nonzero`, and every derived
+linear map is built from its nonzero entries; these tests recompute the
+same quantities by dense loops over `structure` and `matrix` and compare.
 """
 
 import itertools
@@ -12,17 +13,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superybe import (
+    GradedLinearMap,
     LieSuperAlgebra,
+    PreLieSuperAlgebra,
+    Representation,
     RMatrix,
     SuperSpace,
     Tensor2,
     check_lie_axioms,
+    check_representation,
+    compatible_prelie,
+    direct_sum_rep,
+    double_dual_embedding,
+    dual_map,
+    dual_rep,
+    extend_to_double,
     fixture_names,
+    grid_search_oops,
     hierarchy_walk,
+    induced_coadjoint_operator,
+    left_regular_rep,
     load_fixture,
+    operator_to_rmatrix,
+    parity_reverse_rep,
+    product_from_oop,
+    rmatrix_to_operator,
     scybe_defect,
+    semidirect_product,
+    suspend_map,
 )
-from superybe.graded import sign
+from superybe.graded import merge_spaces, sign
 
 import oracles
 
@@ -229,3 +249,381 @@ def test_random_structures_report_the_dense_first_witnesses(data):
 def test_lie_algebras_report_like_the_dense_checks(name):
     g = ALGEBRAS[name]
     assert [item.detail for item in check_lie_axioms(g).items] == dense_first_witnesses(g)
+
+
+# ---------------------------------------------------------------------------
+# derived linear maps against their dense formulas
+#
+# Each reference below is the dense n x m grid formula the construction
+# was first written with; the library builds the same maps from their
+# nonzero entries.
+
+HALF = Fraction(1, 2)
+ENTRY_VALUES = (Fraction(0), HALF, -HALF, Fraction(1), Fraction(-1))
+
+
+def _reps():
+    """Every catalog representation, its dual and its parity reverse."""
+    found = []
+    for name in fixture_names():
+        for part in load_fixture(name).parts.values():
+            if isinstance(part, Representation) and part not in found:
+                found.append(part)
+    return found + [dual_rep(rho) for rho in found] + [parity_reverse_rep(rho) for rho in found]
+
+
+REPS = _reps()
+
+
+def grid(rows, cols, entry):
+    return tuple(tuple(Fraction(entry(k, i)) for i in range(cols)) for k in range(rows))
+
+
+def dense_mul(a, b):
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return grid(len(a), cols, lambda r, c: sum((a[r][m] * b[m][c] for m in range(inner)), Fraction(0)))
+
+
+def ref_zero(domain, codomain):
+    return ((Fraction(0),) * domain.dim,) * codomain.dim
+
+
+def ref_identity(space):
+    return grid(space.dim, space.dim, lambda k, i: int(k == i))
+
+
+def ref_from_images(domain, codomain, images):
+    cols = {domain.index(src): codomain.vector(terms) for src, terms in images.items()}
+    return grid(codomain.dim, domain.dim, lambda k, i: cols[i][k] if i in cols else 0)
+
+
+def ref_suspend(t):
+    sdom, perm = t.domain.suspended_with_permutation()
+    back = {perm[i]: i for i in range(t.domain.dim)}
+    return sdom, grid(t.codomain.dim, sdom.dim, lambda k, c: t.matrix[k][back[c]])
+
+
+def ref_dual_map(t):
+    P = t.codomain.parities
+    return grid(t.domain.dim, t.codomain.dim, lambda i, j: sign(t.parity * P[j]) * t.matrix[j][i])
+
+
+def ref_double_dual(space):
+    return grid(space.dim, space.dim, lambda k, i: sign(space.parities[i]) if i == k else 0)
+
+
+def ref_dual_action(rho):
+    P, Q = rho.algebra.space.parities, rho.space.parities
+    return [
+        grid(rho.space.dim, rho.space.dim, lambda j, i: -sign(P[a] * Q[i]) * m.matrix[i][j])
+        for a, m in enumerate(rho.action)
+    ]
+
+
+def ref_reverse_action(rho):
+    _, perm = rho.space.suspended_with_permutation()
+    n = rho.space.dim
+    out = []
+    for a, m in enumerate(rho.action):
+        g = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                g[perm[i]][perm[j]] = sign(rho.algebra.space.parities[a]) * m.matrix[i][j]
+        out.append(tuple(tuple(r) for r in g))
+    return out
+
+
+def ref_direct_sum_action(rho1, rho2):
+    total, emb1, emb2 = merge_spaces(rho1.space, rho2.space)
+    out = []
+    for a in range(rho1.algebra.dim):
+        g = [[Fraction(0)] * total.dim for _ in range(total.dim)]
+        for rho, emb in ((rho1, emb1), (rho2, emb2)):
+            m = rho.action[a].matrix
+            for i in range(rho.space.dim):
+                for j in range(rho.space.dim):
+                    g[emb[i]][emb[j]] = m[i][j]
+        out.append(tuple(tuple(r) for r in g))
+    return total, out
+
+
+def ref_semidirect(g, rho):
+    total, ga, va = merge_spaces(g.space, rho.space)
+    n = total.dim
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in itertools.product(range(g.dim), repeat=3):
+        c[ga[i]][ga[j]][ga[k]] = g.structure[i][j][k]
+    for a in range(g.dim):
+        m = rho.action[a].matrix
+        for i in range(rho.space.dim):
+            s = sign(rho.space.parities[i] * g.space.parities[a])
+            for k in range(rho.space.dim):
+                if m[k][i] != 0:
+                    c[ga[a]][va[i]][va[k]] = m[k][i]
+                    c[va[i]][ga[a]][va[k]] = -s * m[k][i]
+    return total, tuple(tuple(tuple(r) for r in p) for p in c)
+
+
+def ref_extend_to_double(t, rho):
+    srho = parity_reverse_rep(rho)
+    W, emb, _ = merge_spaces(rho.space, srho.space)
+    back = {emb[i]: i for i in range(rho.space.dim)}
+    return W, grid(t.codomain.dim, W.dim, lambda k, c: t.matrix[k][back[c]] if c in back else 0)
+
+
+def ref_plain_input(t, rho, variant):
+    """(T, rho) of the plain construction, built from the dense formulas."""
+    if variant == "plain":
+        return t, rho
+    sdom, m = ref_suspend(t)
+    sspace = rho.space.suspended()
+    srho = Representation._trusted(
+        rho.algebra,
+        sspace,
+        tuple(
+            GradedLinearMap(sspace, sspace, p, a)
+            for p, a in zip(rho.algebra.space.parities, ref_reverse_action(rho))
+        ),
+    )
+    return GradedLinearMap(sdom, t.codomain, t.parity ^ 1, m), srho
+
+
+def ref_operator_to_rmatrix(t, rho, variant):
+    t, rho = ref_plain_input(t, rho, variant)
+    total, ga, va = merge_spaces(rho.algebra.space, rho.space.dual())
+    coeffs = [[Fraction(0)] * total.dim for _ in range(total.dim)]
+    for k in range(t.codomain.dim):
+        for i in range(t.domain.dim):
+            x = t.matrix[k][i]
+            coeffs[ga[k]][va[i]] += x
+            coeffs[va[i]][ga[k]] += sign((t.parity + 1) * (rho.space.parities[i] + 1)) * x
+    return total, tuple(tuple(r) for r in coeffs), t.parity
+
+
+def ref_induced_coadjoint(t, rho, variant):
+    t, rho = ref_plain_input(t, rho, variant)
+    total, ga, va = merge_spaces(rho.algebra.space, rho.space.dual())
+    tstar = ref_dual_map(t)
+    m = [[Fraction(0)] * total.dim for _ in range(total.dim)]
+    for i in range(t.domain.dim):
+        for k in range(t.codomain.dim):
+            m[ga[k]][va[i]] = sign(rho.space.parities[i]) * t.matrix[k][i]
+    for j in range(t.codomain.dim):
+        for i in range(t.domain.dim):
+            m[va[i]][ga[j]] = -sign(t.parity) * tstar[i][j]
+    return total, tuple(tuple(r) for r in m)
+
+
+def ref_rmatrix_to_operator(r):
+    P = r.space.parities
+    return grid(r.space.dim, r.space.dim, lambda j, i: sign(P[i]) * r.tensor.coeffs[j][i])
+
+
+def ref_product_from_oop(t, rho):
+    V = rho.space
+    n = V.dim
+    A = [m.matrix for m in rho.action]
+    return tuple(
+        tuple(
+            tuple(
+                sign(t.parity * (V.parities[i] + t.parity))
+                * sum((t.matrix[a][i] * A[a][k][j] for a in range(len(A))), Fraction(0))
+                for k in range(n)
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def ref_compatible_product(t, rho):
+    P = rho.algebra.space.parities
+    n = rho.algebra.dim
+    tinv = t.inverse().matrix
+    out = []
+    for i in range(n):
+        m = dense_mul(t.matrix, dense_mul(rho.action[i].matrix, tinv))
+        out.append(tuple(tuple(sign(t.parity * P[i]) * m[k][j] for k in range(n)) for j in range(n)))
+    return tuple(out)
+
+
+def ref_hom_witness(rho, action):
+    """The first pair breaking rho(e_i) rho(e_j) - (-1)^{|i||j|} rho(e_j)
+    rho(e_i) = rho([e_i, e_j]), by dense matrix products."""
+    g = rho.algebra
+    P, L = g.space.parities, g.space.labels
+    mats = [m.matrix for m in action]
+    for i in range(g.dim):
+        for j in range(g.dim):
+            lhs = dense_mul(mats[i], mats[j])
+            rhs = dense_mul(mats[j], mats[i])
+            bracket = grid(
+                rho.space.dim,
+                rho.space.dim,
+                lambda r, c: sum((g.structure[i][j][k] * mats[k][r][c] for k in range(g.dim)), Fraction(0)),
+            )
+            if any(
+                lhs[r][c] - sign(P[i] * P[j]) * rhs[r][c] != bracket[r][c]
+                for r in range(rho.space.dim)
+                for c in range(rho.space.dim)
+            ):
+                return f"fails at pair ({L[i]}, {L[j]})"
+    return ""
+
+
+def random_map(rnd, domain, codomain, parity):
+    return GradedLinearMap(
+        domain,
+        codomain,
+        parity,
+        grid(
+            codomain.dim,
+            domain.dim,
+            lambda k, i: rnd.choice(ENTRY_VALUES)
+            if codomain.parities[k] == domain.parities[i] ^ parity
+            else 0,
+        ),
+    )
+
+
+def operators():
+    """(T, rho): the O-operators with entries in {0, 1/2, -1/2} of every
+    representation in REPS with at most ten free positions per parity."""
+    out = []
+    for rho in REPS:
+        g = rho.algebra
+        for parity in (0, 1):
+            free = sum(
+                1
+                for p in g.space.parities
+                for q in rho.space.parities
+                if p == q ^ parity
+            )
+            if free <= 10:
+                out += [(t, rho) for t in grid_search_oops(g, rho, parity, (0, HALF, -HALF))]
+    return out
+
+
+OPERATORS = operators()
+
+reps = st.sampled_from(REPS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=reps, parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_map_constructions_match_their_dense_formulas(rho, parity, rnd):
+    V, g = rho.space, rho.algebra.space
+    t = random_map(rnd, V, g, parity)
+    u = random_map(rnd, g, V, rnd.randint(0, 1))
+    assert GradedLinearMap.zero(V, g, parity).matrix == ref_zero(V, g)
+    assert GradedLinearMap.identity(V).matrix == ref_identity(V)
+    images = {
+        V.labels[i]: {g.labels[k]: t.matrix[k][i] for k in range(g.dim) if t.matrix[k][i] != 0}
+        for i in range(V.dim)
+        if rnd.random() < 0.7
+    }
+    assert GradedLinearMap.from_images(V, g, parity, images).matrix == ref_from_images(V, g, images)
+    composed = u.compose(t)
+    assert (composed.domain, composed.codomain, composed.parity) == (V, V, (t.parity + u.parity) % 2)
+    assert composed.matrix == dense_mul(u.matrix, t.matrix)
+    sdom, m = ref_suspend(t)
+    s = suspend_map(t)
+    assert (s.domain, s.parity, s.matrix) == (sdom, parity ^ 1, m)
+    d = dual_map(t)
+    assert (d.domain, d.codomain, d.parity, d.matrix) == (g.dual(), V.dual(), parity, ref_dual_map(t))
+    theta = double_dual_embedding(V)
+    assert (theta.codomain, theta.matrix) == (V.dual().dual(), ref_double_dual(V))
+    assert t.nonzero == tuple(
+        tuple((k, t.matrix[k][i]) for k in range(g.dim) if t.matrix[k][i] != 0)
+        for i in range(V.dim)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=reps, parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_evaluation_matches_the_dense_sums(rho, parity, rnd):
+    V, g = rho.space, rho.algebra.space
+    t = random_map(rnd, V, g, parity)
+    v = tuple(rnd.choice(ENTRY_VALUES) for _ in range(V.dim))
+    x = tuple(rnd.choice(ENTRY_VALUES) for _ in range(g.dim))
+    for i in range(V.dim):
+        assert t.column(i) == tuple(t.matrix[k][i] for k in range(g.dim))
+    assert t.apply(v) == tuple(
+        sum((t.matrix[k][i] * v[i] for i in range(V.dim)), Fraction(0)) for k in range(g.dim)
+    )
+    assert rho.apply_vec(x, v) == tuple(
+        sum(
+            (x[a] * rho.action[a].matrix[k][i] * v[i] for a in range(g.dim) for i in range(V.dim)),
+            Fraction(0),
+        )
+        for k in range(V.dim)
+    )
+
+
+@pytest.mark.parametrize("index", range(len(REPS)))
+def test_rep_constructions_match_their_dense_formulas(index):
+    rho = REPS[index]
+    g = rho.algebra
+    assert [m.matrix for m in dual_rep(rho).action] == ref_dual_action(rho)
+    srho = parity_reverse_rep(rho)
+    assert srho.space == rho.space.suspended()
+    assert [m.matrix for m in srho.action] == ref_reverse_action(rho)
+    for other in (rho, srho, dual_rep(rho)):
+        total, action = ref_direct_sum_action(rho, other)
+        summed = direct_sum_rep(rho, other)
+        assert summed.space == total
+        assert [m.matrix for m in summed.action] == action
+        assert [m.parity for m in summed.action] == list(g.space.parities)
+    total, structure = ref_semidirect(g, rho)
+    h = semidirect_product(g, rho)
+    assert (h.space, h.structure) == (total, structure)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=reps, rnd=st.randoms(use_true_random=False))
+def test_check_representation_reports_the_dense_first_witness(rho, rnd):
+    """A perturbed action is judged as the dense products judge it."""
+    action = list(rho.action)
+    a = rnd.randrange(len(action))
+    m = action[a]
+    action[a] = m + random_map(rnd, m.domain, m.codomain, m.parity).scale(rnd.choice((0, 1)))
+    report = check_representation(rho.algebra, rho.space, action)
+    assert report.items[1].detail == ref_hom_witness(rho, action)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=reps, parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_induced_constructions_match_their_dense_formulas(rho, parity, rnd):
+    g = rho.algebra
+    t = random_map(rnd, rho.space, g.space, parity)
+    W, m = ref_extend_to_double(t, rho)
+    ext = extend_to_double(t, rho)
+    assert (ext.map.domain, ext.map.parity, ext.map.matrix) == (W, parity, m)
+    for variant in ("plain", "dual"):
+        total, coeffs, rparity = ref_operator_to_rmatrix(t, rho, variant)
+        r = operator_to_rmatrix(t, rho, variant)
+        assert (r.space, r.tensor.coeffs, r.parity) == (total, coeffs, rparity)
+        total, m = ref_induced_coadjoint(t, rho, variant)
+        op = induced_coadjoint_operator(t, rho, variant)
+        assert (op.domain, op.codomain, op.matrix) == (total.dual(), total, m)
+        assert rmatrix_to_operator(r).matrix == ref_rmatrix_to_operator(r)
+
+
+def test_products_match_their_dense_formulas():
+    assert len(OPERATORS) > 50 and {t.parity for t, _ in OPERATORS} == {0, 1}
+    for t, rho in OPERATORS:
+        assert product_from_oop(t, rho).product == ref_product_from_oop(t, rho)
+        if t.is_invertible():
+            assert compatible_prelie(t, rho).product == ref_compatible_product(t, rho)
+
+
+@pytest.mark.parametrize("name", ["ex3.20", "closing-prelie"])
+def test_left_regular_rep_matches_its_dense_formula(name):
+    for a in load_fixture(name).parts.values():
+        if isinstance(a, PreLieSuperAlgebra) and a.parity_shift == 0:
+            n = a.space.dim
+            lrep = left_regular_rep(a)
+            assert [m.matrix for m in lrep.action] == [
+                grid(n, n, lambda k, j: a.product[i][j][k]) for i in range(n)
+            ]
