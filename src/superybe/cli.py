@@ -36,6 +36,7 @@ from .rmatrix import (
     RMatrix,
     hierarchy_trace,
     is_pan_supersymmetric,
+    is_super_rmatrix,
     operator_to_rmatrix,
     scybe_defect,
 )
@@ -232,11 +233,11 @@ def _cmd_build_rmatrix(args, rep: Reporter) -> None:
     doc = _load_document(args.file)
     t, rho = _fitting_map(doc, args)
     r = operator_to_rmatrix(t, rho, args.variant)
-    defect_zero = scybe_defect(r).is_zero()
+    solves = is_super_rmatrix(r)
     rep.check(
         f"induced tensor ({parity_name(r.parity)}) solves the super CYBE",
-        defect_zero,
-        "" if defect_zero else "the map is not an O-operator",
+        solves,
+        "" if solves else "the map is not an O-operator",
     )
     rep.document(_document_for_algebra(r.algebra, tensors={"r_" + args.map: r.tensor}))
 
@@ -295,8 +296,8 @@ def _cmd_prelie(args, rep: Reporter) -> None:
             rep.check("sub-adjacent bracket satisfies the axioms", check_lie_axioms(g).ok)
             rep.document(_document_for_algebra(g))
         else:
-            rep.check("even tensor solves the super CYBE", scybe_defect(even_r).is_zero())
-            rep.check("odd tensor solves the super CYBE", scybe_defect(odd_r).is_zero())
+            rep.check("even tensor solves the super CYBE", is_super_rmatrix(even_r))
+            rep.check("odd tensor solves the super CYBE", is_super_rmatrix(odd_r))
             rep.note("# plain variant")
             rep.document(
                 _document_for_algebra(even_r.algebra, tensors={"r_id": even_r.tensor}),

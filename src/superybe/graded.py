@@ -538,14 +538,6 @@ class Tensor3:
         ):
             raise ValueError("3-tensor coefficient shape mismatch")
 
-    @staticmethod
-    def zero_grid(n: int):
-        return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-
-    @staticmethod
-    def from_grid(space: SuperSpace, grid) -> "Tensor3":
-        return Tensor3(space, tuple(tuple(tuple(r) for r in p) for p in grid))
-
     def is_zero(self) -> bool:
         return all(c == 0 for p in self.coeffs for r in p for c in r)
 

@@ -8,6 +8,7 @@ action and Rota-Baxter operators along an even invariant form.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, TYPE_CHECKING
@@ -122,6 +123,17 @@ class LieSuperAlgebra:
         return tuple(
             tuple(tuple((k, c) for k, c in enumerate(entry) if c != 0) for entry in row)
             for row in self.structure
+        )
+
+    @cached_property
+    def _scaled_nonzero(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """(E, table): E the lcm of the denominators of the structure
+        constants, table[i][j] the pairs (k, E c_ij^k) of nonzero[i][j] as
+        ints.  The integer kernels read the structure constants here."""
+        E = math.lcm(*(c.denominator for row in self.nonzero for entry in row for _, c in entry))
+        return E, tuple(
+            tuple(tuple((k, c.numerator * (E // c.denominator)) for k, c in entry) for entry in row)
+            for row in self.nonzero
         )
 
     def bracket(self, x, y) -> tuple[Scalar, ...]:

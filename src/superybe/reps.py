@@ -109,14 +109,16 @@ class Representation:
 
     @staticmethod
     def from_images(g: LieSuperAlgebra, space: SuperSpace, images) -> "Representation":
-        """images: {algebra label: {space label: {space label: coeff}}}."""
-        action = []
-        for i, lab in enumerate(g.space.labels):
-            table = images.get(lab, {})
-            action.append(
-                GradedLinearMap.from_images(space, space, g.space.parities[i], table)
-            )
-        return Representation(g, space, tuple(action))
+        """images: {algebra label: {space label: {space label: coeff}}};
+        omitted algebra labels act by zero."""
+        tables = [{}] * g.space.dim
+        for lab, table in images.items():
+            tables[g.space.index(lab)] = table
+        action = tuple(
+            GradedLinearMap.from_images(space, space, p, table)
+            for p, table in zip(g.space.parities, tables)
+        )
+        return Representation(g, space, action)
 
     @cached_property
     def _hash(self) -> int:

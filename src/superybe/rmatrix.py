@@ -10,7 +10,9 @@ representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .graded import (
     EVEN,
@@ -78,27 +80,43 @@ def scybe_defect(r: RMatrix) -> Tensor3:
 
     The three term families carry the displayed Koszul signs: the factor
     (-1)^{|y_i||x_j|} on the first and third, none on the second.
+
+    Every term is a product of two entries of r and one structure
+    constant, so the kernel runs on ints: with r's entries scaled by D, the
+    lcm of their denominators, and the structure constants by E (see
+    LieSuperAlgebra._scaled_nonzero), the integer sums are exactly
+    D^2 E [[r, r]], and each nonzero slot is divided back once.
     """
     g = r.algebra
+    n = g.space.dim
     P = g.space.parities
-    C = g.nonzero
+    E, C = g._scaled_nonzero
     entries = list(r.tensor.nonzero())
-    grid = Tensor3.zero_grid(g.space.dim)
-    for (i, j), a in entries:
-        Ci, Cj = C[i], C[j]
-        for (k, l), b in entries:
+    D = lcm(*(a.denominator for _, a in entries))
+    entries = [(i, j, a.numerator * (D // a.denominator)) for (i, j), a in entries]
+    grid = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, a in entries:
+        Ci, Cj, odd_j = C[i], C[j], P[j]
+        for k, l, b in entries:
             c1, c2, c3 = Ci[k], Cj[k], Cj[l]
             if not (c1 or c2 or c3):
                 continue
             coeff = a * b
-            signed = sign(P[j] * P[k]) * coeff
+            signed = -coeff if odd_j and P[k] else coeff
             for m, c in c1:
                 grid[m][j][l] += signed * c
             for m, c in c2:
                 grid[i][m][l] += coeff * c
             for m, c in c3:
                 grid[i][k][m] += signed * c
-    return Tensor3.from_grid(g.space, grid)
+    scale = D * D * E
+    return Tensor3(
+        g.space,
+        tuple(
+            tuple(tuple([Fraction(v, scale) if v else ZERO for v in row]) for row in plane)
+            for plane in grid
+        ),
+    )
 
 
 def is_super_rmatrix(r: RMatrix) -> bool:

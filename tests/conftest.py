@@ -40,8 +40,10 @@ def random_tensor(rng, space, lo=-2, hi=2, parity=None):
     return Tensor2(space, space, tuple(tuple(r) for r in grid), parity)
 
 
-def random_pan_supersymmetric(rng, g, parity, lo=-2, hi=2):
-    """sigma(r) = -(-1)^{|r|} r with free entries drawn at random."""
+def random_pan_supersymmetric(rng, g, parity, lo=-2, hi=2, values=None):
+    """sigma(r) = -(-1)^{|r|} r with free entries drawn at random: from
+    values when given, else from lo..hi."""
+    draw = (lambda: rng.choice(values)) if values else (lambda: rng.randint(lo, hi))
     space = g.space
     n = space.dim
     P = space.parities
@@ -53,9 +55,9 @@ def random_pan_supersymmetric(rng, g, parity, lo=-2, hi=2):
             if i == j:
                 # the diagonal survives only when the twist sign is -1
                 if (parity + P[i]) % 2 == 1:
-                    grid[i][i] = Fraction(rng.randint(lo, hi))
+                    grid[i][i] = Fraction(draw())
                 continue
-            value = Fraction(rng.randint(lo, hi))
+            value = Fraction(draw())
             grid[i][j] = value
             grid[j][i] = -(-1 if (parity + P[i] * P[j]) % 2 else 1) * value
     return RMatrix(g, Tensor2(space, space, tuple(tuple(r) for r in grid), parity))

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superybe
+from superybe.catalog import fixture_document
 from superybe.cli import _build_parser, main
-from superybe.fileformat import parse
+from superybe.fileformat import emit, parse
 from superybe.rmatrix import RMatrix
 
 EX32 = """\
@@ -432,3 +438,32 @@ class TestParser:
         assert main(["check-cybe", ex32_file]) == 2
         assert main(["no-such-command"]) == 2
         assert main(["check-cybe", ex32_file, "--tensor", "r0"]) == 0
+
+
+class TestModuleEntryPoint:
+    """`python -m superybe` runs the same command line as `superybe`."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(superybe.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "superybe", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+
+    def test_help(self):
+        done = self.run("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: superybe")
+
+    def test_check_cybe(self, tmp_path, capsys):
+        path = tmp_path / "ex4.4.sy"
+        path.write_text(emit(fixture_document("ex4.4")), encoding="utf-8")
+        done = self.run("check-cybe", str(path), "--tensor", "r1")
+        assert done.returncode == 0
+        assert main(["check-cybe", str(path), "--tensor", "r1"]) == 0
+        assert done.stdout == capsys.readouterr().out

@@ -126,6 +126,25 @@ class TestCheckRepresentation:
                 {"e1": {"v1": {"v1": 1}}},  # not a homomorphism
             )
 
+    def test_unknown_algebra_label_is_rejected(self):
+        fx = load_fixture("ex3.2")
+        g, space = fx.parts["algebra"], fx.parts["coadjoint"].space
+        with pytest.raises(KeyError) as expected:
+            GradedLinearMap.from_images(g.space, space, EVEN, {"ee": {}})
+        for images in ({"ee": {}}, {"e": {}, "ee": {"f*": {"f*": 1}}}):
+            with pytest.raises(KeyError) as got:
+                Representation.from_images(g, space, images)
+            assert str(got.value) == str(expected.value)
+        # a label of the module is not a label of the algebra
+        with pytest.raises(KeyError, match="unknown basis label 'f\\*'"):
+            Representation.from_images(g, space, {"f*": {}})
+
+    def test_omitted_algebra_labels_act_by_zero(self):
+        fx = load_fixture("ex3.2")
+        g, space = fx.parts["algebra"], fx.parts["coadjoint"].space
+        rho = Representation.from_images(g, space, {"e": {}})
+        assert all(m.is_zero() for m in rho.action)
+
 
 class TestDualRep:
     def test_coadjoint_entries_forced_by_pairing(self):

@@ -1,6 +1,8 @@
 import itertools
+import random
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from superybe import (
     LieSuperAlgebra,
     RMatrix,
     SuperSpace,
+    Tensor2,
     beta_cocycle_check,
     beta_form,
     check_lie_axioms,
@@ -36,7 +39,9 @@ from superybe import (
     same_algebra_pair,
     scybe_defect,
     suspend_map,
+    twist,
 )
+from superybe.graded import sign
 
 from conftest import (
     equivalence_cases,
@@ -125,6 +130,150 @@ class TestScybeDefect:
                 expected = naive_scybe_defect(g, r.tensor)
                 got = {key: value for key, value in scybe_defect(r).nonzero()}
                 assert got == expected
+
+
+def _rescaled(g, p, t):
+    """g in the basis with e_p replaced by t e_p:
+    c'_ij^k = t^([i = p] + [j = p] - [k = p]) c_ij^k."""
+    n = g.space.dim
+    f = [t if i == p else 1 for i in range(n)]
+    structure = tuple(
+        tuple(tuple(g.structure[i][j][k] * f[i] * f[j] / f[k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    return LieSuperAlgebra(g.space, structure)
+
+
+def _transported(r, g, p, t):
+    """r written over _rescaled(r.algebra, p, t): a'_ij = a_ij / (f_i f_j)."""
+    n = g.space.dim
+    f = [t if i == p else 1 for i in range(n)]
+    a = r.tensor.coeffs
+    coeffs = tuple(tuple(a[i][j] / (f[i] * f[j]) for j in range(n)) for i in range(n))
+    return RMatrix(g, Tensor2(g.space, g.space, coeffs, r.parity))
+
+
+def _known_solutions():
+    ex44 = load_fixture("ex4.4").parts
+    g = ex44["algebra"]
+    # ex3.2's algebra with e halved: [e', f] = 1/2 f
+    half_e = _rescaled(g, g.space.index("e"), Fraction(1, 2))
+    known = []
+    for name in ("r0", "r1"):
+        r = ex44[name]
+        known += [r, _transported(r, half_e, g.space.index("e"), Fraction(1, 2))]
+        for word in ("++", "+-", "-+", "--"):
+            known += hierarchy_trace(g, r, word)
+    known += hierarchy_trace(g, ex44["r1"], "+-+")[-1:]
+    return known
+
+
+KNOWN_SOLUTIONS = _known_solutions()
+# catalog algebras, the hierarchy hosts of dims 4 and 8, and catalog algebras
+# with one basis vector rescaled so that their structure constants are not
+# all integers
+DEFECT_ALGEBRAS = [g for _, g, _ in equivalence_cases()]
+DEFECT_ALGEBRAS += [r.algebra for r in KNOWN_SOLUTIONS if r.space.dim in (4, 8)][:2]
+DEFECT_ALGEBRAS += [
+    _rescaled(g, p, t)
+    for _, g, _ in equivalence_cases()
+    for p in range(g.space.dim)
+    for t in (Fraction(1, 2), Fraction(-3, 7))
+]
+# 0 twice, for sparser tensors
+DEFECT_VALUES = (0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7))
+
+
+@st.composite
+def defect_inputs(draw):
+    """A known solution, a zero tensor, or a random homogeneous tensor with
+    non-integral entries (pan-supersymmetric or not)."""
+    kind = draw(st.sampled_from(("known", "zero", "random", "random")))
+    if kind == "known":
+        return draw(st.sampled_from(KNOWN_SOLUTIONS))
+    g = draw(st.sampled_from(DEFECT_ALGEBRAS))
+    parity = draw(st.integers(0, 1))
+    if kind == "zero":
+        return RMatrix.from_terms(g, {}, parity)
+    rnd = draw(st.randoms(use_true_random=False))
+    n, P = g.space.dim, g.space.parities
+    coeffs = [
+        [Fraction(rnd.choice(DEFECT_VALUES)) if (P[i] + P[j]) % 2 == parity else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    r = RMatrix(g, Tensor2(g.space, g.space, tuple(map(tuple, coeffs)), parity))
+    if draw(st.booleans()):
+        # r - (-1)^{|r|} sigma(r) is pan-supersymmetric
+        r = RMatrix(g, r.tensor.add(twist(r.tensor).scale(-sign(parity))))
+    return r
+
+
+class TestIntegerKernel:
+    """scybe_defect runs on cleared denominators; its values are the
+    Fraction values of the dense oracle."""
+
+    def test_the_inputs_clear_denominators(self):
+        assert any(g._scaled_nonzero[0] != 1 for g in DEFECT_ALGEBRAS)
+        assert all(is_super_rmatrix(r) for r in KNOWN_SOLUTIONS)
+        assert {r.space.dim for r in KNOWN_SOLUTIONS} == {2, 4, 8, 16}
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=defect_inputs())
+    def test_matches_the_naive_oracle(self, r):
+        defect = scybe_defect(r)
+        assert all(type(c) is Fraction for plane in defect.coeffs for row in plane for c in row)
+        naive = naive_scybe_defect(r.algebra, r.tensor)
+        assert dict(defect.nonzero()) == naive
+        assert is_super_rmatrix(r) == (not naive)
+
+    def test_rescaled_algebra_carries_fractional_constants(self):
+        g = load_fixture("ex3.2").parts["algebra"]
+        half_e = _rescaled(g, g.space.index("e"), Fraction(1, 2))
+        e, f = g.space.index("e"), g.space.index("f")
+        assert half_e._scaled_nonzero == (2, (((), ((f, 1),)), (((f, -1),), ())))
+        r = RMatrix.from_terms(half_e, {("e", "f"): Fraction(3, 7)})
+        # the middle family alone: 3/7 * 3/7 * c_fe^f = -9/98 e (x) f (x) f
+        assert dict(scybe_defect(r).nonzero()) == {(e, f, f): Fraction(-9, 98)}
+
+    def test_dense_host_draws_within_one_second(self):
+        # every free entry +-1 on the dim-16 r1+++ host: the 20 draws take
+        # well over 1 s with Fraction arithmetic
+        ex44 = load_fixture("ex4.4").parts
+        host = hierarchy_walk(ex44["algebra"], ex44["r1"], "+++").algebra
+        rnd = random.Random(4)
+        draws = [
+            random_pan_supersymmetric(rnd, host, rnd.randint(0, 1), values=(-1, 1))
+            for _ in range(20)
+        ]
+        start = time.perf_counter()
+        for r in draws:
+            scybe_defect(r)
+        assert time.perf_counter() - start < 1.0
+
+    def test_scaled_table_is_built_once_per_algebra(self, monkeypatch):
+        original = LieSuperAlgebra.__dict__["_scaled_nonzero"]
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return original.func(g)
+
+        table = cached_property(counting)
+        table.__set_name__(LieSuperAlgebra, "_scaled_nonzero")
+        monkeypatch.setattr(LieSuperAlgebra, "_scaled_nonzero", table)
+        g = load_fixture("ex3.2").parts["algebra"]
+        rebuilt = LieSuperAlgebra(g.space, g.structure)
+        rnd = random.Random(1)
+        for _ in range(5):
+            r = random_pan_supersymmetric(rnd, rebuilt, rnd.randint(0, 1))
+            scybe_defect(r)
+            is_super_rmatrix(r)
+        assert len(built) == 1 and built[0] is rebuilt
+        # an equal algebra built apart is another object with its own table
+        twin = LieSuperAlgebra(g.space, g.structure)
+        scybe_defect(RMatrix.from_terms(twin, {("f", "f"): 1}))
+        assert len(built) == 2 and built[1] is twin
 
 
 class TestOperatorTensorConversions:
