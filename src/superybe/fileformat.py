@@ -431,10 +431,6 @@ def _format_pairs(space: SuperSpace, pairs) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _format_terms(space: SuperSpace, vector) -> str:
-    return _format_pairs(space, ((k, c) for k, c in enumerate(vector) if c != 0))
-
-
 def emit(doc: Document) -> str:
     out: list[str] = []
 
@@ -488,14 +484,11 @@ def emit(doc: Document) -> str:
             out.append(f"[prelie {name}]")
         else:
             out.append(f"[prelie {name} on {doc.space_expression(a.space)}]")
-        n = a.space.dim
-        for i in range(n):
-            for j in range(n):
-                vec = a.product[i][j]
-                if any(c != 0 for c in vec):
-                    out.append(
-                        f"{a.space.labels[i]} {a.space.labels[j]} = {_format_terms(a.space, vec)}"
-                    )
+        L = a.space.labels
+        for i, row in enumerate(a.nonzero):
+            for j, cell in enumerate(row):
+                if cell:
+                    out.append(f"{L[i]} {L[j]} = {_format_pairs(a.space, cell)}")
         out.append("")
 
     for name, b in doc.forms.items():

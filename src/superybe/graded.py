@@ -178,14 +178,12 @@ def merge_spaces(a: SuperSpace, b: SuperSpace) -> "tuple[SuperSpace, tuple[int, 
 # vectors (plain tuples of Fractions relative to a SuperSpace)
 
 
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v):
-    if c == 1:
-        return tuple(v)
-    return tuple(c * x for x in v)
+def dense_vector(n: int, pairs) -> tuple[Scalar, ...]:
+    """The length-n vector with the given (index, value) pairs, zero elsewhere."""
+    out = [ZERO] * n
+    for k, x in pairs:
+        out[k] = x
+    return tuple(out)
 
 
 def vec_is_zero(v) -> bool:
@@ -204,30 +202,34 @@ def format_vector(space: SuperSpace, v) -> str:
 # homogeneous linear maps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedLinearMap:
     """A homogeneous linear map between superspaces.
 
-    The matrix is indexed (codomain basis x domain basis); homogeneity
-    means entry (k, i) vanishes unless |cod_k| = |dom_i| + parity.  A map
-    given by its dense matrix is scanned once for its nonzero entries;
-    derived maps are built by `_from_entries` from their nonzero entries
-    alone.  Either way homogeneity is checked on the nonzero entries.
+    Stored as `nonzero`: nonzero[i] holds the pairs (k, m_ki) with m_ki != 0
+    in ascending k, the image of the i-th domain basis vector; the dense
+    `matrix` (codomain x domain) is a derived view.  Homogeneity means m_ki
+    vanishes unless |cod_k| = |dom_i| + parity.  The public constructor
+    scans a dense matrix once; derived maps come from `_from_entries`.
     """
 
     domain: SuperSpace
     codomain: SuperSpace
     parity: Parity
-    matrix: tuple[tuple[Scalar, ...], ...]
+    nonzero: tuple[tuple[tuple[int, Scalar], ...], ...]
+
+    def __init__(self, domain: SuperSpace, codomain: SuperSpace, parity: Parity, matrix):
+        if len(matrix) != codomain.dim:
+            raise ValueError("matrix row count does not match codomain dimension")
+        if any(len(row) != domain.dim for row in matrix):
+            raise ValueError("matrix column count does not match domain dimension")
+        entries = (((k, i), x) for k, row in enumerate(matrix) for i, x in enumerate(row))
+        self._store(domain, codomain, parity, entries)
+        self.__dict__["matrix"] = matrix
 
     def __post_init__(self):
         if self.parity not in (EVEN, ODD):
             raise ValueError("map parity must be 0 or 1")
-        if len(self.matrix) != self.codomain.dim:
-            raise ValueError("matrix row count does not match codomain dimension")
-        for row in self.matrix:
-            if len(row) != self.domain.dim:
-                raise ValueError("matrix column count does not match domain dimension")
         dom, cod = self.domain.parities, self.codomain.parities
         offenders = [
             (k, i)
@@ -243,6 +245,20 @@ class GradedLinearMap:
                 f"with declared map parity {parity_name(self.parity)}"
             )
 
+    def _store(self, domain, codomain, parity, entries):
+        """Set the fields from ((k, i), value) entries, one per position,
+        dropping zeros; then check homogeneity."""
+        cols = [[] for _ in range(domain.dim)]
+        for (k, i), x in entries:
+            if x != 0:
+                cols[i].append((k, x))
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "nonzero", tuple(tuple(sorted(col)) for col in cols))
+        self.__post_init__()
+        return self
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -250,23 +266,8 @@ class GradedLinearMap:
         domain: SuperSpace, codomain: SuperSpace, parity: Parity, entries
     ) -> "GradedLinearMap":
         """The map with the given ((k, i), value) entries, each position
-        given at most once, and zeros elsewhere.  Zero values are dropped;
-        the nonzero table is seeded from the rest, so construction checks
-        homogeneity on the given entries only."""
-        grid = [[ZERO] * domain.dim for _ in range(codomain.dim)]
-        cols = [[] for _ in range(domain.dim)]
-        for (k, i), x in entries:
-            if x != 0:
-                grid[k][i] = x
-                cols[i].append((k, x))
-        t = object.__new__(GradedLinearMap)
-        object.__setattr__(t, "domain", domain)
-        object.__setattr__(t, "codomain", codomain)
-        object.__setattr__(t, "parity", parity)
-        object.__setattr__(t, "matrix", tuple(tuple(row) for row in grid))
-        t.__dict__["nonzero"] = tuple(tuple(sorted(col)) for col in cols)
-        t.__post_init__()
-        return t
+        given at most once, and zeros elsewhere; no dense matrix is built."""
+        return object.__new__(GradedLinearMap)._store(domain, codomain, parity, entries)
 
     @staticmethod
     def zero(domain: SuperSpace, codomain: SuperSpace, parity: Parity) -> "GradedLinearMap":
@@ -296,13 +297,10 @@ class GradedLinearMap:
     # -- evaluation ----------------------------------------------------
 
     @cached_property
-    def nonzero(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-        """nonzero[i]: the pairs (k, m_ki) with m_ki != 0, in ascending k;
-        the sparse image of the i-th domain basis vector."""
-        return tuple(
-            tuple((k, row[i]) for k, row in enumerate(self.matrix) if row[i] != 0)
-            for i in range(self.domain.dim)
-        )
+    def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense matrix, (codomain basis x domain basis); a derived view."""
+        cols = [self.column(i) for i in range(self.domain.dim)]
+        return tuple(tuple(col[k] for col in cols) for k in range(self.codomain.dim))
 
     def _entries(self):
         """The ((k, i), m_ki) with m_ki != 0, column by column."""
@@ -312,10 +310,7 @@ class GradedLinearMap:
 
     def column(self, i: int) -> tuple[Scalar, ...]:
         """Image of the i-th domain basis vector."""
-        out = [ZERO] * self.codomain.dim
-        for k, x in self.nonzero[i]:
-            out[k] = x
-        return tuple(out)
+        return dense_vector(self.codomain.dim, self.nonzero[i])
 
     def apply(self, v) -> tuple[Scalar, ...]:
         out = [ZERO] * self.codomain.dim
@@ -526,27 +521,23 @@ def twist(t: Tensor2) -> Tensor2:
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Coefficient array of an element of V (x) V (x) V over one superspace."""
+    """An element of V (x) V (x) V over one superspace, stored as its
+    nonzero slots ((i, j, k), value) in row-major order; the dense
+    `coeffs` array is a derived view."""
 
     space: SuperSpace
-    coeffs: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    entries: tuple[tuple[tuple[int, int, int], Scalar], ...]
 
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.coeffs) != n or any(
-            len(p) != n or any(len(r) != n for r in p) for p in self.coeffs
-        ):
-            raise ValueError("3-tensor coefficient shape mismatch")
+    @cached_property
+    def coeffs(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+        slots, r = dict(self.entries), range(self.space.dim)
+        return tuple(tuple(tuple(slots.get((i, j, k), ZERO) for k in r) for j in r) for i in r)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for p in self.coeffs for r in p for c in r)
+        return not self.entries
 
     def nonzero(self):
-        for i, plane in enumerate(self.coeffs):
-            for j, row in enumerate(plane):
-                for k, c in enumerate(row):
-                    if c != 0:
-                        yield (i, j, k), c
+        return iter(self.entries)
 
     def __str__(self):
         L = self.space.labels

@@ -22,6 +22,7 @@ from .graded import (
     RationalLike,
     Scalar,
     SuperSpace,
+    dense_vector,
     merge_spaces,
     parity_name,
     rat,
@@ -61,19 +62,72 @@ class CheckReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+def _sparse_table(n: int, entries) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
+    """table[i][j]: the ascending (k, c), c != 0, of entries ((i, j, k), c), one per position."""
+    cells = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in entries:
+        if c != 0:
+            cells[i][j].append((k, c))
+    return tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
+
+
+def _dense_entries(n: int, table, message: str):
+    """The ((i, j, k), c) entries of a dense n x n x n table of checked shape."""
+    if len(table) != n or any(
+        len(row) != n or any(len(entry) != n for entry in row) for row in table
+    ):
+        raise ValueError(message)
+    return (
+        ((i, j, k), c)
+        for i, row in enumerate(table)
+        for j, entry in enumerate(row)
+        for k, c in enumerate(entry)
+    )
+
+
+def _bilinear(table, x, y) -> tuple[Scalar, ...]:
+    """sum_ij x_i y_j e_i e_j for the product with the sparse table `table`."""
+    out = [ZERO] * len(table)
+    ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        row = table[i]
+        for j, yj in ys:
+            coeff = xi * yj
+            for k, c in row[j]:
+                out[k] += coeff * c
+    return tuple(out)
+
+
+@dataclass(frozen=True, init=False)
 class LieSuperAlgebra:
-    """Structure constants c_ij^k with [e_i, e_j] = sum_k c_ij^k e_k."""
+    """Structure constants c_ij^k with [e_i, e_j] = sum_k c_ij^k e_k.
+
+    Stored as `nonzero`, which every kernel reads: nonzero[i][j] holds the
+    pairs (k, c_ij^k) with c_ij^k != 0 in ascending k; the dense
+    `structure` array is a derived view.  The public constructor scans a
+    dense array once; constructions build algebras by `_from_entries`.
+    """
 
     space: SuperSpace
-    structure: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    nonzero: tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]
 
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.structure) != n or any(
-            len(row) != n or any(len(entry) != n for entry in row) for row in self.structure
-        ):
-            raise ValueError("structure constant shape mismatch")
+    def __init__(self, space: SuperSpace, structure):
+        entries = _dense_entries(space.dim, structure, "structure constant shape mismatch")
+        self._store(space, entries)
+        self.__dict__["structure"] = structure
+
+    def _store(self, space, entries):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nonzero", _sparse_table(space.dim, entries))
+        return self
+
+    @staticmethod
+    def _from_entries(space: SuperSpace, entries) -> "LieSuperAlgebra":
+        """The algebra with the given ((i, j, k), c) structure constants,
+        each position given at most once, and zeros elsewhere."""
+        return object.__new__(LieSuperAlgebra)._store(space, entries)
 
     @staticmethod
     def from_brackets(
@@ -83,47 +137,41 @@ class LieSuperAlgebra:
         """Build from i <= j bracket entries; the rest follow from the sign
         rule c_ji^k = -(-1)^{|e_i||e_j|} c_ij^k.  Rejects i > j entries and
         nonzero even diagonals, which super skew-symmetry forbids."""
-        n = space.dim
-        c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        entries = []
         for (a, b), terms in brackets.items():
             i, j = space.index(a), space.index(b)
             if i > j:
                 raise ValueError(
                     f"bracket [{a}, {b}] given out of order; supply the i <= j entry"
                 )
-            value = space.vector(terms)
-            if i == j and space.parities[i] == EVEN and any(x != 0 for x in value):
+            value = [(space.index(label), rat(x)) for label, x in terms.items()]
+            if i == j and space.parities[i] == EVEN and any(x != 0 for _, x in value):
                 raise ValueError(f"[{a}, {a}] must vanish for even {a}")
-            for k, x in enumerate(value):
-                c[i][j][k] = x
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = sign(space.parities[i] * space.parities[j])
-                for k in range(n):
-                    c[j][i][k] = -s * c[i][j][k]
-        return LieSuperAlgebra(space, tuple(tuple(tuple(r) for r in p) for p in c))
+            s = sign(space.parities[i] * space.parities[j])
+            for k, x in value:
+                entries.append(((i, j, k), x))
+                if i < j:
+                    entries.append(((j, i, k), -s * x))
+        return LieSuperAlgebra._from_entries(space, entries)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     @cached_property
+    def structure(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+        """The dense array structure[i][j][k] = c_ij^k; a derived view."""
+        n = self.space.dim
+        return tuple(tuple(dense_vector(n, cell) for cell in row) for row in self.nonzero)
+
+    @cached_property
     def _hash(self) -> int:
-        return hash((self.space, self.structure))
+        return hash((self.space, self.nonzero))
 
     def __hash__(self) -> int:
         # the fields are immutable, so hash them once: hosts are cached by
         # representation and every cache lookup hashes its key
         return self._hash
-
-    @cached_property
-    def nonzero(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
-        """nonzero[i][j]: the pairs (k, c_ij^k) with c_ij^k != 0, in
-        ascending k.  Every kernel reads the structure constants here."""
-        return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(entry) if c != 0) for entry in row)
-            for row in self.structure
-        )
 
     @cached_property
     def _scaled_nonzero(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
@@ -138,17 +186,7 @@ class LieSuperAlgebra:
 
     def bracket(self, x, y) -> tuple[Scalar, ...]:
         """[x, y] for coordinate vectors x, y."""
-        out = [ZERO] * self.space.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.nonzero[i]
-            for j, yj in ys:
-                coeff = xi * yj
-                for k, c in row[j]:
-                    out[k] += coeff * c
-        return tuple(out)
+        return _bilinear(self.nonzero, x, y)
 
     def ad(self, i: int) -> GradedLinearMap:
         """The adjoint action of the i-th basis element."""
@@ -331,23 +369,20 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
     V = rho.space
     total, alg_embed, mod_embed = merge_spaces(g.space, V)
 
-    n = total.dim
     ng = g.space.dim
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-
-    for i in range(ng):
-        for j in range(ng):
-            for k, v in g.nonzero[i][j]:
-                c[alg_embed[i]][alg_embed[j]][alg_embed[k]] = v
-
+    entries = [
+        ((alg_embed[i], alg_embed[j], alg_embed[k]), v)
+        for i in range(ng)
+        for j in range(ng)
+        for k, v in g.nonzero[i][j]
+    ]
     for a in range(ng):
         for i, col in enumerate(rho.action[a].nonzero):
             s = sign(V.parities[i] * g.space.parities[a])
             for k, x in col:
-                c[alg_embed[a]][mod_embed[i]][mod_embed[k]] = x
-                c[mod_embed[i]][alg_embed[a]][mod_embed[k]] = -s * x
-
-    return LieSuperAlgebra(total, tuple(tuple(tuple(r) for r in p) for p in c))
+                entries.append(((alg_embed[a], mod_embed[i], mod_embed[k]), x))
+                entries.append(((mod_embed[i], alg_embed[a], mod_embed[k]), -s * x))
+    return LieSuperAlgebra._from_entries(total, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,3 @@ def solve(rows, rhs):
     for r, c in enumerate(pivots):
         x[c] = red[r][n]
     return tuple(x)
-
-
-def column_space_pivots(rows):
-    """Indices of a deterministic set of linearly independent columns."""
-    _, pivots = rref(rows)
-    return pivots

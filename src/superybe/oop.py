@@ -15,6 +15,7 @@ from .graded import (
     GradedLinearMap,
     Parity,
     SuperSpace,
+    dense_vector,
     format_vector,
     merge_spaces,
     rat,
@@ -100,10 +101,7 @@ def _defect(rho: Representation, parity: Parity, cols, i: int, j: int) -> dict:
 
 def oop_defect(t: GradedLinearMap, rho: Representation, i: int, j: int):
     """Op(v_i, v_j): the left side of the defining identity on one pair."""
-    out = list(rho.algebra.space.zero_vector())
-    for k, c in _defect(rho, t.parity, t.nonzero, i, j).items():
-        out[k] = c
-    return tuple(out)
+    return dense_vector(rho.algebra.space.dim, _defect(rho, t.parity, t.nonzero, i, j).items())
 
 
 def _check_candidate(t: GradedLinearMap, rho: Representation):

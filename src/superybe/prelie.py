@@ -9,6 +9,7 @@ parity pair of tensors every pre-Lie superalgebra generates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from . import linalg
@@ -21,37 +22,59 @@ from .graded import (
     RationalLike,
     Scalar,
     SuperSpace,
+    dense_vector,
+    rat,
     sign,
     suspend_map,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
-from .liesuper import CheckReport, LieSuperAlgebra, _first_failure
+from .liesuper import (
+    CheckReport,
+    LieSuperAlgebra,
+    _bilinear,
+    _dense_entries,
+    _first_failure,
+    _sparse_table,
+)
 from .oop import OOperatorCandidate, _check_candidate, oop_holds
 from .reps import Representation, parity_reverse_rep
 from .rmatrix import operator_to_rmatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PreLieSuperAlgebra:
     """A graded product p_ij^k with e_i e_j = sum_k p_ij^k e_k.
 
     parity_shift 0 is a genuine pre-Lie product (left-symmetric
     associator); shift 1 stores the odd product an odd O-operator
     induces, which is not itself pre-Lie.
+
+    Stored as `nonzero`: nonzero[i][j] holds the pairs (k, p_ij^k) with
+    p_ij^k != 0 in ascending k; the dense `product` array is a derived
+    view.  The public constructor scans a dense array once; constructions
+    build products by `_from_entries`.
     """
 
     space: SuperSpace
-    product: tuple[tuple[tuple[Scalar, ...], ...], ...]
-    parity_shift: Parity = EVEN
+    nonzero: tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]
+    parity_shift: Parity
 
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.product) != n or any(
-            len(row) != n or any(len(e) != n for e in row) for row in self.product
-        ):
-            raise ValueError("product table shape mismatch")
+    def __init__(self, space: SuperSpace, product, parity_shift: Parity = EVEN):
+        entries = _dense_entries(space.dim, product, "product table shape mismatch")
+        self._store(space, entries, parity_shift)
+        self.__dict__["product"] = product
+
+    def _store(self, space, entries, parity_shift):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nonzero", _sparse_table(space.dim, entries))
+        object.__setattr__(self, "parity_shift", parity_shift)
+        return self
+
+    @staticmethod
+    def _from_entries(space: SuperSpace, entries, parity_shift: Parity) -> "PreLieSuperAlgebra":
+        """The product with the given ((i, j, k), p) constants, each
+        position given at most once, and zeros elsewhere."""
+        return object.__new__(PreLieSuperAlgebra)._store(space, entries, parity_shift)
 
     @staticmethod
     def from_products(
@@ -59,52 +82,33 @@ class PreLieSuperAlgebra:
         products: Mapping["tuple[str, str]", Mapping[str, RationalLike]],
         parity_shift: Parity = EVEN,
     ) -> "PreLieSuperAlgebra":
-        n = space.dim
-        p = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        entries = []
         for (a, b), terms in products.items():
-            vec = space.vector(terms)
             i, j = space.index(a), space.index(b)
-            for k, x in enumerate(vec):
-                p[i][j][k] = x
-        return PreLieSuperAlgebra(
-            space, tuple(tuple(tuple(r) for r in q) for q in p), parity_shift
-        )
+            entries += (((i, j, space.index(label)), rat(x)) for label, x in terms.items())
+        return PreLieSuperAlgebra._from_entries(space, entries, parity_shift)
+
+    @cached_property
+    def product(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+        """The dense array product[i][j][k] = p_ij^k; a derived view."""
+        n = self.space.dim
+        return tuple(tuple(dense_vector(n, cell) for cell in row) for row in self.nonzero)
 
     def multiply(self, x, y):
-        n = self.space.dim
-        out = [ZERO] * n
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                pij = self.product[i][j]
-                c = xi * yj
-                for k in range(n):
-                    if pij[k] != 0:
-                        out[k] += c * pij[k]
-        return tuple(out)
-
-    def associator(self, x, y, z):
-        return vec_sub(
-            self.multiply(self.multiply(x, y), z), self.multiply(x, self.multiply(y, z))
-        )
+        return _bilinear(self.nonzero, x, y)
 
 
 def check_prelie(a: PreLieSuperAlgebra) -> CheckReport:
     """Grading of the product, and (for shift 0) left-symmetry of the
     associator on all basis triples."""
-    space = a.space
-    n = space.dim
-    L = space.labels
-    P = space.parities
+    L = a.space.labels
+    P = a.space.parities
 
     def grading_witnesses():
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if a.product[i][j][k] != 0 and P[k] != (P[i] + P[j] + a.parity_shift) % 2:
+        for i, row in enumerate(a.nonzero):
+            for j, cell in enumerate(row):
+                for k, _ in cell:
+                    if P[k] != (P[i] + P[j] + a.parity_shift) % 2:
                         yield f"{L[i]} {L[j]} has a component along {L[k]} of wrong parity"
 
     items = [_first_failure("product grading", grading_witnesses())]
@@ -115,20 +119,27 @@ def check_prelie(a: PreLieSuperAlgebra) -> CheckReport:
 
 def _left_symmetry_witnesses(a: PreLieSuperAlgebra):
     """The basis triples breaking the associator symmetry with the shift s
-    folded into the parities: (v, w, u) = (-1)^{(|v|+s)(|w|+s)} (w, v, u)."""
-    space = a.space
-    n = space.dim
-    L = space.labels
-    P = space.parities
+    folded into the parities: (v, w, u) = (-1)^{(|v|+s)(|w|+s)} (w, v, u),
+    where (x, y, z) = (xy)z - x(yz)."""
+    n = a.space.dim
+    L = a.space.labels
+    P = a.space.parities
     s = a.parity_shift
+    C = a.nonzero
     for i in range(n):
-        ei = space.basis_vector(i)
         for j in range(n):
-            ej = space.basis_vector(j)
             factor = sign((P[i] + s) * (P[j] + s))
             for k in range(n):
-                ek = space.basis_vector(k)
-                if a.associator(ei, ej, ek) != vec_scale(factor, a.associator(ej, ei, ek)):
+                # (e_i, e_j, e_k) - factor (e_j, e_i, e_k)
+                defect: dict = {}
+                for x, y, f in ((i, j, 1), (j, i, -factor)):
+                    for m, c in C[x][y]:
+                        for q, d in C[m][k]:
+                            defect[q] = defect.get(q, ZERO) + f * c * d
+                    for m, c in C[y][k]:
+                        for q, d in C[x][m]:
+                            defect[q] = defect.get(q, ZERO) - f * c * d
+                if any(v != 0 for v in defect.values()):
                     yield f"fails at triple ({L[i]}, {L[j]}, {L[k]})"
 
 
@@ -145,28 +156,23 @@ def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
     report = check_prelie(a)
     if not report.ok:
         raise ValueError(f"invalid pre-Lie product: {report.failures()[0].detail}")
-    space = a.space
-    n = space.dim
-    P = space.parities
-    c = [
-        [
-            [
-                a.product[i][j][k] - sign(P[i] * P[j]) * a.product[j][i][k]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return LieSuperAlgebra(space, tuple(tuple(tuple(r) for r in q) for q in c))
+    P = a.space.parities
+    c: dict = {}
+    for i, row in enumerate(a.nonzero):
+        for j, cell in enumerate(row):
+            s = sign(P[i] * P[j])
+            for k, x in cell:
+                c[i, j, k] = c.get((i, j, k), ZERO) + x
+                c[j, i, k] = c.get((j, i, k), ZERO) - s * x
+    return LieSuperAlgebra._from_entries(a.space, c.items())
 
 
 def left_regular_rep(a: PreLieSuperAlgebra) -> Representation:
     """(A, L) with L(x)y = xy, a representation of the sub-adjacent algebra."""
     g = subadjacent(a)
     action = []
-    for p, row in zip(a.space.parities, a.product):
-        entries = (((k, j), x) for j, e in enumerate(row) for k, x in enumerate(e))
+    for p, row in zip(a.space.parities, a.nonzero):
+        entries = (((k, j), x) for j, cell in enumerate(row) for k, x in cell)
         action.append(GradedLinearMap._from_entries(a.space, a.space, p, entries))
     # subadjacent has checked the pre-Lie identity, which makes L a
     # representation by theorem
@@ -188,19 +194,15 @@ def product_from_oop(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlge
     if not oop_holds(t, rho):
         raise ValueError("the map does not satisfy the O-operator identity")
     V = rho.space
-    n = V.dim
     pt = t.parity
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    table: dict = {}
     for i, col in enumerate(t.nonzero):
         s = sign(pt * (V.parities[i] + pt))
         for a, x in col:  # rho(T v_i) = sum_a x rho(e_a)
             for j, image in enumerate(rho.action[a].nonzero):
-                out = table[i][j]
                 for k, m in image:
-                    out[k] += s * x * m
-    return PreLieSuperAlgebra(
-        V, tuple(tuple(tuple(e) for e in row) for row in table), pt
-    )
+                    table[i, j, k] = table.get((i, j, k), ZERO) + s * x * m
+    return PreLieSuperAlgebra._from_entries(V, table.items(), pt)
 
 
 def suspended_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgebra:
@@ -230,7 +232,7 @@ def induced_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgebr
     V = rho.space
     g_space = rho.algebra.space
     rows = [list(r) for r in t.matrix]
-    pivots = linalg.column_space_pivots(rows)
+    pivots = linalg.rref(rows)[1]
     kernel = linalg.nullspace(rows, ncols=V.dim)
 
     for kv in kernel:
@@ -260,17 +262,14 @@ def induced_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgebr
         return sol
 
     n = image_space.dim
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    entries = []
     for p in range(n):
         vp = V.basis_vector(pivots[order[p]])
         for q in range(n):
             vq = V.basis_vector(pivots[order[q]])
             prod = t.apply(dot.multiply(vp, vq))
-            for k, x in enumerate(coords(prod)):
-                table[p][q][k] = x
-    return PreLieSuperAlgebra(
-        image_space, tuple(tuple(tuple(e) for e in row) for row in table), EVEN
-    )
+            entries += (((p, q, k), x) for k, x in enumerate(coords(prod)))
+    return PreLieSuperAlgebra._from_entries(image_space, entries, EVEN)
 
 
 def compatible_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgebra:
@@ -285,12 +284,12 @@ def compatible_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlg
         raise ValueError("the compatible product needs an invertible operator")
     tinv = t.inverse()
     space = rho.algebra.space
-    table = []
-    for p, act in zip(space.parities, rho.action):
+    entries = []
+    for i, (p, act) in enumerate(zip(space.parities, rho.action)):
         # row i of the table: the columns of (-1)^{|T||e_i|} T rho(e_i) T^{-1}
         m = t.compose(act).compose(tinv).scale(sign(t.parity * p))
-        table.append(tuple(m.column(j) for j in range(space.dim)))
-    return PreLieSuperAlgebra(space, tuple(table), EVEN)
+        entries += (((i, j, k), x) for (k, j), x in m._entries())
+    return PreLieSuperAlgebra._from_entries(space, entries, EVEN)
 
 
 def prelie_rmatrix_pair(a: PreLieSuperAlgebra) -> "tuple[RMatrix, RMatrix]":

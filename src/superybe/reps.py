@@ -280,23 +280,13 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
             return IsoSearchResult("found", empty, GradedLinearMap.zero(V2, V1, EVEN))
         return IsoSearchResult("none")
     n = V1.dim
-    mats = [b.matrix for b in basis]
-
-    def combination(ts):
-        grid = [[ZERO] * n for _ in range(n)]
-        for t, m in zip(ts, mats):
-            if t == 0:
-                continue
-            for i in range(n):
-                row = m[i]
-                gi = grid[i]
-                for j in range(n):
-                    if row[j] != 0:
-                        gi[j] += t * row[j]
-        return grid
 
     def attempt(ts):
-        grid = combination(ts)
+        grid = [[ZERO] * n for _ in range(n)]
+        for t, b in zip(ts, basis):
+            if t != 0:
+                for (k, i), x in b._entries():
+                    grid[k][i] += t * x
         if linalg.det(grid) == 0:
             return None
         phi = GradedLinearMap(V1, V2, EVEN, tuple(tuple(r) for r in grid))
@@ -322,10 +312,10 @@ def is_intertwiner(phi: GradedLinearMap, rho1: Representation, rho2: Representat
     """phi rho1(x) = rho2(x) phi on every algebra basis element."""
     if phi.domain != rho1.space or phi.codomain != rho2.space:
         return False
-    for a in range(rho1.algebra.space.dim):
-        if phi.compose(rho1.action[a]).matrix != rho2.action[a].compose(phi).matrix:
-            return False
-    return True
+    return all(
+        phi.compose(rho1.action[a]) == rho2.action[a].compose(phi)
+        for a in range(rho1.algebra.space.dim)
+    )
 
 
 def is_self_reversing(rho: Representation) -> IsoSearchResult:

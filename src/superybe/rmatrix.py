@@ -110,13 +110,13 @@ def scybe_defect(r: RMatrix) -> Tensor3:
             for m, c in c3:
                 grid[i][k][m] += signed * c
     scale = D * D * E
-    return Tensor3(
-        g.space,
-        tuple(
-            tuple(tuple([Fraction(v, scale) if v else ZERO for v in row]) for row in plane)
-            for plane in grid
-        ),
+    slots = (
+        ((i, j, k), v)
+        for i, plane in enumerate(grid)
+        for j, row in enumerate(plane)
+        for k, v in enumerate(row)
     )
+    return Tensor3(g.space, tuple((ijk, Fraction(v, scale)) for ijk, v in slots if v))
 
 
 def is_super_rmatrix(r: RMatrix) -> bool:
@@ -141,10 +141,10 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
     if t.domain != space.dual():
         raise ValueError("expected a map dual(g) -> g")
     n = space.dim
-    a = tuple(
-        tuple(sign(space.parities[q]) * t.matrix[p][q] for q in range(n)) for p in range(n)
-    )
-    return Tensor2(space, space, a, t.parity)
+    a = [[ZERO] * n for _ in range(n)]
+    for (p, q), x in t._entries():
+        a[p][q] = sign(space.parities[q]) * x
+    return Tensor2(space, space, tuple(tuple(row) for row in a), t.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +261,8 @@ def beta_form(r: RMatrix) -> BilinearForm:
         inv = t.inverse()  # g -> g*
     except ValueError:
         raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)") from None
-    n = r.space.dim
-    gram = tuple(tuple(inv.matrix[j][i] for j in range(n)) for i in range(n))
+    # row i of the Gram matrix is the image of e_i under T_r^{-1}
+    gram = tuple(inv.column(i) for i in range(r.space.dim))
     return BilinearForm(r.space, gram, r.parity)
 
 

@@ -6,6 +6,7 @@ same quantities by dense loops over `structure` and `matrix` and compare.
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from superybe import (
     extend_to_double,
     fixture_names,
     grid_search_oops,
+    hierarchy_trace,
     hierarchy_walk,
     induced_coadjoint_operator,
     left_regular_rep,
@@ -124,8 +126,18 @@ def test_adjoint_and_abelian_match_the_dense_table(name):
 def test_defect_matches_the_dense_oracle(name, parity, rnd):
     g = ALGEBRAS[name]
     r = dense_pan_supersymmetric(rnd, g, parity)
-    got = {key: c for key, c in scybe_defect(r).nonzero()}
+    defect = scybe_defect(r)
+    got = {key: c for key, c in defect.nonzero()}
     assert got == oracles.naive_scybe_defect(g, r.tensor)
+    # the stored slots are the nonzero ones in row-major order, and the
+    # dense view agrees with them
+    keys = [key for key, _ in defect.entries]
+    assert keys == sorted(got) and defect.is_zero() == (not got)
+    assert got == {
+        (i, j, k): c
+        for i, j, k in itertools.product(range(g.dim), repeat=3)
+        if (c := defect.coeffs[i][j][k]) != 0
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -627,3 +639,105 @@ def test_left_regular_rep_matches_its_dense_formula(name):
             assert [m.matrix for m in lrep.action] == [
                 grid(n, n, lambda k, j: a.product[i][j][k]) for i in range(n)
             ]
+
+
+# ---------------------------------------------------------------------------
+# the stored form
+#
+# Maps, algebras and pre-Lie products store only their nonzero table; the
+# public constructors take dense tables, scan them once and keep the table
+# they were given as the dense view.
+
+
+def assert_same_object(dense, sparse, view):
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert dense.nonzero == sparse.nonzero
+    assert getattr(dense, view) == getattr(sparse, view)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_dense_algebra_equals_the_sparse_one(name):
+    g = ALGEBRAS[name]
+    structure = tuple(tuple(tuple(entry) for entry in row) for row in g.structure)
+    dense = LieSuperAlgebra(g.space, structure)
+    assert dense.structure is structure
+    assert_same_object(dense, g, "structure")
+
+
+def test_dense_prelie_products_equal_the_sparse_ones():
+    prelies = [
+        a
+        for name in ("ex3.20", "closing-prelie")
+        for a in load_fixture(name).parts.values()
+        if isinstance(a, PreLieSuperAlgebra)
+    ]
+    prelies += [product_from_oop(t, rho) for t, rho in OPERATORS[:20]]
+    assert {a.parity_shift for a in prelies} == {0, 1}
+    for a in prelies:
+        product = tuple(tuple(tuple(entry) for entry in row) for row in a.product)
+        dense = PreLieSuperAlgebra(a.space, product, a.parity_shift)
+        assert dense.product is product
+        assert_same_object(dense, a, "product")
+        assert dense != PreLieSuperAlgebra(a.space, product, 1 - a.parity_shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=reps, parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_dense_map_equals_the_sparse_one(rho, parity, rnd):
+    V, g = rho.space, rho.algebra.space
+    t = random_map(rnd, V, g, parity)  # dense, explicit zeros included
+    images = {
+        V.labels[i]: {g.labels[k]: x for k, x in col} for i, col in enumerate(t.nonzero) if col
+    }
+    sparse = GradedLinearMap.from_images(V, g, parity, images)
+    # the dense constructor keeps the table it was given; the sparse path
+    # builds none until the view is read
+    assert "matrix" in t.__dict__ and "matrix" not in sparse.__dict__
+    assert_same_object(t, sparse, "matrix")
+
+
+def test_public_constructors_reject_misshapen_tables():
+    space = SuperSpace.make(even=["e"], odd=["f"])
+    z = Fraction(0)
+    square = ((z, z), (z, z))
+    with pytest.raises(ValueError, match="matrix row count does not match codomain dimension"):
+        GradedLinearMap(space, space, 0, square[:1])
+    with pytest.raises(ValueError, match="matrix column count does not match domain dimension"):
+        GradedLinearMap(space, space, 0, ((z, z), (z,)))
+    cube = (square, square)
+    for table in (cube[:1], (square, square[:1]), (square, ((z, z), (z,)))):
+        with pytest.raises(ValueError, match="structure constant shape mismatch"):
+            LieSuperAlgebra(space, table)
+        with pytest.raises(ValueError, match="product table shape mismatch"):
+            PreLieSuperAlgebra(space, table)
+
+
+def test_both_map_constructors_run_the_one_homogeneity_check(monkeypatch):
+    checked = []
+    original = GradedLinearMap.__dict__["__post_init__"]
+
+    def counting(self):
+        checked.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GradedLinearMap, "__post_init__", counting)
+    space = SuperSpace.make(even=["e"], odd=["f"])
+    one, z = Fraction(1), Fraction(0)
+    dense = GradedLinearMap(space, space, 1, ((z, one), (z, z)))
+    sparse = GradedLinearMap.from_images(space, space, 1, {"f": {"e": 1}})
+    assert checked == [dense, sparse]
+
+
+def test_hierarchy_levels_hold_no_dense_table():
+    ex44 = load_fixture("ex4.4").parts
+    tracemalloc.start()
+    try:
+        levels = hierarchy_trace(ex44["algebra"], ex44["r1"], "++++++")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [level.algebra.dim for level in levels] == [4, 8, 16, 32, 64, 128]
+    for level in levels:
+        assert "structure" not in level.algebra.__dict__
+    # with dense host tables and map grids stored, the peak is about 39 MiB
+    assert peak < 10 * 2**20

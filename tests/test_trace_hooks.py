@@ -1,0 +1,41 @@
+"""The benchmark's tracer hooks library names by module attribute and by
+`Class.method`; every one of them must resolve, so that a refactor that
+moves or renames a hooked name fails here rather than in a traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _tracing()
+TARGETS = [(module, attr) for module, attrs in tracing.SPANS.items() for attr in attrs]
+TARGETS += list(tracing.LEAVES)
+
+
+def test_every_layer_is_a_module():
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"superybe.{layer}")
+    assert {module for module, _ in TARGETS} <= set(tracing.LAYERS)
+
+
+@pytest.mark.parametrize("module, attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
+def test_hooked_name_resolves(module, attr):
+    mod = importlib.import_module(f"superybe.{module}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        # the tracer wraps cls.__dict__[meth]: the method must be defined
+        # on the class itself, not inherited or generated elsewhere
+        assert callable(vars(getattr(mod, cls_name))[meth])
+    else:
+        assert callable(getattr(mod, attr))
