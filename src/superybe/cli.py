@@ -3,8 +3,9 @@
 Exposes every check and construction over the plain-text file format:
 validate, check-oop, check-cybe, dualize, build-rmatrix, hierarchy,
 prelie, search and demo.  Exit code 0 means every check passed, 1 a
-mathematical check failed, 2 a usage or parse error.  --json mirrors the
-plain report 1:1.
+mathematical check failed, 2 a usage or parse error, 3 any other error
+(reported in one line, never as a traceback).  --json mirrors the plain
+report 1:1.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .rmatrix import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_ERROR = 3
 
 
 class UsageError(Exception):
@@ -126,7 +128,7 @@ def _tensor_rmatrix(doc: Document, name: str) -> RMatrix:
     if tensor.parity is None and not tensor.is_zero():
         raise CheckFailed(f"tensor {name} is inhomogeneous")
     if tensor.parity is None:
-        tensor = Tensor2(tensor.left, tensor.right, tensor.coeffs, EVEN)
+        tensor = Tensor2._from_entries(tensor.left, tensor.right, tensor.entries, EVEN)
     return RMatrix(algebra, tensor)
 
 
@@ -477,16 +479,17 @@ def main(argv=None) -> int:
     reporter = Reporter(getattr(args, "json", False))
     try:
         _HANDLERS[args.command](args, reporter)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
+    except (FormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CheckFailed as exc:
         reporter.check(str(exc), False)
         reporter.finish(args.command)
         return EXIT_CHECK_FAILED
+    except Exception as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_ERROR
     return reporter.finish(args.command)
 
 

@@ -142,15 +142,20 @@ class SuperSpace:
 
     def suspended_with_permutation(self) -> "tuple[SuperSpace, tuple[int, ...]]":
         """The parity-reversed space and the permutation old index -> new index."""
-        items = [(suspend_label(l), p ^ 1) for l, p in zip(self.labels, self.parities)]
-        order = [i for i, (_, p) in enumerate(items) if p == EVEN]
-        order += [i for i, (_, p) in enumerate(items) if p == ODD]
-        perm = [0] * self.dim
-        for new, old in enumerate(order):
-            perm[old] = new
-        labels = tuple(items[old][0] for old in order)
-        parities = tuple(items[old][1] for old in order)
-        return SuperSpace(labels, parities), tuple(perm)
+        labels = [suspend_label(l) for l in self.labels]
+        space, _, position = _block_sorted(labels, [p ^ 1 for p in self.parities])
+        return space, tuple(position)
+
+
+def _block_sorted(labels, parities) -> "tuple[SuperSpace, list[int], list[int]]":
+    """The space on the labels re-sorted stably into canonical block order,
+    with order[new] = old and position[old] = new."""
+    order = sorted(range(len(parities)), key=parities.__getitem__)
+    position = [0] * len(order)
+    for new, old in enumerate(order):
+        position[old] = new
+    space = SuperSpace(tuple(labels[o] for o in order), tuple(parities[o] for o in order))
+    return space, order, position
 
 
 def merge_spaces(a: SuperSpace, b: SuperSpace) -> "tuple[SuperSpace, tuple[int, ...], tuple[int, ...]]":
@@ -158,20 +163,11 @@ def merge_spaces(a: SuperSpace, b: SuperSpace) -> "tuple[SuperSpace, tuple[int, 
     stably, a's basis first.  When the label sets meet, every label takes
     pair notation, (x,0) for a and (0,v) for b.  Returns the merged space
     and the embeddings old-index -> merged-index for a and for b."""
-    if set(a.labels) & set(b.labels):
-        a = SuperSpace(tuple(f"({l},0)" for l in a.labels), a.parities)
-        b = SuperSpace(tuple(f"(0,{l})" for l in b.labels), b.parities)
-    labels = a.labels + b.labels
-    parities = a.parities + b.parities
-    order = [i for i, p in enumerate(parities) if p == EVEN]
-    order += [i for i, p in enumerate(parities) if p == ODD]
-    position = [0] * len(labels)
-    for new, old in enumerate(order):
-        position[old] = new
-    merged = SuperSpace(tuple(labels[o] for o in order), tuple(parities[o] for o in order))
-    perm_a = tuple(position[: a.dim])
-    perm_b = tuple(position[a.dim :])
-    return merged, perm_a, perm_b
+    la, lb = a.labels, b.labels
+    if set(la) & set(lb):
+        la, lb = tuple(f"({l},0)" for l in la), tuple(f"(0,{l})" for l in lb)
+    merged, _, position = _block_sorted(la + lb, a.parities + b.parities)
+    return merged, tuple(position[: a.dim]), tuple(position[a.dim :])
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +198,17 @@ def format_vector(space: SuperSpace, v) -> str:
 # homogeneous linear maps
 
 
+def _check_homogeneous(rows: SuperSpace, cols: SuperSpace, parity: Parity, positions, message):
+    """Raise ValueError on the first (row, col) of the nonzero positions, in
+    row-major order, whose parities disagree with the declared parity; the
+    message is formatted with the two labels and the parity's name."""
+    R, C = rows.parities, cols.parities
+    bad = min(((r, c) for r, c in positions if R[r] ^ C[c] != parity), default=None)
+    if bad:
+        r, c = bad
+        raise ValueError(message.format(rows.labels[r], cols.labels[c], parity_name(parity)))
+
+
 @dataclass(frozen=True, init=False)
 class GradedLinearMap:
     """A homogeneous linear map between superspaces.
@@ -230,20 +237,14 @@ class GradedLinearMap:
     def __post_init__(self):
         if self.parity not in (EVEN, ODD):
             raise ValueError("map parity must be 0 or 1")
-        dom, cod = self.domain.parities, self.codomain.parities
-        offenders = [
-            (k, i)
-            for i, col in enumerate(self.nonzero)
-            for k, _ in col
-            if cod[k] != dom[i] ^ self.parity
-        ]
-        if offenders:
-            k, i = min(offenders)  # the first in row-major order
-            raise ValueError(
-                f"inhomogeneous map: entry ({self.codomain.labels[k]}, "
-                f"{self.domain.labels[i]}) nonzero but parities disagree "
-                f"with declared map parity {parity_name(self.parity)}"
-            )
+        _check_homogeneous(
+            self.codomain,
+            self.domain,
+            self.parity,
+            ((k, i) for i, col in enumerate(self.nonzero) for k, _ in col),
+            "inhomogeneous map: entry ({}, {}) nonzero but parities disagree "
+            "with declared map parity {}",
+        )
 
     def _store(self, domain, codomain, parity, entries):
         """Set the fields from ((k, i), value) entries, one per position,
@@ -416,45 +417,59 @@ def relabel_domain(t: GradedLinearMap, new_domain: SuperSpace) -> GradedLinearMa
 # 2- and 3-index coefficient tensors
 
 
-def _infer_parity(left: SuperSpace, right: SuperSpace, coeffs) -> "Parity | None":
-    found = {
-        (left.parities[i] + right.parities[j]) % 2
-        for i in range(left.dim)
-        for j in range(right.dim)
-        if coeffs[i][j] != 0
-    }
+def _infer_parity(left: SuperSpace, right: SuperSpace, entries) -> "Parity | None":
+    """The one parity of the nonzero ((i, j), value) entries, if there is one."""
+    found = {left.parities[i] ^ right.parities[j] for (i, j), x in entries if x != 0}
     if len(found) == 1:
         return found.pop()
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tensor2:
-    """Coefficient array a_ij of an element sum a_ij e_i (x) e_j.
+    """An element sum a_ij e_i (x) e_j, stored as its nonzero slots
+    ((i, j), a_ij) in row-major order; the dense `coeffs` array is a
+    derived view.  The public constructor scans a dense array once;
+    derived tensors come from `_from_entries`.
 
     parity None means inhomogeneous (or an undeclared zero tensor).
     """
 
     left: SuperSpace
     right: SuperSpace
-    coeffs: tuple[tuple[Scalar, ...], ...]
-    parity: "Parity | None" = None
+    entries: tuple[tuple[tuple[int, int], Scalar], ...]
+    parity: "Parity | None"
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.left.dim or any(
-            len(r) != self.right.dim for r in self.coeffs
-        ):
+    def __init__(self, left: SuperSpace, right: SuperSpace, coeffs, parity: "Parity | None" = None):
+        if len(coeffs) != left.dim or any(len(r) != right.dim for r in coeffs):
             raise ValueError("tensor coefficient shape mismatch")
-        if self.parity is not None:
-            for i in range(self.left.dim):
-                for j in range(self.right.dim):
-                    if self.coeffs[i][j] != 0 and (
-                        (self.left.parities[i] + self.right.parities[j]) % 2 != self.parity
-                    ):
-                        raise ValueError(
-                            f"tensor entry ({self.left.labels[i]}, {self.right.labels[j]}) "
-                            f"violates declared parity {parity_name(self.parity)}"
-                        )
+        entries = tuple(
+            ((i, j), x) for i, row in enumerate(coeffs) for j, x in enumerate(row) if x != 0
+        )
+        self._store(left, right, entries, parity)
+        self.__dict__["coeffs"] = coeffs
+
+    def _store(self, left, right, entries, parity):
+        """Set the fields from the nonzero entries in row-major order; then
+        check them against a declared parity."""
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "parity", parity)
+        if parity is not None:
+            positions = (ij for ij, _ in entries)
+            message = "tensor entry ({}, {}) violates declared parity {}"
+            _check_homogeneous(left, right, parity, positions, message)
+        return self
+
+    @staticmethod
+    def _from_entries(
+        left: SuperSpace, right: SuperSpace, entries, parity: "Parity | None"
+    ) -> "Tensor2":
+        """The tensor with the given ((i, j), value) entries, each position
+        given at most once, and zeros elsewhere; no dense array is built."""
+        nonzero = tuple(sorted(e for e in entries if e[1] != 0))
+        return object.__new__(Tensor2)._store(left, right, nonzero, parity)
 
     @staticmethod
     def from_terms(
@@ -463,46 +478,41 @@ class Tensor2:
         terms: Mapping["tuple[str, str]", RationalLike],
         parity: "Parity | None" = None,
     ) -> "Tensor2":
-        grid = [[ZERO] * right.dim for _ in range(left.dim)]
-        for (a, b), c in terms.items():
-            grid[left.index(a)][right.index(b)] += rat(c)
-        coeffs = tuple(tuple(row) for row in grid)
+        entries = [((left.index(a), right.index(b)), rat(c)) for (a, b), c in terms.items()]
         if parity is None:
-            parity = _infer_parity(left, right, coeffs)
-        return Tensor2(left, right, coeffs, parity)
+            parity = _infer_parity(left, right, entries)
+        return Tensor2._from_entries(left, right, entries, parity)
 
     @staticmethod
     def zero(left: SuperSpace, right: SuperSpace, parity: "Parity | None" = None) -> "Tensor2":
-        return Tensor2(left, right, ((ZERO,) * right.dim,) * left.dim, parity)
+        return Tensor2._from_entries(left, right, (), parity)
+
+    @cached_property
+    def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:
+        slots, cols = dict(self.entries), range(self.right.dim)
+        return tuple(tuple(slots.get((i, j), ZERO) for j in cols) for i in range(self.left.dim))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.coeffs for c in row)
+        return not self.entries
 
     def nonzero(self):
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != 0:
-                    yield (i, j), c
+        return iter(self.entries)
 
     def add(self, other: "Tensor2") -> "Tensor2":
         if (self.left, self.right) != (other.left, other.right):
             raise ValueError("tensor space mismatch")
-        coeffs = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.coeffs, other.coeffs)
-        )
+        total = dict(self.entries)
+        for ij, x in other.entries:
+            total[ij] = total.get(ij, ZERO) + x
         parity = self.parity if self.parity == other.parity else None
         if parity is None:
-            parity = _infer_parity(self.left, self.right, coeffs)
-        return Tensor2(self.left, self.right, coeffs, parity)
+            parity = _infer_parity(self.left, self.right, total.items())
+        return Tensor2._from_entries(self.left, self.right, total.items(), parity)
 
     def scale(self, c: RationalLike) -> "Tensor2":
         c = rat(c) if not isinstance(c, int) else c
-        return Tensor2(
-            self.left,
-            self.right,
-            tuple(tuple(c * a for a in row) for row in self.coeffs),
-            self.parity,
-        )
+        entries = ((ij, c * a) for ij, a in self.entries)
+        return Tensor2._from_entries(self.left, self.right, entries, self.parity)
 
     def __str__(self):
         terms = []
@@ -513,10 +523,9 @@ class Tensor2:
 
 def twist(t: Tensor2) -> Tensor2:
     """sigma(v (x) w) = (-1)^{|v||w|} w (x) v, extended linearly."""
-    out = [[ZERO] * t.left.dim for _ in range(t.right.dim)]
-    for (i, j), c in t.nonzero():
-        out[j][i] = sign(t.left.parities[i] * t.right.parities[j]) * c
-    return Tensor2(t.right, t.left, tuple(tuple(r) for r in out), t.parity)
+    P, Q = t.left.parities, t.right.parities
+    entries = (((j, i), sign(P[i] * Q[j]) * c) for (i, j), c in t.entries)
+    return Tensor2._from_entries(t.right, t.left, entries, t.parity)
 
 
 @dataclass(frozen=True)
@@ -573,9 +582,10 @@ def pair2_eval(tstar: Tensor2, t: Tensor2) -> Scalar:
     """<u1* (x) u2*, v1 (x) v2> = (-1)^{|u2*||v1|} <u1*, v1><u2*, v2>."""
     if (tstar.left, tstar.right) != (t.left.dual(), t.right.dual()):
         raise ValueError("pairing space mismatch")
+    slots = dict(t.entries)
     total = ZERO
-    for (i, j), s in tstar.nonzero():
-        c = t.coeffs[i][j]
-        if c != 0:
+    for (i, j), s in tstar.entries:
+        c = slots.get((i, j))
+        if c is not None:
             total += sign(t.right.parities[j] * t.left.parities[i]) * s * c
     return total

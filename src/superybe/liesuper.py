@@ -22,9 +22,9 @@ from .graded import (
     RationalLike,
     Scalar,
     SuperSpace,
+    _check_homogeneous,
     dense_vector,
     merge_spaces,
-    parity_name,
     rat,
     sign,
 )
@@ -276,15 +276,10 @@ class BilinearForm:
         n = self.space.dim
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise ValueError("Gram matrix shape mismatch")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != 0 and (
-                    (self.space.parities[i] + self.space.parities[j]) % 2 != self.parity
-                ):
-                    raise ValueError(
-                        f"form entry ({self.space.labels[i]}, {self.space.labels[j]}) "
-                        f"violates declared parity {parity_name(self.parity)}"
-                    )
+        gram = self.gram
+        positions = ((i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x != 0)
+        message = "form entry ({}, {}) violates declared parity {}"
+        _check_homogeneous(self.space, self.space, self.parity, positions, message)
 
     @staticmethod
     def from_terms(space, terms: Mapping["tuple[str, str]", RationalLike], parity: Parity):
@@ -293,9 +288,6 @@ class BilinearForm:
         for (a, b), c in terms.items():
             grid[space.index(a)][space.index(b)] = rat(c)
         return BilinearForm(space, tuple(tuple(r) for r in grid), parity)
-
-    def value(self, i: int, j: int) -> Scalar:
-        return self.gram[i][j]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .graded import (
     RationalLike,
     Scalar,
     SuperSpace,
+    _block_sorted,
     dense_vector,
     rat,
     sign,
@@ -245,11 +246,7 @@ def induced_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgebr
 
     labels = tuple(f"T({V.labels[i]})" for i in pivots)
     parities = tuple((V.parities[i] + t.parity) % 2 for i in pivots)
-    order = [p for p in range(len(pivots)) if parities[p] == EVEN]
-    order += [p for p in range(len(pivots)) if parities[p] == ODD]
-    image_space = SuperSpace(
-        tuple(labels[p] for p in order), tuple(parities[p] for p in order)
-    )
+    image_space, order, _ = _block_sorted(labels, parities)
     basis_cols = [t.column(pivots[p]) for p in order]
 
     def coords(vec):

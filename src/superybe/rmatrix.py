@@ -16,7 +16,6 @@ from math import lcm
 
 from .graded import (
     EVEN,
-    ZERO,
     GradedLinearMap,
     Parity,
     SuperSpace,
@@ -57,7 +56,7 @@ class RMatrix:
         t = Tensor2.from_terms(g.space, g.space, terms, parity)
         if t.parity is None:
             # zero tensor with no declared parity defaults to even
-            t = Tensor2(t.left, t.right, t.coeffs, EVEN)
+            t = Tensor2._from_entries(t.left, t.right, t.entries, EVEN)
         return RMatrix(g, t)
 
     @property
@@ -72,7 +71,7 @@ class RMatrix:
 def is_pan_supersymmetric(r: RMatrix) -> bool:
     """sigma(r) = -(-1)^{|r|} r: even skew-supersymmetric or odd
     supersymmetric."""
-    return twist(r.tensor).coeffs == r.tensor.scale(-sign(r.parity)).coeffs
+    return twist(r.tensor) == r.tensor.scale(-sign(r.parity))
 
 
 def scybe_defect(r: RMatrix) -> Tensor3:
@@ -140,11 +139,9 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
     space = t.codomain
     if t.domain != space.dual():
         raise ValueError("expected a map dual(g) -> g")
-    n = space.dim
-    a = [[ZERO] * n for _ in range(n)]
-    for (p, q), x in t._entries():
-        a[p][q] = sign(space.parities[q]) * x
-    return Tensor2(space, space, tuple(tuple(row) for row in a), t.parity)
+    P = space.parities
+    entries = (((p, q), sign(P[q]) * x) for (p, q), x in t._entries())
+    return Tensor2._from_entries(space, space, entries, t.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +186,14 @@ def _induced_input(t: GradedLinearMap, rho: Representation, variant: str):
 def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, entries, parity):
     """The sum over the entries ((k, i), x) of
     x (e_k (x) v_i* + (-1)^{(|r|+1)(|v_i|+1)} v_i* (x) e_k) in h, parity |r|,
-    where e_k and v_i* sit at positions alg_pos[k] and mod_pos[i] of h."""
-    n = h.space.dim
-    grid = [[ZERO] * n for _ in range(n)]
+    where e_k and v_i* sit at positions alg_pos[k] and mod_pos[i] of h.
+    Algebra and module positions are disjoint, so no two terms share a slot."""
+    slots = []
     for (k, i), x in entries:
         s = sign((parity + 1) * (mod_parities[i] + 1))
         p, q = alg_pos[k], mod_pos[i]
-        grid[p][q] += x
-        grid[q][p] += s * x
-    return RMatrix(h, Tensor2(h.space, h.space, tuple(tuple(r) for r in grid), parity))
+        slots += (((p, q), x), ((q, p), s * x))
+    return RMatrix(h, Tensor2._from_entries(h.space, h.space, slots, parity))
 
 
 def operator_to_rmatrix(

@@ -197,6 +197,12 @@ class TestCheckCybe:
         payload = json.loads(capsys.readouterr().out)
         assert payload["defect_components"]
 
+    def test_inhomogeneous_tensor_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "mixed.sy"
+        path.write_text(EX32 + "\n[tensor r]\ne e = 1\ne f = 1\n")
+        assert main(["check-cybe", str(path), "--tensor", "r"]) == 1
+        assert capsys.readouterr().out == "tensor r is inhomogeneous: FAIL\n"
+
 
 class TestDualize:
     def test_emits_reparsable_document(self, ex32_file, capsys):
@@ -459,6 +465,17 @@ class TestModuleEntryPoint:
         done = self.run("--help")
         assert done.returncode == 0
         assert done.stdout.startswith("usage: superybe")
+
+    # merge_spaces' pair notation can give two labels one name, (0,0) from
+    # the two copies of 0 or (0,y,0) from 0,y and y,0, so the first host fails
+    @pytest.mark.parametrize("even", ["0", "0,y y,0"])
+    def test_unexpected_error_exits_three_in_one_line(self, tmp_path, even):
+        path = tmp_path / "clash.sy"
+        path.write_text(f"[space]\neven = {even}\nodd =\n\n[bracket]\n\n[tensor r]\n")
+        done = self.run("hierarchy", str(path), "--tensor", "r", "--word=+")
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: duplicate basis labels")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
     def test_check_cybe(self, tmp_path, capsys):
         path = tmp_path / "ex4.4.sy"

@@ -154,6 +154,32 @@ class TestGradedLinearMap:
             assert dual_map(dual_map(t)).compose(theta_v) == theta_g.compose(t)
 
 
+class TestTensor2:
+    def test_shape_mismatch(self):
+        v = space_ef()
+        z = Fraction(0)
+        for coeffs in (((z, z),), ((z, z), (z,)), ((z, z), (z, z), (z, z))):
+            with pytest.raises(ValueError, match="^tensor coefficient shape mismatch$"):
+                Tensor2(v, v, coeffs)
+
+    def test_parity_witness_is_the_row_major_first_offender(self):
+        # two offenders: (e1, f2) comes first by rows, (f1, e2) by columns
+        v = SuperSpace.make(even=["e1", "e2"], odd=["f1", "f2"])
+        message = "tensor entry (e1, f2) violates declared parity even"
+        a = [[Fraction(0)] * 4 for _ in range(4)]
+        a[0][3] = Fraction(1)
+        a[2][1] = Fraction(-1, 2)
+        a[1][1] = Fraction(3)
+        with pytest.raises(ValueError) as err:
+            Tensor2(v, v, tuple(tuple(r) for r in a), EVEN)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            Tensor2.from_terms(
+                v, v, {("f1", "e2"): "-1/2", ("e2", "e2"): 3, ("e1", "f2"): 1}, EVEN
+            )
+        assert str(err.value) == message
+
+
 class TestTwistAndPairings:
     def test_twist_on_odd_square(self):
         fx = load_fixture("ex4.4")

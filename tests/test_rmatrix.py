@@ -287,6 +287,13 @@ class TestOperatorTensorConversions:
         r = RMatrix.from_terms(g, {})
         assert rmatrix_to_operator(r).is_zero()
 
+    def test_inhomogeneous_terms_are_refused(self):
+        # an undeclared parity defaults to even only for the zero tensor
+        g = load_fixture("ex3.2").parts["algebra"]
+        message = r"^tensor entry \(e, f\) violates declared parity even$"
+        with pytest.raises(ValueError, match=message):
+            RMatrix.from_terms(g, {("e", "e"): 1, ("e", "f"): 1})
+
     def test_round_trip_on_random_tensors(self, rng):
         for _, g, _ in equivalence_cases()[:3]:
             for _ in range(25):

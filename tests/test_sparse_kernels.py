@@ -5,6 +5,7 @@ linear map is built from its nonzero entries; these tests recompute the
 same quantities by dense loops over `structure` and `matrix` and compare.
 """
 
+import functools
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -21,6 +22,7 @@ from superybe import (
     RMatrix,
     SuperSpace,
     Tensor2,
+    adjoint,
     check_lie_axioms,
     check_representation,
     compatible_prelie,
@@ -34,17 +36,21 @@ from superybe import (
     hierarchy_trace,
     hierarchy_walk,
     induced_coadjoint_operator,
+    is_pan_supersymmetric,
     left_regular_rep,
     load_fixture,
     operator_to_rmatrix,
+    operator_to_tensor,
     parity_reverse_rep,
     product_from_oop,
     rmatrix_to_operator,
     scybe_defect,
     semidirect_product,
     suspend_map,
+    twist,
 )
 from superybe.graded import merge_spaces, sign
+from superybe.rmatrix import _pan_supersymmetric_tensor
 
 import oracles
 
@@ -739,5 +745,128 @@ def test_hierarchy_levels_hold_no_dense_table():
     assert [level.algebra.dim for level in levels] == [4, 8, 16, 32, 64, 128]
     for level in levels:
         assert "structure" not in level.algebra.__dict__
+        assert "coeffs" not in level.tensor.__dict__
     # with dense host tables and map grids stored, the peak is about 39 MiB
     assert peak < 10 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the stored form of 2-tensors
+#
+# A Tensor2 stores its nonzero slots in row-major order; every derived
+# tensor is built from them without a dense array.
+
+TENSOR_VALUES = ENTRY_VALUES + (Fraction(2, 3), Fraction(-5, 4))
+
+spaces = st.builds(
+    lambda e, o: SuperSpace.make([f"e{i}" for i in range(e)], [f"f{i}" for i in range(o)]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+
+
+def random_array(rnd, left, right, parity):
+    """A dense array, explicit zeros included; parity None fills every slot."""
+    return tuple(
+        tuple(
+            rnd.choice(TENSOR_VALUES) if parity is None or p ^ q == parity else Fraction(0)
+            for q in right.parities
+        )
+        for p in left.parities
+    )
+
+
+def nonzero_slots(array):
+    return tuple(((i, j), x) for i, row in enumerate(array) for j, x in enumerate(row) if x != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=spaces, parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_dense_tensor_equals_the_sparse_one(space, parity, rnd):
+    array = random_array(rnd, space, space, parity)
+    L = space.labels
+    terms = {(L[i], L[j]): x for i, row in enumerate(array) for j, x in enumerate(row)}
+    dense = Tensor2(space, space, array, parity)
+    sparse = Tensor2.from_terms(space, space, terms, parity)
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert dense.entries == sparse.entries == nonzero_slots(array)
+    # the dense constructor keeps the array it was given; the sparse path
+    # builds none until the view is read
+    assert dense.coeffs is array and "coeffs" not in sparse.__dict__
+    assert sparse.coeffs == array
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    left=spaces,
+    right=spaces,
+    parities=st.tuples(st.sampled_from((None, 0, 1)), st.sampled_from((None, 0, 1))),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_tensor_arithmetic_matches_the_dense_formulas(left, right, parities, rnd):
+    pa, pb = parities
+    a_array, b_array = (random_array(rnd, left, right, p) for p in parities)
+    a, b = Tensor2(left, right, a_array, pa), Tensor2(left, right, b_array, pb)
+    P, Q = left.parities, right.parities
+    n, m = left.dim, right.dim
+
+    swapped = twist(a)
+    assert (swapped.left, swapped.right, swapped.parity) == (right, left, pa)
+    assert swapped.entries == nonzero_slots(
+        grid(m, n, lambda j, i: sign(P[i] * Q[j]) * a_array[i][j])
+    )
+
+    c = rnd.choice(TENSOR_VALUES)
+    scaled = a.scale(c)
+    assert scaled.parity == pa
+    assert scaled.entries == nonzero_slots(grid(n, m, lambda i, j: c * a_array[i][j]))
+
+    total = grid(n, m, lambda i, j: a_array[i][j] + b_array[i][j])
+    found = {P[i] ^ Q[j] for (i, j), _ in nonzero_slots(total)}
+    parity = pa if pa == pb else None
+    if parity is None and len(found) == 1:
+        parity = found.pop()
+    summed = a.add(b)
+    assert (summed.entries, summed.parity) == (nonzero_slots(total), parity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(NAMES), parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_operator_to_tensor_matches_the_dense_formula(name, parity, rnd):
+    space = ALGEBRAS[name].space
+    P = space.parities
+    t = random_map(rnd, space.dual(), space, parity)
+    r = operator_to_tensor(t)
+    assert (r.left, r.right, r.parity) == (space, space, parity)
+    n = space.dim
+    assert r.entries == nonzero_slots(grid(n, n, lambda p, q: sign(P[q]) * t.matrix[p][q]))
+
+
+@functools.cache
+def adjoint_host(name):
+    """g |x_ad g and the positions of its two copies of g."""
+    g = ALGEBRAS[name]
+    _, alg_pos, mod_pos = merge_spaces(g.space, g.space)
+    return semidirect_product(g, adjoint(g)), alg_pos, mod_pos
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(NAMES), parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_pan_supersymmetric_tensor_matches_the_dense_formula(name, parity, rnd):
+    g = ALGEBRAS[name]
+    h, alg_pos, mod_pos = adjoint_host(name)
+    P = g.space.parities
+    entries = [
+        ((k, i), rnd.choice(TENSOR_VALUES))
+        for k in range(g.dim)
+        for i in range(g.dim)
+        if P[k] ^ P[i] == parity
+    ]
+    r = _pan_supersymmetric_tensor(h, alg_pos, mod_pos, P, entries, parity)
+    array = [[Fraction(0)] * h.dim for _ in range(h.dim)]
+    for (k, i), x in entries:
+        array[alg_pos[k]][mod_pos[i]] += x
+        array[mod_pos[i]][alg_pos[k]] += sign((parity + 1) * (P[i] + 1)) * x
+    assert (r.algebra, r.parity) == (h, parity)
+    assert r.tensor.entries == nonzero_slots(array)
+    assert is_pan_supersymmetric(r)

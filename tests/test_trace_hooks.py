@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from superybe import SuperSpace, Tensor2
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -39,3 +41,14 @@ def test_hooked_name_resolves(module, attr):
         assert callable(vars(getattr(mod, cls_name))[meth])
     else:
         assert callable(getattr(mod, attr))
+
+
+def test_entry_pair_count_reads_the_nonzero_slots():
+    """`rmatrix.scybe_defect.entry_pairs` squares `_nnz` of the tensor; it
+    must count the stored nonzero slots however the tensor was built."""
+    space = SuperSpace.make(even=["e"], odd=["f", "g"])
+    terms = {("e", "e"): 2, ("f", "g"): "1/2", ("g", "f"): "-1/2", ("f", "f"): 0}
+    sparse = Tensor2.from_terms(space, space, terms)
+    dense = Tensor2(space, space, sparse.coeffs, sparse.parity)
+    for t in (sparse, dense):
+        assert tracing._nnz(t) == len(t.entries) == 3
