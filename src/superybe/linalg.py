@@ -1,43 +1,74 @@
-"""Exact dense linear algebra over Fraction.
+"""Exact dense linear algebra over Fraction, by fraction-free elimination.
 
 Small hand-rolled Gaussian elimination: enough for the nullspaces,
 inverses, determinants and column reductions the library needs.
 Pivoting is deterministic (first nonzero in row order).
+
+`rref`, `rank`, `nullspace`, `invert` and `solve` share one integer
+kernel: each row is scaled by the lcm of its denominators, Gauss-Jordan
+elimination runs on Python ints with Bareiss's exact division, and each
+reduced row is divided back into `Fraction`s once.  Reduced row echelon
+form is unique, so the results are those of elimination over `Fraction`;
+every value returned is a `Fraction`.  `det` eliminates over `Fraction`
+directly, skipping rows whose pivot-column entry is zero, which suits
+the sparse, mostly singular matrices of the isomorphism search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination on integer rows.
 
-    Input is a list of lists; the input is not modified.
+    Returns (m, pivots): m holds the rows of the reduced row echelon form,
+    row r scaled to integers, so that row r < len(pivots) divided by its
+    pivot entry m[r][pivots[r]] is row r of the reduced form; the rows
+    below are zero.
+
+    Bareiss elimination takes every row to p row - f pivot_row and divides
+    exactly by the previous pivot.  A row whose pivot-column entry f is zero
+    is left as it is and remembers the pivot it was last divided by: its
+    pending factor (current pivot / remembered pivot) is applied, exactly,
+    when the row next takes part, as pivot row or eliminated row.
     """
-    m = [list(r) for r in rows]
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    level = [1] * nrows  # the pivot each row was last divided by
+    d = 1  # the last pivot
     pivots = []
     r = 0
     for c in range(ncols):
         pivot = None
         for i in range(r, nrows):
-            if m[i][c] != 0:
+            if m[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [inv * x for x in m[r]]
+        level[r], level[pivot] = level[pivot], level[r]
+        prow = m[r]
+        if level[r] != d:
+            t = level[r]
+            prow = m[r] = [b * d // t for b in prow]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                t = level[i]
+                m[i] = [(p * a - f * b) // t for a, b in zip(m[i], prow)]
+                level[i] = p
+        level[r] = d = p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -45,9 +76,19 @@ def rref(rows):
     return m, pivots
 
 
+def rref(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+
+    Input is a list of lists; the input is not modified.
+    """
+    m, pivots = _eliminate(rows)
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    red += ([ZERO] * len(row) for row in m[len(pivots) :])
+    return red, pivots
+
+
 def rank(rows) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(rows, ncols=None):
@@ -59,15 +100,17 @@ def nullspace(rows, ncols=None):
         n = ncols if ncols is not None else 0
         return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
     n = len(rows[0])
-    red, pivots = rref(rows)
+    m, pivots = _eliminate(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivot_set:
+            continue
         v = [ZERO] * n
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+        for row, c in zip(m, pivots):
+            if row[f]:
+                v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
     return basis
 
@@ -75,11 +118,11 @@ def nullspace(rows, ncols=None):
 def invert(rows):
     """Exact inverse of a square matrix, or None if singular."""
     n = len(rows)
-    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    m, pivots = _eliminate(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return [row[n:] for row in red[:n]]
+    return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(m, pivots)]
 
 
 def det(rows) -> Fraction:
@@ -114,10 +157,10 @@ def solve(rows, rhs):
     """
     n = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    m, pivots = _eliminate(aug)
     if n in pivots:
         return None  # pivot in the constants column
     x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = red[r][n]
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[n], row[c])
     return tuple(x)

@@ -224,10 +224,14 @@ class IsoSearchResult:
         return self.status == "found"
 
 
-def intertwiner_space(rho1: Representation, rho2: Representation) -> list[GradedLinearMap]:
-    """Exact basis of {phi even : phi rho1(x) = rho2(x) phi for all x}."""
-    if rho1.algebra != rho2.algebra:
-        raise ValueError("intertwiners require a common algebra")
+def _intertwiner_system(
+    rho1: Representation, rho2: Representation
+) -> "tuple[list[tuple[int, int]], list[list]]":
+    """(positions, rows): the unknown entries (k, i) of an even map
+    phi: V1 -> V2, and the nonzero rows of the linear system
+    phi rho1(x) = rho2(x) phi, one per entry (k, j) of
+    phi rho1(e_a) - rho2(e_a) phi, in (a, k, j) order.  Only the nonzero
+    entries of the action maps are read."""
     V1, V2 = rho1.space, rho2.space
     # unknowns: entries (k, i) with |w_k| = |v_i| (phi is even)
     positions = [
@@ -237,28 +241,50 @@ def intertwiner_space(rho1: Representation, rho2: Representation) -> list[Graded
         if V2.parities[k] == V1.parities[i]
     ]
     pos_index = {p: t for t, p in enumerate(positions)}
+    rows2_of = [[k for k in range(V2.dim) if V2.parities[k] == p] for p in (0, 1)]
+    cols1_of = [[j for j in range(V1.dim) if V1.parities[j] == p] for p in (0, 1)]
     rows = []
-    for a in range(rho1.algebra.space.dim):
-        m1 = rho1.action[a].matrix
-        m2 = rho2.action[a].matrix
+    for m1, m2 in zip(rho1.action, rho2.action):
         # (phi m1 - m2 phi)[k][j] = sum_i phi[k][i] m1[i][j] - sum_l m2[k][l] phi[l][j]
-        for k in range(V2.dim):
-            for j in range(V1.dim):
+        eqs = {}
+        for (i, j), x in m1._entries():
+            for k in rows2_of[V1.parities[i]]:
+                eq = eqs.setdefault((k, j), {})
+                t = pos_index[k, i]
+                eq[t] = eq.get(t, ZERO) + x
+        for (k, l), x in m2._entries():
+            for j in cols1_of[V2.parities[l]]:
+                eq = eqs.setdefault((k, j), {})
+                t = pos_index[l, j]
+                eq[t] = eq.get(t, ZERO) - x
+        for kj in sorted(eqs):
+            eq = eqs[kj]
+            if any(eq.values()):
                 row = [ZERO] * len(positions)
-                for i in range(V1.dim):
-                    if m1[i][j] != 0 and (k, i) in pos_index:
-                        row[pos_index[(k, i)]] += m1[i][j]
-                for l in range(V2.dim):
-                    if m2[k][l] != 0 and (l, j) in pos_index:
-                        row[pos_index[(l, j)]] -= m2[k][l]
-                if any(x != 0 for x in row):
-                    rows.append(row)
+                for t, x in eq.items():
+                    row[t] = x
+                rows.append(row)
+    return positions, rows
+
+
+def intertwiner_space(rho1: Representation, rho2: Representation) -> list[GradedLinearMap]:
+    """Exact basis of {phi even : phi rho1(x) = rho2(x) phi for all x}."""
+    if rho1.algebra != rho2.algebra:
+        raise ValueError("intertwiners require a common algebra")
+    positions, rows = _intertwiner_system(rho1, rho2)
     basis_raw = linalg.nullspace(rows, ncols=len(positions))
-    return [GradedLinearMap._from_entries(V1, V2, EVEN, zip(positions, v)) for v in basis_raw]
+    return [
+        GradedLinearMap._from_entries(rho1.space, rho2.space, EVEN, zip(positions, v))
+        for v in basis_raw
+    ]
 
 
 _RANDOM_FALLBACK_TRIES = 200
-_GRID_DIMENSION_LIMIT = 6
+# the largest grid {0..n}^k of determinants scanned; larger searches take
+# the randomized fallback.  The catalog's largest grid has 9^4 = 6561 points
+# (the self-reversing doubles of ex3.17+-).  An even intertwiner space has
+# k <= n^2, so under this cap k <= 6 always: 4^7 already exceeds it.
+ISO_GRID_CAP = 10_000
 
 
 def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSearchResult:
@@ -267,8 +293,9 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
     det(sum t_a phi_a) has total degree <= dim V, so vanishing on the full
     grid {0..dim V}^k proves there is no invertible intertwiner; the grid
     is scanned lazily in lexicographic order and the first hit is
-    returned.  For k > 6 a deterministic randomized fallback runs instead
-    and absence is reported as "inconclusive"."""
+    returned.  When the grid has more than ISO_GRID_CAP points, counted
+    before any scan, a deterministic randomized fallback runs instead and
+    absence is reported as "inconclusive"."""
     V1, V2 = rho1.space, rho2.space
     if (V1.even_dim, V1.odd_dim) != (V2.even_dim, V2.odd_dim):
         return IsoSearchResult("none")
@@ -292,7 +319,8 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
         phi = GradedLinearMap(V1, V2, EVEN, tuple(tuple(r) for r in grid))
         return IsoSearchResult("found", phi, phi.inverse())
 
-    if k <= _GRID_DIMENSION_LIMIT:
+    # (n + 1)^k points, without forming a huge power: n >= 1, so 2^k <= (n + 1)^k
+    if k < ISO_GRID_CAP.bit_length() and (n + 1) ** k <= ISO_GRID_CAP:
         for ts in itertools.product(range(n + 1), repeat=k):
             hit = attempt(ts)
             if hit is not None:

@@ -9,6 +9,7 @@ representations.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,26 +75,27 @@ def is_pan_supersymmetric(r: RMatrix) -> bool:
     return twist(r.tensor) == r.tensor.scale(-sign(r.parity))
 
 
-def scybe_defect(r: RMatrix) -> Tensor3:
-    """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23] as a 3-tensor.
-
-    The three term families carry the displayed Koszul signs: the factor
-    (-1)^{|y_i||x_j|} on the first and third, none on the second.
+def _scybe_ints(r: RMatrix) -> "tuple[dict[int, int], int]":
+    """The integer super-CYBE kernel: (acc, scale) with acc[(i n + j) n + k]
+    equal to scale times the (i, j, k) slot of [[r, r]], for the slots
+    some term reaches.
 
     Every term is a product of two entries of r and one structure
     constant, so the kernel runs on ints: with r's entries scaled by D, the
     lcm of their denominators, and the structure constants by E (see
     LieSuperAlgebra._scaled_nonzero), the integer sums are exactly
-    D^2 E [[r, r]], and each nonzero slot is divided back once.
+    D^2 E [[r, r]] and scale is D^2 E.  The sums go into a dict keyed by
+    the row-major slot index, so the kernel allocates no n^3 grid.
     """
     g = r.algebra
     n = g.space.dim
+    nn = n * n
     P = g.space.parities
     E, C = g._scaled_nonzero
     entries = list(r.tensor.nonzero())
     D = lcm(*(a.denominator for _, a in entries))
     entries = [(i, j, a.numerator * (D // a.denominator)) for (i, j), a in entries]
-    grid = [[[0] * n for _ in range(n)] for _ in range(n)]
+    acc = defaultdict(int)
     for i, j, a in entries:
         Ci, Cj, odd_j = C[i], C[j], P[j]
         for k, l, b in entries:
@@ -102,24 +104,43 @@ def scybe_defect(r: RMatrix) -> Tensor3:
                 continue
             coeff = a * b
             signed = -coeff if odd_j and P[k] else coeff
+            # the slots (m, j, l), (i, m, l) and (i, k, m)
+            jl, il, ik = j * n + l, i * nn + l, i * nn + k * n
             for m, c in c1:
-                grid[m][j][l] += signed * c
+                acc[m * nn + jl] += signed * c
             for m, c in c2:
-                grid[i][m][l] += coeff * c
+                acc[il + m * n] += coeff * c
             for m, c in c3:
-                grid[i][k][m] += signed * c
-    scale = D * D * E
-    slots = (
-        ((i, j, k), v)
-        for i, plane in enumerate(grid)
-        for j, row in enumerate(plane)
-        for k, v in enumerate(row)
+                acc[ik + m] += signed * c
+    return acc, D * D * E
+
+
+def scybe_defect(r: RMatrix) -> Tensor3:
+    """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23] as a 3-tensor.
+
+    The three term families carry the displayed Koszul signs: the factor
+    (-1)^{|y_i||x_j|} on the first and third, none on the second.
+
+    The sums run on ints in `_scybe_ints`; each nonzero slot is divided
+    back into a `Fraction` once, in row-major order.
+    """
+    n = r.space.dim
+    acc, scale = _scybe_ints(r)
+    return Tensor3(
+        r.space,
+        tuple(
+            ((s // (n * n), s // n % n, s % n), Fraction(v, scale))
+            for s, v in sorted(acc.items())
+            if v
+        ),
     )
-    return Tensor3(g.space, tuple((ijk, Fraction(v, scale)) for ijk, v in slots if v))
 
 
 def is_super_rmatrix(r: RMatrix) -> bool:
-    return scybe_defect(r).is_zero()
+    """Whether r solves the super CYBE: every integer sum of the
+    `_scybe_ints` kernel is zero.  No `Fraction` and no defect tensor is
+    built."""
+    return not any(_scybe_ints(r)[0].values())
 
 
 # ---------------------------------------------------------------------------

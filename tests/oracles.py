@@ -4,13 +4,16 @@ These recompute the two central identities from scratch: the CYBE defect
 by a dense triple loop that derives every sign from the parity table,
 and the O-operator defect with Koszul signs computed from the parities
 of the objects actually interchanged, not from the library's exponent
-formulas.  They intentionally share no code with the package internals.
+formulas.  The linear algebra oracles eliminate over Fraction, as the
+library did before its integer kernel, and take determinants by minors.
+They intentionally share no code with the package internals.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def koszul(p, q):
@@ -77,3 +80,106 @@ def first_principles_oop_ok(t, rho):
             if any(x != y for x, y in zip(lhs, rhs)):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over Fraction
+
+
+def dense_rref(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+
+    Input is a list of lists; the input is not modified.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def dense_rank(rows):
+    return len(dense_rref(rows)[1])
+
+
+def dense_nullspace(rows, ncols=None):
+    """Basis of the right nullspace, free variables set to 1 one at a time
+    in column order, read off dense_rref."""
+    if not rows:
+        n = ncols if ncols is not None else 0
+        return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
+    n = len(rows[0])
+    red, pivots = dense_rref(rows)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [ZERO] * n
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_invert(rows):
+    """The inverse read off dense_rref of [A | I], or None if singular."""
+    n = len(rows)
+    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = dense_rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red[:n]]
+
+
+def dense_solve(rows, rhs):
+    """One solution of A x = b read off dense_rref of [A | b], free
+    variables zero, or None if inconsistent."""
+    n = len(rows[0]) if rows else 0
+    red, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [ZERO] * n
+    for r, c in enumerate(pivots):
+        x[c] = red[r][n]
+    return tuple(x)
+
+
+def dense_det(rows):
+    """Laplace expansion along the rows, over the remaining columns; the
+    minors are memoised by their column sets."""
+    n = len(rows)
+    memo = {}
+
+    def minor(i, cols):
+        # the determinant of rows i.. on the columns in cols (in order)
+        if i == n:
+            return ONE
+        if cols not in memo:
+            total = ZERO
+            for t, c in enumerate(cols):
+                if rows[i][c] != 0:
+                    rest = cols[:t] + cols[t + 1 :]
+                    total += (-1) ** t * rows[i][c] * minor(i + 1, rest)
+            memo[cols] = total
+        return memo[cols]
+
+    return Fraction(minor(0, tuple(range(n))))

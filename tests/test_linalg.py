@@ -1,0 +1,149 @@
+"""The integer elimination kernel of `superybe.linalg` against the
+Fraction elimination and the determinant by minors of `tests/oracles.py`.
+
+Matrices run from 0x0 to 9x9, wide and tall, with entries that mix ints
+and Fractions, zero rows and rows that are combinations of other rows.
+Every result must equal the oracle's and be made of Fractions.
+"""
+
+from fractions import Fraction
+from math import lcm, prod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superybe import GradedLinearMap, SuperSpace, linalg
+
+import oracles
+from conftest import _count_calls
+
+VALUES = (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2, 0, Fraction(1, 3), Fraction(-3, 4))
+# each value as drawn, or as a Fraction: an int 1 and Fraction(1) both occur
+ENTRIES = st.tuples(st.sampled_from(VALUES), st.booleans()).map(
+    lambda vb: Fraction(vb[0]) if vb[1] else vb[0]
+)
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    """A matrix with some rows replaced by zero rows or by combinations of
+    two other rows, so that rank deficiency is common."""
+    nrows = draw(st.integers(0, 9)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 9)) if ncols is None else ncols
+    rows = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j, k = draw(st.permutations(range(nrows)))[:3]
+            if draw(st.booleans()):
+                rows[i] = [0] * ncols
+            else:
+                a, b = draw(ENTRIES), draw(ENTRIES)
+                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 9))
+    return draw(matrices(n, n))
+
+
+def all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+def copy(rows):
+    return [list(r) for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=matrices())
+def test_rref_and_rank_match_the_fraction_elimination(rows):
+    before = copy(rows)
+    red, pivots = linalg.rref(rows)
+    assert (red, pivots) == oracles.dense_rref(rows)
+    assert all(all_fractions(row) for row in red)
+    assert linalg.rank(rows) == oracles.dense_rank(rows) == len(pivots)
+    assert rows == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=matrices(), ncols=st.integers(0, 9))
+def test_nullspace_matches_the_fraction_elimination(rows, ncols):
+    # ncols is read only when there are no rows
+    basis = linalg.nullspace(rows, ncols=ncols)
+    assert basis == oracles.dense_nullspace(rows, ncols=ncols)
+    assert all(type(v) is tuple and all_fractions(v) for v in basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solve_matches_the_fraction_elimination(data):
+    rows = data.draw(matrices())
+    rhs = [data.draw(ENTRIES) for _ in rows]
+    x = linalg.solve(rows, rhs)
+    assert x == oracles.dense_solve(rows, rhs)
+    if x is not None:
+        assert all_fractions(x)
+        assert all(sum(a * b for a, b in zip(row, x)) == c for row, c in zip(rows, rhs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=square_matrices())
+def test_invert_and_det_match_the_oracles(rows):
+    before = copy(rows)
+    inv = linalg.invert(rows)
+    assert inv == oracles.dense_invert(rows)
+    d = linalg.det(rows)
+    assert d == oracles.dense_det(rows) and type(d) is Fraction
+    assert (inv is None) == (d == 0)
+    if inv is not None:
+        assert all(all_fractions(row) for row in inv)
+    assert rows == before
+
+
+def test_the_kernel_leaves_integer_input_as_fractions():
+    # ints with a zero row, then the 0x0 and 2x0 shapes
+    red, pivots = linalg.rref([[1, 0], [0, 0]])
+    assert red == [[1, 0], [0, 0]] and pivots == [0]
+    assert all_fractions(red[0] + red[1])
+    assert linalg.rref([]) == ([], []) and linalg.rank([[], []]) == 0
+    assert linalg.invert([]) == [] and linalg.solve([], []) == ()
+    assert linalg.nullspace([], ncols=2) == [(1, 0), (0, 1)]
+
+
+def test_rank_runs_no_rref(monkeypatch):
+    """`rank` and `is_invertible` read the pivots of the kernel alone."""
+    calls = _count_calls(monkeypatch, "superybe.linalg", "rref")
+    space = SuperSpace.make(even=["a", "b"], odd=["x"])
+    t = GradedLinearMap.from_images(
+        space, space, 0, {"a": {"b": Fraction(1, 2)}, "b": {"a": 3}, "x": {"x": -1}}
+    )
+    assert linalg.rank([[1, 2], [2, 4]]) == 1
+    assert t.is_invertible()
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_hilbert_matrices_invert_exactly(n):
+    # entries 1/(i + j + 1): every row has its own denominators
+    h = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    inv = linalg.invert(h)
+    assert inv == oracles.dense_invert(h)
+    assert all(x.denominator == 1 for row in inv for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=matrices())
+def test_the_kernel_keeps_its_ints_within_the_hadamard_bound(rows):
+    """Bareiss's exact division keeps every integer of the kernel a minor of
+    the row-scaled matrix, so none exceeds Hadamard's bound on the minors:
+    the product over the rows of max(1, squared row norm)."""
+    scaled = []
+    for row in rows:
+        d = lcm(*(Fraction(x).denominator for x in row))
+        scaled.append([int(x * d) for x in row])
+    bound = prod(max(1, sum(x * x for x in row)) for row in scaled)
+    m, _ = linalg._eliminate(rows)
+    assert all(x * x <= bound for row in m for x in row)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -28,10 +29,17 @@ from superybe import (
     trivial_rep,
 )
 from superybe.graded import format_vector
-from superybe.reps import _lie_adjoint
+from superybe.reps import (
+    _RANDOM_FALLBACK_TRIES,
+    ISO_GRID_CAP,
+    _intertwiner_system,
+    _lie_adjoint,
+    intertwiner_space,
+)
 from superybe.rmatrix import _dual_semidirect, _plain_semidirect
 
-from conftest import equivalence_cases
+import oracles
+from conftest import _count_calls, equivalence_cases
 
 
 class TestCheckRepresentation:
@@ -326,7 +334,7 @@ class TestIsomorphismSearch:
 
     def test_large_intertwiner_space_without_isomorphism_is_inconclusive(self):
         # 42 intertwiner dimensions but a forced zero row: no invertible
-        # element exists, and with k > 6 the search must say so honestly
+        # element exists, and off the grid the search must say so honestly
         space = SuperSpace.make(even=["z"])
         g = LieSuperAlgebra.from_brackets(space, {})
         v = SuperSpace.make(even=[f"u{i}" for i in range(7)])
@@ -334,6 +342,37 @@ class TestIsomorphismSearch:
         action = GradedLinearMap.from_images(v, v, EVEN, {"u6": {"u6": 1}})
         rho2 = Representation(g, v, (action,))
         assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
+
+    def test_over_cap_grid_takes_the_randomized_path(self, monkeypatch):
+        # six intertwiner dimensions over a dim-6 space, 7^6 grid points: the
+        # intertwiners map into the kernel of a nilpotent Jordan block, so
+        # none is invertible, and the full grid would take 117,649 dets
+        space = SuperSpace.make(even=["z"])
+        g = LieSuperAlgebra.from_brackets(space, {})
+        v = SuperSpace.make(even=[f"u{i}" for i in range(6)])
+        shift = GradedLinearMap.from_images(
+            v, v, EVEN, {f"u{i}": {f"u{i - 1}": 1} for i in range(1, 6)}
+        )
+        rho1, rho2 = trivial_rep(g, v), Representation(g, v, (shift,))
+        assert len(intertwiner_space(rho1, rho2)) == 6 and 7**6 > ISO_GRID_CAP
+        dets = _count_calls(monkeypatch, "superybe.linalg", "det")
+        assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
+        assert 0 < len(dets) <= _RANDOM_FALLBACK_TRIES
+
+    def test_catalog_grids_stay_under_the_cap(self, monkeypatch):
+        # the doubles scan grids of up to 9^4 points; a "none" proof must
+        # stay a proof
+        for _, _, rho in equivalence_cases():
+            double = self_reversing_double(rho)
+            n, k = double.space.dim, len(intertwiner_space(double, parity_reverse_rep(double)))
+            assert (n + 1) ** k <= ISO_GRID_CAP or k > 6
+        # the [e, f] = f algebra is not self-dual: a proof over the whole
+        # grid {0, 1, 2}^1
+        ad = adjoint(load_fixture("ex3.2").parts["algebra"])
+        assert len(intertwiner_space(ad, dual_rep(ad))) == 1
+        dets = _count_calls(monkeypatch, "superybe.linalg", "det")
+        assert find_even_isomorphism(ad, dual_rep(ad)).status == "none"
+        assert len(dets) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +485,67 @@ class TestHashing:
         _plain_semidirect(rho)
         _dual_semidirect(rho)
         assert hashed == []
+
+
+# ---------------------------------------------------------------------------
+# the intertwiner equations against their dense construction
+
+
+def dense_intertwiner_system(rho1, rho2):
+    """The unknowns and nonzero equation rows of phi rho1(x) = rho2(x) phi,
+    built from the dense action matrices over every (i, l)."""
+    V1, V2 = rho1.space, rho2.space
+    positions = [
+        (k, i)
+        for k in range(V2.dim)
+        for i in range(V1.dim)
+        if V2.parities[k] == V1.parities[i]
+    ]
+    pos_index = {p: t for t, p in enumerate(positions)}
+    rows = []
+    for a in range(rho1.algebra.space.dim):
+        m1 = rho1.action[a].matrix
+        m2 = rho2.action[a].matrix
+        for k in range(V2.dim):
+            for j in range(V1.dim):
+                row = [Fraction(0)] * len(positions)
+                for i in range(V1.dim):
+                    if m1[i][j] != 0 and (k, i) in pos_index:
+                        row[pos_index[(k, i)]] += m1[i][j]
+                for l in range(V2.dim):
+                    if m2[k][l] != 0 and (l, j) in pos_index:
+                        row[pos_index[(l, j)]] -= m2[k][l]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    return positions, rows
+
+
+def _intertwiner_pairs():
+    """Each catalog start against itself, its reverse and its dual, and the
+    self-reversing double of each criterion-4 representation against its
+    reverse."""
+    pairs = {}
+    for name, rho in _catalog_starts().items():
+        pairs[name + " / itself"] = (rho, rho)
+        pairs[name + " / reverse"] = (rho, parity_reverse_rep(rho))
+        pairs[name + " / dual"] = (rho, dual_rep(rho))
+    for name, _, rho in equivalence_cases():
+        double = self_reversing_double(rho)
+        pairs[name + " double / reverse"] = (double, parity_reverse_rep(double))
+    return pairs
+
+
+def test_intertwiner_system_matches_the_dense_construction():
+    pairs = _intertwiner_pairs()
+    assert sum(name.endswith("double / reverse") for name in pairs) == 5
+    for name, (rho1, rho2) in pairs.items():
+        positions, rows = dense_intertwiner_system(rho1, rho2)
+        assert _intertwiner_system(rho1, rho2) == (positions, rows), name
+        basis = intertwiner_space(rho1, rho2)
+        dense = oracles.dense_nullspace(rows, ncols=len(positions))
+        assert len(basis) == len(dense), name
+        for phi, v in zip(basis, dense):
+            grid = [[Fraction(0)] * rho1.space.dim for _ in range(rho2.space.dim)]
+            for (k, i), x in zip(positions, v):
+                grid[k][i] = x
+            assert phi.matrix == tuple(map(tuple, grid)), name

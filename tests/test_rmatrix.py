@@ -44,6 +44,7 @@ from superybe import (
 from superybe.graded import sign
 
 from conftest import (
+    _count_calls,
     equivalence_cases,
     random_homogeneous_map,
     random_pan_supersymmetric,
@@ -224,8 +225,38 @@ class TestIntegerKernel:
         defect = scybe_defect(r)
         assert all(type(c) is Fraction for plane in defect.coeffs for row in plane for c in row)
         naive = naive_scybe_defect(r.algebra, r.tensor)
-        assert dict(defect.nonzero()) == naive
+        # the same slots and values, in row-major order
+        assert list(defect.nonzero()) == sorted(naive.items())
         assert is_super_rmatrix(r) == (not naive)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g=st.sampled_from([g for g in DEFECT_ALGEBRAS if g._scaled_nonzero[0] != 1]),
+        parity=st.integers(0, 1),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_the_verdict_on_fractional_constants(self, g, parity, rnd):
+        """On the rescaled algebras (E != 1) with non-integral entries, the
+        verdict, which never leaves the ints, agrees with the oracle."""
+        values = (Fraction(1, 2), Fraction(-3, 7), Fraction(2, 3), 1, 0)
+        r = random_pan_supersymmetric(rnd, g, parity, values=values)
+        naive = naive_scybe_defect(g, r.tensor)
+        assert is_super_rmatrix(r) == (not naive)
+        assert list(scybe_defect(r).nonzero()) == sorted(naive.items())
+
+    def test_the_verdict_builds_no_defect_tensor(self, monkeypatch):
+        """is_super_rmatrix answers on the integer sums: it neither calls
+        scybe_defect nor builds a defect tensor."""
+        from superybe import rmatrix
+
+        calls = _count_calls(monkeypatch, "superybe.rmatrix", "scybe_defect")
+        built = []
+        monkeypatch.setattr(rmatrix, "Tensor3", lambda *args: built.append(args))
+        half_e = DEFECT_ALGEBRAS[-1]
+        r = random_pan_supersymmetric(random.Random(2), half_e, 0, values=(Fraction(1, 2), 1))
+        for known in (*KNOWN_SOLUTIONS, r):
+            is_super_rmatrix(known)
+        assert calls == [] and built == []
 
     def test_rescaled_algebra_carries_fractional_constants(self):
         g = load_fixture("ex3.2").parts["algebra"]
