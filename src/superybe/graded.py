@@ -214,10 +214,10 @@ class GradedLinearMap:
     """A homogeneous linear map between superspaces.
 
     Stored as `nonzero`: nonzero[i] holds the pairs (k, m_ki) with m_ki != 0
-    in ascending k, the image of the i-th domain basis vector; the dense
-    `matrix` (codomain x domain) is a derived view.  Homogeneity means m_ki
-    vanishes unless |cod_k| = |dom_i| + parity.  The public constructor
-    scans a dense matrix once; derived maps come from `_from_entries`.
+    in ascending k, the image of the i-th domain basis vector.  Homogeneity
+    means m_ki vanishes unless |cod_k| = |dom_i| + parity.  The public
+    constructor scans a dense matrix once and keeps no copy; derived maps
+    come from `_from_entries`.  The dense `matrix` view is built on read.
     """
 
     domain: SuperSpace
@@ -232,7 +232,6 @@ class GradedLinearMap:
             raise ValueError("matrix column count does not match domain dimension")
         entries = (((k, i), x) for k, row in enumerate(matrix) for i, x in enumerate(row))
         self._store(domain, codomain, parity, entries)
-        self.__dict__["matrix"] = matrix
 
     def __post_init__(self):
         if self.parity not in (EVEN, ODD):
@@ -300,8 +299,14 @@ class GradedLinearMap:
     @cached_property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
         """The dense matrix, (codomain basis x domain basis); a derived view."""
-        cols = [self.column(i) for i in range(self.domain.dim)]
-        return tuple(tuple(col[k] for col in cols) for k in range(self.codomain.dim))
+        return tuple(map(tuple, self._rows()))
+
+    def _rows(self) -> "list[list[Scalar]]":
+        """Fresh dense rows (codomain basis x domain basis) for `linalg`."""
+        rows = [[ZERO] * self.domain.dim for _ in range(self.codomain.dim)]
+        for (k, i), x in self._entries():
+            rows[k][i] = x
+        return rows
 
     def _entries(self):
         """The ((k, i), m_ki) with m_ki != 0, column by column."""
@@ -369,17 +374,15 @@ class GradedLinearMap:
     def inverse(self) -> "GradedLinearMap":
         if self.domain.dim != self.codomain.dim:
             raise ValueError("only square maps can be inverted")
-        inv = linalg.invert([list(row) for row in self.matrix])
+        inv = linalg.invert(self._rows())
         if inv is None:
             raise ValueError("map is not invertible")
-        return GradedLinearMap(
-            self.codomain, self.domain, self.parity, tuple(tuple(row) for row in inv)
-        )
+        entries = (((k, i), x) for k, row in enumerate(inv) for i, x in enumerate(row))
+        return GradedLinearMap._from_entries(self.codomain, self.domain, self.parity, entries)
 
     def is_invertible(self) -> bool:
-        return self.domain.dim == self.codomain.dim and linalg.rank(
-            [list(row) for row in self.matrix]
-        ) == self.domain.dim
+        n = self.domain.dim
+        return n == self.codomain.dim and linalg.rank(self._rows()) == n
 
 
 def suspend_map(t: GradedLinearMap) -> GradedLinearMap:
@@ -428,9 +431,9 @@ def _infer_parity(left: SuperSpace, right: SuperSpace, entries) -> "Parity | Non
 @dataclass(frozen=True, init=False)
 class Tensor2:
     """An element sum a_ij e_i (x) e_j, stored as its nonzero slots
-    ((i, j), a_ij) in row-major order; the dense `coeffs` array is a
-    derived view.  The public constructor scans a dense array once;
-    derived tensors come from `_from_entries`.
+    ((i, j), a_ij) in row-major order.  The public constructor scans a
+    dense array once and keeps no copy; derived tensors come from
+    `_from_entries`.  The dense `coeffs` view is built on first read.
 
     parity None means inhomogeneous (or an undeclared zero tensor).
     """
@@ -447,7 +450,6 @@ class Tensor2:
             ((i, j), x) for i, row in enumerate(coeffs) for j, x in enumerate(row) if x != 0
         )
         self._store(left, right, entries, parity)
-        self.__dict__["coeffs"] = coeffs
 
     def _store(self, left, right, entries, parity):
         """Set the fields from the nonzero entries in row-major order; then

@@ -63,12 +63,16 @@ class CheckReport:
 
 
 def _sparse_table(n: int, entries) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
-    """table[i][j]: the ascending (k, c), c != 0, of entries ((i, j, k), c), one per position."""
-    cells = [[[] for _ in range(n)] for _ in range(n)]
+    """table[i][j]: the ascending (k, c), c != 0, of entries ((i, j, k), c), one per position;
+    only the nonempty cells are built and sorted, and the empty ones share ()."""
+    cells: dict = {}
     for (i, j, k), c in entries:
         if c != 0:
-            cells[i][j].append((k, c))
-    return tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
+            cells.setdefault((i, j), []).append((k, c))
+    rows = [[()] * n for _ in range(n)]
+    for (i, j), cell in cells.items():
+        rows[i][j] = tuple(sorted(cell))
+    return tuple(map(tuple, rows))
 
 
 def _dense_entries(n: int, table, message: str):
@@ -105,9 +109,9 @@ class LieSuperAlgebra:
     """Structure constants c_ij^k with [e_i, e_j] = sum_k c_ij^k e_k.
 
     Stored as `nonzero`, which every kernel reads: nonzero[i][j] holds the
-    pairs (k, c_ij^k) with c_ij^k != 0 in ascending k; the dense
-    `structure` array is a derived view.  The public constructor scans a
-    dense array once; constructions build algebras by `_from_entries`.
+    pairs (k, c_ij^k) with c_ij^k != 0 in ascending k.  The public
+    constructor scans a dense array once and keeps no copy; constructions
+    use `_from_entries`.  The dense `structure` view is built on read.
     """
 
     space: SuperSpace
@@ -116,7 +120,6 @@ class LieSuperAlgebra:
     def __init__(self, space: SuperSpace, structure):
         entries = _dense_entries(space.dim, structure, "structure constant shape mismatch")
         self._store(space, entries)
-        self.__dict__["structure"] = structure
 
     def _store(self, space, entries):
         object.__setattr__(self, "space", space)
@@ -317,11 +320,12 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
     P = space.parities
     B = beta.gram
 
+    # the sign (-1)^{|e_i||e_j|} is -1 exactly when both are odd: negate there
     supersym = all(
-        B[i][j] == sign(P[i] * P[j]) * B[j][i] for i in range(n) for j in range(n)
+        B[i][j] == (-B[j][i] if P[i] & P[j] else B[j][i]) for i in range(n) for j in range(n)
     )
     skew = all(
-        B[i][j] == -sign(P[i] * P[j]) * B[j][i] for i in range(n) for j in range(n)
+        B[i][j] == (B[j][i] if P[i] & P[j] else -B[j][i]) for i in range(n) for j in range(n)
     )
 
     C = g.nonzero

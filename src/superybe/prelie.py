@@ -16,6 +16,7 @@ from . import linalg
 from .graded import (
     EVEN,
     ODD,
+    ONE,
     ZERO,
     GradedLinearMap,
     Parity,
@@ -27,7 +28,6 @@ from .graded import (
     rat,
     sign,
     suspend_map,
-    vec_is_zero,
 )
 from .liesuper import (
     CheckReport,
@@ -51,9 +51,9 @@ class PreLieSuperAlgebra:
     induces, which is not itself pre-Lie.
 
     Stored as `nonzero`: nonzero[i][j] holds the pairs (k, p_ij^k) with
-    p_ij^k != 0 in ascending k; the dense `product` array is a derived
-    view.  The public constructor scans a dense array once; constructions
-    build products by `_from_entries`.
+    p_ij^k != 0 in ascending k.  The public constructor scans a dense
+    array once and keeps no copy; constructions use `_from_entries`.
+    The dense `product` view is built on first read.
     """
 
     space: SuperSpace
@@ -63,7 +63,6 @@ class PreLieSuperAlgebra:
     def __init__(self, space: SuperSpace, product, parity_shift: Parity = EVEN):
         entries = _dense_entries(space.dim, product, "product table shape mismatch")
         self._store(space, entries, parity_shift)
-        self.__dict__["product"] = product
 
     def _store(self, space, entries, parity_shift):
         object.__setattr__(self, "space", space)
@@ -225,47 +224,39 @@ def prelie_from_oop(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgeb
 def induced_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlgebra:
     """T(v) * T(w) = T(v . w) on a computed basis of image(T).
 
-    Well-definedness is re-verified on a homogeneous kernel basis rather
-    than assumed; image basis columns are picked by deterministic column
-    reduction and labeled T(<domain label>).
+    T is eliminated once: with R its reduced rows and c_r their pivots,
+    T w = sum_r (R w)_r T(v_{c_r}), so the T(v_{c_r}), labeled
+    T(<domain label>), are an image basis and R w gives coordinates in it.
+    Well-definedness is re-verified on the kernel basis R gives.
     """
     dot = product_from_oop(t, rho)
     V = rho.space
-    g_space = rho.algebra.space
-    rows = [list(r) for r in t.matrix]
-    pivots = linalg.rref(rows)[1]
-    kernel = linalg.nullspace(rows, ncols=V.dim)
+    reduced, pivots = linalg.rref(t._rows())
+    reduced = reduced[: len(pivots)]
 
-    for kv in kernel:
+    def coords(pairs):
+        """R w for w = sum x v_k over the (k, x) pairs."""
+        return [sum((row[k] * x for k, x in pairs), ZERO) for row in reduced]
+
+    for f in range(V.dim):
+        if f in pivots:
+            continue
+        kv = dense_vector(V.dim, [(f, ONE)] + [(c, -row[f]) for row, c in zip(reduced, pivots)])
         for j in range(V.dim):
             ej = V.basis_vector(j)
-            if not vec_is_zero(t.apply(dot.multiply(kv, ej))):
+            if any(coords(enumerate(dot.multiply(kv, ej)))):
                 raise ValueError("induced product is not well-defined (left argument)")
-            if not vec_is_zero(t.apply(dot.multiply(ej, kv))):
+            if any(coords(enumerate(dot.multiply(ej, kv)))):
                 raise ValueError("induced product is not well-defined (right argument)")
 
-    labels = tuple(f"T({V.labels[i]})" for i in pivots)
-    parities = tuple((V.parities[i] + t.parity) % 2 for i in pivots)
-    image_space, order, _ = _block_sorted(labels, parities)
-    basis_cols = [t.column(pivots[p]) for p in order]
-
-    def coords(vec):
-        sol = linalg.solve(
-            [[basis_cols[b][r] for b in range(len(basis_cols))] for r in range(g_space.dim)],
-            list(vec),
-        )
-        if sol is None:
-            raise ValueError("vector not in the image of T")
-        return sol
-
-    n = image_space.dim
+    labels = tuple(f"T({V.labels[c]})" for c in pivots)
+    parities = tuple((V.parities[c] + t.parity) % 2 for c in pivots)
+    image_space, order, position = _block_sorted(labels, parities)
     entries = []
-    for p in range(n):
-        vp = V.basis_vector(pivots[order[p]])
-        for q in range(n):
-            vq = V.basis_vector(pivots[order[q]])
-            prod = t.apply(dot.multiply(vp, vq))
-            entries += (((p, q, k), x) for k, x in enumerate(coords(prod)))
+    for p, a in enumerate(order):
+        for q, b in enumerate(order):
+            w = dot.nonzero[pivots[a]][pivots[b]]
+            entries += (((p, q, position[r]), x) for r, x in enumerate(coords(w)))
     return PreLieSuperAlgebra._from_entries(image_space, entries, EVEN)
 
 
@@ -277,9 +268,7 @@ def compatible_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlg
     _check_candidate(t, rho)
     if not oop_holds(t, rho):
         raise ValueError("the map does not satisfy the O-operator identity")
-    if not t.is_invertible():
-        raise ValueError("the compatible product needs an invertible operator")
-    tinv = t.inverse()
+    tinv = t.inverse()  # refuses a singular T
     space = rho.algebra.space
     entries = []
     for i, (p, act) in enumerate(zip(space.parities, rho.action)):

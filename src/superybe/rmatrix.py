@@ -151,7 +151,7 @@ def rmatrix_to_operator(r: RMatrix) -> GradedLinearMap:
     """T_r: g* -> g with T_r(e_i*) = (-1)^{|e_i*|} sum_j a_ji e_j."""
     space = r.space
     P = space.parities
-    entries = (((j, i), sign(P[i]) * a) for (j, i), a in r.tensor.nonzero())
+    entries = (((j, i), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
     return GradedLinearMap._from_entries(space.dual(), space, r.parity, entries)
 
 

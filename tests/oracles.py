@@ -183,3 +183,54 @@ def dense_det(rows):
         return memo[cols]
 
     return Fraction(minor(0, tuple(range(n))))
+
+
+# ---------------------------------------------------------------------------
+# the product an O-operator induces on its image
+
+
+def dense_induced_prelie(t, rho):
+    """(labels, parities, product) of T(v) * T(w) = T(v . w) on image(T).
+
+    The product v . w = (-1)^{|T|(|v|+|T|)} rho(T v) w is summed densely
+    from the matrices of T and of the action.  Well-definedness is checked
+    on the dense_nullspace basis of T.  The image basis is the pivot
+    columns of dense_rref(T), stably sorted into blocks, and every product
+    T(v . w) is located in it by dense_solve.
+    """
+    V = rho.space
+    P, pt, n = V.parities, t.parity, V.dim
+    T = [list(row) for row in t.matrix]
+    A = [m.matrix for m in rho.action]
+    dot = [
+        [
+            [
+                koszul(pt, P[i] + pt) * sum((T[a][i] * A[a][k][j] for a in range(len(A))), ZERO)
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+    def mul(x, y):
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        return [sum((x[i] * y[j] * dot[i][j][k] for i, j in pairs), ZERO) for k in range(n)]
+
+    def apply(v):
+        return [sum((a * b for a, b in zip(row, v)), ZERO) for row in T]
+
+    basis = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
+    for kv in dense_nullspace(T, ncols=n):
+        for e in basis:
+            if any(apply(mul(kv, e))):
+                raise ValueError("induced product is not well-defined (left argument)")
+            if any(apply(mul(e, kv))):
+                raise ValueError("induced product is not well-defined (right argument)")
+    order = sorted(dense_rref(T)[1], key=lambda c: (P[c] + pt) % 2)
+    columns = [[row[c] for c in order] for row in T]
+    product = tuple(
+        tuple(dense_solve(columns, apply(mul(basis[a], basis[b]))) for b in order) for a in order
+    )
+    labels = tuple(f"T({V.labels[c]})" for c in order)
+    return labels, tuple((P[c] + pt) % 2 for c in order), product

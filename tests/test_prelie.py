@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superybe import (
     EVEN,
@@ -27,6 +31,8 @@ from superybe import (
     suspended_prelie,
 )
 from superybe.prelie import shifted_left_symmetry_holds
+
+import oracles
 
 
 class TestCheckPrelie:
@@ -280,6 +286,58 @@ class TestInducedAndCompatible:
                     star.space.index(relabel[b])
                 ]
                 assert got == want
+
+
+NONINTEGRAL = (Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3), Fraction(-5), Fraction(7, 3))
+EX37 = load_fixture("ex3.7").parts
+
+
+def _rank_one(x):
+    """(l1, l2, l3, l4) = (x1 y1, x1 y2, x2 y1, x2 y2), so l1 l4 = l2 l3."""
+    x1, x2, y1, y2 = x
+    return x1 * y1, x1 * y2, x2 * y1, x2 * y2
+
+
+_nonzero = st.sampled_from(NONINTEGRAL)
+_rank_one_params = st.tuples(*[st.sampled_from(NONINTEGRAL + (Fraction(0),))] * 4).map(_rank_one)
+EX37_OPERATORS = st.one_of(
+    st.builds(EX37["T1"], _nonzero, _nonzero),
+    st.builds(EX37["T2"], _nonzero),
+    _rank_one_params.map(lambda l: EX37["T3"](*l)),
+    st.builds(EX37["T1_tilde"], _nonzero, _nonzero),
+    st.builds(EX37["T2_tilde"], _nonzero),
+    _rank_one_params.map(lambda l: EX37["T3_tilde"](*l)),
+)
+
+
+def _catalog_induced_inputs():
+    ex32, ex320 = load_fixture("ex3.2").parts, load_fixture("ex3.20").parts
+    return {
+        "ex3.7 T3(0, 0, 0, 1)": (EX37["T3"](0, 0, 0, 1), EX37["rho"]),
+        "ex3.20 T": (ex320["T"], ex320["rho"]),
+        "ex3.2 T0": (ex32["T0"], ex32["coadjoint"]),
+        "ex3.2 T1": (ex32["T1"], ex32["coadjoint"]),
+    }
+
+
+CATALOG_INDUCED = _catalog_induced_inputs()
+
+
+def assert_induced_matches_the_oracle(t, rho):
+    induced = induced_prelie(t, rho)
+    got = (induced.space.labels, induced.space.parities, induced.product)
+    assert got == oracles.dense_induced_prelie(t, rho)
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=EX37_OPERATORS)
+def test_induced_product_matches_the_solve_oracle_on_the_ex37_families(t):
+    assert_induced_matches_the_oracle(t, EX37["rho"])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_INDUCED))
+def test_induced_product_matches_the_solve_oracle_on_catalog_operators(name):
+    assert_induced_matches_the_oracle(*CATALOG_INDUCED[name])
 
 
 class TestPrelieRMatrixPair:

@@ -23,6 +23,7 @@ from superybe import (
     SuperSpace,
     Tensor2,
     adjoint,
+    beta_cocycle_check,
     check_lie_axioms,
     check_representation,
     compatible_prelie,
@@ -31,11 +32,13 @@ from superybe import (
     dual_map,
     dual_rep,
     extend_to_double,
+    find_even_isomorphism,
     fixture_names,
     grid_search_oops,
     hierarchy_trace,
     hierarchy_walk,
     induced_coadjoint_operator,
+    induced_prelie,
     is_pan_supersymmetric,
     left_regular_rep,
     load_fixture,
@@ -50,6 +53,8 @@ from superybe import (
     twist,
 )
 from superybe.graded import merge_spaces, sign
+from superybe.liesuper import _sparse_table
+from superybe.reps import IsoSearchResult
 from superybe.rmatrix import _pan_supersymmetric_tensor
 
 import oracles
@@ -490,19 +495,19 @@ def ref_hom_witness(rho, action):
     return ""
 
 
-def random_map(rnd, domain, codomain, parity):
-    return GradedLinearMap(
-        domain,
-        codomain,
-        parity,
-        grid(
-            codomain.dim,
-            domain.dim,
-            lambda k, i: rnd.choice(ENTRY_VALUES)
-            if codomain.parities[k] == domain.parities[i] ^ parity
-            else 0,
-        ),
+def random_matrix(rnd, domain, codomain, parity):
+    """A dense homogeneous matrix, explicit zeros included."""
+    return grid(
+        codomain.dim,
+        domain.dim,
+        lambda k, i: rnd.choice(ENTRY_VALUES)
+        if codomain.parities[k] == domain.parities[i] ^ parity
+        else 0,
     )
+
+
+def random_map(rnd, domain, codomain, parity):
+    return GradedLinearMap(domain, codomain, parity, random_matrix(rnd, domain, codomain, parity))
 
 
 def operators():
@@ -651,8 +656,8 @@ def test_left_regular_rep_matches_its_dense_formula(name):
 # the stored form
 #
 # Maps, algebras and pre-Lie products store only their nonzero table; the
-# public constructors take dense tables, scan them once and keep the table
-# they were given as the dense view.
+# public constructors take dense tables, scan them once and keep no copy:
+# the dense view is built only when it is read.
 
 
 def assert_same_object(dense, sparse, view):
@@ -666,7 +671,7 @@ def test_dense_algebra_equals_the_sparse_one(name):
     g = ALGEBRAS[name]
     structure = tuple(tuple(tuple(entry) for entry in row) for row in g.structure)
     dense = LieSuperAlgebra(g.space, structure)
-    assert dense.structure is structure
+    assert "structure" not in dense.__dict__ and dense.structure == structure
     assert_same_object(dense, g, "structure")
 
 
@@ -682,7 +687,7 @@ def test_dense_prelie_products_equal_the_sparse_ones():
     for a in prelies:
         product = tuple(tuple(tuple(entry) for entry in row) for row in a.product)
         dense = PreLieSuperAlgebra(a.space, product, a.parity_shift)
-        assert dense.product is product
+        assert "product" not in dense.__dict__ and dense.product == product
         assert_same_object(dense, a, "product")
         assert dense != PreLieSuperAlgebra(a.space, product, 1 - a.parity_shift)
 
@@ -691,14 +696,15 @@ def test_dense_prelie_products_equal_the_sparse_ones():
 @given(rho=reps, parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
 def test_dense_map_equals_the_sparse_one(rho, parity, rnd):
     V, g = rho.space, rho.algebra.space
-    t = random_map(rnd, V, g, parity)  # dense, explicit zeros included
+    matrix = random_matrix(rnd, V, g, parity)
+    t = GradedLinearMap(V, g, parity, matrix)
     images = {
         V.labels[i]: {g.labels[k]: x for k, x in col} for i, col in enumerate(t.nonzero) if col
     }
     sparse = GradedLinearMap.from_images(V, g, parity, images)
-    # the dense constructor keeps the table it was given; the sparse path
-    # builds none until the view is read
-    assert "matrix" in t.__dict__ and "matrix" not in sparse.__dict__
+    # neither path keeps a dense table until the view is read
+    assert "matrix" not in t.__dict__ and "matrix" not in sparse.__dict__
+    assert t.matrix == matrix
     assert_same_object(t, sparse, "matrix")
 
 
@@ -750,6 +756,89 @@ def test_hierarchy_levels_hold_no_dense_table():
     assert peak < 10 * 2**20
 
 
+TABLE_VALUES = (0, Fraction(0), 3, Fraction(1), Fraction(-1, 2), Fraction(2, 3))
+
+
+def all_cells_table(n, entries):
+    """The table built over all n^2 cells, each one sorted, empty or not."""
+    cells = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in entries:
+        if c != 0:
+            cells[i][j].append((k, c))
+    return tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 4), data=st.data())
+def test_sparse_table_equals_the_all_cells_table(n, data):
+    positions = list(itertools.product(range(n), repeat=3))
+    chosen = data.draw(st.lists(st.sampled_from(positions), unique=True)) if positions else []
+    entries = [(ijk, data.draw(st.sampled_from(TABLE_VALUES))) for ijk in chosen]
+    entries = data.draw(st.permutations(entries))  # any entry order
+    want = all_cells_table(n, entries)
+    assert _sparse_table(n, entries) == want and hash(_sparse_table(n, entries)) == hash(want)
+    space = SuperSpace.make([f"e{i}" for i in range(n)])
+    g = LieSuperAlgebra._from_entries(space, entries)
+    assert g.nonzero == want
+    assert g == LieSuperAlgebra._from_entries(space, reversed(entries))
+    assert hash(g) == hash(LieSuperAlgebra._from_entries(space, sorted(entries)))
+
+
+def test_sparse_table_of_no_entries_is_all_empty():
+    assert _sparse_table(3, ()) == all_cells_table(3, ()) == (((),) * 3,) * 3
+    assert _sparse_table(0, ()) == ()
+
+
+DENSE_VIEWS = {
+    GradedLinearMap: "matrix",
+    LieSuperAlgebra: "structure",
+    PreLieSuperAlgebra: "product",
+    Tensor2: "coeffs",
+}
+
+
+def dense_views_held(*objects):
+    """(type name, view) for every dense view cached on the objects or their parts."""
+    found = []
+    for obj in objects:
+        if isinstance(obj, (tuple, list)):
+            found += dense_views_held(*obj)
+        elif isinstance(obj, Representation):
+            found += dense_views_held(obj.algebra, *obj.action)
+        elif isinstance(obj, RMatrix):
+            found += dense_views_held(obj.algebra, obj.tensor)
+        elif isinstance(obj, IsoSearchResult):
+            found += dense_views_held(obj.iso, obj.inverse)
+        elif type(obj) in DENSE_VIEWS and DENSE_VIEWS[type(obj)] in vars(obj):
+            found.append((type(obj).__name__, DENSE_VIEWS[type(obj)]))
+    return found
+
+
+def test_no_dense_view_is_left_behind():
+    """The linalg readers and the constructions that reach them take fresh
+    rows from the stored columns and cache no dense view on any input or
+    result."""
+    ex320, ex37, ex23 = (load_fixture(n).parts for n in ("ex3.20", "ex3.7", "ex2.3"))
+    t, rho = ex320["T"], ex320["rho"]
+    rank1, rho37 = ex37["T3"](0, 0, 0, 1), ex37["rho"]
+    rho23, srho23 = ex23["rho"], parity_reverse_rep(ex23["rho"])
+    pair = load_fixture("closing-prelie").parts["pair"]
+    inputs = (t, rho, rank1, rho37, rho23, srho23, pair)
+    assert dense_views_held(inputs) == []
+    iso = find_even_isomorphism(rho23, srho23)
+    results = [
+        t.inverse(),
+        induced_prelie(t, rho),
+        induced_prelie(rank1, rho37),
+        compatible_prelie(t, rho),
+        iso,
+        [beta_cocycle_check(r)[0] for r in pair],
+    ]
+    assert t.is_invertible() and not rank1.is_invertible() and iso.found
+    assert all(beta_cocycle_check(r)[1] for r in pair)
+    assert dense_views_held(inputs, results) == []
+
+
 # ---------------------------------------------------------------------------
 # the stored form of 2-tensors
 #
@@ -790,9 +879,9 @@ def test_dense_tensor_equals_the_sparse_one(space, parity, rnd):
     sparse = Tensor2.from_terms(space, space, terms, parity)
     assert dense == sparse and hash(dense) == hash(sparse)
     assert dense.entries == sparse.entries == nonzero_slots(array)
-    # the dense constructor keeps the array it was given; the sparse path
-    # builds none until the view is read
-    assert dense.coeffs is array and "coeffs" not in sparse.__dict__
+    # neither path keeps a dense array until the view is read
+    assert "coeffs" not in dense.__dict__ and "coeffs" not in sparse.__dict__
+    assert dense.coeffs == array
     assert sparse.coeffs == array
 
 
