@@ -8,7 +8,6 @@ action and Rota-Baxter operators along an even invariant form.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, TYPE_CHECKING
@@ -180,10 +179,13 @@ class LieSuperAlgebra:
     def _scaled_nonzero(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """(E, table): E the lcm of the denominators of the structure
         constants, table[i][j] the pairs (k, E c_ij^k) of nonzero[i][j] as
-        ints.  The integer kernels read the structure constants here."""
-        E = math.lcm(*(c.denominator for row in self.nonzero for entry in row for _, c in entry))
+        ints.  The integer super-CYBE kernel reads the structure constants
+        here; the O-operator kernel reads `Representation._scaled_tables`,
+        scaled by the lcm of these and the action's denominators."""
+        E, ints = linalg._cleared([c for row in self.nonzero for entry in row for _, c in entry])
+        scaled = iter(ints)
         return E, tuple(
-            tuple(tuple((k, c.numerator * (E // c.denominator)) for k, c in entry) for entry in row)
+            tuple(tuple((k, next(scaled)) for k, _ in entry) for entry in row)
             for row in self.nonzero
         )
 

@@ -23,6 +23,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _cleared(values) -> "tuple[int, list[int]]":
+    """(D, ints): D the lcm of the denominators of the rationals in the
+    sequence values (1 if it is empty), ints the values times D, in order,
+    as Python ints.  Every integer kernel clears its denominators here."""
+    D = lcm(*(x.denominator for x in values))
+    return D, [x.numerator * (D // x.denominator) for x in values]
+
+
 def _eliminate(rows):
     """Fraction-free Gauss-Jordan elimination on integer rows.
 
@@ -37,10 +45,7 @@ def _eliminate(rows):
     pending factor (current pivot / remembered pivot) is applied, exactly,
     when the row next takes part, as pivot row or eliminated row.
     """
-    m = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
+    m = [_cleared(row)[1] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     level = [1] * nrows  # the pivot each row was last divided by

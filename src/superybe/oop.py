@@ -4,14 +4,25 @@ The defining identity and its defect table, weight-0 Rota-Baxter
 operators, the parity duality T <-> T^s, extension to the self-reversing
 double, transport along representation isomorphisms, and a pruned
 exhaustive grid search used as a classification oracle.
+
+Every defect comes from one kernel, `_defect`, which sums on Python ints
+over cleared denominators: the structure constants and the action are
+scaled by L, the lcm of all their denominators, once per representation
+(`Representation._scaled_tables`), and the map's columns by D, the lcm of
+their denominators, once per call (the grid search scales its entry set
+once).  The sums are then D^2 L times the defect.  `oop_holds`,
+`is_rota_baxter` and the grid search answer "any nonzero" on the ints;
+`oop_defect` and `is_oop` divide each nonzero slot back into a `Fraction`
+once, so every value they return is a `Fraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
+from . import linalg
 from .graded import (
-    ZERO,
     GradedLinearMap,
     Parity,
     SuperSpace,
@@ -19,7 +30,6 @@ from .graded import (
     format_vector,
     merge_spaces,
     rat,
-    sign,
     suspend_map,
     vec_is_zero,
 )
@@ -64,44 +74,46 @@ class OopReport:
         return "\n".join(lines)
 
 
-def _defect(rho: Representation, parity: Parity, cols, i: int, j: int) -> dict:
-    """Op(v_i, v_j) as {k: coefficient}, nonzero coefficients only, for the
-    map of the given parity whose image of v_m is the ascending (k, value)
-    pairs cols[m].  Every defect in this module is computed here:
+def _defect(tables, P, parity: Parity, cols, i: int, j: int) -> dict:
+    """D^2 L Op(v_i, v_j) as {k: int}, nonzero values only, for the map of
+    the given parity whose image of v_m, times D, is the ascending (k, int)
+    pairs cols[m], over a representation with the scaled tables
+    (L, bracket, action) of `Representation._scaled_tables` and a space V
+    with the parities P.  Every defect in this module is computed here:
 
         Op(v_i, v_j) = [T v_i, T v_j] - T(s1 rho(T v_i) v_j - s2 rho(T v_j) v_i)
 
-    with s1 = (-1)^{(|T|+|v_i|)|T|} and s2 = (-1)^{|v_i|(|T|+|v_j|)}.  It
-    reads columns i and j of T and the columns in the support of the
-    argument of the outer T, nothing else."""
-    structure = rho.algebra.nonzero
-    action = rho.action
-    P = rho.space.parities
+    with s1 = (-1)^{(|T|+|v_i|)|T|} and s2 = (-1)^{|v_i|(|T|+|v_j|)}.  Each
+    term is a product of two entries of T and one constant of the bracket
+    or the action, so the sums run on ints and come out scaled by D^2 L;
+    the signs negate a column or not.  It reads columns i and j of T and
+    the columns in the support of the argument of the outer T, nothing
+    else."""
+    _, bracket, action = tables
     x, y = cols[i], cols[j]
     out = {}
     for a, xa in x:
-        row = structure[a]
+        row = bracket[a]
         for b, yb in y:
             xy = xa * yb
             for k, c in row[b]:
-                out[k] = out.get(k, ZERO) + xy * c
-    s1 = sign((parity + P[i]) * parity)
-    s2 = -sign(P[i] * (parity + P[j]))
+                out[k] = out.get(k, 0) + xy * c
+    # s1 = -1 exactly when T is odd and v_i even; -s2 = -1 unless v_i is
+    # odd and |T| + |v_j| is odd
+    negate1 = parity and not P[i]
+    negate2 = not (P[i] and parity != P[j])
     arg = {}
-    for s, col, v in ((s1, x, j), (s2, y, i)):
+    for negate, col, v in ((negate1, x, j), (negate2, y, i)):
         for a, ca in col:
-            for m, r in action[a].nonzero[v]:
-                arg[m] = arg.get(m, ZERO) + s * ca * r
+            if negate:
+                ca = -ca
+            for m, r in action[a][v]:
+                arg[m] = arg.get(m, 0) + ca * r
     for m, w in arg.items():
-        if w != 0:
+        if w:
             for k, t in cols[m]:
-                out[k] = out.get(k, ZERO) - w * t
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def oop_defect(t: GradedLinearMap, rho: Representation, i: int, j: int):
-    """Op(v_i, v_j): the left side of the defining identity on one pair."""
-    return dense_vector(rho.algebra.space.dim, _defect(rho, t.parity, t.nonzero, i, j).items())
+                out[k] = out.get(k, 0) - w * t
+    return {k: c for k, c in out.items() if c}
 
 
 def _check_candidate(t: GradedLinearMap, rho: Representation):
@@ -109,24 +121,51 @@ def _check_candidate(t: GradedLinearMap, rho: Representation):
         raise ValueError("malformed candidate: map does not fit the representation")
 
 
+def _defects(t: GradedLinearMap, rho: Representation, pairs):
+    """(defects, D^2 L): the `_defect` dicts of the pairs (i, j), lazily,
+    and their common scale.  T's columns are scaled by D, the lcm of their
+    denominators, once for all of the pairs."""
+    tables = rho._scaled_tables
+    D, ints = linalg._cleared([x for col in t.nonzero for _, x in col])
+    scaled = iter(ints)
+    cols = [[(k, next(scaled)) for k, _ in col] for col in t.nonzero]
+    P, parity = rho.space.parities, t.parity
+    return (_defect(tables, P, parity, cols, i, j) for i, j in pairs), D * D * tables[0]
+
+
+def _unscaled(n: int, defect: dict, scale: int):
+    """The dense Fraction vector of a scaled defect."""
+    return dense_vector(n, ((k, Fraction(v, scale)) for k, v in defect.items()))
+
+
+def oop_defect(t: GradedLinearMap, rho: Representation, i: int, j: int):
+    """Op(v_i, v_j): the left side of the defining identity on one pair,
+    as a dense vector of `Fraction`s."""
+    (defect,), scale = _defects(t, rho, [(i, j)])
+    return _unscaled(rho.algebra.space.dim, defect, scale)
+
+
 def is_oop(t: GradedLinearMap, rho: Representation) -> OopReport:
     """Check the O-operator identity on every homogeneous basis pair."""
     _check_candidate(t, rho)
     V = rho.space
+    pairs = [(i, j) for i in range(V.dim) for j in range(V.dim)]
+    defects, scale = _defects(t, rho, pairs)
+    defects = list(defects)
+    n = rho.algebra.space.dim
     table = tuple(
-        ((V.labels[i], V.labels[j]), oop_defect(t, rho, i, j))
-        for i in range(V.dim)
-        for j in range(V.dim)
+        ((V.labels[i], V.labels[j]), _unscaled(n, d, scale)) for (i, j), d in zip(pairs, defects)
     )
-    return OopReport(all(vec_is_zero(d) for _, d in table), table)
+    return OopReport(not any(defects), table)
 
 
 def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
-    """Boolean fast path with early exit on the first nonzero defect."""
+    """Boolean fast path with early exit on the first nonzero defect, which
+    never leaves the ints."""
     _check_candidate(t, rho)
     n = rho.space.dim
-    cols = t.nonzero
-    return not any(_defect(rho, t.parity, cols, i, j) for i in range(n) for j in range(n))
+    defects, _ = _defects(t, rho, ((i, j) for i in range(n) for j in range(n)))
+    return not any(defects)
 
 
 def is_rota_baxter(r: GradedLinearMap, g: LieSuperAlgebra) -> bool:
@@ -198,13 +237,16 @@ def grid_search_oops(
     The free positions are assigned depth first, column by column.  Each
     basis pair is tested at the first depth where every column its defect
     can read is fixed, and a subtree is cut at its first nonzero defect;
-    only accepted assignments become maps.  The cap bounds the full grid,
-    len(entry_set) ** (number of free positions), pruned or not."""
+    only accepted assignments become maps.  The entry set is scaled to ints
+    once, so every test runs on the integer kernel `_defect`.  The cap
+    bounds the full grid, len(entry_set) ** (number of free positions),
+    pruned or not."""
     if rho.algebra != g:
         raise ValueError("representation is not over this algebra")
     V = rho.space
     cod = g.space
     entries = [rat(e) if not isinstance(e, int) else e for e in entry_set]
+    _, values = linalg._cleared(entries)  # the entries, scaled once
     positions = [
         (k, i)
         for k in range(cod.dim)
@@ -240,7 +282,8 @@ def grid_search_oops(
             if d >= 0:
                 tests[d].append((i, j))
 
-    cols = [[] for _ in range(V.dim)]  # the sparse columns of the partial map
+    tables, P = rho._scaled_tables, V.parities
+    cols = [[] for _ in range(V.dim)]  # the scaled sparse columns of the partial map
     accepted = [] if nfree else [()]
     # stack[d]: how many values depth d has tried; the last one is set
     stack = [0] if nfree and entries else []
@@ -248,15 +291,15 @@ def grid_search_oops(
         d = len(stack) - 1
         digit = stack[d]
         k, i = order[d]
-        if digit and entries[digit - 1] != 0:
+        if digit and values[digit - 1]:
             cols[i].pop()
         if digit == len(entries):
             stack.pop()
             continue
         stack[d] = digit + 1
-        if entries[digit] != 0:
-            cols[i].append((k, entries[digit]))
-        if any(_defect(rho, parity, cols, a, b) for a, b in tests[d]):
+        if values[digit]:
+            cols[i].append((k, values[digit]))
+        if any(_defect(tables, P, parity, cols, a, b) for a, b in tests[d]):
             continue
         if d + 1 < nfree:
             stack.append(0)

@@ -129,6 +129,23 @@ class Representation:
         # hosts are cached by representation
         return self._hash
 
+    @cached_property
+    def _scaled_tables(self) -> "tuple[int, tuple, tuple]":
+        """(L, bracket, action): L the lcm of the denominators of the
+        structure constants and of the action's entries, bracket[a][b] the
+        pairs (k, L c_ab^k) of algebra.nonzero[a][b] and action[a][v] the
+        pairs (m, L rho(e_a)_mv) of action[a].nonzero[v], as ints.  The
+        integer O-operator kernel reads the algebra and the action here."""
+        tables = (self.algebra.nonzero, tuple(m.nonzero for m in self.action))
+        values = [x for table in tables for row in table for cell in row for _, x in cell]
+        L, ints = linalg._cleared(values)
+        scaled = iter(ints)
+        bracket, action = (
+            tuple(tuple(tuple((k, next(scaled)) for k, _ in cell) for cell in row) for row in table)
+            for table in tables
+        )
+        return L, bracket, action
+
     def apply_vec(self, x, v):
         """rho(x)v for an algebra coordinate vector x (applied termwise)."""
         out = [ZERO] * self.space.dim

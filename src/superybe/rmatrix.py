@@ -13,7 +13,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .graded import (
     EVEN,
@@ -28,6 +27,7 @@ from .graded import (
     suspend_map,
     twist,
 )
+from .linalg import _cleared
 from .liesuper import (
     BilinearForm,
     LieSuperAlgebra,
@@ -92,9 +92,9 @@ def _scybe_ints(r: RMatrix) -> "tuple[dict[int, int], int]":
     nn = n * n
     P = g.space.parities
     E, C = g._scaled_nonzero
-    entries = list(r.tensor.nonzero())
-    D = lcm(*(a.denominator for _, a in entries))
-    entries = [(i, j, a.numerator * (D // a.denominator)) for (i, j), a in entries]
+    entries = r.tensor.entries
+    D, ints = _cleared([a for _, a in entries])
+    entries = [(i, j, a) for ((i, j), _), a in zip(entries, ints)]
     acc = defaultdict(int)
     for i, j, a in entries:
         Ci, Cj, odd_j = C[i], C[j], P[j]

@@ -147,3 +147,10 @@ def test_the_kernel_keeps_its_ints_within_the_hadamard_bound(rows):
     bound = prod(max(1, sum(x * x for x in row)) for row in scaled)
     m, _ = linalg._eliminate(rows)
     assert all(x * x <= bound for row in m for x in row)
+
+
+def test_cleared_scales_by_the_lcm_of_the_denominators():
+    values = [Fraction(1, 2), Fraction(-3, 7), 2, Fraction(0)]
+    assert linalg._cleared(values) == (14, [7, -6, 28, 0])
+    assert linalg._cleared([]) == (1, [])
+    assert all(type(x) is int for x in linalg._cleared(values)[1])

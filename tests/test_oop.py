@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from superybe import (
     GradedLinearMap,
     GridSearchCapExceeded,
     LieSuperAlgebra,
+    Representation,
     SuperSpace,
     adjoint,
     coadjoint,
@@ -32,7 +34,7 @@ from superybe import (
 from superybe.graded import rat, relabel_domain, vec_is_zero
 from superybe.oop import oop_defect
 
-from conftest import equivalence_cases, random_homogeneous_map
+from conftest import _count_calls, equivalence_cases, random_homogeneous_map
 from oracles import first_principles_oop_ok
 
 
@@ -479,6 +481,196 @@ class TestDefectKernel:
                 assert report.ok == oop_holds(t, rho) == all(not any(d) for d in dense.values())
                 for (i, j), d in dense.items():
                     assert oop_defect(t, rho, i, j) == d
+
+
+def _rescaled_rep(rho, p, t, q, u):
+    """rho over the bases with e_p replaced by t e_p in the algebra and v_q
+    by u v_q in the module (no change where p or q is None), with f and h
+    the two scale vectors: c'_ab^k = c_ab^k f_a f_b / f_k and
+    rho'(e_a)_mv = f_a rho(e_a)_mv h_v / h_m."""
+    g = rho.algebra
+    n, d = g.space.dim, rho.space.dim
+    f = [t if a == p else 1 for a in range(n)]
+    h = [u if v == q else 1 for v in range(d)]
+    structure = tuple(
+        tuple(tuple(g.structure[a][b][k] * f[a] * f[b] / f[k] for k in range(n)) for b in range(n))
+        for a in range(n)
+    )
+    action = tuple(
+        GradedLinearMap(
+            rho.space,
+            rho.space,
+            m.parity,
+            tuple(tuple(m.matrix[r][v] * f[a] * h[v] / h[r] for v in range(d)) for r in range(d)),
+        )
+        for a, m in enumerate(rho.action)
+    )
+    return Representation(LieSuperAlgebra(g.space, structure), rho.space, action)
+
+
+def _transported_map(t, rho, p, s, q, u):
+    """t written over _rescaled_rep(rho, p, s, q, u): T'_ki = T_ki h_i / f_k,
+    an O-operator there exactly when t is one for rho."""
+    f = [s if k == p else 1 for k in range(rho.algebra.space.dim)]
+    h = [u if i == q else 1 for i in range(rho.space.dim)]
+    grid = tuple(
+        tuple(Fraction(x) * h[i] / f[k] for i, x in enumerate(row))
+        for k, row in enumerate(t.matrix)
+    )
+    return GradedLinearMap(t.domain, t.codomain, t.parity, grid)
+
+
+@lru_cache(maxsize=None)
+def _rescaled_catalog_rep(name, p, t, q, u):
+    return _rescaled_rep(CATALOG[name][1], p, t, q, u)
+
+
+@lru_cache(maxsize=None)
+def _known_oops(name, parity):
+    """The O-operators with entries in {-1, 0, 1} of a catalog rep."""
+    g, rho = CATALOG[name]
+    return tuple(grid_search_oops(g, rho, parity, (-1, 0, 1)))
+
+
+BASIS_SCALES = (Fraction(1, 2), Fraction(-3, 7))
+MAP_VALUES = (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7), Fraction(2))
+
+
+def _action_lcm(rho):
+    return math.lcm(*(x.denominator for m in rho.action for row in m.matrix for x in row))
+
+
+def _map_lcm(t):
+    return math.lcm(*(x.denominator for row in t.matrix for x in row))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(T, rho): a catalog rep with an algebra and a module basis vector
+    rescaled (or not), and on it either a known O-operator of the catalog
+    rep, transported and scaled by a map value, or a sparse random map with
+    entries in MAP_VALUES."""
+    name = draw(st.sampled_from(sorted(CATALOG)))
+    g, rho = CATALOG[name]
+    p = draw(st.sampled_from((None, *range(g.space.dim))))
+    q = draw(st.sampled_from((None, *range(rho.space.dim))))
+    s, u = draw(st.sampled_from(BASIS_SCALES)), draw(st.sampled_from(BASIS_SCALES))
+    scaled_rho = _rescaled_catalog_rep(name, p, s, q, u)
+    parity = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(_known_oops(name, parity)))
+        t = _transported_map(t, rho, p, s, q, u).scale(draw(st.sampled_from(MAP_VALUES)))
+    else:
+        rnd = draw(st.randoms(use_true_random=False))
+        V, cod = rho.space, g.space
+        grid = tuple(
+            tuple(
+                rnd.choice((0, 0) + MAP_VALUES) if cod.parities[k] == V.parities[i] ^ parity else 0
+                for i in range(V.dim)
+            )
+            for k in range(cod.dim)
+        )
+        t = GradedLinearMap(V, cod, parity, tuple(tuple(map(Fraction, r)) for r in grid))
+    return t, scaled_rho
+
+
+def _check_kernel(t, rho):
+    """is_oop's table, every oop_defect and oop_holds against dense_defect
+    and first_principles_oop_ok; every value a Fraction."""
+    g, V = rho.algebra, rho.space
+    C, A = g.structure, [m.matrix for m in rho.action]
+    pairs = [(i, j) for i in range(V.dim) for j in range(V.dim)]
+    dense = [tuple(dense_defect(C, A, t.matrix, V.parities, t.parity, i, j)) for i, j in pairs]
+    report = is_oop(t, rho)
+    assert report.defects == tuple(
+        ((V.labels[i], V.labels[j]), d) for (i, j), d in zip(pairs, dense)
+    )
+    assert all(type(c) is Fraction for _, d in report.defects for c in d)
+    for (i, j), d in zip(pairs, dense):
+        single = oop_defect(t, rho, i, j)
+        assert single == d and all(type(c) is Fraction for c in single)
+    verdict = first_principles_oop_ok(t, rho)
+    assert report.ok == oop_holds(t, rho) == verdict == all(not any(d) for d in dense)
+    return verdict
+
+
+class TestIntegerKernel:
+    """The defect kernel runs on ints over cleared denominators: E of the
+    structure constants, the action's lcm, L of both and D of the map."""
+
+    def test_the_inputs_clear_distinct_denominators(self):
+        def lcms(rho):
+            return rho.algebra._scaled_nonzero[0], _action_lcm(rho), rho._scaled_tables[0]
+
+        # ex2.3 with f1 halved and v1 scaled by -3/7, and a map with
+        # entries 1/2 and 3/7: E = 2, action lcm 42, L = 42, D = 14
+        g, rho = CATALOG["ex2.3"]
+        scaled = _rescaled_catalog_rep("ex2.3", 1, Fraction(1, 2), 0, Fraction(-3, 7))
+        t = GradedLinearMap.from_images(
+            rho.space, g.space, ODD, {"v1": {"f1": Fraction(1, 2)}, "w2": {"e1": Fraction(3, 7)}}
+        )
+        assert lcms(scaled) == (2, 42, 42) and _map_lcm(t) == 14
+        assert not _check_kernel(t, scaled)
+        # e1 scaled by -3/7: E = 3 does not divide the action lcm 7, L = 21
+        scaled = _rescaled_catalog_rep("ex2.3", 0, Fraction(-3, 7), None, 1)
+        assert lcms(scaled) == (3, 7, 21)
+        for t in _known_oops("ex2.3", ODD)[:12]:
+            moved = _transported_map(t, rho, 0, Fraction(-3, 7), None, 1)
+            assert _check_kernel(moved.scale(Fraction(1, 2)), scaled)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=kernel_inputs())
+    def test_matches_the_dense_formula_and_first_principles(self, case):
+        _check_kernel(*case)
+
+    def test_known_operators_stay_operators_on_rescaled_bases(self):
+        for name in sorted(CATALOG):
+            g, rho = CATALOG[name]
+            scaled = _rescaled_catalog_rep(name, 0, Fraction(1, 2), 0, Fraction(-3, 7))
+            for parity in (EVEN, ODD):
+                for t in _known_oops(name, parity)[:6]:
+                    moved = _transported_map(t, rho, 0, Fraction(1, 2), 0, Fraction(-3, 7))
+                    assert _check_kernel(moved.scale(Fraction(3, 7)), scaled), name
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_grid_search_on_non_integral_entries_is_the_scan(self, name, parity):
+        g, rho = CATALOG[name]
+        scaled = _rescaled_catalog_rep(name, 0, Fraction(1, 2), 0, Fraction(-3, 7))
+        for entries in (
+            (Fraction(-1, 2), 0, Fraction(1, 2)),
+            (0, Fraction(1, 3), 2),
+        ):
+            for r in (rho, scaled):
+                found = grid_search_oops(r.algebra, r, parity, entries)
+                assert found == scan_search(r.algebra, r, parity, entries), entries
+
+    def test_scaled_tables_are_built_once_per_representation(self, monkeypatch):
+        original = Representation.__dict__["_scaled_tables"]
+        built = []
+
+        def counting(rho):
+            built.append(rho)
+            return original.func(rho)
+
+        tables = cached_property(counting)
+        tables.__set_name__(Representation, "_scaled_tables")
+        monkeypatch.setattr(Representation, "_scaled_tables", tables)
+        scalings = _count_calls(monkeypatch, "superybe.oop", "_defects")
+        g, rho = CATALOG["ex3.7"]
+        first, second = (Representation(g, rho.space, rho.action) for _ in range(2))
+        t = load_fixture("ex3.7").parts["T3"](1, 2, Fraction(1, 2), 1)
+        for parity in (EVEN, ODD):
+            grid_search_oops(g, first, parity, (Fraction(-1, 2), 0, Fraction(1, 2)))
+        assert scalings == []
+        for _ in range(3):
+            assert oop_holds(t, first)
+            assert is_oop(t, first).ok
+            assert not any(oop_defect(t, first, 0, 1))
+        # one scaling of T per oop_holds, is_oop and oop_defect call
+        assert len(scalings) == 9
+        assert oop_holds(t, second) and oop_holds(t, second)
+        assert len(built) == 2 and built[0] is first and built[1] is second
 
 
 class TestRotaBaxterCaveat:
