@@ -180,14 +180,42 @@ class LieSuperAlgebra:
         """(E, table): E the lcm of the denominators of the structure
         constants, table[i][j] the pairs (k, E c_ij^k) of nonzero[i][j] as
         ints.  The integer super-CYBE kernel reads the structure constants
-        here; the O-operator kernel reads `Representation._scaled_tables`,
-        scaled by the lcm of these and the action's denominators."""
+        here, through the indexes of `_scaled_join`; the O-operator kernel
+        reads `Representation._scaled_tables`, scaled by the lcm of these
+        and the action's denominators."""
         E, ints = linalg._cleared([c for row in self.nonzero for entry in row for _, c in entry])
         scaled = iter(ints)
         return E, tuple(
             tuple(tuple((k, next(scaled)) for k, _ in entry) for entry in row)
             for row in self.nonzero
         )
+
+    @cached_property
+    def _scaled_join(self) -> "tuple[tuple, tuple]":
+        """(left, into), the two indexes the super-CYBE kernel joins r
+        through, read off `_scaled_nonzero`'s table C: left[k] holds the
+        pairs (x, C[x][k]) with a nonempty cell, and into[z] the triples
+        (j, l, E c_jl^z) with c_jl^z != 0, in row-major (j, l) order."""
+        _, C = self._scaled_nonzero
+        n = self.space.dim
+        left = [[] for _ in range(n)]
+        into = [[] for _ in range(n)]
+        for x, row in enumerate(C):
+            for k, cell in enumerate(row):
+                if cell:
+                    left[k].append((x, cell))
+                for m, c in cell:
+                    into[m].append((x, k, c))
+        return tuple(map(tuple, left)), tuple(map(tuple, into))
+
+    @cached_property
+    def _adjoint(self) -> "Representation":
+        """The trusted adjoint representation (`reps._lie_adjoint`), built
+        once per algebra object for `is_rota_baxter`, which checks map after
+        map against it, and freed with the algebra."""
+        from .reps import _lie_adjoint  # reps imports this module
+
+        return _lie_adjoint(self)
 
     def bracket(self, x, y) -> tuple[Scalar, ...]:
         """[x, y] for coordinate vectors x, y."""

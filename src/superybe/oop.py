@@ -34,7 +34,7 @@ from .graded import (
     vec_is_zero,
 )
 from .liesuper import LieSuperAlgebra
-from .reps import Representation, _lie_adjoint, direct_sum_rep, is_intertwiner, parity_reverse_rep
+from .reps import Representation, direct_sum_rep, is_intertwiner, parity_reverse_rep
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,11 @@ def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
 
 def is_rota_baxter(r: GradedLinearMap, g: LieSuperAlgebra) -> bool:
     """[Rx, Ry] = R((-1)^{(|R|+|x|)|R|}[Rx, y] + [x, Ry]) on basis pairs:
-    the O-operator identity for the adjoint representation."""
+    the O-operator identity for the adjoint representation, which is built
+    once per algebra object (`LieSuperAlgebra._adjoint`)."""
     if r.domain != g.space or r.codomain != g.space:
         raise ValueError("a Rota-Baxter candidate must be an endomorphism of g")
-    return oop_holds(r, _lie_adjoint(g))
+    return oop_holds(r, g._adjoint)
 
 
 def parity_dual_oop(t: GradedLinearMap, rho: Representation) -> OOperatorCandidate:
@@ -245,7 +246,7 @@ def grid_search_oops(
         raise ValueError("representation is not over this algebra")
     V = rho.space
     cod = g.space
-    entries = [rat(e) if not isinstance(e, int) else e for e in entry_set]
+    entries = [rat(e) for e in entry_set]  # Fractions, so the maps store no int
     _, values = linalg._cleared(entries)  # the entries, scaled once
     positions = [
         (k, i)

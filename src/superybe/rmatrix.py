@@ -10,6 +10,7 @@ representations.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -75,44 +76,70 @@ def is_pan_supersymmetric(r: RMatrix) -> bool:
     return twist(r.tensor) == r.tensor.scale(-sign(r.parity))
 
 
-def _scybe_ints(r: RMatrix) -> "tuple[dict[int, int], int]":
-    """The integer super-CYBE kernel: (acc, scale) with acc[(i n + j) n + k]
-    equal to scale times the (i, j, k) slot of [[r, r]], for the slots
+def _scybe_blocks(r: RMatrix) -> "tuple[int, Iterator[dict[int, int]]]":
+    """The integer super-CYBE kernel: (scale, blocks).  blocks yields, lazily,
+    one dict per last slot index z = 0, ..., n - 1; the dict of z maps
+    x n + y to scale times the (x, y, z) slot of [[r, r]], for the slots
     some term reaches.
 
     Every term is a product of two entries of r and one structure
     constant, so the kernel runs on ints: with r's entries scaled by D, the
     lcm of their denominators, and the structure constants by E (see
     LieSuperAlgebra._scaled_nonzero), the integer sums are exactly
-    D^2 E [[r, r]] and scale is D^2 E.  The sums go into a dict keyed by
-    the row-major slot index, so the kernel allocates no n^3 grid.
+    D^2 E [[r, r]] and scale is D^2 E.  With a_ij the entries of r, the
+    slot (x, y, z) sums three families:
+
+        [r12, r13]:  (-1)^{|y||k|} a_iy a_kz c_ik^x   over i, k;
+        [r12, r23]:                a_xj a_kz c_jk^y   over j, k;
+        [r13, r23]:  (-1)^{|j||y|} a_xj a_yl c_jl^z   over j, l.
+
+    The first two join column z of r to the cells c_.k through
+    `LieSuperAlgebra._scaled_join`'s left[k]; the third runs over its
+    into[z], the cells whose output index is z.  r's entries are indexed
+    by row and by column once per call, so only the entry pairs that meet
+    a nonempty cell are visited.
     """
     g = r.algebra
     n = g.space.dim
-    nn = n * n
     P = g.space.parities
-    E, C = g._scaled_nonzero
+    E, _ = g._scaled_nonzero
+    left, into = g._scaled_join
     entries = r.tensor.entries
     D, ints = _cleared([a for _, a in entries])
-    entries = [(i, j, a) for ((i, j), _), a in zip(entries, ints)]
-    acc = defaultdict(int)
-    for i, j, a in entries:
-        Ci, Cj, odd_j = C[i], C[j], P[j]
-        for k, l, b in entries:
-            c1, c2, c3 = Ci[k], Cj[k], Cj[l]
-            if not (c1 or c2 or c3):
-                continue
-            coeff = a * b
-            signed = -coeff if odd_j and P[k] else coeff
-            # the slots (m, j, l), (i, m, l) and (i, k, m)
-            jl, il, ik = j * n + l, i * nn + l, i * nn + k * n
-            for m, c in c1:
-                acc[m * nn + jl] += signed * c
-            for m, c in c2:
-                acc[il + m * n] += coeff * c
-            for m, c in c3:
-                acc[ik + m] += signed * c
-    return acc, D * D * E
+    rows = [[] for _ in range(n)]
+    cols = [[] for _ in range(n)]
+    for ((i, j), _), a in zip(entries, ints):
+        rows[i].append((j, a))
+        cols[j].append((i, a))
+    # the Koszul signs, folded into copies with odd indices negated
+    signed_rows = [[(j, -a if P[j] else a) for j, a in row] for row in rows]
+    signed_cols = [[(k, -b if P[k] else b) for k, b in col] for col in cols]
+
+    def blocks():
+        for z in range(n):
+            acc = defaultdict(int)
+            for k, b in cols[z]:
+                row_of = signed_rows if P[k] else rows
+                for x, cell in left[k]:
+                    for y, a in row_of[x]:  # [r12, r13]: the cell's output is x
+                        ab = a * b
+                        for m, c in cell:
+                            acc[m * n + y] += ab * c
+                    for i, a in cols[x]:  # [r12, r23]: the cell's output is y
+                        ab, base = a * b, i * n
+                        for m, c in cell:
+                            acc[base + m] += ab * c
+            for j, l, c in into[z]:  # [r13, r23]
+                col = signed_cols[l] if P[j] else cols[l]
+                if not col:
+                    continue
+                for x, a in cols[j]:
+                    ac, base = a * c, x * n
+                    for y, b in col:
+                        acc[base + y] += ac * b
+            yield acc
+
+    return D * D * E, blocks()
 
 
 def scybe_defect(r: RMatrix) -> Tensor3:
@@ -121,26 +148,27 @@ def scybe_defect(r: RMatrix) -> Tensor3:
     The three term families carry the displayed Koszul signs: the factor
     (-1)^{|y_i||x_j|} on the first and third, none on the second.
 
-    The sums run on ints in `_scybe_ints`; each nonzero slot is divided
-    back into a `Fraction` once, in row-major order.
+    The sums run on ints in `_scybe_blocks`; every block is collected,
+    sorted row-major, and each nonzero slot is divided back into a
+    `Fraction` once.
     """
     n = r.space.dim
-    acc, scale = _scybe_ints(r)
+    scale, blocks = _scybe_blocks(r)
+    slots = sorted(
+        (xy * n + z, v) for z, block in enumerate(blocks) for xy, v in block.items() if v
+    )
     return Tensor3(
         r.space,
-        tuple(
-            ((s // (n * n), s // n % n, s % n), Fraction(v, scale))
-            for s, v in sorted(acc.items())
-            if v
-        ),
+        tuple(((s // (n * n), s // n % n, s % n), Fraction(v, scale)) for s, v in slots),
     )
 
 
 def is_super_rmatrix(r: RMatrix) -> bool:
     """Whether r solves the super CYBE: every integer sum of the
-    `_scybe_ints` kernel is zero.  No `Fraction` and no defect tensor is
-    built."""
-    return not any(_scybe_ints(r)[0].values())
+    `_scybe_blocks` kernel is zero.  It stops at the first block with a
+    nonzero sum, and builds no `Fraction` and no defect tensor."""
+    _, blocks = _scybe_blocks(r)
+    return not any(any(block.values()) for block in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,29 @@ class TestRotaBaxter:
                 t = random_homogeneous_map(rng, g.space, g.space, rng.randint(0, 1))
                 assert is_rota_baxter(t, g) == oop_holds(t, ad)
 
+    def test_the_adjoint_is_built_once_per_algebra(self, monkeypatch, rng):
+        original = LieSuperAlgebra.ad
+        calls = []
+
+        def counting(g, i):
+            calls.append(g)
+            return original(g, i)
+
+        monkeypatch.setattr(LieSuperAlgebra, "ad", counting)
+        g = load_fixture("ex3.17").parts["gplus"]
+        rebuilt = LieSuperAlgebra(g.space, g.structure)
+        zero = GradedLinearMap.zero(g.space, g.space, EVEN)
+        for _ in range(20):
+            assert is_rota_baxter(zero, rebuilt)
+            t = random_homogeneous_map(rng, g.space, g.space, rng.randint(0, 1))
+            is_rota_baxter(t, rebuilt)
+        # one ad map per basis element, for all 40 calls
+        assert len(calls) == g.space.dim and all(c is rebuilt for c in calls)
+        # an equal algebra built apart is another object with its own adjoint
+        twin = LieSuperAlgebra(g.space, g.structure)
+        assert is_rota_baxter(zero, twin) and is_rota_baxter(zero, twin)
+        assert len(calls) == 2 * g.space.dim and calls[-1] is twin
+
 
 class TestParityDuality:
     def test_duality_preserves_verdicts(self, rng):
@@ -337,6 +360,16 @@ class TestGridSearch:
         found = grid_search_oops(g, coad, EVEN, [-1, 0, 1])
         assert fx.parts["T0"] in found
         assert GradedLinearMap.zero(coad.space, g.space, EVEN) in found
+
+    def test_int_entries_give_fraction_maps(self):
+        fx = load_fixture("ex3.7")
+        g, rho = fx.parts["algebra"], fx.parts["rho"]
+        for parity in (EVEN, ODD):
+            found = grid_search_oops(g, rho, parity, [-1, 0, 1])
+            assert any(not t.is_zero() for t in found)
+            for t in found:
+                assert all(type(x) is Fraction for col in t.nonzero for _, x in col)
+            assert found == grid_search_oops(g, rho, parity, ["-1", "0", "1"])
 
     def test_abelian_returns_every_candidate(self):
         space = SuperSpace.make(even=["a"], odd=["c"])

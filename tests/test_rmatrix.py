@@ -307,6 +307,122 @@ class TestIntegerKernel:
         assert len(built) == 2 and built[1] is twin
 
 
+def _counting_blocks(monkeypatch):
+    """The blocks the super-CYBE kernel yields while the test runs, one
+    list per kernel call."""
+    from superybe import rmatrix
+
+    original = rmatrix._scybe_blocks
+    calls = []
+
+    def counting(r):
+        scale, blocks = original(r)
+        consumed = []
+        calls.append(consumed)
+
+        def counted():
+            for block in blocks:
+                consumed.append(block)
+                yield block
+
+        return scale, counted()
+
+    monkeypatch.setattr(rmatrix, "_scybe_blocks", counting)
+    return calls
+
+
+@st.composite
+def last_block_defects(draw):
+    """A tensor whose defect is nonzero in the last block alone: an odd
+    solution (or zero) over g, plus a h (x) w in g (+) span{h, w} with h
+    even, w odd and last, and [h, w] = l w.  Brackets between the summands
+    vanish, so [[r, r]] is -l a^2 h (x) w (x) w."""
+    base = draw(st.sampled_from([r for r in KNOWN_SOLUTIONS if r.parity == ODD] + ["zero"]))
+    if base == "zero":
+        base = RMatrix.from_terms(draw(st.sampled_from(DEFECT_ALGEBRAS)), {}, ODD)
+    g = base.algebra
+    lam, a = (draw(st.sampled_from(DEFECT_VALUES[2:])) for _ in range(2))
+    labels, P = g.space.labels, g.space.parities
+    space = SuperSpace.make(
+        even=[x for x, p in zip(labels, P) if p == EVEN] + ["_h"],
+        odd=[x for x, p in zip(labels, P) if p == ODD] + ["_w"],
+    )
+    pos = [space.index(x) for x in labels]
+    h, w = space.index("_h"), space.index("_w")
+    structure = [
+        ((pos[i], pos[j], pos[k]), c)
+        for i, row in enumerate(g.nonzero)
+        for j, cell in enumerate(row)
+        for k, c in cell
+    ]
+    structure += [((h, w, w), Fraction(lam)), ((w, h, w), -Fraction(lam))]
+    host = LieSuperAlgebra._from_entries(space, structure)
+    terms = {(labels[i], labels[j]): x for (i, j), x in base.tensor.nonzero()}
+    terms[("_h", "_w")] = a
+    return RMatrix.from_terms(host, terms, ODD)
+
+
+class TestBlockKernel:
+    """The kernel yields one block per last slot index; the verdict stops at
+    the first block with a nonzero sum, the full defect reads them all."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=defect_inputs())
+    def test_the_verdict_stops_after_the_first_nonzero_block(self, r):
+        naive = naive_scybe_defect(r.algebra, r.tensor)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_blocks(mp)
+            verdict = is_super_rmatrix(r)
+        assert verdict == (not naive) and len(calls) == 1
+        # a solution reads all n blocks; a non-solution whose nonzero slots
+        # have least last index z0 reads the blocks 0, ..., z0
+        z0 = min((z for _, _, z in naive), default=r.space.dim - 1)
+        assert len(calls[0]) == z0 + 1
+
+    def test_solutions_consume_every_block(self, monkeypatch):
+        calls = _counting_blocks(monkeypatch)
+        for r in KNOWN_SOLUTIONS:
+            assert is_super_rmatrix(r)
+        assert [len(blocks) for blocks in calls] == [r.space.dim for r in KNOWN_SOLUTIONS]
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=last_block_defects())
+    def test_a_defect_in_the_last_block_alone(self, r):
+        n = r.space.dim
+        naive = naive_scybe_defect(r.algebra, r.tensor)
+        assert naive and all(z == n - 1 for _, _, z in naive)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_blocks(mp)
+            assert not is_super_rmatrix(r)
+            assert list(scybe_defect(r).nonzero()) == sorted(naive.items())
+        assert [len(blocks) for blocks in calls] == [n, n]
+        assert not any(v for block in calls[0][:-1] for v in block.values())
+
+    def test_join_index_is_built_once_per_algebra(self, monkeypatch):
+        original = LieSuperAlgebra.__dict__["_scaled_join"]
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return original.func(g)
+
+        index = cached_property(counting)
+        index.__set_name__(LieSuperAlgebra, "_scaled_join")
+        monkeypatch.setattr(LieSuperAlgebra, "_scaled_join", index)
+        g = load_fixture("ex3.2").parts["algebra"]
+        rebuilt = LieSuperAlgebra(g.space, g.structure)
+        rnd = random.Random(1)
+        for _ in range(5):
+            r = random_pan_supersymmetric(rnd, rebuilt, rnd.randint(0, 1))
+            scybe_defect(r)
+            is_super_rmatrix(r)
+        assert len(built) == 1 and built[0] is rebuilt
+        # an equal algebra built apart is another object with its own index
+        twin = LieSuperAlgebra(g.space, g.structure)
+        is_super_rmatrix(RMatrix.from_terms(twin, {("f", "f"): 1}))
+        assert len(built) == 2 and built[1] is twin
+
+
 class TestOperatorTensorConversions:
     def test_printed_tensors_map_to_printed_operators(self):
         fx = load_fixture("ex4.4")
