@@ -344,3 +344,111 @@ def test_pair_line_errors_per_section(kind, case):
     with pytest.raises(FormatError) as err:
         parse(text)
     assert (err.value.line, err.value.message) == (7, message)
+
+
+# every FormatError the parser raises: document -> (line, message)
+SPACE = "[space]\neven = e\nodd = f\n"  # lines 1-3
+PARSE_ERRORS = {
+    # document structure
+    "empty header": ("[ ]\n", 1, "empty section header"),
+    "unknown kind": (SPACE + "[frob]\n", 4, "unknown section kind 'frob'"),
+    "entry outside": ("e = 1\n", 1, "entry outside of any section"),
+    "no equals sign": (SPACE + "[bracket]\ne f 1 f\n", 5, "expected 'lhs = rhs'"),
+    # [space]
+    "space two names": ("[space a b]\n", 1, "space header takes at most one name"),
+    "space entry key": ("[space]\neven = e\nboth = f\n", 3,
+                        "space entries are 'even = ...' or 'odd = ...'"),
+    "space repeated label": ("[space]\neven = e e\n", 1, "duplicate basis labels in ('e', 'e')"),
+    "space label both parities": (SPACE + "[space V]\neven = v\nodd = v\n", 4,
+                                  "duplicate basis labels in ('v', 'v')"),
+    "space declared twice": (SPACE + "[space]\neven = x\n", 4, "space 'g' declared twice"),
+    "named space declared twice": (SPACE + "[space V]\neven = v\n[space V]\nodd = w\n", 6,
+                                   "space 'V' declared twice"),
+    # a redeclared space is refused when it closes, after its lines are read
+    "redeclared space bad line": (SPACE + "[space]\nfoo = x\n", 5,
+                                  "space entries are 'even = ...' or 'odd = ...'"),
+    # [bracket]
+    "bracket without space": ("[bracket]\n", 1, "the algebra's [space] section is missing"),
+    "bracket arguments": (SPACE + "[bracket x]\n", 4, "bracket header takes no arguments"),
+    "bracket out of order": (SPACE + "[bracket]\nf e = 1 f\n", 5,
+                             "bracket entry [f, e] out of order; give the i <= j pair"),
+    "bracket parity": (SPACE + "[bracket]\ne f = 1 e\n", 5,
+                       "parity-inconsistent entry: [e, f] cannot contain e"),
+    "bracket even diagonal": (SPACE + "[bracket]\ne e = 1 e\n", 5, "[e, e] must vanish for even e"),
+    # terms
+    "malformed rational": (SPACE + "[bracket]\ne f = x f\n", 5, "malformed rational 'x'"),
+    "zero denominator": (SPACE + "[bracket]\ne f = 1/0 f\n", 5, "zero denominator in '1/0'"),
+    "coefficient without label": (SPACE + "[bracket]\ne f = 1\n", 5,
+                                  "coefficient without a basis label"),
+    "unknown term label": (SPACE + "[bracket]\ne f = 1 z\n", 5, "unknown label 'z'"),
+    "missing plus": (SPACE + "[bracket]\ne f = 1 f 2 f\n", 5, "expected '+' between terms, got '2'"),
+    "dangling plus": (SPACE + "[bracket]\ne f = 1 f +\n", 5, "dangling '+' at end of line"),
+    # [rep]
+    "rep header one name": (SPACE + "[rep r]\n", 4, "expected [rep NAME on SPACE]"),
+    "rep header not on": (SPACE + "[rep r at g]\n", 4, "expected [rep NAME on SPACE]"),
+    "rep header before space": ("[rep r]\n", 1, "expected [rep NAME on SPACE]"),
+    "rep without space": ("[rep r on g]\n", 1, "the algebra's [space] section is missing"),
+    "rep unknown space": (SPACE + "[rep r on h*]\n", 4, "unknown space 'h'"),
+    "rep declared twice": (SPACE + "[rep r on g]\n[rep r on g*]\n", 5, "rep 'r' declared twice"),
+    "rep line shape": (SPACE + "[rep r on g]\ne = 1 e\n", 5, "rep lines look like 'x v = terms'"),
+    "rep unknown algebra label": (SPACE + "[rep r on g]\nx e = 1 e\n", 5, "unknown label 'x'"),
+    "rep unknown module label": (SPACE + "[rep r on g*]\ne e = 1 e*\n", 5, "unknown label 'e'"),
+    "rep parity": (SPACE + "[rep r on g]\ne e = 1 f\n", 5,
+                   "parity-inconsistent entry: e e cannot contain f"),
+    "rep duplicate": (SPACE + "[rep r on g]\ne e = 1 e\ne e = 1 e\n", 6, "duplicate rep entry e e"),
+    # a rep line's terms are read before its duplicate check
+    "rep duplicate bad terms": (SPACE + "[rep r on g]\ne e = 1 e\ne e = 1 z\n", 6,
+                                "unknown label 'z'"),
+    # [map]
+    "map header shape": (SPACE + "[map T g* -> g]\n", 4,
+                         "expected [map NAME : SRC -> DST parity even|odd]"),
+    "map unknown parity": (SPACE + "[map T : g* -> g parity neither]\n", 4,
+                           "unknown parity 'neither'"),
+    "map unknown source": (SPACE + "[map T : h -> g parity even]\n", 4, "unknown space 'h'"),
+    "map unknown target": (SPACE + "[map T : g -> sk parity even]\n", 4, "unknown space 'k'"),
+    "map declared twice": (SPACE + "[map T : g -> g parity even]\n[map T : g -> g parity odd]\n",
+                           5, "map 'T' declared twice"),
+    "map unknown label": (SPACE + "[map T : g* -> g parity even]\ne = 1 e\n", 5,
+                          "unknown label 'e'"),
+    "map duplicate": (SPACE + "[map T : g* -> g parity even]\ne* = 1 e\ne* = 1 e\n", 6,
+                      "duplicate map entry e*"),
+    # a map line's duplicate check comes before its terms
+    "map duplicate bad terms": (SPACE + "[map T : g* -> g parity even]\ne* = 1 e\ne* = 1 z\n", 6,
+                                "duplicate map entry e*"),
+    "map parity": (SPACE + "[map T : g* -> g parity even]\ne* = 1 f\n", 5,
+                   "parity-inconsistent entry: image of e* cannot contain f"),
+    # [tensor]
+    "tensor header": (SPACE + "[tensor]\n", 4, "expected [tensor NAME]"),
+    "tensor without space": ("[tensor r]\n", 1, "the algebra's [space] section is missing"),
+    "tensor declared twice": (SPACE + "[tensor r]\n[tensor r]\n", 5, "tensor 'r' declared twice"),
+    "tensor rational": (SPACE + "[tensor r]\ne f = 1 f\n", 5, "malformed rational '1 f'"),
+    # the pair is checked before the rational
+    "tensor duplicate bad rational": (SPACE + "[tensor r]\ne f = 1\ne f = x\n", 6,
+                                      "duplicate tensor entry e f"),
+    "tensor unknown label bad rational": (SPACE + "[tensor r]\nx f = y\n", 5, "unknown label 'x'"),
+    # [prelie]
+    "prelie header": (SPACE + "[prelie A at g]\n", 4, "expected [prelie NAME (on SPACE)]"),
+    "prelie header on nothing": (SPACE + "[prelie A on]\n", 4, "expected [prelie NAME (on SPACE)]"),
+    "prelie without space": ("[prelie]\n", 1, "unknown space 'g'"),
+    "prelie unknown space": (SPACE + "[prelie A on h]\n", 4, "unknown space 'h'"),
+    "prelie declared twice": (SPACE + "[prelie]\n[prelie A]\n", 5, "prelie 'A' declared twice"),
+    "prelie shifts": (SPACE + "[prelie A]\ne e = 1 e\ne f = 1 e\n", 6,
+                      "parity-inconsistent entry: e f mixes grading shifts"),
+    # [form]
+    "form header": (SPACE + "[form]\n", 4, "expected [form NAME]"),
+    "form without space": ("[form b]\n", 1, "the algebra's [space] section is missing"),
+    "form declared twice": (SPACE + "[form b]\n[form b]\n", 5, "form 'b' declared twice"),
+    "form rational": (SPACE + "[form b]\ne e = 1/0\n", 5, "zero denominator in '1/0'"),
+    # refused when the section closes, on its header line
+    "form mixes parities": (SPACE + "[form b]\ne e = 1\ne f = 1\n", 4, "form 'b' mixes parities"),
+    "form mixes parities next header": (SPACE + "[form b]\ne e = 1\ne f = 1\n[tensor r]\n", 4,
+                                        "form 'b' mixes parities"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_every_parse_error_with_its_line(case):
+    text, line, message = PARSE_ERRORS[case]
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert (err.value.line, err.value.message) == (line, message)
