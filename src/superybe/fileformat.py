@@ -5,8 +5,10 @@ algebra's basis, `[bracket]` its structure constants (i <= j entries
 only, the rest follow from the sign rule), and optional `[space NAME]`,
 `[rep NAME on SPACE]`, `[map NAME : SRC -> DST parity P]`,
 `[tensor NAME]`, `[prelie NAME]` and `[form NAME]` sections carry the
-other objects.  `#` starts a comment.  emit() produces a canonical text
-whose parse returns equal objects.
+other objects.  Each section is declared once: a second `[bracket]`, or
+a second section of one kind and name, is a FormatError.  `#` starts a
+comment.  emit() produces a canonical text whose parse returns equal
+objects.
 """
 
 from __future__ import annotations
@@ -157,271 +159,268 @@ def _pair_key(kind: str, lhs: str, space: SuperSpace, entries, line: int) -> "tu
     return a, b
 
 
-class _Section:
-    def __init__(self, kind: str, line: int, **data):
-        self.kind = kind
-        self.line = line
-        self.data = data
+def _algebra_space(doc: Document, line: int) -> SuperSpace:
+    if ALGEBRA_SPACE_NAME not in doc.spaces:
+        raise FormatError("the algebra's [space] section is missing", line)
+    return doc.spaces[ALGEBRA_SPACE_NAME]
+
+
+def _resolve(doc: Document, expr: str, line: int) -> SuperSpace:
+    try:
+        return doc.resolve_space(expr)
+    except KeyError as exc:
+        raise FormatError(str(exc.args[0]), line) from None
+
+
+def _declare_once(taken: bool, what: str, line: int) -> None:
+    if taken:
+        raise FormatError(f"{what} declared twice", line)
+
+
+def _graded_terms(rhs: str, space: SuperSpace, target: int, what: str, line: int):
+    """The terms of a line whose every nonzero term has parity `target`."""
+    terms = _parse_terms(rhs, space, line)
+    for lab, c in terms.items():
+        if c != 0 and space.parities[space.index(lab)] != target:
+            raise FormatError(f"parity-inconsistent entry: {what} cannot contain {lab}", line)
+    return terms
+
+
+# A section opener checks its header and returns (entry, close): entry(lhs,
+# rhs, line) reads one `lhs = rhs` line, close() builds the section's object
+# into the document when the next header or the end of the text comes.
+
+
+def _open_space(doc: Document, inner: str, tokens: list, line: int):
+    if len(tokens) > 2:
+        raise FormatError("space header takes at most one name", line)
+    name = tokens[1] if len(tokens) == 2 else ALGEBRA_SPACE_NAME
+    labels: dict = {"even": [], "odd": []}
+
+    def entry(lhs, rhs, lineno):
+        if lhs not in labels:
+            raise FormatError("space entries are 'even = ...' or 'odd = ...'", lineno)
+        labels[lhs].extend(rhs.split())
+
+    def close():
+        _declare_once(name in doc.spaces, f"space {name!r}", line)
+        try:
+            doc.spaces[name] = SuperSpace.make(**labels)
+        except ValueError as exc:
+            raise FormatError(str(exc), line) from None
+
+    return entry, close
+
+
+def _open_bracket(doc: Document, inner: str, tokens: list, line: int):
+    space = _algebra_space(doc, line)
+    if len(tokens) != 1:
+        raise FormatError("bracket header takes no arguments", line)
+    _declare_once(doc.algebra is not None, "bracket", line)
+    entries: dict = {}
+
+    def entry(lhs, rhs, lineno):
+        # an out-of-order pair is never stored, so it is never a duplicate
+        a, b = _pair_key("bracket", lhs, space, entries, lineno)
+        i, j = space.index(a), space.index(b)
+        if i > j:
+            raise FormatError(
+                f"bracket entry [{a}, {b}] out of order; give the i <= j pair", lineno
+            )
+        target = (space.parities[i] + space.parities[j]) % 2
+        terms = _graded_terms(rhs, space, target, f"[{a}, {b}]", lineno)
+        if i == j and space.parities[i] == EVEN and any(c != 0 for c in terms.values()):
+            raise FormatError(f"[{a}, {a}] must vanish for even {a}", lineno)
+        entries[a, b] = terms
+
+    def close():
+        doc.algebra = LieSuperAlgebra.from_brackets(space, entries)
+
+    return entry, close
+
+
+def _open_rep(doc: Document, inner: str, tokens: list, line: int):
+    if len(tokens) != 4 or tokens[2] != "on":
+        raise FormatError("expected [rep NAME on SPACE]", line)
+    g_space = _algebra_space(doc, line)
+    space = _resolve(doc, tokens[3], line)
+    name = tokens[1]
+    _declare_once(name in doc.reps, f"rep {name!r}", line)
+    columns: dict = {}
+
+    def entry(lhs, rhs, lineno):
+        parts = lhs.split()
+        if len(parts) != 2:
+            raise FormatError("rep lines look like 'x v = terms'", lineno)
+        a, v = parts
+        for lab, labels in ((a, g_space.labels), (v, space.labels)):
+            if lab not in labels:
+                raise FormatError(f"unknown label {lab!r}", lineno)
+        target = (g_space.parities[g_space.index(a)] + space.parities[space.index(v)]) % 2
+        terms = _graded_terms(rhs, space, target, f"{a} {v}", lineno)
+        column = columns.setdefault(a, {})
+        if v in column:
+            raise FormatError(f"duplicate rep entry {a} {v}", lineno)
+        column[v] = terms
+
+    def close():
+        action = tuple(
+            GradedLinearMap.from_images(space, space, p, columns.get(lab, {}))
+            for lab, p in zip(g_space.labels, g_space.parities)
+        )
+        doc.reps[name] = RawRep(name, space, action)
+
+    return entry, close
+
+
+def _open_map(doc: Document, inner: str, tokens: list, line: int):
+    m = _MAP_HEADER_RE.match(inner)
+    if not m:
+        raise FormatError("expected [map NAME : SRC -> DST parity even|odd]", line)
+    name, src_expr, dst_expr, par = m.groups()
+    if par not in ("even", "odd"):
+        raise FormatError(f"unknown parity {par!r}", line)
+    src, dst = _resolve(doc, src_expr, line), _resolve(doc, dst_expr, line)
+    _declare_once(name in doc.maps, f"map {name!r}", line)
+    parity = EVEN if par == "even" else ODD
+    columns: dict = {}
+
+    def entry(lhs, rhs, lineno):
+        if lhs not in src.labels:
+            raise FormatError(f"unknown label {lhs!r}", lineno)
+        if lhs in columns:
+            raise FormatError(f"duplicate map entry {lhs}", lineno)
+        target = (src.parities[src.index(lhs)] + parity) % 2
+        columns[lhs] = _graded_terms(rhs, dst, target, f"image of {lhs}", lineno)
+
+    def close():
+        doc.maps[name] = GradedLinearMap.from_images(src, dst, parity, columns)
+
+    return entry, close
+
+
+def _rational_pairs(kind: str, space: SuperSpace, entries: dict):
+    """The line reader of a section of `a b = rational` lines."""
+
+    def entry(lhs, rhs, lineno):
+        key = _pair_key(kind, lhs, space, entries, lineno)  # the pair before the rational
+        entries[key] = _parse_rational(rhs, lineno)
+
+    return entry
+
+
+def _open_tensor(doc: Document, inner: str, tokens: list, line: int):
+    if len(tokens) != 2:
+        raise FormatError("expected [tensor NAME]", line)
+    space = _algebra_space(doc, line)
+    name = tokens[1]
+    _declare_once(name in doc.tensors, f"tensor {name!r}", line)
+    entries: dict = {}
+
+    def close():
+        doc.tensors[name] = Tensor2.from_terms(space, space, entries)
+
+    return _rational_pairs("tensor", space, entries), close
+
+
+def _open_prelie(doc: Document, inner: str, tokens: list, line: int):
+    name, space_expr = "A", ALGEBRA_SPACE_NAME
+    if len(tokens) == 2:
+        name = tokens[1]
+    elif len(tokens) == 4 and tokens[2] == "on":
+        name, space_expr = tokens[1], tokens[3]
+    elif len(tokens) != 1:
+        raise FormatError("expected [prelie NAME (on SPACE)]", line)
+    space = _resolve(doc, space_expr, line)
+    _declare_once(name in doc.prelies, f"prelie {name!r}", line)
+    entries: dict = {}
+    shift = None  # the grading shift, fixed by the first nonzero term
+
+    def entry(lhs, rhs, lineno):
+        nonlocal shift
+        a, b = _pair_key("prelie", lhs, space, entries, lineno)
+        terms = _parse_terms(rhs, space, lineno)
+        base = (space.parities[space.index(a)] + space.parities[space.index(b)]) % 2
+        for lab, c in terms.items():
+            if c == 0:
+                continue
+            term_shift = (space.parities[space.index(lab)] - base) % 2
+            if shift is None:
+                shift = term_shift
+            elif shift != term_shift:
+                raise FormatError(
+                    f"parity-inconsistent entry: {a} {b} mixes grading shifts", lineno
+                )
+        entries[a, b] = terms
+
+    def close():
+        doc.prelies[name] = PreLieSuperAlgebra.from_products(
+            space, entries, shift if shift is not None else EVEN
+        )
+
+    return entry, close
+
+
+def _open_form(doc: Document, inner: str, tokens: list, line: int):
+    if len(tokens) != 2:
+        raise FormatError("expected [form NAME]", line)
+    space = _algebra_space(doc, line)
+    name = tokens[1]
+    _declare_once(name in doc.forms, f"form {name!r}", line)
+    entries: dict = {}
+
+    def close():
+        parities = {
+            (space.parities[space.index(a)] + space.parities[space.index(b)]) % 2
+            for (a, b), c in entries.items()
+            if c != 0
+        }
+        if len(parities) > 1:
+            raise FormatError(f"form {name!r} mixes parities", line)
+        parity = parities.pop() if parities else EVEN
+        doc.forms[name] = BilinearForm.from_terms(space, entries, parity)
+
+    return _rational_pairs("form", space, entries), close
+
+
+_OPENERS = {
+    "space": _open_space,
+    "bracket": _open_bracket,
+    "rep": _open_rep,
+    "map": _open_map,
+    "tensor": _open_tensor,
+    "prelie": _open_prelie,
+    "form": _open_form,
+}
 
 
 def parse(text: str) -> Document:
     doc = Document()
-    section: "_Section | None" = None
-
-    def algebra_space(lineno: int) -> SuperSpace:
-        if ALGEBRA_SPACE_NAME not in doc.spaces:
-            raise FormatError("the algebra's [space] section is missing", lineno)
-        return doc.spaces[ALGEBRA_SPACE_NAME]
-
-    def finalize():
-        nonlocal section
-        if section is None:
-            return
-        s, section = section, None
-        if s.kind == "space":
-            if s.data["name"] in doc.spaces:
-                raise FormatError(f"space {s.data['name']!r} declared twice", s.line)
-            try:
-                doc.spaces[s.data["name"]] = SuperSpace.make(
-                    even=s.data["even"], odd=s.data["odd"]
-                )
-            except ValueError as exc:
-                raise FormatError(str(exc), s.line) from None
-        elif s.kind == "bracket":
-            space = doc.spaces[ALGEBRA_SPACE_NAME]
-            try:
-                doc.algebra = LieSuperAlgebra.from_brackets(space, s.data["entries"])
-            except ValueError as exc:
-                raise FormatError(str(exc), s.line) from None
-        elif s.kind == "rep":
-            g_space = doc.spaces[ALGEBRA_SPACE_NAME]
-            space = s.data["space"]
-            action = []
-            for a, lab in enumerate(g_space.labels):
-                images = s.data["columns"].get(lab, {})
-                action.append(
-                    GradedLinearMap.from_images(space, space, g_space.parities[a], images)
-                )
-            doc.reps[s.data["name"]] = RawRep(s.data["name"], space, tuple(action))
-        elif s.kind == "map":
-            doc.maps[s.data["name"]] = GradedLinearMap.from_images(
-                s.data["src"], s.data["dst"], s.data["parity"], s.data["columns"]
-            )
-        elif s.kind == "tensor":
-            space = doc.spaces[ALGEBRA_SPACE_NAME]
-            doc.tensors[s.data["name"]] = Tensor2.from_terms(
-                space, space, s.data["entries"]
-            )
-        elif s.kind == "prelie":
-            shift = s.data["shift"][0]
-            doc.prelies[s.data["name"]] = PreLieSuperAlgebra.from_products(
-                s.data["space"], s.data["entries"], shift if shift is not None else EVEN
-            )
-        elif s.kind == "form":
-            space = doc.spaces[ALGEBRA_SPACE_NAME]
-            entries = s.data["entries"]
-            parities = {
-                (space.parities[space.index(a)] + space.parities[space.index(b)]) % 2
-                for (a, b), c in entries.items()
-                if c != 0
-            }
-            if len(parities) > 1:
-                raise FormatError(f"form {s.data['name']!r} mixes parities", s.line)
-            parity = parities.pop() if parities else EVEN
-            doc.forms[s.data["name"]] = BilinearForm.from_terms(space, entries, parity)
-
+    entry = close = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0].strip()
         if not content:
             continue
         header = _HEADER_RE.match(content)
         if header:
-            finalize()
+            if close is not None:
+                close()
             inner = header.group(1).strip()
             tokens = inner.split()
             if not tokens:
                 raise FormatError("empty section header", lineno)
-            kind = tokens[0]
-            if kind == "space":
-                if len(tokens) == 1:
-                    name = ALGEBRA_SPACE_NAME
-                elif len(tokens) == 2:
-                    name = tokens[1]
-                else:
-                    raise FormatError("space header takes at most one name", lineno)
-                section = _Section("space", lineno, name=name, even=[], odd=[])
-            elif kind == "bracket":
-                algebra_space(lineno)
-                if len(tokens) != 1:
-                    raise FormatError("bracket header takes no arguments", lineno)
-                section = _Section("bracket", lineno, entries={})
-            elif kind == "rep":
-                if len(tokens) != 4 or tokens[2] != "on":
-                    raise FormatError("expected [rep NAME on SPACE]", lineno)
-                algebra_space(lineno)
-                try:
-                    space = doc.resolve_space(tokens[3])
-                except KeyError as exc:
-                    raise FormatError(str(exc.args[0]), lineno) from None
-                if tokens[1] in doc.reps:
-                    raise FormatError(f"rep {tokens[1]!r} declared twice", lineno)
-                section = _Section("rep", lineno, name=tokens[1], space=space, columns={})
-            elif kind == "map":
-                m = _MAP_HEADER_RE.match(inner)
-                if not m:
-                    raise FormatError(
-                        "expected [map NAME : SRC -> DST parity even|odd]", lineno
-                    )
-                name, src_expr, dst_expr, par = m.groups()
-                if par not in ("even", "odd"):
-                    raise FormatError(f"unknown parity {par!r}", lineno)
-                try:
-                    src = doc.resolve_space(src_expr)
-                    dst = doc.resolve_space(dst_expr)
-                except KeyError as exc:
-                    raise FormatError(str(exc.args[0]), lineno) from None
-                if name in doc.maps:
-                    raise FormatError(f"map {name!r} declared twice", lineno)
-                section = _Section(
-                    "map",
-                    lineno,
-                    name=name,
-                    src=src,
-                    dst=dst,
-                    parity=EVEN if par == "even" else ODD,
-                    columns={},
-                )
-            elif kind == "tensor":
-                if len(tokens) != 2:
-                    raise FormatError("expected [tensor NAME]", lineno)
-                algebra_space(lineno)
-                if tokens[1] in doc.tensors:
-                    raise FormatError(f"tensor {tokens[1]!r} declared twice", lineno)
-                section = _Section("tensor", lineno, name=tokens[1], entries={})
-            elif kind == "prelie":
-                name = "A"
-                space_expr = ALGEBRA_SPACE_NAME
-                if len(tokens) == 2:
-                    name = tokens[1]
-                elif len(tokens) == 4 and tokens[2] == "on":
-                    name = tokens[1]
-                    space_expr = tokens[3]
-                elif len(tokens) != 1:
-                    raise FormatError("expected [prelie NAME (on SPACE)]", lineno)
-                try:
-                    space = doc.resolve_space(space_expr)
-                except KeyError as exc:
-                    raise FormatError(str(exc.args[0]), lineno) from None
-                if name in doc.prelies:
-                    raise FormatError(f"prelie {name!r} declared twice", lineno)
-                section = _Section(
-                    "prelie", lineno, name=name, space=space, entries={}, shift=[None]
-                )
-            elif kind == "form":
-                if len(tokens) != 2:
-                    raise FormatError("expected [form NAME]", lineno)
-                algebra_space(lineno)
-                if tokens[1] in doc.forms:
-                    raise FormatError(f"form {tokens[1]!r} declared twice", lineno)
-                section = _Section("form", lineno, name=tokens[1], entries={})
-            else:
-                raise FormatError(f"unknown section kind {kind!r}", lineno)
+            if tokens[0] not in _OPENERS:
+                raise FormatError(f"unknown section kind {tokens[0]!r}", lineno)
+            entry, close = _OPENERS[tokens[0]](doc, inner, tokens, lineno)
             continue
-
-        if section is None:
+        if entry is None:
             raise FormatError("entry outside of any section", lineno)
         if "=" not in content:
             raise FormatError("expected 'lhs = rhs'", lineno)
         lhs, rhs = (part.strip() for part in content.split("=", 1))
-
-        if section.kind == "space":
-            if lhs == "even":
-                section.data["even"].extend(rhs.split())
-            elif lhs == "odd":
-                section.data["odd"].extend(rhs.split())
-            else:
-                raise FormatError("space entries are 'even = ...' or 'odd = ...'", lineno)
-        elif section.kind == "bracket":
-            space = doc.spaces[ALGEBRA_SPACE_NAME]
-            # an out-of-order pair is never stored, so it is never a duplicate
-            a, b = _pair_key("bracket", lhs, space, section.data["entries"], lineno)
-            i, j = space.index(a), space.index(b)
-            if i > j:
-                raise FormatError(
-                    f"bracket entry [{a}, {b}] out of order; give the i <= j pair", lineno
-                )
-            terms = _parse_terms(rhs, space, lineno)
-            target = (space.parities[i] + space.parities[j]) % 2
-            for lab, c in terms.items():
-                if c != 0 and space.parities[space.index(lab)] != target:
-                    raise FormatError(
-                        f"parity-inconsistent entry: [{a}, {b}] cannot contain {lab}", lineno
-                    )
-            if i == j and space.parities[i] == EVEN and any(c != 0 for c in terms.values()):
-                raise FormatError(f"[{a}, {a}] must vanish for even {a}", lineno)
-            section.data["entries"][(a, b)] = terms
-        elif section.kind == "rep":
-            space = section.data["space"]
-            g_space = doc.spaces[ALGEBRA_SPACE_NAME]
-            parts = lhs.split()
-            if len(parts) != 2:
-                raise FormatError("rep lines look like 'x v = terms'", lineno)
-            a, v = parts
-            if a not in g_space.labels:
-                raise FormatError(f"unknown label {a!r}", lineno)
-            if v not in space.labels:
-                raise FormatError(f"unknown label {v!r}", lineno)
-            terms = _parse_terms(rhs, space, lineno)
-            target = (
-                g_space.parities[g_space.index(a)] + space.parities[space.index(v)]
-            ) % 2
-            for lab, c in terms.items():
-                if c != 0 and space.parities[space.index(lab)] != target:
-                    raise FormatError(
-                        f"parity-inconsistent entry: {a} {v} cannot contain {lab}", lineno
-                    )
-            columns = section.data["columns"].setdefault(a, {})
-            if v in columns:
-                raise FormatError(f"duplicate rep entry {a} {v}", lineno)
-            columns[v] = terms
-        elif section.kind == "map":
-            src = section.data["src"]
-            dst = section.data["dst"]
-            if lhs not in src.labels:
-                raise FormatError(f"unknown label {lhs!r}", lineno)
-            if lhs in section.data["columns"]:
-                raise FormatError(f"duplicate map entry {lhs}", lineno)
-            terms = _parse_terms(rhs, dst, lineno)
-            target = (src.parities[src.index(lhs)] + section.data["parity"]) % 2
-            for lab, c in terms.items():
-                if c != 0 and dst.parities[dst.index(lab)] != target:
-                    raise FormatError(
-                        f"parity-inconsistent entry: image of {lhs} cannot contain {lab}",
-                        lineno,
-                    )
-            section.data["columns"][lhs] = terms
-        elif section.kind in ("tensor", "form"):
-            entries = section.data["entries"]
-            key = _pair_key(section.kind, lhs, doc.spaces[ALGEBRA_SPACE_NAME], entries, lineno)
-            entries[key] = _parse_rational(rhs.strip(), lineno)
-        elif section.kind == "prelie":
-            space = section.data["space"]
-            a, b = _pair_key("prelie", lhs, space, section.data["entries"], lineno)
-            terms = _parse_terms(rhs, space, lineno)
-            base = (space.parities[space.index(a)] + space.parities[space.index(b)]) % 2
-            for lab, c in terms.items():
-                if c == 0:
-                    continue
-                shift = (space.parities[space.index(lab)] - base) % 2
-                if section.data["shift"][0] is None:
-                    section.data["shift"][0] = shift
-                elif section.data["shift"][0] != shift:
-                    raise FormatError(
-                        f"parity-inconsistent entry: {a} {b} mixes grading shifts", lineno
-                    )
-            section.data["entries"][(a, b)] = terms
-
-    finalize()
+        entry(lhs, rhs, lineno)
+    if close is not None:
+        close()
     return doc
 
 

@@ -144,6 +144,12 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "line 5" in err and "zero denominator" in err
 
+    def test_second_bracket_exits_two_with_line(self, tmp_path, capsys):
+        path = tmp_path / "twice.sy"
+        path.write_text("[space]\neven = e\nodd = f\n[bracket]\ne f = 1 f\n[bracket]\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 6: bracket declared twice")
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent.sy"]) == 2
 

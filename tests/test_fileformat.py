@@ -374,6 +374,9 @@ PARSE_ERRORS = {
                              "bracket entry [f, e] out of order; give the i <= j pair"),
     "bracket parity": (SPACE + "[bracket]\ne f = 1 e\n", 5,
                        "parity-inconsistent entry: [e, f] cannot contain e"),
+    # a second [bracket] once replaced the algebra silently
+    "bracket declared twice": (SPACE + "[bracket]\ne f = 1 f\n[bracket]\n", 6,
+                               "bracket declared twice"),
     "bracket even diagonal": (SPACE + "[bracket]\ne e = 1 e\n", 5, "[e, e] must vanish for even e"),
     # terms
     "malformed rational": (SPACE + "[bracket]\ne f = x f\n", 5, "malformed rational 'x'"),
