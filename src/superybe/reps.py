@@ -30,7 +30,10 @@ def check_representation(
     g: LieSuperAlgebra, space: SuperSpace, action: Sequence[GradedLinearMap]
 ) -> CheckReport:
     """Verify that the candidate action is a homogeneous Lie superalgebra
-    homomorphism into gl(space); reports the first offending pair."""
+    homomorphism into gl(space); reports the first offending pair.  The
+    defect of a pair is summed one column at a time from the sparse
+    columns of the action and the structure constants, as in the Jacobi
+    check of `check_lie_axioms`; no composed map is built."""
     n = g.space.dim
     L = g.space.labels
 
@@ -45,26 +48,27 @@ def check_representation(
                 yield f"action of {L[i]} must have parity of {L[i]}"
 
     def hom_witnesses():
-        later = {}  # the two products of pair (i, j), kept for pair (j, i)
+        # rho(e_i) rho(e_j) - s rho(e_j) rho(e_i) - rho([e_i, e_j]), one
+        # basis vector v at a time: A[a][v] is column v of rho(e_a)
+        A = [m.nonzero for m in action]
+        P = g.space.parities
         for i in range(n):
             for j in range(n):
-                s = sign(g.space.parities[i] * g.space.parities[j])
-                if (i, j) in later:
-                    ij, ji = later.pop((i, j))
-                else:
-                    ij = action[i].compose(action[j])
-                    ji = action[j].compose(action[i]) if i != j else ij
-                    if i < j:
-                        later[j, i] = ji, ij
-                # rho(e_i) rho(e_j) - s rho(e_j) rho(e_i) - rho([e_i, e_j])
-                defect = dict(ij._entries())
-                for rc, x in ji._entries():
-                    defect[rc] = defect.get(rc, ZERO) - s * x
-                for k, c in g.nonzero[i][j]:
-                    for rc, x in action[k]._entries():
-                        defect[rc] = defect.get(rc, ZERO) - c * x
-                if any(x != 0 for x in defect.values()):
-                    yield f"fails at pair ({L[i]}, {L[j]})"
+                s = sign(P[i] * P[j])
+                for v in range(space.dim):
+                    defect: dict = {}
+                    for m, x in A[j][v]:
+                        for q, y in A[i][m]:
+                            defect[q] = defect.get(q, ZERO) + y * x
+                    for m, x in A[i][v]:
+                        for q, y in A[j][m]:
+                            defect[q] = defect.get(q, ZERO) - s * y * x
+                    for k, c in g.nonzero[i][j]:
+                        for q, y in A[k][v]:
+                            defect[q] = defect.get(q, ZERO) - c * y
+                    if any(x != 0 for x in defect.values()):
+                        yield f"fails at pair ({L[i]}, {L[j]})"
+                        break
 
     shape_item = _first_failure("action shape and parity", shape_witnesses())
     hom_item = _first_failure("homomorphism property", hom_witnesses() if shape_item.ok else ())
