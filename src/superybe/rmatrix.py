@@ -22,7 +22,6 @@ from .graded import (
     SuperSpace,
     Tensor2,
     Tensor3,
-    dual_map,
     merge_spaces,
     sign,
     suspend_map,
@@ -269,26 +268,18 @@ def operator_to_rmatrix(
 def induced_coadjoint_operator(
     t: GradedLinearMap, rho: Representation, variant: str = "plain"
 ) -> GradedLinearMap:
-    """The operator the induced tensor defines on the semidirect product,
-    written directly on dual(h):
+    """The operator the induced tensor defines on the semidirect product:
 
     plain: (v_i*)* -> (-1)^{|v_i|} T(v_i),      e_j* -> -(-1)^{|T|} T*(e_j*);
     dual:  ((sv_i)*)* -> (-1)^{|v_i|+1} T(v_i), e_j* -> (-1)^{|T|} (T^s)*(e_j*),
            the plain operator of (T^s, rho^s).
 
-    It is an O-operator for the coadjoint representation of h exactly when
-    T satisfies the identity; it equals rmatrix_to_operator of the induced
-    tensor under the double-dual identification.
+    By the r-matrix <-> O-operator correspondence it is T_r of the induced
+    tensor r, under the double-dual identification, and it is read off r
+    that way.  It is an O-operator for the coadjoint representation of h
+    exactly when T satisfies the identity.
     """
-    t, rho, h, alg_pos, mod_pos = _induced_input(t, rho, variant)
-    P = rho.space.parities
-    sgn_alg = -sign(t.parity)
-    entries = [((alg_pos[k], mod_pos[i]), sign(P[i]) * x) for (k, i), x in t._entries()]
-    # column j of T* = dual_map(t) holds the coordinates of T*(e_j*) over V*
-    entries += (
-        ((mod_pos[m], alg_pos[j]), sgn_alg * x) for (m, j), x in dual_map(t)._entries()
-    )
-    return GradedLinearMap._from_entries(h.space.dual(), h.space, t.parity, entries)
+    return rmatrix_to_operator(operator_to_rmatrix(t, rho, variant))
 
 
 # ---------------------------------------------------------------------------
