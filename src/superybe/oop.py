@@ -228,7 +228,6 @@ def grid_search_oops(
     rho: Representation,
     parity: Parity,
     entry_set,
-    cap: int = GRID_SEARCH_CAP,
 ) -> list[GradedLinearMap]:
     """Every homogeneous map of the given parity with all free entries in
     entry_set that satisfies the O-operator identity, in lexicographic
@@ -239,9 +238,9 @@ def grid_search_oops(
     basis pair is tested at the first depth where every column its defect
     can read is fixed, and a subtree is cut at its first nonzero defect;
     only accepted assignments become maps.  The entry set is scaled to ints
-    once, so every test runs on the integer kernel `_defect`.  The cap
-    bounds the full grid, len(entry_set) ** (number of free positions),
-    pruned or not."""
+    once, so every test runs on the integer kernel `_defect`.
+    GRID_SEARCH_CAP bounds the full grid, len(entry_set) ** (number of free
+    positions), pruned or not, and is checked before any search."""
     if rho.algebra != g:
         raise ValueError("representation is not over this algebra")
     V = rho.space
@@ -256,9 +255,9 @@ def grid_search_oops(
     ]
     nfree = len(positions)
     total = len(entries) ** nfree
-    if total > cap:
+    if total > GRID_SEARCH_CAP:
         raise GridSearchCapExceeded(
-            f"{len(entries)}^{nfree} = {total} candidates exceeds the cap {cap}"
+            f"{len(entries)}^{nfree} = {total} candidates exceeds the cap {GRID_SEARCH_CAP}"
         )
 
     order = sorted(positions, key=lambda ki: (ki[1], ki[0]))  # column by column

@@ -386,7 +386,6 @@ class TestGridSearch:
                 fx.parts["rho"],
                 EVEN,
                 list(range(100)),
-                cap=10**3,
             )
 
     def test_printed_odd_operator_is_found(self):
