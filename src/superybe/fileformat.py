@@ -200,6 +200,15 @@ def _open_space(doc: Document, inner: str, tokens: list, line: int):
     def entry(lhs, rhs, lineno):
         if lhs not in labels:
             raise FormatError("space entries are 'even = ...' or 'odd = ...'", lineno)
+        for label in rhs.split():
+            # no later line could name the label: it would split at its '='
+            # or read as a section header
+            if "=" in label or label.startswith("["):
+                raise FormatError(
+                    f"unreadable basis label {label!r}: a label may not hold '=' "
+                    "or start with '['",
+                    lineno,
+                )
         labels[lhs].extend(rhs.split())
 
     def close():

@@ -4,20 +4,20 @@ Small hand-rolled Gaussian elimination: enough for the nullspaces,
 inverses, determinants and column reductions the library needs.
 Pivoting is deterministic (first nonzero in row order).
 
-`rref`, `rank`, `nullspace`, `invert` and `solve` share one integer
-kernel: each row is scaled by the lcm of its denominators, Gauss-Jordan
-elimination runs on Python ints with Bareiss's exact division, and each
-reduced row is divided back into `Fraction`s once.  Reduced row echelon
-form is unique, so the results are those of elimination over `Fraction`;
-every value returned is a `Fraction`.  `det` eliminates over `Fraction`
-directly, skipping rows whose pivot-column entry is zero, which suits
-the sparse, mostly singular matrices of the isomorphism search.
+`rref`, `rank`, `nullspace`, `invert`, `solve` and `det` share one
+integer kernel: each row is scaled by the lcm of its denominators,
+Gauss-Jordan elimination runs on Python ints with Bareiss's exact
+division, and each reduced row is divided back into `Fraction`s once.
+Reduced row echelon form is unique, so the results are those of
+elimination over `Fraction`; every value returned is a `Fraction`.
+`det` reads the last Bareiss pivot, signed by the row swaps, over the
+product of the row scale factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,10 +34,11 @@ def _cleared(values) -> "tuple[int, list[int]]":
 def _eliminate(rows):
     """Fraction-free Gauss-Jordan elimination on integer rows.
 
-    Returns (m, pivots): m holds the rows of the reduced row echelon form,
-    row r scaled to integers, so that row r < len(pivots) divided by its
-    pivot entry m[r][pivots[r]] is row r of the reduced form; the rows
-    below are zero.
+    Returns (m, pivots, sign): m holds the rows of the reduced row echelon
+    form, row r scaled to integers, so that row r < len(pivots) divided by
+    its pivot entry m[r][pivots[r]] is row r of the reduced form; the rows
+    below are zero.  sign is -1 if an odd number of row swaps was made,
+    else 1.
 
     Bareiss elimination takes every row to p row - f pivot_row and divides
     exactly by the previous pivot.  A row whose pivot-column entry f is zero
@@ -50,6 +51,7 @@ def _eliminate(rows):
     ncols = len(m[0]) if nrows else 0
     level = [1] * nrows  # the pivot each row was last divided by
     d = 1  # the last pivot
+    sign = 1
     pivots = []
     r = 0
     for c in range(ncols):
@@ -60,6 +62,8 @@ def _eliminate(rows):
                 break
         if pivot is None:
             continue
+        if pivot != r:
+            sign = -sign
         m[r], m[pivot] = m[pivot], m[r]
         level[r], level[pivot] = level[pivot], level[r]
         prow = m[r]
@@ -78,7 +82,7 @@ def _eliminate(rows):
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return m, pivots, sign
 
 
 def rref(rows):
@@ -86,7 +90,7 @@ def rref(rows):
 
     Input is a list of lists; the input is not modified.
     """
-    m, pivots = _eliminate(rows)
+    m, pivots, _ = _eliminate(rows)
     red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     red += ([ZERO] * len(row) for row in m[len(pivots) :])
     return red, pivots
@@ -105,7 +109,7 @@ def nullspace(rows, ncols=None):
         n = ncols if ncols is not None else 0
         return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
     n = len(rows[0])
-    m, pivots = _eliminate(rows)
+    m, pivots, _ = _eliminate(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(n):
@@ -124,35 +128,25 @@ def invert(rows):
     """Exact inverse of a square matrix, or None if singular."""
     n = len(rows)
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    m, pivots = _eliminate(aug)
+    m, pivots, _ = _eliminate(aug)
     if pivots[:n] != list(range(n)):
         return None
     return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(m, pivots)]
 
 
 def det(rows) -> Fraction:
-    """Determinant by fraction elimination with deterministic pivoting."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    result = ONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
+    """Determinant, read off the integer kernel.
+
+    Bareiss's last pivot is the determinant of the row-scaled matrix with
+    its rows in pivot order; the swap sign puts them back in order, and
+    the scale factors, the lcms of the rows' denominators, divide out.
+    """
+    n = len(rows)
+    m, pivots, sign = _eliminate(rows)
+    if len(pivots) < n:
+        return ZERO
+    scale = prod(lcm(*(x.denominator for x in row)) for row in rows)
+    return Fraction(sign * m[n - 1][n - 1], scale) if n else ONE
 
 
 def solve(rows, rhs):
@@ -162,7 +156,7 @@ def solve(rows, rhs):
     """
     n = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = _eliminate(aug)
+    m, pivots, _ = _eliminate(aug)
     if n in pivots:
         return None  # pivot in the constants column
     x = [ZERO] * n

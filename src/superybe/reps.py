@@ -231,9 +231,11 @@ def self_reversing_double(rho: Representation) -> Representation:
 class IsoSearchResult:
     """Outcome of the invertible-even-intertwiner search.
 
-    status "found" carries the isomorphism and its exact inverse;
-    "none" is a proof of non-isomorphism (grid PIT exhausted);
-    "inconclusive" only arises in the randomized fallback.
+    status "found" carries the isomorphism and its exact inverse, found
+    by the seeded probe or on the grid; "none" is a proof of
+    non-isomorphism (the probe's candidate and every grid point singular);
+    "inconclusive" only arises in the randomized fallback, past the
+    grid's cost cap.
     """
 
     status: str
@@ -247,12 +249,13 @@ class IsoSearchResult:
 
 def _intertwiner_system(
     rho1: Representation, rho2: Representation
-) -> "tuple[list[tuple[int, int]], list[list]]":
+) -> "tuple[list[tuple[int, int]], list[list[int]]]":
     """(positions, rows): the unknown entries (k, i) of an even map
     phi: V1 -> V2, and the nonzero rows of the linear system
     phi rho1(x) = rho2(x) phi, one per entry (k, j) of
-    phi rho1(e_a) - rho2(e_a) phi, in (a, k, j) order.  Only the nonzero
-    entries of the action maps are read."""
+    phi rho1(e_a) - rho2(e_a) phi, in (a, k, j) order.  Each row is the
+    equation times the lcm of its denominators, as Python ints.  Only the
+    nonzero entries of the action maps are read."""
     V1, V2 = rho1.space, rho2.space
     # unknowns: entries (k, i) with |w_k| = |v_i| (phi is even)
     positions = [
@@ -279,10 +282,11 @@ def _intertwiner_system(
                 t = pos_index[l, j]
                 eq[t] = eq.get(t, ZERO) - x
         for kj in sorted(eqs):
-            eq = eqs[kj]
-            if any(eq.values()):
-                row = [ZERO] * len(positions)
-                for t, x in eq.items():
+            terms = [(t, x) for t, x in eqs[kj].items() if x]
+            if terms:
+                _, ints = linalg._cleared([x for _, x in terms])
+                row = [0] * len(positions)
+                for (t, _), x in zip(terms, ints):
                     row[t] = x
                 rows.append(row)
     return positions, rows
@@ -301,22 +305,37 @@ def intertwiner_space(rho1: Representation, rho2: Representation) -> list[Graded
 
 
 _RANDOM_FALLBACK_TRIES = 200
-# the largest grid {0..n}^k of determinants scanned; larger searches take
-# the randomized fallback.  The catalog's largest grid has 9^4 = 6561 points
-# (the self-reversing doubles of ex3.17+-).  An even intertwiner space has
-# k <= n^2, so under this cap k <= 6 always: 4^7 already exceeds it.
-ISO_GRID_CAP = 10_000
+# the largest grid {0..n}^k scanned, in points times n^3, the order of the
+# cost of one elimination of an n x n candidate; larger searches take the
+# randomized fallback.  The catalog's largest grid, 9^4 points at n = 8 (the
+# self-reversing doubles of ex3.17+-), costs 3,359,232; a dim-99 space with
+# k = 2 would cost 9.7e9.
+ISO_GRID_COST_CAP = 5_000_000
+
+
+def _dense_entries(rows):
+    return (((k, i), x) for k, row in enumerate(rows) for i, x in enumerate(row))
 
 
 def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSearchResult:
     """Search the even intertwiner space for an invertible element.
 
-    det(sum t_a phi_a) has total degree <= dim V, so vanishing on the full
-    grid {0..dim V}^k proves there is no invertible intertwiner; the grid
-    is scanned lazily in lexicographic order and the first hit is
-    returned.  When the grid has more than ISO_GRID_CAP points, counted
-    before any scan, a deterministic randomized fallback runs instead and
-    absence is reported as "inconclusive"."""
+    With phi_1..phi_k a basis of the intertwiner space, det(sum t_a phi_a)
+    is a polynomial of total degree <= n = dim V.  One probe comes first:
+    the point with entries drawn from 1..8n by a fixed-seed
+    `random.Random`.  If an invertible intertwiner exists, the polynomial
+    is nonzero and the probe is one of its roots with probability at most
+    1/8 (Schwartz-Zippel), so the probe usually settles the search.  When
+    its candidate is singular, the grid {0..n}^k is scanned lazily in
+    lexicographic order and the first hit is returned; vanishing on the
+    whole grid proves that no invertible intertwiner exists.  When the
+    grid costs more than ISO_GRID_COST_CAP (points times n^3), counted
+    before any scan, up to _RANDOM_FALLBACK_TRIES more random points are
+    tried instead, and absence is reported as "inconclusive".
+
+    Each attempt is one `linalg.invert` of the candidate built from the
+    basis's stored entries: one elimination both decides nonsingularity
+    and gives the exact inverse."""
     V1, V2 = rho1.space, rho2.space
     if (V1.even_dim, V1.odd_dim) != (V2.even_dim, V2.odd_dim):
         return IsoSearchResult("none")
@@ -328,30 +347,35 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
             return IsoSearchResult("found", empty, GradedLinearMap.zero(V2, V1, EVEN))
         return IsoSearchResult("none")
     n = V1.dim
+    stored = [tuple(phi._entries()) for phi in basis]
 
     def attempt(ts):
-        grid = [[ZERO] * n for _ in range(n)]
-        for t, b in zip(ts, basis):
-            if t != 0:
-                for (k, i), x in b._entries():
-                    grid[k][i] += t * x
-        if linalg.det(grid) == 0:
+        rows = [[0] * n for _ in range(n)]
+        for t, entries in zip(ts, stored):
+            if t:
+                for (r, c), x in entries:
+                    rows[r][c] += t * x
+        inv = linalg.invert(rows)
+        if inv is None:
             return None
-        phi = GradedLinearMap(V1, V2, EVEN, tuple(tuple(r) for r in grid))
-        return IsoSearchResult("found", phi, phi.inverse())
+        iso = GradedLinearMap._from_entries(V1, V2, EVEN, _dense_entries(rows))
+        inverse = GradedLinearMap._from_entries(V2, V1, EVEN, _dense_entries(inv))
+        return IsoSearchResult("found", iso, inverse)
 
-    # (n + 1)^k points, without forming a huge power: n >= 1, so 2^k <= (n + 1)^k
-    if k < ISO_GRID_CAP.bit_length() and (n + 1) ** k <= ISO_GRID_CAP:
+    rng = random.Random(0x5EBE)  # a fixed seed: the same answer on every run
+    hit = attempt([rng.randint(1, 8 * n) for _ in range(k)])
+    if hit is not None:
+        return hit
+    # (n + 1)^k n^3 grid cost, without forming a huge power: 2^k <= (n + 1)^k
+    if k < ISO_GRID_COST_CAP.bit_length() and (n + 1) ** k * n**3 <= ISO_GRID_COST_CAP:
         for ts in itertools.product(range(n + 1), repeat=k):
             hit = attempt(ts)
             if hit is not None:
                 return hit
         return IsoSearchResult("none")
 
-    rng = random.Random(0x5EBE)  # deterministic fallback
     for _ in range(_RANDOM_FALLBACK_TRIES):
-        ts = [rng.randrange(0, 1 << 20) for _ in range(k)]
-        hit = attempt(ts)
+        hit = attempt([rng.randrange(0, 1 << 20) for _ in range(k)])
         if hit is not None:
             return hit
     return IsoSearchResult("inconclusive")

@@ -5,7 +5,9 @@ by a dense triple loop that derives every sign from the parity table,
 and the O-operator defect with Koszul signs computed from the parities
 of the objects actually interchanged, not from the library's exponent
 formulas.  The linear algebra oracles eliminate over Fraction, as the
-library did before its integer kernel, and take determinants by minors.
+library did before its integer kernel, and take determinants by minors;
+the isomorphism oracle scans the determinant over the whole lexicographic
+grid of intertwiner coefficients.
 They intentionally share no code with the package internals.
 """
 
@@ -183,6 +185,57 @@ def dense_det(rows):
         return memo[cols]
 
     return Fraction(minor(0, tuple(range(n))))
+
+
+# ---------------------------------------------------------------------------
+# even intertwiners and the lexicographic isomorphism grid
+
+
+def dense_intertwiner_basis(rho1, rho2):
+    """Basis of the even maps phi: V1 -> V2 with phi rho1(x) = rho2(x) phi,
+    as dense matrices: the dense_nullspace of the equations built from the
+    dense action matrices over every unknown phi[l][i] with |l| = |i|."""
+    P1, P2 = rho1.space.parities, rho2.space.parities
+    unknowns = [(l, i) for l in range(len(P2)) for i in range(len(P1)) if P2[l] == P1[i]]
+    rows = []
+    for m1, m2 in zip(rho1.action, rho2.action):
+        A, B = m1.matrix, m2.matrix
+        for k in range(len(P2)):
+            for j in range(len(P1)):
+                # coefficient of phi[l][i] in (phi A - B phi)[k][j]
+                rows.append(
+                    [
+                        (A[i][j] if l == k else ZERO) - (B[k][l] if i == j else ZERO)
+                        for l, i in unknowns
+                    ]
+                )
+    basis = []
+    for v in dense_nullspace(rows, ncols=len(unknowns)):
+        phi = [[ZERO] * len(P1) for _ in P2]
+        for (l, i), x in zip(unknowns, v):
+            phi[l][i] = x
+        basis.append(phi)
+    return basis
+
+
+def lexicographic_grid_dets(basis, n):
+    """(t, det(sum t_a phi_a)) for every t in {0..n}^k in lexicographic
+    order, k = len(basis), lazily; dense_det on each point."""
+
+    def points(k):
+        if k == 0:
+            yield ()
+            return
+        for t in range(n + 1):
+            for rest in points(k - 1):
+                yield (t,) + rest
+
+    for ts in points(len(basis)):
+        grid = [
+            [sum((t * phi[r][c] for t, phi in zip(ts, basis)), ZERO) for c in range(n)]
+            for r in range(n)
+        ]
+        yield ts, dense_det(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,13 @@ PARSE_ERRORS = {
     "space repeated label": ("[space]\neven = e e\n", 1, "duplicate basis labels in ('e', 'e')"),
     "space label both parities": (SPACE + "[space V]\neven = v\nodd = v\n", 4,
                                   "duplicate basis labels in ('v', 'v')"),
+    # emit would write lines that name these labels, and parse refuses them
+    "space label with equals sign": ("[space]\neven = a=b\n", 2,
+                                     "unreadable basis label 'a=b': a label may not hold '=' "
+                                     "or start with '['"),
+    "space label opening a header": (SPACE + "[space V]\neven = v\nodd = w [x]\n", 6,
+                                     "unreadable basis label '[x]': a label may not hold '=' "
+                                     "or start with '['"),
     "space declared twice": (SPACE + "[space]\neven = x\n", 4, "space 'g' declared twice"),
     "named space declared twice": (SPACE + "[space V]\neven = v\n[space V]\nodd = w\n", 6,
                                    "space 'V' declared twice"),

@@ -145,7 +145,7 @@ def test_the_kernel_keeps_its_ints_within_the_hadamard_bound(rows):
         d = lcm(*(Fraction(x).denominator for x in row))
         scaled.append([int(x * d) for x in row])
     bound = prod(max(1, sum(x * x for x in row)) for row in scaled)
-    m, _ = linalg._eliminate(rows)
+    m, _, _ = linalg._eliminate(rows)
     assert all(x * x <= bound for row in m for x in row)
 
 

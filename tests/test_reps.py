@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from superybe import (
 from superybe.graded import format_vector
 from superybe.reps import (
     _RANDOM_FALLBACK_TRIES,
-    ISO_GRID_CAP,
+    ISO_GRID_COST_CAP,
     _intertwiner_system,
     _lie_adjoint,
     intertwiner_space,
@@ -346,7 +347,7 @@ class TestIsomorphismSearch:
     def test_over_cap_grid_takes_the_randomized_path(self, monkeypatch):
         # six intertwiner dimensions over a dim-6 space, 7^6 grid points: the
         # intertwiners map into the kernel of a nilpotent Jordan block, so
-        # none is invertible, and the full grid would take 117,649 dets
+        # none is invertible, and the full grid would take 117,649 eliminations
         space = SuperSpace.make(even=["z"])
         g = LieSuperAlgebra.from_brackets(space, {})
         v = SuperSpace.make(even=[f"u{i}" for i in range(6)])
@@ -354,25 +355,67 @@ class TestIsomorphismSearch:
             v, v, EVEN, {f"u{i}": {f"u{i - 1}": 1} for i in range(1, 6)}
         )
         rho1, rho2 = trivial_rep(g, v), Representation(g, v, (shift,))
-        assert len(intertwiner_space(rho1, rho2)) == 6 and 7**6 > ISO_GRID_CAP
-        dets = _count_calls(monkeypatch, "superybe.linalg", "det")
+        assert len(intertwiner_space(rho1, rho2)) == 6 and 7**6 * 6**3 > ISO_GRID_COST_CAP
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
         assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
-        assert 0 < len(dets) <= _RANDOM_FALLBACK_TRIES
+        assert 0 < len(inverts) <= _RANDOM_FALLBACK_TRIES + 1
+
+    def test_dim_99_grid_is_refused_without_a_scan(self, monkeypatch):
+        # two intertwiner dimensions over a dim-99 space: 100^2 grid points,
+        # each an elimination of a 99 x 99 candidate, cost 9.7e9; the
+        # intertwiners E_00 and E_11 are never invertible
+        space = SuperSpace.make(even=["z"])
+        g = LieSuperAlgebra.from_brackets(space, {})
+        v = SuperSpace.make(even=[f"u{i}" for i in range(99)])
+        rho = trivial_rep(g, v)
+        basis = [GradedLinearMap._from_entries(v, v, EVEN, [((i, i), 1)]) for i in (0, 1)]
+        monkeypatch.setattr("superybe.reps.intertwiner_space", lambda rho1, rho2: basis)
+        assert 100**2 * 99**3 > ISO_GRID_COST_CAP
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        assert find_even_isomorphism(rho, rho).status == "inconclusive"
+        assert 0 < len(inverts) <= _RANDOM_FALLBACK_TRIES + 1
 
     def test_catalog_grids_stay_under_the_cap(self, monkeypatch):
-        # the doubles scan grids of up to 9^4 points; a "none" proof must
-        # stay a proof
-        for _, _, rho in equivalence_cases():
+        # the doubles scan grids of up to 9^4 points at n = 8; a "none" proof
+        # must stay a proof.  Only the ex2.3 double's grid, 9^8 points at
+        # n = 8, is over the cap
+        over = []
+        for name, _, rho in equivalence_cases():
             double = self_reversing_double(rho)
             n, k = double.space.dim, len(intertwiner_space(double, parity_reverse_rep(double)))
-            assert (n + 1) ** k <= ISO_GRID_CAP or k > 6
+            if (n + 1) ** k * n**3 > ISO_GRID_COST_CAP:
+                over.append(name)
+        assert over == ["ex2.3"]
         # the [e, f] = f algebra is not self-dual: a proof over the whole
-        # grid {0, 1, 2}^1
+        # grid {0, 1, 2}^1, after the probe
         ad = adjoint(load_fixture("ex3.2").parts["algebra"])
         assert len(intertwiner_space(ad, dual_rep(ad))) == 1
-        dets = _count_calls(monkeypatch, "superybe.linalg", "det")
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
         assert find_even_isomorphism(ad, dual_rep(ad)).status == "none"
-        assert len(dets) == 3
+        assert len(inverts) == 1 + 3
+
+    @pytest.mark.parametrize("part", ["gplus", "gminus"])
+    def test_ex317_doubles_are_found_by_the_probe(self, monkeypatch, part):
+        # the lexicographic grid first meets an invertible point at its 83rd
+        double = self_reversing_double(coadjoint(load_fixture("ex3.17").parts[part]))
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        assert is_self_reversing(double).found
+        assert len(inverts) == 1
+
+    def test_every_catalog_none_proof_scans_its_full_grid(self, monkeypatch):
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        grids = []
+        for name, (rho1, rho2) in _iso_pairs().items():
+            if rho1.space.parities != rho2.space.parities:
+                continue  # no grid: the dimensions already differ
+            k = len(intertwiner_space(rho1, rho2))
+            inverts.clear()
+            if find_even_isomorphism(rho1, rho2).status == "none" and k:
+                grids.append((rho1.space.dim + 1) ** k)
+                assert len(inverts) == 1 + grids[-1], name
+        # the largest is the closing-prelie adjoint's double against its
+        # dual, 9^4 points at n = 8
+        assert len(grids) == 69 and max(grids) == 9**4
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +581,17 @@ def _intertwiner_pairs():
 def test_intertwiner_system_matches_the_dense_construction():
     pairs = _intertwiner_pairs()
     assert sum(name.endswith("double / reverse") for name in pairs) == 5
+    # a basis vector rescaled by -3/7 puts denominators into the equations
+    for name in list(pairs)[:12]:
+        rho1, rho2 = pairs[name]
+        pairs[name + " rescaled"] = (rho1, _rescaled(rho2, 0, Fraction(-3, 7)))
     for name, (rho1, rho2) in pairs.items():
         positions, rows = dense_intertwiner_system(rho1, rho2)
-        assert _intertwiner_system(rho1, rho2) == (positions, rows), name
+        # each equation times the lcm of its denominators, as ints
+        cleared = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+        got = _intertwiner_system(rho1, rho2)
+        assert got == (positions, cleared), name
+        assert all(type(x) is int for row in got[1] for x in row), name
         basis = intertwiner_space(rho1, rho2)
         dense = oracles.dense_nullspace(rows, ncols=len(positions))
         assert len(basis) == len(dense), name
@@ -549,3 +600,85 @@ def test_intertwiner_system_matches_the_dense_construction():
             for (k, i), x in zip(positions, v):
                 grid[k][i] = x
             assert phi.matrix == tuple(map(tuple, grid)), name
+
+
+# ---------------------------------------------------------------------------
+# the isomorphism search against the lexicographic grid oracle
+
+_ISO_STEPS = {
+    "itself": lambda rho: rho,
+    "dual": dual_rep,
+    "reverse": parity_reverse_rep,
+    "double": self_reversing_double,
+}
+
+
+@lru_cache(maxsize=None)
+def _iso_pairs():
+    """Each catalog start, its dual, reverse and double, against itself,
+    its dual and its reverse."""
+    pairs = {}
+    for name, rho in _catalog_starts().items():
+        for step in _ISO_STEPS:
+            rho1 = _ISO_STEPS[step](rho)
+            for target in ("itself", "dual", "reverse"):
+                pairs[f"{name} {step} / {target}"] = (rho1, _ISO_STEPS[target](rho1))
+    return pairs
+
+
+def _rescaled(rho, i, c):
+    """rho in the basis whose i-th vector is scaled by c: D rho(x) D^-1."""
+    d = [Fraction(1)] * rho.space.dim
+    d[i] = c
+    action = tuple(
+        GradedLinearMap._from_entries(
+            m.domain,
+            m.codomain,
+            m.parity,
+            (((k, j), d[k] * x / d[j]) for (k, j), x in m._entries()),
+        )
+        for m in rho.action
+    )
+    return Representation(rho.algebra, rho.space, action)
+
+
+ORACLE_POINTS = 1000  # a "none" on a larger grid is left to the full-scan test
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pair=st.sampled_from(sorted(_iso_pairs())),
+    scales=st.tuples(*[st.sampled_from([None, Fraction(1, 2), Fraction(-3, 7)])] * 2),
+    data=st.data(),
+)
+def test_isomorphism_search_matches_the_grid_oracle(pair, scales, data):
+    rho1, rho2 = _iso_pairs()[pair]
+    rho1, rho2 = (
+        _rescaled(rho, data.draw(st.integers(0, rho.space.dim - 1)), c)
+        if c is not None and rho.space.dim
+        else rho
+        for rho, c in zip((rho1, rho2), scales)
+    )
+    result = find_even_isomorphism(rho1, rho2)
+    if result.found:
+        assert is_intertwiner(result.iso, rho1, rho2)
+        assert result.inverse.compose(result.iso) == GradedLinearMap.identity(rho1.space)
+        assert result.iso.compose(result.inverse) == GradedLinearMap.identity(rho2.space)
+    V1, V2 = rho1.space, rho2.space
+    if (V1.even_dim, V1.odd_dim) != (V2.even_dim, V2.odd_dim):
+        assert result.status == "none"
+        return
+    n = V1.dim
+    basis = oracles.dense_intertwiner_basis(rho1, rho2)
+    k = len(basis)
+    assert k == len(intertwiner_space(rho1, rho2))
+    if (n + 1) ** k * n**3 > ISO_GRID_COST_CAP:
+        assert result.status in ("found", "inconclusive")
+        return
+    for count, (_, d) in enumerate(oracles.lexicographic_grid_dets(basis, n), 1):
+        if d != 0:
+            assert result.status == "found"
+            return
+        if count == ORACLE_POINTS:
+            return
+    assert result.status == "none"
