@@ -342,13 +342,22 @@ class FormFlags:
 
 
 def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
-    """Decide the five standard flags by exhaustive basis evaluation."""
+    """Decide the five standard flags by exhaustive basis evaluation.
+
+    Each flag is a homogeneous linear condition on the Gram matrix, and
+    invariance and the 2-cocycle identity are also homogeneous linear in
+    the structure constants, so every flag is decided on ints: the Gram
+    matrix times the lcm of its denominators, and the structure constants
+    of `LieSuperAlgebra._scaled_nonzero`.  A basis triple then costs a few
+    int products, whichever triple first breaks an identity.
+    """
     if beta.space != g.space:
         raise ValueError("form does not live on the algebra's space")
     space = g.space
     n = space.dim
     P = space.parities
-    B = beta.gram
+    _, flat = linalg._cleared([x for row in beta.gram for x in row])
+    B = [flat[i * n : (i + 1) * n] for i in range(n)]
 
     # the sign (-1)^{|e_i||e_j|} is -1 exactly when both are odd: negate there
     supersym = all(
@@ -358,25 +367,29 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
         B[i][j] == (B[j][i] if P[i] & P[j] else -B[j][i]) for i in range(n) for j in range(n)
     )
 
-    C = g.nonzero
+    _, C = g._scaled_nonzero
 
-    def left(i, j, k) -> Scalar:
-        """beta([e_i, e_j], e_k)"""
-        return sum((c * B[m][k] for m, c in C[i][j]), ZERO)
+    def left(i, j, k) -> int:
+        """beta([e_i, e_j], e_k), scaled"""
+        return sum(c * B[m][k] for m, c in C[i][j])
 
-    def right(i, j, k) -> Scalar:
-        """beta(e_i, [e_j, e_k])"""
-        return sum((B[i][m] * c for m, c in C[j][k]), ZERO)
+    def right(i, j, k) -> int:
+        """beta(e_i, [e_j, e_k]), scaled"""
+        return sum(B[i][m] * c for m, c in C[j][k])
 
+    # a triple whose brackets are all empty holds both identities as 0 = 0
     invariant = all(
-        left(i, j, k) == right(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+        left(i, j, k) == right(i, j, k)
+        for i, j, k in itertools.product(range(n), repeat=3)
+        if C[i][j] or C[j][k]
     )
     cocycle = skew and all(
         left(i, j, k) == sign(P[j] * P[k]) * left(i, k, j) + right(i, j, k)
         for i, j, k in itertools.product(range(n), repeat=3)
+        if C[i][j] or C[i][k] or C[j][k]
     )
 
-    nondeg = linalg.rank([list(r) for r in B]) == n
+    nondeg = linalg.rank(B) == n
     return FormFlags(supersym, skew, invariant, cocycle, nondeg)
 
 

@@ -187,6 +187,32 @@ def dense_det(rows):
     return Fraction(minor(0, tuple(range(n))))
 
 
+def dense_form_flags(gram, structure, parities):
+    """(supersymmetric, skew, invariant, 2-cocycle, non-degenerate) of the
+    form with Gram matrix gram on the algebra with dense structure
+    constants structure[i][j][k], over Fraction at every basis triple;
+    the signs come from koszul on the parities interchanged."""
+    n = len(gram)
+    idx = range(n)
+
+    def bracket_then_form(i, j, k):  # beta([e_i, e_j], e_k)
+        return sum((structure[i][j][m] * gram[m][k] for m in idx), ZERO)
+
+    def form_of_bracket(i, j, k):  # beta(e_i, [e_j, e_k])
+        return sum((gram[i][m] * structure[j][k][m] for m in idx), ZERO)
+
+    supersym = all(gram[i][j] == koszul(parities[i], parities[j]) * gram[j][i] for i in idx for j in idx)
+    skew = all(gram[i][j] == -koszul(parities[i], parities[j]) * gram[j][i] for i in idx for j in idx)
+    triples = [(i, j, k) for i in idx for j in idx for k in idx]
+    invariant = all(bracket_then_form(*t) == form_of_bracket(*t) for t in triples)
+    cocycle = skew and all(
+        bracket_then_form(i, j, k)
+        == koszul(parities[j], parities[k]) * bracket_then_form(i, k, j) + form_of_bracket(i, j, k)
+        for i, j, k in triples
+    )
+    return supersym, skew, invariant, cocycle, dense_rank([list(r) for r in gram]) == n
+
+
 # ---------------------------------------------------------------------------
 # even intertwiners and the lexicographic isomorphism grid
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from superybe import (
 )
 from superybe.liesuper import BilinearForm
 
-from conftest import gl11_with_supertrace, random_homogeneous_map
+from conftest import equivalence_cases, gl11_with_supertrace, random_homogeneous_map
+from oracles import dense_form_flags
 
 
 class TestAxiomChecks:
@@ -117,6 +119,52 @@ class TestClassifyForm:
         flags = classify_form(beta, g)
         assert flags.supersymmetric and flags.invariant and flags.non_degenerate
         assert not flags.skew_supersymmetric
+
+    @staticmethod
+    def _oracle_cases():
+        """(algebra, form) pairs with fractional Gram entries and, on the
+        rescaled copies, fractional structure constants."""
+        from superybe import beta_form
+
+        rng = random.Random(20260)
+        entries = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(3)]
+        gl11, supertrace = gl11_with_supertrace()
+        ex44 = load_fixture("ex4.4").parts
+        r1_beta = beta_form(ex44["r1"])
+        algebras = [g for _, g, _ in equivalence_cases()] + [gl11, ex44["algebra"]]
+        cases = [(gl11, supertrace), (ex44["algebra"], r1_beta)]
+        for g in algebras:
+            P = g.space.parities
+            n = g.dim
+            for parity in (0, 1):
+                raw = [
+                    [rng.choice(entries) if (P[i] + P[j]) % 2 == parity else Fraction(0) for j in range(n)]
+                    for i in range(n)
+                ]
+                for s in (0, 1, -1):  # as drawn, supersymmetrised, skew-supersymmetrised
+                    gram = [
+                        [raw[i][j] + (s * (-1 if P[i] & P[j] else 1) * raw[j][i] if s else 0) for j in range(n)]
+                        for i in range(n)
+                    ]
+                    cases.append((g, BilinearForm(g.space, tuple(map(tuple, gram)), parity)))
+        rescaled = []
+        for g, beta in cases:
+            scaled_g = LieSuperAlgebra(
+                g.space, [[[Fraction(-2, 7) * c for c in cell] for cell in row] for row in g.structure]
+            )
+            gram = tuple(tuple(Fraction(5, 3) * x for x in row) for row in beta.gram)
+            rescaled.append((scaled_g, BilinearForm(g.space, gram, beta.parity)))
+        return cases + rescaled
+
+    def test_flags_match_the_dense_oracle(self):
+        seen = set()
+        for g, beta in self._oracle_cases():
+            flags = classify_form(beta, g)
+            want = dense_form_flags(beta.gram, g.structure, g.space.parities)
+            assert tuple(flags.as_dict().values()) == want
+            seen.update(enumerate(want))
+        # every flag is seen both true and false
+        assert seen == {(f, v) for f in range(5) for v in (False, True)}
 
 
 class TestSemidirect:
