@@ -199,14 +199,16 @@ def format_vector(space: SuperSpace, v) -> str:
 
 
 def _check_homogeneous(rows: SuperSpace, cols: SuperSpace, parity: Parity, positions, message):
-    """Raise ValueError on the first (row, col) of the nonzero positions, in
-    row-major order, whose parities disagree with the declared parity; the
-    message is formatted with the two labels and the parity's name."""
+    """Raise ValueError if a (row, col) of the nonzero positions, a list in
+    any order, has parities that disagree with the declared parity.  The
+    verdict is one pass; only a failure searches the list again for the
+    witness the message names, the first offender in row-major order,
+    formatted with the two labels and the parity's name."""
     R, C = rows.parities, cols.parities
-    bad = min(((r, c) for r, c in positions if R[r] ^ C[c] != parity), default=None)
-    if bad:
-        r, c = bad
-        raise ValueError(message.format(rows.labels[r], cols.labels[c], parity_name(parity)))
+    if all(R[r] ^ C[c] == parity for r, c in positions):
+        return
+    r, c = min((r, c) for r, c in positions if R[r] ^ C[c] != parity)
+    raise ValueError(message.format(rows.labels[r], cols.labels[c], parity_name(parity)))
 
 
 @dataclass(frozen=True, init=False)
@@ -240,7 +242,7 @@ class GradedLinearMap:
             self.codomain,
             self.domain,
             self.parity,
-            ((k, i) for i, col in enumerate(self.nonzero) for k, _ in col),
+            [(k, i) for i, col in enumerate(self.nonzero) for k, _ in col],
             "inhomogeneous map: entry ({}, {}) nonzero but parities disagree "
             "with declared map parity {}",
         )
@@ -459,7 +461,7 @@ class Tensor2:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "parity", parity)
         if parity is not None:
-            positions = (ij for ij, _ in entries)
+            positions = [ij for ij, _ in entries]
             message = "tensor entry ({}, {}) violates declared parity {}"
             _check_homogeneous(left, right, parity, positions, message)
         return self

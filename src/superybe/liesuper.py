@@ -310,7 +310,7 @@ class BilinearForm:
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise ValueError("Gram matrix shape mismatch")
         gram = self.gram
-        positions = ((i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x != 0)
+        positions = [(i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x != 0]
         message = "form entry ({}, {}) violates declared parity {}"
         _check_homogeneous(self.space, self.space, self.parity, positions, message)
 

@@ -14,6 +14,18 @@ once).  The sums are then D^2 L times the defect.  `oop_holds`,
 `is_rota_baxter` and the grid search answer "any nonzero" on the ints;
 `oop_defect` and `is_oop` divide each nonzero slot back into a `Fraction`
 once, so every value they return is a `Fraction`.
+
+Every verdict reads only the super-skew half of the basis pairs, `_pairs`.
+The identity is super skew-symmetric in its arguments,
+
+    Op(v_j, v_i) = -(-1)^{(|T|+|v_i|)(|T|+|v_j|)} Op(v_i, v_j),
+
+so a pair (i, j) with i > j vanishes exactly when (j, i) does, and
+Op(v_i, v_i) = 0 whenever |T| + |v_i| is even.  The action terms swap
+into each other with these signs by the Koszul rule alone; the bracket
+term needs the super skew-symmetry of g, which `from_brackets`, and so
+every parsed [bracket], builds in.  `is_oop` fills the mirrored half of
+its table from the kept half.
 """
 
 from __future__ import annotations
@@ -116,6 +128,19 @@ def _defect(tables, P, parity: Parity, cols, i: int, j: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def _pairs(P, parity: Parity):
+    """The basis pairs every O-operator verdict reads, for a map of the
+    given parity on a space with the parities P: (i, j) with i < j, and
+    (i, i) only where |T| + |v_i| is odd; in row-major order.  The other
+    pairs follow by super skew-symmetry (see the module docstring)."""
+    n = len(P)
+    for i in range(n):
+        if P[i] != parity:
+            yield i, i
+        for j in range(i + 1, n):
+            yield i, j
+
+
 def _check_candidate(t: GradedLinearMap, rho: Representation):
     if t.domain != rho.space or t.codomain != rho.algebra.space:
         raise ValueError("malformed candidate: map does not fit the representation")
@@ -146,25 +171,34 @@ def oop_defect(t: GradedLinearMap, rho: Representation, i: int, j: int):
 
 
 def is_oop(t: GradedLinearMap, rho: Representation) -> OopReport:
-    """Check the O-operator identity on every homogeneous basis pair."""
+    """Check the O-operator identity on every homogeneous basis pair.  The
+    defects of `_pairs` are computed; each other pair's comes from its
+    partner: (j, i) for i > j, negated unless |T| + |v_i| and |T| + |v_j|
+    are both odd, and zero on a dropped diagonal."""
     _check_candidate(t, rho)
-    V = rho.space
-    pairs = [(i, j) for i in range(V.dim) for j in range(V.dim)]
-    defects, scale = _defects(t, rho, pairs)
-    defects = list(defects)
+    V, parity = rho.space, t.parity
+    kept = list(_pairs(V.parities, parity))
+    defects, scale = _defects(t, rho, kept)
+    computed = dict(zip(kept, defects))
+    odd = [p != parity for p in V.parities]  # |T| + |v_i| odd
     n = rho.algebra.space.dim
-    table = tuple(
-        ((V.labels[i], V.labels[j]), _unscaled(n, d, scale)) for (i, j), d in zip(pairs, defects)
-    )
-    return OopReport(not any(defects), table)
+    table = []
+    for i in range(V.dim):
+        for j in range(V.dim):
+            d = computed.get((i, j))
+            if d is None:
+                d = computed.get((j, i), {})
+                if not (odd[i] and odd[j]):
+                    d = {k: -c for k, c in d.items()}
+            table.append(((V.labels[i], V.labels[j]), _unscaled(n, d, scale)))
+    return OopReport(not any(computed.values()), tuple(table))
 
 
 def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
-    """Boolean fast path with early exit on the first nonzero defect, which
-    never leaves the ints."""
+    """Boolean fast path over `_pairs`, with early exit on the first
+    nonzero defect, which never leaves the ints."""
     _check_candidate(t, rho)
-    n = rho.space.dim
-    defects, _ = _defects(t, rho, ((i, j) for i in range(n) for j in range(n)))
+    defects, _ = _defects(t, rho, _pairs(rho.space.parities, t.parity))
     return not any(defects)
 
 
@@ -237,7 +271,8 @@ def grid_search_oops(
     The free positions are assigned depth first, column by column.  Each
     basis pair is tested at the first depth where every column its defect
     can read is fixed, and a subtree is cut at its first nonzero defect;
-    only accepted assignments become maps.  The entry set is scaled to ints
+    only accepted assignments become maps.  Only the pairs of `_pairs` are
+    tested: the others vanish with them.  The entry set is scaled to ints
     once, so every test runs on the integer kernel `_defect`.
     GRID_SEARCH_CAP bounds the full grid, len(entry_set) ** (number of free
     positions), pruned or not, and is checked before any search."""
@@ -268,19 +303,20 @@ def grid_search_oops(
     for d, (_, i) in enumerate(order):
         fixed_at[i] = d
 
-    # tests[d]: the pairs whose defect is final once depth d is assigned.
-    # A pair that reads only columns without free positions reads zeros,
-    # so its defect vanishes and it is never tested.
+    # tests[d]: the pairs of `_pairs` whose defect is final once depth d is
+    # assigned.  A pair's read set is symmetric in i and j, so its mirror
+    # would be final at the same depth.  A pair that reads only columns
+    # without free positions reads zeros, so its defect vanishes and it is
+    # never tested.
     tests = [[] for _ in range(nfree)]
-    for i in range(V.dim):
-        for j in range(V.dim):
-            read = {i, j}
-            for c, other in ((i, j), (j, i)):
-                for a in free_rows[c]:
-                    read.update(m for m, _ in rho.action[a].nonzero[other])
-            d = max(fixed_at[c] for c in read)
-            if d >= 0:
-                tests[d].append((i, j))
+    for i, j in _pairs(V.parities, parity):
+        read = {i, j}
+        for c, other in ((i, j), (j, i)):
+            for a in free_rows[c]:
+                read.update(m for m, _ in rho.action[a].nonzero[other])
+        d = max(fixed_at[c] for c in read)
+        if d >= 0:
+            tests[d].append((i, j))
 
     tables, P = rho._scaled_tables, V.parities
     cols = [[] for _ in range(V.dim)]  # the scaled sparse columns of the partial map

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superybe import (
@@ -32,7 +32,7 @@ from superybe import (
     trivial_rep,
 )
 from superybe.graded import rat, relabel_domain, vec_is_zero
-from superybe.oop import oop_defect
+from superybe.oop import _pairs, oop_defect
 
 from conftest import _count_calls, equivalence_cases, random_homogeneous_map
 from oracles import first_principles_oop_ok
@@ -66,6 +66,17 @@ def dense_defect(C, A, T, parities, pt, i, j):
         for m in range(d):
             out[k] -= T[k][m] * arg[m]
     return out
+
+
+def _dense_table(t, rho):
+    """{(i, j): Op(v_i, v_j)} for every basis pair, by `dense_defect`."""
+    C, A, P = rho.algebra.structure, [m.matrix for m in rho.action], rho.space.parities
+    n = rho.space.dim
+    return {
+        (i, j): tuple(dense_defect(C, A, t.matrix, P, t.parity, i, j))
+        for i in range(n)
+        for j in range(n)
+    }
 
 
 def scan_search(g, rho, parity, entry_set):
@@ -495,17 +506,11 @@ class TestDefectKernel:
 
     def test_defect_table_is_the_dense_formula(self, rng):
         for name, (g, rho) in sorted(CATALOG.items()):
-            C = g.structure
-            A = [m.matrix for m in rho.action]
             labels = rho.space.labels
             for _ in range(12):
                 t = random_homogeneous_map(rng, rho.space, g.space, rng.randint(0, 1))
                 t = t.scale(rng.choice((1, Fraction(1, 2), Fraction(-2, 3))))
-                dense = {
-                    (i, j): tuple(dense_defect(C, A, t.matrix, rho.space.parities, t.parity, i, j))
-                    for i in range(rho.space.dim)
-                    for j in range(rho.space.dim)
-                }
+                dense = _dense_table(t, rho)
                 report = is_oop(t, rho)
                 assert report.defects == tuple(
                     ((labels[i], labels[j]), d) for (i, j), d in dense.items()
@@ -703,6 +708,79 @@ class TestIntegerKernel:
         assert len(scalings) == 9
         assert oop_holds(t, second) and oop_holds(t, second)
         assert len(built) == 2 and built[0] is first and built[1] is second
+
+
+class TestSuperSkewHalf:
+    """Every O-operator verdict reads only the pairs of `_pairs`: the rest
+    follow by the super skew-symmetry of Op, checked here on the dense
+    formula."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_inputs())
+    def test_the_dense_defect_is_super_skew_symmetric(self, case):
+        t, rho = case
+        assume(rho._scaled_tables[0] != 1)
+        dense = _dense_table(t, rho)
+        odd = [p ^ t.parity for p in rho.space.parities]  # |T| + |v_i|
+        for (i, j), d in dense.items():
+            sign = -((-1) ** (odd[i] * odd[j]))
+            assert dense[j, i] == tuple(sign * c for c in d)
+            if i == j and not odd[i]:
+                assert not any(d)
+        assert set(_pairs(rho.space.parities, t.parity)) == {
+            (i, j) for i, j in dense if i < j or (i == j and odd[i])
+        }
+
+    def test_verdicts_ask_only_for_the_kept_pairs(self, monkeypatch, rng):
+        import superybe.oop
+
+        asked = []
+        original = superybe.oop._defect
+
+        def recording(tables, P, parity, cols, i, j):
+            asked.append((P, parity, i, j))
+            return original(tables, P, parity, cols, i, j)
+
+        monkeypatch.setattr(superybe.oop, "_defect", recording)
+
+        def kept_only():
+            assert asked
+            assert all(i < j or (i == j and P[i] != parity) for P, parity, i, j in asked)
+            odd_diagonals = sum(i == j for _, _, i, j in asked)
+            asked.clear()
+            return odd_diagonals
+
+        diagonals = 0
+        for name, (g, rho) in sorted(CATALOG.items()):
+            for parity in (EVEN, ODD):
+                for _ in range(10):
+                    t = random_homogeneous_map(rng, rho.space, g.space, parity)
+                    oop_holds(t, rho)
+                    diagonals += kept_only()
+                    r = random_homogeneous_map(rng, g.space, g.space, parity)
+                    is_rota_baxter(r, g)
+                    diagonals += kept_only()
+                grid_search_oops(g, rho, parity, (-1, 0, Fraction(1, 2)))
+                diagonals += kept_only()
+        assert diagonals
+
+        failing = 0
+        for name, (g, rho) in sorted(CATALOG.items()):
+            labels = rho.space.labels
+            for _ in range(20):
+                t = random_homogeneous_map(rng, rho.space, g.space, rng.randint(0, 1))
+                t = t.scale(rng.choice((Fraction(1, 2), Fraction(-2, 3))))
+                report = is_oop(t, rho)
+                kept = set(_pairs(rho.space.parities, t.parity))
+                assert {(i, j) for _, _, i, j in asked} == kept
+                asked.clear()
+                if report.ok:
+                    continue
+                failing += 1
+                assert report.defects == tuple(
+                    ((labels[i], labels[j]), d) for (i, j), d in _dense_table(t, rho).items()
+                ), name
+        assert failing > 50
 
 
 class TestRotaBaxterCaveat:
