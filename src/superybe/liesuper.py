@@ -111,6 +111,9 @@ class LieSuperAlgebra:
     pairs (k, c_ij^k) with c_ij^k != 0 in ascending k.  The public
     constructor scans a dense array once and keeps no copy; constructions
     use `_from_entries`.  The dense `structure` view is built on read.
+    The constructor checks no axiom, not even super skew-symmetry, which
+    the O-operator verdicts of `superybe.oop` assume; `check_lie_axioms`
+    verifies them.
     """
 
     space: SuperSpace

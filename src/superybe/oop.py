@@ -15,17 +15,20 @@ once).  The sums are then D^2 L times the defect.  `oop_holds`,
 `oop_defect` and `is_oop` divide each nonzero slot back into a `Fraction`
 once, so every value they return is a `Fraction`.
 
-Every verdict reads only the super-skew half of the basis pairs, `_pairs`.
-The identity is super skew-symmetric in its arguments,
+`oop_holds`, `is_rota_baxter` and the grid search read only the
+super-skew half of the basis pairs, `_pairs`.  The identity is super
+skew-symmetric in its arguments,
 
     Op(v_j, v_i) = -(-1)^{(|T|+|v_i|)(|T|+|v_j|)} Op(v_i, v_j),
 
 so a pair (i, j) with i > j vanishes exactly when (j, i) does, and
 Op(v_i, v_i) = 0 whenever |T| + |v_i| is even.  The action terms swap
 into each other with these signs by the Koszul rule alone; the bracket
-term needs the super skew-symmetry of g, which `from_brackets`, and so
-every parsed [bracket], builds in.  `is_oop` fills the mirrored half of
-its table from the kept half.
+term needs the super skew-symmetry of g.  `from_brackets` (and so every
+parsed [bracket]), `subadjacent` and semidirect products build it in;
+the public `LieSuperAlgebra(space, structure)` constructor does not
+check it, and `check_lie_axioms` does.  `is_oop` computes all n^2 pairs
+for its table.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def _defect(tables, P, parity: Parity, cols, i: int, j: int) -> dict:
 
 
 def _pairs(P, parity: Parity):
-    """The basis pairs every O-operator verdict reads, for a map of the
+    """The basis pairs `oop_holds` and the grid search read, for a map of the
     given parity on a space with the parities P: (i, j) with i < j, and
     (i, i) only where |T| + |v_i| is odd; in row-major order.  The other
     pairs follow by super skew-symmetry (see the module docstring)."""
@@ -171,32 +174,27 @@ def oop_defect(t: GradedLinearMap, rho: Representation, i: int, j: int):
 
 
 def is_oop(t: GradedLinearMap, rho: Representation) -> OopReport:
-    """Check the O-operator identity on every homogeneous basis pair.  The
-    defects of `_pairs` are computed; each other pair's comes from its
-    partner: (j, i) for i > j, negated unless |T| + |v_i| and |T| + |v_j|
-    are both odd, and zero on a dropped diagonal."""
+    """Check the O-operator identity on every homogeneous basis pair; all
+    n^2 pairs are computed.  The verdict agrees with `oop_holds` when g's
+    bracket is super skew-symmetric, as `check_lie_axioms` verifies."""
     _check_candidate(t, rho)
-    V, parity = rho.space, t.parity
-    kept = list(_pairs(V.parities, parity))
-    defects, scale = _defects(t, rho, kept)
-    computed = dict(zip(kept, defects))
-    odd = [p != parity for p in V.parities]  # |T| + |v_i| odd
+    V = rho.space
+    pairs = [(i, j) for i in range(V.dim) for j in range(V.dim)]
+    defects, scale = _defects(t, rho, pairs)
+    defects = list(defects)
     n = rho.algebra.space.dim
-    table = []
-    for i in range(V.dim):
-        for j in range(V.dim):
-            d = computed.get((i, j))
-            if d is None:
-                d = computed.get((j, i), {})
-                if not (odd[i] and odd[j]):
-                    d = {k: -c for k, c in d.items()}
-            table.append(((V.labels[i], V.labels[j]), _unscaled(n, d, scale)))
-    return OopReport(not any(computed.values()), tuple(table))
+    table = tuple(
+        ((V.labels[i], V.labels[j]), _unscaled(n, d, scale)) for (i, j), d in zip(pairs, defects)
+    )
+    return OopReport(not any(defects), table)
 
 
 def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
     """Boolean fast path over `_pairs`, with early exit on the first
-    nonzero defect, which never leaves the ints."""
+    nonzero defect, which never leaves the ints.  Reading only that half
+    is exact when g's bracket is super skew-symmetric, as
+    `check_lie_axioms` verifies; on a non-skew g the verdict may differ
+    from `is_oop`'s."""
     _check_candidate(t, rho)
     defects, _ = _defects(t, rho, _pairs(rho.space.parities, t.parity))
     return not any(defects)
@@ -205,7 +203,9 @@ def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
 def is_rota_baxter(r: GradedLinearMap, g: LieSuperAlgebra) -> bool:
     """[Rx, Ry] = R((-1)^{(|R|+|x|)|R|}[Rx, y] + [x, Ry]) on basis pairs:
     the O-operator identity for the adjoint representation, which is built
-    once per algebra object (`LieSuperAlgebra._adjoint`)."""
+    once per algebra object (`LieSuperAlgebra._adjoint`).  Like
+    `oop_holds`, it reads only `_pairs`, which needs g's bracket super
+    skew-symmetric, as `check_lie_axioms` verifies."""
     if r.domain != g.space or r.codomain != g.space:
         raise ValueError("a Rota-Baxter candidate must be an endomorphism of g")
     return oop_holds(r, g._adjoint)

@@ -19,7 +19,7 @@ from superybe import (
     suspend_map,
     twist,
 )
-from superybe.graded import _check_homogeneous, format_vector, rat, sign, suspend_label
+from superybe.graded import format_vector, rat, sign, suspend_label
 from superybe.liesuper import BilinearForm
 
 from conftest import random_homogeneous_map, random_tensor
@@ -90,23 +90,8 @@ class TestGradedLinearMap:
                 v, v, EVEN, {"e2": {"f1": "-1/2", "e2": 3}, "f2": {"e1": 1}}
             )
         assert str(err.value) == message
-
-    def test_homogeneity_check_names_the_row_major_first_in_any_order(self):
-        # bad positions (e1, f2) and (f1, e2): a column-major scan meets
-        # (f1, e2) first, a row-major one (e1, f2)
-        v = SuperSpace.make(even=["e1", "e2"], odd=["f1", "f2"])
-        message = "entry ({}, {}) breaks parity {}"
-        column_major = [(1, 1), (2, 1), (0, 3), (3, 3)]
-        for positions in (column_major, column_major[::-1]):
-            with pytest.raises(ValueError) as err:
-                _check_homogeneous(v, v, EVEN, positions, message)
-            assert str(err.value) == "entry (e1, f2) breaks parity even"
-        assert _check_homogeneous(v, v, EVEN, [(1, 1), (3, 3), (2, 2)], message) is None
-        assert _check_homogeneous(v, v, EVEN, [], message) is None
-        gram = [[Fraction(0)] * 4 for _ in range(4)]
-        gram[0][3], gram[2][1], gram[1][1] = Fraction(1), Fraction(-1, 2), Fraction(3)
         with pytest.raises(ValueError) as err:
-            BilinearForm(v, tuple(map(tuple, gram)), EVEN)
+            BilinearForm(v, tuple(tuple(r) for r in m), EVEN)
         assert str(err.value) == "form entry (e1, f2) violates declared parity even"
 
     def test_composition_adds_parities(self):

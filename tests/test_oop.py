@@ -711,9 +711,9 @@ class TestIntegerKernel:
 
 
 class TestSuperSkewHalf:
-    """Every O-operator verdict reads only the pairs of `_pairs`: the rest
-    follow by the super skew-symmetry of Op, checked here on the dense
-    formula."""
+    """`oop_holds`, `is_rota_baxter` and the grid search read only the
+    pairs of `_pairs`: the rest follow by the super skew-symmetry of Op,
+    checked here on the dense formula."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=kernel_inputs())
@@ -763,24 +763,6 @@ class TestSuperSkewHalf:
                 grid_search_oops(g, rho, parity, (-1, 0, Fraction(1, 2)))
                 diagonals += kept_only()
         assert diagonals
-
-        failing = 0
-        for name, (g, rho) in sorted(CATALOG.items()):
-            labels = rho.space.labels
-            for _ in range(20):
-                t = random_homogeneous_map(rng, rho.space, g.space, rng.randint(0, 1))
-                t = t.scale(rng.choice((Fraction(1, 2), Fraction(-2, 3))))
-                report = is_oop(t, rho)
-                kept = set(_pairs(rho.space.parities, t.parity))
-                assert {(i, j) for _, _, i, j in asked} == kept
-                asked.clear()
-                if report.ok:
-                    continue
-                failing += 1
-                assert report.defects == tuple(
-                    ((labels[i], labels[j]), d) for (i, j), d in _dense_table(t, rho).items()
-                ), name
-        assert failing > 50
 
 
 class TestRotaBaxterCaveat:
