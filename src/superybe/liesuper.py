@@ -241,20 +241,59 @@ def _first_failure(name: str, witnesses) -> CheckItem:
     return CheckItem(name, detail is None, detail or "")
 
 
+def _grading_failures(P, table, shift):
+    """The (i, j, k), in lexicographic order, at which the sparse product
+    table has a component along e_k although P_k != P_i + P_j + shift."""
+    for i, row in enumerate(table):
+        for j, cell in enumerate(row):
+            for k, _ in cell:
+                if P[k] != (P[i] + P[j] + shift) % 2:
+                    yield i, j, k
+
+
+def _hom_failures(P, bracket, action, m):
+    """The (i, j, v), in lexicographic order, at which
+    A_i A_j - (-1)^{P_i P_j} A_j A_i - sum_k c_ij^k A_k is nonzero on e_v.
+
+    bracket[i][j] holds the pairs (k, c_ij^k) and action[a][v] the pairs
+    (q, y) of A_a e_v, both sparse; v runs over the m basis vectors the
+    A_a act on.  Each defect is summed exactly on the stored scalars.
+    It is the one quadratic identity of the axiom checks: with A_a =
+    rho(e_a) it says that rho is a representation, with A_a = ad(e_a)
+    the super Jacobi identity, and with left multiplication the
+    left-symmetric associator.
+    """
+    n = len(P)
+    for i in range(n):
+        Ai = action[i]
+        for j in range(n):
+            Aj, Cij = action[j], bracket[i][j]
+            odd = P[i] & P[j]
+            for v in range(m):
+                defect: dict = {}
+                for k, x in Aj[v]:
+                    for q, y in Ai[k]:
+                        defect[q] = defect.get(q, 0) + y * x
+                for k, x in Ai[v]:
+                    x = x if odd else -x  # the sign of -(-1)^{P_i P_j} A_j A_i
+                    for q, y in Aj[k]:
+                        defect[q] = defect.get(q, 0) + y * x
+                for k, c in Cij:
+                    for q, y in action[k][v]:
+                        defect[q] = defect.get(q, 0) - c * y
+                if any(defect.values()):
+                    yield i, j, v
+
+
 def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
     """Verify parity consistency, super skew-symmetry and the super Jacobi
-    identity exhaustively; each axiom reports its first offending triple."""
+    identity exhaustively; each axiom reports its first offending triple.
+    The Jacobi defect at (i, j, k) is that of ad being a representation,
+    on e_k: column k of ad(e_a) is nonzero[a][k]."""
     n = g.space.dim
     L = g.space.labels
     P = g.space.parities
     C = g.nonzero
-
-    def parity_witnesses():
-        for i in range(n):
-            for j in range(n):
-                for k, _ in C[i][j]:
-                    if P[k] != (P[i] + P[j]) % 2:
-                        yield f"[{L[i]}, {L[j]}] has a component along {L[k]} of wrong parity"
 
     def skew_witnesses():
         # the failing pairs are symmetric, so the first one has i <= j
@@ -264,30 +303,16 @@ def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
                 if C[i][j] != tuple((k, -s * c) for k, c in C[j][i]):
                     yield f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]"
 
-    def jacobi_witnesses():
-        # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - (-1)^{|i||j|} [e_j, [e_i, e_k]]
-        for i in range(n):
-            for j in range(n):
-                s = sign(P[i] * P[j])
-                for k in range(n):
-                    defect: dict = {}
-                    for m, c in C[j][k]:
-                        for q, d in C[i][m]:
-                            defect[q] = defect.get(q, ZERO) + c * d
-                    for m, c in C[i][j]:
-                        for q, d in C[m][k]:
-                            defect[q] = defect.get(q, ZERO) - c * d
-                    for m, c in C[i][k]:
-                        for q, d in C[j][m]:
-                            defect[q] = defect.get(q, ZERO) - s * c * d
-                    if any(x != 0 for x in defect.values()):
-                        yield f"fails at triple ({L[i]}, {L[j]}, {L[k]})"
-
+    parity = (
+        f"[{L[i]}, {L[j]}] has a component along {L[k]} of wrong parity"
+        for i, j, k in _grading_failures(P, C, EVEN)
+    )
+    jacobi = (f"fails at triple ({L[i]}, {L[j]}, {L[k]})" for i, j, k in _hom_failures(P, C, C, n))
     return CheckReport(
         (
-            _first_failure("parity consistency", parity_witnesses()),
+            _first_failure("parity consistency", parity),
             _first_failure("super skew-symmetry", skew_witnesses()),
-            _first_failure("super Jacobi", jacobi_witnesses()),
+            _first_failure("super Jacobi", jacobi),
         )
     )
 

@@ -34,6 +34,8 @@ from .liesuper import (
     _bilinear,
     _dense_entries,
     _first_failure,
+    _grading_failures,
+    _hom_failures,
     _sparse_table,
 )
 from .oop import OOperatorCandidate, _check_candidate, oop_holds
@@ -99,53 +101,52 @@ class PreLieSuperAlgebra:
 
 def check_prelie(a: PreLieSuperAlgebra) -> CheckReport:
     """Grading of the product, and (for shift 0) left-symmetry of the
-    associator on all basis triples."""
+    associator on all basis triples; each reports its first offending
+    triple.  Left-symmetry is checked as `subadjacent`'s bracket having
+    left multiplication as a representation, by `liesuper._hom_failures`."""
     L = a.space.labels
-    P = a.space.parities
-
-    def grading_witnesses():
-        for i, row in enumerate(a.nonzero):
-            for j, cell in enumerate(row):
-                for k, _ in cell:
-                    if P[k] != (P[i] + P[j] + a.parity_shift) % 2:
-                        yield f"{L[i]} {L[j]} has a component along {L[k]} of wrong parity"
-
-    items = [_first_failure("product grading", grading_witnesses())]
+    grading = (
+        f"{L[i]} {L[j]} has a component along {L[k]} of wrong parity"
+        for i, j, k in _grading_failures(a.space.parities, a.nonzero, a.parity_shift)
+    )
+    items = [_first_failure("product grading", grading)]
     if a.parity_shift == EVEN:
-        items.append(_first_failure("left-symmetric associator", _left_symmetry_witnesses(a)))
+        associator = (
+            f"fails at triple ({L[i]}, {L[j]}, {L[k]})" for i, j, k in _left_symmetry_failures(a)
+        )
+        items.append(_first_failure("left-symmetric associator", associator))
     return CheckReport(tuple(items))
 
 
-def _left_symmetry_witnesses(a: PreLieSuperAlgebra):
-    """The basis triples breaking the associator symmetry with the shift s
-    folded into the parities: (v, w, u) = (-1)^{(|v|+s)(|w|+s)} (w, v, u),
-    where (x, y, z) = (xy)z - x(yz)."""
-    n = a.space.dim
-    L = a.space.labels
-    P = a.space.parities
-    s = a.parity_shift
-    C = a.nonzero
-    for i in range(n):
-        for j in range(n):
-            factor = sign((P[i] + s) * (P[j] + s))
-            for k in range(n):
-                # (e_i, e_j, e_k) - factor (e_j, e_i, e_k)
-                defect: dict = {}
-                for x, y, f in ((i, j, 1), (j, i, -factor)):
-                    for m, c in C[x][y]:
-                        for q, d in C[m][k]:
-                            defect[q] = defect.get(q, ZERO) + f * c * d
-                    for m, c in C[y][k]:
-                        for q, d in C[x][m]:
-                            defect[q] = defect.get(q, ZERO) - f * c * d
-                if any(v != 0 for v in defect.values()):
-                    yield f"fails at triple ({L[i]}, {L[j]}, {L[k]})"
+def _commutator_entries(Q, table):
+    """The ((i, j, k), c) entries of [x, y] = xy - (-1)^{Q_x Q_y} yx for
+    the sparse product table, with Q the parities of the basis."""
+    c: dict = {}
+    for i, row in enumerate(table):
+        for j, cell in enumerate(row):
+            s = sign(Q[i] * Q[j])
+            for k, x in cell:
+                c[i, j, k] = c.get((i, j, k), ZERO) + x
+                c[j, i, k] = c.get((j, i, k), ZERO) - s * x
+    return c.items()
+
+
+def _left_symmetry_failures(a: PreLieSuperAlgebra):
+    """The basis triples (i, j, k) breaking the associator symmetry with
+    the shift s folded into the parities, Q = P + s:
+    (v, w, u) = (-1)^{Q_v Q_w} (w, v, u), where (x, y, z) = (xy)z - x(yz).
+    That symmetry says that left multiplication, L(x)u = xu, satisfies
+    L(v)L(w) - (-1)^{Q_v Q_w} L(w)L(v) = L(vw - (-1)^{Q_v Q_w} wv), so the
+    triples are those of `_hom_failures` with the product as the action."""
+    Q = [(p + a.parity_shift) % 2 for p in a.space.parities]
+    commutator = _sparse_table(a.space.dim, _commutator_entries(Q, a.nonzero))
+    return _hom_failures(Q, commutator, a.nonzero, a.space.dim)
 
 
 def shifted_left_symmetry_holds(a: PreLieSuperAlgebra) -> bool:
     """The associator symmetry with the shift folded into the parities, on
     all basis triples; for shift 0 the left-symmetry of check_prelie."""
-    return next(_left_symmetry_witnesses(a), None) is None
+    return next(_left_symmetry_failures(a), None) is None
 
 
 def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
@@ -155,15 +156,7 @@ def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
     report = check_prelie(a)
     if not report.ok:
         raise ValueError(f"invalid pre-Lie product: {report.failures()[0].detail}")
-    P = a.space.parities
-    c: dict = {}
-    for i, row in enumerate(a.nonzero):
-        for j, cell in enumerate(row):
-            s = sign(P[i] * P[j])
-            for k, x in cell:
-                c[i, j, k] = c.get((i, j, k), ZERO) + x
-                c[j, i, k] = c.get((j, i, k), ZERO) - s * x
-    return LieSuperAlgebra._from_entries(a.space, c.items())
+    return LieSuperAlgebra._from_entries(a.space, _commutator_entries(a.space.parities, a.nonzero))
 
 
 def left_regular_rep(a: PreLieSuperAlgebra) -> Representation:

@@ -23,7 +23,7 @@ from .graded import (
     merge_spaces,
     sign,
 )
-from .liesuper import CheckReport, LieSuperAlgebra, _first_failure
+from .liesuper import CheckReport, LieSuperAlgebra, _first_failure, _hom_failures
 
 
 def check_representation(
@@ -31,9 +31,10 @@ def check_representation(
 ) -> CheckReport:
     """Verify that the candidate action is a homogeneous Lie superalgebra
     homomorphism into gl(space); reports the first offending pair.  The
-    defect of a pair is summed one column at a time from the sparse
-    columns of the action and the structure constants, as in the Jacobi
-    check of `check_lie_axioms`; no composed map is built."""
+    defect is `liesuper._hom_failures`, the kernel of the Jacobi check
+    of `check_lie_axioms`: it is summed one basis vector at a time from
+    the sparse columns of the action and the structure constants, and no
+    composed map is built."""
     n = g.space.dim
     L = g.space.labels
 
@@ -47,31 +48,13 @@ def check_representation(
             elif m.parity != g.space.parities[i]:
                 yield f"action of {L[i]} must have parity of {L[i]}"
 
-    def hom_witnesses():
-        # rho(e_i) rho(e_j) - s rho(e_j) rho(e_i) - rho([e_i, e_j]), one
-        # basis vector v at a time: A[a][v] is column v of rho(e_a)
-        A = [m.nonzero for m in action]
-        P = g.space.parities
-        for i in range(n):
-            for j in range(n):
-                s = sign(P[i] * P[j])
-                for v in range(space.dim):
-                    defect: dict = {}
-                    for m, x in A[j][v]:
-                        for q, y in A[i][m]:
-                            defect[q] = defect.get(q, ZERO) + y * x
-                    for m, x in A[i][v]:
-                        for q, y in A[j][m]:
-                            defect[q] = defect.get(q, ZERO) - s * y * x
-                    for k, c in g.nonzero[i][j]:
-                        for q, y in A[k][v]:
-                            defect[q] = defect.get(q, ZERO) - c * y
-                    if any(x != 0 for x in defect.values()):
-                        yield f"fails at pair ({L[i]}, {L[j]})"
-                        break
-
     shape_item = _first_failure("action shape and parity", shape_witnesses())
-    hom_item = _first_failure("homomorphism property", hom_witnesses() if shape_item.ok else ())
+    hom = ()
+    if shape_item.ok:
+        columns = [m.nonzero for m in action]
+        failures = _hom_failures(g.space.parities, g.nonzero, columns, space.dim)
+        hom = (f"fails at pair ({L[i]}, {L[j]})" for i, j, _ in failures)
+    hom_item = _first_failure("homomorphism property", hom)
     return CheckReport((shape_item, hom_item))
 
 
@@ -82,7 +65,8 @@ class Representation:
     Verification runs once, where an action enters from outside: a direct
     `Representation(...)` call, `from_images`, `RawRep.verify` and
     `adjoint(g)` (a `LieSuperAlgebra` is not checked on construction) run
-    `check_representation` and raise `ValueError` on failure.
+    `check_representation` and raise `ValueError` on failure; that check
+    is the defect kernel of the super Jacobi check, run on the action.
     Constructions whose output is a representation by theorem whenever
     their input is one skip the check: `trivial_rep`, `dual_rep`,
     `parity_reverse_rep`, direct sums, and the adjoint of an algebra
@@ -313,10 +297,6 @@ _RANDOM_FALLBACK_TRIES = 200
 ISO_GRID_COST_CAP = 5_000_000
 
 
-def _dense_entries(rows):
-    return (((k, i), x) for k, row in enumerate(rows) for i, x in enumerate(row))
-
-
 def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSearchResult:
     """Search the even intertwiner space for an invertible element.
 
@@ -358,9 +338,9 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
         inv = linalg.invert(rows)
         if inv is None:
             return None
-        iso = GradedLinearMap._from_entries(V1, V2, EVEN, _dense_entries(rows))
-        inverse = GradedLinearMap._from_entries(V2, V1, EVEN, _dense_entries(inv))
-        return IsoSearchResult("found", iso, inverse)
+        return IsoSearchResult(
+            "found", GradedLinearMap(V1, V2, EVEN, rows), GradedLinearMap(V2, V1, EVEN, inv)
+        )
 
     rng = random.Random(0x5EBE)  # a fixed seed: the same answer on every run
     hit = attempt([rng.randint(1, 8 * n) for _ in range(k)])

@@ -7,7 +7,8 @@ of the objects actually interchanged, not from the library's exponent
 formulas.  The linear algebra oracles eliminate over Fraction, as the
 library did before its integer kernel, and take determinants by minors;
 the isomorphism oracle scans the determinant over the whole lexicographic
-grid of intertwiner coefficients.
+grid of intertwiner coefficients; the associator oracle multiplies basis
+vectors through the dense product table.
 They intentionally share no code with the package internals.
 """
 
@@ -82,6 +83,34 @@ def first_principles_oop_ok(t, rho):
             if any(x != y for x, y in zip(lhs, rhs)):
                 return False
     return True
+
+
+def dense_left_symmetry_witness(product, parities, shift):
+    """The first basis triple (i, j, k), in lexicographic order, at which
+    (e_i, e_j, e_k) != (-1)^{(|e_i|+s)(|e_j|+s)} (e_j, e_i, e_k) for the
+    associator (x, y, z) = (xy)z - x(yz) of the dense product table
+    product[i][j][k] with shift s, or None.  Every product is a dense sum
+    over Fraction, and the sign is koszul on the shifted parities of the
+    two interchanged elements."""
+    n = len(product)
+    idx = range(n)
+    basis = [[ONE if a == b else ZERO for a in idx] for b in idx]
+
+    def mul(x, y):
+        return [sum((x[a] * y[b] * product[a][b][c] for a in idx for b in idx), ZERO) for c in idx]
+
+    def associator(x, y, z):
+        return [p - q for p, q in zip(mul(mul(x, y), z), mul(x, mul(y, z)))]
+
+    for i in idx:
+        for j in idx:
+            s = koszul(parities[i] + shift, parities[j] + shift)
+            for k in idx:
+                lhs = associator(basis[i], basis[j], basis[k])
+                rhs = associator(basis[j], basis[i], basis[k])
+                if any(a != s * b for a, b in zip(lhs, rhs)):
+                    return i, j, k
+    return None
 
 
 # ---------------------------------------------------------------------------

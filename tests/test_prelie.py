@@ -30,6 +30,7 @@ from superybe import (
     suspend_map,
     suspended_prelie,
 )
+from superybe.liesuper import CheckItem
 from superybe.prelie import shifted_left_symmetry_holds
 
 import oracles
@@ -102,6 +103,44 @@ class TestCheckPrelie:
         assert report.ok  # only the grading is checked for shift 1
         assert [item.name for item in report.items] == ["product grading"]
         assert shifted_left_symmetry_holds(dot)
+
+
+@st.composite
+def graded_products(draw):
+    """A product of dim 1-4 graded for a drawn shift, with sparse entries so
+    that the associator symmetry both holds and fails."""
+    shift = draw(st.integers(0, 1))
+    even = draw(st.integers(0, 4))
+    odd = draw(st.integers(1 if even == 0 else 0, 4 - even))
+    space = SuperSpace.make(even=[f"e{i}" for i in range(even)], odd=[f"f{i}" for i in range(odd)])
+    P, n = space.parities, space.dim
+    entries = st.sampled_from((0, 0, 0, 0, 1, -1, 2, Fraction(1, 2))).map(Fraction)
+    product = tuple(
+        tuple(
+            tuple(
+                draw(entries) if P[k] == (P[i] + P[j] + shift) % 2 else Fraction(0)
+                for k in range(n)
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return PreLieSuperAlgebra(space, product, shift)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=graded_products())
+def test_associator_symmetry_matches_the_dense_oracle(a):
+    witness = oracles.dense_left_symmetry_witness(a.product, a.space.parities, a.parity_shift)
+    L = a.space.labels
+    detail = "" if witness is None else "fails at triple ({}, {}, {})".format(*(L[x] for x in witness))
+    report = check_prelie(a)
+    assert report.items[0] == CheckItem("product grading", True, "")
+    if a.parity_shift == EVEN:
+        assert report.items[1:] == (CheckItem("left-symmetric associator", not detail, detail),)
+    else:
+        assert len(report.items) == 1
+    assert shifted_left_symmetry_holds(a) == (witness is None)
 
 
 class TestSubadjacent:

@@ -266,6 +266,24 @@ def test_random_structures_report_the_dense_first_witnesses(data):
     structure = tuple(tuple(tuple(data.draw(values)) for _ in range(n)) for _ in range(n))
     g = LieSuperAlgebra(space, structure)
     assert [item.detail for item in check_lie_axioms(g).items] == dense_first_witnesses(g)
+    # ad is a representation exactly when the super Jacobi identity holds,
+    # and both name the same first (i, j); ad(e_i) is homogeneous only on
+    # the graded part of the structure, so both checks read that part
+    P = space.parities
+    graded = LieSuperAlgebra(
+        space,
+        tuple(
+            tuple(
+                tuple(c if P[k] == (P[i] + P[j]) % 2 else Fraction(0) for k, c in enumerate(cell))
+                for j, cell in enumerate(row)
+            )
+            for i, row in enumerate(structure)
+        ),
+    )
+    jacobi = check_lie_axioms(graded).items[2]
+    hom = check_representation(graded, space, [graded.ad(i) for i in range(n)]).items[1]
+    pair = jacobi.detail.rpartition(", ")[0].replace("triple", "pair") + ")" if jacobi.detail else ""
+    assert (hom.ok, hom.detail) == (jacobi.ok, pair)
 
 
 @pytest.mark.parametrize("name", NAMES)
