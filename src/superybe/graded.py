@@ -133,15 +133,26 @@ class SuperSpace:
         return tuple(out)
 
     def dual(self) -> "SuperSpace":
-        # same index set, identical parities
-        return SuperSpace(tuple(dual_label(l) for l in self.labels), self.parities)
+        return self._dual
 
     def suspended(self) -> "SuperSpace":
-        space, _ = self.suspended_with_permutation()
-        return space
+        return self._suspension[0]
 
     def suspended_with_permutation(self) -> "tuple[SuperSpace, tuple[int, ...]]":
         """The parity-reversed space and the permutation old index -> new index."""
+        return self._suspension
+
+    # the derived spaces are built, and so validated, once per space: the
+    # fields are immutable, and the paper's constructions ask for sV and V*
+    # of the same space on every call
+
+    @cached_property
+    def _dual(self) -> "SuperSpace":
+        # same index set, identical parities
+        return SuperSpace(tuple(dual_label(l) for l in self.labels), self.parities)
+
+    @cached_property
+    def _suspension(self) -> "tuple[SuperSpace, tuple[int, ...]]":
         labels = [suspend_label(l) for l in self.labels]
         space, _, position = _block_sorted(labels, [p ^ 1 for p in self.parities])
         return space, tuple(position)
@@ -252,7 +263,7 @@ class GradedLinearMap:
         dropping zeros; then check homogeneity."""
         cols = [[] for _ in range(domain.dim)]
         for (k, i), x in entries:
-            if x != 0:
+            if x:
                 cols[i].append((k, x))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
@@ -397,13 +408,13 @@ def suspend_map(t: GradedLinearMap) -> GradedLinearMap:
 def dual_map(t: GradedLinearMap) -> GradedLinearMap:
     """T*: cod* -> dom* fixed by <T*(x*), v> = (-1)^{|T||x*|} <x*, T(v)>."""
     P = t.codomain.parities
-    entries = (((i, j), sign(t.parity * P[j]) * x) for (j, i), x in t._entries())
+    entries = (((i, j), -x if t.parity * P[j] else x) for (j, i), x in t._entries())
     return GradedLinearMap._from_entries(t.codomain.dual(), t.domain.dual(), t.parity, entries)
 
 
 def double_dual_embedding(space: SuperSpace) -> GradedLinearMap:
     """theta: V -> V** with e_i -> (-1)^{|e_i|} (e_i*)*."""
-    entries = (((i, i), sign(p) * ONE) for i, p in enumerate(space.parities))
+    entries = (((i, i), -ONE if p else ONE) for i, p in enumerate(space.parities))
     return GradedLinearMap._from_entries(space, space.dual().dual(), EVEN, entries)
 
 
@@ -472,7 +483,7 @@ class Tensor2:
     ) -> "Tensor2":
         """The tensor with the given ((i, j), value) entries, each position
         given at most once, and zeros elsewhere; no dense array is built."""
-        nonzero = tuple(sorted(e for e in entries if e[1] != 0))
+        nonzero = tuple(sorted(e for e in entries if e[1]))
         return object.__new__(Tensor2)._store(left, right, nonzero, parity)
 
     @staticmethod
@@ -528,7 +539,7 @@ class Tensor2:
 def twist(t: Tensor2) -> Tensor2:
     """sigma(v (x) w) = (-1)^{|v||w|} w (x) v, extended linearly."""
     P, Q = t.left.parities, t.right.parities
-    entries = (((j, i), sign(P[i] * Q[j]) * c) for (i, j), c in t.entries)
+    entries = (((j, i), -c if P[i] * Q[j] else c) for (i, j), c in t.entries)
     return Tensor2._from_entries(t.right, t.left, entries, t.parity)
 
 
@@ -576,10 +587,7 @@ def pair_eval_reversed(space: SuperSpace, v, ustar) -> Scalar:
     """<v, u*> = (-1)^{|u*||v|} <u*, v>, extended linearly per component."""
     if len(ustar) != space.dim or len(v) != space.dim:
         raise ValueError("pairing space mismatch")
-    return sum(
-        (sign(space.parities[i]) * v[i] * ustar[i] for i in range(space.dim)),
-        ZERO,
-    )
+    return sum((-(a * b) if p else a * b for p, a, b in zip(space.parities, v, ustar)), ZERO)
 
 
 def pair2_eval(tstar: Tensor2, t: Tensor2) -> Scalar:
@@ -591,5 +599,6 @@ def pair2_eval(tstar: Tensor2, t: Tensor2) -> Scalar:
     for (i, j), s in tstar.entries:
         c = slots.get((i, j))
         if c is not None:
-            total += sign(t.right.parities[j] * t.left.parities[i]) * s * c
+            x = s * c
+            total += -x if t.right.parities[j] * t.left.parities[i] else x
     return total

@@ -152,11 +152,11 @@ class LieSuperAlgebra:
             value = [(space.index(label), rat(x)) for label, x in terms.items()]
             if i == j and space.parities[i] == EVEN and any(x != 0 for _, x in value):
                 raise ValueError(f"[{a}, {a}] must vanish for even {a}")
-            s = sign(space.parities[i] * space.parities[j])
+            odd = space.parities[i] * space.parities[j]
             for k, x in value:
                 entries.append(((i, j, k), x))
                 if i < j:
-                    entries.append(((j, i, k), -s * x))
+                    entries.append(((j, i, k), x if odd else -x))
         return LieSuperAlgebra._from_entries(space, entries)
 
     @property
@@ -299,8 +299,8 @@ def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
         # the failing pairs are symmetric, so the first one has i <= j
         for i in range(n):
             for j in range(i, n):
-                s = sign(P[i] * P[j])
-                if C[i][j] != tuple((k, -s * c) for k, c in C[j][i]):
+                odd = P[i] * P[j]
+                if C[i][j] != tuple((k, c if odd else -c) for k, c in C[j][i]):
                     yield f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]"
 
     parity = (
@@ -445,10 +445,10 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
     ]
     for a in range(ng):
         for i, col in enumerate(rho.action[a].nonzero):
-            s = sign(V.parities[i] * g.space.parities[a])
+            odd = V.parities[i] * g.space.parities[a]
             for k, x in col:
                 entries.append(((alg_embed[a], mod_embed[i], mod_embed[k]), x))
-                entries.append(((mod_embed[i], alg_embed[a], mod_embed[k]), -s * x))
+                entries.append(((mod_embed[i], alg_embed[a], mod_embed[k]), x if odd else -x))
     return LieSuperAlgebra._from_entries(total, entries)
 
 

@@ -28,6 +28,8 @@ def _cleared(values) -> "tuple[int, list[int]]":
     sequence values (1 if it is empty), ints the values times D, in order,
     as Python ints.  Every integer kernel clears its denominators here."""
     D = lcm(*(x.denominator for x in values))
+    if D == 1:  # integral values, as most maps and tensors are
+        return 1, [x.numerator for x in values]
     return D, [x.numerator * (D // x.denominator) for x in values]
 
 

@@ -124,10 +124,10 @@ def _commutator_entries(Q, table):
     c: dict = {}
     for i, row in enumerate(table):
         for j, cell in enumerate(row):
-            s = sign(Q[i] * Q[j])
+            odd = Q[i] * Q[j]
             for k, x in cell:
                 c[i, j, k] = c.get((i, j, k), ZERO) + x
-                c[j, i, k] = c.get((j, i, k), ZERO) - s * x
+                c[j, i, k] = c.get((j, i, k), ZERO) + (x if odd else -x)
     return c.items()
 
 
@@ -189,11 +189,12 @@ def product_from_oop(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlge
     pt = t.parity
     table: dict = {}
     for i, col in enumerate(t.nonzero):
-        s = sign(pt * (V.parities[i] + pt))
+        flip = pt * (V.parities[i] + pt) % 2
         for a, x in col:  # rho(T v_i) = sum_a x rho(e_a)
+            sx = -x if flip else x
             for j, image in enumerate(rho.action[a].nonzero):
                 for k, m in image:
-                    table[i, j, k] = table.get((i, j, k), ZERO) + s * x * m
+                    table[i, j, k] = table.get((i, j, k), ZERO) + sx * m
     return PreLieSuperAlgebra._from_entries(V, table.items(), pt)
 
 

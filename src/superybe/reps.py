@@ -21,7 +21,6 @@ from .graded import (
     SuperSpace,
     dual_map,
     merge_spaces,
-    sign,
 )
 from .liesuper import CheckReport, LieSuperAlgebra, _first_failure, _hom_failures
 
@@ -183,8 +182,7 @@ def parity_reverse_rep(rho: Representation) -> Representation:
     svspace, perm = rho.space.suspended_with_permutation()
     action = []
     for pa, m in zip(rho.algebra.space.parities, rho.action):
-        s = sign(pa)
-        entries = (((perm[k], perm[i]), s * x) for (k, i), x in m._entries())
+        entries = (((perm[k], perm[i]), -x if pa else x) for (k, i), x in m._entries())
         action.append(GradedLinearMap._from_entries(svspace, svspace, pa, entries))
     return Representation._trusted(rho.algebra, svspace, tuple(action))
 

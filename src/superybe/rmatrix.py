@@ -188,7 +188,7 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
     if t.domain != space.dual():
         raise ValueError("expected a map dual(g) -> g")
     P = space.parities
-    entries = (((p, q), sign(P[q]) * x) for (p, q), x in t._entries())
+    entries = (((p, q), -x if P[q] else x) for (p, q), x in t._entries())
     return Tensor2._from_entries(space, space, entries, t.parity)
 
 
@@ -238,9 +238,8 @@ def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, entries, parit
     Algebra and module positions are disjoint, so no two terms share a slot."""
     slots = []
     for (k, i), x in entries:
-        s = sign((parity + 1) * (mod_parities[i] + 1))
         p, q = alg_pos[k], mod_pos[i]
-        slots += (((p, q), x), ((q, p), s * x))
+        slots += (((p, q), x), ((q, p), -x if (parity + 1) * (mod_parities[i] + 1) % 2 else x))
     return RMatrix(h, Tensor2._from_entries(h.space, h.space, slots, parity))
 
 
@@ -347,7 +346,7 @@ def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
     _, alg_pos, mod_pos = merge_spaces(g.space, srho.space)
     _, perm = g.space.suspended_with_permutation()
     P = g.space.parities
-    entries = (((j, perm[i]), sign(P[i]) * a) for (j, i), a in r.tensor.nonzero())
+    entries = (((j, perm[i]), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
     return _pan_supersymmetric_tensor(
         h, alg_pos, mod_pos, srho.space.parities, entries, r.parity ^ 1
     )

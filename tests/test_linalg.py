@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superybe import GradedLinearMap, SuperSpace, linalg
@@ -154,3 +154,24 @@ def test_cleared_scales_by_the_lcm_of_the_denominators():
     assert linalg._cleared(values) == (14, [7, -6, 28, 0])
     assert linalg._cleared([]) == (1, [])
     assert all(type(x) is int for x in linalg._cleared(values)[1])
+
+
+RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(RATIONALS, max_size=8))
+@example(values=[])
+@example(values=[0, Fraction(3), -2, Fraction(0)])
+@example(values=[Fraction(-1, 2), 0, 3, Fraction(5, 6)])
+def test_cleared_agrees_with_the_general_formula(values):
+    """Integral lists take the shortcut with D = 1; every list gives the
+    lcm D of its denominators and the values times D, as ints."""
+    D = lcm(*(Fraction(x).denominator for x in values))
+    scale, ints = linalg._cleared(values)
+    assert (scale, ints) == (D, [int(x * D) for x in values])
+    assert type(scale) is int and all(type(x) is int for x in ints)

@@ -40,10 +40,15 @@ from superybe import (
     induced_coadjoint_operator,
     induced_prelie,
     is_pan_supersymmetric,
+    is_super_rmatrix,
     left_regular_rep,
+    linalg,
     load_fixture,
+    oop_holds,
     operator_to_rmatrix,
     operator_to_tensor,
+    pair2_eval,
+    pair_eval_reversed,
     parity_reverse_rep,
     product_from_oop,
     rmatrix_to_operator,
@@ -52,10 +57,10 @@ from superybe import (
     suspend_map,
     twist,
 )
-from superybe.graded import merge_spaces, sign
+from superybe.graded import merge_spaces, sign, suspend_label
 from superybe.liesuper import _sparse_table
 from superybe.reps import IsoSearchResult
-from superybe.rmatrix import _pan_supersymmetric_tensor
+from superybe.rmatrix import _pan_supersymmetric_tensor, _step_minus
 
 import oracles
 
@@ -758,6 +763,44 @@ def test_both_map_constructors_run_the_one_homogeneity_check(monkeypatch):
     assert checked == [dense, sparse]
 
 
+def test_derived_spaces_are_built_once(monkeypatch):
+    """sV and V* are built, and validated, on the first call that asks for
+    them; later calls read the same objects."""
+    built = []
+    original = SuperSpace.__dict__["__post_init__"]
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    ex32 = load_fixture("ex3.2").parts
+    t, rho = ex32["T1"], ex32["coadjoint"]
+    monkeypatch.setattr(SuperSpace, "__post_init__", counting)
+    calls = {
+        "suspend_map": lambda: suspend_map(t),
+        "operator_to_rmatrix dual": lambda: operator_to_rmatrix(t, rho, "dual"),
+        "induced_coadjoint_operator plain": lambda: induced_coadjoint_operator(t, rho, "plain"),
+    }
+    for name, call in calls.items():
+        call()
+        first = len(built)
+        for _ in range(49):
+            call()
+        assert len(built) == first, name
+
+    for space in (rho.space, rho.algebra.space, operator_to_rmatrix(t, rho, "dual").space):
+        assert space.dual() is space.dual()
+        assert space.dual() == SuperSpace(tuple(l + "*" for l in space.labels), space.parities)
+        sspace, perm = space.suspended_with_permutation()
+        assert space.suspended() is sspace and space.suspended_with_permutation()[1] is perm
+        L, P = space.labels, space.parities
+        fresh = SuperSpace.make(
+            even=[suspend_label(l) for l, p in zip(L, P) if p],
+            odd=[suspend_label(l) for l, p in zip(L, P) if not p],
+        )
+        assert (sspace, perm) == (fresh, tuple(fresh.index(suspend_label(l)) for l in L))
+
+
 def test_hierarchy_levels_hold_no_dense_table():
     ex44 = load_fixture("ex4.4").parts
     tracemalloc.start()
@@ -977,3 +1020,201 @@ def test_pan_supersymmetric_tensor_matches_the_dense_formula(name, parity, rnd):
     assert (r.algebra, r.parity) == (h, parity)
     assert r.tensor.entries == nonzero_slots(array)
     assert is_pan_supersymmetric(r)
+
+
+# ---------------------------------------------------------------------------
+# Koszul signs on rescaled bases
+#
+# Every construction applies its Koszul signs by negating an entry.  These
+# compare each one with its dense formula on catalog representations whose
+# algebra basis is rescaled by 1/2 or -3/7 and maps with non-integral
+# entries, and on the catalog representations as they are with integral
+# maps, so that the integer kernels clear a denominator of 1 and one above 1.
+
+BASIS_SCALES = (HALF, Fraction(-3, 7))
+INTEGRAL_VALUES = tuple(map(Fraction, (0, 1, -1, 2)))
+FRACTIONAL_VALUES = (Fraction(0), HALF, Fraction(-3, 7), Fraction(1))
+
+
+def rescaled_algebra(g, p, s):
+    """g over the basis with e_p replaced by s e_p: c'_ab^k = c_ab^k f_a f_b / f_k."""
+    f = [s if a == p else 1 for a in range(g.dim)]
+    S = g.structure
+    return LieSuperAlgebra(
+        g.space,
+        tuple(
+            tuple(tuple(S[a][b][k] * f[a] * f[b] / f[k] for k in range(g.dim)) for b in range(g.dim))
+            for a in range(g.dim)
+        ),
+    )
+
+
+@functools.cache
+def rescaled_rep(index, p, s):
+    """REPS[index] over the algebra basis with e_p replaced by s e_p:
+    rho'(e_a) = f_a rho(e_a)."""
+    rho = REPS[index]
+    action = (m.scale(s) if a == p else m for a, m in enumerate(rho.action))
+    return Representation(rescaled_algebra(rho.algebra, p, s), rho.space, tuple(action))
+
+
+def map_with_values(rnd, domain, codomain, parity, values):
+    """A homogeneous map with entries drawn from values; a fractional draw
+    puts -3/7 at the first free position."""
+    free = [
+        (k, i)
+        for k in range(codomain.dim)
+        for i in range(domain.dim)
+        if codomain.parities[k] == domain.parities[i] ^ parity
+    ]
+    cells = {ki: rnd.choice(values) for ki in free}
+    if values is FRACTIONAL_VALUES and free:
+        cells[free[0]] = Fraction(-3, 7)
+    return GradedLinearMap(
+        domain, codomain, parity, grid(codomain.dim, domain.dim, lambda k, i: cells.get((k, i), 0))
+    )
+
+
+@st.composite
+def sign_cases(draw):
+    """(rho, T, values, rnd): a catalog representation, rescaled with
+    fractional values or as it is with integral ones, a map T: V -> g with
+    entries from the values, of a parity that has a free position, and
+    the random source for the test's other draws."""
+    index = draw(st.integers(0, len(REPS) - 1))
+    rho = REPS[index]
+    if draw(st.booleans()):
+        values = INTEGRAL_VALUES
+    else:
+        values = FRACTIONAL_VALUES
+        acting = [a for a, m in enumerate(rho.action) if not m.is_zero()]
+        rho = rescaled_rep(index, draw(st.sampled_from(acting)), draw(st.sampled_from(BASIS_SCALES)))
+    V, g = rho.space, rho.algebra.space
+    parity = draw(st.integers(0, 1))
+    if not any(q == p ^ parity for q in g.parities for p in V.parities):
+        parity ^= 1
+    rnd = draw(st.randoms(use_true_random=False))
+    return rho, map_with_values(rnd, V, g, parity, values), values, rnd
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sign_cases())
+def test_negation_sites_match_the_dense_formulas_on_rescaled_bases(case):
+    rho, t, values, rnd = case
+    g = rho.algebra
+    V, n = rho.space, g.dim
+    P = g.space.parities
+    entries = [x for col in t.nonzero for _, x in col]
+    entries += [x for m in rho.action for col in m.nonzero for _, x in col]
+    assert (linalg._cleared(entries)[0] == 1) == (values is INTEGRAL_VALUES)
+
+    d = dual_map(t)
+    assert (d.domain, d.codomain, d.matrix) == (g.space.dual(), V.dual(), ref_dual_map(t))
+    assert double_dual_embedding(V).matrix == ref_double_dual(V)
+    assert [m.matrix for m in parity_reverse_rep(rho).action] == ref_reverse_action(rho)
+    assert semidirect_product(g, rho).structure == ref_semidirect(g, rho)[1]
+
+    op = map_with_values(rnd, g.space.dual(), g.space, t.parity, values)
+    r = operator_to_tensor(op)
+    assert r.entries == nonzero_slots(grid(n, n, lambda p, q: sign(P[q]) * op.matrix[p][q]))
+    assert twist(r).entries == nonzero_slots(
+        grid(n, n, lambda j, i: sign(P[i] * P[j]) * r.coeffs[i][j])
+    )
+    v = tuple(rnd.choice(values) for _ in range(V.dim))
+    ustar = tuple(rnd.choice(values) for _ in range(V.dim))
+    Q = V.parities
+    assert pair_eval_reversed(V, v, ustar) == sum(
+        (sign(Q[i]) * v[i] * ustar[i] for i in range(V.dim)), Fraction(0)
+    )
+    gd = g.space.dual()
+    rstar = Tensor2(gd, gd, grid(n, n, lambda i, j: rnd.choice(values) if P[i] ^ P[j] == t.parity else 0))
+    assert pair2_eval(rstar, r) == sum(
+        (sign(P[j] * P[i]) * rstar.coeffs[i][j] * r.coeffs[i][j] for i in range(n) for j in range(n)),
+        Fraction(0),
+    )
+
+    verdict = oracles.first_principles_oop_ok(t, rho)
+    assert oop_holds(t, rho) == verdict
+    for variant in ("plain", "dual"):
+        total, coeffs, rparity = ref_operator_to_rmatrix(t, rho, variant)
+        induced = operator_to_rmatrix(t, rho, variant)
+        assert (induced.space, induced.tensor.coeffs, induced.parity) == (total, coeffs, rparity)
+        total, m = ref_induced_coadjoint(t, rho, variant)
+        assert induced_coadjoint_operator(t, rho, variant).matrix == m
+        assert is_super_rmatrix(induced) == verdict
+
+
+SKEW_VALUES = (HALF, Fraction(-3, 7), Fraction(1), Fraction(-1), Fraction(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=spaces, data=st.data())
+def test_from_brackets_mirrors_each_entry_with_its_koszul_sign(space, data):
+    n, P, L = space.dim, space.parities, space.labels
+    given_cells = {}
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and not P[i]) or not data.draw(st.booleans()):
+                continue
+            k = data.draw(st.integers(0, n - 1))
+            given_cells[i, j] = {k: data.draw(st.sampled_from(SKEW_VALUES))}
+    g = LieSuperAlgebra.from_brackets(
+        space,
+        {(L[i], L[j]): {L[k]: x for k, x in cell.items()} for (i, j), cell in given_cells.items()},
+    )
+
+    def want(i, j, k):
+        if i <= j:
+            return given_cells.get((i, j), {}).get(k, 0)
+        return -sign(P[i] * P[j]) * given_cells.get((j, i), {}).get(k, 0)
+
+    assert g.structure == tuple(grid(n, n, lambda j, k: want(i, j, k)) for i in range(n))
+    assert check_lie_axioms(g).items[1].ok
+    # one mirrored entry off by its sign is the first skew witness the
+    # dense scan finds
+    mirrored = [(j, i, k) for (i, j), cell in given_cells.items() if i < j for k in cell]
+    if mirrored:
+        a, b, c = data.draw(st.sampled_from(mirrored))
+        structure = [[list(cell) for cell in row] for row in g.structure]
+        structure[a][b][c] = -structure[a][b][c]
+        bad = LieSuperAlgebra(space, tuple(tuple(map(tuple, row)) for row in structure))
+        detail = check_lie_axioms(bad).items[1].detail
+        assert detail and detail == dense_first_witnesses(bad)[1]
+
+
+SMALL_NAMES = [name for name in NAMES if ALGEBRAS[name].dim <= 8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(SMALL_NAMES),
+    scale=st.sampled_from((None, *BASIS_SCALES)),
+    parity=st.integers(0, 1),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_step_minus_matches_the_dense_formula(name, scale, parity, rnd):
+    """One '-' level: g |x_{ad^s} sg with the tensor
+    sum a_ji ((-1)^{|e_i|} e_j (x) se_i + (-1)^{(|r|+1)|e_i|} se_i (x) e_j)."""
+    g = ALGEBRAS[name] if scale is None else rescaled_algebra(ALGEBRAS[name], 0, scale)
+    space, n, P = g.space, g.dim, g.space.parities
+    values = INTEGRAL_VALUES if scale is None else FRACTIONAL_VALUES
+    a = grid(n, n, lambda j, i: rnd.choice(values) if P[j] ^ P[i] == parity else 0)
+    r = RMatrix(g, Tensor2(space, space, a, parity))
+    level = _step_minus(g, r)
+
+    sspace, perm = space.suspended_with_permutation()
+    ad = adjoint(g)
+    srho = Representation._trusted(
+        g,
+        sspace,
+        tuple(GradedLinearMap(sspace, sspace, p, m) for p, m in zip(P, ref_reverse_action(ad))),
+    )
+    total, structure = ref_semidirect(g, srho)
+    _, ga, va = merge_spaces(space, sspace)
+    coeffs = [[Fraction(0)] * total.dim for _ in range(total.dim)]
+    for j in range(n):
+        for i in range(n):
+            coeffs[ga[j]][va[perm[i]]] += sign(P[i]) * a[j][i]
+            coeffs[va[perm[i]]][ga[j]] += sign((parity + 1) * P[i]) * a[j][i]
+    assert (level.space, level.algebra.structure) == (total, structure)
+    assert (level.tensor.coeffs, level.parity) == (tuple(map(tuple, coeffs)), parity ^ 1)
