@@ -1038,13 +1038,13 @@ FRACTIONAL_VALUES = (Fraction(0), HALF, Fraction(-3, 7), Fraction(1))
 
 def rescaled_algebra(g, p, s):
     """g over the basis with e_p replaced by s e_p: c'_ab^k = c_ab^k f_a f_b / f_k."""
-    f = [s if a == p else 1 for a in range(g.dim)]
-    S = g.structure
+    n, S = g.dim, g.structure
+    f = [s if a == p else 1 for a in range(n)]
     return LieSuperAlgebra(
         g.space,
         tuple(
-            tuple(tuple(S[a][b][k] * f[a] * f[b] / f[k] for k in range(g.dim)) for b in range(g.dim))
-            for a in range(g.dim)
+            tuple(tuple(S[a][b][k] * f[a] * f[b] / f[k] for k in range(n)) for b in range(n))
+            for a in range(n)
         ),
     )
 
@@ -1088,7 +1088,8 @@ def sign_cases(draw):
     else:
         values = FRACTIONAL_VALUES
         acting = [a for a, m in enumerate(rho.action) if not m.is_zero()]
-        rho = rescaled_rep(index, draw(st.sampled_from(acting)), draw(st.sampled_from(BASIS_SCALES)))
+        p, s = draw(st.sampled_from(acting)), draw(st.sampled_from(BASIS_SCALES))
+        rho = rescaled_rep(index, p, s)
     V, g = rho.space, rho.algebra.space
     parity = draw(st.integers(0, 1))
     if not any(q == p ^ parity for q in g.parities for p in V.parities):
@@ -1127,9 +1128,14 @@ def test_negation_sites_match_the_dense_formulas_on_rescaled_bases(case):
         (sign(Q[i]) * v[i] * ustar[i] for i in range(V.dim)), Fraction(0)
     )
     gd = g.space.dual()
-    rstar = Tensor2(gd, gd, grid(n, n, lambda i, j: rnd.choice(values) if P[i] ^ P[j] == t.parity else 0))
+    rstar = grid(n, n, lambda i, j: rnd.choice(values) if P[i] ^ P[j] == t.parity else 0)
+    rstar = Tensor2(gd, gd, rstar)
     assert pair2_eval(rstar, r) == sum(
-        (sign(P[j] * P[i]) * rstar.coeffs[i][j] * r.coeffs[i][j] for i in range(n) for j in range(n)),
+        (
+            sign(P[j] * P[i]) * rstar.coeffs[i][j] * r.coeffs[i][j]
+            for i in range(n)
+            for j in range(n)
+        ),
         Fraction(0),
     )
 
