@@ -744,24 +744,6 @@ def fixture_document(name: str):
         doc.spaces[ALGEBRA_SPACE_NAME] = algebra.space
         doc.algebra = algebra
 
-    def expressible(space) -> bool:
-        try:
-            doc.space_expression(space)
-            return True
-        except KeyError:
-            return False
-
-    def declare(space, hint: str) -> bool:
-        if expressible(space):
-            return True
-        if space in doc.spaces.values():
-            return True
-        candidate = hint
-        while candidate in doc.spaces:
-            candidate += "_"
-        doc.spaces[candidate] = space
-        return True
-
     for part_name, part in fixture.parts.items():
         if part_name == "algebra" or doc.algebra is None:
             continue
@@ -770,18 +752,17 @@ def fixture_document(name: str):
         if isinstance(part, Representation):
             if part.algebra != doc.algebra:
                 continue
-            declare(part.space, "V")
+            doc.declare(part.space, "V")
             doc.reps[part_name] = RawRep(part_name, part.space, part.action)
         elif isinstance(part, GradedLinearMap):
-            declare(part.domain, "V")
-            if not expressible(part.codomain):
-                declare(part.codomain, "W")
+            doc.declare(part.domain, "V")
+            doc.declare(part.codomain, "W")
             doc.maps[part_name] = part
         elif isinstance(part, RMatrix):
             if part.algebra == doc.algebra:
                 doc.tensors[part_name] = part.tensor
         elif isinstance(part, PreLieSuperAlgebra):
-            declare(part.space, "P")
+            doc.declare(part.space, "P")
             doc.prelies[part_name] = part
     return doc
 

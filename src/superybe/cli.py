@@ -142,12 +142,7 @@ def _fitting_map(doc: Document, args) -> tuple[GradedLinearMap, Representation]:
 
 
 def _document_for_algebra(algebra, tensors=None) -> str:
-    doc = Document()
-    doc.spaces[ALGEBRA_SPACE_NAME] = algebra.space
-    doc.algebra = algebra
-    for name, t in (tensors or {}).items():
-        doc.tensors[name] = t
-    return emit(doc)
+    return emit(Document({ALGEBRA_SPACE_NAME: algebra.space}, algebra, tensors=tensors or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +217,7 @@ def _cmd_dualize(args, rep: Reporter) -> None:
     t, rho = _fitting_map(doc, args)
     ts = suspend_map(t)
     srho = parity_reverse_rep(rho)
-    out = Document()
-    out.spaces.update(doc.spaces)
-    out.algebra = doc.algebra
+    out = Document(dict(doc.spaces), doc.algebra)
     out.maps[args.map + "s"] = ts
     out.reps[args.rep + "s"] = RawRep(args.rep + "s", srho.space, srho.action)
     rep.check("parity duality produced the suspended candidate", True)
@@ -310,7 +303,7 @@ def _cmd_prelie(args, rep: Reporter) -> None:
                 _document_for_algebra(odd_r.algebra, tensors={"r_ids": odd_r.tensor}),
                 key="dual",
             )
-    elif args.action == "from-oop":
+    else:  # from-oop
         if not args.map or not args.rep:
             raise UsageError("from-oop needs --map and --rep")
         t, rho = _fitting_map(doc, args)
@@ -321,18 +314,10 @@ def _cmd_prelie(args, rep: Reporter) -> None:
         rep.check(
             f"induced product (grading shift {product.parity_shift}) built", True
         )
-        out = Document()
-        out.spaces.update(doc.spaces)
-        out.algebra = doc.algebra
-        if product.space not in out.spaces.values():
-            try:
-                out.space_expression(product.space)
-            except KeyError:
-                out.spaces["P"] = product.space
+        out = Document(dict(doc.spaces), doc.algebra)
+        out.declare(product.space, "P")
         out.prelies["from_" + args.map] = product
         rep.document(emit(out))
-    else:
-        raise UsageError(f"unknown prelie action {args.action!r}")
 
 
 def _cmd_search(args, rep: Reporter) -> None:
@@ -350,14 +335,13 @@ def _cmd_search(args, rep: Reporter) -> None:
                 raise UsageError(f"malformed rational {token!r} in --entries")
     if not entries:
         raise UsageError("--entries needs at least one rational")
+    entries = list(dict.fromkeys(entries))  # a repeated value would find each O-operator twice
     try:
         found = grid_search_oops(algebra, rho, parity, entries)
     except GridSearchCapExceeded as exc:
         raise UsageError(str(exc)) from None
     rep.check(f"search finished: {len(found)} O-operator(s)", True)
-    out = Document()
-    out.spaces.update(doc.spaces)
-    out.algebra = doc.algebra
+    out = Document(dict(doc.spaces), doc.algebra)
     for idx, t in enumerate(found):
         out.maps[f"oop{idx}"] = t
     rep.document(emit(out))

@@ -95,6 +95,19 @@ class Document:
             raise KeyError("space is not expressible over the declared spaces")
         return min(candidates, key=len)
 
+    def declare(self, space: SuperSpace, hint: str) -> str:
+        """The shortest expression for `space`; if it has none, declare it
+        under `hint`, with `_` appended until the name is free."""
+        try:
+            return self.space_expression(space)
+        except KeyError:
+            pass
+        name = hint
+        while name in self.spaces:
+            name += "_"
+        self.spaces[name] = space
+        return name
+
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 _HEADER_RE = re.compile(r"^\[(.*)\]$")

@@ -49,7 +49,7 @@ from .graded import (
     vec_is_zero,
 )
 from .liesuper import LieSuperAlgebra
-from .reps import Representation, direct_sum_rep, is_intertwiner, parity_reverse_rep
+from .reps import Representation, _check_isomorphism, direct_sum_rep, parity_reverse_rep
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,7 @@ class OOperatorCandidate:
     rep: Representation
 
     def __post_init__(self):
-        if self.map.domain != self.rep.space:
-            raise ValueError("candidate domain differs from the representation space")
-        if self.map.codomain != self.rep.algebra.space:
-            raise ValueError("candidate codomain differs from the algebra")
+        _check_candidate(self.map, self.rep)
 
     @property
     def parity(self) -> Parity:
@@ -213,7 +210,6 @@ def is_rota_baxter(r: GradedLinearMap, g: LieSuperAlgebra) -> bool:
 
 def parity_dual_oop(t: GradedLinearMap, rho: Representation) -> OOperatorCandidate:
     """(T^s, rho^s): the parity-dual candidate; verdicts always agree."""
-    _check_candidate(t, rho)
     return OOperatorCandidate(suspend_map(t), parity_reverse_rep(rho))
 
 
@@ -239,10 +235,7 @@ def transport_oop(
     The verdict of the O-operator identity transports along phi.
     """
     _check_candidate(t, rho2)
-    if not is_intertwiner(phi, rho1, rho2):
-        raise ValueError("phi is not an intertwiner between the given representations")
-    if not phi.is_invertible():
-        raise ValueError("phi is not invertible")
+    _check_isomorphism(phi, rho1, rho2)
     return OOperatorCandidate(t.compose(phi), rho1)
 
 

@@ -38,7 +38,7 @@ from .liesuper import (
     _hom_failures,
     _sparse_table,
 )
-from .oop import OOperatorCandidate, _check_candidate, oop_holds
+from .oop import OOperatorCandidate, oop_holds
 from .reps import Representation, parity_reverse_rep
 from .rmatrix import operator_to_rmatrix
 
@@ -182,7 +182,6 @@ def product_from_oop(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlge
 
     Requires T to satisfy the O-operator identity.
     """
-    _check_candidate(t, rho)
     if not oop_holds(t, rho):
         raise ValueError("the map does not satisfy the O-operator identity")
     V = rho.space
@@ -250,7 +249,6 @@ def compatible_prelie(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlg
 
     The supercommutator of the product reproduces the bracket of g.
     """
-    _check_candidate(t, rho)
     if not oop_holds(t, rho):
         raise ValueError("the map does not satisfy the O-operator identity")
     tinv = t.inverse()  # refuses a singular T

@@ -369,6 +369,13 @@ def is_intertwiner(phi: GradedLinearMap, rho1: Representation, rho2: Representat
     )
 
 
+def _check_isomorphism(phi: GradedLinearMap, rho1: Representation, rho2: Representation):
+    if not is_intertwiner(phi, rho1, rho2):
+        raise ValueError("phi is not an intertwiner between the given representations")
+    if not phi.is_invertible():
+        raise ValueError("phi is not invertible")
+
+
 def is_self_reversing(rho: Representation) -> IsoSearchResult:
     return find_even_isomorphism(rho, parity_reverse_rep(rho))
 

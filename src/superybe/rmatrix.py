@@ -35,8 +35,8 @@ from .liesuper import (
     classify_form,
     semidirect_product,
 )
-from .oop import _check_candidate, is_intertwiner
-from .reps import Representation, _lie_adjoint, dual_rep, parity_reverse_rep
+from .oop import _check_candidate
+from .reps import Representation, _check_isomorphism, _lie_adjoint, dual_rep, parity_reverse_rep
 
 
 @dataclass(frozen=True)
@@ -205,13 +205,19 @@ def _semidirect_host(rho: Representation):
 
 
 # the semidirect hosts depend only on the representation, not on the
-# operator; cache them so bulk verdict checks build each host once
-@lru_cache(maxsize=None)
+# operator; cache them so bulk verdict checks build each host once.  The
+# bound keeps a caller that generates representations from holding every
+# host: bulk checks reuse a few (perfbench's equivalence workload warms
+# 6 representations per variant).
+HOST_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=HOST_CACHE_SIZE)
 def _plain_semidirect(rho: Representation):
     return _semidirect_host(rho)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=HOST_CACHE_SIZE)
 def _dual_semidirect(rho: Representation):
     """The host of (rho^s) together with rho^s itself."""
     srho = parity_reverse_rep(rho)
@@ -409,14 +415,7 @@ def same_algebra_pair(
     r_{T^s} = sum_i (T^s phi(v_i) (x) v_i*
                      + (-1)^{|T|+|T||v_i|} v_i* (x) T^s phi(v_i)).
     """
-    _check_candidate(t, rho)
-    srho = parity_reverse_rep(rho)
-    if phi.domain != rho.space or phi.codomain != srho.space:
-        raise ValueError("phi must map V to sV")
-    if not is_intertwiner(phi, rho, srho):
-        raise ValueError("phi does not intertwine the representation and its reverse")
-    if not phi.is_invertible():
-        raise ValueError("phi is not invertible")
+    _check_isomorphism(phi, rho, parity_reverse_rep(rho))
     r_plain = operator_to_rmatrix(t, rho, "plain")
     transported = suspend_map(t).compose(phi)
     r_dual = operator_to_rmatrix(transported, rho, "plain")

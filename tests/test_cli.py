@@ -357,6 +357,25 @@ class TestPrelieCommand:
         assert product.multiply(v, v) == product.space.vector({"w": -1})
         assert product.multiply(w, w) == w
 
+    def test_from_oop_keeps_a_declared_space_named_p(self, tmp_path, capsys):
+        # V*** has no expression over g and P, so the product space is
+        # declared afresh, under a name the input does not use
+        text = (
+            "[space]\neven = e\nodd = f\n[bracket]\ne f = 1 f\n"
+            "[space P]\neven = p\nodd = q\n"
+            "[rep coad on g***]\ne f*** = -1 f***\nf f*** = -1 e***\n"
+            "[map T0 : g*** -> g parity even]\nf*** = -1 f\n"
+        )
+        path = tmp_path / "p.sy"
+        path.write_text(text)
+        assert main(["prelie", str(path), "from-oop", "--map", "T0", "--rep", "coad"]) == 0
+        out = capsys.readouterr().out
+        doc = parse(out[out.index("[space]"):])
+        assert doc.spaces["P"] == parse(text).spaces["P"]
+        assert doc.spaces["P_"].labels == ("e***", "f***")
+        assert doc.prelies["from_T0"].space == doc.spaces["P_"]
+        assert "[prelie from_T0 on P_]" in out
+
     def test_from_oop_map_that_does_not_fit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "misfit.sy"
         retyped = "[map T0 : g -> g parity even]\nf = -1 f"
@@ -400,6 +419,14 @@ class TestSearch:
         monkeypatch.setenv("SUPERYBE_THREADS", "abc")
         args = ["search", sl11_file, "--rep", "rho", "--parity", "odd", "--entries", "0,1"]
         assert main(args) == 0
+
+    def test_repeated_entries_are_searched_once(self, ex32_file, capsys):
+        counts = {}
+        for entries in ("0,1", "0,1,1", "0,1,1.0", "1,0,1"):
+            args = ["search", ex32_file, "--rep", "coad", "--parity", "odd", "--json"]
+            assert main(args + [f"--entries={entries}"]) == 0
+            counts[entries] = json.loads(capsys.readouterr().out)["count"]
+        assert counts == {"0,1": 2, "0,1,1": 2, "0,1,1.0": 2, "1,0,1": 2}
 
     def test_bad_entries_exit_two(self, sl11_file):
         args = ["search", sl11_file, "--rep", "rho", "--parity", "odd", "--entries", "x"]

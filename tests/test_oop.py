@@ -14,10 +14,12 @@ from superybe import (
     GradedLinearMap,
     GridSearchCapExceeded,
     LieSuperAlgebra,
+    OOperatorCandidate,
     Representation,
     SuperSpace,
     adjoint,
     coadjoint,
+    compatible_prelie,
     dual_rep,
     extend_to_double,
     grid_search_oops,
@@ -25,8 +27,11 @@ from superybe import (
     is_rota_baxter,
     load_fixture,
     oop_holds,
+    operator_to_rmatrix,
     parity_dual_oop,
     parity_reverse_rep,
+    product_from_oop,
+    same_algebra_pair,
     suspend_map,
     transport_oop,
     trivial_rep,
@@ -177,12 +182,36 @@ class TestIsOop:
                 assert not vec_is_zero(defect)
 
     def test_malformed_candidate_rejected(self):
-        fx = load_fixture("ex3.2")
-        g = fx.parts["algebra"]
-        rho = fx.parts["coadjoint"]
-        wrong = GradedLinearMap.zero(g.space, g.space, EVEN)
-        with pytest.raises(ValueError):
-            is_oop(wrong, rho)
+        # every entry point that takes (T, rho) refuses a map V' -> g or
+        # V -> g' with the one message of `_check_candidate`
+        fx = load_fixture("ex3.7")
+        g, rho, phi = fx.parts["algebra"], fx.parts["rho"], fx.parts["phi"]
+        entry_points = {
+            "oop_holds": oop_holds,
+            "is_oop": is_oop,
+            "OOperatorCandidate": OOperatorCandidate,
+            "parity_dual_oop": parity_dual_oop,
+            "extend_to_double": extend_to_double,
+            "transport_oop": lambda t, rho: transport_oop(
+                t, rho, GradedLinearMap.identity(rho.space), rho
+            ),
+            "product_from_oop": product_from_oop,
+            "compatible_prelie": compatible_prelie,
+            "operator_to_rmatrix plain": lambda t, rho: operator_to_rmatrix(t, rho, "plain"),
+            "operator_to_rmatrix dual": lambda t, rho: operator_to_rmatrix(t, rho, "dual"),
+            "same_algebra_pair": lambda t, rho: same_algebra_pair(t, rho, phi),
+        }
+        misfits = (
+            GradedLinearMap.zero(g.space, g.space, EVEN),  # wrong domain
+            GradedLinearMap.zero(rho.space, rho.space, ODD),  # wrong codomain
+        )
+        for name, call in entry_points.items():
+            for wrong in misfits:
+                with pytest.raises(ValueError) as info:
+                    call(wrong, rho)
+                assert str(info.value) == (
+                    "malformed candidate: map does not fit the representation"
+                ), name
 
     def test_matches_first_principles_signs(self, rng):
         for name in ("ex3.2", "ex2.3", "ex3.20"):

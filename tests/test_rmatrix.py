@@ -42,6 +42,7 @@ from superybe import (
     twist,
 )
 from superybe.graded import sign
+from superybe.rmatrix import HOST_CACHE_SIZE, _dual_semidirect, _plain_semidirect
 
 from conftest import (
     _count_calls,
@@ -478,6 +479,20 @@ class TestOperatorToRMatrix:
         for variant in ("plain", "dual"):
             assert scybe_defect(operator_to_rmatrix(good, rho, variant)).is_zero()
             assert not scybe_defect(operator_to_rmatrix(bad, rho, variant)).is_zero()
+
+    def test_host_caches_stay_bounded(self):
+        # 1,000 distinct algebras [e, f] = n f, each with its own coadjoint
+        # representation, may keep at most HOST_CACHE_SIZE hosts per variant
+        space = SuperSpace.make(even=["e"], odd=["f"])
+        for n in range(1, 1001):
+            rho = coadjoint(LieSuperAlgebra.from_brackets(space, {("e", "f"): {"f": n}}))
+            zero = GradedLinearMap.zero(rho.space, space, EVEN)
+            for variant in ("plain", "dual"):
+                operator_to_rmatrix(zero, rho, variant)
+        for cache in (_plain_semidirect, _dual_semidirect):
+            info = cache.cache_info()
+            assert info.maxsize == HOST_CACHE_SIZE
+            assert info.currsize <= HOST_CACHE_SIZE
 
     def test_outputs_are_always_pan_supersymmetric(self, rng):
         for name, g, rho in equivalence_cases()[:3]:
