@@ -23,6 +23,7 @@ from .graded import (
 )
 from .liesuper import LieSuperAlgebra, check_lie_axioms
 from .oop import (
+    OOperatorCandidate,
     is_oop,
     is_rota_baxter,
     oop_holds,
@@ -64,21 +65,17 @@ class Expectation:
     citation: str
     check: Callable[[], bool]
 
-    def holds(self) -> bool:
-        return bool(self.check())
-
 
 @dataclass(frozen=True)
 class Fixture:
     name: str
     description: str
-    payload: object
     parts: dict
     expectations: tuple[Expectation, ...]
 
     def run(self):
         """(label, citation, ok) for every expectation."""
-        return [(e.label, e.citation, e.holds()) for e in self.expectations]
+        return [(e.label, e.citation, bool(e.check())) for e in self.expectations]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +170,6 @@ def _fix_ex32() -> Fixture:
     return Fixture(
         "ex3.2",
         "1|1 algebra [e, f] = f with its even and odd coadjoint O-operators",
-        g,
         parts,
         expectations,
     )
@@ -215,7 +211,6 @@ def _fix_ex44() -> Fixture:
     return Fixture(
         "ex4.4",
         "the two tensors corresponding to the ex3.2 operators",
-        (r0, r1),
         parts,
         expectations,
     )
@@ -307,7 +302,6 @@ def _fix_ex317() -> Fixture:
     return Fixture(
         "ex3.17",
         "level-1 hierarchy pairs of the ex4.4 tensors with printed tables",
-        (r0_plus, r0_minus, r1_plus, r1_minus),
         parts,
         expectations,
     )
@@ -373,7 +367,6 @@ def _fix_ex23() -> Fixture:
     return Fixture(
         "ex2.3",
         "sl(1|1) with its self-reversing 2|2 representation",
-        rho,
         parts,
         expectations,
     )
@@ -513,7 +506,6 @@ def _fix_ex37() -> Fixture:
     return Fixture(
         "ex3.7",
         "the parametric O-operator families of the sl(1|1) module and their transports",
-        fam,
         parts,
         expectations,
     )
@@ -584,7 +576,6 @@ def _fix_ex320() -> Fixture:
     return Fixture(
         "ex3.20",
         "odd invertible operator on the [f, f] = -2e algebra with all induced products",
-        t,
         parts,
         expectations,
     )
@@ -668,7 +659,6 @@ def _fix_closing() -> Fixture:
     return Fixture(
         "closing-prelie",
         "the compatible pre-Lie product and its parity pair of tensors in one algebra",
-        star,
         parts,
         expectations,
     )
@@ -703,7 +693,6 @@ def _fix_rb_caveat() -> Fixture:
     return Fixture(
         "rb-caveat",
         "a Rota-Baxter operator whose parity dual is not Rota-Baxter on g",
-        r,
         parts,
         expectations,
     )
@@ -732,10 +721,9 @@ def fixture_document(name: str):
     parametric family generators and objects living in other algebras
     (hierarchy levels, semidirect hosts) are constructions, not data.
     """
+    # imported on first use: an import at load time would make `fileformat`
+    # a package attribute before `superybe.__all__` is built, and export it
     from .fileformat import ALGEBRA_SPACE_NAME, Document, RawRep
-    from .oop import OOperatorCandidate
-    from .prelie import PreLieSuperAlgebra
-    from .rmatrix import RMatrix
 
     fixture = load_fixture(name)
     doc = Document()

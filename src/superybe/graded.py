@@ -117,9 +117,6 @@ class SuperSpace:
         except ValueError:
             raise KeyError(f"unknown basis label {label!r}") from None
 
-    def parity(self, i: int) -> Parity:
-        return self.parities[i]
-
     def basis_vector(self, i: int) -> tuple[Scalar, ...]:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 

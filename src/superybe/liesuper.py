@@ -88,9 +88,10 @@ def _dense_entries(n: int, table, message: str):
     )
 
 
-def _bilinear(table, x, y) -> tuple[Scalar, ...]:
-    """sum_ij x_i y_j e_i e_j for the product with the sparse table `table`."""
-    out = [ZERO] * len(table)
+def _bilinear(table, x, y, dim: int) -> tuple[Scalar, ...]:
+    """sum_ij x_i y_j e_i e_j, a vector of length dim, for the product with the
+    sparse table `table`: table[i][j] holds the pairs (k, c) of e_i e_j."""
+    out = [ZERO] * dim
     ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
     for i, xi in enumerate(x):
         if xi == 0:
@@ -222,7 +223,7 @@ class LieSuperAlgebra:
 
     def bracket(self, x, y) -> tuple[Scalar, ...]:
         """[x, y] for coordinate vectors x, y."""
-        return _bilinear(self.nonzero, x, y)
+        return _bilinear(self.nonzero, x, y, self.space.dim)
 
     def ad(self, i: int) -> GradedLinearMap:
         """The adjoint action of the i-th basis element."""

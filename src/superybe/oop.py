@@ -40,9 +40,7 @@ from . import linalg
 from .graded import (
     GradedLinearMap,
     Parity,
-    SuperSpace,
     dense_vector,
-    format_vector,
     merge_spaces,
     rat,
     suspend_map,
@@ -76,14 +74,6 @@ class OopReport:
 
     def nonzero_defects(self):
         return [(pair, d) for pair, d in self.defects if not vec_is_zero(d)]
-
-    def format(self, g_space: SuperSpace) -> str:
-        if self.ok:
-            return "all defects vanish"
-        lines = []
-        for (a, b), d in self.nonzero_defects():
-            lines.append(f"defect[{a}, {b}] = {format_vector(g_space, d)}")
-        return "\n".join(lines)
 
 
 def _defect(tables, P, parity: Parity, cols, i: int, j: int) -> dict:

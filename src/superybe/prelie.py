@@ -96,7 +96,7 @@ class PreLieSuperAlgebra:
         return tuple(tuple(dense_vector(n, cell) for cell in row) for row in self.nonzero)
 
     def multiply(self, x, y):
-        return _bilinear(self.nonzero, x, y)
+        return _bilinear(self.nonzero, x, y, self.space.dim)
 
 
 def check_prelie(a: PreLieSuperAlgebra) -> CheckReport:

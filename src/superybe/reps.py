@@ -22,7 +22,7 @@ from .graded import (
     dual_map,
     merge_spaces,
 )
-from .liesuper import CheckReport, LieSuperAlgebra, _first_failure, _hom_failures
+from .liesuper import CheckReport, LieSuperAlgebra, _bilinear, _first_failure, _hom_failures
 
 
 def check_representation(
@@ -135,17 +135,7 @@ class Representation:
 
     def apply_vec(self, x, v):
         """rho(x)v for an algebra coordinate vector x (applied termwise)."""
-        out = [ZERO] * self.space.dim
-        vs = [(i, vi) for i, vi in enumerate(v) if vi != 0]
-        for a, xa in enumerate(x):
-            if xa == 0:
-                continue
-            cols = self.action[a].nonzero
-            for i, vi in vs:
-                c = xa * vi
-                for k, m in cols[i]:
-                    out[k] += c * m
-        return tuple(out)
+        return _bilinear([m.nonzero for m in self.action], x, v, self.space.dim)
 
 
 def _lie_adjoint(g: LieSuperAlgebra) -> Representation:
@@ -235,9 +225,9 @@ def _intertwiner_system(
     """(positions, rows): the unknown entries (k, i) of an even map
     phi: V1 -> V2, and the nonzero rows of the linear system
     phi rho1(x) = rho2(x) phi, one per entry (k, j) of
-    phi rho1(e_a) - rho2(e_a) phi, in (a, k, j) order.  Each row is the
-    equation times the lcm of its denominators, as Python ints.  Only the
-    nonzero entries of the action maps are read."""
+    phi rho1(e_a) - rho2(e_a) phi, in (a, k, j) order, with the rational
+    coefficients as summed; `linalg._eliminate` clears each row's
+    denominators.  Only the nonzero entries of the action maps are read."""
     V1, V2 = rho1.space, rho2.space
     # unknowns: entries (k, i) with |w_k| = |v_i| (phi is even)
     positions = [
@@ -264,11 +254,9 @@ def _intertwiner_system(
                 t = pos_index[l, j]
                 eq[t] = eq.get(t, ZERO) - x
         for kj in sorted(eqs):
-            terms = [(t, x) for t, x in eqs[kj].items() if x]
-            if terms:
-                _, ints = linalg._cleared([x for _, x in terms])
+            if any(eqs[kj].values()):
                 row = [0] * len(positions)
-                for (t, _), x in zip(terms, ints):
+                for t, x in eqs[kj].items():
                     row[t] = x
                 rows.append(row)
     return positions, rows
@@ -326,37 +314,28 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
         return IsoSearchResult("none")
     n = V1.dim
     stored = [tuple(phi._entries()) for phi in basis]
-
-    def attempt(ts):
+    rng = random.Random(0x5EBE)  # a fixed seed: the same answer on every run
+    probe = [rng.randint(1, 8 * n) for _ in range(k)]
+    # (n + 1)^k n^3 grid cost, without forming a huge power: 2^k <= (n + 1)^k
+    on_grid = k < ISO_GRID_COST_CAP.bit_length() and (n + 1) ** k * n**3 <= ISO_GRID_COST_CAP
+    if on_grid:
+        points = itertools.product(range(n + 1), repeat=k)
+    else:
+        points = (
+            [rng.randrange(0, 1 << 20) for _ in range(k)] for _ in range(_RANDOM_FALLBACK_TRIES)
+        )
+    for ts in itertools.chain([probe], points):
         rows = [[0] * n for _ in range(n)]
         for t, entries in zip(ts, stored):
             if t:
                 for (r, c), x in entries:
                     rows[r][c] += t * x
         inv = linalg.invert(rows)
-        if inv is None:
-            return None
-        return IsoSearchResult(
-            "found", GradedLinearMap(V1, V2, EVEN, rows), GradedLinearMap(V2, V1, EVEN, inv)
-        )
-
-    rng = random.Random(0x5EBE)  # a fixed seed: the same answer on every run
-    hit = attempt([rng.randint(1, 8 * n) for _ in range(k)])
-    if hit is not None:
-        return hit
-    # (n + 1)^k n^3 grid cost, without forming a huge power: 2^k <= (n + 1)^k
-    if k < ISO_GRID_COST_CAP.bit_length() and (n + 1) ** k * n**3 <= ISO_GRID_COST_CAP:
-        for ts in itertools.product(range(n + 1), repeat=k):
-            hit = attempt(ts)
-            if hit is not None:
-                return hit
-        return IsoSearchResult("none")
-
-    for _ in range(_RANDOM_FALLBACK_TRIES):
-        hit = attempt([rng.randrange(0, 1 << 20) for _ in range(k)])
-        if hit is not None:
-            return hit
-    return IsoSearchResult("inconclusive")
+        if inv is not None:
+            return IsoSearchResult(
+                "found", GradedLinearMap(V1, V2, EVEN, rows), GradedLinearMap(V2, V1, EVEN, inv)
+            )
+    return IsoSearchResult("none" if on_grid else "inconclusive")
 
 
 def is_intertwiner(phi: GradedLinearMap, rho1: Representation, rho2: Representation) -> bool:

@@ -196,12 +196,10 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
 # O-operator -> r-matrix in a semidirect product
 
 
-def _semidirect_host(rho: Representation):
-    """g |x_{rho*} V* with the positions of its algebra and module slots."""
-    rho_star = dual_rep(rho)
-    h = semidirect_product(rho.algebra, rho_star)
-    _, alg_pos, mod_pos = merge_spaces(rho.algebra.space, rho_star.space)
-    return h, alg_pos, mod_pos
+def _host(g: LieSuperAlgebra, rho: Representation):
+    """g |x_rho V with the positions of its algebra and module slots."""
+    _, alg_pos, mod_pos = merge_spaces(g.space, rho.space)
+    return semidirect_product(g, rho), alg_pos, mod_pos
 
 
 # the semidirect hosts depend only on the representation, not on the
@@ -214,14 +212,15 @@ HOST_CACHE_SIZE = 32
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
 def _plain_semidirect(rho: Representation):
-    return _semidirect_host(rho)
+    """g |x_{rho*} V*, the host of the plain construction."""
+    return _host(rho.algebra, dual_rep(rho))
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
 def _dual_semidirect(rho: Representation):
     """The host of (rho^s) together with rho^s itself."""
     srho = parity_reverse_rep(rho)
-    return (*_semidirect_host(srho), srho)
+    return (*_host(rho.algebra, dual_rep(srho)), srho)
 
 
 def _induced_input(t: GradedLinearMap, rho: Representation, variant: str):
@@ -338,8 +337,7 @@ HIERARCHY_DIM_CAP = 256
 # again a Lie superalgebra, so once hierarchy_trace has checked the
 # starting algebra the adjoint of every level is trusted
 def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
-    h = semidirect_product(g, _lie_adjoint(g))  # g |x_ad g
-    _, alg_pos, mod_pos = merge_spaces(g.space, g.space)
+    h, alg_pos, mod_pos = _host(g, _lie_adjoint(g))  # g |x_ad g
     # coefficient a_ji sits at tensor slot (j, i)
     return _pan_supersymmetric_tensor(
         h, alg_pos, mod_pos, g.space.parities, r.tensor.nonzero(), r.parity
@@ -348,8 +346,7 @@ def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
 
 def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
     srho = parity_reverse_rep(_lie_adjoint(g))
-    h = semidirect_product(g, srho)
-    _, alg_pos, mod_pos = merge_spaces(g.space, srho.space)
+    h, alg_pos, mod_pos = _host(g, srho)
     _, perm = g.space.suspended_with_permutation()
     P = g.space.parities
     entries = (((j, perm[i]), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())

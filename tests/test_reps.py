@@ -1,6 +1,7 @@
+import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +418,53 @@ class TestIsomorphismSearch:
         # dual, 9^4 points at n = 8
         assert len(grids) == 69 and max(grids) == 9**4
 
+    def test_grid_points_are_tried_in_order(self, monkeypatch):
+        # z acts on a 3|0 space with the eigenvalues 0, 1, 2; the probe's
+        # candidate is singular, and the grid {0..3}^3 first meets an
+        # invertible candidate at its 18th point
+        g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
+        v = SuperSpace.make(even=["u0", "u1", "u2"])
+        images = {"u0": {"u1": 2}, "u1": {"u1": 2}, "u2": {"u0": 1, "u1": 1, "u2": 1}}
+        rho = Representation.from_images(g, v, {"z": images})
+        basis = intertwiner_space(rho, rho)
+        rng = random.Random(0x5EBE)
+        points = [[rng.randint(1, 8 * 3) for _ in basis]]
+        for ts in itertools.product(range(4), repeat=len(basis)):
+            points.append(ts)
+            if oracles.dense_det(_candidate(basis, ts)):
+                break
+        assert len(points) == 1 + 18
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        assert find_even_isomorphism(rho, rho).found
+        assert [rows for rows, in inverts] == [_candidate(basis, ts) for ts in points]
+
+    def test_fallback_draws_are_tried_in_order(self, monkeypatch):
+        # the over-cap grid of test_over_cap_grid_takes_the_randomized_path:
+        # the fallback's draws come after the probe's, from the same generator
+        g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
+        v = SuperSpace.make(even=[f"u{i}" for i in range(6)])
+        shift = GradedLinearMap.from_images(
+            v, v, EVEN, {f"u{i}": {f"u{i - 1}": 1} for i in range(1, 6)}
+        )
+        rho1, rho2 = trivial_rep(g, v), Representation(g, v, (shift,))
+        basis = intertwiner_space(rho1, rho2)
+        rng = random.Random(0x5EBE)
+        points = [[rng.randint(1, 8 * 6) for _ in basis]]
+        for _ in range(_RANDOM_FALLBACK_TRIES):
+            points.append([rng.randrange(0, 1 << 20) for _ in basis])
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
+        assert [rows for rows, in inverts] == [_candidate(basis, ts) for ts in points]
+
+
+def _candidate(basis, ts):
+    """The rows of sum t_a phi_a, the candidate of the point ts."""
+    n = len(basis[0].matrix)
+    return [
+        [sum(t * phi.matrix[r][c] for t, phi in zip(ts, basis)) for c in range(n)]
+        for r in range(n)
+    ]
+
 
 # ---------------------------------------------------------------------------
 # derived constructions are trusted; these tests keep the guarantee the
@@ -587,11 +635,7 @@ def test_intertwiner_system_matches_the_dense_construction():
         pairs[name + " rescaled"] = (rho1, _rescaled(rho2, 0, Fraction(-3, 7)))
     for name, (rho1, rho2) in pairs.items():
         positions, rows = dense_intertwiner_system(rho1, rho2)
-        # each equation times the lcm of its denominators, as ints
-        cleared = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
-        got = _intertwiner_system(rho1, rho2)
-        assert got == (positions, cleared), name
-        assert all(type(x) is int for row in got[1] for x in row), name
+        assert _intertwiner_system(rho1, rho2) == (positions, rows), name
         basis = intertwiner_space(rho1, rho2)
         dense = oracles.dense_nullspace(rows, ncols=len(positions))
         assert len(basis) == len(dense), name
