@@ -360,7 +360,7 @@ def _cmd_demo(args, rep: Reporter) -> None:
             defect = scybe_defect(part)
             nonzero = sum(1 for _ in defect.nonzero())
             rep.note(f"tensor {part_name} = {part.tensor}")
-            rep.note(f"SCYBE defect: {nonzero if nonzero else 0}")
+            rep.note(f"SCYBE defect: {nonzero}")
             tensors[part_name] = {"tensor": str(part.tensor), "defect_terms": nonzero}
     if tensors:
         rep.extra["tensors"] = tensors

@@ -495,10 +495,6 @@ class Tensor2:
             parity = _infer_parity(left, right, entries)
         return Tensor2._from_entries(left, right, entries, parity)
 
-    @staticmethod
-    def zero(left: SuperSpace, right: SuperSpace, parity: "Parity | None" = None) -> "Tensor2":
-        return Tensor2._from_entries(left, right, (), parity)
-
     @cached_property
     def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:
         slots, cols = dict(self.entries), range(self.right.dim)

@@ -426,15 +426,15 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
 # semidirect product
 
 
-def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlgebra:
-    """g |x V with [(x,u), (y,v)] = ([x,y], rho(x)v - (-1)^{|u||y|} rho(y)u).
+def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
+    """g |x V with [(x,u), (y,v)] = ([x,y], rho(x)v - (-1)^{|u||y|} rho(y)u),
+    for the action table `action`: action[a][i] holds the pairs (k, x) of
+    rho(e_a) v_i.  Returns the host with the positions of its algebra and
+    module slots.
 
     Basis order: g first, then the module, re-sorted into canonical parity
     blocks; colliding labels take pair notation as in `merge_spaces`.
     """
-    if rho.algebra != g:
-        raise ValueError("representation is not over this algebra")
-    V = rho.space
     total, alg_embed, mod_embed = merge_spaces(g.space, V)
 
     ng = g.space.dim
@@ -445,12 +445,19 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
         for k, v in g.nonzero[i][j]
     ]
     for a in range(ng):
-        for i, col in enumerate(rho.action[a].nonzero):
+        for i, col in enumerate(action[a]):
             odd = V.parities[i] * g.space.parities[a]
             for k, x in col:
                 entries.append(((alg_embed[a], mod_embed[i], mod_embed[k]), x))
                 entries.append(((mod_embed[i], alg_embed[a], mod_embed[k]), x if odd else -x))
-    return LieSuperAlgebra._from_entries(total, entries)
+    return LieSuperAlgebra._from_entries(total, entries), alg_embed, mod_embed
+
+
+def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlgebra:
+    """g |x_rho V, built by `_semidirect` from the action table of rho."""
+    if rho.algebra != g:
+        raise ValueError("representation is not over this algebra")
+    return _semidirect(g, rho.space, rho._columns)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -117,13 +117,18 @@ class Representation:
         return self._hash
 
     @cached_property
+    def _columns(self) -> "tuple[tuple, ...]":
+        """The action table: _columns[a][i] holds the pairs (k, x) of rho(e_a) v_i."""
+        return tuple(m.nonzero for m in self.action)
+
+    @cached_property
     def _scaled_tables(self) -> "tuple[int, tuple, tuple]":
         """(L, bracket, action): L the lcm of the denominators of the
         structure constants and of the action's entries, bracket[a][b] the
         pairs (k, L c_ab^k) of algebra.nonzero[a][b] and action[a][v] the
         pairs (m, L rho(e_a)_mv) of action[a].nonzero[v], as ints.  The
         integer O-operator kernel reads the algebra and the action here."""
-        tables = (self.algebra.nonzero, tuple(m.nonzero for m in self.action))
+        tables = (self.algebra.nonzero, self._columns)
         values = [x for table in tables for row in table for cell in row for _, x in cell]
         L, ints = linalg._cleared(values)
         scaled = iter(ints)
@@ -135,7 +140,7 @@ class Representation:
 
     def apply_vec(self, x, v):
         """rho(x)v for an algebra coordinate vector x (applied termwise)."""
-        return _bilinear([m.nonzero for m in self.action], x, v, self.space.dim)
+        return _bilinear(self._columns, x, v, self.space.dim)
 
 
 def _lie_adjoint(g: LieSuperAlgebra) -> Representation:

@@ -22,19 +22,12 @@ from .graded import (
     SuperSpace,
     Tensor2,
     Tensor3,
-    merge_spaces,
     sign,
     suspend_map,
     twist,
 )
-from .linalg import _cleared
-from .liesuper import (
-    BilinearForm,
-    LieSuperAlgebra,
-    check_lie_axioms,
-    classify_form,
-    semidirect_product,
-)
+from . import linalg
+from .liesuper import BilinearForm, LieSuperAlgebra, _semidirect, check_lie_axioms, classify_form
 from .oop import _check_candidate
 from .reps import Representation, _check_isomorphism, _lie_adjoint, dual_rep, parity_reverse_rep
 
@@ -104,7 +97,7 @@ def _scybe_blocks(r: RMatrix) -> "tuple[int, Iterator[dict[int, int]]]":
     E, _ = g._scaled_nonzero
     left, into = g._scaled_join
     entries = r.tensor.entries
-    D, ints = _cleared([a for _, a in entries])
+    D, ints = linalg._cleared([a for _, a in entries])
     rows = [[] for _ in range(n)]
     cols = [[] for _ in range(n)]
     for ((i, j), _), a in zip(entries, ints):
@@ -196,12 +189,6 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
 # O-operator -> r-matrix in a semidirect product
 
 
-def _host(g: LieSuperAlgebra, rho: Representation):
-    """g |x_rho V with the positions of its algebra and module slots."""
-    _, alg_pos, mod_pos = merge_spaces(g.space, rho.space)
-    return semidirect_product(g, rho), alg_pos, mod_pos
-
-
 # the semidirect hosts depend only on the representation, not on the
 # operator; cache them so bulk verdict checks build each host once.  The
 # bound keeps a caller that generates representations from holding every
@@ -212,28 +199,18 @@ HOST_CACHE_SIZE = 32
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
 def _plain_semidirect(rho: Representation):
-    """g |x_{rho*} V*, the host of the plain construction."""
-    return _host(rho.algebra, dual_rep(rho))
+    """g |x_{rho*} V*, the host of the plain construction, with the
+    positions of its algebra and module slots."""
+    drho = dual_rep(rho)
+    return _semidirect(rho.algebra, drho.space, drho._columns)
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
 def _dual_semidirect(rho: Representation):
-    """The host of (rho^s) together with rho^s itself."""
+    """The host of (rho^s) and its slot positions, with rho^s itself."""
     srho = parity_reverse_rep(rho)
-    return (*_host(rho.algebra, dual_rep(srho)), srho)
-
-
-def _induced_input(t: GradedLinearMap, rho: Representation, variant: str):
-    """(T, rho, host, algebra positions, module positions) of the plain
-    construction: on (T, rho) for the plain variant, on the parity-dual
-    pair (T^s, rho^s) for the dual one, whose plain tensor is r_{T^s}."""
-    _check_candidate(t, rho)
-    if variant == "plain":
-        return (t, rho, *_plain_semidirect(rho))
-    if variant == "dual":
-        h, alg_pos, mod_pos, srho = _dual_semidirect(rho)
-        return suspend_map(t), srho, h, alg_pos, mod_pos
-    raise ValueError(f"unknown variant {variant!r}")
+    drho = dual_rep(srho)
+    return (*_semidirect(rho.algebra, drho.space, drho._columns), srho)
 
 
 def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, entries, parity):
@@ -262,7 +239,15 @@ def operator_to_rmatrix(
     The tensor solves the super CYBE exactly when T satisfies the
     O-operator identity.
     """
-    t, rho, h, alg_pos, mod_pos = _induced_input(t, rho, variant)
+    _check_candidate(t, rho)
+    if variant == "plain":
+        h, alg_pos, mod_pos = _plain_semidirect(rho)
+    elif variant == "dual":
+        # the plain construction on the parity-dual pair (T^s, rho^s)
+        h, alg_pos, mod_pos, rho = _dual_semidirect(rho)
+        t = suspend_map(t)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
     # T v_i has coordinate x = T[k][i] along e_k
     return _pan_supersymmetric_tensor(
         h, alg_pos, mod_pos, rho.space.parities, t._entries(), t.parity
@@ -296,14 +281,11 @@ class DegenerateRMatrix(Exception):
 
 def beta_form(r: RMatrix) -> BilinearForm:
     """beta_r(u, v) = <T_r^{-1} u, v> for non-degenerate r."""
-    t = rmatrix_to_operator(r)
-    try:
-        inv = t.inverse()  # g -> g*
-    except ValueError:
-        raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)") from None
-    # row i of the Gram matrix is the image of e_i under T_r^{-1}
-    gram = tuple(inv.column(i) for i in range(r.space.dim))
-    return BilinearForm(r.space, gram, r.parity)
+    inv = linalg.invert(rmatrix_to_operator(r)._rows())  # T_r^{-1}: g -> g*
+    if inv is None:
+        raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)")
+    # row i of the Gram matrix is the image of e_i under T_r^{-1}, column i of inv
+    return BilinearForm(r.space, tuple(zip(*inv)), r.parity)
 
 
 def beta_cocycle_check(r: RMatrix) -> "tuple[BilinearForm, bool]":
@@ -337,7 +319,8 @@ HIERARCHY_DIM_CAP = 256
 # again a Lie superalgebra, so once hierarchy_trace has checked the
 # starting algebra the adjoint of every level is trusted
 def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
-    h, alg_pos, mod_pos = _host(g, _lie_adjoint(g))  # g |x_ad g
+    # g |x_ad g: ad(e_a) e_j = [e_a, e_j] is the bracket table's cell (a, j)
+    h, alg_pos, mod_pos = _semidirect(g, g.space, g.nonzero)
     # coefficient a_ji sits at tensor slot (j, i)
     return _pan_supersymmetric_tensor(
         h, alg_pos, mod_pos, g.space.parities, r.tensor.nonzero(), r.parity
@@ -346,7 +329,7 @@ def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
 
 def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
     srho = parity_reverse_rep(_lie_adjoint(g))
-    h, alg_pos, mod_pos = _host(g, srho)
+    h, alg_pos, mod_pos = _semidirect(g, srho.space, srho._columns)
     _, perm = g.space.suspended_with_permutation()
     P = g.space.parities
     entries = (((j, perm[i]), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())

@@ -133,8 +133,9 @@ def prelie_checks(monkeypatch):
 
 @pytest.fixture
 def semidirect_products(monkeypatch):
-    """The semidirect_product calls made while the test runs."""
-    return _count_calls(monkeypatch, "superybe.liesuper", "semidirect_product")
+    """The semidirect hosts built while the test runs: the `_semidirect`
+    calls, which `semidirect_product` and every rmatrix host make."""
+    return _count_calls(monkeypatch, "superybe.liesuper", "_semidirect")
 
 
 @pytest.fixture

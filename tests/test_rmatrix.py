@@ -494,6 +494,31 @@ class TestOperatorToRMatrix:
             assert info.maxsize == HOST_CACHE_SIZE
             assert info.currsize <= HOST_CACHE_SIZE
 
+    def test_each_host_merges_its_spaces_once(self, monkeypatch):
+        # one merge_spaces call per semidirect host, on the algebra's space
+        # and the module's, whether a hierarchy step or a host-cache miss
+        # builds it; a cache hit builds nothing
+        merges = _count_calls(monkeypatch, "superybe.graded", "merge_spaces")
+        fx = load_fixture("ex4.4")
+        g, r = fx.parts["algebra"], fx.parts["r1"]
+        for word, module in (("+", g.space), ("-", g.space.suspended())):
+            merges.clear()
+            hierarchy_trace(g, r, word)
+            assert merges == [(g.space, module)]
+        fx = load_fixture("ex3.2")
+        t, rho = fx.parts["T1"], fx.parts["coadjoint"]
+        _plain_semidirect.cache_clear()
+        _dual_semidirect.cache_clear()
+        for variant, module in (
+            ("plain", rho.space.dual()),
+            ("dual", rho.space.suspended().dual()),
+        ):
+            merges.clear()
+            operator_to_rmatrix(t, rho, variant)
+            assert merges == [(rho.algebra.space, module)]
+            operator_to_rmatrix(t, rho, variant)
+            assert len(merges) == 1
+
     def test_outputs_are_always_pan_supersymmetric(self, rng):
         for name, g, rho in equivalence_cases()[:3]:
             for _ in range(20):

@@ -58,7 +58,7 @@ from superybe import (
     twist,
 )
 from superybe.graded import merge_spaces, sign, suspend_label
-from superybe.liesuper import _sparse_table
+from superybe.liesuper import _semidirect, _sparse_table
 from superybe.reps import IsoSearchResult
 from superybe.rmatrix import _pan_supersymmetric_tensor, _step_minus
 
@@ -998,6 +998,18 @@ def adjoint_host(name):
     g = ALGEBRAS[name]
     _, alg_pos, mod_pos = merge_spaces(g.space, g.space)
     return semidirect_product(g, adjoint(g)), alg_pos, mod_pos
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_bracket_table_is_the_adjoint_action_table(name):
+    # ad(e_a) e_j = [e_a, e_j]: the + step hands g.nonzero to _semidirect
+    # as the action table, and gets the host of the verified adjoint
+    g = ALGEBRAS[name]
+    assert _semidirect(g, g.space, g.nonzero) == adjoint_host(name)
+    zero = RMatrix.from_terms(g, {})
+    plus, minus = (hierarchy_walk(g, zero, word).algebra for word in "+-")
+    assert plus == semidirect_product(g, adjoint(g))
+    assert minus == semidirect_product(g, parity_reverse_rep(adjoint(g)))
 
 
 @settings(max_examples=40, deadline=None)
