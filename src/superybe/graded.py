@@ -105,11 +105,11 @@ class SuperSpace:
 
     @property
     def even_dim(self) -> int:
-        return sum(1 for p in self.parities if p == EVEN)
+        return self.parities.count(EVEN)
 
     @property
     def odd_dim(self) -> int:
-        return sum(1 for p in self.parities if p == ODD)
+        return self.parities.count(ODD)
 
     def index(self, label: str) -> int:
         try:
@@ -217,6 +217,62 @@ def _check_homogeneous(rows: SuperSpace, cols: SuperSpace, parity: Parity, posit
         return
     r, c = min((r, c) for r, c in positions if R[r] ^ C[c] != parity)
     raise ValueError(message.format(rows.labels[r], cols.labels[c], parity_name(parity)))
+
+
+# ---------------------------------------------------------------------------
+# elimination on the two parity blocks
+#
+# A homogeneous matrix of parity p, rows over `rows` and columns over `cols`
+# (a map cols -> rows, or a form's Gram matrix), is zero outside two blocks:
+# for q = 0, 1 the parity-q columns meet the parity-(q + p) rows, contiguous
+# ranges in canonical block order.  Each block is eliminated alone.
+
+
+def _square_blocks(rows: SuperSpace, cols: SuperSpace, parity: Parity, entries):
+    """The two parity blocks of the homogeneous matrix with the given
+    nonzero ((k, i), x) entries, one per position, as (first row, first
+    column, fresh dense rows) for q = 0, 1; or None when a block is not
+    square, which makes the matrix singular with no elimination."""
+    e, f = cols.even_dim, rows.even_dim
+    firsts = ((f, 0), (0, e)) if parity else ((0, 0), (f, e))
+    sizes = (rows.dim - f, f) if parity else (f, rows.dim - f)
+    if sizes != (e, cols.dim - e):
+        return None
+    dense = [[[0] * m for _ in range(m)] for m in sizes]
+    for (k, i), x in entries:
+        q = i >= e
+        r0, c0 = firsts[q]
+        dense[q][k - r0][i - c0] = x
+    return [(r0, c0, block) for (r0, c0), block in zip(firsts, dense)]
+
+
+def _block_inverse(rows: SuperSpace, cols: SuperSpace, parity: Parity, entries):
+    """The ((i, k), y) entries, zeros among them, of the inverse of the
+    homogeneous matrix with the given nonzero ((k, i), x) entries, or None
+    if it is singular.  Each nonempty block is inverted alone by
+    `linalg.invert`, and the first singular one ends the elimination."""
+    blocks = _square_blocks(rows, cols, parity, entries)
+    if blocks is None:
+        return None
+    out = []
+    for r0, c0, block in blocks:
+        if not block:
+            continue
+        inv = linalg.invert(block)
+        if inv is None:
+            return None
+        out += (((c0 + a, r0 + b), y) for a, line in enumerate(inv) for b, y in enumerate(line))
+    return out
+
+
+def _block_nonsingular(rows: SuperSpace, cols: SuperSpace, parity: Parity, entries) -> bool:
+    """Whether the homogeneous matrix with the given nonzero ((k, i), x)
+    entries is square and nonsingular: every block has full rank by
+    `linalg.rank`."""
+    blocks = _square_blocks(rows, cols, parity, entries)
+    return blocks is not None and all(
+        linalg.rank(block) == len(block) for _, _, block in blocks if block
+    )
 
 
 @dataclass(frozen=True, init=False)
@@ -384,15 +440,13 @@ class GradedLinearMap:
     def inverse(self) -> "GradedLinearMap":
         if self.domain.dim != self.codomain.dim:
             raise ValueError("only square maps can be inverted")
-        inv = linalg.invert(self._rows())
-        if inv is None:
+        entries = _block_inverse(self.codomain, self.domain, self.parity, self._entries())
+        if entries is None:
             raise ValueError("map is not invertible")
-        entries = (((k, i), x) for k, row in enumerate(inv) for i, x in enumerate(row))
         return GradedLinearMap._from_entries(self.codomain, self.domain, self.parity, entries)
 
     def is_invertible(self) -> bool:
-        n = self.domain.dim
-        return n == self.codomain.dim and linalg.rank(self._rows()) == n
+        return _block_nonsingular(self.codomain, self.domain, self.parity, self._entries())
 
 
 def suspend_map(t: GradedLinearMap) -> GradedLinearMap:

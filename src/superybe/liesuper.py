@@ -21,6 +21,7 @@ from .graded import (
     RationalLike,
     Scalar,
     SuperSpace,
+    _block_nonsingular,
     _check_homogeneous,
     dense_vector,
     merge_spaces,
@@ -418,7 +419,8 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
         if C[i][j] or C[i][k] or C[j][k]
     )
 
-    nondeg = linalg.rank(B) == n
+    entries = (((i, j), b) for i, row in enumerate(B) for j, b in enumerate(row) if b)
+    nondeg = _block_nonsingular(space, space, beta.parity, entries)
     return FormFlags(supersym, skew, invariant, cocycle, nondeg)
 
 

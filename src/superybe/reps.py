@@ -19,6 +19,7 @@ from .graded import (
     ZERO,
     GradedLinearMap,
     SuperSpace,
+    _block_inverse,
     dual_map,
     merge_spaces,
 )
@@ -172,14 +173,32 @@ def coadjoint(g: LieSuperAlgebra) -> Representation:
     return dual_rep(adjoint(g))
 
 
+def _reversed_table(P, table, perm) -> "list[list[tuple]]":
+    """The action table of rho^s on sV, rho^s(e_a)(sv) = (-1)^{|e_a|} s(rho(e_a)v),
+    from the action table of rho: table[a][i] holds the pairs (k, x) of
+    rho(e_a) v_i, P are the parities of the e_a and perm is the suspension's
+    permutation of V.  Cell (a, perm[i]) holds the pairs (perm[k], x), with x
+    negated for odd e_a."""
+    out = []
+    for pa, row in zip(P, table):
+        cells = [()] * len(row)
+        for i, col in enumerate(row):
+            cells[perm[i]] = tuple((perm[k], -x if pa else x) for k, x in col)
+        out.append(cells)
+    return out
+
+
 def parity_reverse_rep(rho: Representation) -> Representation:
     """(sV, rho^s) with rho^s(x)(sv) = (-1)^{|x|} s(rho(x)v)."""
     svspace, perm = rho.space.suspended_with_permutation()
-    action = []
-    for pa, m in zip(rho.algebra.space.parities, rho.action):
-        entries = (((perm[k], perm[i]), -x if pa else x) for (k, i), x in m._entries())
-        action.append(GradedLinearMap._from_entries(svspace, svspace, pa, entries))
-    return Representation._trusted(rho.algebra, svspace, tuple(action))
+    P = rho.algebra.space.parities
+    action = tuple(
+        GradedLinearMap._from_entries(
+            svspace, svspace, pa, (((k, i), x) for i, col in enumerate(row) for k, x in col)
+        )
+        for pa, row in zip(P, _reversed_table(P, rho._columns, perm))
+    )
+    return Representation._trusted(rho.algebra, svspace, action)
 
 
 def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation:
@@ -304,9 +323,9 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
     before any scan, up to _RANDOM_FALLBACK_TRIES more random points are
     tried instead, and absence is reported as "inconclusive".
 
-    Each attempt is one `linalg.invert` of the candidate built from the
-    basis's stored entries: one elimination both decides nonsingularity
-    and gives the exact inverse."""
+    Each attempt is one `graded._block_inverse` of the candidate summed
+    from the basis's stored entries: the elimination of its two parity
+    blocks both decides nonsingularity and gives the exact inverse."""
     V1, V2 = rho1.space, rho2.space
     if (V1.even_dim, V1.odd_dim) != (V2.even_dim, V2.odd_dim):
         return IsoSearchResult("none")
@@ -330,16 +349,15 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
             [rng.randrange(0, 1 << 20) for _ in range(k)] for _ in range(_RANDOM_FALLBACK_TRIES)
         )
     for ts in itertools.chain([probe], points):
-        rows = [[0] * n for _ in range(n)]
+        candidate = {}
         for t, entries in zip(ts, stored):
             if t:
-                for (r, c), x in entries:
-                    rows[r][c] += t * x
-        inv = linalg.invert(rows)
+                for rc, x in entries:
+                    candidate[rc] = candidate.get(rc, 0) + t * x
+        inv = _block_inverse(V2, V1, EVEN, candidate.items())
         if inv is not None:
-            return IsoSearchResult(
-                "found", GradedLinearMap(V1, V2, EVEN, rows), GradedLinearMap(V2, V1, EVEN, inv)
-            )
+            iso = GradedLinearMap._from_entries(V1, V2, EVEN, candidate.items())
+            return IsoSearchResult("found", iso, GradedLinearMap._from_entries(V2, V1, EVEN, inv))
     return IsoSearchResult("none" if on_grid else "inconclusive")
 
 

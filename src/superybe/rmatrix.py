@@ -17,11 +17,13 @@ from functools import lru_cache
 
 from .graded import (
     EVEN,
+    ZERO,
     GradedLinearMap,
     Parity,
     SuperSpace,
     Tensor2,
     Tensor3,
+    _block_inverse,
     sign,
     suspend_map,
     twist,
@@ -29,7 +31,7 @@ from .graded import (
 from . import linalg
 from .liesuper import BilinearForm, LieSuperAlgebra, _semidirect, check_lie_axioms, classify_form
 from .oop import _check_candidate
-from .reps import Representation, _check_isomorphism, _lie_adjoint, dual_rep, parity_reverse_rep
+from .reps import Representation, _check_isomorphism, _reversed_table, dual_rep, parity_reverse_rep
 
 
 @dataclass(frozen=True)
@@ -167,12 +169,15 @@ def is_super_rmatrix(r: RMatrix) -> bool:
 # tensor <-> operator
 
 
+def _operator_entries(r: RMatrix):
+    """The ((j, i), x) entries of T_r, read off the tensor's stored slots."""
+    P = r.space.parities
+    return (((j, i), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
+
+
 def rmatrix_to_operator(r: RMatrix) -> GradedLinearMap:
     """T_r: g* -> g with T_r(e_i*) = (-1)^{|e_i*|} sum_j a_ji e_j."""
-    space = r.space
-    P = space.parities
-    entries = (((j, i), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
-    return GradedLinearMap._from_entries(space.dual(), space, r.parity, entries)
+    return GradedLinearMap._from_entries(r.space.dual(), r.space, r.parity, _operator_entries(r))
 
 
 def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
@@ -281,11 +286,16 @@ class DegenerateRMatrix(Exception):
 
 def beta_form(r: RMatrix) -> BilinearForm:
     """beta_r(u, v) = <T_r^{-1} u, v> for non-degenerate r."""
-    inv = linalg.invert(rmatrix_to_operator(r)._rows())  # T_r^{-1}: g -> g*
+    # T_r^{-1}: g -> g*, from the tensor's slots; no map T_r is built
+    inv = _block_inverse(r.space, r.space.dual(), r.parity, _operator_entries(r))
     if inv is None:
         raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)")
-    # row i of the Gram matrix is the image of e_i under T_r^{-1}, column i of inv
-    return BilinearForm(r.space, tuple(zip(*inv)), r.parity)
+    # row i of the Gram matrix is the image of e_i under T_r^{-1}
+    n = r.space.dim
+    gram = [[ZERO] * n for _ in range(n)]
+    for (j, i), y in inv:
+        gram[i][j] = y
+    return BilinearForm(r.space, tuple(map(tuple, gram)), r.parity)
 
 
 def beta_cocycle_check(r: RMatrix) -> "tuple[BilinearForm, bool]":
@@ -328,14 +338,12 @@ def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
 
 
 def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
-    srho = parity_reverse_rep(_lie_adjoint(g))
-    h, alg_pos, mod_pos = _semidirect(g, srho.space, srho._columns)
-    _, perm = g.space.suspended_with_permutation()
+    # g |x_{ad^s} sg: the parity reverse of the adjoint's table g.nonzero
+    sg, perm = g.space.suspended_with_permutation()
     P = g.space.parities
+    h, alg_pos, mod_pos = _semidirect(g, sg, _reversed_table(P, g.nonzero, perm))
     entries = (((j, perm[i]), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
-    return _pan_supersymmetric_tensor(
-        h, alg_pos, mod_pos, srho.space.parities, entries, r.parity ^ 1
-    )
+    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, sg.parities, entries, r.parity ^ 1)
 
 
 def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:

@@ -587,19 +587,18 @@ class TestBetaCocycle:
             beta_cocycle_check(fx.parts["r0"])
 
     def test_beta_form_eliminates_once(self, monkeypatch):
-        import superybe.linalg as linalg
-
-        calls = []
-        rank, invert = linalg.rank, linalg.invert
-        monkeypatch.setattr(linalg, "rank", lambda m: calls.append("rank") or rank(m))
-        monkeypatch.setattr(linalg, "invert", lambda m: calls.append("invert") or invert(m))
+        # one block inversion of T_r, which eliminates each of its parity
+        # blocks once, and no rank
+        inverts = _count_calls(monkeypatch, "superybe.graded", "_block_inverse")
+        nonsingular = _count_calls(monkeypatch, "superybe.graded", "_block_nonsingular")
+        ranks = _count_calls(monkeypatch, "superybe.linalg", "rank")
         fx = load_fixture("ex4.4")
         beta_form(fx.parts["r1"])
-        assert calls == ["invert"]
-        calls.clear()
+        assert (len(inverts), nonsingular, ranks) == (1, [], [])
+        inverts.clear()
         with pytest.raises(DegenerateRMatrix):
             beta_form(fx.parts["r0"])
-        assert calls == ["invert"]
+        assert (len(inverts), nonsingular, ranks) == (1, [], [])
 
     def test_scaling_inverts_the_form(self):
         fx = load_fixture("ex4.4")
