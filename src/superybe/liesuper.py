@@ -7,7 +7,7 @@ action and Rota-Baxter operators along an even invariant form.
 
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, TYPE_CHECKING
@@ -26,7 +26,6 @@ from .graded import (
     dense_vector,
     merge_spaces,
     rat,
-    sign,
 )
 
 if TYPE_CHECKING:
@@ -344,6 +343,16 @@ class BilinearForm:
         message = "form entry ({}, {}) violates declared parity {}"
         _check_homogeneous(self.space, self.space, self.parity, positions, message)
 
+    @classmethod
+    def _trusted(cls, space: SuperSpace, gram, parity: Parity) -> "BilinearForm":
+        """Build without the shape and homogeneity scan, for a Gram matrix
+        that is homogeneous of the given parity by construction."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "space", space)
+        object.__setattr__(form, "gram", gram)
+        object.__setattr__(form, "parity", parity)
+        return form
+
     @staticmethod
     def from_terms(space, terms: Mapping["tuple[str, str]", RationalLike], parity: Parity):
         n = space.dim
@@ -371,57 +380,93 @@ class FormFlags:
         }
 
 
-def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
-    """Decide the five standard flags by exhaustive basis evaluation.
-
-    Each flag is a homogeneous linear condition on the Gram matrix, and
-    invariance and the 2-cocycle identity are also homogeneous linear in
-    the structure constants, so every flag is decided on ints: the Gram
-    matrix times the lcm of its denominators, and the structure constants
-    of `LieSuperAlgebra._scaled_nonzero`.  A basis triple then costs a few
-    int products, whichever triple first breaks an identity.
-    """
+def _scaled_gram(beta: BilinearForm, g: LieSuperAlgebra) -> "list[dict[int, int]]":
+    """B, beta's Gram matrix times the lcm of its denominators: B[i] maps
+    each j with beta(e_i, e_j) != 0 to the scaled entry, an int, and only
+    these cells are cleared.  Every flag is a homogeneous linear condition on
+    the Gram matrix, and invariance and the 2-cocycle identity are also
+    homogeneous linear in the structure constants, so the flag kernels below
+    decide them on B and `LieSuperAlgebra._scaled_nonzero`."""
     if beta.space != g.space:
         raise ValueError("form does not live on the algebra's space")
-    space = g.space
-    n = space.dim
-    P = space.parities
-    _, flat = linalg._cleared([x for row in beta.gram for x in row])
-    B = [flat[i * n : (i + 1) * n] for i in range(n)]
+    cells = [(i, j, x) for i, row in enumerate(beta.gram) for j, x in enumerate(row) if x]
+    _, ints = linalg._cleared([x for _, _, x in cells])
+    B = [{} for _ in beta.gram]
+    for (i, j, _), b in zip(cells, ints):
+        B[i][j] = b
+    return B
 
-    # the sign (-1)^{|e_i||e_j|} is -1 exactly when both are odd: negate there
-    supersym = all(
-        B[i][j] == (-B[j][i] if P[i] & P[j] else B[j][i]) for i in range(n) for j in range(n)
-    )
-    skew = all(
-        B[i][j] == (B[j][i] if P[i] & P[j] else -B[j][i]) for i in range(n) for j in range(n)
+
+def _is_symmetric(B, P, skew: bool) -> bool:
+    """Whether beta(e_j, e_i) = (-1)^{|e_i||e_j|} beta(e_i, e_j) for all i, j:
+    supersymmetry, or with skew the same up to a sign, skew-supersymmetry."""
+    # the sign (-1)^{|e_i||e_j|} is -1 exactly when both are odd
+    return all(
+        B[j].get(i, 0) == (-b if (P[i] & P[j]) ^ skew else b)
+        for i, row in enumerate(B)
+        for j, b in row.items()
     )
 
+
+def _bracket_terms(B, g: LieSuperAlgebra, i: int) -> "tuple[dict, dict]":
+    """(left, defect) for e_i: left maps j n + k to beta([e_i, e_j], e_k)
+    and defect maps it to beta([e_i, e_j], e_k) - beta(e_i, [e_j, e_k]), both
+    scaled; every (j, k) that no nonempty bracket cell reaches is 0 in both."""
+    n = g.dim
     _, C = g._scaled_nonzero
+    _, into = g._scaled_join
+    left = defaultdict(int)
+    for j, cell in enumerate(C[i]):
+        for m, c in cell:
+            for k, b in B[m].items():
+                left[j * n + k] += c * b
+    defect = defaultdict(int, left)
+    for m, b in B[i].items():
+        for j, k, c in into[m]:
+            defect[j * n + k] -= b * c
+    return left, defect
 
-    def left(i, j, k) -> int:
-        """beta([e_i, e_j], e_k), scaled"""
-        return sum(c * B[m][k] for m, c in C[i][j])
 
-    def right(i, j, k) -> int:
-        """beta(e_i, [e_j, e_k]), scaled"""
-        return sum(B[i][m] * c for m, c in C[j][k])
+def _is_invariant(B, g: LieSuperAlgebra) -> bool:
+    """beta([e_i, e_j], e_k) = beta(e_i, [e_j, e_k]) at every basis triple."""
+    return not any(any(_bracket_terms(B, g, i)[1].values()) for i in range(g.dim))
 
-    # a triple whose brackets are all empty holds both identities as 0 = 0
-    invariant = all(
-        left(i, j, k) == right(i, j, k)
-        for i, j, k in itertools.product(range(n), repeat=3)
-        if C[i][j] or C[j][k]
+
+def _is_two_cocycle(B, g: LieSuperAlgebra) -> bool:
+    """Skew-supersymmetry and, at every basis triple, the 2-cocycle identity
+    beta([e_i, e_j], e_k) = (-1)^{|e_j||e_k|} beta([e_i, e_k], e_j)
+                            + beta(e_i, [e_j, e_k])."""
+    n, P = g.dim, g.space.parities
+    if not _is_symmetric(B, P, True):
+        return False
+    for i in range(n):
+        left, defect = _bracket_terms(B, g, i)
+        for key, v in left.items():
+            j, k = divmod(key, n)  # at (i, k, j), v is the swapped term, signed
+            defect[k * n + j] += v if P[j] & P[k] else -v
+        if any(defect.values()):
+            return False
+    return True
+
+
+def _is_non_degenerate(B, space: SuperSpace, parity: Parity) -> bool:
+    """Whether B is nonsingular, eliminated on its two parity blocks."""
+    entries = (((i, j), b) for i, row in enumerate(B) for j, b in row.items())
+    return _block_nonsingular(space, space, parity, entries)
+
+
+def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
+    """Decide the five standard flags by exhaustive basis evaluation, one
+    int kernel per flag over one scaled Gram matrix."""
+    B = _scaled_gram(beta, g)
+    P = g.space.parities
+    return FormFlags(
+        _is_symmetric(B, P, False),
+        _is_symmetric(B, P, True),
+        _is_invariant(B, g),
+        _is_two_cocycle(B, g),
+        _is_non_degenerate(B, g.space, beta.parity),
     )
-    cocycle = skew and all(
-        left(i, j, k) == sign(P[j] * P[k]) * left(i, k, j) + right(i, j, k)
-        for i, j, k in itertools.product(range(n), repeat=3)
-        if C[i][j] or C[i][k] or C[j][k]
-    )
-
-    entries = (((i, j), b) for i, row in enumerate(B) for j, b in enumerate(row) if b)
-    nondeg = _block_nonsingular(space, space, beta.parity, entries)
-    return FormFlags(supersym, skew, invariant, cocycle, nondeg)
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +514,15 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
 def form_to_dual_map(beta: BilinearForm, g: LieSuperAlgebra) -> GradedLinearMap:
     """phi: g -> g* with <phi(x), y> = beta(x, y), for an even
     supersymmetric invariant non-degenerate form."""
-    flags = classify_form(beta, g)
+    B = _scaled_gram(beta, g)
     problems = []
     if beta.parity != EVEN:
         problems.append("not even")
-    if not flags.supersymmetric:
+    if not _is_symmetric(B, g.space.parities, False):
         problems.append("not supersymmetric")
-    if not flags.invariant:
+    if not _is_invariant(B, g):
         problems.append("not invariant")
-    if not flags.non_degenerate:
+    if not _is_non_degenerate(B, g.space, beta.parity):
         problems.append("degenerate")
     if problems:
         raise ValueError("form unsuitable for transport: " + ", ".join(problems))

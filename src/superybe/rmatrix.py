@@ -29,7 +29,8 @@ from .graded import (
     twist,
 )
 from . import linalg
-from .liesuper import BilinearForm, LieSuperAlgebra, _semidirect, check_lie_axioms, classify_form
+from .liesuper import BilinearForm, LieSuperAlgebra, _semidirect, check_lie_axioms
+from .liesuper import _is_two_cocycle, _scaled_gram
 from .oop import _check_candidate
 from .reps import Representation, _check_isomorphism, _reversed_table, dual_rep, parity_reverse_rep
 
@@ -295,18 +296,19 @@ def beta_form(r: RMatrix) -> BilinearForm:
     gram = [[ZERO] * n for _ in range(n)]
     for (j, i), y in inv:
         gram[i][j] = y
-    return BilinearForm(r.space, tuple(map(tuple, gram)), r.parity)
+    return BilinearForm._trusted(r.space, tuple(map(tuple, gram)), r.parity)
 
 
 def beta_cocycle_check(r: RMatrix) -> "tuple[BilinearForm, bool]":
     """The induced form and whether (defect vanishes) == (2-cocycle).
 
     The boolean must always be true for pan-supersymmetric non-degenerate
-    input; a false return is a library-bug sentinel.
+    input; a false return is a library-bug sentinel.  Only the 2-cocycle
+    flag is decided: beta is non-degenerate by construction, as the
+    inverse of T_r.
     """
     beta = beta_form(r)
-    flags = classify_form(beta, r.algebra)
-    return beta, is_super_rmatrix(r) == flags.two_cocycle
+    return beta, is_super_rmatrix(r) == _is_two_cocycle(_scaled_gram(beta, r.algebra), r.algebra)
 
 
 # ---------------------------------------------------------------------------

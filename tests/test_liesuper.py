@@ -131,7 +131,13 @@ class TestClassifyForm:
         gl11, supertrace = gl11_with_supertrace()
         ex44 = load_fixture("ex4.4").parts
         r1_beta = beta_form(ex44["r1"])
+        # a 3|0 Lie algebra and the abelian 0|2 algebra: one parity block is empty
+        even_only = LieSuperAlgebra.from_brackets(
+            SuperSpace.make(even=["a", "b", "c"]), {("a", "b"): {"b": 1}, ("a", "c"): {"c": -2}}
+        )
+        odd_only = LieSuperAlgebra.from_brackets(SuperSpace.make(odd=["x", "y"]), {})
         algebras = [g for _, g, _ in equivalence_cases()] + [gl11, ex44["algebra"]]
+        algebras += [even_only, odd_only]
         cases = [(gl11, supertrace), (ex44["algebra"], r1_beta)]
         for g in algebras:
             P = g.space.parities
@@ -204,6 +210,27 @@ class TestFormTransport:
         beta = BilinearForm.from_terms(space, {}, EVEN)
         with pytest.raises(ValueError):
             form_to_dual_map(beta, g)
+
+    @pytest.mark.parametrize(
+        "terms, parity, problems",
+        [
+            ({("e1", "e1"): 1, ("f1", "f2"): 1, ("f2", "f1"): -1}, EVEN, "not invariant"),
+            ({}, EVEN, "degenerate"),
+            (
+                {("e1", "e1"): 1, ("f1", "f2"): 1, ("f2", "f1"): 1},
+                EVEN,
+                "not supersymmetric, not invariant",
+            ),
+            ({("e1", "f1"): 1, ("f1", "e1"): 1}, 1, "not even, not invariant, degenerate"),
+        ],
+    )
+    def test_refusals_name_every_failed_condition(self, terms, parity, problems):
+        # on ex2.3's sl(1|1), where [f1, f2] = e1
+        g = load_fixture("ex2.3").parts["algebra"]
+        beta = BilinearForm.from_terms(g.space, terms, parity)
+        with pytest.raises(ValueError) as refused:
+            form_to_dual_map(beta, g)
+        assert str(refused.value) == "form unsuitable for transport: " + problems
 
     def test_oop_iff_rota_baxter_random(self, rng):
         g, beta = gl11_with_supertrace()

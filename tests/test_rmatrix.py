@@ -42,6 +42,7 @@ from superybe import (
     twist,
 )
 from superybe.graded import sign
+from superybe.liesuper import BilinearForm
 from superybe.rmatrix import HOST_CACHE_SIZE, _dual_semidirect, _plain_semidirect
 
 from conftest import (
@@ -50,7 +51,7 @@ from conftest import (
     random_homogeneous_map,
     random_pan_supersymmetric,
 )
-from oracles import naive_scybe_defect
+from oracles import dense_form_flags, dense_invert, naive_scybe_defect
 
 
 class TestPanSupersymmetry:
@@ -599,6 +600,45 @@ class TestBetaCocycle:
         with pytest.raises(DegenerateRMatrix):
             beta_form(fx.parts["r0"])
         assert (len(inverts), nonsingular, ranks) == (1, [], [])
+
+    def test_beta_cocycle_check_eliminates_once(self, monkeypatch):
+        # beta_form's one block inversion and nothing more: beta is
+        # non-degenerate by construction, so no rank decides it again
+        ex44 = load_fixture("ex4.4").parts
+        host = hierarchy_walk(ex44["algebra"], ex44["r1"], "++").algebra
+        rnd = random.Random(5)
+        dense = None
+        while dense is None or not rmatrix_to_operator(dense).is_invertible():
+            dense = random_pan_supersymmetric(rnd, host, rnd.randint(0, 1), values=(-1, 1))
+        inverts = _count_calls(monkeypatch, "superybe.graded", "_block_inverse")
+        nonsingular = _count_calls(monkeypatch, "superybe.graded", "_block_nonsingular")
+        ranks = _count_calls(monkeypatch, "superybe.linalg", "rank")
+        classified = _count_calls(monkeypatch, "superybe.liesuper", "classify_form")
+        for r in (ex44["r1"], dense):
+            inverts.clear()
+            assert beta_cocycle_check(r)[1]
+            assert (len(inverts), nonsingular, ranks, classified) == (1, [], [], [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=defect_inputs())
+    def test_matches_the_dense_oracles(self, r):
+        """On known solutions and random tensors, pan-supersymmetric or not,
+        over the catalog algebras, the ex4.4 hosts (r1++'s among them) and
+        rescaled algebras with fractional structure constants."""
+        g, n, P = r.algebra, r.space.dim, r.space.parities
+        a = r.tensor.coeffs
+        # column i of T_r is T_r(e_i*) = (-1)^{|e_i|} sum_j a_ji e_j
+        inv = dense_invert([[-a[j][i] if P[i] else a[j][i] for i in range(n)] for j in range(n)])
+        if inv is None:
+            with pytest.raises(DegenerateRMatrix):
+                beta_cocycle_check(r)
+            return
+        # row i of the Gram matrix is T_r^{-1} e_i, column i of the inverse
+        gram = tuple(tuple(inv[j][i] for j in range(n)) for i in range(n))
+        beta, agreement = beta_cocycle_check(r)
+        assert beta == BilinearForm(r.space, gram, r.parity)
+        cocycle = dense_form_flags(gram, g.structure, P)[3]
+        assert agreement == ((not naive_scybe_defect(g, r.tensor)) == cocycle)
 
     def test_scaling_inverts_the_form(self):
         fx = load_fixture("ex4.4")
