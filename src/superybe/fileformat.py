@@ -20,7 +20,6 @@ from fractions import Fraction
 from .graded import (
     EVEN,
     ODD,
-    ZERO,
     GradedLinearMap,
     SuperSpace,
     Tensor2,
@@ -109,16 +108,18 @@ class Document:
         return name
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _HEADER_RE = re.compile(r"^\[(.*)\]$")
 _MAP_HEADER_RE = re.compile(r"^map\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s+parity\s+(\S+)$")
 
 
 def _parse_rational(token: str, line: int) -> Fraction:
-    if not _RATIONAL_RE.match(token):
+    m = _RATIONAL_RE.match(token)
+    if not m:
         raise FormatError(f"malformed rational {token!r}", line)
+    p, q = m.groups()
     try:
-        return Fraction(token)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except ZeroDivisionError:
         raise FormatError(f"zero denominator in {token!r}", line) from None
 
@@ -127,6 +128,7 @@ def _parse_terms(rhs: str, space: SuperSpace, line: int) -> "dict[str, Fraction]
     tokens = rhs.split()
     if tokens == ["0"]:
         return {}
+    positions = space._positions
     terms: dict[str, Fraction] = {}
     i = 0
     while i < len(tokens):
@@ -134,9 +136,12 @@ def _parse_terms(rhs: str, space: SuperSpace, line: int) -> "dict[str, Fraction]
         if i + 1 >= len(tokens):
             raise FormatError("coefficient without a basis label", line)
         label = tokens[i + 1]
-        if label not in space.labels:
+        if label not in positions:
             raise FormatError(f"unknown label {label!r}", line)
-        terms[label] = terms.get(label, ZERO) + coeff
+        if label in terms:
+            terms[label] += coeff
+        else:
+            terms[label] = coeff
         i += 2
         if i < len(tokens):
             if tokens[i] != "+":
@@ -164,7 +169,7 @@ def _pair_key(kind: str, lhs: str, space: SuperSpace, entries, line: int) -> "tu
     if len(parts) != 2:
         raise FormatError(shape, line)
     for lab in parts:
-        if lab not in space.labels:
+        if lab not in space._positions:
             raise FormatError(f"unknown label {lab!r}", line)
     a, b = parts
     if (a, b) in entries:
@@ -190,13 +195,25 @@ def _declare_once(taken: bool, what: str, line: int) -> None:
         raise FormatError(f"{what} declared twice", line)
 
 
-def _graded_terms(rhs: str, space: SuperSpace, target: int, what: str, line: int):
-    """The terms of a line whose every nonzero term has parity `target`."""
-    terms = _parse_terms(rhs, space, line)
-    for lab, c in terms.items():
-        if c != 0 and space.parities[space.index(lab)] != target:
-            raise FormatError(f"parity-inconsistent entry: {what} cannot contain {lab}", line)
-    return terms
+def _graded_column(rhs: str, space: SuperSpace, target: int, what: str, line: int):
+    """The nonzero terms of a line, each checked to have parity `target`,
+    as (position, coefficient) pairs in ascending position: a finished
+    cell of a `nonzero` table."""
+    positions, P = space._positions, space.parities
+    column = []
+    for lab, c in _parse_terms(rhs, space, line).items():
+        if c:
+            k = positions[lab]
+            if P[k] != target:
+                raise FormatError(f"parity-inconsistent entry: {what} cannot contain {lab}", line)
+            column.append((k, c))
+    return tuple(sorted(column))
+
+
+def _table(cells: dict, labels) -> tuple:
+    """The cells `_graded_column` gave, keyed by label, in the order of
+    `labels`; a label with no line gets the empty cell."""
+    return tuple(cells.get(lab, ()) for lab in labels)
 
 
 # A section opener checks its header and returns (entry, close): entry(lhs,
@@ -239,24 +256,29 @@ def _open_bracket(doc: Document, inner: str, tokens: list, line: int):
     if len(tokens) != 1:
         raise FormatError("bracket header takes no arguments", line)
     _declare_once(doc.algebra is not None, "bracket", line)
-    entries: dict = {}
+    P = space.parities
+    given: set = set()
+    rows = [[()] * space.dim for _ in range(space.dim)]
 
     def entry(lhs, rhs, lineno):
         # an out-of-order pair is never stored, so it is never a duplicate
-        a, b = _pair_key("bracket", lhs, space, entries, lineno)
+        a, b = _pair_key("bracket", lhs, space, given, lineno)
         i, j = space.index(a), space.index(b)
         if i > j:
             raise FormatError(
                 f"bracket entry [{a}, {b}] out of order; give the i <= j pair", lineno
             )
-        target = (space.parities[i] + space.parities[j]) % 2
-        terms = _graded_terms(rhs, space, target, f"[{a}, {b}]", lineno)
-        if i == j and space.parities[i] == EVEN and any(c != 0 for c in terms.values()):
+        cell = _graded_column(rhs, space, (P[i] + P[j]) % 2, f"[{a}, {b}]", lineno)
+        if i == j and P[i] == EVEN and cell:
             raise FormatError(f"[{a}, {a}] must vanish for even {a}", lineno)
-        entries[a, b] = terms
+        given.add((a, b))
+        # c_ji^k = -(-1)^{|e_i||e_j|} c_ij^k
+        rows[i][j] = cell
+        if i < j:
+            rows[j][i] = cell if P[i] & P[j] else tuple((k, -c) for k, c in cell)
 
     def close():
-        doc.algebra = LieSuperAlgebra.from_brackets(space, entries)
+        doc.algebra = LieSuperAlgebra._trusted(space, tuple(map(tuple, rows)))
 
     return entry, close
 
@@ -275,19 +297,19 @@ def _open_rep(doc: Document, inner: str, tokens: list, line: int):
         if len(parts) != 2:
             raise FormatError("rep lines look like 'x v = terms'", lineno)
         a, v = parts
-        for lab, labels in ((a, g_space.labels), (v, space.labels)):
-            if lab not in labels:
+        for lab, labelled in ((a, g_space), (v, space)):
+            if lab not in labelled._positions:
                 raise FormatError(f"unknown label {lab!r}", lineno)
         target = (g_space.parities[g_space.index(a)] + space.parities[space.index(v)]) % 2
-        terms = _graded_terms(rhs, space, target, f"{a} {v}", lineno)
+        cell = _graded_column(rhs, space, target, f"{a} {v}", lineno)
         column = columns.setdefault(a, {})
         if v in column:
             raise FormatError(f"duplicate rep entry {a} {v}", lineno)
-        column[v] = terms
+        column[v] = cell
 
     def close():
         action = tuple(
-            GradedLinearMap.from_images(space, space, p, columns.get(lab, {}))
+            GradedLinearMap._trusted(space, space, p, _table(columns.get(lab, {}), space.labels))
             for lab, p in zip(g_space.labels, g_space.parities)
         )
         doc.reps[name] = RawRep(name, space, action)
@@ -308,15 +330,15 @@ def _open_map(doc: Document, inner: str, tokens: list, line: int):
     columns: dict = {}
 
     def entry(lhs, rhs, lineno):
-        if lhs not in src.labels:
+        if lhs not in src._positions:
             raise FormatError(f"unknown label {lhs!r}", lineno)
         if lhs in columns:
             raise FormatError(f"duplicate map entry {lhs}", lineno)
         target = (src.parities[src.index(lhs)] + parity) % 2
-        columns[lhs] = _graded_terms(rhs, dst, target, f"image of {lhs}", lineno)
+        columns[lhs] = _graded_column(rhs, dst, target, f"image of {lhs}", lineno)
 
     def close():
-        doc.maps[name] = GradedLinearMap.from_images(src, dst, parity, columns)
+        doc.maps[name] = GradedLinearMap._trusted(src, dst, parity, _table(columns, src.labels))
 
     return entry, close
 
@@ -437,10 +459,10 @@ def parse(text: str) -> Document:
             continue
         if entry is None:
             raise FormatError("entry outside of any section", lineno)
-        if "=" not in content:
+        lhs, eq, rhs = content.partition("=")
+        if not eq:
             raise FormatError("expected 'lhs = rhs'", lineno)
-        lhs, rhs = (part.strip() for part in content.split("=", 1))
-        entry(lhs, rhs, lineno)
+        entry(lhs.strip(), rhs.strip(), lineno)
     if close is not None:
         close()
     return doc

@@ -113,8 +113,8 @@ class SuperSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise KeyError(f"unknown basis label {label!r}") from None
 
     def basis_vector(self, i: int) -> tuple[Scalar, ...]:
@@ -142,6 +142,11 @@ class SuperSpace:
     # the derived spaces are built, and so validated, once per space: the
     # fields are immutable, and the paper's constructions ask for sV and V*
     # of the same space on every call
+
+    @cached_property
+    def _positions(self) -> "dict[str, int]":
+        """label -> position, for `index` and label membership tests."""
+        return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
     def _dual(self) -> "SuperSpace":
@@ -283,7 +288,8 @@ class GradedLinearMap:
     in ascending k, the image of the i-th domain basis vector.  Homogeneity
     means m_ki vanishes unless |cod_k| = |dom_i| + parity.  The public
     constructor scans a dense matrix once and keeps no copy; derived maps
-    come from `_from_entries`.  The dense `matrix` view is built on read.
+    come from `_from_entries`, and tables already checked where they were
+    made from `_trusted`.  The dense `matrix` view is built on read.
     """
 
     domain: SuperSpace
@@ -318,14 +324,27 @@ class GradedLinearMap:
         for (k, i), x in entries:
             if x:
                 cols[i].append((k, x))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "nonzero", tuple(tuple(sorted(col)) for col in cols))
+        self._set(domain, codomain, parity, tuple(tuple(sorted(col)) for col in cols))
         self.__post_init__()
         return self
 
+    def _set(self, domain, codomain, parity, nonzero):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "nonzero", nonzero)
+        return self
+
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(
+        cls, domain: SuperSpace, codomain: SuperSpace, parity: Parity, nonzero
+    ) -> "GradedLinearMap":
+        """Build without the homogeneity scan from a finished `nonzero`
+        table: columns of nonzero pairs in ascending k, each of the parity
+        the declared one asks for, as checked where the table was made."""
+        return object.__new__(cls)._set(domain, codomain, parity, nonzero)
 
     @staticmethod
     def _from_entries(

@@ -111,7 +111,8 @@ class LieSuperAlgebra:
     Stored as `nonzero`, which every kernel reads: nonzero[i][j] holds the
     pairs (k, c_ij^k) with c_ij^k != 0 in ascending k.  The public
     constructor scans a dense array once and keeps no copy; constructions
-    use `_from_entries`.  The dense `structure` view is built on read.
+    use `_from_entries`, or `_trusted` when they hold the finished table.
+    The dense `structure` view is built on read.
     The constructor checks no axiom, not even super skew-symmetry, which
     the O-operator verdicts of `superybe.oop` assume; `check_lie_axioms`
     verifies them.
@@ -122,18 +123,24 @@ class LieSuperAlgebra:
 
     def __init__(self, space: SuperSpace, structure):
         entries = _dense_entries(space.dim, structure, "structure constant shape mismatch")
-        self._store(space, entries)
+        self._set(space, _sparse_table(space.dim, entries))
 
-    def _store(self, space, entries):
+    def _set(self, space, nonzero):
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "nonzero", _sparse_table(space.dim, entries))
+        object.__setattr__(self, "nonzero", nonzero)
         return self
+
+    @classmethod
+    def _trusted(cls, space: SuperSpace, nonzero) -> "LieSuperAlgebra":
+        """Build from a finished `nonzero` table, with no regrouping, zero
+        filter or sort: every cell holds nonzero pairs in ascending k."""
+        return object.__new__(cls)._set(space, nonzero)
 
     @staticmethod
     def _from_entries(space: SuperSpace, entries) -> "LieSuperAlgebra":
         """The algebra with the given ((i, j, k), c) structure constants,
         each position given at most once, and zeros elsewhere."""
-        return object.__new__(LieSuperAlgebra)._store(space, entries)
+        return LieSuperAlgebra._trusted(space, _sparse_table(space.dim, entries))
 
     @staticmethod
     def from_brackets(
@@ -475,29 +482,31 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
 
 def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
     """g |x V with [(x,u), (y,v)] = ([x,y], rho(x)v - (-1)^{|u||y|} rho(y)u),
-    for the action table `action`: action[a][i] holds the pairs (k, x) of
-    rho(e_a) v_i.  Returns the host with the positions of its algebra and
-    module slots.
+    for the action table `action`: action[a][i] holds the nonzero pairs
+    (k, x) of rho(e_a) v_i in ascending k.  Returns the host with the
+    positions of its algebra and module slots.
 
     Basis order: g first, then the module, re-sorted into canonical parity
-    blocks; colliding labels take pair notation as in `merge_spaces`.
+    blocks; colliding labels take pair notation as in `merge_spaces`.  Both
+    embeddings are increasing, so the host's cells are written directly,
+    already sparse and sorted: g's cells through alg_embed, the action's
+    through mod_embed, and the swapped cell (v_i, e_a) signed.
     """
     total, alg_embed, mod_embed = merge_spaces(g.space, V)
-
-    ng = g.space.dim
-    entries = [
-        ((alg_embed[i], alg_embed[j], alg_embed[k]), v)
-        for i in range(ng)
-        for j in range(ng)
-        for k, v in g.nonzero[i][j]
-    ]
-    for a in range(ng):
-        for i, col in enumerate(action[a]):
-            odd = V.parities[i] * g.space.parities[a]
-            for k, x in col:
-                entries.append(((alg_embed[a], mod_embed[i], mod_embed[k]), x))
-                entries.append(((mod_embed[i], alg_embed[a], mod_embed[k]), x if odd else -x))
-    return LieSuperAlgebra._from_entries(total, entries), alg_embed, mod_embed
+    rows = [[()] * total.dim for _ in range(total.dim)]
+    for i, row in enumerate(g.nonzero):
+        host_row = rows[alg_embed[i]]
+        for j, cell in enumerate(row):
+            if cell:
+                host_row[alg_embed[j]] = tuple((alg_embed[k], c) for k, c in cell)
+    for a, (pa, cells) in enumerate(zip(g.space.parities, action)):
+        p, host_row = alg_embed[a], rows[alg_embed[a]]
+        for i, (pi, col) in enumerate(zip(V.parities, cells)):
+            if col:
+                q = mod_embed[i]
+                cell = host_row[q] = tuple((mod_embed[k], x) for k, x in col)
+                rows[q][p] = cell if pa & pi else tuple((k, -x) for k, x in cell)
+    return LieSuperAlgebra._trusted(total, tuple(map(tuple, rows))), alg_embed, mod_embed
 
 
 def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlgebra:

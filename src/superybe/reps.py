@@ -178,7 +178,9 @@ def _reversed_table(P, table, perm) -> "list[list[tuple]]":
     from the action table of rho: table[a][i] holds the pairs (k, x) of
     rho(e_a) v_i, P are the parities of the e_a and perm is the suspension's
     permutation of V.  Cell (a, perm[i]) holds the pairs (perm[k], x), with x
-    negated for odd e_a."""
+    negated for odd e_a.  perm is increasing on each parity block, and a
+    cell of a homogeneous action lies in one block, so cells ascending in k
+    stay ascending."""
     out = []
     for pa, row in zip(P, table):
         cells = [()] * len(row)

@@ -243,6 +243,42 @@ def dense_form_flags(gram, structure, parities):
 
 
 # ---------------------------------------------------------------------------
+# the semidirect product
+
+
+def dense_semidirect(structure, g_parities, action, v_parities):
+    """(parities, structure, alg_pos, mod_pos) of g |x V, from the dense
+    structure constants structure[i][j][k] of g and the dense action
+    matrices action[a][k][i] = rho(e_a)_{ki}, by the formula
+    [(x,u), (y,v)] = ([x,y], rho(x)v - (-1)^{|u||y|} rho(y)u) on every pair
+    of basis vectors.  The basis lists g then V and is sorted stably by
+    parity; alg_pos and mod_pos give each old basis vector's position."""
+    ng, nv = len(g_parities), len(v_parities)
+    old = list(g_parities) + list(v_parities)
+    order = sorted(range(ng + nv), key=lambda b: old[b])
+    where = {b: n for n, b in enumerate(order)}
+    N = ng + nv
+    out = [[[ZERO] * N for _ in range(N)] for _ in range(N)]
+    for i in range(ng):
+        for j in range(ng):
+            for k in range(ng):
+                out[where[i]][where[j]][where[k]] = structure[i][j][k]
+    for a in range(ng):
+        for i in range(nv):
+            swap = koszul(v_parities[i], g_parities[a])
+            for k in range(nv):
+                x = action[a][k][i]
+                out[where[a]][where[ng + i]][where[ng + k]] = x
+                out[where[ng + i]][where[a]][where[ng + k]] = -swap * x
+    return (
+        tuple(old[b] for b in order),
+        tuple(tuple(map(tuple, row)) for row in out),
+        tuple(where[i] for i in range(ng)),
+        tuple(where[ng + i] for i in range(nv)),
+    )
+
+
+# ---------------------------------------------------------------------------
 # even intertwiners and the lexicographic isomorphism grid
 
 

@@ -1,12 +1,26 @@
+import contextlib
+import io
+import json
 import re
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superybe import EVEN, ODD, LieSuperAlgebra, SuperSpace, Tensor2, fixture_names, load_fixture
+from superybe import (
+    EVEN,
+    ODD,
+    GradedLinearMap,
+    LieSuperAlgebra,
+    SuperSpace,
+    Tensor2,
+    fixture_names,
+    load_fixture,
+)
 from superybe.catalog import fixture_document
+from superybe.cli import main
 from superybe.fileformat import (
     ALGEBRA_SPACE_NAME,
     Document,
@@ -462,3 +476,161 @@ def test_every_parse_error_with_its_line(case):
     with pytest.raises(FormatError) as err:
         parse(text)
     assert (err.value.line, err.value.message) == (line, message)
+
+
+# ---------------------------------------------------------------------------
+# parse builds every map, rep action and algebra from its checked lines with
+# no second scan; each must equal the public constructor's object
+
+
+def _terms(rhs: str) -> dict:
+    """The {label: coefficient} of a terms line, summed by Fraction(token)."""
+    tokens = [t for t in rhs.split() if t != "+"]
+    out: dict = {}
+    if tokens != ["0"]:
+        for c, label in zip(tokens[::2], tokens[1::2]):
+            out[label] = out.get(label, 0) + Fraction(c)
+    return out
+
+
+def _public_objects(doc: Document, text: str):
+    """(algebra, maps, rep actions) of a well-formed document, each built by
+    the checked public constructor (`LieSuperAlgebra.from_brackets`,
+    `GradedLinearMap.from_images`) from the terms of its lines; the spaces
+    are the parsed document's."""
+    sections = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            sections.append((line[1:-1].split(), []))
+        elif line:
+            lhs, rhs = line.split("=", 1)
+            sections[-1][1].append((tuple(lhs.split()), rhs))
+    g = doc.spaces.get(ALGEBRA_SPACE_NAME)
+    algebra, maps, reps = None, {}, {}
+    for header, raw_lines in sections:
+        if header[0] not in ("bracket", "map", "rep"):
+            continue
+        lines = [(lhs, _terms(rhs)) for lhs, rhs in raw_lines]
+        if header[0] == "bracket":
+            algebra = LieSuperAlgebra.from_brackets(g, dict(lines))
+        elif header[0] == "map":  # map NAME : SRC -> DST parity P
+            src, dst = doc.resolve_space(header[3]), doc.resolve_space(header[5])
+            parity = EVEN if header[7] == "even" else ODD
+            images = {lhs[0]: terms for lhs, terms in lines}
+            maps[header[1]] = GradedLinearMap.from_images(src, dst, parity, images)
+        elif header[0] == "rep":  # rep NAME on SPACE
+            space = doc.resolve_space(header[3])
+            images: dict = {}
+            for (a, v), terms in lines:
+                images.setdefault(a, {})[v] = terms
+            reps[header[1]] = tuple(
+                GradedLinearMap.from_images(space, space, p, images.get(a, {}))
+                for a, p in zip(g.labels, g.parities)
+            )
+    return algebra, maps, reps
+
+
+def _assert_parse_matches_public_constructors(text: str) -> Document:
+    doc = parse(text)
+    algebra, maps, reps = _public_objects(doc, text)
+    assert doc.algebra == algebra
+    assert doc.maps == maps
+    assert {name: raw.action for name, raw in doc.reps.items()} == reps
+    return doc
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_parsed_fixture_objects_equal_the_public_constructors(name):
+    doc = _assert_parse_matches_public_constructors(_fixture_text(name))
+    assert doc.algebra is not None
+
+
+def test_parsed_hierarchy_outputs_equal_the_public_constructors(tmp_path):
+    words = ("+", "-", "++", "+-", "-+", "--")
+    walked = 0
+    for name in fixture_names():
+        fixture = fixture_document(name)
+        path = tmp_path / f"{name}.sy"
+        path.write_text(_fixture_text(name), encoding="utf-8")
+        for tensor in fixture.tensors:
+            for word in words:
+                argv = ["hierarchy", str(path), "--tensor", tensor, f"--word={word}", "--json"]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                if code == 0:
+                    text = json.loads(out.getvalue())["document"]
+                    doc = _assert_parse_matches_public_constructors(text)
+                    assert doc.algebra.dim == fixture.algebra.dim << len(word)
+                    walked += 1
+    assert walked >= 2 * len(words)
+
+
+def _coefficient(p: int, q: int, form: str) -> str:
+    """p/q written as the grammar allows: a bare or zero-padded numerator,
+    a fraction that need not be in lowest terms, or negative zero."""
+    if form == "int":
+        return str(p)
+    if form == "padded":
+        return f"{'-' if p < 0 else ''}00{abs(p)}"
+    if form == "negative zero":
+        return "-0" if q == 1 else f"-0/{q}"
+    return f"{p}/{q}"
+
+
+@st.composite
+def _generated_documents(draw):
+    """Documents with a bracket, a map and a rep on a small space whose lines
+    write coefficients as p/q, 007 and -0, repeat labels and cancel terms
+    (`1 f + -1 f`), also on labels of the wrong parity."""
+    even = draw(st.integers(min_value=0, max_value=2))
+    odd = draw(st.integers(min_value=1 if even == 0 else 0, max_value=2))
+    labels = [f"e{i}" for i in range(even)] + [f"f{i}" for i in range(odd)]
+    parities = [EVEN] * even + [ODD] * odd
+    coefficients = st.builds(
+        _coefficient,
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from(["int", "padded", "negative zero", "fraction"]),
+    )
+
+    def line(target):
+        """A terms line whose surviving terms have parity target."""
+        terms = []
+        for k in draw(st.lists(st.integers(0, len(labels) - 1), max_size=4)):
+            c = draw(coefficients)
+            if parities[k] == target and draw(st.booleans()):
+                terms.append(f"{c} {labels[k]}")
+            else:
+                # cancelled, or a zero coefficient: nothing survives
+                negated = c[1:] if c.startswith("-") else "-" + c
+                terms += [f"{c} {labels[k]}", f"{negated} {labels[k]}"]
+        return " + ".join(draw(st.permutations(terms))) if terms else "0"
+
+    text = ["[space]", "even = " + " ".join(labels[:even]), "odd = " + " ".join(labels[even:])]
+    text.append("[bracket]")
+    for i in range(len(labels)):
+        for j in range(i, len(labels)):
+            if draw(st.booleans()):
+                target = (parities[i] + parities[j]) % 2
+                if i == j and parities[i] == EVEN:
+                    target = None  # even diagonals must vanish: only cancelled terms
+                text.append(f"{labels[i]} {labels[j]} = {line(target)}")
+    map_parity = draw(st.sampled_from([EVEN, ODD]))
+    text.append(f"[map T : g -> g parity {'even' if map_parity == EVEN else 'odd'}]")
+    for i in draw(st.permutations(range(len(labels)))):
+        if draw(st.booleans()):
+            text.append(f"{labels[i]} = {line((parities[i] + map_parity) % 2)}")
+    text.append("[rep rho on g]")
+    for a in range(len(labels)):
+        for v in range(len(labels)):
+            if draw(st.booleans()):
+                text.append(f"{labels[a]} {labels[v]} = {line((parities[a] + parities[v]) % 2)}")
+    return "\n".join(text) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_generated_documents())
+def test_parsed_generated_objects_equal_the_public_constructors(text):
+    _assert_parse_matches_public_constructors(text)

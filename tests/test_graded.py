@@ -59,6 +59,16 @@ class TestSuperSpace:
         v = SuperSpace.make(even=["e", "u"], odd=["f"])
         assert v.suspended().suspended() == v
 
+    def test_index_reads_the_cached_positions(self):
+        v = SuperSpace.make(even=["e", "u"], odd=["f"])
+        assert [v.index(label) for label in ("e", "u", "f")] == [0, 1, 2]
+        with pytest.raises(KeyError, match="unknown basis label 'x'"):
+            v.index("x")
+        # the cached dict is no field: equality and hash read labels and parities
+        fresh = SuperSpace.make(even=["e", "u"], odd=["f"])
+        assert v == fresh and hash(v) == hash(fresh)
+        assert v != SuperSpace.make(even=["u", "e"], odd=["f"])
+
     def test_suspend_label_toggles(self):
         assert suspend_label("e") == "se"
         assert suspend_label("se") == "e"

@@ -1,18 +1,26 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superybe import (
     EVEN,
+    GradedLinearMap,
     LieSuperAlgebra,
+    Representation,
     SuperSpace,
     adjoint,
     check_lie_axioms,
     classify_form,
     coadjoint,
+    dual_rep,
+    fixture_names,
     form_to_dual_map,
     grid_search_oops,
+    hierarchy_walk,
     is_rota_baxter,
     load_fixture,
     oop_holds,
@@ -20,10 +28,11 @@ from superybe import (
     semidirect_product,
     trivial_rep,
 )
-from superybe.liesuper import BilinearForm
+from superybe.liesuper import BilinearForm, _semidirect
+from superybe.reps import _reversed_table
 
 from conftest import equivalence_cases, gl11_with_supertrace, random_homogeneous_map
-from oracles import dense_form_flags
+from oracles import dense_form_flags, dense_semidirect
 
 
 class TestAxiomChecks:
@@ -194,6 +203,125 @@ class TestSemidirect:
             g = fx.parts["algebra"]
             rho = fx.parts.get("rho") or fx.parts["coadjoint"]
             assert check_lie_axioms(semidirect_product(g, rho)).ok
+
+
+def _dense_reversed(rho):
+    """The dense action matrices of rho^s on sV, rho^s(e_a)(sv) =
+    (-1)^{|e_a|} s(rho(e_a)v), with sV's basis the flipped parities of V
+    sorted stably; and sV's parities."""
+    flipped = [1 - p for p in rho.space.parities]
+    order = sorted(range(len(flipped)), key=flipped.__getitem__)
+    where = {old: new for new, old in enumerate(order)}
+    dense = []
+    for pa, m in zip(rho.algebra.space.parities, rho.action):
+        out = [[Fraction(0)] * len(order) for _ in order]
+        for k, row in enumerate(m.matrix):
+            for i, x in enumerate(row):
+                out[where[k]][where[i]] = -x if pa else x
+        dense.append(out)
+    return dense, tuple(flipped[o] for o in order)
+
+
+def _shear(space):
+    """The even invertible map b_j = e_j + e_i, for the first two basis
+    vectors i < j of one parity, or None when no parity has two."""
+    for p in (0, 1):
+        block = [k for k, q in enumerate(space.parities) if q == p][:2]
+        if len(block) == 2:
+            n = space.dim
+            grid = [[Fraction(int(r == c or (r, c) == tuple(block))) for c in range(n)] for r in range(n)]
+            return GradedLinearMap(space, space, EVEN, grid)
+    return None
+
+
+def _sheared_algebra(g, B):
+    """g written in the basis b_a = B e_a: c'_ab = B^-1 [B e_a, B e_b]."""
+    columns = [B.column(a) for a in range(g.dim)]
+    back = B.inverse()
+    return LieSuperAlgebra(
+        g.space, tuple(tuple(back.apply(g.bracket(x, y)) for y in columns) for x in columns)
+    )
+
+
+@lru_cache(maxsize=None)
+def _semidirect_cases():
+    """name -> (g, V, action table, dense action matrices) for `_semidirect`:
+    every catalog representation, the adjoint and coadjoint of every catalog
+    algebra and of the ex4.4 hierarchy hosts up to dim 8 (so products up to
+    dim 16); these again in sheared bases, whose cells hold two or more
+    terms; all of them over algebras rescaled by -2/7, with the actions
+    rescaled to match; and each with its dual and, through
+    `reps._reversed_table`, its parity reverse."""
+    reps = {}
+    for name in fixture_names():
+        for part, value in load_fixture(name).parts.items():
+            if isinstance(value, Representation):
+                reps[f"{name}:{part}"] = value
+            elif isinstance(value, LieSuperAlgebra):
+                reps[f"{name}:ad {part}"] = adjoint(value)
+                reps[f"{name}:coad {part}"] = coadjoint(value)
+    ex44 = load_fixture("ex4.4").parts
+    for word in ("+", "-", "++", "+-", "-+", "--"):
+        host = hierarchy_walk(ex44["algebra"], ex44["r1"], word).algebra
+        reps[f"ex4.4 r1{word}:ad"] = adjoint(host)
+    # cells of two or more terms: the sheared bases mix two basis vectors
+    for name, rho in list(reps.items()):
+        B = _shear(rho.space)
+        if B is not None:
+            action = tuple(B.compose(m).compose(B.inverse()) for m in rho.action)
+            reps[name + " sheared"] = Representation(rho.algebra, rho.space, action)
+        B = _shear(rho.algebra.space)
+        if B is not None and ":ad" in name:
+            reps[name + " sheared algebra"] = adjoint(_sheared_algebra(rho.algebra, B))
+    c = Fraction(-2, 7)
+    for name, rho in list(reps.items()):
+        g = rho.algebra
+        scaled = [[[c * x for x in cell] for cell in row] for row in g.structure]
+        # c rho is a representation of c g
+        action = tuple(m.scale(c) for m in rho.action)
+        reps[name + " rescaled"] = Representation(LieSuperAlgebra(g.space, scaled), rho.space, action)
+    for name, rho in list(reps.items()):
+        reps[name + " dual"] = dual_rep(rho)
+    cases = {}
+    for name, rho in reps.items():
+        g = rho.algebra
+        cases[name] = (g, rho.space, rho._columns, [m.matrix for m in rho.action])
+        sV, perm = rho.space.suspended_with_permutation()
+        dense, parities = _dense_reversed(rho)
+        assert sV.parities == parities
+        table = _reversed_table(g.space.parities, rho._columns, perm)
+        cases[name + " reversed"] = (g, sV, table, dense)
+    return cases
+
+
+def test_semidirect_cases_reach_dim_16_and_non_monotone_reversals():
+    cases = _semidirect_cases()
+    assert max(g.dim + V.dim for g, V, _, _ in cases.values()) == 16
+    perms = [V.suspended_with_permutation()[1] for _, V, _, _ in cases.values()]
+    assert any(list(perm) != sorted(perm) for perm in perms)
+    algebra_cells = [cell for g, _, _, _ in cases.values() for row in g.nonzero for cell in row]
+    action_cells = [cell for _, _, table, _ in cases.values() for row in table for cell in row]
+    assert any(x.denominator > 1 for cell in algebra_cells for _, x in cell)
+    assert any(len(cell) > 1 for cell in algebra_cells)
+    assert any(len(cell) > 1 for cell in action_cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_semidirect_cases())))
+def test_semidirect_table_matches_the_dense_formula(name):
+    g, V, table, dense = _semidirect_cases()[name]
+    h, alg_pos, mod_pos = _semidirect(g, V, table)
+    parities, structure, want_alg, want_mod = dense_semidirect(
+        g.structure, g.space.parities, dense, V.parities
+    )
+    assert h.space.parities == parities
+    assert (alg_pos, mod_pos) == (want_alg, want_mod)
+    assert h.structure == structure
+    assert h == LieSuperAlgebra(h.space, structure)
+    for row in h.nonzero:
+        for cell in row:
+            assert all(x != 0 for _, x in cell)
+            assert all(a < b for (a, _), (b, _) in zip(cell, cell[1:]))
 
 
 class TestFormTransport:
