@@ -128,7 +128,7 @@ def _tensor_rmatrix(doc: Document, name: str) -> RMatrix:
     if tensor.parity is None and not tensor.is_zero():
         raise CheckFailed(f"tensor {name} is inhomogeneous")
     if tensor.parity is None:
-        tensor = Tensor2._from_entries(tensor.left, tensor.right, tensor.entries, EVEN)
+        tensor = Tensor2._trusted(tensor.left, tensor.right, (), EVEN)
     return RMatrix(algebra, tensor)
 
 

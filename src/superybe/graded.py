@@ -286,10 +286,14 @@ class GradedLinearMap:
 
     Stored as `nonzero`: nonzero[i] holds the pairs (k, m_ki) with m_ki != 0
     in ascending k, the image of the i-th domain basis vector.  Homogeneity
-    means m_ki vanishes unless |cod_k| = |dom_i| + parity.  The public
-    constructor scans a dense matrix once and keeps no copy; derived maps
-    come from `_from_entries`, and tables already checked where they were
-    made from `_trusted`.  The dense `matrix` view is built on read.
+    (m_ki = 0 unless |cod_k| = |dom_i| + parity) is checked once, where a
+    map enters: the public constructor, which scans a dense matrix and
+    keeps no copy, and `from_images` run `__post_init__`.  Derived maps
+    (`compose`, sums, `scale`, `inverse`, `suspend_map`, `dual_map`, `ad`,
+    T_r, intertwiners, the actions of derived representations) are
+    homogeneous by theorem and skip it: `_from_entries` groups their
+    entries, and `_trusted` takes a finished table.  The dense `matrix`
+    view is built on read.
     """
 
     domain: SuperSpace
@@ -302,67 +306,50 @@ class GradedLinearMap:
             raise ValueError("matrix row count does not match codomain dimension")
         if any(len(row) != domain.dim for row in matrix):
             raise ValueError("matrix column count does not match domain dimension")
-        entries = (((k, i), x) for k, row in enumerate(matrix) for i, x in enumerate(row))
-        self._store(domain, codomain, parity, entries)
+        nonzero = tuple(
+            tuple((k, row[i]) for k, row in enumerate(matrix) if row[i]) for i in range(domain.dim)
+        )
+        vars(self).update(domain=domain, codomain=codomain, parity=parity, nonzero=nonzero)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.parity not in (EVEN, ODD):
             raise ValueError("map parity must be 0 or 1")
-        _check_homogeneous(
-            self.codomain,
-            self.domain,
-            self.parity,
-            [(k, i) for i, col in enumerate(self.nonzero) for k, _ in col],
+        positions = [(k, i) for i, col in enumerate(self.nonzero) for k, _ in col]
+        message = (
             "inhomogeneous map: entry ({}, {}) nonzero but parities disagree "
-            "with declared map parity {}",
+            "with declared map parity {}"
         )
-
-    def _store(self, domain, codomain, parity, entries):
-        """Set the fields from ((k, i), value) entries, one per position,
-        dropping zeros; then check homogeneity."""
-        cols = [[] for _ in range(domain.dim)]
-        for (k, i), x in entries:
-            if x:
-                cols[i].append((k, x))
-        self._set(domain, codomain, parity, tuple(tuple(sorted(col)) for col in cols))
-        self.__post_init__()
-        return self
-
-    def _set(self, domain, codomain, parity, nonzero):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "nonzero", nonzero)
-        return self
+        _check_homogeneous(self.codomain, self.domain, self.parity, positions, message)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _trusted(
-        cls, domain: SuperSpace, codomain: SuperSpace, parity: Parity, nonzero
-    ) -> "GradedLinearMap":
-        """Build without the homogeneity scan from a finished `nonzero`
-        table: columns of nonzero pairs in ascending k, each of the parity
-        the declared one asks for, as checked where the table was made."""
-        return object.__new__(cls)._set(domain, codomain, parity, nonzero)
+    def _trusted(cls, domain: SuperSpace, codomain: SuperSpace, parity: Parity, nonzero):
+        """The map of a finished, homogeneous `nonzero` table, unchecked."""
+        t = object.__new__(cls)
+        vars(t).update(domain=domain, codomain=codomain, parity=parity, nonzero=nonzero)
+        return t
 
-    @staticmethod
-    def _from_entries(
-        domain: SuperSpace, codomain: SuperSpace, parity: Parity, entries
-    ) -> "GradedLinearMap":
+    @classmethod
+    def _from_entries(cls, domain: SuperSpace, codomain: SuperSpace, parity: Parity, entries):
         """The map with the given ((k, i), value) entries, each position
-        given at most once, and zeros elsewhere; no dense matrix is built."""
-        return object.__new__(GradedLinearMap)._store(domain, codomain, parity, entries)
+        given at most once, and zeros elsewhere, grouped into sorted columns
+        with zeros dropped; unchecked, and no dense matrix is built."""
+        cols = [[] for _ in range(domain.dim)]
+        for (k, i), x in entries:
+            if x:
+                cols[i].append((k, x))
+        return cls._trusted(domain, codomain, parity, tuple(tuple(sorted(col)) for col in cols))
 
     @staticmethod
     def zero(domain: SuperSpace, codomain: SuperSpace, parity: Parity) -> "GradedLinearMap":
-        return GradedLinearMap._from_entries(domain, codomain, parity, ())
+        return GradedLinearMap._trusted(domain, codomain, parity, ((),) * domain.dim)
 
     @staticmethod
     def identity(space: SuperSpace) -> "GradedLinearMap":
-        return GradedLinearMap._from_entries(
-            space, space, EVEN, (((i, i), ONE) for i in range(space.dim))
-        )
+        nonzero = tuple(((i, ONE),) for i in range(space.dim))
+        return GradedLinearMap._trusted(space, space, EVEN, nonzero)
 
     @staticmethod
     def from_images(
@@ -377,7 +364,9 @@ class GradedLinearMap:
         for src, terms in images.items():
             i = domain.index(src)
             entries += (((codomain.index(label), i), rat(value)) for label, value in terms.items())
-        return GradedLinearMap._from_entries(domain, codomain, parity, entries)
+        t = GradedLinearMap._from_entries(domain, codomain, parity, entries)
+        t.__post_init__()
+        return t
 
     # -- evaluation ----------------------------------------------------
 
@@ -449,9 +438,8 @@ class GradedLinearMap:
 
     def scale(self, c: RationalLike) -> "GradedLinearMap":
         c = rat(c) if not isinstance(c, int) else c
-        return GradedLinearMap._from_entries(
-            self.domain, self.codomain, self.parity, ((ki, c * x) for ki, x in self._entries())
-        )
+        nonzero = tuple(tuple((k, c * x) for k, x in col) if c else () for col in self.nonzero)
+        return GradedLinearMap._trusted(self.domain, self.codomain, self.parity, nonzero)
 
     def is_zero(self) -> bool:
         return not any(self.nonzero)
@@ -471,8 +459,10 @@ class GradedLinearMap:
 def suspend_map(t: GradedLinearMap) -> GradedLinearMap:
     """T^s(su) = T(u): same images, suspended domain, parity flipped."""
     sdom, perm = t.domain.suspended_with_permutation()
-    entries = (((k, perm[i]), x) for (k, i), x in t._entries())
-    return GradedLinearMap._from_entries(sdom, t.codomain, t.parity ^ 1, entries)
+    cols = [()] * sdom.dim
+    for i, col in enumerate(t.nonzero):
+        cols[perm[i]] = col
+    return GradedLinearMap._trusted(sdom, t.codomain, t.parity ^ 1, tuple(cols))
 
 
 def dual_map(t: GradedLinearMap) -> GradedLinearMap:
@@ -484,8 +474,8 @@ def dual_map(t: GradedLinearMap) -> GradedLinearMap:
 
 def double_dual_embedding(space: SuperSpace) -> GradedLinearMap:
     """theta: V -> V** with e_i -> (-1)^{|e_i|} (e_i*)*."""
-    entries = (((i, i), -ONE if p else ONE) for i, p in enumerate(space.parities))
-    return GradedLinearMap._from_entries(space, space.dual().dual(), EVEN, entries)
+    nonzero = tuple(((i, -ONE if p else ONE),) for i, p in enumerate(space.parities))
+    return GradedLinearMap._trusted(space, space.dual().dual(), EVEN, nonzero)
 
 
 def relabel_domain(t: GradedLinearMap, new_domain: SuperSpace) -> GradedLinearMap:
@@ -496,7 +486,7 @@ def relabel_domain(t: GradedLinearMap, new_domain: SuperSpace) -> GradedLinearMa
     old = t.domain
     if (old.even_dim, old.odd_dim) != (new_domain.even_dim, new_domain.odd_dim):
         raise ValueError("parity block dimensions do not match")
-    return GradedLinearMap._from_entries(new_domain, t.codomain, t.parity, t._entries())
+    return GradedLinearMap._trusted(new_domain, t.codomain, t.parity, t.nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +504,11 @@ def _infer_parity(left: SuperSpace, right: SuperSpace, entries) -> "Parity | Non
 @dataclass(frozen=True, init=False)
 class Tensor2:
     """An element sum a_ij e_i (x) e_j, stored as its nonzero slots
-    ((i, j), a_ij) in row-major order.  The public constructor scans a
-    dense array once and keeps no copy; derived tensors come from
-    `_from_entries`.  The dense `coeffs` view is built on first read.
+    ((i, j), a_ij) in row-major order.  A declared parity is checked once,
+    where a tensor enters: the public constructor, which scans a dense
+    array and keeps no copy, and `from_terms` run `__post_init__`.  Derived
+    tensors skip it: `_from_entries` sorts their slots, and `_trusted`
+    takes finished ones.  The dense `coeffs` view is built on first read.
 
     parity None means inhomogeneous (or an undeclared zero tensor).
     """
@@ -532,29 +524,27 @@ class Tensor2:
         entries = tuple(
             ((i, j), x) for i, row in enumerate(coeffs) for j, x in enumerate(row) if x != 0
         )
-        self._store(left, right, entries, parity)
+        vars(self).update(left=left, right=right, entries=entries, parity=parity)
+        self.__post_init__()
 
-    def _store(self, left, right, entries, parity):
-        """Set the fields from the nonzero entries in row-major order; then
-        check them against a declared parity."""
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "parity", parity)
-        if parity is not None:
-            positions = [ij for ij, _ in entries]
+    def __post_init__(self):
+        if self.parity is not None:
+            positions = [ij for ij, _ in self.entries]
             message = "tensor entry ({}, {}) violates declared parity {}"
-            _check_homogeneous(left, right, parity, positions, message)
-        return self
+            _check_homogeneous(self.left, self.right, self.parity, positions, message)
 
-    @staticmethod
-    def _from_entries(
-        left: SuperSpace, right: SuperSpace, entries, parity: "Parity | None"
-    ) -> "Tensor2":
+    @classmethod
+    def _trusted(cls, left: SuperSpace, right: SuperSpace, entries, parity: "Parity | None"):
+        """The tensor of finished slots, nonzero and row-major, unchecked."""
+        t = object.__new__(cls)
+        vars(t).update(left=left, right=right, entries=entries, parity=parity)
+        return t
+
+    @classmethod
+    def _from_entries(cls, left: SuperSpace, right: SuperSpace, entries, parity: "Parity | None"):
         """The tensor with the given ((i, j), value) entries, each position
-        given at most once, and zeros elsewhere; no dense array is built."""
-        nonzero = tuple(sorted(e for e in entries if e[1]))
-        return object.__new__(Tensor2)._store(left, right, nonzero, parity)
+        given at most once, and zeros elsewhere; unchecked."""
+        return cls._trusted(left, right, tuple(sorted(e for e in entries if e[1])), parity)
 
     @staticmethod
     def from_terms(
@@ -566,7 +556,9 @@ class Tensor2:
         entries = [((left.index(a), right.index(b)), rat(c)) for (a, b), c in terms.items()]
         if parity is None:
             parity = _infer_parity(left, right, entries)
-        return Tensor2._from_entries(left, right, entries, parity)
+        t = Tensor2._from_entries(left, right, entries, parity)
+        t.__post_init__()
+        return t
 
     @cached_property
     def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -592,8 +584,8 @@ class Tensor2:
 
     def scale(self, c: RationalLike) -> "Tensor2":
         c = rat(c) if not isinstance(c, int) else c
-        entries = ((ij, c * a) for ij, a in self.entries)
-        return Tensor2._from_entries(self.left, self.right, entries, self.parity)
+        entries = tuple((ij, c * a) for ij, a in self.entries) if c else ()
+        return Tensor2._trusted(self.left, self.right, entries, self.parity)
 
     def __str__(self):
         terms = []

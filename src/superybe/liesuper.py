@@ -123,24 +123,21 @@ class LieSuperAlgebra:
 
     def __init__(self, space: SuperSpace, structure):
         entries = _dense_entries(space.dim, structure, "structure constant shape mismatch")
-        self._set(space, _sparse_table(space.dim, entries))
-
-    def _set(self, space, nonzero):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "nonzero", nonzero)
-        return self
+        vars(self).update(space=space, nonzero=_sparse_table(space.dim, entries))
 
     @classmethod
     def _trusted(cls, space: SuperSpace, nonzero) -> "LieSuperAlgebra":
         """Build from a finished `nonzero` table, with no regrouping, zero
         filter or sort: every cell holds nonzero pairs in ascending k."""
-        return object.__new__(cls)._set(space, nonzero)
+        g = object.__new__(cls)
+        vars(g).update(space=space, nonzero=nonzero)
+        return g
 
-    @staticmethod
-    def _from_entries(space: SuperSpace, entries) -> "LieSuperAlgebra":
+    @classmethod
+    def _from_entries(cls, space: SuperSpace, entries) -> "LieSuperAlgebra":
         """The algebra with the given ((i, j, k), c) structure constants,
         each position given at most once, and zeros elsewhere."""
-        return LieSuperAlgebra._trusted(space, _sparse_table(space.dim, entries))
+        return cls._trusted(space, _sparse_table(space.dim, entries))
 
     @staticmethod
     def from_brackets(
@@ -194,12 +191,8 @@ class LieSuperAlgebra:
         here, through the indexes of `_scaled_join`; the O-operator kernel
         reads `Representation._scaled_tables`, scaled by the lcm of these
         and the action's denominators."""
-        E, ints = linalg._cleared([c for row in self.nonzero for entry in row for _, c in entry])
-        scaled = iter(ints)
-        return E, tuple(
-            tuple(tuple((k, next(scaled)) for k, _ in entry) for entry in row)
-            for row in self.nonzero
-        )
+        E, (table,) = linalg._cleared_tables(self.nonzero)
+        return E, table
 
     @cached_property
     def _scaled_join(self) -> "tuple[tuple, tuple]":
@@ -233,10 +226,9 @@ class LieSuperAlgebra:
         return _bilinear(self.nonzero, x, y, self.space.dim)
 
     def ad(self, i: int) -> GradedLinearMap:
-        """The adjoint action of the i-th basis element."""
-        entries = (((k, j), c) for j, entry in enumerate(self.nonzero[i]) for k, c in entry)
-        return GradedLinearMap._from_entries(
-            self.space, self.space, self.space.parities[i], entries
+        """The adjoint action of e_i, unchecked: column j is nonzero[i][j]."""
+        return GradedLinearMap._trusted(
+            self.space, self.space, self.space.parities[i], self.nonzero[i]
         )
 
     def is_abelian(self) -> bool:
@@ -329,44 +321,51 @@ def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
 # bilinear forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BilinearForm:
-    """A homogeneous bilinear form given by its Gram matrix beta(e_i, e_j).
-
-    An even form vanishes on mixed-parity pairs, an odd form on
-    equal-parity pairs.
+    """A homogeneous bilinear form, stored as its nonzero slots ((i, j),
+    beta(e_i, e_j)) in row-major order, with the Gram matrix `gram` a
+    derived view.  An even form vanishes on mixed-parity pairs, an odd form
+    on equal-parity pairs: checked once, by the public constructor and
+    `from_terms`; `beta_form` builds its form unchecked, by `_trusted`.
     """
 
     space: SuperSpace
-    gram: tuple[tuple[Scalar, ...], ...]
+    entries: tuple[tuple[tuple[int, int], Scalar], ...]
     parity: Parity
 
-    def __post_init__(self):
-        n = self.space.dim
-        if len(self.gram) != n or any(len(r) != n for r in self.gram):
+    def __init__(self, space: SuperSpace, gram, parity: Parity):
+        n = space.dim
+        if len(gram) != n or any(len(r) != n for r in gram):
             raise ValueError("Gram matrix shape mismatch")
-        gram = self.gram
-        positions = [(i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x != 0]
+        entries = tuple(((i, j), x) for i, row in enumerate(gram) for j, x in enumerate(row) if x)
+        vars(self).update(space=space, entries=entries, parity=parity)
+        self.__post_init__()
+
+    def __post_init__(self):
+        positions = [ij for ij, _ in self.entries]
         message = "form entry ({}, {}) violates declared parity {}"
         _check_homogeneous(self.space, self.space, self.parity, positions, message)
 
     @classmethod
-    def _trusted(cls, space: SuperSpace, gram, parity: Parity) -> "BilinearForm":
-        """Build without the shape and homogeneity scan, for a Gram matrix
-        that is homogeneous of the given parity by construction."""
+    def _trusted(cls, space: SuperSpace, entries, parity: Parity) -> "BilinearForm":
+        """The form of finished slots, nonzero and row-major, unchecked."""
         form = object.__new__(cls)
-        object.__setattr__(form, "space", space)
-        object.__setattr__(form, "gram", gram)
-        object.__setattr__(form, "parity", parity)
+        vars(form).update(space=space, entries=entries, parity=parity)
         return form
 
     @staticmethod
     def from_terms(space, terms: Mapping["tuple[str, str]", RationalLike], parity: Parity):
-        n = space.dim
-        grid = [[ZERO] * n for _ in range(n)]
-        for (a, b), c in terms.items():
-            grid[space.index(a)][space.index(b)] = rat(c)
-        return BilinearForm(space, tuple(tuple(r) for r in grid), parity)
+        entries = (((space.index(a), space.index(b)), rat(c)) for (a, b), c in terms.items())
+        form = BilinearForm._trusted(space, tuple(sorted(e for e in entries if e[1])), parity)
+        form.__post_init__()
+        return form
+
+    @cached_property
+    def gram(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense Gram matrix gram[i][j] = beta(e_i, e_j); a derived view."""
+        slots, r = dict(self.entries), range(self.space.dim)
+        return tuple(tuple(slots.get((i, j), ZERO) for j in r) for i in r)
 
 
 @dataclass(frozen=True)
@@ -396,10 +395,9 @@ def _scaled_gram(beta: BilinearForm, g: LieSuperAlgebra) -> "list[dict[int, int]
     decide them on B and `LieSuperAlgebra._scaled_nonzero`."""
     if beta.space != g.space:
         raise ValueError("form does not live on the algebra's space")
-    cells = [(i, j, x) for i, row in enumerate(beta.gram) for j, x in enumerate(row) if x]
-    _, ints = linalg._cleared([x for _, _, x in cells])
-    B = [{} for _ in beta.gram]
-    for (i, j, _), b in zip(cells, ints):
+    _, ints = linalg._cleared([x for _, x in beta.entries])
+    B = [{} for _ in range(g.dim)]
+    for ((i, j), _), b in zip(beta.entries, ints):
         B[i][j] = b
     return B
 
@@ -535,7 +533,7 @@ def form_to_dual_map(beta: BilinearForm, g: LieSuperAlgebra) -> GradedLinearMap:
         problems.append("degenerate")
     if problems:
         raise ValueError("form unsuitable for transport: " + ", ".join(problems))
-    entries = (((j, i), b) for i, row in enumerate(beta.gram) for j, b in enumerate(row))
+    entries = (((j, i), b) for (i, j), b in beta.entries)
     return GradedLinearMap._from_entries(g.space, g.space.dual(), EVEN, entries)
 
 

@@ -33,6 +33,17 @@ def _cleared(values) -> "tuple[int, list[int]]":
     return D, [x.numerator * (D // x.denominator) for x in values]
 
 
+def _cleared_tables(*tables) -> "tuple[int, list]":
+    """(D, scaled): `_cleared` on every value x of the sparse tables, rows
+    of cells of (k, x) pairs, and the tables again with each x as D x."""
+    D, ints = _cleared([x for table in tables for row in table for cell in row for _, x in cell])
+    scaled = iter(ints)
+    return D, [
+        tuple(tuple(tuple((k, next(scaled)) for k, _ in cell) for cell in row) for row in table)
+        for table in tables
+    ]
+
+
 def _eliminate(rows):
     """Fraction-free Gauss-Jordan elimination on integer rows.
 

@@ -141,9 +141,7 @@ def _defects(t: GradedLinearMap, rho: Representation, pairs):
     and their common scale.  T's columns are scaled by D, the lcm of their
     denominators, once for all of the pairs."""
     tables = rho._scaled_tables
-    D, ints = linalg._cleared([x for col in t.nonzero for _, x in col])
-    scaled = iter(ints)
-    cols = [[(k, next(scaled)) for k, _ in col] for col in t.nonzero]
+    D, ((cols,),) = linalg._cleared_tables((t.nonzero,))
     P, parity = rho.space.parities, t.parity
     return (_defect(tables, P, parity, cols, i, j) for i, j in pairs), D * D * tables[0]
 
@@ -209,8 +207,10 @@ def extend_to_double(t: GradedLinearMap, rho: Representation) -> OOperatorCandid
     srho = parity_reverse_rep(rho)
     double = direct_sum_rep(rho, srho)
     _, emb_v, _ = merge_spaces(rho.space, srho.space)
-    entries = (((k, emb_v[i]), x) for (k, i), x in t._entries())
-    ext = GradedLinearMap._from_entries(double.space, t.codomain, t.parity, entries)
+    cols = [()] * double.space.dim
+    for i, col in enumerate(t.nonzero):
+        cols[emb_v[i]] = col
+    ext = GradedLinearMap._trusted(double.space, t.codomain, t.parity, tuple(cols))
     return OOperatorCandidate(ext, double)
 
 

@@ -63,19 +63,17 @@ class PreLieSuperAlgebra:
 
     def __init__(self, space: SuperSpace, product, parity_shift: Parity = EVEN):
         entries = _dense_entries(space.dim, product, "product table shape mismatch")
-        self._store(space, entries, parity_shift)
+        nonzero = _sparse_table(space.dim, entries)
+        vars(self).update(space=space, nonzero=nonzero, parity_shift=parity_shift)
 
-    def _store(self, space, entries, parity_shift):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "nonzero", _sparse_table(space.dim, entries))
-        object.__setattr__(self, "parity_shift", parity_shift)
-        return self
-
-    @staticmethod
-    def _from_entries(space: SuperSpace, entries, parity_shift: Parity) -> "PreLieSuperAlgebra":
+    @classmethod
+    def _from_entries(cls, space: SuperSpace, entries, parity_shift: Parity):
         """The product with the given ((i, j, k), p) constants, each
         position given at most once, and zeros elsewhere."""
-        return object.__new__(PreLieSuperAlgebra)._store(space, entries, parity_shift)
+        a = object.__new__(cls)
+        nonzero = _sparse_table(space.dim, entries)
+        vars(a).update(space=space, nonzero=nonzero, parity_shift=parity_shift)
+        return a
 
     @staticmethod
     def from_products(
@@ -162,13 +160,14 @@ def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
 def left_regular_rep(a: PreLieSuperAlgebra) -> Representation:
     """(A, L) with L(x)y = xy, a representation of the sub-adjacent algebra."""
     g = subadjacent(a)
-    action = []
-    for p, row in zip(a.space.parities, a.nonzero):
-        entries = (((k, j), x) for j, cell in enumerate(row) for k, x in cell)
-        action.append(GradedLinearMap._from_entries(a.space, a.space, p, entries))
-    # subadjacent has checked the pre-Lie identity, which makes L a
-    # representation by theorem
-    return Representation._trusted(g, a.space, tuple(action))
+    # L(e_i) is row i of the product table; subadjacent has checked the
+    # grading and the pre-Lie identity, which make L a representation by
+    # theorem
+    action = tuple(
+        GradedLinearMap._trusted(a.space, a.space, p, row)
+        for p, row in zip(a.space.parities, a.nonzero)
+    )
+    return Representation._trusted(g, a.space, action)
 
 
 def identity_oop(a: PreLieSuperAlgebra) -> OOperatorCandidate:

@@ -64,14 +64,14 @@ class Representation:
 
     Verification runs once, where an action enters from outside: a direct
     `Representation(...)` call, `from_images`, `RawRep.verify` and
-    `adjoint(g)` (a `LieSuperAlgebra` is not checked on construction) run
-    `check_representation` and raise `ValueError` on failure; that check
-    is the defect kernel of the super Jacobi check, run on the action.
-    Constructions whose output is a representation by theorem whenever
-    their input is one skip the check: `trivial_rep`, `dual_rep`,
-    `parity_reverse_rep`, direct sums, and the adjoint of an algebra
-    already known to be Lie, as in the hierarchy steps.  Downstream
-    constructions may assume their inputs are genuine representations.
+    `adjoint(g)` run `check_representation` and raise `ValueError` on
+    failure; that check is the defect kernel of the super Jacobi check,
+    run on the action.  Its maps were checked for homogeneity where they
+    entered, and `adjoint(g)` checks its `ad` maps.  Constructions whose
+    output is a representation by theorem whenever their input is one
+    skip both checks: `trivial_rep`, `dual_rep`, `parity_reverse_rep`,
+    direct sums, `left_regular_rep`, and the adjoint of an algebra
+    already known to be Lie, as in the hierarchy steps.
     """
 
     algebra: LieSuperAlgebra
@@ -90,9 +90,7 @@ class Representation:
         """Build without `check_representation`, for an action that is a
         representation by construction or by a check already made."""
         rep = object.__new__(cls)
-        object.__setattr__(rep, "algebra", algebra)
-        object.__setattr__(rep, "space", space)
-        object.__setattr__(rep, "action", action)
+        vars(rep).update(algebra=algebra, space=space, action=action)
         return rep
 
     @staticmethod
@@ -129,14 +127,7 @@ class Representation:
         pairs (k, L c_ab^k) of algebra.nonzero[a][b] and action[a][v] the
         pairs (m, L rho(e_a)_mv) of action[a].nonzero[v], as ints.  The
         integer O-operator kernel reads the algebra and the action here."""
-        tables = (self.algebra.nonzero, self._columns)
-        values = [x for table in tables for row in table for cell in row for _, x in cell]
-        L, ints = linalg._cleared(values)
-        scaled = iter(ints)
-        bracket, action = (
-            tuple(tuple(tuple((k, next(scaled)) for k, _ in cell) for cell in row) for row in table)
-            for table in tables
-        )
+        L, (bracket, action) = linalg._cleared_tables(self.algebra.nonzero, self._columns)
         return L, bracket, action
 
     def apply_vec(self, x, v):
@@ -146,8 +137,13 @@ class Representation:
 
 def _lie_adjoint(g: LieSuperAlgebra) -> Representation:
     """The adjoint representation of an algebra known to satisfy the Lie
-    axioms; ad is then a representation by the super Jacobi identity."""
-    return Representation._trusted(g, g.space, tuple(g.ad(i) for i in range(g.space.dim)))
+    axioms; ad is then a representation by the super Jacobi identity.  An
+    algebra is not checked on construction, so its ad maps are checked
+    for homogeneity here, once per algebra object in `is_rota_baxter`."""
+    action = tuple(g.ad(i) for i in range(g.space.dim))
+    for m in action:
+        m.__post_init__()
+    return Representation._trusted(g, g.space, action)
 
 
 def adjoint(g: LieSuperAlgebra) -> Representation:
@@ -156,9 +152,7 @@ def adjoint(g: LieSuperAlgebra) -> Representation:
 
 
 def trivial_rep(g: LieSuperAlgebra, space: SuperSpace) -> Representation:
-    action = tuple(
-        GradedLinearMap.zero(space, space, g.space.parities[i]) for i in range(g.space.dim)
-    )
+    action = tuple(GradedLinearMap.zero(space, space, p) for p in g.space.parities)
     return Representation._trusted(g, space, action)
 
 
@@ -195,24 +189,25 @@ def parity_reverse_rep(rho: Representation) -> Representation:
     svspace, perm = rho.space.suspended_with_permutation()
     P = rho.algebra.space.parities
     action = tuple(
-        GradedLinearMap._from_entries(
-            svspace, svspace, pa, (((k, i), x) for i, col in enumerate(row) for k, x in col)
-        )
+        GradedLinearMap._trusted(svspace, svspace, pa, tuple(row))
         for pa, row in zip(P, _reversed_table(P, rho._columns, perm))
     )
     return Representation._trusted(rho.algebra, svspace, action)
 
 
 def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation:
-    """Block-diagonal action on `merge_spaces` of the two spaces."""
+    """Block-diagonal action on `merge_spaces` of the two spaces.  Both
+    embeddings are increasing, so embedded columns stay ascending."""
     if rho1.algebra != rho2.algebra:
         raise ValueError("direct sum requires representations of the same algebra")
     total, emb1, emb2 = merge_spaces(rho1.space, rho2.space)
     action = []
     for pa, m1, m2 in zip(rho1.algebra.space.parities, rho1.action, rho2.action):
-        entries = [((emb1[k], emb1[i]), x) for (k, i), x in m1._entries()]
-        entries += (((emb2[k], emb2[i]), x) for (k, i), x in m2._entries())
-        action.append(GradedLinearMap._from_entries(total, total, pa, entries))
+        cols = [()] * total.dim
+        for emb, m in ((emb1, m1), (emb2, m2)):
+            for i, col in enumerate(m.nonzero):
+                cols[emb[i]] = tuple((emb[k], x) for k, x in col)
+        action.append(GradedLinearMap._trusted(total, total, pa, tuple(cols)))
     return Representation._trusted(rho1.algebra, total, tuple(action))
 
 

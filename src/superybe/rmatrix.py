@@ -17,16 +17,13 @@ from functools import lru_cache
 
 from .graded import (
     EVEN,
-    ZERO,
     GradedLinearMap,
     Parity,
     SuperSpace,
     Tensor2,
     Tensor3,
     _block_inverse,
-    sign,
     suspend_map,
-    twist,
 )
 from . import linalg
 from .liesuper import BilinearForm, LieSuperAlgebra, _semidirect, check_lie_axioms
@@ -52,8 +49,8 @@ class RMatrix:
     def from_terms(g: LieSuperAlgebra, terms, parity: "Parity | None" = None) -> "RMatrix":
         t = Tensor2.from_terms(g.space, g.space, terms, parity)
         if t.parity is None:
-            # zero tensor with no declared parity defaults to even
-            t = Tensor2._from_entries(t.left, t.right, t.entries, EVEN)
+            # no one parity: the zero tensor defaults to even, other terms fail as even
+            t = Tensor2.from_terms(g.space, g.space, terms, EVEN)
         return RMatrix(g, t)
 
     @property
@@ -67,8 +64,14 @@ class RMatrix:
 
 def is_pan_supersymmetric(r: RMatrix) -> bool:
     """sigma(r) = -(-1)^{|r|} r: even skew-supersymmetric or odd
-    supersymmetric."""
-    return twist(r.tensor) == r.tensor.scale(-sign(r.parity))
+    supersymmetric.  On the stored slots: a_ji = -(-1)^{|r| + |e_i||e_j|} a_ij."""
+    P = r.space.parities
+    slots = dict(r.tensor.entries)
+    flip = r.parity ^ 1  # -(-1)^{|r|} is -1 for even r
+    return all(
+        slots.get((j, i)) == (-a if flip ^ (P[i] & P[j]) else a)
+        for (i, j), a in r.tensor.entries
+    )
 
 
 def _scybe_blocks(r: RMatrix) -> "tuple[int, Iterator[dict[int, int]]]":
@@ -177,8 +180,12 @@ def _operator_entries(r: RMatrix):
 
 
 def rmatrix_to_operator(r: RMatrix) -> GradedLinearMap:
-    """T_r: g* -> g with T_r(e_i*) = (-1)^{|e_i*|} sum_j a_ji e_j."""
-    return GradedLinearMap._from_entries(r.space.dual(), r.space, r.parity, _operator_entries(r))
+    """T_r: g* -> g with T_r(e_i*) = (-1)^{|e_i*|} sum_j a_ji e_j.  The
+    slots are row-major, so each column's rows j come out ascending."""
+    cols = [[] for _ in range(r.space.dim)]
+    for (j, i), x in _operator_entries(r):
+        cols[i].append((j, x))
+    return GradedLinearMap._trusted(r.space.dual(), r.space, r.parity, tuple(map(tuple, cols)))
 
 
 def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
@@ -292,11 +299,8 @@ def beta_form(r: RMatrix) -> BilinearForm:
     if inv is None:
         raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)")
     # row i of the Gram matrix is the image of e_i under T_r^{-1}
-    n = r.space.dim
-    gram = [[ZERO] * n for _ in range(n)]
-    for (j, i), y in inv:
-        gram[i][j] = y
-    return BilinearForm._trusted(r.space, tuple(map(tuple, gram)), r.parity)
+    entries = sorted(((i, j), y) for (j, i), y in inv if y)
+    return BilinearForm._trusted(r.space, tuple(entries), r.parity)
 
 
 def beta_cocycle_check(r: RMatrix) -> "tuple[BilinearForm, bool]":

@@ -510,13 +510,15 @@ class TestPrunedSearch:
     def test_search_builds_only_the_solutions(self, monkeypatch, oop_holds_calls):
         g, rho = CATALOG["ex3.7"]
         built = []
-        original = GradedLinearMap.__post_init__
+        original = GradedLinearMap._trusted
 
-        def counting(self):
-            built.append(self)
-            original(self)
+        # the search's maps are homogeneous by construction, so they take
+        # the unchecked build path every derived map takes
+        def counting(*args):
+            built.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(GradedLinearMap, "__post_init__", counting)
+        monkeypatch.setattr(GradedLinearMap, "_trusted", staticmethod(counting))
         found = grid_search_oops(g, rho, EVEN, [-2, -1, 0, 1, 2])
         assert len(found) == 153
         assert len(built) == 153

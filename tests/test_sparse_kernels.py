@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superybe import (
+    EVEN,
+    BilinearForm,
     GradedLinearMap,
     LieSuperAlgebra,
     PreLieSuperAlgebra,
@@ -24,6 +26,7 @@ from superybe import (
     Tensor2,
     adjoint,
     beta_cocycle_check,
+    beta_form,
     check_lie_axioms,
     check_representation,
     compatible_prelie,
@@ -57,12 +60,13 @@ from superybe import (
     suspend_map,
     twist,
 )
-from superybe.graded import merge_spaces, sign, suspend_label
+from superybe.graded import merge_spaces, relabel_domain, sign, suspend_label
 from superybe.liesuper import _semidirect, _sparse_table
-from superybe.reps import IsoSearchResult
+from superybe.reps import IsoSearchResult, intertwiner_space
 from superybe.rmatrix import _pan_supersymmetric_tensor, _step_minus
 
 import oracles
+from conftest import random_pan_supersymmetric
 
 
 def _algebras():
@@ -748,19 +752,129 @@ def test_public_constructors_reject_misshapen_tables():
 
 
 def test_both_map_constructors_run_the_one_homogeneity_check(monkeypatch):
+    """The public map constructors check homogeneity once each; a chain of
+    derived constructions, homogeneous by theorem, adds no check of a map
+    or a tensor."""
+    ex32, ex44 = load_fixture("ex3.2").parts, load_fixture("ex4.4").parts
+    t, rho = ex32["T1"], ex32["coadjoint"]
+    prelie = load_fixture("closing-prelie").parts["prelie"]
     checked = []
-    original = GradedLinearMap.__dict__["__post_init__"]
+    for cls in (GradedLinearMap, Tensor2):
+        original = cls.__dict__["__post_init__"]
 
-    def counting(self):
-        checked.append(self)
-        return original(self)
+        def counting(self, original=original):
+            checked.append(self)
+            return original(self)
 
-    monkeypatch.setattr(GradedLinearMap, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__post_init__", counting)
     space = SuperSpace.make(even=["e"], odd=["f"])
     one, z = Fraction(1), Fraction(0)
-    dense = GradedLinearMap(space, space, 1, ((z, one), (z, z)))
+    dense = GradedLinearMap(space, space, 1, ((z, one), (one, z)))
     sparse = GradedLinearMap.from_images(space, space, 1, {"f": {"e": 1}})
     assert checked == [dense, sparse]
+    swapped = suspend_map(dense)
+    chain = {
+        "suspend_map": swapped,
+        "dual_map": dual_map(dense),
+        "compose": dense.compose(sparse),
+        "scale": dense.scale(3),
+        "inverse": dense.inverse(),
+        "relabel_domain": relabel_domain(swapped, space),
+        "rmatrix_to_operator": rmatrix_to_operator(ex44["r1"]),
+        "operator_to_rmatrix plain": operator_to_rmatrix(t, rho, "plain"),
+        "operator_to_rmatrix dual": operator_to_rmatrix(t, rho, "dual"),
+        "dual_rep": dual_rep(rho),
+        "parity_reverse_rep": parity_reverse_rep(rho),
+        "direct_sum_rep": direct_sum_rep(rho, rho),
+        "left_regular_rep": left_regular_rep(prelie),
+        "hierarchy_trace": hierarchy_trace(ex44["algebra"], ex44["r1"], "+-"),
+    }
+    assert all(value is not None for value in chain.values())
+    assert checked == [dense, sparse]
+
+
+def rebuilt(obj):
+    """obj through its checked public constructor, from its dense view."""
+    if isinstance(obj, GradedLinearMap):
+        return GradedLinearMap(obj.domain, obj.codomain, obj.parity, obj.matrix)
+    if isinstance(obj, Tensor2):
+        return Tensor2(obj.left, obj.right, obj.coeffs, obj.parity)
+    return BilinearForm(obj.space, obj.gram, obj.parity)
+
+
+def assert_rebuilt_equal(objects):
+    """Every object, built unchecked, equals its checked rebuild: the
+    constructor finds it homogeneous, and the stored table is the
+    canonical one, zeros dropped and cells ascending."""
+    for name, obj in objects:
+        assert rebuilt(obj) == obj, name
+
+
+def derived_objects(rho, t, r, rnd):
+    """The maps, tensors and forms the constructions derive from a map t:
+    V -> g of rho, a pan-supersymmetric r over g and random scalars."""
+    V, g = rho.space, rho.algebra
+    c = rnd.choice(ENTRY_VALUES)
+    srho, drho = parity_reverse_rep(rho), dual_rep(rho)
+    square = random_map(rnd, V, V, EVEN)
+    out = [
+        ("suspend_map", suspend_map(t)),
+        ("dual_map", dual_map(t)),
+        ("scale", t.scale(c)),
+        ("sum", t + t.scale(c)),
+        ("compose", t.compose(square)),
+        ("rmatrix_to_operator", rmatrix_to_operator(r)),
+        ("operator_to_tensor", operator_to_tensor(rmatrix_to_operator(r))),
+        ("twist", twist(r.tensor)),
+        ("tensor scale", r.tensor.scale(c)),
+        ("tensor sum", r.tensor.add(twist(r.tensor))),
+        ("double_dual_embedding", double_dual_embedding(V)),
+        ("extend_to_double", extend_to_double(t, rho).map),
+    ]
+    out += [("intertwiner", m) for m in intertwiner_space(rho, rho)]
+    if square.is_invertible():
+        out.append(("inverse", square.inverse()))
+    if V.even_dim == V.odd_dim:
+        out.append(("relabel_domain", relabel_domain(suspend_map(t), V)))
+    for variant in ("plain", "dual"):
+        induced = operator_to_rmatrix(t, rho, variant)
+        out += [("operator_to_rmatrix " + variant, induced.tensor)]
+        out += [("induced operator " + variant, rmatrix_to_operator(induced))]
+    for name, rep in (("dual", drho), ("reverse", srho), ("sum", direct_sum_rep(rho, srho))):
+        out += [(name + " action", m) for m in rep.action]
+    out += [("ad", g.ad(i)) for i in range(g.dim)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=reps, parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_derived_maps_and_tensors_pass_the_public_check(rho, parity, rnd):
+    t = random_map(rnd, rho.space, rho.algebra.space, parity)
+    r = random_pan_supersymmetric(rnd, rho.algebra, rnd.randint(0, 1))
+    assert_rebuilt_equal(derived_objects(rho, t, r, rnd))
+
+
+def test_derived_objects_of_the_catalog_pass_the_public_check():
+    """The same on the catalog's own maps, tensors, pre-Lie products and
+    hierarchy levels, and on the forms of its non-degenerate tensors."""
+    objects = []
+    for name in fixture_names():
+        parts = load_fixture(name).parts
+        for part_name, part in parts.items():
+            label = f"{name}:{part_name}"
+            if isinstance(part, PreLieSuperAlgebra) and part.parity_shift == EVEN:
+                objects += [(label + " L", m) for m in left_regular_rep(part).action]
+            if isinstance(part, RMatrix):
+                objects.append((label + " T_r", rmatrix_to_operator(part)))
+                if rmatrix_to_operator(part).is_invertible():
+                    objects.append((label + " beta", beta_form(part)))
+                if is_pan_supersymmetric(part) and is_super_rmatrix(part):
+                    levels = hierarchy_trace(part.algebra, part, "+-")
+                    objects += [(label + " level", level.tensor) for level in levels]
+            if isinstance(part, GradedLinearMap):
+                objects += [(label + " T^s", suspend_map(part)), (label + " T*", dual_map(part))]
+    assert len(objects) > 40
+    assert_rebuilt_equal(objects)
 
 
 def test_derived_spaces_are_built_once(monkeypatch):
