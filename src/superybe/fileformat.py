@@ -23,9 +23,10 @@ from .graded import (
     GradedLinearMap,
     SuperSpace,
     Tensor2,
+    _infer_parity,
     parity_name,
 )
-from .liesuper import BilinearForm, LieSuperAlgebra
+from .liesuper import BilinearForm, LieSuperAlgebra, _write_bracket
 from .prelie import PreLieSuperAlgebra
 from .reps import Representation, check_representation
 
@@ -264,18 +265,12 @@ def _open_bracket(doc: Document, inner: str, tokens: list, line: int):
         # an out-of-order pair is never stored, so it is never a duplicate
         a, b = _pair_key("bracket", lhs, space, given, lineno)
         i, j = space.index(a), space.index(b)
-        if i > j:
-            raise FormatError(
-                f"bracket entry [{a}, {b}] out of order; give the i <= j pair", lineno
-            )
-        cell = _graded_column(rhs, space, (P[i] + P[j]) % 2, f"[{a}, {b}]", lineno)
-        if i == j and P[i] == EVEN and cell:
-            raise FormatError(f"[{a}, {a}] must vanish for even {a}", lineno)
+        cell = _graded_column(rhs, space, P[i] ^ P[j], f"[{a}, {b}]", lineno)
+        try:
+            _write_bracket(rows, space, i, j, cell)
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
         given.add((a, b))
-        # c_ji^k = -(-1)^{|e_i||e_j|} c_ij^k
-        rows[i][j] = cell
-        if i < j:
-            rows[j][i] = cell if P[i] & P[j] else tuple((k, -c) for k, c in cell)
 
     def close():
         doc.algebra = LieSuperAlgebra._trusted(space, tuple(map(tuple, rows)))
@@ -343,28 +338,36 @@ def _open_map(doc: Document, inner: str, tokens: list, line: int):
     return entry, close
 
 
-def _rational_pairs(kind: str, space: SuperSpace, entries: dict):
-    """The line reader of a section of `a b = rational` lines."""
-
-    def entry(lhs, rhs, lineno):
-        key = _pair_key(kind, lhs, space, entries, lineno)  # the pair before the rational
-        entries[key] = _parse_rational(rhs, lineno)
-
-    return entry
-
-
-def _open_tensor(doc: Document, inner: str, tokens: list, line: int):
+def _open_slots(doc: Document, inner: str, tokens: list, line: int):
+    """A `[tensor NAME]` or `[form NAME]` section of `a b = rational` lines,
+    read into the object's nonzero slots, row-major, with the one parity
+    `_infer_parity` finds in them.  A form of no slot is even, and a form of
+    two parities is refused; a tensor of either has parity None."""
+    kind = tokens[0]
     if len(tokens) != 2:
-        raise FormatError("expected [tensor NAME]", line)
+        raise FormatError(f"expected [{kind} NAME]", line)
     space = _algebra_space(doc, line)
     name = tokens[1]
-    _declare_once(name in doc.tensors, f"tensor {name!r}", line)
-    entries: dict = {}
+    objects = doc.tensors if kind == "tensor" else doc.forms
+    _declare_once(name in objects, f"{kind} {name!r}", line)
+    values: dict = {}
+
+    def entry(lhs, rhs, lineno):
+        key = _pair_key(kind, lhs, space, values, lineno)  # the pair before the rational
+        values[key] = _parse_rational(rhs, lineno)
 
     def close():
-        doc.tensors[name] = Tensor2.from_terms(space, space, entries)
+        index = space._positions
+        slots = tuple(sorted(((index[a], index[b]), c) for (a, b), c in values.items() if c))
+        parity = _infer_parity(space, space, slots)
+        if kind == "tensor":
+            objects[name] = Tensor2._trusted(space, space, slots, parity)
+        elif parity is None and slots:
+            raise FormatError(f"form {name!r} mixes parities", line)
+        else:
+            objects[name] = BilinearForm._trusted(space, slots, EVEN if parity is None else parity)
 
-    return _rational_pairs("tensor", space, entries), close
+    return entry, close
 
 
 def _open_prelie(doc: Document, inner: str, tokens: list, line: int):
@@ -405,36 +408,14 @@ def _open_prelie(doc: Document, inner: str, tokens: list, line: int):
     return entry, close
 
 
-def _open_form(doc: Document, inner: str, tokens: list, line: int):
-    if len(tokens) != 2:
-        raise FormatError("expected [form NAME]", line)
-    space = _algebra_space(doc, line)
-    name = tokens[1]
-    _declare_once(name in doc.forms, f"form {name!r}", line)
-    entries: dict = {}
-
-    def close():
-        parities = {
-            (space.parities[space.index(a)] + space.parities[space.index(b)]) % 2
-            for (a, b), c in entries.items()
-            if c != 0
-        }
-        if len(parities) > 1:
-            raise FormatError(f"form {name!r} mixes parities", line)
-        parity = parities.pop() if parities else EVEN
-        doc.forms[name] = BilinearForm.from_terms(space, entries, parity)
-
-    return _rational_pairs("form", space, entries), close
-
-
 _OPENERS = {
     "space": _open_space,
     "bracket": _open_bracket,
     "rep": _open_rep,
     "map": _open_map,
-    "tensor": _open_tensor,
+    "tensor": _open_slots,
     "prelie": _open_prelie,
-    "form": _open_form,
+    "form": _open_slots,
 }
 
 
@@ -472,6 +453,13 @@ def _format_pairs(space: SuperSpace, pairs) -> str:
     """Terms from (index, coefficient) pairs with nonzero coefficients."""
     terms = [f"{c} {space.labels[k]}" for k, c in pairs]
     return " + ".join(terms) if terms else "0"
+
+
+def _emit_slots(out: list, header: str, left: SuperSpace, right: SuperSpace, entries) -> None:
+    """A `[tensor]` or `[form]` section: one line per stored nonzero slot."""
+    out.append(header)
+    out.extend(f"{left.labels[i]} {right.labels[j]} = {c}" for (i, j), c in entries)
+    out.append("")
 
 
 def emit(doc: Document) -> str:
@@ -516,10 +504,7 @@ def emit(doc: Document) -> str:
         out.append("")
 
     for name, t in doc.tensors.items():
-        out.append(f"[tensor {name}]")
-        for (i, j), c in t.nonzero():
-            out.append(f"{t.left.labels[i]} {t.right.labels[j]} = {c}")
-        out.append("")
+        _emit_slots(out, f"[tensor {name}]", t.left, t.right, t.entries)
 
     for name, a in doc.prelies.items():
         g_space = doc.spaces.get(ALGEBRA_SPACE_NAME)
@@ -535,12 +520,6 @@ def emit(doc: Document) -> str:
         out.append("")
 
     for name, b in doc.forms.items():
-        out.append(f"[form {name}]")
-        n = b.space.dim
-        for i in range(n):
-            for j in range(n):
-                if b.gram[i][j] != 0:
-                    out.append(f"{b.space.labels[i]} {b.space.labels[j]} = {b.gram[i][j]}")
-        out.append("")
+        _emit_slots(out, f"[form {name}]", b.space, b.space, b.entries)
 
     return "\n".join(out).rstrip() + "\n"

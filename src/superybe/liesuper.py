@@ -74,6 +74,27 @@ def _sparse_table(n: int, entries) -> tuple[tuple[tuple[tuple[int, Scalar], ...]
     return tuple(map(tuple, rows))
 
 
+def _partner(cell, odd: bool):
+    """The cell c_ji of a bracket cell c_ij by the sign rule
+    c_ji^k = -(-1)^{|e_i||e_j|} c_ij^k, where odd = |e_i||e_j|."""
+    return cell if odd else tuple((k, -c) for k, c in cell)
+
+
+def _write_bracket(rows, space: SuperSpace, i: int, j: int, cell) -> None:
+    """Write the entry [e_i, e_j] = cell, a finished cell, and its partner
+    (j, i) into the rows of a `nonzero` table.  Super skew-symmetry fixes
+    the rest, so only i <= j entries are given and an even diagonal
+    vanishes; anything else raises ValueError."""
+    L, P = space.labels, space.parities
+    if i > j:
+        raise ValueError(f"bracket entry [{L[i]}, {L[j]}] out of order; give the i <= j pair")
+    if i == j and P[i] == EVEN and cell:
+        raise ValueError(f"[{L[i]}, {L[i]}] must vanish for even {L[i]}")
+    rows[i][j] = cell
+    if i < j:
+        rows[j][i] = _partner(cell, P[i] & P[j])
+
+
 def _dense_entries(n: int, table, message: str):
     """The ((i, j, k), c) entries of a dense n x n x n table of checked shape."""
     if len(table) != n or any(
@@ -144,25 +165,16 @@ class LieSuperAlgebra:
         space: SuperSpace,
         brackets: Mapping["tuple[str, str]", Mapping[str, RationalLike]],
     ) -> "LieSuperAlgebra":
-        """Build from i <= j bracket entries; the rest follow from the sign
-        rule c_ji^k = -(-1)^{|e_i||e_j|} c_ij^k.  Rejects i > j entries and
-        nonzero even diagonals, which super skew-symmetry forbids."""
-        entries = []
+        """Build from i <= j bracket entries; `_write_bracket` writes each
+        with its partner by the sign rule c_ji^k = -(-1)^{|e_i||e_j|} c_ij^k,
+        and refuses i > j entries and nonzero even diagonals."""
+        n = space.dim
+        rows = [[()] * n for _ in range(n)]
         for (a, b), terms in brackets.items():
-            i, j = space.index(a), space.index(b)
-            if i > j:
-                raise ValueError(
-                    f"bracket [{a}, {b}] given out of order; supply the i <= j entry"
-                )
-            value = [(space.index(label), rat(x)) for label, x in terms.items()]
-            if i == j and space.parities[i] == EVEN and any(x != 0 for _, x in value):
-                raise ValueError(f"[{a}, {a}] must vanish for even {a}")
-            odd = space.parities[i] * space.parities[j]
-            for k, x in value:
-                entries.append(((i, j, k), x))
-                if i < j:
-                    entries.append(((j, i, k), x if odd else -x))
-        return LieSuperAlgebra._from_entries(space, entries)
+            value = ((space.index(label), rat(x)) for label, x in terms.items())
+            cell = tuple(sorted((k, x) for k, x in value if x))
+            _write_bracket(rows, space, space.index(a), space.index(b), cell)
+        return LieSuperAlgebra._trusted(space, tuple(map(tuple, rows)))
 
     @property
     def dim(self) -> int:
@@ -299,8 +311,7 @@ def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
         # the failing pairs are symmetric, so the first one has i <= j
         for i in range(n):
             for j in range(i, n):
-                odd = P[i] * P[j]
-                if C[i][j] != tuple((k, c if odd else -c) for k, c in C[j][i]):
+                if C[i][j] != _partner(C[j][i], P[i] & P[j]):
                     yield f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]"
 
     parity = (
@@ -488,7 +499,7 @@ def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
     blocks; colliding labels take pair notation as in `merge_spaces`.  Both
     embeddings are increasing, so the host's cells are written directly,
     already sparse and sorted: g's cells through alg_embed, the action's
-    through mod_embed, and the swapped cell (v_i, e_a) signed.
+    through mod_embed, and the swapped cell (v_i, e_a) by `_partner`.
     """
     total, alg_embed, mod_embed = merge_spaces(g.space, V)
     rows = [[()] * total.dim for _ in range(total.dim)]
@@ -503,7 +514,7 @@ def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
             if col:
                 q = mod_embed[i]
                 cell = host_row[q] = tuple((mod_embed[k], x) for k, x in col)
-                rows[q][p] = cell if pa & pi else tuple((k, -x) for k, x in cell)
+                rows[q][p] = _partner(cell, pa & pi)
     return LieSuperAlgebra._trusted(total, tuple(map(tuple, rows))), alg_embed, mod_embed
 
 

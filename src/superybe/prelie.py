@@ -36,6 +36,7 @@ from .liesuper import (
     _first_failure,
     _grading_failures,
     _hom_failures,
+    _partner,
     _sparse_table,
 )
 from .oop import OOperatorCandidate, oop_holds
@@ -122,10 +123,10 @@ def _commutator_entries(Q, table):
     c: dict = {}
     for i, row in enumerate(table):
         for j, cell in enumerate(row):
-            odd = Q[i] * Q[j]
             for k, x in cell:
                 c[i, j, k] = c.get((i, j, k), ZERO) + x
-                c[j, i, k] = c.get((j, i, k), ZERO) + (x if odd else -x)
+            for k, x in _partner(cell, Q[i] & Q[j]):
+                c[j, i, k] = c.get((j, i, k), ZERO) + x
     return c.items()
 
 

@@ -334,22 +334,24 @@ HIERARCHY_DIM_CAP = 256
 # each step takes g to a semidirect product of g with a representation,
 # again a Lie superalgebra, so once hierarchy_trace has checked the
 # starting algebra the adjoint of every level is trusted
-def _step_plus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
-    # g |x_ad g: ad(e_a) e_j = [e_a, e_j] is the bracket table's cell (a, j)
-    h, alg_pos, mod_pos = _semidirect(g, g.space, g.nonzero)
-    # coefficient a_ji sits at tensor slot (j, i)
-    return _pan_supersymmetric_tensor(
-        h, alg_pos, mod_pos, g.space.parities, r.tensor.nonzero(), r.parity
-    )
-
-
-def _step_minus(g: LieSuperAlgebra, r: RMatrix) -> RMatrix:
-    # g |x_{ad^s} sg: the parity reverse of the adjoint's table g.nonzero
-    sg, perm = g.space.suspended_with_permutation()
-    P = g.space.parities
-    h, alg_pos, mod_pos = _semidirect(g, sg, _reversed_table(P, g.nonzero, perm))
-    entries = (((j, perm[i]), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
-    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, sg.parities, entries, r.parity ^ 1)
+def _step(r: RMatrix, letter: str) -> RMatrix:
+    """The level after r: the induced tensor of the operator r defines, in
+    g |x_ad g for '+', or of its parity dual, in g |x_{ad^s} sg for '-'."""
+    g = r.algebra
+    if letter == "+":
+        # ad(e_a) e_j = [e_a, e_j] is the bracket table's cell (a, j), and
+        # coefficient a_ji sits at tensor slot (j, i)
+        V, action, entries, parity = g.space, g.nonzero, r.tensor.nonzero(), r.parity
+    else:
+        # the parity reverse of the adjoint's table; slot (j, i) moves to
+        # (j, si) with the sign (-1)^{|e_i|}
+        P = g.space.parities
+        V, perm = g.space.suspended_with_permutation()
+        action = _reversed_table(P, g.nonzero, perm)
+        entries = (((j, perm[i]), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
+        parity = r.parity ^ 1
+    h, alg_pos, mod_pos = _semidirect(g, V, action)
+    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, V.parities, entries, parity)
 
 
 def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
@@ -380,12 +382,9 @@ def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
     levels = []
     current = r
     for letter in word:
-        if letter == "+":
-            current = _step_plus(current.algebra, current)
-        elif letter == "-":
-            current = _step_minus(current.algebra, current)
-        else:
+        if letter not in ("+", "-"):
             raise HierarchyError(f"hierarchy word letters must be + or -, got {letter!r}")
+        current = _step(current, letter)
         levels.append(current)
     return levels
 

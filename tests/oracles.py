@@ -113,6 +113,60 @@ def dense_left_symmetry_witness(product, parities, shift):
     return None
 
 
+def dense_first_witnesses(g):
+    """The first offending detail of each axiom of `check_lie_axioms`,
+    parity consistency, super skew-symmetry and the super Jacobi identity,
+    in that order, "" for an axiom that holds: each one the first basis
+    triple (i, j, k), in lexicographic order, of a dense scan over the
+    structure constants g.structure[i][j][k].  Every bracket is a dense
+    sum over Fraction, and the Jacobi sign is koszul on the parities of
+    the two interchanged elements."""
+    n = g.dim
+    L = g.space.labels
+    P = g.space.parities
+    S = g.structure
+    idx = range(n)
+    basis = [[ONE if a == b else ZERO for a in idx] for b in idx]
+
+    def bracket(x, y):
+        pairs = [(a, b) for a in idx if x[a] != 0 for b in idx if y[b] != 0]
+        return [sum((x[a] * y[b] * S[a][b][c] for a, b in pairs), ZERO) for c in idx]
+
+    def jacobi_holds(i, j, k):
+        # [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + (-1)^{|e_i||e_j|} [e_j, [e_i, e_k]]
+        x, y, z = basis[i], basis[j], basis[k]
+        s = koszul(P[i], P[j])
+        rhs = zip(bracket(bracket(x, y), z), bracket(y, bracket(x, z)))
+        return bracket(x, bracket(y, z)) == [a + s * b for a, b in rhs]
+
+    triples = [(i, j, k) for i in idx for j in idx for k in idx]
+    parity = next(
+        (
+            f"[{L[i]}, {L[j]}] has a component along {L[k]} of wrong parity"
+            for i, j, k in triples
+            if S[i][j][k] != 0 and P[k] != (P[i] + P[j]) % 2
+        ),
+        "",
+    )
+    skew = next(
+        (
+            f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]"
+            for i, j, k in triples
+            if S[i][j][k] != -koszul(P[i], P[j]) * S[j][i][k]
+        ),
+        "",
+    )
+    jacobi = next(
+        (
+            f"fails at triple ({L[i]}, {L[j]}, {L[k]})"
+            for i, j, k in triples
+            if not jacobi_holds(i, j, k)
+        ),
+        "",
+    )
+    return [parity, skew, jacobi]
+
+
 # ---------------------------------------------------------------------------
 # linear algebra over Fraction
 

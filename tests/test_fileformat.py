@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from superybe import (
     EVEN,
     ODD,
+    BilinearForm,
     GradedLinearMap,
     LieSuperAlgebra,
     SuperSpace,
@@ -183,6 +184,18 @@ class TestParse:
         doc.forms["str"] = beta
         again = parse(emit(doc))
         assert again.forms["str"] == beta
+
+    def test_form_sections_emit_their_stored_slots(self):
+        # the supertrace form and the odd form of the gl(1|1) document CI classifies
+        g, beta = gl11_with_supertrace()
+        odd = BilinearForm.from_terms(g.space, {("a", "x"): 1, ("x", "a"): 1}, ODD)
+        doc = Document({ALGEBRA_SPACE_NAME: g.space}, g, forms={"str": beta, "odd": odd})
+        text = emit(doc)
+        assert "gram" not in beta.__dict__ and "gram" not in odd.__dict__
+        again = parse(text)
+        assert again.forms == {"str": beta, "odd": odd}
+        assert [f.parity for f in again.forms.values()] == [EVEN, ODD]
+        assert not any("gram" in f.__dict__ for f in again.forms.values())
 
     def test_entry_outside_section_rejected(self):
         with pytest.raises(FormatError):
@@ -470,12 +483,25 @@ PARSE_ERRORS = {
 }
 
 
+# the cases `LieSuperAlgebra.from_brackets` refuses too, with the same
+# message: the bracket entry of each case's refused line
+FROM_BRACKETS_REFUSALS = {
+    "bracket out of order": {("f", "e"): {"f": 1}},
+    "bracket even diagonal": {("e", "e"): {"e": 1}},
+}
+
+
 @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
 def test_every_parse_error_with_its_line(case):
     text, line, message = PARSE_ERRORS[case]
     with pytest.raises(FormatError) as err:
         parse(text)
     assert (err.value.line, err.value.message) == (line, message)
+    if case in FROM_BRACKETS_REFUSALS:
+        space = SuperSpace.make(even=["e"], odd=["f"])
+        with pytest.raises(ValueError) as err:
+            LieSuperAlgebra.from_brackets(space, FROM_BRACKETS_REFUSALS[case])
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

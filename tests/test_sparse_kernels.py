@@ -63,7 +63,7 @@ from superybe import (
 from superybe.graded import merge_spaces, relabel_domain, sign, suspend_label
 from superybe.liesuper import _semidirect, _sparse_table
 from superybe.reps import IsoSearchResult, intertwiner_space
-from superybe.rmatrix import _pan_supersymmetric_tensor, _step_minus
+from superybe.rmatrix import _pan_supersymmetric_tensor, _step
 
 import oracles
 from conftest import random_pan_supersymmetric
@@ -178,58 +178,6 @@ def test_bracket_matches_the_dense_triple_sum(name, data):
 # first witnesses of check_lie_axioms
 
 
-def dense_first_witnesses(g):
-    """The first offending detail of each axiom by dense scans over
-    `structure`, in the order the report promises."""
-    n = g.dim
-    L = g.space.labels
-    P = g.space.parities
-    S = g.structure
-
-    def basis_bracket(x, y):
-        pairs = [(i, j) for i in range(n) if x[i] != 0 for j in range(n) if y[j] != 0]
-        return tuple(
-            sum((x[i] * y[j] * S[i][j][k] for i, j in pairs), Fraction(0)) for k in range(n)
-        )
-
-    def e(i):
-        return tuple(Fraction(int(i == m)) for m in range(n))
-
-    triples = list(itertools.product(range(n), repeat=3))
-    parity = next(
-        (
-            f"[{L[i]}, {L[j]}] has a component along {L[k]} of wrong parity"
-            for i, j, k in triples
-            if S[i][j][k] != 0 and P[k] != (P[i] + P[j]) % 2
-        ),
-        "",
-    )
-    skew = next(
-        (
-            f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]"
-            for i, j, k in triples
-            if S[i][j][k] != -sign(P[i] * P[j]) * S[j][i][k]
-        ),
-        "",
-    )
-    jacobi = next(
-        (
-            f"fails at triple ({L[i]}, {L[j]}, {L[k]})"
-            for i, j, k in triples
-            if basis_bracket(e(i), basis_bracket(e(j), e(k)))
-            != tuple(
-                a + sign(P[i] * P[j]) * b
-                for a, b in zip(
-                    basis_bracket(basis_bracket(e(i), e(j)), e(k)),
-                    basis_bracket(e(j), basis_bracket(e(i), e(k))),
-                )
-            )
-        ),
-        "",
-    )
-    return [parity, skew, jacobi]
-
-
 def algebra_from_entries(space, entries):
     n = space.dim
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -261,7 +209,7 @@ def test_non_lie_algebra_reports_the_same_first_witnesses():
         ("super skew-symmetry", False, "[b, d] != -(-1)^(|b||d|) [d, b]"),
         ("super Jacobi", False, "fails at triple (a, b, c)"),
     ]
-    assert [item.detail for item in report.items] == dense_first_witnesses(g)
+    assert [item.detail for item in report.items] == oracles.dense_first_witnesses(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,7 +222,7 @@ def test_random_structures_report_the_dense_first_witnesses(data):
     values = st.lists(st.sampled_from((0, 0, 0, 1, -1)).map(Fraction), min_size=n, max_size=n)
     structure = tuple(tuple(tuple(data.draw(values)) for _ in range(n)) for _ in range(n))
     g = LieSuperAlgebra(space, structure)
-    assert [item.detail for item in check_lie_axioms(g).items] == dense_first_witnesses(g)
+    assert [item.detail for item in check_lie_axioms(g).items] == oracles.dense_first_witnesses(g)
     # ad is a representation exactly when the super Jacobi identity holds,
     # and both name the same first (i, j); ad(e_i) is homogeneous only on
     # the graded part of the structure, so both checks read that part
@@ -298,7 +246,44 @@ def test_random_structures_report_the_dense_first_witnesses(data):
 @pytest.mark.parametrize("name", NAMES)
 def test_lie_algebras_report_like_the_dense_checks(name):
     g = ALGEBRAS[name]
-    assert [item.detail for item in check_lie_axioms(g).items] == dense_first_witnesses(g)
+    assert [item.detail for item in check_lie_axioms(g).items] == oracles.dense_first_witnesses(g)
+
+
+def _hierarchy_levels():
+    """Every hierarchy_trace level of ex4.4 r0 and r1 up to dim 16, by word."""
+    ex44 = load_fixture("ex4.4").parts
+    levels = {}
+    for tensor in ("r0", "r1"):
+        for word in map("".join, itertools.product("+-", repeat=3)):
+            for depth, level in enumerate(hierarchy_trace(ex44["algebra"], ex44[tensor], word), 1):
+                levels[tensor + word[:depth]] = level.algebra
+    return levels
+
+
+HIERARCHY_LEVELS = _hierarchy_levels()
+
+
+def test_hierarchy_levels_reach_dim_16():
+    assert len(HIERARCHY_LEVELS) == 28
+    assert max(g.dim for g in HIERARCHY_LEVELS.values()) == 16
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(HIERARCHY_LEVELS)), data=st.data())
+def test_perturbed_hierarchy_levels_report_the_dense_first_witnesses(name, data):
+    # one structure constant c_ij^k perturbed, and with a draw its sign-rule
+    # partner c_ji^k too, so that skew-symmetry holds and Jacobi must fail
+    g = HIERARCHY_LEVELS[name]
+    n, P = g.dim, g.space.parities
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = data.draw(st.sampled_from((HALF, Fraction(-1), Fraction(2))))
+    structure = [[list(cell) for cell in row] for row in g.structure]
+    structure[i][j][k] += delta
+    if i != j and data.draw(st.booleans()):
+        structure[j][i][k] -= sign(P[i] * P[j]) * delta
+    bad = LieSuperAlgebra(g.space, tuple(tuple(map(tuple, row)) for row in structure))
+    report = check_lie_axioms(bad)
+    assert [item.detail for item in report.items] == oracles.dense_first_witnesses(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -1311,42 +1296,52 @@ def test_from_brackets_mirrors_each_entry_with_its_koszul_sign(space, data):
         structure[a][b][c] = -structure[a][b][c]
         bad = LieSuperAlgebra(space, tuple(tuple(map(tuple, row)) for row in structure))
         detail = check_lie_axioms(bad).items[1].detail
-        assert detail and detail == dense_first_witnesses(bad)[1]
+        assert detail and detail == oracles.dense_first_witnesses(bad)[1]
 
 
 SMALL_NAMES = [name for name in NAMES if ALGEBRAS[name].dim <= 8]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(SMALL_NAMES),
+    letter=st.sampled_from("+-"),
     scale=st.sampled_from((None, *BASIS_SCALES)),
     parity=st.integers(0, 1),
     rnd=st.randoms(use_true_random=False),
 )
-def test_step_minus_matches_the_dense_formula(name, scale, parity, rnd):
-    """One '-' level: g |x_{ad^s} sg with the tensor
+def test_step_matches_the_dense_formula(name, letter, scale, parity, rnd):
+    """One level.  '+': g |x_ad g with the tensor of
+    `_pan_supersymmetric_tensor`'s docstring,
+    sum a_ji (e_j (x) e_i' + (-1)^{(|r|+1)(|e_i|+1)} e_i' (x) e_j), e_i' the
+    module copy of e_i; '-': g |x_{ad^s} sg with the tensor
     sum a_ji ((-1)^{|e_i|} e_j (x) se_i + (-1)^{(|r|+1)|e_i|} se_i (x) e_j)."""
     g = ALGEBRAS[name] if scale is None else rescaled_algebra(ALGEBRAS[name], 0, scale)
     space, n, P = g.space, g.dim, g.space.parities
     values = INTEGRAL_VALUES if scale is None else FRACTIONAL_VALUES
     a = grid(n, n, lambda j, i: rnd.choice(values) if P[j] ^ P[i] == parity else 0)
     r = RMatrix(g, Tensor2(space, space, a, parity))
-    level = _step_minus(g, r)
+    level = _step(r, letter)
 
-    sspace, perm = space.suspended_with_permutation()
     ad = adjoint(g)
-    srho = Representation._trusted(
-        g,
-        sspace,
-        tuple(GradedLinearMap(sspace, sspace, p, m) for p, m in zip(P, ref_reverse_action(ad))),
-    )
-    total, structure = ref_semidirect(g, srho)
-    _, ga, va = merge_spaces(space, sspace)
+    if letter == "+":
+        module, perm, rho = space, range(n), ad
+        signs = [(1, sign((parity + 1) * (P[i] + 1))) for i in range(n)]
+    else:
+        module, perm = space.suspended_with_permutation()
+        reversed_action = zip(P, ref_reverse_action(ad))
+        rho = Representation._trusted(
+            g, module, tuple(GradedLinearMap(module, module, p, m) for p, m in reversed_action)
+        )
+        signs = [(sign(P[i]), sign((parity + 1) * P[i])) for i in range(n)]
+    total, structure = ref_semidirect(g, rho)
+    _, ga, va = merge_spaces(space, module)
     coeffs = [[Fraction(0)] * total.dim for _ in range(total.dim)]
     for j in range(n):
         for i in range(n):
-            coeffs[ga[j]][va[perm[i]]] += sign(P[i]) * a[j][i]
-            coeffs[va[perm[i]]][ga[j]] += sign((parity + 1) * P[i]) * a[j][i]
+            left, right = signs[i]
+            coeffs[ga[j]][va[perm[i]]] += left * a[j][i]
+            coeffs[va[perm[i]]][ga[j]] += right * a[j][i]
     assert (level.space, level.algebra.structure) == (total, structure)
-    assert (level.tensor.coeffs, level.parity) == (tuple(map(tuple, coeffs)), parity ^ 1)
+    assert level.tensor.coeffs == tuple(map(tuple, coeffs))
+    assert level.parity == (parity if letter == "+" else parity ^ 1)
