@@ -11,7 +11,9 @@ division, and each reduced row is divided back into `Fraction`s once.
 Reduced row echelon form is unique, so the results are those of
 elimination over `Fraction`; every value returned is a `Fraction`.
 `det` reads the last Bareiss pivot, signed by the row swaps, over the
-product of the row scale factors.
+product of the row scale factors.  `nullspace` hands the kernel one
+connected component of its nonzero rows at a time, so that a sparse
+system costs in proportion to its nonzeros.
 """
 
 from __future__ import annotations
@@ -117,22 +119,65 @@ def nullspace(rows, ncols=None):
     """Basis of the right nullspace of the matrix, as tuples.
 
     Free variables are set to 1 one at a time, in column order.
+
+    The work goes by the nonzeros.  Zero rows are dropped, and the others
+    are grouped by the connected components of their column graph, in
+    which a row joins every column it touches (union-find).  A component
+    whose rows each hold one entry is one column, pinned to zero with no
+    elimination; any other component is eliminated alone, on its own
+    dense rows over its columns.  Reduced row echelon form is unique, so
+    the basis is the one elimination of the whole matrix gives; a column
+    that no row touches is free, with a unit basis vector.
     """
-    if not rows:
-        n = ncols if ncols is not None else 0
-        return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
-    n = len(rows[0])
-    m, pivots, _ = _eliminate(rows)
-    pivot_set = set(pivots)
+    n = len(rows[0]) if rows else (ncols or 0)
+    parent = list(range(n))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    nonzero = []
+    for row in rows:
+        entries = [(c, x) for c, x in enumerate(row) if x]
+        if entries:
+            nonzero.append(entries)
+            r = root(entries[0][0])
+            for c, _ in entries[1:]:
+                parent[root(c)] = r
+    components = {}
+    for entries in nonzero:
+        components.setdefault(root(entries[0][0]), []).append(entries)
+    pivot_set = set()
+    depends = {}  # free column f -> the pairs (pivot column c, v[c]) of its vector
+    for comp in components.values():
+        if all(len(entries) == 1 for entries in comp):
+            pivot_set.add(comp[0][0][0])
+            continue
+        cols = sorted({c for entries in comp for c, _ in entries})
+        local = {c: t for t, c in enumerate(cols)}
+        dense = []
+        for entries in comp:
+            row = [0] * len(cols)
+            for c, x in entries:
+                row[local[c]] = x
+            dense.append(row)
+        m, pivots, _ = _eliminate(dense)
+        for row, p in zip(m, pivots):
+            c = cols[p]
+            pivot_set.add(c)
+            for t, x in enumerate(row):
+                if x and t != p:
+                    depends.setdefault(cols[t], []).append((c, Fraction(-x, row[p])))
     basis = []
     for f in range(n):
         if f in pivot_set:
             continue
         v = [ZERO] * n
         v[f] = ONE
-        for row, c in zip(m, pivots):
-            if row[f]:
-                v[c] = Fraction(-row[f], row[c])
+        for c, x in depends.get(f, ()):
+            v[c] = x
         basis.append(tuple(v))
     return basis
 

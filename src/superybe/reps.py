@@ -16,7 +16,6 @@ from typing import Sequence
 from . import linalg
 from .graded import (
     EVEN,
-    ZERO,
     GradedLinearMap,
     SuperSpace,
     _block_inverse,
@@ -246,9 +245,11 @@ def _intertwiner_system(
     """(positions, rows): the unknown entries (k, i) of an even map
     phi: V1 -> V2, and the nonzero rows of the linear system
     phi rho1(x) = rho2(x) phi, one per entry (k, j) of
-    phi rho1(e_a) - rho2(e_a) phi, in (a, k, j) order, with the rational
-    coefficients as summed; `linalg._eliminate` clears each row's
-    denominators.  Only the nonzero entries of the action maps are read."""
+    phi rho1(e_a) - rho2(e_a) phi, in (a, k, j) order.  The rows are the
+    equations times D, the lcm of the denominators of both actions'
+    entries, summed on ints: the system is homogeneous, so one positive
+    scale leaves its nullspace as it is.  Only the nonzero entries of the
+    action maps are read."""
     V1, V2 = rho1.space, rho2.space
     # unknowns: entries (k, i) with |w_k| = |v_i| (phi is even)
     positions = [
@@ -260,20 +261,23 @@ def _intertwiner_system(
     pos_index = {p: t for t, p in enumerate(positions)}
     rows2_of = [[k for k in range(V2.dim) if V2.parities[k] == p] for p in (0, 1)]
     cols1_of = [[j for j in range(V1.dim) if V1.parities[j] == p] for p in (0, 1)]
+    _, (table1, table2) = linalg._cleared_tables(rho1._columns, rho2._columns)
     rows = []
-    for m1, m2 in zip(rho1.action, rho2.action):
+    for columns1, columns2 in zip(table1, table2):
         # (phi m1 - m2 phi)[k][j] = sum_i phi[k][i] m1[i][j] - sum_l m2[k][l] phi[l][j]
         eqs = {}
-        for (i, j), x in m1._entries():
-            for k in rows2_of[V1.parities[i]]:
-                eq = eqs.setdefault((k, j), {})
-                t = pos_index[k, i]
-                eq[t] = eq.get(t, ZERO) + x
-        for (k, l), x in m2._entries():
-            for j in cols1_of[V2.parities[l]]:
-                eq = eqs.setdefault((k, j), {})
-                t = pos_index[l, j]
-                eq[t] = eq.get(t, ZERO) - x
+        for j, col in enumerate(columns1):
+            for i, x in col:
+                for k in rows2_of[V1.parities[i]]:
+                    eq = eqs.setdefault((k, j), {})
+                    t = pos_index[k, i]
+                    eq[t] = eq.get(t, 0) + x
+        for l, col in enumerate(columns2):
+            for k, x in col:
+                for j in cols1_of[V2.parities[l]]:
+                    eq = eqs.setdefault((k, j), {})
+                    t = pos_index[l, j]
+                    eq[t] = eq.get(t, 0) - x
         for kj in sorted(eqs):
             if any(eqs[kj].values()):
                 row = [0] * len(positions)

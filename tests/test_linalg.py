@@ -3,7 +3,9 @@ Fraction elimination and the determinant by minors of `tests/oracles.py`.
 
 Matrices run from 0x0 to 9x9, wide and tall, with entries that mix ints
 and Fractions, zero rows and rows that are combinations of other rows.
-Every result must equal the oracle's and be made of Fractions.
+`nullspace` also meets permuted block-diagonal matrices, whose rows fall
+into several connected components.  Every result must equal the
+oracle's and be made of Fractions.
 """
 
 from fractions import Fraction
@@ -75,6 +77,38 @@ def test_nullspace_matches_the_fraction_elimination(rows, ncols):
     basis = linalg.nullspace(rows, ncols=ncols)
     assert basis == oracles.dense_nullspace(rows, ncols=ncols)
     assert all(type(v) is tuple and all_fractions(v) for v in basis)
+
+
+@st.composite
+def block_diagonal_matrices(draw):
+    """Several blocks drawn by `matrices()` down a diagonal, with zero rows
+    and columns that no row touches, its rows and columns then permuted:
+    `nullspace` eliminates each connected component of its rows alone."""
+    shapes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=2, max_size=4))
+    untouched = draw(st.integers(0, 3))
+    ncols = sum(width for _, width in shapes) + untouched
+    rows = []
+    offset = 0
+    for height, width in shapes:
+        for block_row in draw(matrices(height, width)):
+            row = [0] * ncols
+            row[offset : offset + width] = block_row
+            rows.append(row)
+        offset += width
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 3)))]
+    row_order = draw(st.permutations(range(len(rows))))
+    col_order = draw(st.permutations(range(ncols)))
+    return [[rows[i][j] for j in col_order] for i in row_order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=block_diagonal_matrices(), ncols=st.integers(0, 9))
+def test_nullspace_of_permuted_block_diagonal_matrices_matches_the_oracle(rows, ncols):
+    before = copy(rows)
+    basis = linalg.nullspace(rows, ncols=ncols)
+    assert basis == oracles.dense_nullspace(rows, ncols=ncols)
+    assert all(type(v) is tuple and all_fractions(v) for v in basis)
+    assert rows == before
 
 
 @settings(max_examples=200, deadline=None)

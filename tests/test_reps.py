@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -627,15 +628,23 @@ def _intertwiner_pairs():
 
 
 def test_intertwiner_system_matches_the_dense_construction():
+    """The same unknowns and rows, in the same order, each row the dense
+    row times D, the lcm of the denominators of both actions' entries."""
     pairs = _intertwiner_pairs()
     assert sum(name.endswith("double / reverse") for name in pairs) == 5
     # a basis vector rescaled by -3/7 puts denominators into the equations
     for name in list(pairs)[:12]:
         rho1, rho2 = pairs[name]
         pairs[name + " rescaled"] = (rho1, _rescaled(rho2, 0, Fraction(-3, 7)))
+    scales = set()
     for name, (rho1, rho2) in pairs.items():
         positions, rows = dense_intertwiner_system(rho1, rho2)
-        assert _intertwiner_system(rho1, rho2) == (positions, rows), name
+        D = lcm(*(x.denominator for rho in (rho1, rho2) for m in rho.action for x in sum(m.matrix, ())))
+        scales.add(D)
+        got_positions, got_rows = _intertwiner_system(rho1, rho2)
+        assert got_positions == positions, name
+        assert got_rows == [[D * x for x in row] for row in rows], name
+        assert all(type(x) is int for row in got_rows for x in row), name
         basis = intertwiner_space(rho1, rho2)
         dense = oracles.dense_nullspace(rows, ncols=len(positions))
         assert len(basis) == len(dense), name
@@ -644,6 +653,66 @@ def test_intertwiner_system_matches_the_dense_construction():
             for (k, i), x in zip(positions, v):
                 grid[k][i] = x
             assert phi.matrix == tuple(map(tuple, grid)), name
+    # the rescaled copies have denominators to clear
+    assert max(scales) > 1
+
+
+# the self-reversing double of each criterion-4 representation against its
+# reverse: (components of the system's column graph, those whose rows each
+# hold one entry)
+_DOUBLE_SPLITS = {
+    "ex3.2": (6, 4),
+    "ex2.3": (24, 16),
+    "ex3.20": (4, 0),
+    "ex3.17+": (22, 16),
+    "ex3.17-": (22, 16),
+}
+
+
+def _row_components(rows):
+    """The nonzero rows grouped by the connected components of the columns
+    they touch, two columns joined when a row holds both, by depth-first
+    search; each row as its list of nonzero columns."""
+    supports = [[c for c, x in enumerate(row) if x] for row in rows]
+    rows_at = {}
+    for r, support in enumerate(supports):
+        for c in support:
+            rows_at.setdefault(c, []).append(r)
+    seen, components = set(), []
+    for start in rows_at:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, component = [start], set()
+        while stack:
+            for r in rows_at[stack.pop()]:
+                component.add(r)
+                for c in supports[r]:
+                    if c not in seen:
+                        seen.add(c)
+                        stack.append(c)
+        components.append([supports[r] for r in sorted(component)])
+    return components
+
+
+def test_self_reversing_systems_are_eliminated_one_component_at_a_time(monkeypatch):
+    eliminations = _count_calls(monkeypatch, "superybe.linalg", "_eliminate")
+    for name, _, rho in equivalence_cases():
+        double = self_reversing_double(rho)
+        reverse = parity_reverse_rep(double)
+        _, rows = _intertwiner_system(double, reverse)
+        components = _row_components(rows)
+        single = [comp for comp in components if all(len(support) == 1 for support in comp)]
+        assert (len(components), len(single)) == _DOUBLE_SPLITS[name], name
+        # one elimination per other component, on its rows over its columns
+        shapes = sorted(
+            (len(comp), len({c for support in comp for c in support}))
+            for comp in components
+            if comp not in single
+        )
+        eliminations.clear()
+        intertwiner_space(double, reverse)
+        assert sorted((len(m), len(m[0])) for (m,) in eliminations) == shapes, name
 
 
 # ---------------------------------------------------------------------------

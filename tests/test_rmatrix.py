@@ -619,6 +619,21 @@ class TestBetaCocycle:
             assert beta_cocycle_check(r)[1]
             assert (len(inverts), nonsingular, ranks, classified) == (1, [], [], [])
 
+    @pytest.mark.parametrize("word", ["+", "-", "++", "+-", "+++", "-+-", "----"])
+    def test_hierarchy_levels_of_r1_are_verdict_true_cocycles(self, word):
+        """Every level of ex4.4's r1 solves the super CYBE and is
+        non-degenerate, so its beta is a 2-cocycle.  Up to dim 16 the flags
+        are the dense oracle's; the dim-32 level has the library's alone."""
+        ex44 = load_fixture("ex4.4").parts
+        r = hierarchy_walk(ex44["algebra"], ex44["r1"], word)
+        beta, agreement = beta_cocycle_check(r)
+        assert agreement and is_super_rmatrix(r)
+        assert beta == beta_form(r)
+        flags = tuple(classify_form(beta, r.algebra).as_dict().values())
+        assert flags == (False, True, False, True, True)
+        if r.space.dim <= 16:
+            assert flags == dense_form_flags(beta.gram, r.algebra.structure, r.space.parities)
+
     @settings(max_examples=100, deadline=None)
     @given(r=defect_inputs())
     def test_matches_the_dense_oracles(self, r):
