@@ -252,10 +252,13 @@ def _square_blocks(rows: SuperSpace, cols: SuperSpace, parity: Parity, entries):
 
 
 def _block_inverse(rows: SuperSpace, cols: SuperSpace, parity: Parity, entries):
-    """The ((i, k), y) entries, zeros among them, of the inverse of the
-    homogeneous matrix with the given nonzero ((k, i), x) entries, or None
-    if it is singular.  Each nonempty block is inverted alone by
-    `linalg.invert`, and the first singular one ends the elimination."""
+    """The inverse of the homogeneous matrix of ints with the given nonzero
+    ((k, i), x) entries, as the triples ((i, k), y, q) of its nonzero
+    entries, the (i, k) entry being y / q with q the Bareiss pivot of row i
+    of the inverse; or None if the matrix is singular.  Each nonempty block
+    is inverted alone by `linalg._inverse`, and the first singular one
+    ends the elimination.  A caller that cleared its matrix by D reads
+    the inverse of the rational matrix as D y / q."""
     blocks = _square_blocks(rows, cols, parity, entries)
     if blocks is None:
         return None
@@ -263,21 +266,34 @@ def _block_inverse(rows: SuperSpace, cols: SuperSpace, parity: Parity, entries):
     for r0, c0, block in blocks:
         if not block:
             continue
-        inv = linalg.invert(block)
+        inv = linalg._inverse(block)
         if inv is None:
             return None
-        out += (((c0 + a, r0 + b), y) for a, line in enumerate(inv) for b, y in enumerate(line))
+        out += (
+            ((c0 + a, r0 + b), y, q) for a, (q, line) in enumerate(inv) for b, y in enumerate(line) if y
+        )
     return out
 
 
 def _block_nonsingular(rows: SuperSpace, cols: SuperSpace, parity: Parity, entries) -> bool:
-    """Whether the homogeneous matrix with the given nonzero ((k, i), x)
-    entries is square and nonsingular: every block has full rank by
-    `linalg.rank`."""
+    """Whether the homogeneous matrix of ints with the given nonzero
+    ((k, i), x) entries is square and nonsingular: every block has full
+    rank by `linalg._eliminate`."""
     blocks = _square_blocks(rows, cols, parity, entries)
     return blocks is not None and all(
-        linalg.rank(block) == len(block) for _, _, block in blocks if block
+        len(linalg._eliminate(block)[1]) == len(block) for _, _, block in blocks if block
     )
+
+
+def _cleared_entries(maps) -> "tuple[int, list[list]]":
+    """(D, entries): D the lcm of the denominators of the entries of all
+    the maps, and for each map its ((k, i), D m_ki) with m_ki != 0, as
+    ints, column by column."""
+    D, ints = linalg._cleared([x for t in maps for col in t.nonzero for _, x in col])
+    ints = iter(ints)
+    return D, [
+        [((k, i), next(ints)) for i, col in enumerate(t.nonzero) for k, _ in col] for t in maps
+    ]
 
 
 @dataclass(frozen=True, init=False)
@@ -445,15 +461,20 @@ class GradedLinearMap:
         return not any(self.nonzero)
 
     def inverse(self) -> "GradedLinearMap":
+        """The exact inverse, eliminated once on the map cleared by D: an
+        inverse entry is D y / q, one `Fraction` each."""
         if self.domain.dim != self.codomain.dim:
             raise ValueError("only square maps can be inverted")
-        entries = _block_inverse(self.codomain, self.domain, self.parity, self._entries())
-        if entries is None:
+        D, (entries,) = _cleared_entries([self])
+        inv = _block_inverse(self.codomain, self.domain, self.parity, entries)
+        if inv is None:
             raise ValueError("map is not invertible")
+        entries = (((i, k), Fraction(D * y, q)) for (i, k), y, q in inv)
         return GradedLinearMap._from_entries(self.codomain, self.domain, self.parity, entries)
 
     def is_invertible(self) -> bool:
-        return _block_nonsingular(self.codomain, self.domain, self.parity, self._entries())
+        (entries,) = _cleared_entries([self])[1]
+        return _block_nonsingular(self.codomain, self.domain, self.parity, entries)
 
 
 def suspend_map(t: GradedLinearMap) -> GradedLinearMap:

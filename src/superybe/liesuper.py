@@ -269,12 +269,16 @@ def _hom_failures(P, bracket, action, m):
 
     bracket[i][j] holds the pairs (k, c_ij^k) and action[a][v] the pairs
     (q, y) of A_a e_v, both sparse; v runs over the m basis vectors the
-    A_a act on.  Each defect is summed exactly on the stored scalars.
+    A_a act on.  Both tables are cleared together by L, the lcm of their
+    denominators (`linalg._cleared_tables`), and every term is a product
+    of two scaled entries, so each defect is summed on ints as L^2 times
+    the defect, which vanishes exactly where the defect does.
     It is the one quadratic identity of the axiom checks: with A_a =
     rho(e_a) it says that rho is a representation, with A_a = ad(e_a)
     the super Jacobi identity, and with left multiplication the
     left-symmetric associator.
     """
+    _, (bracket, action) = linalg._cleared_tables(bracket, action)
     n = len(P)
     for i in range(n):
         Ai = action[i]
@@ -403,7 +407,9 @@ def _scaled_gram(beta: BilinearForm, g: LieSuperAlgebra) -> "list[dict[int, int]
     these cells are cleared.  Every flag is a homogeneous linear condition on
     the Gram matrix, and invariance and the 2-cocycle identity are also
     homogeneous linear in the structure constants, so the flag kernels below
-    decide them on B and `LieSuperAlgebra._scaled_nonzero`."""
+    decide them on B and `LieSuperAlgebra._scaled_nonzero`; any nonzero
+    common multiple of the Gram matrix serves as well, and `rmatrix._beta`
+    hands them its own."""
     if beta.space != g.space:
         raise ValueError("form does not live on the algebra's space")
     _, ints = linalg._cleared([x for _, x in beta.entries])
@@ -466,7 +472,8 @@ def _is_two_cocycle(B, g: LieSuperAlgebra) -> bool:
 
 
 def _is_non_degenerate(B, space: SuperSpace, parity: Parity) -> bool:
-    """Whether B is nonsingular, eliminated on its two parity blocks."""
+    """Whether the int Gram matrix B is nonsingular, eliminated on its two
+    parity blocks as it is."""
     entries = (((i, j), b) for i, row in enumerate(B) for j, b in row.items())
     return _block_nonsingular(space, space, parity, entries)
 

@@ -4,21 +4,25 @@ Small hand-rolled Gaussian elimination: enough for the nullspaces,
 inverses, determinants and column reductions the library needs.
 Pivoting is deterministic (first nonzero in row order).
 
-`rref`, `rank`, `nullspace`, `invert`, `solve` and `det` share one
-integer kernel: each row is scaled by the lcm of its denominators,
-Gauss-Jordan elimination runs on Python ints with Bareiss's exact
-division, and each reduced row is divided back into `Fraction`s once.
-Reduced row echelon form is unique, so the results are those of
-elimination over `Fraction`; every value returned is a `Fraction`.
+One integer kernel, `_eliminate`, runs Gauss-Jordan elimination on rows
+of Python ints with Bareiss's exact division; it clears nothing.  Its
+callers clear once, where a matrix enters: `rref`, `rank`, `invert`,
+`solve` and `det` scale each rational row by the lcm of its
+denominators, and `nullspace` scales each row when it collects the row's
+nonzeros.  A positive row scale changes no reduced row echelon form, so
+the results are those of elimination over `Fraction`, and every value
+returned is a `Fraction`, divided back from the kernel's ints once.
 `det` reads the last Bareiss pivot, signed by the row swaps, over the
 product of the row scale factors.  `nullspace` hands the kernel one
 connected component of its nonzero rows at a time, so that a sparse
-system costs in proportion to its nonzeros.
+system costs in proportion to its nonzeros.  Callers that already hold
+integer rows reach the kernel through `_inverse` or `_eliminate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm, prod
 
 ZERO = Fraction(0)
@@ -28,7 +32,8 @@ ONE = Fraction(1)
 def _cleared(values) -> "tuple[int, list[int]]":
     """(D, ints): D the lcm of the denominators of the rationals in the
     sequence values (1 if it is empty), ints the values times D, in order,
-    as Python ints.  Every integer kernel clears its denominators here."""
+    as Python ints.  Every integer kernel's caller clears its denominators
+    here."""
     D = lcm(*(x.denominator for x in values))
     if D == 1:  # integral values, as most maps and tensors are
         return 1, [x.numerator for x in values]
@@ -46,14 +51,21 @@ def _cleared_tables(*tables) -> "tuple[int, list]":
     ]
 
 
+def _cleared_rows(rows) -> "tuple[list[int], list[list[int]]]":
+    """(scales, ints): each rational row scaled by the lcm of its own
+    denominators, as `_cleared` does, with those lcms in row order."""
+    cleared = [_cleared(row) for row in rows]
+    return [D for D, _ in cleared], [ints for _, ints in cleared]
+
+
 def _eliminate(rows):
-    """Fraction-free Gauss-Jordan elimination on integer rows.
+    """Fraction-free Gauss-Jordan elimination on rows of Python ints.
 
     Returns (m, pivots, sign): m holds the rows of the reduced row echelon
     form, row r scaled to integers, so that row r < len(pivots) divided by
     its pivot entry m[r][pivots[r]] is row r of the reduced form; the rows
     below are zero.  sign is -1 if an odd number of row swaps was made,
-    else 1.
+    else 1.  The input rows are not modified.
 
     Bareiss elimination takes every row to p row - f pivot_row and divides
     exactly by the previous pivot.  A row whose pivot-column entry f is zero
@@ -61,7 +73,7 @@ def _eliminate(rows):
     pending factor (current pivot / remembered pivot) is applied, exactly,
     when the row next takes part, as pivot row or eliminated row.
     """
-    m = [_cleared(row)[1] for row in rows]
+    m = list(rows)  # rows are replaced, never changed in place
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     level = [1] * nrows  # the pivot each row was last divided by
@@ -105,14 +117,14 @@ def rref(rows):
 
     Input is a list of lists; the input is not modified.
     """
-    m, pivots, _ = _eliminate(rows)
+    m, pivots, _ = _eliminate(_cleared_rows(rows)[1])
     red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     red += ([ZERO] * len(row) for row in m[len(pivots) :])
     return red, pivots
 
 
 def rank(rows) -> int:
-    return len(_eliminate(rows)[1])
+    return len(_eliminate(_cleared_rows(rows)[1])[1])
 
 
 def nullspace(rows, ncols=None):
@@ -120,14 +132,17 @@ def nullspace(rows, ncols=None):
 
     Free variables are set to 1 one at a time, in column order.
 
-    The work goes by the nonzeros.  Zero rows are dropped, and the others
-    are grouped by the connected components of their column graph, in
-    which a row joins every column it touches (union-find).  A component
-    whose rows each hold one entry is one column, pinned to zero with no
-    elimination; any other component is eliminated alone, on its own
-    dense rows over its columns.  Reduced row echelon form is unique, so
-    the basis is the one elimination of the whole matrix gives; a column
-    that no row touches is free, with a unit basis vector.
+    The work goes by the nonzeros.  Zero rows are dropped, and each other
+    row is scaled to ints as its nonzeros are collected, which leaves the
+    nullspace as it is: a row with one nonzero becomes a 1, any other is
+    scaled by the lcm of its denominators.  The rows are grouped by the
+    connected components of their column graph, in which a row joins every
+    column it touches (union-find).  A component whose rows each hold one
+    entry is one column, pinned to zero with no elimination; any other
+    component is eliminated alone, on its own dense rows over its columns.
+    Reduced row echelon form is unique, so the basis is the one
+    elimination of the whole matrix gives; a column that no row touches is
+    free, with a unit basis vector.
     """
     n = len(rows[0]) if rows else (ncols or 0)
     parent = list(range(n))
@@ -140,11 +155,13 @@ def nullspace(rows, ncols=None):
 
     nonzero = []
     for row in rows:
-        entries = [(c, x) for c, x in enumerate(row) if x]
-        if entries:
-            nonzero.append(entries)
-            r = root(entries[0][0])
-            for c, _ in entries[1:]:
+        cols = list(compress(range(n), row))
+        if len(cols) == 1:
+            nonzero.append([(cols[0], 1)])
+        elif cols:
+            nonzero.append(list(zip(cols, _cleared([row[c] for c in cols])[1])))
+            r = root(cols[0])
+            for c in cols[1:]:
                 parent[root(c)] = r
     components = {}
     for entries in nonzero:
@@ -182,14 +199,29 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def invert(rows):
-    """Exact inverse of a square matrix, or None if singular."""
+def _inverse(rows):
+    """The inverse of a square matrix of ints, eliminated on [A | I], as
+    one pair (q, ys) per row, row a of the inverse being ys / q with q the
+    row's Bareiss pivot; or None if the matrix is singular."""
     n = len(rows)
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
     m, pivots, _ = _eliminate(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(m, pivots)]
+    return [(row[c], row[n:]) for row, c in zip(m, pivots)]
+
+
+def invert(rows):
+    """Exact inverse of a square matrix, or None if singular.
+
+    The rows are scaled to ints, by S = diag(scales); the inverse of S A
+    is A^-1 S^-1, so column j of A^-1 is column j of (S A)^-1 times
+    scales[j]."""
+    scales, ints = _cleared_rows(rows)
+    inv = _inverse(ints)
+    if inv is None:
+        return None
+    return [[Fraction(y * s, q) for y, s in zip(ys, scales)] for q, ys in inv]
 
 
 def det(rows) -> Fraction:
@@ -200,11 +232,11 @@ def det(rows) -> Fraction:
     the scale factors, the lcms of the rows' denominators, divide out.
     """
     n = len(rows)
-    m, pivots, sign = _eliminate(rows)
+    scales, ints = _cleared_rows(rows)
+    m, pivots, sign = _eliminate(ints)
     if len(pivots) < n:
         return ZERO
-    scale = prod(lcm(*(x.denominator for x in row)) for row in rows)
-    return Fraction(sign * m[n - 1][n - 1], scale) if n else ONE
+    return Fraction(sign * m[n - 1][n - 1], prod(scales)) if n else ONE
 
 
 def solve(rows, rhs):
@@ -213,8 +245,7 @@ def solve(rows, rhs):
     Free variables are set to zero.
     """
     n = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots, _ = _eliminate(aug)
+    m, pivots, _ = _eliminate(_cleared_rows([list(r) + [b] for r, b in zip(rows, rhs)])[1])
     if n in pivots:
         return None  # pivot in the constants column
     x = [ZERO] * n

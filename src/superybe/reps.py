@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -19,6 +20,7 @@ from .graded import (
     GradedLinearMap,
     SuperSpace,
     _block_inverse,
+    _cleared_entries,
     dual_map,
     merge_spaces,
 )
@@ -324,9 +326,10 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
     before any scan, up to _RANDOM_FALLBACK_TRIES more random points are
     tried instead, and absence is reported as "inconclusive".
 
-    Each attempt is one `graded._block_inverse` of the candidate summed
-    from the basis's stored entries: the elimination of its two parity
-    blocks both decides nonsingularity and gives the exact inverse."""
+    Each attempt is one `graded._block_inverse` of the candidate summed on
+    ints from the basis's stored entries, cleared once by one D: the
+    elimination of its two parity blocks both decides nonsingularity and
+    gives the exact inverse.  Only a hit builds `Fraction`s."""
     V1, V2 = rho1.space, rho2.space
     if (V1.even_dim, V1.odd_dim) != (V2.even_dim, V2.odd_dim):
         return IsoSearchResult("none")
@@ -338,7 +341,7 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
             return IsoSearchResult("found", empty, GradedLinearMap.zero(V2, V1, EVEN))
         return IsoSearchResult("none")
     n = V1.dim
-    stored = [tuple(phi._entries()) for phi in basis]
+    D, stored = _cleared_entries(basis)
     rng = random.Random(0x5EBE)  # a fixed seed: the same answer on every run
     probe = [rng.randint(1, 8 * n) for _ in range(k)]
     # (n + 1)^k n^3 grid cost, without forming a huge power: 2^k <= (n + 1)^k
@@ -357,8 +360,14 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
                     candidate[rc] = candidate.get(rc, 0) + t * x
         inv = _block_inverse(V2, V1, EVEN, candidate.items())
         if inv is not None:
-            iso = GradedLinearMap._from_entries(V1, V2, EVEN, candidate.items())
-            return IsoSearchResult("found", iso, GradedLinearMap._from_entries(V2, V1, EVEN, inv))
+            # the candidate is D times the intertwiner, its inverse D y / q
+            iso = ((rc, Fraction(x, D)) for rc, x in candidate.items())
+            inverse = (((i, k), Fraction(D * y, q)) for (i, k), y, q in inv)
+            return IsoSearchResult(
+                "found",
+                GradedLinearMap._from_entries(V1, V2, EVEN, iso),
+                GradedLinearMap._from_entries(V2, V1, EVEN, inverse),
+            )
     return IsoSearchResult("none" if on_grid else "inconclusive")
 
 

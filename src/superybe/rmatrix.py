@@ -14,6 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .graded import (
     EVEN,
@@ -27,7 +28,7 @@ from .graded import (
 )
 from . import linalg
 from .liesuper import BilinearForm, LieSuperAlgebra, _semidirect, check_lie_axioms
-from .liesuper import _is_two_cocycle, _scaled_gram
+from .liesuper import _is_two_cocycle
 from .oop import _check_candidate
 from .reps import Representation, _check_isomorphism, _reversed_table, dual_rep, parity_reverse_rep
 
@@ -173,17 +174,17 @@ def is_super_rmatrix(r: RMatrix) -> bool:
 # tensor <-> operator
 
 
-def _operator_entries(r: RMatrix):
-    """The ((j, i), x) entries of T_r, read off the tensor's stored slots."""
-    P = r.space.parities
-    return (((j, i), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
+def _operator_entries(P, slots):
+    """The ((j, i), x) entries of T_r, read off the slots ((j, i), a_ji) of
+    the tensor r, whose space has the parities P."""
+    return (((j, i), -a if P[i] else a) for (j, i), a in slots)
 
 
 def rmatrix_to_operator(r: RMatrix) -> GradedLinearMap:
     """T_r: g* -> g with T_r(e_i*) = (-1)^{|e_i*|} sum_j a_ji e_j.  The
     slots are row-major, so each column's rows j come out ascending."""
     cols = [[] for _ in range(r.space.dim)]
-    for (j, i), x in _operator_entries(r):
+    for (j, i), x in _operator_entries(r.space.parities, r.tensor.entries):
         cols[i].append((j, x))
     return GradedLinearMap._trusted(r.space.dual(), r.space, r.parity, tuple(map(tuple, cols)))
 
@@ -292,15 +293,38 @@ class DegenerateRMatrix(Exception):
     pass
 
 
-def beta_form(r: RMatrix) -> BilinearForm:
-    """beta_r(u, v) = <T_r^{-1} u, v> for non-degenerate r."""
-    # T_r^{-1}: g -> g*, from the tensor's slots; no map T_r is built
-    inv = _block_inverse(r.space, r.space.dual(), r.parity, _operator_entries(r))
+def _beta(r: RMatrix) -> "tuple[BilinearForm, list[dict[int, int]]]":
+    """(beta, B): beta_r(u, v) = <T_r^{-1} u, v>, and its Gram matrix at one
+    nonzero integer scale, B[i] mapping each j with beta(e_i, e_j) != 0 to
+    the scaled entry, for the int flag kernels of `liesuper`.
+
+    r's entries are cleared to ints by D, the lcm of their denominators,
+    and signed into T_r's entries; no map T_r is built.  One
+    `_block_inverse` gives the inverse of D T_r as y / q, with q the
+    Bareiss pivot of its row, so beta's entries are D y / q, and B is the
+    inverse at the scale Q, the lcm of the pivots: B holds y Q / q, which
+    is Q / D times beta."""
+    entries = r.tensor.entries
+    D, ints = linalg._cleared([a for _, a in entries])
+    operator = _operator_entries(r.space.parities, zip((ji for ji, _ in entries), ints))
+    inv = _block_inverse(r.space, r.space.dual(), r.parity, operator)
     if inv is None:
         raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)")
     # row i of the Gram matrix is the image of e_i under T_r^{-1}
-    entries = sorted(((i, j), y) for (j, i), y in inv if y)
-    return BilinearForm._trusted(r.space, tuple(entries), r.parity)
+    inv.sort(key=lambda e: (e[0][1], e[0][0]))
+    beta = BilinearForm._trusted(
+        r.space, tuple(((i, j), Fraction(D * y, q)) for (j, i), y, q in inv), r.parity
+    )
+    Q = lcm(*(q for _, _, q in inv))
+    B = [{} for _ in range(r.space.dim)]
+    for (j, i), y, q in inv:
+        B[i][j] = y * (Q // q)
+    return beta, B
+
+
+def beta_form(r: RMatrix) -> BilinearForm:
+    """beta_r(u, v) = <T_r^{-1} u, v> for non-degenerate r."""
+    return _beta(r)[0]
 
 
 def beta_cocycle_check(r: RMatrix) -> "tuple[BilinearForm, bool]":
@@ -308,11 +332,11 @@ def beta_cocycle_check(r: RMatrix) -> "tuple[BilinearForm, bool]":
 
     The boolean must always be true for pan-supersymmetric non-degenerate
     input; a false return is a library-bug sentinel.  Only the 2-cocycle
-    flag is decided: beta is non-degenerate by construction, as the
-    inverse of T_r.
+    flag is decided, on `_beta`'s integer Gram matrix: beta is
+    non-degenerate by construction, as the inverse of T_r.
     """
-    beta = beta_form(r)
-    return beta, is_super_rmatrix(r) == _is_two_cocycle(_scaled_gram(beta, r.algebra), r.algebra)
+    beta, B = _beta(r)
+    return beta, is_super_rmatrix(r) == _is_two_cocycle(B, r.algebra)
 
 
 # ---------------------------------------------------------------------------

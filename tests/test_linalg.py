@@ -27,28 +27,32 @@ ENTRIES = st.tuples(st.sampled_from(VALUES), st.booleans()).map(
 )
 
 
+# Python ints only, the input the kernel itself takes
+INTS = st.sampled_from((-3, -2, -1, 0, 0, 1, 2, 3))
+
+
 @st.composite
-def matrices(draw, nrows=None, ncols=None):
+def matrices(draw, nrows=None, ncols=None, entries=ENTRIES):
     """A matrix with some rows replaced by zero rows or by combinations of
     two other rows, so that rank deficiency is common."""
     nrows = draw(st.integers(0, 9)) if nrows is None else nrows
     ncols = draw(st.integers(0, 9)) if ncols is None else ncols
-    rows = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     if nrows >= 3:
         for _ in range(draw(st.integers(0, 3))):
             i, j, k = draw(st.permutations(range(nrows)))[:3]
             if draw(st.booleans()):
                 rows[i] = [0] * ncols
             else:
-                a, b = draw(ENTRIES), draw(ENTRIES)
+                a, b = draw(entries), draw(entries)
                 rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
     return rows
 
 
 @st.composite
-def square_matrices(draw):
+def square_matrices(draw, entries=ENTRIES):
     n = draw(st.integers(0, 9))
-    return draw(matrices(n, n))
+    return draw(matrices(n, n, entries))
 
 
 def all_fractions(values):
@@ -137,6 +141,52 @@ def test_invert_and_det_match_the_oracles(rows):
     assert rows == before
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_int_input_matches_the_oracles(data):
+    """Rows of Python ints, as the library's integer callers hold them,
+    through every public function: the same results as the oracles, as
+    Fractions, and the input unchanged."""
+    rows = data.draw(matrices(entries=INTS))
+    assert all(type(x) is int for row in rows for x in row)
+    before = copy(rows)
+    red, pivots = linalg.rref(rows)
+    assert (red, pivots) == oracles.dense_rref(rows)
+    assert all(all_fractions(row) for row in red)
+    assert linalg.rank(rows) == oracles.dense_rank(rows)
+    ncols = data.draw(st.integers(0, 9))
+    basis = linalg.nullspace(rows, ncols=ncols)
+    assert basis == oracles.dense_nullspace(rows, ncols=ncols)
+    assert all(all_fractions(v) for v in basis)
+    rhs = [data.draw(INTS) for _ in rows]
+    x = linalg.solve(rows, rhs)
+    assert x == oracles.dense_solve(rows, rhs)
+    assert x is None or all_fractions(x)
+    square = data.draw(square_matrices(INTS))
+    inv = linalg.invert(square)
+    assert inv == oracles.dense_invert(square)
+    assert inv is None or all(all_fractions(row) for row in inv)
+    d = linalg.det(square)
+    assert d == oracles.dense_det(square) and type(d) is Fraction
+    assert rows == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=square_matrices(INTS))
+def test_the_private_inverse_reads_each_row_over_its_pivot(rows):
+    """`_inverse`, the entry of the integer callers: row a of the inverse
+    is ys / q, with q the row's Bareiss pivot, and the input unchanged."""
+    before = copy(rows)
+    inv = linalg._inverse(rows)
+    want = oracles.dense_invert(rows)
+    if want is None:
+        assert inv is None
+    else:
+        assert all(q and type(q) is int and all(type(y) is int for y in ys) for q, ys in inv)
+        assert [[Fraction(y, q) for y in ys] for q, ys in inv] == want
+    assert rows == before
+
+
 def test_the_kernel_leaves_integer_input_as_fractions():
     # ints with a zero row, then the 0x0 and 2x0 shapes
     red, pivots = linalg.rref([[1, 0], [0, 0]])
@@ -179,7 +229,7 @@ def test_the_kernel_keeps_its_ints_within_the_hadamard_bound(rows):
         d = lcm(*(Fraction(x).denominator for x in row))
         scaled.append([int(x * d) for x in row])
     bound = prod(max(1, sum(x * x for x in row)) for row in scaled)
-    m, _, _ = linalg._eliminate(rows)
+    m, _, _ = linalg._eliminate(scaled)
     assert all(x * x <= bound for row in m for x in row)
 
 

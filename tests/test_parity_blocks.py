@@ -103,11 +103,47 @@ def test_beta_form_and_non_degeneracy_match_the_dense_kernel(m):
     assert classify_form(form, g).non_degenerate == dense_nonsingular(rows, sp.dim)
 
 
+# the integer inverses against the Fraction oracle: a map or tensor is
+# cleared once, by the lcm D of its denominators, each block is inverted on
+# ints, and an inverse entry comes back as D y / q
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=homogeneous_matrices())
+def test_map_inverse_and_invertibility_match_the_fraction_oracle(m):
+    domain, codomain, parity, rows = m
+    t = GradedLinearMap(domain, codomain, parity, rows)
+    invertible = codomain.dim == domain.dim and oracles.dense_rank(rows) == domain.dim
+    assert t.is_invertible() == invertible
+    if invertible:
+        inv = t.inverse()
+        assert inv.matrix == tuple(map(tuple, oracles.dense_invert(rows)))
+        assert inv.compose(t) == GradedLinearMap.identity(domain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=homogeneous_matrices(same_space=True))
+def test_beta_form_matches_the_fraction_oracle(m):
+    sp, _, parity, a = m
+    n, P = sp.dim, sp.parities
+    r = RMatrix(LieSuperAlgebra.from_brackets(sp, {}), Tensor2(sp, sp, a, parity))
+    # column i of T_r is T_r(e_i*) = (-1)^{|e_i|} sum_j a_ji e_j
+    inv = oracles.dense_invert([[-a[j][i] if P[i] else a[j][i] for i in range(n)] for j in range(n)])
+    if inv is None:
+        with pytest.raises(DegenerateRMatrix):
+            beta_form(r)
+    else:
+        # row i of the Gram matrix is column i of T_r^{-1}
+        assert beta_form(r).gram == tuple(tuple(inv[j][i] for j in range(n)) for i in range(n))
+
+
 def test_unequal_blocks_are_refused_without_an_elimination(monkeypatch):
     # an odd map of a 2|1 space to itself sends 2 even dimensions to 1 odd
     # one: it is singular whatever its entries, and so is an odd tensor or
     # odd form over a 2|1 algebra
-    kernel = [_count_calls(monkeypatch, "superybe.linalg", name) for name in ("invert", "rank")]
+    kernel = [
+        _count_calls(monkeypatch, "superybe.linalg", name) for name in ("_eliminate", "invert", "rank")
+    ]
     sp = SuperSpace.make(even=["a", "b"], odd=["x"])
     t = GradedLinearMap.from_images(sp, sp, ODD, {"a": {"x": 1}, "b": {"x": 2}, "x": {"a": 1}})
     assert not t.is_invertible()
@@ -119,13 +155,13 @@ def test_unequal_blocks_are_refused_without_an_elimination(monkeypatch):
         beta_form(r)
     form = BilinearForm.from_terms(sp, {("a", "x"): 1, ("x", "a"): -1}, ODD)
     assert not classify_form(form, g).non_degenerate
-    assert kernel == [[], []]
+    assert kernel == [[], [], []]
 
 
 def test_each_nonempty_block_is_eliminated_once(monkeypatch):
     # an even map of a 2|1 space inverts its 2x2 and 1x1 blocks; a 3|0
     # space has one block, the whole matrix, and an empty one
-    inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+    inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
     sp = SuperSpace.make(even=["a", "b"], odd=["x"])
     t = GradedLinearMap.from_images(sp, sp, EVEN, {"a": {"b": 1}, "b": {"a": 2}, "x": {"x": -1}})
     assert t.inverse().compose(t) == GradedLinearMap.identity(sp)

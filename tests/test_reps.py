@@ -358,7 +358,7 @@ class TestIsomorphismSearch:
         )
         rho1, rho2 = trivial_rep(g, v), Representation(g, v, (shift,))
         assert len(intertwiner_space(rho1, rho2)) == 6 and 7**6 * 6**3 > ISO_GRID_COST_CAP
-        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
         assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
         assert 0 < len(inverts) <= _RANDOM_FALLBACK_TRIES + 1
 
@@ -373,7 +373,7 @@ class TestIsomorphismSearch:
         basis = [GradedLinearMap._from_entries(v, v, EVEN, [((i, i), 1)]) for i in (0, 1)]
         monkeypatch.setattr("superybe.reps.intertwiner_space", lambda rho1, rho2: basis)
         assert 100**2 * 99**3 > ISO_GRID_COST_CAP
-        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
         assert find_even_isomorphism(rho, rho).status == "inconclusive"
         assert 0 < len(inverts) <= _RANDOM_FALLBACK_TRIES + 1
 
@@ -435,9 +435,31 @@ class TestIsomorphismSearch:
             if oracles.dense_det(_candidate(basis, ts)):
                 break
         assert len(points) == 1 + 18
-        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
         assert find_even_isomorphism(rho, rho).found
-        assert [rows for rows, in inverts] == [_candidate(basis, ts) for ts in points]
+        # each candidate is eliminated on ints, cleared by the basis's one D
+        D = _basis_denominator(basis)
+        assert [rows for rows, in inverts] == [_scaled(D, _candidate(basis, ts)) for ts in points]
+
+    def test_candidates_are_summed_on_the_basis_cleared_once(self, monkeypatch):
+        # an intertwiner basis with denominators: the probe's candidate is
+        # eliminated as D times the dense candidate, and the isomorphism
+        # and its inverse come back divided by D
+        g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
+        v = SuperSpace.make(even=["u0", "u1", "u2"])
+        images = {"u0": {"u2": 3}, "u1": {"u1": 2, "u2": 2}, "u2": {"u0": 3}}
+        rho = Representation.from_images(g, v, {"z": images})
+        basis = intertwiner_space(rho, rho)
+        D = _basis_denominator(basis)
+        assert D == 4
+        rng = random.Random(0x5EBE)
+        probe = [rng.randint(1, 8 * 3) for _ in basis]
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
+        result = find_even_isomorphism(rho, rho)
+        assert result.found
+        assert [rows for rows, in inverts] == [_scaled(D, _candidate(basis, probe))]
+        assert result.iso.matrix == tuple(map(tuple, _candidate(basis, probe)))
+        assert result.inverse.compose(result.iso) == GradedLinearMap.identity(v)
 
     def test_fallback_draws_are_tried_in_order(self, monkeypatch):
         # the over-cap grid of test_over_cap_grid_takes_the_randomized_path:
@@ -453,9 +475,11 @@ class TestIsomorphismSearch:
         points = [[rng.randint(1, 8 * 6) for _ in basis]]
         for _ in range(_RANDOM_FALLBACK_TRIES):
             points.append([rng.randrange(0, 1 << 20) for _ in basis])
-        inverts = _count_calls(monkeypatch, "superybe.linalg", "invert")
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
         assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
-        assert [rows for rows, in inverts] == [_candidate(basis, ts) for ts in points]
+        # each candidate is eliminated on ints, cleared by the basis's one D
+        D = _basis_denominator(basis)
+        assert [rows for rows, in inverts] == [_scaled(D, _candidate(basis, ts)) for ts in points]
 
 
 def _candidate(basis, ts):
@@ -465,6 +489,18 @@ def _candidate(basis, ts):
         [sum(t * phi.matrix[r][c] for t, phi in zip(ts, basis)) for c in range(n)]
         for r in range(n)
     ]
+
+
+def _basis_denominator(basis):
+    """D, the lcm of the denominators of every entry of the basis maps."""
+    return lcm(*(x.denominator for phi in basis for row in phi.matrix for x in row))
+
+
+def _scaled(D, rows):
+    """The rows times D, as ints."""
+    scaled = [[D * x for x in row] for row in rows]
+    assert all(x.denominator == 1 for row in scaled for x in row)
+    return [[int(x) for x in row] for row in scaled]
 
 
 # ---------------------------------------------------------------------------

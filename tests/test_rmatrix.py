@@ -42,8 +42,8 @@ from superybe import (
     twist,
 )
 from superybe.graded import sign
-from superybe.liesuper import BilinearForm
-from superybe.rmatrix import HOST_CACHE_SIZE, _dual_semidirect, _plain_semidirect
+from superybe.liesuper import BilinearForm, _is_two_cocycle, _scaled_gram
+from superybe.rmatrix import HOST_CACHE_SIZE, _beta, _dual_semidirect, _plain_semidirect
 
 from conftest import (
     _count_calls,
@@ -589,17 +589,21 @@ class TestBetaCocycle:
 
     def test_beta_form_eliminates_once(self, monkeypatch):
         # one block inversion of T_r, which eliminates each of its parity
-        # blocks once, and no rank
+        # blocks once, and no rank: every elimination is a block's inversion
         inverts = _count_calls(monkeypatch, "superybe.graded", "_block_inverse")
         nonsingular = _count_calls(monkeypatch, "superybe.graded", "_block_nonsingular")
         ranks = _count_calls(monkeypatch, "superybe.linalg", "rank")
+        blocks = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
+        eliminations = _count_calls(monkeypatch, "superybe.linalg", "_eliminate")
         fx = load_fixture("ex4.4")
         beta_form(fx.parts["r1"])
         assert (len(inverts), nonsingular, ranks) == (1, [], [])
+        assert 0 < len(eliminations) == len(blocks) <= 2
         inverts.clear()
         with pytest.raises(DegenerateRMatrix):
             beta_form(fx.parts["r0"])
         assert (len(inverts), nonsingular, ranks) == (1, [], [])
+        assert len(eliminations) == len(blocks)
 
     def test_beta_cocycle_check_eliminates_once(self, monkeypatch):
         # beta_form's one block inversion and nothing more: beta is
@@ -614,10 +618,17 @@ class TestBetaCocycle:
         nonsingular = _count_calls(monkeypatch, "superybe.graded", "_block_nonsingular")
         ranks = _count_calls(monkeypatch, "superybe.linalg", "rank")
         classified = _count_calls(monkeypatch, "superybe.liesuper", "classify_form")
+        # no Gram matrix is cleared again: the check reads beta's ints
+        grams = _count_calls(monkeypatch, "superybe.liesuper", "_scaled_gram")
+        blocks = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
+        eliminations = _count_calls(monkeypatch, "superybe.linalg", "_eliminate")
         for r in (ex44["r1"], dense):
             inverts.clear()
+            blocks.clear()
+            eliminations.clear()
             assert beta_cocycle_check(r)[1]
-            assert (len(inverts), nonsingular, ranks, classified) == (1, [], [], [])
+            assert (len(inverts), nonsingular, ranks, classified, grams) == (1, [], [], [], [])
+            assert 0 < len(eliminations) == len(blocks) <= 2
 
     @pytest.mark.parametrize("word", ["+", "-", "++", "+-", "+++", "-+-", "----"])
     def test_hierarchy_levels_of_r1_are_verdict_true_cocycles(self, word):
@@ -654,6 +665,27 @@ class TestBetaCocycle:
         assert beta == BilinearForm(r.space, gram, r.parity)
         cocycle = dense_form_flags(gram, g.structure, P)[3]
         assert agreement == ((not naive_scybe_defect(g, r.tensor)) == cocycle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=defect_inputs())
+    def test_the_integer_gram_matrix_is_one_multiple_of_the_scaled_gram(self, r):
+        """The Gram matrix the 2-cocycle check reads, T_r^{-1} at the lcm of
+        its pivots, is `_scaled_gram`'s up to one nonzero common factor, on
+        the same support, and gives the same verdict."""
+        g = r.algebra
+        try:
+            beta, B = _beta(r)
+        except DegenerateRMatrix:
+            assert dense_invert(rmatrix_to_operator(r)._rows()) is None
+            return
+        S = _scaled_gram(beta, g)
+        assert [sorted(row) for row in B] == [sorted(row) for row in S]
+        assert all(type(b) is int for row in B for b in row.values())
+        (i, j), _ = beta.entries[0]
+        b0, s0 = B[i][j], S[i][j]
+        assert b0 and all(B[i][j] * s0 == S[i][j] * b0 for i, row in enumerate(S) for j in row)
+        assert _is_two_cocycle(B, g) == _is_two_cocycle(S, g)
+        assert beta_cocycle_check(r) == (beta, is_super_rmatrix(r) == _is_two_cocycle(S, g))
 
     def test_scaling_inverts_the_form(self):
         fx = load_fixture("ex4.4")
