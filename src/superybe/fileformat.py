@@ -23,6 +23,7 @@ from .graded import (
     GradedLinearMap,
     SuperSpace,
     Tensor2,
+    _format_pairs,
     _infer_parity,
     parity_name,
 )
@@ -52,7 +53,7 @@ class RawRep:
         report = check_representation(algebra, self.space, self.action)
         if not report.ok:
             raise ValueError(f"rep {self.name}: {report.failures()[0].detail}")
-        return Representation._trusted(algebra, self.space, self.action)
+        return Representation._trusted(algebra, self.space, tuple(m.nonzero for m in self.action))
 
 
 @dataclass
@@ -447,12 +448,6 @@ def parse(text: str) -> Document:
     if close is not None:
         close()
     return doc
-
-
-def _format_pairs(space: SuperSpace, pairs) -> str:
-    """Terms from (index, coefficient) pairs with nonzero coefficients."""
-    terms = [f"{c} {space.labels[k]}" for k, c in pairs]
-    return " + ".join(terms) if terms else "0"
 
 
 def _emit_slots(out: list, header: str, left: SuperSpace, right: SuperSpace, entries) -> None:

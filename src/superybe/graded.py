@@ -199,12 +199,14 @@ def vec_is_zero(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def format_vector(space: SuperSpace, v) -> str:
-    terms = []
-    for i, x in enumerate(v):
-        if x != 0:
-            terms.append(f"{x} {space.labels[i]}")
+def _format_pairs(space: SuperSpace, pairs) -> str:
+    """`c label` terms joined by ` + ` from (index, c) pairs, c != 0; `0` for none."""
+    terms = [f"{c} {space.labels[k]}" for k, c in pairs]
     return " + ".join(terms) if terms else "0"
+
+
+def format_vector(space: SuperSpace, v) -> str:
+    return _format_pairs(space, ((i, x) for i, x in enumerate(v) if x != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +308,7 @@ class GradedLinearMap:
     map enters: the public constructor, which scans a dense matrix and
     keeps no copy, and `from_images` run `__post_init__`.  Derived maps
     (`compose`, sums, `scale`, `inverse`, `suspend_map`, `dual_map`, `ad`,
-    T_r, intertwiners, the actions of derived representations) are
+    T_r, intertwiners, the maps of a representation's `action` view) are
     homogeneous by theorem and skip it: `_from_entries` groups their
     entries, and `_trusted` takes a finished table.  The dense `matrix`
     view is built on read.
@@ -580,6 +582,11 @@ class Tensor2:
         t = Tensor2._from_entries(left, right, entries, parity)
         t.__post_init__()
         return t
+
+    @cached_property
+    def _cleared_values(self) -> "tuple[int, list[int]]":
+        """(D, ints): `linalg._cleared` on the slot values, once per tensor."""
+        return linalg._cleared([x for _, x in self.entries])
 
     @cached_property
     def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:

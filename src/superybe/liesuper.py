@@ -529,7 +529,7 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
     """g |x_rho V, built by `_semidirect` from the action table of rho."""
     if rho.algebra != g:
         raise ValueError("representation is not over this algebra")
-    return _semidirect(g, rho.space, rho._columns)[0]
+    return _semidirect(g, rho.space, rho.nonzero)[0]
 
 
 # ---------------------------------------------------------------------------

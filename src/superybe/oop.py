@@ -296,7 +296,7 @@ def grid_search_oops(
         read = {i, j}
         for c, other in ((i, j), (j, i)):
             for a in free_rows[c]:
-                read.update(m for m, _ in rho.action[a].nonzero[other])
+                read.update(m for m, _ in rho.nonzero[a][other])
         d = max(fixed_at[c] for c in read)
         if d >= 0:
             tests[d].append((i, j))

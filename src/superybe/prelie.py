@@ -161,14 +161,9 @@ def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
 def left_regular_rep(a: PreLieSuperAlgebra) -> Representation:
     """(A, L) with L(x)y = xy, a representation of the sub-adjacent algebra."""
     g = subadjacent(a)
-    # L(e_i) is row i of the product table; subadjacent has checked the
-    # grading and the pre-Lie identity, which make L a representation by
-    # theorem
-    action = tuple(
-        GradedLinearMap._trusted(a.space, a.space, p, row)
-        for p, row in zip(a.space.parities, a.nonzero)
-    )
-    return Representation._trusted(g, a.space, action)
+    # L(e_i) e_j = e_i e_j: L's table is the product table, and subadjacent has
+    # checked the grading and the pre-Lie identity that make L a representation
+    return Representation._trusted(g, a.space, a.nonzero)
 
 
 def identity_oop(a: PreLieSuperAlgebra) -> OOperatorCandidate:
@@ -191,7 +186,7 @@ def product_from_oop(t: GradedLinearMap, rho: Representation) -> PreLieSuperAlge
         flip = pt * (V.parities[i] + pt) % 2
         for a, x in col:  # rho(T v_i) = sum_a x rho(e_a)
             sx = -x if flip else x
-            for j, image in enumerate(rho.action[a].nonzero):
+            for j, image in enumerate(rho.nonzero[a]):
                 for k, m in image:
                     table[i, j, k] = table.get((i, j, k), ZERO) + sx * m
     return PreLieSuperAlgebra._from_entries(V, table.items(), pt)

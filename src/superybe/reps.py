@@ -18,13 +18,15 @@ from . import linalg
 from .graded import (
     EVEN,
     GradedLinearMap,
+    Scalar,
     SuperSpace,
     _block_inverse,
     _cleared_entries,
     dual_map,
     merge_spaces,
 )
-from .liesuper import CheckReport, LieSuperAlgebra, _bilinear, _first_failure, _hom_failures
+from .liesuper import CheckReport, LieSuperAlgebra, _bilinear, _first_failure
+from .liesuper import _grading_failures, _hom_failures
 
 
 def check_representation(
@@ -59,39 +61,41 @@ def check_representation(
     return CheckReport((shape_item, hom_item))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Representation:
-    """A verified action of a Lie superalgebra on a superspace.
+    """A verified action of a Lie superalgebra on a superspace, stored as
+    its action table `nonzero`: nonzero[a][i] holds the pairs (k, x), x != 0,
+    of rho(e_a) v_i in ascending k, as in `LieSuperAlgebra.nonzero`.  The
+    maps `action` are a view, built on first read.
 
-    Verification runs once, where an action enters from outside: a direct
-    `Representation(...)` call, `from_images`, `RawRep.verify` and
-    `adjoint(g)` run `check_representation` and raise `ValueError` on
-    failure; that check is the defect kernel of the super Jacobi check,
-    run on the action.  Its maps were checked for homogeneity where they
-    entered, and `adjoint(g)` checks its `ad` maps.  Constructions whose
-    output is a representation by theorem whenever their input is one
-    skip both checks: `trivial_rep`, `dual_rep`, `parity_reverse_rep`,
-    direct sums, `left_regular_rep`, and the adjoint of an algebra
-    already known to be Lie, as in the hierarchy steps.
+    Verification runs once, where an action enters from outside: the
+    public constructor, `from_images`, `RawRep.verify` and `adjoint(g)` run
+    `check_representation`, the super Jacobi kernel run on the action, and
+    raise `ValueError` on failure.  Constructions whose output is a
+    representation by theorem skip it and hand `_trusted` a finished
+    table: `trivial_rep`, `dual_rep`, `parity_reverse_rep`, direct sums,
+    `left_regular_rep` (the product table) and the adjoint of an algebra
+    known to be Lie (the bracket table), as in the hierarchy steps.
     """
 
     algebra: LieSuperAlgebra
     space: SuperSpace
-    action: tuple[GradedLinearMap, ...]
+    nonzero: tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]
 
-    def __post_init__(self):
-        report = check_representation(self.algebra, self.space, self.action)
+    def __init__(
+        self, algebra: LieSuperAlgebra, space: SuperSpace, action: Sequence[GradedLinearMap]
+    ):
+        report = check_representation(algebra, space, action)
         if not report.ok:
             raise ValueError(f"not a representation: {report.failures()[0].detail}")
+        vars(self).update(algebra=algebra, space=space, nonzero=tuple(m.nonzero for m in action))
 
     @classmethod
-    def _trusted(
-        cls, algebra: LieSuperAlgebra, space: SuperSpace, action: tuple[GradedLinearMap, ...]
-    ) -> "Representation":
-        """Build without `check_representation`, for an action that is a
-        representation by construction or by a check already made."""
+    def _trusted(cls, algebra: LieSuperAlgebra, space: SuperSpace, nonzero) -> "Representation":
+        """Build from a finished action table without `check_representation`,
+        for a representation by construction or by a check already made."""
         rep = object.__new__(cls)
-        vars(rep).update(algebra=algebra, space=space, action=action)
+        vars(rep).update(algebra=algebra, space=space, nonzero=nonzero)
         return rep
 
     @staticmethod
@@ -108,8 +112,14 @@ class Representation:
         return Representation(g, space, action)
 
     @cached_property
+    def action(self) -> tuple[GradedLinearMap, ...]:
+        """The maps rho(e_a), column i of each being nonzero[a][i]; a view."""
+        V, P = self.space, self.algebra.space.parities
+        return tuple(GradedLinearMap._trusted(V, V, p, row) for p, row in zip(P, self.nonzero))
+
+    @cached_property
     def _hash(self) -> int:
-        return hash((self.algebra, self.space, self.action))
+        return hash((self.algebra, self.space, self.nonzero))
 
     def __hash__(self) -> int:
         # hashed once per object, as for LieSuperAlgebra: the semidirect
@@ -117,34 +127,30 @@ class Representation:
         return self._hash
 
     @cached_property
-    def _columns(self) -> "tuple[tuple, ...]":
-        """The action table: _columns[a][i] holds the pairs (k, x) of rho(e_a) v_i."""
-        return tuple(m.nonzero for m in self.action)
-
-    @cached_property
     def _scaled_tables(self) -> "tuple[int, tuple, tuple]":
         """(L, bracket, action): L the lcm of the denominators of the
         structure constants and of the action's entries, bracket[a][b] the
         pairs (k, L c_ab^k) of algebra.nonzero[a][b] and action[a][v] the
-        pairs (m, L rho(e_a)_mv) of action[a].nonzero[v], as ints.  The
-        integer O-operator kernel reads the algebra and the action here."""
-        L, (bracket, action) = linalg._cleared_tables(self.algebra.nonzero, self._columns)
+        pairs (m, L rho(e_a)_mv) of nonzero[a][v], as ints.  The integer
+        O-operator kernel reads the algebra and the action here."""
+        L, (bracket, action) = linalg._cleared_tables(self.algebra.nonzero, self.nonzero)
         return L, bracket, action
 
     def apply_vec(self, x, v):
         """rho(x)v for an algebra coordinate vector x (applied termwise)."""
-        return _bilinear(self._columns, x, v, self.space.dim)
+        return _bilinear(self.nonzero, x, v, self.space.dim)
 
 
 def _lie_adjoint(g: LieSuperAlgebra) -> Representation:
-    """The adjoint representation of an algebra known to satisfy the Lie
-    axioms; ad is then a representation by the super Jacobi identity.  An
-    algebra is not checked on construction, so its ad maps are checked
-    for homogeneity here, once per algebra object in `is_rota_baxter`."""
-    action = tuple(g.ad(i) for i in range(g.space.dim))
-    for m in action:
-        m.__post_init__()
-    return Representation._trusted(g, g.space, action)
+    """The adjoint of an algebra known to satisfy the Lie axioms, a
+    representation by the super Jacobi identity; its table is the bracket
+    table.  An algebra is not checked on construction, so the grading is
+    checked here, once per algebra object in `is_rota_baxter`; a failure
+    raises the homogeneity error of the first ad map that breaks it."""
+    failure = next(_grading_failures(g.space.parities, g.nonzero, EVEN), None)
+    if failure is not None:
+        g.ad(failure[0]).__post_init__()
+    return Representation._trusted(g, g.space, g.nonzero)
 
 
 def adjoint(g: LieSuperAlgebra) -> Representation:
@@ -153,22 +159,21 @@ def adjoint(g: LieSuperAlgebra) -> Representation:
 
 
 def trivial_rep(g: LieSuperAlgebra, space: SuperSpace) -> Representation:
-    action = tuple(GradedLinearMap.zero(space, space, p) for p in g.space.parities)
-    return Representation._trusted(g, space, action)
+    return Representation._trusted(g, space, (((),) * space.dim,) * g.space.dim)
 
 
 def dual_rep(rho: Representation) -> Representation:
     """(V*, rho*) with <rho*(x)u*, v> = -(-1)^{|x||u*|} <u*, rho(x)v>:
     rho*(x) = -rho(x)*."""
-    action = tuple(dual_map(m).scale(-1) for m in rho.action)
-    return Representation._trusted(rho.algebra, rho.space.dual(), action)
+    table = tuple(dual_map(m).scale(-1).nonzero for m in rho.action)
+    return Representation._trusted(rho.algebra, rho.space.dual(), table)
 
 
 def coadjoint(g: LieSuperAlgebra) -> Representation:
     return dual_rep(adjoint(g))
 
 
-def _reversed_table(P, table, perm) -> "list[list[tuple]]":
+def _reversed_table(P, table, perm) -> "tuple[tuple[tuple, ...], ...]":
     """The action table of rho^s on sV, rho^s(e_a)(sv) = (-1)^{|e_a|} s(rho(e_a)v),
     from the action table of rho: table[a][i] holds the pairs (k, x) of
     rho(e_a) v_i, P are the parities of the e_a and perm is the suspension's
@@ -181,19 +186,15 @@ def _reversed_table(P, table, perm) -> "list[list[tuple]]":
         cells = [()] * len(row)
         for i, col in enumerate(row):
             cells[perm[i]] = tuple((perm[k], -x if pa else x) for k, x in col)
-        out.append(cells)
-    return out
+        out.append(tuple(cells))
+    return tuple(out)
 
 
 def parity_reverse_rep(rho: Representation) -> Representation:
     """(sV, rho^s) with rho^s(x)(sv) = (-1)^{|x|} s(rho(x)v)."""
     svspace, perm = rho.space.suspended_with_permutation()
-    P = rho.algebra.space.parities
-    action = tuple(
-        GradedLinearMap._trusted(svspace, svspace, pa, tuple(row))
-        for pa, row in zip(P, _reversed_table(P, rho._columns, perm))
-    )
-    return Representation._trusted(rho.algebra, svspace, action)
+    table = _reversed_table(rho.algebra.space.parities, rho.nonzero, perm)
+    return Representation._trusted(rho.algebra, svspace, table)
 
 
 def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation:
@@ -202,14 +203,14 @@ def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation
     if rho1.algebra != rho2.algebra:
         raise ValueError("direct sum requires representations of the same algebra")
     total, emb1, emb2 = merge_spaces(rho1.space, rho2.space)
-    action = []
-    for pa, m1, m2 in zip(rho1.algebra.space.parities, rho1.action, rho2.action):
-        cols = [()] * total.dim
-        for emb, m in ((emb1, m1), (emb2, m2)):
-            for i, col in enumerate(m.nonzero):
-                cols[emb[i]] = tuple((emb[k], x) for k, x in col)
-        action.append(GradedLinearMap._trusted(total, total, pa, tuple(cols)))
-    return Representation._trusted(rho1.algebra, total, tuple(action))
+    table = []
+    for row1, row2 in zip(rho1.nonzero, rho2.nonzero):
+        cells = [()] * total.dim
+        for emb, row in ((emb1, row1), (emb2, row2)):
+            for i, col in enumerate(row):
+                cells[emb[i]] = tuple((emb[k], x) for k, x in col)
+        table.append(tuple(cells))
+    return Representation._trusted(rho1.algebra, total, tuple(table))
 
 
 def self_reversing_double(rho: Representation) -> Representation:
@@ -263,7 +264,7 @@ def _intertwiner_system(
     pos_index = {p: t for t, p in enumerate(positions)}
     rows2_of = [[k for k in range(V2.dim) if V2.parities[k] == p] for p in (0, 1)]
     cols1_of = [[j for j in range(V1.dim) if V1.parities[j] == p] for p in (0, 1)]
-    _, (table1, table2) = linalg._cleared_tables(rho1._columns, rho2._columns)
+    _, (table1, table2) = linalg._cleared_tables(rho1.nonzero, rho2.nonzero)
     rows = []
     for columns1, columns2 in zip(table1, table2):
         # (phi m1 - m2 phi)[k][j] = sum_i phi[k][i] m1[i][j] - sum_l m2[k][l] phi[l][j]

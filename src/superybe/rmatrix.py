@@ -26,7 +26,6 @@ from .graded import (
     _block_inverse,
     suspend_map,
 )
-from . import linalg
 from .liesuper import BilinearForm, LieSuperAlgebra, _semidirect, check_lie_axioms
 from .liesuper import _is_two_cocycle
 from .oop import _check_candidate
@@ -83,7 +82,7 @@ def _scybe_blocks(r: RMatrix) -> "tuple[int, Iterator[dict[int, int]]]":
 
     Every term is a product of two entries of r and one structure
     constant, so the kernel runs on ints: with r's entries scaled by D, the
-    lcm of their denominators, and the structure constants by E (see
+    lcm of their denominators (`Tensor2._cleared_values`), and the structure constants by E (see
     LieSuperAlgebra._scaled_nonzero), the integer sums are exactly
     D^2 E [[r, r]] and scale is D^2 E.  With a_ij the entries of r, the
     slot (x, y, z) sums three families:
@@ -104,7 +103,7 @@ def _scybe_blocks(r: RMatrix) -> "tuple[int, Iterator[dict[int, int]]]":
     E, _ = g._scaled_nonzero
     left, into = g._scaled_join
     entries = r.tensor.entries
-    D, ints = linalg._cleared([a for _, a in entries])
+    D, ints = r.tensor._cleared_values
     rows = [[] for _ in range(n)]
     cols = [[] for _ in range(n)]
     for ((i, j), _), a in zip(entries, ints):
@@ -176,7 +175,8 @@ def is_super_rmatrix(r: RMatrix) -> bool:
 
 def _operator_entries(P, slots):
     """The ((j, i), x) entries of T_r, read off the slots ((j, i), a_ji) of
-    the tensor r, whose space has the parities P."""
+    the tensor r, whose space has the parities P; the sign is its own
+    inverse, so the same rule reads the slots of r off T_r's entries."""
     return (((j, i), -a if P[i] else a) for (j, i), a in slots)
 
 
@@ -194,8 +194,7 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
     space = t.codomain
     if t.domain != space.dual():
         raise ValueError("expected a map dual(g) -> g")
-    P = space.parities
-    entries = (((p, q), -x if P[q] else x) for (p, q), x in t._entries())
+    entries = _operator_entries(space.parities, t._entries())
     return Tensor2._from_entries(space, space, entries, t.parity)
 
 
@@ -216,7 +215,7 @@ def _plain_semidirect(rho: Representation):
     """g |x_{rho*} V*, the host of the plain construction, with the
     positions of its algebra and module slots."""
     drho = dual_rep(rho)
-    return _semidirect(rho.algebra, drho.space, drho._columns)
+    return _semidirect(rho.algebra, drho.space, drho.nonzero)
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
@@ -224,7 +223,7 @@ def _dual_semidirect(rho: Representation):
     """The host of (rho^s) and its slot positions, with rho^s itself."""
     srho = parity_reverse_rep(rho)
     drho = dual_rep(srho)
-    return (*_semidirect(rho.algebra, drho.space, drho._columns), srho)
+    return (*_semidirect(rho.algebra, drho.space, drho.nonzero), srho)
 
 
 def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, entries, parity):
@@ -298,14 +297,15 @@ def _beta(r: RMatrix) -> "tuple[BilinearForm, list[dict[int, int]]]":
     nonzero integer scale, B[i] mapping each j with beta(e_i, e_j) != 0 to
     the scaled entry, for the int flag kernels of `liesuper`.
 
-    r's entries are cleared to ints by D, the lcm of their denominators,
-    and signed into T_r's entries; no map T_r is built.  One
+    r's entries are cleared to ints by D, the lcm of their denominators
+    (`Tensor2._cleared_values`, shared with `_scybe_blocks`), and signed
+    into T_r's entries; no map T_r is built.  One
     `_block_inverse` gives the inverse of D T_r as y / q, with q the
     Bareiss pivot of its row, so beta's entries are D y / q, and B is the
     inverse at the scale Q, the lcm of the pivots: B holds y Q / q, which
     is Q / D times beta."""
     entries = r.tensor.entries
-    D, ints = linalg._cleared([a for _, a in entries])
+    D, ints = r.tensor._cleared_values
     operator = _operator_entries(r.space.parities, zip((ji for ji, _ in entries), ints))
     inv = _block_inverse(r.space, r.space.dual(), r.parity, operator)
     if inv is None:

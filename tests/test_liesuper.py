@@ -285,11 +285,11 @@ def _semidirect_cases():
     cases = {}
     for name, rho in reps.items():
         g = rho.algebra
-        cases[name] = (g, rho.space, rho._columns, [m.matrix for m in rho.action])
+        cases[name] = (g, rho.space, rho.nonzero, [m.matrix for m in rho.action])
         sV, perm = rho.space.suspended_with_permutation()
         dense, parities = _dense_reversed(rho)
         assert sV.parities == parities
-        table = _reversed_table(g.space.parities, rho._columns, perm)
+        table = _reversed_table(g.space.parities, rho.nonzero, perm)
         cases[name + " reversed"] = (g, sV, table, dense)
     return cases
 

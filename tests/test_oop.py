@@ -37,6 +37,7 @@ from superybe import (
     trivial_rep,
 )
 from superybe.graded import rat, relabel_domain, vec_is_zero
+from superybe import reps
 from superybe.oop import _pairs, oop_defect
 
 from conftest import _count_calls, equivalence_cases, random_homogeneous_map
@@ -248,14 +249,21 @@ class TestRotaBaxter:
                 assert is_rota_baxter(t, g) == oop_holds(t, ad)
 
     def test_the_adjoint_is_built_once_per_algebra(self, monkeypatch, rng):
-        original = LieSuperAlgebra.ad
-        calls = []
+        # the adjoint's table is the bracket table, whose grading is checked
+        # once, where the adjoint is built
+        original_build, original_check = reps._lie_adjoint, reps._grading_failures
+        calls, checks = [], []
 
-        def counting(g, i):
+        def counting(g):
             calls.append(g)
-            return original(g, i)
+            return original_build(g)
 
-        monkeypatch.setattr(LieSuperAlgebra, "ad", counting)
+        def counting_check(P, table, shift):
+            checks.append(table)
+            return original_check(P, table, shift)
+
+        monkeypatch.setattr(reps, "_lie_adjoint", counting)
+        monkeypatch.setattr(reps, "_grading_failures", counting_check)
         g = load_fixture("ex3.17").parts["gplus"]
         rebuilt = LieSuperAlgebra(g.space, g.structure)
         zero = GradedLinearMap.zero(g.space, g.space, EVEN)
@@ -263,12 +271,14 @@ class TestRotaBaxter:
             assert is_rota_baxter(zero, rebuilt)
             t = random_homogeneous_map(rng, g.space, g.space, rng.randint(0, 1))
             is_rota_baxter(t, rebuilt)
-        # one ad map per basis element, for all 40 calls
-        assert len(calls) == g.space.dim and all(c is rebuilt for c in calls)
+        # one adjoint, with one check of the bracket table, for all 40 calls
+        assert len(calls) == 1 and calls[0] is rebuilt
+        assert len(checks) == 1 and checks[0] is rebuilt.nonzero
         # an equal algebra built apart is another object with its own adjoint
         twin = LieSuperAlgebra(g.space, g.structure)
         assert is_rota_baxter(zero, twin) and is_rota_baxter(zero, twin)
-        assert len(calls) == 2 * g.space.dim and calls[-1] is twin
+        assert len(calls) == 2 and calls[-1] is twin
+        assert len(checks) == 2 and checks[-1] is twin.nonzero
 
 
 class TestParityDuality:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -579,6 +580,19 @@ class TestTrustBoundary:
         g = LieSuperAlgebra.from_brackets(space, {("x", "y"): {"z": 1}, ("y", "z"): {"y": 1}})
         with pytest.raises(ValueError, match="not a representation"):
             adjoint(g)
+
+    def test_an_ungraded_bracket_is_refused_as_its_first_ad_map(self):
+        # ad(x) breaks the grading at (y, z) and (x, y); the witness is the
+        # first in row-major order, as the map constructor reports it
+        space = SuperSpace.make(even=["x", "z"], odd=["y"])
+        brackets = {("x", "y"): {"x": 1}, ("x", "z"): {"y": 1}, ("y", "y"): {"z": 1}}
+        g = LieSuperAlgebra.from_brackets(space, brackets)
+        message = "inhomogeneous map: entry (x, y) nonzero but parities disagree"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GradedLinearMap(space, space, EVEN, g.ad(0).matrix)
+        for build in (adjoint, _lie_adjoint):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(g)
 
     def test_derived_constructions_make_no_check(self, rep_checks):
         rho = load_fixture("ex2.3").parts["rho"]

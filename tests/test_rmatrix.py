@@ -630,6 +630,24 @@ class TestBetaCocycle:
             assert (len(inverts), nonsingular, ranks, classified, grams) == (1, [], [], [], [])
             assert 0 < len(eliminations) == len(blocks) <= 2
 
+    def test_beta_cocycle_check_clears_r_once(self, monkeypatch):
+        # _beta and the super-CYBE kernel read one cached integer view of
+        # r's slot values; the tensors are fresh, with no view cached yet
+        ex44 = load_fixture("ex4.4").parts
+        cleared = _count_calls(monkeypatch, "superybe.linalg", "_cleared")
+        for word in ("+", "-", "++"):
+            r = hierarchy_walk(ex44["algebra"], ex44["r1"], word)
+            beta_cocycle_check(r)  # the host's own tables are cleared here
+            for c in (Fraction(3, 7), Fraction(-2)):
+                fresh = RMatrix(r.algebra, r.tensor.scale(c))
+                values = [x for _, x in fresh.tensor.entries]
+                cleared.clear()
+                assert beta_cocycle_check(fresh)[1]
+                assert [args for args in cleared if list(args[0]) == values] == [(values,)]
+                cleared.clear()
+                beta_cocycle_check(fresh)
+                assert not any(list(args[0]) == values for args in cleared)
+
     @pytest.mark.parametrize("word", ["+", "-", "++", "+-", "+++", "-+-", "----"])
     def test_hierarchy_levels_of_r1_are_verdict_true_cocycles(self, word):
         """Every level of ex4.4's r1 solves the super CYBE and is

@@ -29,6 +29,7 @@ from superybe import (
     beta_form,
     check_lie_axioms,
     check_representation,
+    coadjoint,
     compatible_prelie,
     direct_sum_rep,
     double_dual_embedding,
@@ -43,6 +44,7 @@ from superybe import (
     induced_coadjoint_operator,
     induced_prelie,
     is_pan_supersymmetric,
+    is_self_reversing,
     is_super_rmatrix,
     left_regular_rep,
     linalg,
@@ -56,13 +58,15 @@ from superybe import (
     product_from_oop,
     rmatrix_to_operator,
     scybe_defect,
+    self_reversing_double,
     semidirect_product,
     suspend_map,
+    trivial_rep,
     twist,
 )
 from superybe.graded import merge_spaces, relabel_domain, sign, suspend_label
 from superybe.liesuper import _semidirect, _sparse_table
-from superybe.reps import IsoSearchResult, intertwiner_space
+from superybe.reps import IsoSearchResult, _lie_adjoint, intertwiner_space
 from superybe.rmatrix import _pan_supersymmetric_tensor, _step
 
 import oracles
@@ -449,7 +453,7 @@ def ref_plain_input(t, rho, variant):
         return t, rho
     sdom, m = ref_suspend(t)
     sspace = rho.space.suspended()
-    srho = Representation._trusted(
+    srho = Representation(
         rho.algebra,
         sspace,
         tuple(
@@ -698,6 +702,101 @@ def test_left_regular_rep_matches_its_dense_formula(name):
             assert [m.matrix for m in lrep.action] == [
                 grid(n, n, lambda k, j: a.product[i][j][k]) for i in range(n)
             ]
+
+
+# ---------------------------------------------------------------------------
+# the stored action table
+#
+# A representation stores its action table `nonzero`; the maps `action` are
+# a view built on first read.  The adjoint's table is the bracket table and
+# the left regular table the product table.
+
+
+def catalog_prelies():
+    """Every genuine (shift 0) pre-Lie product of the catalog, by name."""
+    found = {}
+    for name in fixture_names():
+        for part_name, part in load_fixture(name).parts.items():
+            if isinstance(part, PreLieSuperAlgebra) and part.parity_shift == EVEN:
+                found[f"{name}:{part_name}"] = part
+    return found
+
+
+def test_the_left_regular_table_is_the_product_table():
+    prelies = catalog_prelies()
+    assert len(prelies) >= 2
+    for name, a in prelies.items():
+        lrep = left_regular_rep(a)
+        assert lrep.nonzero is a.nonzero and "action" not in vars(lrep), name
+
+
+def test_derived_tables_build_no_maps():
+    rho = load_fixture("ex2.3").parts["rho"]
+    prelie = next(iter(catalog_prelies().values()))
+    double = self_reversing_double(rho)
+    derived = {
+        "parity_reverse_rep": parity_reverse_rep(rho),
+        "direct_sum_rep": direct_sum_rep(rho, dual_rep(rho)),
+        "self_reversing_double": double,
+        "trivial_rep": trivial_rep(rho.algebra, rho.space),
+        "left_regular_rep": left_regular_rep(prelie),
+    }
+    for name, d in derived.items():
+        assert "action" not in vars(d), name
+    assert is_self_reversing(double).found
+    assert "action" not in vars(double)
+    trivial = derived["trivial_rep"]
+    assert all(m.is_zero() for m in trivial.action)
+    assert_checked_equal(trivial)
+
+
+def rescaled(rho, p, s):
+    """rho over the algebra basis with e_p replaced by s e_p:
+    rho'(e_a) = f_a rho(e_a)."""
+    action = (m.scale(s) if a == p else m for a, m in enumerate(rho.action))
+    return Representation(rescaled_algebra(rho.algebra, p, s), rho.space, tuple(action))
+
+
+# the catalog representations (with their duals and parity reverses) and the
+# coadjoints of the hierarchy hosts up to dim 8
+STORED_BASES = REPS + [coadjoint(g) for _, g in sorted(HIERARCHY_LEVELS.items()) if g.dim <= 8]
+
+
+@st.composite
+def stored_bases(draw):
+    """A base representation, as it is or rescaled by a fractional scale on
+    an acting basis element, so that its common lcm L is not 1."""
+    rho = draw(st.sampled_from(STORED_BASES))
+    acting = [a for a, row in enumerate(rho.nonzero) if any(row)]
+    if acting and draw(st.booleans()):
+        rho = rescaled(rho, draw(st.sampled_from(acting)), draw(st.sampled_from(BASIS_SCALES)))
+        assert rho._scaled_tables[0] != 1
+    return rho
+
+
+def assert_checked_equal(d):
+    """d equals its rebuild through the checked constructor, from its view
+    and from the view's dense matrices, with the same hash."""
+    P = d.algebra.space.parities
+    assert [m.parity for m in d.action] == list(P)
+    dense = tuple(GradedLinearMap(d.space, d.space, p, m.matrix) for p, m in zip(P, d.action))
+    for action in (d.action, dense):
+        rebuilt = Representation(d.algebra, d.space, action)
+        assert rebuilt == d and hash(rebuilt) == hash(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=stored_bases())
+def test_derived_tables_equal_their_checked_rebuilds(rho):
+    drho, srho = dual_rep(rho), parity_reverse_rep(rho)
+    assert [m.matrix for m in drho.action] == ref_dual_action(rho)
+    assert [m.matrix for m in srho.action] == ref_reverse_action(rho)
+    for d in (drho, srho):
+        assert_checked_equal(d)
+    for other, summed in ((srho, self_reversing_double(rho)), (drho, direct_sum_rep(rho, drho))):
+        total, action = ref_direct_sum_action(rho, other)
+        assert summed.space == total and [m.matrix for m in summed.action] == action
+        assert_checked_equal(summed)
 
 
 # ---------------------------------------------------------------------------
@@ -1140,6 +1239,9 @@ def test_the_bracket_table_is_the_adjoint_action_table(name):
     # ad(e_a) e_j = [e_a, e_j]: the + step hands g.nonzero to _semidirect
     # as the action table, and gets the host of the verified adjoint
     g = ALGEBRAS[name]
+    ad = _lie_adjoint(g)
+    assert ad.nonzero is g.nonzero and "action" not in vars(ad)
+    assert adjoint(g).nonzero == g.nonzero
     assert _semidirect(g, g.space, g.nonzero) == adjoint_host(name)
     zero = RMatrix.from_terms(g, {})
     plus, minus = (hierarchy_walk(g, zero, word).algebra for word in "+-")
@@ -1200,9 +1302,7 @@ def rescaled_algebra(g, p, s):
 def rescaled_rep(index, p, s):
     """REPS[index] over the algebra basis with e_p replaced by s e_p:
     rho'(e_a) = f_a rho(e_a)."""
-    rho = REPS[index]
-    action = (m.scale(s) if a == p else m for a, m in enumerate(rho.action))
-    return Representation(rescaled_algebra(rho.algebra, p, s), rho.space, tuple(action))
+    return rescaled(REPS[index], p, s)
 
 
 def map_with_values(rnd, domain, codomain, parity, values):
@@ -1366,7 +1466,7 @@ def test_step_matches_the_dense_formula(name, letter, scale, parity, rnd):
     else:
         module, perm = space.suspended_with_permutation()
         reversed_action = zip(P, ref_reverse_action(ad))
-        rho = Representation._trusted(
+        rho = Representation(
             g, module, tuple(GradedLinearMap(module, module, p, m) for p, m in reversed_action)
         )
         signs = [(sign(P[i]), sign((parity + 1) * P[i])) for i in range(n)]
