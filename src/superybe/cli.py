@@ -187,9 +187,9 @@ def _cmd_check_oop(args, rep: Reporter) -> None:
     )
     defects = []
     for (a, b), d in report.nonzero_defects():
-        line = f"defect[{a}, {b}] = {format_vector(rho.algebra.space, d)}"
-        rep.note(line)
-        defects.append({"pair": [a, b], "value": format_vector(rho.algebra.space, d)})
+        value = format_vector(rho.algebra.space, d)
+        rep.note(f"defect[{a}, {b}] = {value}")
+        defects.append({"pair": [a, b], "value": value})
     rep.extra["defects"] = defects
 
 

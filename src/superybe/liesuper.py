@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Mapping, TYPE_CHECKING
 
 from . import linalg
@@ -136,7 +137,7 @@ class LieSuperAlgebra:
     The dense `structure` view is built on read.
     The constructor checks no axiom, not even super skew-symmetry, which
     the O-operator verdicts of `superybe.oop` assume; `check_lie_axioms`
-    verifies them.
+    verifies them once per object and keeps the report, as `_report`.
     """
 
     space: SuperSpace
@@ -225,13 +226,10 @@ class LieSuperAlgebra:
         return tuple(map(tuple, left)), tuple(map(tuple, into))
 
     @cached_property
-    def _adjoint(self) -> "Representation":
-        """The trusted adjoint representation (`reps._lie_adjoint`), built
-        once per algebra object for `is_rota_baxter`, which checks map after
-        map against it, and freed with the algebra."""
-        from .reps import _lie_adjoint  # reps imports this module
-
-        return _lie_adjoint(self)
+    def _jacobi_failure(self) -> "tuple[tuple[int, int, int], ...]":
+        """The first failing (i, j, k) of the super Jacobi identity, or ()."""
+        C = self.nonzero
+        return tuple(islice(_hom_failures(self.space.parities, C, C, self.dim), 1))
 
     def bracket(self, x, y) -> tuple[Scalar, ...]:
         """[x, y] for coordinate vectors x, y."""
@@ -305,7 +303,9 @@ def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
     """Verify parity consistency, super skew-symmetry and the super Jacobi
     identity exhaustively; each axiom reports its first offending triple.
     The Jacobi defect at (i, j, k) is that of ad being a representation,
-    on e_k: column k of ad(e_a) is nonzero[a][k]."""
+    on e_k: column k of ad(e_a) is nonzero[a][k].  Kept on g as `_report`."""
+    if "_report" in vars(g):
+        return g._report
     n = g.space.dim
     L = g.space.labels
     P = g.space.parities
@@ -322,14 +322,15 @@ def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
         f"[{L[i]}, {L[j]}] has a component along {L[k]} of wrong parity"
         for i, j, k in _grading_failures(P, C, EVEN)
     )
-    jacobi = (f"fails at triple ({L[i]}, {L[j]}, {L[k]})" for i, j, k in _hom_failures(P, C, C, n))
-    return CheckReport(
+    jacobi = (f"fails at triple ({L[i]}, {L[j]}, {L[k]})" for i, j, k in g._jacobi_failure)
+    vars(g)["_report"] = CheckReport(
         (
             _first_failure("parity consistency", parity),
             _first_failure("super skew-symmetry", skew_witnesses()),
             _first_failure("super Jacobi", jacobi),
         )
     )
+    return g._report
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +523,11 @@ def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
                 q = mod_embed[i]
                 cell = host_row[q] = tuple((mod_embed[k], x) for k, x in col)
                 rows[q][p] = _partner(cell, pa & pi)
-    return LieSuperAlgebra._trusted(total, tuple(map(tuple, rows))), alg_embed, mod_embed
+    host = LieSuperAlgebra._trusted(total, tuple(map(tuple, rows)))
+    # every caller passes a representation's table: over a Lie g, a Lie host
+    if "_report" in vars(g) and g._report.ok:
+        vars(host)["_report"] = g._report
+    return host, alg_embed, mod_embed
 
 
 def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlgebra:

@@ -27,8 +27,8 @@ into each other with these signs by the Koszul rule alone; the bracket
 term needs the super skew-symmetry of g.  `from_brackets` (and so every
 parsed [bracket]), `subadjacent` and semidirect products build it in;
 the public `LieSuperAlgebra(space, structure)` constructor does not
-check it, and `check_lie_axioms` does.  `is_oop` computes all n^2 pairs
-for its table.
+check it; `check_lie_axioms` does, once per object, and `is_rota_baxter`
+reads that report through `adjoint`.  `is_oop` computes all n^2 pairs for its table.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .graded import (
     vec_is_zero,
 )
 from .liesuper import LieSuperAlgebra
-from .reps import Representation, _check_isomorphism, direct_sum_rep, parity_reverse_rep
+from .reps import Representation, _check_isomorphism, adjoint, direct_sum_rep, parity_reverse_rep
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,13 @@ def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
 
 def is_rota_baxter(r: GradedLinearMap, g: LieSuperAlgebra) -> bool:
     """[Rx, Ry] = R((-1)^{(|R|+|x|)|R|}[Rx, y] + [x, Ry]) on basis pairs:
-    the O-operator identity for the adjoint representation, which is built
-    once per algebra object (`LieSuperAlgebra._adjoint`).  Like
+    the O-operator identity for `adjoint(g)`, kept once per algebra object,
+    which reads g's kept `check_lie_axioms` report and refuses as it does.  Like
     `oop_holds`, it reads only `_pairs`, which needs g's bracket super
-    skew-symmetric, as `check_lie_axioms` verifies."""
+    skew-symmetric, as that report verifies."""
     if r.domain != g.space or r.codomain != g.space:
         raise ValueError("a Rota-Baxter candidate must be an endomorphism of g")
-    return oop_holds(r, g._adjoint)
+    return oop_holds(r, adjoint(g))
 
 
 def parity_dual_oop(t: GradedLinearMap, rho: Representation) -> OOperatorCandidate:

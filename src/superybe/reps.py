@@ -22,11 +22,10 @@ from .graded import (
     SuperSpace,
     _block_inverse,
     _cleared_entries,
-    dual_map,
     merge_spaces,
 )
 from .liesuper import CheckReport, LieSuperAlgebra, _bilinear, _first_failure
-from .liesuper import _grading_failures, _hom_failures
+from .liesuper import _grading_failures, _hom_failures, check_lie_axioms
 
 
 def check_representation(
@@ -69,13 +68,13 @@ class Representation:
     maps `action` are a view, built on first read.
 
     Verification runs once, where an action enters from outside: the
-    public constructor, `from_images`, `RawRep.verify` and `adjoint(g)` run
+    public constructor, `from_images` and `RawRep.verify` run
     `check_representation`, the super Jacobi kernel run on the action, and
     raise `ValueError` on failure.  Constructions whose output is a
     representation by theorem skip it and hand `_trusted` a finished
     table: `trivial_rep`, `dual_rep`, `parity_reverse_rep`, direct sums,
-    `left_regular_rep` (the product table) and the adjoint of an algebra
-    known to be Lie (the bracket table), as in the hierarchy steps.
+    `left_regular_rep` (the product table) and `adjoint(g)` (the bracket
+    table, on g's kept `check_lie_axioms` report), as in the hierarchy.
     """
 
     algebra: LieSuperAlgebra
@@ -141,21 +140,18 @@ class Representation:
         return _bilinear(self.nonzero, x, v, self.space.dim)
 
 
-def _lie_adjoint(g: LieSuperAlgebra) -> Representation:
-    """The adjoint of an algebra known to satisfy the Lie axioms, a
-    representation by the super Jacobi identity; its table is the bracket
-    table.  An algebra is not checked on construction, so the grading is
-    checked here, once per algebra object in `is_rota_baxter`; a failure
-    raises the homogeneity error of the first ad map that breaks it."""
-    failure = next(_grading_failures(g.space.parities, g.nonzero, EVEN), None)
-    if failure is not None:
-        g.ad(failure[0]).__post_init__()
-    return Representation._trusted(g, g.space, g.nonzero)
-
-
 def adjoint(g: LieSuperAlgebra) -> Representation:
-    """The adjoint representation, verified: g may break the Jacobi identity."""
-    return Representation(g, g.space, _lie_adjoint(g).action)
+    """The adjoint representation, kept once per algebra object: its table
+    is the bracket table, once g's kept `check_lie_axioms` report passes;
+    else the first ad map that breaks the grading, or the first Jacobi
+    witness, raises as the checked constructors do."""
+    if not check_lie_axioms(g).ok:
+        for i, _, _ in _grading_failures(g.space.parities, g.nonzero, EVEN):
+            g.ad(i).__post_init__()
+        for i, j, _ in g._jacobi_failure:
+            L = g.space.labels
+            raise ValueError(f"not a representation: fails at pair ({L[i]}, {L[j]})")
+    return vars(g).setdefault("_adjoint", Representation._trusted(g, g.space, g.nonzero))
 
 
 def trivial_rep(g: LieSuperAlgebra, space: SuperSpace) -> Representation:
@@ -164,9 +160,16 @@ def trivial_rep(g: LieSuperAlgebra, space: SuperSpace) -> Representation:
 
 def dual_rep(rho: Representation) -> Representation:
     """(V*, rho*) with <rho*(x)u*, v> = -(-1)^{|x||u*|} <u*, rho(x)v>:
-    rho*(x) = -rho(x)*."""
-    table = tuple(dual_map(m).scale(-1).nonzero for m in rho.action)
-    return Representation._trusted(rho.algebra, rho.space.dual(), table)
+    rho*(x) = -rho(x)*: pair (k, x) of cell (a, i) moves to cell (a, k) as
+    (i, x) if e_a and v_k are both odd, else (i, -x), in ascending i."""
+    Q, table = rho.space.parities, []
+    for pa, row in zip(rho.algebra.space.parities, rho.nonzero):
+        cells = [[] for _ in Q]
+        for i, col in enumerate(row):
+            for k, x in col:
+                cells[k].append((i, x if pa & Q[k] else -x))
+        table.append(tuple(map(tuple, cells)))
+    return Representation._trusted(rho.algebra, rho.space.dual(), tuple(table))
 
 
 def coadjoint(g: LieSuperAlgebra) -> Representation:

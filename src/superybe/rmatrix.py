@@ -356,8 +356,8 @@ HIERARCHY_DIM_CAP = 256
 
 
 # each step takes g to a semidirect product of g with a representation,
-# again a Lie superalgebra, so once hierarchy_trace has checked the
-# starting algebra the adjoint of every level is trusted
+# again a Lie superalgebra, so once hierarchy_trace has checked the root,
+# `_semidirect` hands every level the root's passing report: no level is checked
 def _step(r: RMatrix, letter: str) -> RMatrix:
     """The level after r: the induced tensor of the operator r defines, in
     g |x_ad g for '+', or of its parity dual, in g |x_{ad^s} sg for '-'."""

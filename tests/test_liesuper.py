@@ -192,7 +192,8 @@ class TestSemidirect:
         g = load_fixture("ex3.2").parts["algebra"]
         v = SuperSpace.make(even=["u"], odd=["m"])
         h = semidirect_product(g, trivial_rep(g, v))
-        assert check_lie_axioms(h).ok
+        # h may hold g's report: the kernel runs on an unseeded copy
+        assert check_lie_axioms(LieSuperAlgebra._trusted(h.space, h.nonzero)).ok
         u = h.space.vector({"u": 1})
         for i in range(h.space.dim):
             assert h.bracket(h.space.basis_vector(i), u) == h.space.zero_vector()
@@ -202,7 +203,8 @@ class TestSemidirect:
             fx = load_fixture(name)
             g = fx.parts["algebra"]
             rho = fx.parts.get("rho") or fx.parts["coadjoint"]
-            assert check_lie_axioms(semidirect_product(g, rho)).ok
+            h = semidirect_product(g, rho)
+            assert check_lie_axioms(LieSuperAlgebra._trusted(h.space, h.nonzero)).ok
 
 
 def _dense_reversed(rho):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -37,7 +38,6 @@ from superybe import (
     trivial_rep,
 )
 from superybe.graded import rat, relabel_domain, vec_is_zero
-from superybe import reps
 from superybe.oop import _pairs, oop_defect
 
 from conftest import _count_calls, equivalence_cases, random_homogeneous_map
@@ -248,37 +248,17 @@ class TestRotaBaxter:
                 t = random_homogeneous_map(rng, g.space, g.space, rng.randint(0, 1))
                 assert is_rota_baxter(t, g) == oop_holds(t, ad)
 
-    def test_the_adjoint_is_built_once_per_algebra(self, monkeypatch, rng):
-        # the adjoint's table is the bracket table, whose grading is checked
-        # once, where the adjoint is built
-        original_build, original_check = reps._lie_adjoint, reps._grading_failures
-        calls, checks = [], []
-
-        def counting(g):
-            calls.append(g)
-            return original_build(g)
-
-        def counting_check(P, table, shift):
-            checks.append(table)
-            return original_check(P, table, shift)
-
-        monkeypatch.setattr(reps, "_lie_adjoint", counting)
-        monkeypatch.setattr(reps, "_grading_failures", counting_check)
-        g = load_fixture("ex3.17").parts["gplus"]
-        rebuilt = LieSuperAlgebra(g.space, g.structure)
-        zero = GradedLinearMap.zero(g.space, g.space, EVEN)
-        for _ in range(20):
-            assert is_rota_baxter(zero, rebuilt)
-            t = random_homogeneous_map(rng, g.space, g.space, rng.randint(0, 1))
-            is_rota_baxter(t, rebuilt)
-        # one adjoint, with one check of the bracket table, for all 40 calls
-        assert len(calls) == 1 and calls[0] is rebuilt
-        assert len(checks) == 1 and checks[0] is rebuilt.nonzero
-        # an equal algebra built apart is another object with its own adjoint
-        twin = LieSuperAlgebra(g.space, g.structure)
-        assert is_rota_baxter(zero, twin) and is_rota_baxter(zero, twin)
-        assert len(calls) == 2 and calls[-1] is twin
-        assert len(checks) == 2 and checks[-1] is twin.nonzero
+    def test_a_graded_algebra_that_fails_jacobi_is_refused_as_adjoint_refuses_it(self):
+        # the grading holds, so only the Jacobi witness refuses g, with the
+        # error of adjoint(g), on every call
+        space = SuperSpace.make(even=["x", "y", "z"])
+        g = LieSuperAlgebra.from_brackets(space, {("x", "y"): {"z": 1}, ("y", "z"): {"y": 1}})
+        zero = GradedLinearMap.zero(space, space, EVEN)
+        message = "not a representation: fails at pair (x, y)"
+        for _ in range(2):
+            for call in (lambda: adjoint(g), lambda: is_rota_baxter(zero, g)):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    call()
 
 
 class TestParityDuality:

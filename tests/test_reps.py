@@ -24,7 +24,9 @@ from superybe import (
     check_lie_axioms,
     find_even_isomorphism,
     fixture_names,
+    hierarchy_trace,
     is_intertwiner,
+    is_rota_baxter,
     is_self_reversing,
     load_fixture,
     parity_reverse_rep,
@@ -37,10 +39,10 @@ from superybe.reps import (
     _RANDOM_FALLBACK_TRIES,
     ISO_GRID_COST_CAP,
     _intertwiner_system,
-    _lie_adjoint,
     intertwiner_space,
 )
-from superybe.rmatrix import _dual_semidirect, _plain_semidirect
+from superybe.liesuper import _semidirect
+from superybe.rmatrix import HierarchyError, RMatrix, _dual_semidirect, _plain_semidirect
 
 import oracles
 from conftest import _count_calls, equivalence_cases
@@ -562,18 +564,76 @@ def test_semidirect_host_representations_pass_the_check(start, variant):
         module = dual_rep(parity_reverse_rep(rho))
         h = _dual_semidirect(rho)[0]
     assert _is_rep(module)
-    assert check_lie_axioms(h).ok
-    ad = _lie_adjoint(h)
+    # the kernel runs on an unseeded copy: h may hold its algebra's report
+    assert check_lie_axioms(LieSuperAlgebra._trusted(h.space, h.nonzero)).ok
+    ad = adjoint(h)
     assert _is_rep(ad)
     assert _is_rep(parity_reverse_rep(ad))
 
 
+def _non_jacobi_algebra():
+    """A graded, super skew-symmetric algebra that breaks the Jacobi identity."""
+    space = SuperSpace.make(even=["x", "y", "z"])
+    return LieSuperAlgebra.from_brackets(space, {("x", "y"): {"z": 1}, ("y", "z"): {"y": 1}})
+
+
 class TestTrustBoundary:
-    def test_coadjoint_checks_once(self, rep_checks):
-        g = load_fixture("ex3.2").parts["algebra"]
-        rep_checks.clear()
-        coadjoint(g)
-        assert len(rep_checks) == 1
+    def test_an_algebra_is_checked_once(self, monkeypatch, rep_checks):
+        # one pass of the Jacobi kernel per algebra object, whatever reads
+        # it and however often; none for a level or a host of a verified one
+        fx = load_fixture("ex4.4")
+        g = LieSuperAlgebra(fx.parts["algebra"].space, fx.parts["algebra"].structure)
+        passes = _count_calls(monkeypatch, "superybe.liesuper", "_hom_failures")
+
+        def read(h):
+            zero = GradedLinearMap.zero(h.space, h.space, EVEN)
+            assert is_rota_baxter(zero, h)
+            kept = vars(h)["_adjoint"]  # the one adjoint is_rota_baxter reads
+            for _ in range(3):
+                assert check_lie_axioms(h).ok and is_rota_baxter(zero, h)
+                assert adjoint(h) is kept and kept.nonzero is h.nonzero
+                coad = coadjoint(h)
+            return coad
+
+        read(g)
+        levels = [r.algebra for r in hierarchy_trace(g, fx.parts["r1"], "+-+")]
+        hierarchy_trace(g, fx.parts["r1"], "-")
+        assert len(passes) == 1 and passes[0][1] is g.nonzero
+        for h in levels:
+            coad = read(h)
+            hosts = (semidirect_product(h, coad), _plain_semidirect(coad)[0], _dual_semidirect(coad)[0])
+            for host in hosts:
+                read(host)
+        assert len(passes) == 1 and rep_checks == []
+        # an equal algebra built apart is another object, checked once
+        twin = LieSuperAlgebra(g.space, g.structure)
+        read(twin)
+        assert len(passes) == 2 and passes[1][1] is twin.nonzero
+        # a failing algebra is checked once too, and refused on every read
+        bad = _non_jacobi_algebra()
+        zero = GradedLinearMap.zero(bad.space, bad.space, EVEN)
+        for _ in range(3):
+            assert not check_lie_axioms(bad).ok
+            for call in (adjoint, coadjoint, lambda h: is_rota_baxter(zero, h)):
+                with pytest.raises(ValueError, match="not a representation"):
+                    call(bad)
+            with pytest.raises(HierarchyError, match="super Jacobi"):
+                hierarchy_trace(bad, RMatrix.from_terms(bad, {}), "+")
+        assert len(passes) == 3 and passes[2][1] is bad.nonzero
+
+    def test_a_host_is_seeded_only_by_a_kept_passing_report(self):
+        fx = load_fixture("ex3.2")
+        space, structure = fx.parts["algebra"].space, fx.parts["algebra"].structure
+        bad = _non_jacobi_algebra()
+        unchecked = LieSuperAlgebra(space, structure)
+        checked = LieSuperAlgebra(space, structure)
+        assert not check_lie_axioms(bad).ok and check_lie_axioms(checked).ok
+        for g, seeded in ((bad, False), (unchecked, False), (checked, True)):
+            h, _, _ = _semidirect(g, g.space, g.nonzero)
+            assert ("_report" in vars(h)) == seeded
+            if seeded:
+                assert check_lie_axioms(h) is check_lie_axioms(checked)
+        assert "_report" not in vars(unchecked)
 
     def test_adjoint_of_a_non_lie_algebra_is_rejected(self):
         space = SuperSpace.make(even=["x", "y", "z"])
@@ -590,7 +650,7 @@ class TestTrustBoundary:
         message = "inhomogeneous map: entry (x, y) nonzero but parities disagree"
         with pytest.raises(ValueError, match=re.escape(message)):
             GradedLinearMap(space, space, EVEN, g.ad(0).matrix)
-        for build in (adjoint, _lie_adjoint):
+        for build in (adjoint, coadjoint):
             with pytest.raises(ValueError, match=re.escape(message)):
                 build(g)
 

@@ -24,6 +24,7 @@ from superybe import (
     check_lie_axioms,
     classify_form,
     coadjoint,
+    fixture_names,
     hierarchy_trace,
     hierarchy_walk,
     induced_coadjoint_operator,
@@ -41,7 +42,7 @@ from superybe import (
     suspend_map,
     twist,
 )
-from superybe.graded import sign
+from superybe.graded import merge_spaces, sign
 from superybe.liesuper import BilinearForm, _is_two_cocycle, _scaled_gram
 from superybe.rmatrix import HOST_CACHE_SIZE, _beta, _dual_semidirect, _plain_semidirect
 
@@ -69,7 +70,7 @@ class TestPanSupersymmetry:
         # sigma(r) = -(-1)^{|r|} r holds exactly when
         # <w*, T_r(v*)> = -(-1)^{|v*||w*|} <v*, T_r(w*)> on all basis pairs
         from superybe import pair_eval, rmatrix_to_operator
-        from superybe.graded import sign
+        from superybe.graded import merge_spaces, sign
         from conftest import random_tensor
 
         for _, g, _ in equivalence_cases()[:3]:
@@ -728,7 +729,7 @@ class TestBetaCocycle:
 
     def test_skew_supersymmetry_of_beta(self, rng):
         # for non-degenerate homogeneous pan-supersymmetric tensors
-        from superybe.graded import sign
+        from superybe.graded import merge_spaces, sign
 
         found = 0
         for _, g, _ in equivalence_cases()[:3]:
@@ -748,6 +749,71 @@ class TestBetaCocycle:
                     for j in range(n):
                         assert beta.gram[i][j] == -sign(P[i] * P[j]) * beta.gram[j][i]
         assert found > 0
+
+
+def _central_extension(g, omega):
+    """g (+)_omega Qc, [x, y]' = [x, y] + omega(x, y) c with c central of
+    omega's parity: a fresh object, whose report no construction seeds."""
+    c = SuperSpace.make(odd=["c"]) if omega.parity else SuperSpace.make(even=["c"])
+    total, emb, (pc,) = merge_spaces(g.space, c)
+    entries = [
+        ((emb[i], emb[j], emb[k]), x)
+        for i, row in enumerate(g.nonzero)
+        for j, cell in enumerate(row)
+        for k, x in cell
+    ]
+    entries += [((emb[i], emb[j], pc), w) for (i, j), w in omega.entries]
+    return LieSuperAlgebra._from_entries(total, entries)
+
+
+def _perturbed(omega, rnd):
+    """omega plus t at one homogeneous slot (i, j), i <= j, and at (j, i) by
+    skew-supersymmetry, so the form stays skew-supersymmetric."""
+    P, n = omega.space.parities, omega.space.dim
+    slots = [
+        (i, j)
+        for i in range(n)
+        for j in range(i, n)
+        if P[i] ^ P[j] == omega.parity and (i < j or P[i])
+    ]
+    i, j = rnd.choice(slots)
+    t = rnd.choice([1, -2, Fraction(1, 3)])
+    gram = [list(row) for row in omega.gram]
+    gram[i][j] += t
+    if i != j:
+        gram[j][i] += t if P[i] & P[j] else -t
+    return BilinearForm(omega.space, gram, omega.parity)
+
+
+def test_the_two_cocycle_flag_is_the_central_extensions_lie_verdict():
+    # two kernels check each other: omega is a 2-cocycle of g exactly when
+    # g (+)_omega Qc satisfies the Lie axioms, which runs the Jacobi kernel
+    # on each fresh extension
+    tensors = [
+        part
+        for name in fixture_names()
+        for part in load_fixture(name).parts.values()
+        if isinstance(part, RMatrix)
+    ]
+    fx = load_fixture("ex4.4")
+    for word in ("+", "-", "++", "+-", "-+", "--", "+++", "+--", "-+-", "---"):
+        tensors.append(hierarchy_walk(fx.parts["algebra"], fx.parts["r1"], word))
+    rnd = random.Random(13)
+    verdicts, nonsingular = [], 0
+    for r in tensors:
+        try:
+            omega = beta_form(r)
+        except DegenerateRMatrix:
+            continue
+        nonsingular += 1
+        for form in [omega] + [_perturbed(omega, rnd) for _ in range(3)]:
+            h = _central_extension(r.algebra, form)
+            assert "_report" not in vars(h)
+            verdict = check_lie_axioms(h).ok
+            assert classify_form(form, r.algebra).two_cocycle == verdict
+            verdicts.append(verdict)
+    assert nonsingular == 16
+    assert verdicts[::4] == [True] * nonsingular and False in verdicts
 
 
 class TestHierarchy:
@@ -779,8 +845,9 @@ class TestHierarchy:
             hierarchy_walk(g, zero, "+")
 
     def test_level_algebras_satisfy_the_lie_axioms(self):
-        # the levels are trusted to be Lie superalgebras; check each one up
-        # to dim 16 (every prefix of every length-3 word)
+        # the levels are trusted to be Lie superalgebras and hold the root's
+        # report; run the kernel on an unseeded copy of each one up to dim 16
+        # (every prefix of every length-3 word)
         fx = load_fixture("ex4.4")
         g = fx.parts["algebra"]
         levels = {}
@@ -790,7 +857,7 @@ class TestHierarchy:
                 levels[word[:depth]] = level.algebra
         assert len(levels) == 14
         for word, h in levels.items():
-            assert check_lie_axioms(h).ok, word
+            assert check_lie_axioms(LieSuperAlgebra._trusted(h.space, h.nonzero)).ok, word
 
     def test_walk_makes_no_representation_check(self, rep_checks):
         fx = load_fixture("ex4.4")
