@@ -248,6 +248,24 @@ class TestRotaBaxter:
                 t = random_homogeneous_map(rng, g.space, g.space, rng.randint(0, 1))
                 assert is_rota_baxter(t, g) == oop_holds(t, ad)
 
+    def test_the_adjoint_is_built_once_per_algebra(self, monkeypatch, rng):
+        # the adjoint's table is the bracket table, whose grading and Jacobi
+        # identity are checked once, by the report the adjoint reads
+        gradings = _count_calls(monkeypatch, "superybe.liesuper", "_grading_failures")
+        passes = _count_calls(monkeypatch, "superybe.liesuper", "_hom_failures")
+        g = load_fixture("ex3.17").parts["gplus"]
+        rebuilt = LieSuperAlgebra(g.space, g.structure)
+        zero = GradedLinearMap.zero(g.space, g.space, EVEN)
+        for _ in range(20):
+            assert is_rota_baxter(zero, rebuilt)
+            t = random_homogeneous_map(rng, g.space, g.space, rng.randint(0, 1))
+            is_rota_baxter(t, rebuilt)
+        # one adjoint, with one check of the bracket table, for all 40 calls
+        kept = vars(rebuilt)["_adjoint"]
+        assert adjoint(rebuilt) is kept and kept.nonzero is rebuilt.nonzero
+        assert len(gradings) == 1 and gradings[0][1] is rebuilt.nonzero
+        assert len(passes) == 1 and passes[0][1] is rebuilt.nonzero
+
     def test_a_graded_algebra_that_fails_jacobi_is_refused_as_adjoint_refuses_it(self):
         # the grading holds, so only the Jacobi witness refuses g, with the
         # error of adjoint(g), on every call

@@ -621,6 +621,21 @@ class TestTrustBoundary:
                 hierarchy_trace(bad, RMatrix.from_terms(bad, {}), "+")
         assert len(passes) == 3 and passes[2][1] is bad.nonzero
 
+    def test_coadjoint_checks_once(self, monkeypatch, rep_checks):
+        # coadjoint reads the algebra's kept report: one check of the bracket
+        # table for a fresh algebra, however often it is called, and no check of
+        # the representation
+        fx = load_fixture("ex3.2")
+        g = LieSuperAlgebra(fx.parts["algebra"].space, fx.parts["algebra"].structure)
+        gradings = _count_calls(monkeypatch, "superybe.liesuper", "_grading_failures")
+        passes = _count_calls(monkeypatch, "superybe.liesuper", "_hom_failures")
+        coads = [coadjoint(g) for _ in range(3)]
+        assert len(gradings) == 1 and gradings[0][1] is g.nonzero
+        assert len(passes) == 1 and passes[0][1] is g.nonzero
+        assert rep_checks == []
+        assert all(coad.nonzero == coads[0].nonzero for coad in coads)
+        assert _is_rep(coads[0])
+
     def test_a_host_is_seeded_only_by_a_kept_passing_report(self):
         fx = load_fixture("ex3.2")
         space, structure = fx.parts["algebra"].space, fx.parts["algebra"].structure
