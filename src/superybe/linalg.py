@@ -11,19 +11,20 @@ callers clear once, where a matrix enters: `rref`, `rank`, `invert`,
 denominators, and `nullspace` scales each row when it collects the row's
 nonzeros.  A positive row scale changes no reduced row echelon form, so
 the results are those of elimination over `Fraction`, and every value
-returned is a `Fraction`, divided back from the kernel's ints once.
+a public function returns is a `Fraction`, divided back once.
 `det` reads the last Bareiss pivot, signed by the row swaps, over the
-product of the row scale factors.  `nullspace` hands the kernel one
-connected component of its nonzero rows at a time, so that a sparse
-system costs in proportion to its nonzeros.  Callers that already hold
-integer rows reach the kernel through `_inverse` or `_eliminate`.
+product of the row scale factors.  `nullspace` wraps `_null_basis`,
+which hands the kernel one connected component of sparse integer rows
+at a time, so that a sparse system costs in proportion to its nonzeros.
+Callers that hold integer rows reach the kernel through `_null_basis`,
+`_inverse` or `_eliminate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,24 +128,22 @@ def rank(rows) -> int:
     return len(_eliminate(_cleared_rows(rows)[1])[1])
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right nullspace of the matrix, as tuples.
+def _null_basis(rows, n):
+    """The right nullspace of a sparse integer matrix over n columns.
 
-    Free variables are set to 1 one at a time, in column order.
+    Each row is its (c, x) pairs, x a nonzero int, each column c at most
+    once, in any order.  Yields (f, pairs) for each free column f in
+    ascending order: the basis vector v that is 1 at f, v[c] = x / q for
+    each (c, x, q) of pairs, reduced with q > 0, and 0 elsewhere.
 
-    The work goes by the nonzeros.  Zero rows are dropped, and each other
-    row is scaled to ints as its nonzeros are collected, which leaves the
-    nullspace as it is: a row with one nonzero becomes a 1, any other is
-    scaled by the lcm of its denominators.  The rows are grouped by the
+    The work goes by the nonzeros.  The nonempty rows are grouped by the
     connected components of their column graph, in which a row joins every
     column it touches (union-find).  A component whose rows each hold one
-    entry is one column, pinned to zero with no elimination; any other
-    component is eliminated alone, on its own dense rows over its columns.
-    Reduced row echelon form is unique, so the basis is the one
-    elimination of the whole matrix gives; a column that no row touches is
-    free, with a unit basis vector.
+    entry is one column, pinned to zero with no elimination; any other is
+    eliminated alone, on its own dense rows over its columns.  Reduced row
+    echelon form is unique, so the basis is the one elimination of the
+    whole matrix gives; a column that no row touches is free.
     """
-    n = len(rows[0]) if rows else (ncols or 0)
     parent = list(range(n))
 
     def root(c):
@@ -153,49 +152,54 @@ def nullspace(rows, ncols=None):
             c = parent[c]
         return c
 
-    nonzero = []
-    for row in rows:
-        cols = list(compress(range(n), row))
-        if len(cols) == 1:
-            nonzero.append([(cols[0], 1)])
-        elif cols:
-            nonzero.append(list(zip(cols, _cleared([row[c] for c in cols])[1])))
-            r = root(cols[0])
-            for c in cols[1:]:
+    rows = [entries for entries in rows if entries]
+    for entries in rows:
+        if len(entries) > 1:
+            r = root(entries[0][0])
+            for c, _ in entries[1:]:
                 parent[root(c)] = r
     components = {}
-    for entries in nonzero:
+    for entries in rows:
         components.setdefault(root(entries[0][0]), []).append(entries)
     pivot_set = set()
-    depends = {}  # free column f -> the pairs (pivot column c, v[c]) of its vector
+    depends = {}  # free column f -> the (pivot column c, x, q) of its vector
     for comp in components.values():
         if all(len(entries) == 1 for entries in comp):
             pivot_set.add(comp[0][0][0])
             continue
         cols = sorted({c for entries in comp for c, _ in entries})
         local = {c: t for t, c in enumerate(cols)}
-        dense = []
-        for entries in comp:
-            row = [0] * len(cols)
+        dense = [[0] * len(cols) for _ in comp]
+        for row, entries in zip(dense, comp):
             for c, x in entries:
                 row[local[c]] = x
-            dense.append(row)
         m, pivots, _ = _eliminate(dense)
         for row, p in zip(m, pivots):
-            c = cols[p]
+            c, q = cols[p], row[p]
             pivot_set.add(c)
             for t, x in enumerate(row):
                 if x and t != p:
-                    depends.setdefault(cols[t], []).append((c, Fraction(-x, row[p])))
-    basis = []
+                    g = gcd(x, q) if q > 0 else -gcd(x, q)
+                    depends.setdefault(cols[t], []).append((c, -x // g, q // g))
     for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * n
+        if f not in pivot_set:
+            yield f, depends.get(f, ())
+
+
+def nullspace(rows, ncols=None):
+    """Basis of the right nullspace of the matrix, as tuples of Fractions,
+    free variables set to 1 one at a time in column order: `_null_basis`
+    of the nonzeros of each row, scaled to ints as they are collected."""
+    n = len(rows[0]) if rows else (ncols or 0)
+    sparse = []
+    for row in rows:
+        cols = list(compress(range(n), row))
+        sparse.append(list(zip(cols, _cleared([row[c] for c in cols])[1])))
+    basis = []
+    for f, pairs in _null_basis(sparse, n):
+        v = {c: Fraction(x, q) for c, x, q in pairs}
         v[f] = ONE
-        for c, x in depends.get(f, ()):
-            v[c] = x
-        basis.append(tuple(v))
+        basis.append(tuple(v.get(c, ZERO) for c in range(n)))
     return basis
 
 

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -21,7 +22,6 @@ from .graded import (
     Scalar,
     SuperSpace,
     _block_inverse,
-    _cleared_entries,
     merge_spaces,
 )
 from .liesuper import CheckReport, LieSuperAlgebra, _bilinear, _first_failure
@@ -247,61 +247,64 @@ class IsoSearchResult:
 
 def _intertwiner_system(
     rho1: Representation, rho2: Representation
-) -> "tuple[list[tuple[int, int]], list[list[int]]]":
+) -> "tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]":
     """(positions, rows): the unknown entries (k, i) of an even map
-    phi: V1 -> V2, and the nonzero rows of the linear system
-    phi rho1(x) = rho2(x) phi, one per entry (k, j) of
-    phi rho1(e_a) - rho2(e_a) phi, in (a, k, j) order.  The rows are the
-    equations times D, the lcm of the denominators of both actions'
-    entries, summed on ints: the system is homogeneous, so one positive
-    scale leaves its nullspace as it is.  Only the nonzero entries of the
-    action maps are read."""
+    phi: V1 -> V2, and the nonzero rows of the system phi rho1(x) =
+    rho2(x) phi, one per entry (k, j) of phi rho1(e_a) - rho2(e_a) phi, in
+    (a, k, j) order, each as its (t, x) pairs in no order: x != 0 is the
+    coefficient of unknown t times D, the lcm of the denominators of both
+    actions' entries, summed on ints; the system is homogeneous, so one
+    positive scale leaves its nullspace as it is.  Only the nonzero
+    entries of the action maps are read."""
     V1, V2 = rho1.space, rho2.space
     # unknowns: entries (k, i) with |w_k| = |v_i| (phi is even)
-    positions = [
-        (k, i)
-        for k in range(V2.dim)
-        for i in range(V1.dim)
-        if V2.parities[k] == V1.parities[i]
-    ]
+    P1, P2 = V1.parities, V2.parities
+    n1, n2 = V1.dim, V2.dim
+    positions = [(k, i) for k in range(n2) for i in range(n1) if P2[k] == P1[i]]
     pos_index = {p: t for t, p in enumerate(positions)}
-    rows2_of = [[k for k in range(V2.dim) if V2.parities[k] == p] for p in (0, 1)]
-    cols1_of = [[j for j in range(V1.dim) if V1.parities[j] == p] for p in (0, 1)]
+    # the unknowns (k, t) in column i of phi, and (j, t) in its row l
+    in_col = [[(k, pos_index[k, i]) for k in range(n2) if P2[k] == P1[i]] for i in range(n1)]
+    in_row = [[(j, pos_index[l, j]) for j in range(n1) if P1[j] == P2[l]] for l in range(n2)]
     _, (table1, table2) = linalg._cleared_tables(rho1.nonzero, rho2.nonzero)
     rows = []
     for columns1, columns2 in zip(table1, table2):
-        # (phi m1 - m2 phi)[k][j] = sum_i phi[k][i] m1[i][j] - sum_l m2[k][l] phi[l][j]
+        # (phi m1 - m2 phi)[k][j] = sum_i phi[k][i] m1[i][j] - sum_l m2[k][l] phi[l][j] at
+        # key k n1 + j; the first sum meets each unknown of an equation once
         eqs = {}
         for j, col in enumerate(columns1):
             for i, x in col:
-                for k in rows2_of[V1.parities[i]]:
-                    eq = eqs.setdefault((k, j), {})
-                    t = pos_index[k, i]
-                    eq[t] = eq.get(t, 0) + x
+                for k, t in in_col[i]:
+                    eqs.setdefault(k * n1 + j, {})[t] = x
         for l, col in enumerate(columns2):
             for k, x in col:
-                for j in cols1_of[V2.parities[l]]:
-                    eq = eqs.setdefault((k, j), {})
-                    t = pos_index[l, j]
+                for j, t in in_row[l]:
+                    eq = eqs.setdefault(k * n1 + j, {})
                     eq[t] = eq.get(t, 0) - x
-        for kj in sorted(eqs):
-            if any(eqs[kj].values()):
-                row = [0] * len(positions)
-                for t, x in eqs[kj].items():
-                    row[t] = x
-                rows.append(row)
+        rows += filter(None, ([(t, x) for t, x in eqs[kj].items() if x] for kj in sorted(eqs)))
     return positions, rows
 
 
-def intertwiner_space(rho1: Representation, rho2: Representation) -> list[GradedLinearMap]:
-    """Exact basis of {phi even : phi rho1(x) = rho2(x) phi for all x}."""
+def _intertwiner_basis(rho1: Representation, rho2: Representation) -> "list[list]":
+    """The even intertwiners' basis on ints, from `linalg._null_basis` of
+    the intertwiner system: per free unknown, the ((k, i), x, q) of its
+    map's nonzero entries x / q, reduced with q > 0.  Representations of
+    different algebras are refused."""
     if rho1.algebra != rho2.algebra:
         raise ValueError("intertwiners require a common algebra")
     positions, rows = _intertwiner_system(rho1, rho2)
-    basis_raw = linalg.nullspace(rows, ncols=len(positions))
     return [
-        GradedLinearMap._from_entries(rho1.space, rho2.space, EVEN, zip(positions, v))
-        for v in basis_raw
+        [(positions[f], 1, 1)] + [(positions[c], x, q) for c, x, q in pairs]
+        for f, pairs in linalg._null_basis(rows, len(positions))
+    ]
+
+
+def intertwiner_space(rho1: Representation, rho2: Representation) -> list[GradedLinearMap]:
+    """Exact basis of {phi even : phi rho1(x) = rho2(x) phi for all x}, the
+    maps of the nonzero entries of `_intertwiner_basis`."""
+    V1, V2 = rho1.space, rho2.space
+    return [
+        GradedLinearMap._from_entries(V1, V2, EVEN, [(rc, Fraction(x, q)) for rc, x, q in b])
+        for b in _intertwiner_basis(rho1, rho2)
     ]
 
 
@@ -331,13 +334,13 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
     tried instead, and absence is reported as "inconclusive".
 
     Each attempt is one `graded._block_inverse` of the candidate summed on
-    ints from the basis's stored entries, cleared once by one D: the
-    elimination of its two parity blocks both decides nonsingularity and
-    gives the exact inverse.  Only a hit builds `Fraction`s."""
+    ints from `_intertwiner_basis`, cleared once by D, the lcm of its q's:
+    eliminating its two parity blocks decides nonsingularity and gives the
+    exact inverse.  No map and no `Fraction` is built before a hit."""
     V1, V2 = rho1.space, rho2.space
     if (V1.even_dim, V1.odd_dim) != (V2.even_dim, V2.odd_dim):
         return IsoSearchResult("none")
-    basis = intertwiner_space(rho1, rho2)
+    basis = _intertwiner_basis(rho1, rho2)
     k = len(basis)
     if k == 0:
         if V1.dim == 0:
@@ -345,7 +348,8 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
             return IsoSearchResult("found", empty, GradedLinearMap.zero(V2, V1, EVEN))
         return IsoSearchResult("none")
     n = V1.dim
-    D, stored = _cleared_entries(basis)
+    D = lcm(*(q for entries in basis for _, _, q in entries))
+    stored = [[(rc, x * (D // q)) for rc, x, q in entries] for entries in basis]
     rng = random.Random(0x5EBE)  # a fixed seed: the same answer on every run
     probe = [rng.randint(1, 8 * n) for _ in range(k)]
     # (n + 1)^k n^3 grid cost, without forming a huge power: 2^k <= (n + 1)^k
@@ -376,13 +380,24 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
 
 
 def is_intertwiner(phi: GradedLinearMap, rho1: Representation, rho2: Representation) -> bool:
-    """phi rho1(x) = rho2(x) phi on every algebra basis element."""
+    """phi rho1(x) = rho2(x) phi on every algebra basis element, compared
+    column by column on the action tables and phi's columns; representations
+    of different algebras are refused."""
+    if rho1.algebra != rho2.algebra:
+        raise ValueError("intertwiners require a common algebra")
     if phi.domain != rho1.space or phi.codomain != rho2.space:
         return False
-    return all(
-        phi.compose(rho1.action[a]) == rho2.action[a].compose(phi)
-        for a in range(rho1.algebra.space.dim)
-    )
+    cols = phi.nonzero
+    for row1, row2 in zip(rho1.nonzero, rho2.nonzero):
+        for j, col in enumerate(row1):
+            # column j of phi rho1(e_a) minus column j of rho2(e_a) phi
+            terms = [(k, x * y) for i, x in col for k, y in cols[i]]
+            diff = {}
+            for k, z in terms + [(k, -x * y) for l, y in cols[j] for k, x in row2[l]]:
+                diff[k] = diff.get(k, 0) + z
+            if any(diff.values()):
+                return False
+    return True
 
 
 def _check_isomorphism(phi: GradedLinearMap, rho1: Representation, rho2: Representation):

@@ -4,12 +4,13 @@ Fraction elimination and the determinant by minors of `tests/oracles.py`.
 Matrices run from 0x0 to 9x9, wide and tall, with entries that mix ints
 and Fractions, zero rows and rows that are combinations of other rows.
 `nullspace` also meets permuted block-diagonal matrices, whose rows fall
-into several connected components.  Every result must equal the
+into several connected components, and its integer core `_null_basis`
+meets shuffled sparse integer rows.  Every public result must equal the
 oracle's and be made of Fractions.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,6 +113,55 @@ def test_nullspace_of_permuted_block_diagonal_matrices_matches_the_oracle(rows, 
     basis = linalg.nullspace(rows, ncols=ncols)
     assert basis == oracles.dense_nullspace(rows, ncols=ncols)
     assert all(type(v) is tuple and all_fractions(v) for v in basis)
+    assert rows == before
+
+
+@st.composite
+def sparse_int_rows(draw):
+    """(rows, n): sparse rows of nonzero ints over n columns, as the
+    intertwiner equations come: each row its (c, x) pairs with distinct c,
+    some rows repeated, a few columns that no row touches, and the rows and
+    the pairs within each row shuffled."""
+    touched = draw(st.integers(0, 8))
+    n = touched + draw(st.integers(0, 3))
+    labels = draw(st.permutations(range(n)))  # the untouched columns fall anywhere
+    nonzero = st.integers(-6, 6).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 9)) if touched else 0):
+        cols = draw(st.lists(st.integers(0, touched - 1), min_size=1, max_size=4, unique=True))
+        rows.append([(labels[c], draw(nonzero)) for c in cols])
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    rows = [draw(st.permutations(row)) for row in draw(st.permutations(rows))]
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=sparse_int_rows())
+def test_the_integer_null_basis_matches_the_fraction_elimination(drawn):
+    """`_null_basis`, the core `nullspace` and the isomorphism search share:
+    the oracle's free columns in order, each v[c] = x / q reduced, q > 0."""
+    rows, n = drawn
+    before = copy(rows)
+    dense = []
+    for row in rows:
+        line = [0] * n
+        for c, x in row:
+            line[c] = x
+        dense.append(line)
+    want = oracles.dense_nullspace(dense, ncols=n)
+    got = list(linalg._null_basis(rows, n))
+    pivots = oracles.dense_rref(dense)[1] if dense else []
+    assert [f for f, _ in got] == [c for c in range(n) if c not in pivots]
+    assert len(got) == len(want)
+    for (f, pairs), v in zip(got, want):
+        assert v[f] == 1
+        assert all(type(x) is int and type(q) is int for _, x, q in pairs)
+        assert all(x and q > 0 and gcd(x, q) == 1 for _, x, q in pairs)
+        assert len({c for c, _, _ in pairs} | {f}) == len(pairs) + 1
+        assert {c: Fraction(x, q) for c, x, q in pairs} == {
+            c: vc for c, vc in enumerate(v) if vc and c != f
+        }
     assert rows == before
 
 

@@ -32,6 +32,7 @@ from superybe import (
     parity_reverse_rep,
     self_reversing_double,
     semidirect_product,
+    transport_oop,
     trivial_rep,
 )
 from superybe.graded import format_vector
@@ -373,8 +374,8 @@ class TestIsomorphismSearch:
         g = LieSuperAlgebra.from_brackets(space, {})
         v = SuperSpace.make(even=[f"u{i}" for i in range(99)])
         rho = trivial_rep(g, v)
-        basis = [GradedLinearMap._from_entries(v, v, EVEN, [((i, i), 1)]) for i in (0, 1)]
-        monkeypatch.setattr("superybe.reps.intertwiner_space", lambda rho1, rho2: basis)
+        basis = [[((i, i), 1, 1)] for i in (0, 1)]
+        monkeypatch.setattr("superybe.reps._intertwiner_basis", lambda rho1, rho2: basis)
         assert 100**2 * 99**3 > ISO_GRID_COST_CAP
         inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
         assert find_even_isomorphism(rho, rho).status == "inconclusive"
@@ -768,8 +769,10 @@ def test_intertwiner_system_matches_the_dense_construction():
         scales.add(D)
         got_positions, got_rows = _intertwiner_system(rho1, rho2)
         assert got_positions == positions, name
-        assert got_rows == [[D * x for x in row] for row in rows], name
-        assert all(type(x) is int for row in got_rows for x in row), name
+        assert [_densified(row, len(positions)) for row in got_rows] == [
+            [D * x for x in row] for row in rows
+        ], name
+        assert all(type(x) is int and x for row in got_rows for _, x in row), name
         basis = intertwiner_space(rho1, rho2)
         dense = oracles.dense_nullspace(rows, ncols=len(positions))
         assert len(basis) == len(dense), name
@@ -780,6 +783,16 @@ def test_intertwiner_system_matches_the_dense_construction():
             assert phi.matrix == tuple(map(tuple, grid)), name
     # the rescaled copies have denominators to clear
     assert max(scales) > 1
+
+
+def _densified(pairs, n):
+    """The dense row of n entries with the given nonzero (t, x) pairs,
+    each column at most once."""
+    row = [0] * n
+    for t, x in pairs:
+        assert row[t] == 0
+        row[t] = x
+    return row
 
 
 # the self-reversing double of each criterion-4 representation against its
@@ -797,8 +810,8 @@ _DOUBLE_SPLITS = {
 def _row_components(rows):
     """The nonzero rows grouped by the connected components of the columns
     they touch, two columns joined when a row holds both, by depth-first
-    search; each row as its list of nonzero columns."""
-    supports = [[c for c, x in enumerate(row) if x] for row in rows]
+    search; each row as its ascending list of nonzero columns."""
+    supports = [sorted(c for c, x in row if x) for row in rows]
     rows_at = {}
     for r, support in enumerate(supports):
         for c in support:
@@ -920,3 +933,132 @@ def test_isomorphism_search_matches_the_grid_oracle(pair, scales, data):
         if count == ORACLE_POINTS:
             return
     assert result.status == "none"
+
+
+def _spied_builds(monkeypatch):
+    """The list of `GradedLinearMap._trusted` builds made while the test
+    runs; every derived map, `_from_entries` included, is built there."""
+    built = []
+    original = GradedLinearMap._trusted
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(GradedLinearMap, "_trusted", staticmethod(counting))
+    return built
+
+
+def test_the_search_builds_no_map_before_its_hit(monkeypatch):
+    """The search runs on ints from the equations to the probe: a hit builds
+    the isomorphism and its inverse, and a miss builds nothing."""
+    cases = []
+    for name, _, rho in equivalence_cases():
+        double = self_reversing_double(rho)
+        cases.append((name, double, parity_reverse_rep(double), "found", 2))
+    ad = adjoint(load_fixture("ex3.2").parts["algebra"])
+    cases.append(("ex3.2 adjoint / dual", ad, dual_rep(ad), "none", 0))
+    # the over-cap grid of test_over_cap_grid_takes_the_randomized_path
+    g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
+    v = SuperSpace.make(even=[f"u{i}" for i in range(6)])
+    shift = GradedLinearMap.from_images(
+        v, v, EVEN, {f"u{i}": {f"u{i - 1}": 1} for i in range(1, 6)}
+    )
+    cases.append(("over cap", trivial_rep(g, v), Representation(g, v, (shift,)), "inconclusive", 0))
+    built = _spied_builds(monkeypatch)
+    for name, rho1, rho2, status, builds in cases:
+        built.clear()
+        result = find_even_isomorphism(rho1, rho2)
+        assert (result.status, len(built)) == (status, builds), name
+        if result.found:
+            assert [args[:3] for args in built] == [
+                (rho1.space, rho2.space, EVEN),
+                (rho2.space, rho1.space, EVEN),
+            ], name
+
+
+# ---------------------------------------------------------------------------
+# is_intertwiner on the tables against the definition by composition
+
+
+def _composed_verdict(phi, rho1, rho2):
+    """phi rho1(e_a) = rho2(e_a) phi for every a, by composing the maps of
+    the action views."""
+    if phi.domain != rho1.space or phi.codomain != rho2.space:
+        return False
+    return all(
+        phi.compose(m1) == m2.compose(phi) for m1, m2 in zip(rho1.action, rho2.action)
+    )
+
+
+_FOREIGN = SuperSpace.make(even=["w0"], odd=["w1"])
+
+
+def _fresh(rho):
+    """An equal representation with no action view built yet."""
+    return Representation._trusted(rho.algebra, rho.space, rho.nonzero)
+
+
+def _perturbed(phi):
+    """phi with 1 added to its first nonzero entry, same parity."""
+    first = next(phi._entries())[0]
+    entries = [(rc, y + 1 if rc == first else y) for rc, y in phi._entries()]
+    return GradedLinearMap._from_entries(phi.domain, phi.codomain, phi.parity, entries)
+
+
+def _odd_map(domain, codomain):
+    """The odd map with every entry allowed by the parities equal to 1."""
+    P, Q = domain.parities, codomain.parities
+    entries = [((k, i), 1) for k in range(codomain.dim) for i in range(domain.dim) if P[i] != Q[k]]
+    return GradedLinearMap._from_entries(domain, codomain, ODD, entries)
+
+
+def test_is_intertwiner_reads_the_tables():
+    """The table verdict equals the composed one on each found isomorphism,
+    the same with one entry perturbed, its inverse, the zero and an all-ones
+    odd map, and maps on the wrong spaces; no action view is built."""
+    verdicts = {True: 0, False: 0}
+    for name, (rho1, rho2) in _iso_pairs().items():
+        result = find_even_isomorphism(rho1, rho2)
+        V1, V2 = rho1.space, rho2.space
+        maps = [GradedLinearMap.zero(V1, V2, ODD), _odd_map(V1, V2)]
+        # a map into a foreign space, and the identity of V2, on the pair's
+        # spaces only when V1 = V2
+        maps += [GradedLinearMap.zero(V1, _FOREIGN, EVEN), GradedLinearMap.identity(V2)]
+        if result.found and rho1.space.dim:
+            maps += [result.iso, _perturbed(result.iso), result.inverse]
+        for phi in maps:
+            fresh1, fresh2 = _fresh(rho1), _fresh(rho2)
+            verdict = is_intertwiner(phi, fresh1, fresh2)
+            assert verdict == _composed_verdict(phi, rho1, rho2), name
+            assert "action" not in vars(fresh1) and "action" not in vars(fresh2), name
+            verdicts[verdict] += 1
+    # both verdicts occur often
+    assert min(verdicts.values()) > 100
+
+
+def _two_abelian_reps():
+    """The trivial representation of an abelian dim-1 algebra on a 1|0 space,
+    and a representation of an abelian dim-2 algebra on the same space."""
+    V = SuperSpace.make(even=["v"])
+    g1 = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
+    g2 = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["x", "y"]), {})
+    return trivial_rep(g1, V), Representation.from_images(g2, V, {"x": {"v": {"v": 1}}})
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_is_intertwiner_refuses_representations_of_different_algebras(order):
+    rho1, rho2 = _two_abelian_reps()[::order]
+    identity = GradedLinearMap.identity(rho1.space)
+    with pytest.raises(ValueError, match="^intertwiners require a common algebra$"):
+        is_intertwiner(identity, rho1, rho2)
+
+
+def test_transport_refuses_an_isomorphism_across_algebras():
+    # transport_oop checks its isomorphism with is_intertwiner, the one
+    # public path where the two representations come from the caller
+    rho1, rho2 = _two_abelian_reps()
+    t = GradedLinearMap.zero(rho2.space, rho2.algebra.space, EVEN)
+    identity = GradedLinearMap.identity(rho1.space)
+    with pytest.raises(ValueError, match="^intertwiners require a common algebra$"):
+        transport_oop(t, rho2, identity, rho1)
