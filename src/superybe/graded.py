@@ -287,17 +287,6 @@ def _block_nonsingular(rows: SuperSpace, cols: SuperSpace, parity: Parity, entri
     )
 
 
-def _cleared_entries(maps) -> "tuple[int, list[list]]":
-    """(D, entries): D the lcm of the denominators of the entries of all
-    the maps, and for each map its ((k, i), D m_ki) with m_ki != 0, as
-    ints, column by column."""
-    D, ints = linalg._cleared([x for t in maps for col in t.nonzero for _, x in col])
-    ints = iter(ints)
-    return D, [
-        [((k, i), next(ints)) for i, col in enumerate(t.nonzero) for k, _ in col] for t in maps
-    ]
-
-
 @dataclass(frozen=True, init=False)
 class GradedLinearMap:
     """A homogeneous linear map between superspaces.
@@ -311,7 +300,9 @@ class GradedLinearMap:
     T_r, intertwiners, the maps of a representation's `action` view) are
     homogeneous by theorem and skip it: `_from_entries` groups their
     entries, and `_trusted` takes a finished table.  The dense `matrix`
-    view is built on read.
+    view is built on read, and so is the integer view `_cleared_columns`,
+    which `_seeded` writes for the constructions that relabel and sign a
+    source's entries, so that no derived map is cleared again.
     """
 
     domain: SuperSpace
@@ -347,6 +338,15 @@ class GradedLinearMap:
         """The map of a finished, homogeneous `nonzero` table, unchecked."""
         t = object.__new__(cls)
         vars(t).update(domain=domain, codomain=codomain, parity=parity, nonzero=nonzero)
+        return t
+
+    @classmethod
+    def _seeded(cls, domain: SuperSpace, codomain: SuperSpace, parity: Parity, nonzero, cleared):
+        """`_trusted`, with the integer view `_cleared_columns` written as
+        `cleared`: a construction that relabels and signs a source's
+        entries writes its output's view from the source's in the same loop."""
+        t = cls._trusted(domain, codomain, parity, nonzero)
+        vars(t)["_cleared_columns"] = cleared
         return t
 
     @classmethod
@@ -403,6 +403,20 @@ class GradedLinearMap:
     def _entries(self):
         """The ((k, i), m_ki) with m_ki != 0, column by column."""
         for i, col in enumerate(self.nonzero):
+            for k, x in col:
+                yield (k, i), x
+
+    @cached_property
+    def _cleared_columns(self) -> "tuple[int, tuple]":
+        """(D, columns): D the lcm of the denominators of the entries and
+        `nonzero` with each m_ki as the int D m_ki, once per map
+        (`linalg._cleared_cells`), or written by `_seeded`.  Every integer
+        kernel reads a map's entries here."""
+        return linalg._cleared_cells(self.nonzero)
+
+    def _int_entries(self):
+        """The ((k, i), D m_ki) of `_cleared_columns`, column by column."""
+        for i, col in enumerate(self._cleared_columns[1]):
             for k, x in col:
                 yield (k, i), x
 
@@ -467,25 +481,27 @@ class GradedLinearMap:
         inverse entry is D y / q, one `Fraction` each."""
         if self.domain.dim != self.codomain.dim:
             raise ValueError("only square maps can be inverted")
-        D, (entries,) = _cleared_entries([self])
-        inv = _block_inverse(self.codomain, self.domain, self.parity, entries)
+        D = self._cleared_columns[0]
+        inv = _block_inverse(self.codomain, self.domain, self.parity, self._int_entries())
         if inv is None:
             raise ValueError("map is not invertible")
         entries = (((i, k), Fraction(D * y, q)) for (i, k), y, q in inv)
         return GradedLinearMap._from_entries(self.codomain, self.domain, self.parity, entries)
 
     def is_invertible(self) -> bool:
-        (entries,) = _cleared_entries([self])[1]
-        return _block_nonsingular(self.codomain, self.domain, self.parity, entries)
+        return _block_nonsingular(self.codomain, self.domain, self.parity, self._int_entries())
 
 
 def suspend_map(t: GradedLinearMap) -> GradedLinearMap:
-    """T^s(su) = T(u): same images, suspended domain, parity flipped."""
+    """T^s(su) = T(u): same images, suspended domain, parity flipped; its
+    integer view is T's, its columns moved the same way."""
     sdom, perm = t.domain.suspended_with_permutation()
-    cols = [()] * sdom.dim
-    for i, col in enumerate(t.nonzero):
-        cols[perm[i]] = col
-    return GradedLinearMap._trusted(sdom, t.codomain, t.parity ^ 1, tuple(cols))
+    D, ints = t._cleared_columns
+    cols, icols = [()] * sdom.dim, [()] * sdom.dim
+    for i, p in enumerate(perm):
+        cols[p] = t.nonzero[i]
+        icols[p] = ints[i]
+    return GradedLinearMap._seeded(sdom, t.codomain, t.parity ^ 1, tuple(cols), (D, tuple(icols)))
 
 
 def dual_map(t: GradedLinearMap) -> GradedLinearMap:
@@ -531,7 +547,9 @@ class Tensor2:
     where a tensor enters: the public constructor, which scans a dense
     array and keeps no copy, and `from_terms` run `__post_init__`.  Derived
     tensors skip it: `_from_entries` sorts their slots, and `_trusted`
-    takes finished ones.  The dense `coeffs` view is built on first read.
+    takes finished ones.  The dense `coeffs` view is built on first read,
+    and so is the integer view `_cleared_values`, unless the construction
+    that built the tensor wrote it from its source's.
 
     parity None means inhomogeneous (or an undeclared zero tensor).
     """
@@ -585,7 +603,8 @@ class Tensor2:
 
     @cached_property
     def _cleared_values(self) -> "tuple[int, list[int]]":
-        """(D, ints): `linalg._cleared` on the slot values, once per tensor."""
+        """(D, ints): `linalg._cleared` on the slot values, once per tensor,
+        or written by the construction that built it."""
         return linalg._cleared([x for _, x in self.entries])
 
     @cached_property

@@ -41,15 +41,29 @@ def _cleared(values) -> "tuple[int, list[int]]":
     return D, [x.numerator * (D // x.denominator) for x in values]
 
 
+def _scaled_cells(cells, D: int) -> tuple:
+    """The cells, sequences of (k, x) pairs, again with each x as D x, an
+    int; D is a common multiple of the denominators of the x."""
+    if D == 1:
+        return tuple(tuple((k, x.numerator) for k, x in cell) for cell in cells)
+    return tuple(tuple((k, x.numerator * (D // x.denominator)) for k, x in cell) for cell in cells)
+
+
+def _cleared_cells(cells) -> "tuple[int, tuple]":
+    """(D, scaled): D the lcm of the denominators of every value x of the
+    cells, sequences of (k, x) pairs (1 if there is none), and the cells
+    with each x as D x.  A map's columns are cleared here, once per map
+    (`GradedLinearMap._cleared_columns`)."""
+    D = lcm(*(x.denominator for cell in cells for _, x in cell))
+    return D, _scaled_cells(cells, D)
+
+
 def _cleared_tables(*tables) -> "tuple[int, list]":
-    """(D, scaled): `_cleared` on every value x of the sparse tables, rows
-    of cells of (k, x) pairs, and the tables again with each x as D x."""
-    D, ints = _cleared([x for table in tables for row in table for cell in row for _, x in cell])
-    scaled = iter(ints)
-    return D, [
-        tuple(tuple(tuple((k, next(scaled)) for k, _ in cell) for cell in row) for row in table)
-        for table in tables
-    ]
+    """(D, scaled): D the lcm of the denominators of every value x of the
+    sparse tables, rows of cells of (k, x) pairs, and the tables again
+    with each x as D x."""
+    D = lcm(*(x.denominator for table in tables for row in table for cell in row for _, x in cell))
+    return D, [tuple(_scaled_cells(row, D) for row in table) for table in tables]
 
 
 def _cleared_rows(rows) -> "tuple[list[int], list[list[int]]]":

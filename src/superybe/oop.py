@@ -9,8 +9,11 @@ Every defect comes from one kernel, `_defect`, which sums on Python ints
 over cleared denominators: the structure constants and the action are
 scaled by L, the lcm of all their denominators, once per representation
 (`Representation._scaled_tables`), and the map's columns by D, the lcm of
-their denominators, once per call (the grid search scales its entry set
-once).  The sums are then D^2 L times the defect.  `oop_holds`,
+their denominators, once per map: `_defect` reads the map's cached
+integer view `GradedLinearMap._cleared_columns`, which T^s, T_r and the
+induced coadjoint operators inherit from their source instead of
+clearing again (the grid search scales its entry set once).  The sums
+are then D^2 L times the defect.  `oop_holds`,
 `is_rota_baxter` and the grid search answer "any nonzero" on the ints;
 `oop_defect` and `is_oop` divide each nonzero slot back into a `Fraction`
 once, so every value they return is a `Fraction`.
@@ -138,10 +141,10 @@ def _check_candidate(t: GradedLinearMap, rho: Representation):
 
 def _defects(t: GradedLinearMap, rho: Representation, pairs):
     """(defects, D^2 L): the `_defect` dicts of the pairs (i, j), lazily,
-    and their common scale.  T's columns are scaled by D, the lcm of their
-    denominators, once for all of the pairs."""
+    and their common scale.  T's columns, scaled by D, the lcm of their
+    denominators, are read off T's integer view `_cleared_columns`."""
     tables = rho._scaled_tables
-    D, ((cols,),) = linalg._cleared_tables((t.nonzero,))
+    D, cols = t._cleared_columns
     P, parity = rho.space.parities, t.parity
     return (_defect(tables, P, parity, cols, i, j) for i, j in pairs), D * D * tables[0]
 

@@ -135,6 +135,14 @@ class Representation:
         L, (bracket, action) = linalg._cleared_tables(self.algebra.nonzero, self.nonzero)
         return L, bracket, action
 
+    @cached_property
+    def _cleared_action(self) -> "tuple[int, tuple]":
+        """(D, table): D the lcm of the denominators of the action's entries
+        and table[a][v] the pairs (m, D rho(e_a)_mv) of nonzero[a][v], as
+        ints, once per representation; the intertwiner system reads it."""
+        D, (table,) = linalg._cleared_tables(self.nonzero)
+        return D, table
+
     def apply_vec(self, x, v):
         """rho(x)v for an algebra coordinate vector x (applied termwise)."""
         return _bilinear(self.nonzero, x, v, self.space.dim)
@@ -252,10 +260,12 @@ def _intertwiner_system(
     phi: V1 -> V2, and the nonzero rows of the system phi rho1(x) =
     rho2(x) phi, one per entry (k, j) of phi rho1(e_a) - rho2(e_a) phi, in
     (a, k, j) order, each as its (t, x) pairs in no order: x != 0 is the
-    coefficient of unknown t times D, the lcm of the denominators of both
-    actions' entries, summed on ints; the system is homogeneous, so one
-    positive scale leaves its nullspace as it is.  Only the nonzero
-    entries of the action maps are read."""
+    coefficient of unknown t times D, a common multiple of the
+    denominators of both actions' entries, summed on ints; the system is
+    homogeneous, so one positive scale leaves its nullspace as it is.  Only
+    the nonzero entries of the action maps are read, off each
+    representation's integer table `_cleared_action`, rescaled to the lcm
+    of the two scales only when they differ."""
     V1, V2 = rho1.space, rho2.space
     # unknowns: entries (k, i) with |w_k| = |v_i| (phi is even)
     P1, P2 = V1.parities, V2.parities
@@ -265,7 +275,13 @@ def _intertwiner_system(
     # the unknowns (k, t) in column i of phi, and (j, t) in its row l
     in_col = [[(k, pos_index[k, i]) for k in range(n2) if P2[k] == P1[i]] for i in range(n1)]
     in_row = [[(j, pos_index[l, j]) for j in range(n1) if P1[j] == P2[l]] for l in range(n2)]
-    _, (table1, table2) = linalg._cleared_tables(rho1.nonzero, rho2.nonzero)
+    (D1, table1), (D2, table2) = rho1._cleared_action, rho2._cleared_action
+    if D1 != D2:
+        L = lcm(D1, D2)
+        table1, table2 = (
+            tuple(tuple(tuple((m, x * (L // D)) for m, x in cell) for cell in row) for row in table)
+            for D, table in ((D1, table1), (D2, table2))
+        )
     rows = []
     for columns1, columns2 in zip(table1, table2):
         # (phi m1 - m2 phi)[k][j] = sum_i phi[k][i] m1[i][j] - sum_l m2[k][l] phi[l][j] at
@@ -287,10 +303,8 @@ def _intertwiner_system(
 def _intertwiner_basis(rho1: Representation, rho2: Representation) -> "list[list]":
     """The even intertwiners' basis on ints, from `linalg._null_basis` of
     the intertwiner system: per free unknown, the ((k, i), x, q) of its
-    map's nonzero entries x / q, reduced with q > 0.  Representations of
-    different algebras are refused."""
-    if rho1.algebra != rho2.algebra:
-        raise ValueError("intertwiners require a common algebra")
+    map's nonzero entries x / q, reduced with q > 0.  Its callers refuse
+    representations of different algebras first."""
     positions, rows = _intertwiner_system(rho1, rho2)
     return [
         [(positions[f], 1, 1)] + [(positions[c], x, q) for c, x, q in pairs]
@@ -298,9 +312,16 @@ def _intertwiner_basis(rho1: Representation, rho2: Representation) -> "list[list
     ]
 
 
+def _require_common_algebra(rho1: Representation, rho2: Representation):
+    if rho1.algebra != rho2.algebra:
+        raise ValueError("intertwiners require a common algebra")
+
+
 def intertwiner_space(rho1: Representation, rho2: Representation) -> list[GradedLinearMap]:
     """Exact basis of {phi even : phi rho1(x) = rho2(x) phi for all x}, the
-    maps of the nonzero entries of `_intertwiner_basis`."""
+    maps of the nonzero entries of `_intertwiner_basis`; representations of
+    different algebras are refused."""
+    _require_common_algebra(rho1, rho2)
     V1, V2 = rho1.space, rho2.space
     return [
         GradedLinearMap._from_entries(V1, V2, EVEN, [(rc, Fraction(x, q)) for rc, x, q in b])
@@ -336,7 +357,10 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
     Each attempt is one `graded._block_inverse` of the candidate summed on
     ints from `_intertwiner_basis`, cleared once by D, the lcm of its q's:
     eliminating its two parity blocks decides nonsingularity and gives the
-    exact inverse.  No map and no `Fraction` is built before a hit."""
+    exact inverse.  No map and no `Fraction` is built before a hit.
+    Representations of different algebras are refused before anything
+    else, their dimensions included."""
+    _require_common_algebra(rho1, rho2)
     V1, V2 = rho1.space, rho2.space
     if (V1.even_dim, V1.odd_dim) != (V2.even_dim, V2.odd_dim):
         return IsoSearchResult("none")
@@ -383,8 +407,7 @@ def is_intertwiner(phi: GradedLinearMap, rho1: Representation, rho2: Representat
     """phi rho1(x) = rho2(x) phi on every algebra basis element, compared
     column by column on the action tables and phi's columns; representations
     of different algebras are refused."""
-    if rho1.algebra != rho2.algebra:
-        raise ValueError("intertwiners require a common algebra")
+    _require_common_algebra(rho1, rho2)
     if phi.domain != rho1.space or phi.codomain != rho2.space:
         return False
     cols = phi.nonzero

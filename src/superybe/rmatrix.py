@@ -82,10 +82,13 @@ def _scybe_blocks(r: RMatrix) -> "tuple[int, Iterator[dict[int, int]]]":
 
     Every term is a product of two entries of r and one structure
     constant, so the kernel runs on ints: with r's entries scaled by D, the
-    lcm of their denominators (`Tensor2._cleared_values`), and the structure constants by E (see
+    lcm of their denominators, and the structure constants by E (see
     LieSuperAlgebra._scaled_nonzero), the integer sums are exactly
-    D^2 E [[r, r]] and scale is D^2 E.  With a_ij the entries of r, the
-    slot (x, y, z) sums three families:
+    D^2 E [[r, r]] and scale is D^2 E.  The scaled entries are r's integer
+    view `Tensor2._cleared_values`: cleared once per tensor, or, for the
+    induced tensors and the hierarchy levels, written from the view of
+    the map or tensor they are built from, so those are never cleared.
+    With a_ij the entries of r, the slot (x, y, z) sums three families:
 
         [r12, r13]:  (-1)^{|y||k|} a_iy a_kz c_ik^x   over i, k;
         [r12, r23]:                a_xj a_kz c_jk^y   over j, k;
@@ -176,17 +179,27 @@ def is_super_rmatrix(r: RMatrix) -> bool:
 def _operator_entries(P, slots):
     """The ((j, i), x) entries of T_r, read off the slots ((j, i), a_ji) of
     the tensor r, whose space has the parities P; the sign is its own
-    inverse, so the same rule reads the slots of r off T_r's entries."""
+    inverse, so the same rule reads the slots of r off T_r's entries.
+    `rmatrix_to_operator` applies it in its own loop, to T_r's entries and
+    to their integer view at once."""
     return (((j, i), -a if P[i] else a) for (j, i), a in slots)
 
 
 def rmatrix_to_operator(r: RMatrix) -> GradedLinearMap:
     """T_r: g* -> g with T_r(e_i*) = (-1)^{|e_i*|} sum_j a_ji e_j.  The
-    slots are row-major, so each column's rows j come out ascending."""
-    cols = [[] for _ in range(r.space.dim)]
-    for (j, i), x in _operator_entries(r.space.parities, r.tensor.entries):
+    slots are row-major, so each column's rows j come out ascending.  T_r's
+    integer view is r's, signed the same way."""
+    P, n = r.space.parities, r.space.dim
+    D, ints = r.tensor._cleared_values
+    cols, icols = [[] for _ in range(n)], [[] for _ in range(n)]
+    for ((j, i), x), y in zip(r.tensor.entries, ints):
+        if P[i]:  # the sign of `_operator_entries`, on both views
+            x, y = -x, -y
         cols[i].append((j, x))
-    return GradedLinearMap._trusted(r.space.dual(), r.space, r.parity, tuple(map(tuple, cols)))
+        icols[i].append((j, y))
+    return GradedLinearMap._seeded(
+        r.space.dual(), r.space, r.parity, tuple(map(tuple, cols)), (D, tuple(map(tuple, icols)))
+    )
 
 
 def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
@@ -226,16 +239,26 @@ def _dual_semidirect(rho: Representation):
     return (*_semidirect(rho.algebra, drho.space, drho.nonzero), srho)
 
 
-def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, entries, parity):
-    """The sum over the entries ((k, i), x) of
+def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, D, entries, parity):
+    """The sum over the entries ((k, i), x, y) of
     x (e_k (x) v_i* + (-1)^{(|r|+1)(|v_i|+1)} v_i* (x) e_k) in h, parity |r|,
     where e_k and v_i* sit at positions alg_pos[k] and mod_pos[i] of h.
-    Algebra and module positions are disjoint, so no two terms share a slot."""
+    Algebra and module positions are disjoint, so no two terms share a slot.
+    The entries are every nonzero x of a source map or tensor, with y = D x
+    read off the source's integer view; the tensor's view
+    `Tensor2._cleared_values` is written from the y, with the same D and the
+    same signs, so the tensor is never cleared."""
     slots = []
-    for (k, i), x in entries:
+    for (k, i), x, y in entries:
         p, q = alg_pos[k], mod_pos[i]
-        slots += (((p, q), x), ((q, p), -x if (parity + 1) * (mod_parities[i] + 1) % 2 else x))
-    return RMatrix(h, Tensor2._from_entries(h.space, h.space, slots, parity))
+        slots.append(((p, q), x, y))
+        if (parity + 1) * (mod_parities[i] + 1) % 2:
+            x, y = -x, -y
+        slots.append(((q, p), x, y))
+    slots.sort()  # the positions differ, so the values are never compared
+    tensor = Tensor2._trusted(h.space, h.space, tuple((pq, x) for pq, x, _ in slots), parity)
+    vars(tensor)["_cleared_values"] = (D, [y for _, _, y in slots])
+    return RMatrix(h, tensor)
 
 
 def operator_to_rmatrix(
@@ -261,10 +284,14 @@ def operator_to_rmatrix(
         t = suspend_map(t)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    # T v_i has coordinate x = T[k][i] along e_k
-    return _pan_supersymmetric_tensor(
-        h, alg_pos, mod_pos, rho.space.parities, t._entries(), t.parity
-    )
+    # T v_i has coordinate x = T[k][i] along e_k, and D x in T's integer view
+    D, ints = t._cleared_columns
+    entries = [
+        ((k, i), x, y)
+        for i, (col, icol) in enumerate(zip(t.nonzero, ints))
+        for (k, x), (_, y) in zip(col, icol)
+    ]
+    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, rho.space.parities, D, entries, t.parity)
 
 
 def induced_coadjoint_operator(
@@ -362,20 +389,25 @@ def _step(r: RMatrix, letter: str) -> RMatrix:
     """The level after r: the induced tensor of the operator r defines, in
     g |x_ad g for '+', or of its parity dual, in g |x_{ad^s} sg for '-'."""
     g = r.algebra
+    # each slot with its value in r's integer view
+    D, ints = r.tensor._cleared_values
+    slots = ((ji, a, b) for (ji, a), b in zip(r.tensor.entries, ints))
     if letter == "+":
         # ad(e_a) e_j = [e_a, e_j] is the bracket table's cell (a, j), and
         # coefficient a_ji sits at tensor slot (j, i)
-        V, action, entries, parity = g.space, g.nonzero, r.tensor.nonzero(), r.parity
+        V, action, entries, parity = g.space, g.nonzero, slots, r.parity
     else:
         # the parity reverse of the adjoint's table; slot (j, i) moves to
         # (j, si) with the sign (-1)^{|e_i|}
         P = g.space.parities
         V, perm = g.space.suspended_with_permutation()
         action = _reversed_table(P, g.nonzero, perm)
-        entries = (((j, perm[i]), -a if P[i] else a) for (j, i), a in r.tensor.nonzero())
+        entries = (
+            ((j, perm[i]), -a, -b) if P[i] else ((j, perm[i]), a, b) for (j, i), a, b in slots
+        )
         parity = r.parity ^ 1
     h, alg_pos, mod_pos = _semidirect(g, V, action)
-    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, V.parities, entries, parity)
+    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, V.parities, D, entries, parity)
 
 
 def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:

@@ -1054,6 +1054,47 @@ def test_is_intertwiner_refuses_representations_of_different_algebras(order):
         is_intertwiner(identity, rho1, rho2)
 
 
+@pytest.mark.parametrize("order", [1, -1])
+@pytest.mark.parametrize("same_space", [True, False])
+def test_the_isomorphism_search_refuses_representations_of_different_algebras(order, same_space):
+    # the refusal comes before the dimension test: on a 1|0 and a 2|0 space
+    # the search once answered "none" where on one 1|0 space it refused
+    g1 = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
+    g2 = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["x", "y"]), {})
+    V = SuperSpace.make(even=["v"])
+    W = V if same_space else SuperSpace.make(even=["w1", "w2"])
+    rho1, rho2 = (trivial_rep(g1, V), trivial_rep(g2, W))[::order]
+    for search in (find_even_isomorphism, intertwiner_space):
+        with pytest.raises(ValueError, match="^intertwiners require a common algebra$"):
+            search(rho1, rho2)
+
+
+def _dense_intertwiners(rho1, rho2):
+    """The dense oracle's intertwiner basis as maps."""
+    V1, V2 = rho1.space, rho2.space
+    return [
+        GradedLinearMap(V1, V2, EVEN, tuple(tuple(row) for row in m))
+        for m in oracles.dense_intertwiner_basis(rho1, rho2)
+    ]
+
+
+def test_the_intertwiner_system_reads_each_cached_table_once_per_object(monkeypatch):
+    # each representation's action is cleared once, by its own scale; the
+    # two scales differ here, so the system runs at their lcm, and the
+    # intertwiner basis and the verdicts are those of the Fraction oracle
+    g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
+    V = SuperSpace.make(even=["u0", "u1"])
+    rho1 = Representation.from_images(g, V, {"z": {"u0": {"u1": Fraction(1, 2)}}})
+    rho2 = Representation.from_images(g, V, {"z": {"u0": {"u1": Fraction(1, 3)}}})
+    tables = _count_calls(monkeypatch, "superybe.linalg", "_cleared_tables")
+    for _ in range(3):
+        for a, b in ((rho1, rho2), (rho2, rho1), (rho1, rho1)):
+            basis = intertwiner_space(a, b)
+            assert basis == _dense_intertwiners(a, b)
+            assert find_even_isomorphism(a, b).found
+    assert tables == [(rho1.nonzero,), (rho2.nonzero,)]
+
+
 def test_transport_refuses_an_isomorphism_across_algebras():
     # transport_oop checks its isomorphism with is_intertwiner, the one
     # public path where the two representations come from the caller

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -31,6 +32,7 @@ from superybe import (
     is_oop,
     is_pan_supersymmetric,
     is_super_rmatrix,
+    linalg,
     load_fixture,
     oop_holds,
     operator_to_rmatrix,
@@ -44,7 +46,13 @@ from superybe import (
 )
 from superybe.graded import merge_spaces, sign
 from superybe.liesuper import BilinearForm, _is_two_cocycle, _scaled_gram
-from superybe.rmatrix import HOST_CACHE_SIZE, _beta, _dual_semidirect, _plain_semidirect
+from superybe.rmatrix import (
+    HOST_CACHE_SIZE,
+    _beta,
+    _dual_semidirect,
+    _plain_semidirect,
+    _step,
+)
 
 from conftest import (
     _count_calls,
@@ -549,6 +557,136 @@ def test_dual_variant_is_the_plain_construction_on_the_parity_dual_pair(rho, par
     )
 
 
+# entries with denominators 1, 2, 3 and 7, so that most maps clear by D != 1
+FRACTIONAL_ENTRIES = tuple(Fraction(v) for v in ("0", "1", "-1", "1/2", "-2/3", "3/7"))
+
+
+def _fractional_map(rnd, rho, parity):
+    """A homogeneous map V -> g with entries drawn from FRACTIONAL_ENTRIES."""
+    V, cod = rho.space, rho.algebra.space
+    images = {
+        V.labels[i]: {
+            cod.labels[k]: rnd.choice(FRACTIONAL_ENTRIES)
+            for k in range(cod.dim)
+            if cod.parities[k] == V.parities[i] ^ parity
+        }
+        for i in range(V.dim)
+    }
+    return GradedLinearMap.from_images(V, cod, parity, images)
+
+
+def _known_fractional_candidates():
+    """(T, rho) with D != 1: ex3.2's T0 and T1 scaled by 3/7, and ex3.7's
+    T3 with l4 = l2 l3 / l1 fractional."""
+    ex32, ex37 = load_fixture("ex3.2").parts, load_fixture("ex3.7").parts
+    rho32, rho37 = ex32["coadjoint"], ex37["rho"]
+    return [
+        (ex32["T0"].scale(Fraction(3, 7)), rho32),
+        (ex32["T1"].scale(Fraction(3, 7)), rho32),
+        (ex37["T3"](2, 1, 3, Fraction(3, 2)), rho37),
+        (ex37["T3"](3, -1, 1, Fraction(-1, 3)), rho37),
+    ]
+
+
+def _assert_seeded_map(t):
+    """t's integer view was written when t was built, and it is a fresh
+    clearing of t's own table: D the lcm of its denominators, D x as ints."""
+    assert "_cleared_columns" in vars(t)
+    D, cols = t._cleared_columns
+    assert (D, cols) == linalg._cleared_cells(t.nonzero)
+    assert D == math.lcm(*(x.denominator for col in t.nonzero for _, x in col))
+    for col, icol in zip(t.nonzero, cols, strict=True):
+        assert [(k, D * x) for k, x in col] == list(icol)
+        assert all(type(y) is int for _, y in icol)
+
+
+def _assert_seeded_tensor(tensor):
+    """The same for a 2-tensor's view of its slot values."""
+    assert "_cleared_values" in vars(tensor)
+    D, ints = tensor._cleared_values
+    values = [x for _, x in tensor.entries]
+    assert (D, ints) == linalg._cleared(values)
+    assert D == math.lcm(*(x.denominator for x in values))
+    assert ints == [D * x for x in values] and all(type(y) is int for y in ints)
+
+
+def _assert_derived_views_are_fresh(t, rho):
+    """Every object the correspondence derives from T, and the two
+    hierarchy levels of each induced tensor, carries a seeded view."""
+    _assert_seeded_map(suspend_map(t))
+    for variant in ("plain", "dual"):
+        r = operator_to_rmatrix(t, rho, variant)
+        _assert_seeded_tensor(r.tensor)
+        _assert_seeded_map(rmatrix_to_operator(r))
+        _assert_seeded_map(induced_coadjoint_operator(t, rho, variant))
+        for letter in "+-":
+            _assert_seeded_tensor(_step(r, letter).tensor)
+
+
+class TestSeededViews:
+    """The derived objects of the correspondence inherit their source's
+    integer view, with the same D and the same signs, and are never
+    cleared themselves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=st.sampled_from(CATALOG_REPS),
+        parity=st.integers(0, 1),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_every_seeded_view_is_a_fresh_clearing(self, rho, parity, rnd):
+        _assert_derived_views_are_fresh(_fractional_map(rnd, rho, parity), rho)
+
+    def test_known_fractional_candidates(self):
+        for t, rho in _known_fractional_candidates():
+            assert t._cleared_columns[0] != 1 and oop_holds(t, rho)
+            _assert_derived_views_are_fresh(t, rho)
+
+    @pytest.mark.parametrize("scale", [Fraction(3, 7), Fraction(-2, 5)])
+    def test_hierarchy_levels_are_seeded(self, scale):
+        ex44 = load_fixture("ex4.4").parts
+        for name in ("r0", "r1"):
+            r = RMatrix(ex44["algebra"], ex44[name].tensor.scale(scale))
+            for word in ("+", "-", "+-", "-+-"):
+                levels = hierarchy_trace(ex44["algebra"], r, word)
+                for level in levels:
+                    assert level.tensor._cleared_values[0] == scale.denominator
+                    _assert_seeded_tensor(level.tensor)
+
+    def test_the_criterion_4_chain_clears_one_map_and_no_tensor(self, monkeypatch, rng):
+        # the six statements of criterion 4 on one fresh map T: T is cleared
+        # once, and T^s, r_T, r_{T^s} and the induced operators inherit it
+        maps = _count_calls(monkeypatch, "superybe.linalg", "_cleared_cells")
+        values = _count_calls(monkeypatch, "superybe.linalg", "_cleared")
+        tables = _count_calls(monkeypatch, "superybe.linalg", "_cleared_tables")
+        for _, g, rho in equivalence_cases():
+            srho = parity_reverse_rep(rho)
+            zero = GradedLinearMap.zero(rho.space, g.space, EVEN)
+            coad = {
+                variant: coadjoint(operator_to_rmatrix(zero, rho, variant).algebra)
+                for variant in ("plain", "dual")
+            }
+
+            def chain(t):
+                return (
+                    oop_holds(t, rho),
+                    oop_holds(suspend_map(t), srho),
+                    is_super_rmatrix(operator_to_rmatrix(t, rho, "plain")),
+                    is_super_rmatrix(operator_to_rmatrix(t, rho, "dual")),
+                    oop_holds(induced_coadjoint_operator(t, rho, "plain"), coad["plain"]),
+                    oop_holds(induced_coadjoint_operator(t, rho, "dual"), coad["dual"]),
+                )
+
+            chain(zero)  # the tables of the representations and hosts, once
+            for parity in (EVEN, ODD):
+                t = _fractional_map(rng, rho, parity)
+                for calls in (maps, values, tables):
+                    calls.clear()
+                verdicts = chain(t)
+                assert len(set(verdicts)) == 1
+                assert maps == [(t.nonzero,)] and values == [] and tables == []
+
+
 class TestInducedCoadjointOperator:
     def test_equals_operator_of_induced_tensor(self, rng):
         for name, g, rho in equivalence_cases()[:3]:
@@ -633,12 +771,16 @@ class TestBetaCocycle:
 
     def test_beta_cocycle_check_clears_r_once(self, monkeypatch):
         # _beta and the super-CYBE kernel read one cached integer view of
-        # r's slot values; the tensors are fresh, with no view cached yet
+        # r's slot values; the scaled tensors are fresh, with no view cached
+        # yet, while a hierarchy level inherits its view and is never cleared
         ex44 = load_fixture("ex4.4").parts
         cleared = _count_calls(monkeypatch, "superybe.linalg", "_cleared")
         for word in ("+", "-", "++"):
             r = hierarchy_walk(ex44["algebra"], ex44["r1"], word)
+            level_values = [x for _, x in r.tensor.entries]
+            cleared.clear()
             beta_cocycle_check(r)  # the host's own tables are cleared here
+            assert not any(list(args[0]) == level_values for args in cleared)
             for c in (Fraction(3, 7), Fraction(-2)):
                 fresh = RMatrix(r.algebra, r.tensor.scale(c))
                 values = [x for _, x in fresh.tensor.entries]

@@ -7,6 +7,7 @@ same quantities by dense loops over `structure` and `matrix` and compare.
 
 import functools
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -1256,13 +1257,18 @@ def test_pan_supersymmetric_tensor_matches_the_dense_formula(name, parity, rnd):
     g = ALGEBRAS[name]
     h, alg_pos, mod_pos = adjoint_host(name)
     P = g.space.parities
-    entries = [
+    # the nonzero entries of a source table, each with its value in the
+    # source's integer view at the lcm D of their denominators
+    drawn = (
         ((k, i), rnd.choice(TENSOR_VALUES))
         for k in range(g.dim)
         for i in range(g.dim)
         if P[k] ^ P[i] == parity
-    ]
-    r = _pan_supersymmetric_tensor(h, alg_pos, mod_pos, P, entries, parity)
+    )
+    entries = [(ki, x) for ki, x in drawn if x]
+    D = math.lcm(*(x.denominator for _, x in entries))
+    scaled = [(ki, x, int(D * x)) for ki, x in entries]
+    r = _pan_supersymmetric_tensor(h, alg_pos, mod_pos, P, D, scaled, parity)
     array = [[Fraction(0)] * h.dim for _ in range(h.dim)]
     for (k, i), x in entries:
         array[alg_pos[k]][mod_pos[i]] += x
@@ -1270,6 +1276,9 @@ def test_pan_supersymmetric_tensor_matches_the_dense_formula(name, parity, rnd):
     assert (r.algebra, r.parity) == (h, parity)
     assert r.tensor.entries == nonzero_slots(array)
     assert is_pan_supersymmetric(r)
+    # the tensor's integer view was written with it, and is a fresh clearing
+    assert "_cleared_values" in vars(r.tensor)
+    assert r.tensor._cleared_values == linalg._cleared([x for _, x in r.tensor.entries])
 
 
 # ---------------------------------------------------------------------------
