@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .graded import (
     EVEN,
     ODD,
@@ -29,7 +30,7 @@ from .graded import (
 )
 from .liesuper import BilinearForm, LieSuperAlgebra, _write_bracket
 from .prelie import PreLieSuperAlgebra
-from .reps import Representation, check_representation
+from .reps import Representation, _action_view, check_representation
 
 ALGEBRA_SPACE_NAME = "g"
 
@@ -53,7 +54,8 @@ class RawRep:
         report = check_representation(algebra, self.space, self.action)
         if not report.ok:
             raise ValueError(f"rep {self.name}: {report.failures()[0].detail}")
-        return Representation._trusted(algebra, self.space, tuple(m.nonzero for m in self.action))
+        rho = Representation._trusted(algebra, self.space, tuple(m.nonzero for m in self.action))
+        return linalg._with_view(rho, _action_view(self.action))
 
 
 @dataclass

@@ -300,9 +300,8 @@ class GradedLinearMap:
     T_r, intertwiners, the maps of a representation's `action` view) are
     homogeneous by theorem and skip it: `_from_entries` groups their
     entries, and `_trusted` takes a finished table.  The dense `matrix`
-    view is built on read, and so is the integer view `_cleared_columns`,
-    which `_seeded` writes for the constructions that relabel and sign a
-    source's entries, so that no derived map is cleared again.
+    view is built on read, and so is the integer view `_cleared`, unless
+    a construction that relabels and signs a source's entries wrote it.
     """
 
     domain: SuperSpace
@@ -338,15 +337,6 @@ class GradedLinearMap:
         """The map of a finished, homogeneous `nonzero` table, unchecked."""
         t = object.__new__(cls)
         vars(t).update(domain=domain, codomain=codomain, parity=parity, nonzero=nonzero)
-        return t
-
-    @classmethod
-    def _seeded(cls, domain: SuperSpace, codomain: SuperSpace, parity: Parity, nonzero, cleared):
-        """`_trusted`, with the integer view `_cleared_columns` written as
-        `cleared`: a construction that relabels and signs a source's
-        entries writes its output's view from the source's in the same loop."""
-        t = cls._trusted(domain, codomain, parity, nonzero)
-        vars(t)["_cleared_columns"] = cleared
         return t
 
     @classmethod
@@ -407,16 +397,15 @@ class GradedLinearMap:
                 yield (k, i), x
 
     @cached_property
-    def _cleared_columns(self) -> "tuple[int, tuple]":
-        """(D, columns): D the lcm of the denominators of the entries and
-        `nonzero` with each m_ki as the int D m_ki, once per map
-        (`linalg._cleared_cells`), or written by `_seeded`.  Every integer
-        kernel reads a map's entries here."""
-        return linalg._cleared_cells(self.nonzero)
+    def _cleared(self) -> "tuple[int, tuple]":
+        """(D, columns): `nonzero` with each m_ki as the int D m_ki, D the
+        lcm of their denominators, once per map; every integer kernel
+        reads a map's entries here."""
+        return linalg._cleared_table(self.nonzero, 1)
 
     def _int_entries(self):
-        """The ((k, i), D m_ki) of `_cleared_columns`, column by column."""
-        for i, col in enumerate(self._cleared_columns[1]):
+        """The ((k, i), D m_ki) of `_cleared`, column by column."""
+        for i, col in enumerate(self._cleared[1]):
             for k, x in col:
                 yield (k, i), x
 
@@ -481,7 +470,7 @@ class GradedLinearMap:
         inverse entry is D y / q, one `Fraction` each."""
         if self.domain.dim != self.codomain.dim:
             raise ValueError("only square maps can be inverted")
-        D = self._cleared_columns[0]
+        D = self._cleared[0]
         inv = _block_inverse(self.codomain, self.domain, self.parity, self._int_entries())
         if inv is None:
             raise ValueError("map is not invertible")
@@ -496,12 +485,13 @@ def suspend_map(t: GradedLinearMap) -> GradedLinearMap:
     """T^s(su) = T(u): same images, suspended domain, parity flipped; its
     integer view is T's, its columns moved the same way."""
     sdom, perm = t.domain.suspended_with_permutation()
-    D, ints = t._cleared_columns
+    D, ints = t._cleared
     cols, icols = [()] * sdom.dim, [()] * sdom.dim
     for i, p in enumerate(perm):
         cols[p] = t.nonzero[i]
         icols[p] = ints[i]
-    return GradedLinearMap._seeded(sdom, t.codomain, t.parity ^ 1, tuple(cols), (D, tuple(icols)))
+    s = GradedLinearMap._trusted(sdom, t.codomain, t.parity ^ 1, tuple(cols))
+    return linalg._with_view(s, (D, tuple(icols)))
 
 
 def dual_map(t: GradedLinearMap) -> GradedLinearMap:
@@ -548,8 +538,8 @@ class Tensor2:
     array and keeps no copy, and `from_terms` run `__post_init__`.  Derived
     tensors skip it: `_from_entries` sorts their slots, and `_trusted`
     takes finished ones.  The dense `coeffs` view is built on first read,
-    and so is the integer view `_cleared_values`, unless the construction
-    that built the tensor wrote it from its source's.
+    and so is the integer view `_cleared`, unless the construction that
+    built the tensor wrote it from its source's.
 
     parity None means inhomogeneous (or an undeclared zero tensor).
     """
@@ -602,10 +592,10 @@ class Tensor2:
         return t
 
     @cached_property
-    def _cleared_values(self) -> "tuple[int, list[int]]":
-        """(D, ints): `linalg._cleared` on the slot values, once per tensor,
-        or written by the construction that built it."""
-        return linalg._cleared([x for _, x in self.entries])
+    def _cleared(self) -> "tuple[int, tuple]":
+        """(D, slots): the slots ((i, j), D a_ij) as ints, D the lcm of their
+        denominators, once per tensor."""
+        return linalg._cleared_table(self.entries, 0)
 
     @cached_property
     def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:

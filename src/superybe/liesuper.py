@@ -197,23 +197,19 @@ class LieSuperAlgebra:
         return self._hash
 
     @cached_property
-    def _scaled_nonzero(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+    def _cleared(self) -> "tuple[int, tuple]":
         """(E, table): E the lcm of the denominators of the structure
         constants, table[i][j] the pairs (k, E c_ij^k) of nonzero[i][j] as
-        ints.  The integer super-CYBE kernel reads the structure constants
-        here, through the indexes of `_scaled_join`; the O-operator kernel
-        reads `Representation._scaled_tables`, scaled by the lcm of these
-        and the action's denominators."""
-        E, (table,) = linalg._cleared_tables(self.nonzero)
-        return E, table
+        ints, once per algebra; every integer kernel reads them here."""
+        return linalg._cleared_table(self.nonzero, 2)
 
     @cached_property
     def _scaled_join(self) -> "tuple[tuple, tuple]":
         """(left, into), the two indexes the super-CYBE kernel joins r
-        through, read off `_scaled_nonzero`'s table C: left[k] holds the
+        through, read off `_cleared`'s table C: left[k] holds the
         pairs (x, C[x][k]) with a nonempty cell, and into[z] the triples
         (j, l, E c_jl^z) with c_jl^z != 0, in row-major (j, l) order."""
-        _, C = self._scaled_nonzero
+        _, C = self._cleared
         n = self.space.dim
         left = [[] for _ in range(n)]
         into = [[] for _ in range(n)]
@@ -228,7 +224,7 @@ class LieSuperAlgebra:
     @cached_property
     def _jacobi_failure(self) -> "tuple[tuple[int, int, int], ...]":
         """The first failing (i, j, k) of the super Jacobi identity, or ()."""
-        C = self.nonzero
+        C = self._cleared[1]
         return tuple(islice(_hom_failures(self.space.parities, C, C, self.dim), 1))
 
     def bracket(self, x, y) -> tuple[Scalar, ...]:
@@ -265,18 +261,16 @@ def _hom_failures(P, bracket, action, m):
     """The (i, j, v), in lexicographic order, at which
     A_i A_j - (-1)^{P_i P_j} A_j A_i - sum_k c_ij^k A_k is nonzero on e_v.
 
-    bracket[i][j] holds the pairs (k, c_ij^k) and action[a][v] the pairs
-    (q, y) of A_a e_v, both sparse; v runs over the m basis vectors the
-    A_a act on.  Both tables are cleared together by L, the lcm of their
-    denominators (`linalg._cleared_tables`), and every term is a product
-    of two scaled entries, so each defect is summed on ints as L^2 times
-    the defect, which vanishes exactly where the defect does.
+    bracket[i][j] holds the pairs (k, L c_ij^k) and action[a][v] the pairs
+    (q, L y) of A_a e_v, sparse integer views at one scale L; v runs over
+    the m basis vectors the A_a act on.  Every term is a product of two
+    scaled entries, so each defect is summed on ints as L^2 times the
+    defect, which vanishes exactly where the defect does.
     It is the one quadratic identity of the axiom checks: with A_a =
     rho(e_a) it says that rho is a representation, with A_a = ad(e_a)
     the super Jacobi identity, and with left multiplication the
     left-symmetric associator.
     """
-    _, (bracket, action) = linalg._cleared_tables(bracket, action)
     n = len(P)
     for i in range(n):
         Ai = action[i]
@@ -383,6 +377,11 @@ class BilinearForm:
         slots, r = dict(self.entries), range(self.space.dim)
         return tuple(tuple(slots.get((i, j), ZERO) for j in r) for i in r)
 
+    @cached_property
+    def _cleared(self) -> "tuple[int, tuple]":
+        """(D, slots): the slots as ints D beta(e_i, e_j), once per form."""
+        return linalg._cleared_table(self.entries, 0)
+
 
 @dataclass(frozen=True)
 class FormFlags:
@@ -403,19 +402,13 @@ class FormFlags:
 
 
 def _scaled_gram(beta: BilinearForm, g: LieSuperAlgebra) -> "list[dict[int, int]]":
-    """B, beta's Gram matrix times the lcm of its denominators: B[i] maps
-    each j with beta(e_i, e_j) != 0 to the scaled entry, an int, and only
-    these cells are cleared.  Every flag is a homogeneous linear condition on
-    the Gram matrix, and invariance and the 2-cocycle identity are also
-    homogeneous linear in the structure constants, so the flag kernels below
-    decide them on B and `LieSuperAlgebra._scaled_nonzero`; any nonzero
-    common multiple of the Gram matrix serves as well, and `rmatrix._beta`
-    hands them its own."""
+    """B[i]: each j with beta(e_i, e_j) != 0 to its int in beta's view.  The
+    flags are homogeneous linear in the Gram matrix and the structure
+    constants, so any nonzero multiple of each serves (`rmatrix._beta`'s)."""
     if beta.space != g.space:
         raise ValueError("form does not live on the algebra's space")
-    _, ints = linalg._cleared([x for _, x in beta.entries])
     B = [{} for _ in range(g.dim)]
-    for ((i, j), _), b in zip(beta.entries, ints):
+    for (i, j), b in beta._cleared[1]:
         B[i][j] = b
     return B
 
@@ -436,7 +429,7 @@ def _bracket_terms(B, g: LieSuperAlgebra, i: int) -> "tuple[dict, dict]":
     and defect maps it to beta([e_i, e_j], e_k) - beta(e_i, [e_j, e_k]), both
     scaled; every (j, k) that no nonempty bracket cell reaches is 0 in both."""
     n = g.dim
-    _, C = g._scaled_nonzero
+    _, C = g._cleared
     _, into = g._scaled_join
     left = defaultdict(int)
     for j, cell in enumerate(C[i]):

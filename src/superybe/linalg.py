@@ -17,7 +17,9 @@ product of the row scale factors.  `nullspace` wraps `_null_basis`,
 which hands the kernel one connected component of sparse integer rows
 at a time, so that a sparse system costs in proportion to its nonzeros.
 Callers that hold integer rows reach the kernel through `_null_basis`,
-`_inverse` or `_eliminate`.
+`_inverse` or `_eliminate`.  Every stored table has one integer view,
+`_cleared`, built by `_cleared_table` or written from a source's view by
+`_with_view`; `_rescaled` brings views to one scale.
 """
 
 from __future__ import annotations
@@ -33,37 +35,51 @@ ONE = Fraction(1)
 def _cleared(values) -> "tuple[int, list[int]]":
     """(D, ints): D the lcm of the denominators of the rationals in the
     sequence values (1 if it is empty), ints the values times D, in order,
-    as Python ints.  Every integer kernel's caller clears its denominators
-    here."""
+    as Python ints, for the dense functions and the grid's entry set."""
     D = lcm(*(x.denominator for x in values))
-    if D == 1:  # integral values, as most maps and tensors are
+    if D == 1:  # integral values
         return 1, [x.numerator for x in values]
     return D, [x.numerator * (D // x.denominator) for x in values]
 
 
-def _scaled_cells(cells, D: int) -> tuple:
-    """The cells, sequences of (k, x) pairs, again with each x as D x, an
-    int; D is a common multiple of the denominators of the x."""
+def _scaled(table, D: int, depth: int) -> tuple:
+    """The table, (key, x) pairs nested in `depth` levels of sequences, with
+    each x as x.numerator * (D // x.denominator): D x for a rational x whose
+    denominator divides D, and x times D for an int x."""
+    if depth == 0:
+        return _scaled((table,), D, 1)[0]
+    if depth > 1:
+        return tuple(_scaled(row, D, depth - 1) for row in table)
     if D == 1:
-        return tuple(tuple((k, x.numerator) for k, x in cell) for cell in cells)
-    return tuple(tuple((k, x.numerator * (D // x.denominator)) for k, x in cell) for cell in cells)
+        return tuple(tuple((k, x.numerator) for k, x in cell) for cell in table)
+    return tuple(tuple((k, x.numerator * (D // x.denominator)) for k, x in cell) for cell in table)
 
 
-def _cleared_cells(cells) -> "tuple[int, tuple]":
-    """(D, scaled): D the lcm of the denominators of every value x of the
-    cells, sequences of (k, x) pairs (1 if there is none), and the cells
-    with each x as D x.  A map's columns are cleared here, once per map
-    (`GradedLinearMap._cleared_columns`)."""
-    D = lcm(*(x.denominator for cell in cells for _, x in cell))
-    return D, _scaled_cells(cells, D)
+def _cleared_table(table, depth: int) -> "tuple[int, tuple]":
+    """(D, scaled): D the lcm of the denominators of the table, (key, x)
+    pairs nested in `depth` levels of sequences, and the table with each x
+    as D x: every stored table's integer view `_cleared` (depth 0 for slots,
+    1 for a map's columns, 2 for an algebra's, an action's, a product's)."""
+    cells = table
+    for _ in range(depth):
+        cells = [cell for row in cells for cell in row]
+    D = lcm(*(x.denominator for _, x in cells))
+    return D, _scaled(table, D, depth)
 
 
-def _cleared_tables(*tables) -> "tuple[int, list]":
-    """(D, scaled): D the lcm of the denominators of every value x of the
-    sparse tables, rows of cells of (k, x) pairs, and the tables again
-    with each x as D x."""
-    D = lcm(*(x.denominator for table in tables for row in table for cell in row for _, x in cell))
-    return D, [tuple(_scaled_cells(row, D) for row in table) for table in tables]
+def _rescaled(depth: int, *views) -> "tuple[int, list]":
+    """(L, tables): L the lcm of the D of the integer views (D, table) of
+    `depth`, and each table at scale L: only a table whose D differs from
+    L is multiplied, by L // D."""
+    L = lcm(*(D for D, _ in views))
+    return L, [table if D == L else _scaled(table, L // D, depth) for D, table in views]
+
+
+def _with_view(obj, view):
+    """obj, with its integer view `_cleared` written as view, for the
+    constructions that relabel and sign a source's table and its view."""
+    vars(obj)["_cleared"] = view
+    return obj
 
 
 def _cleared_rows(rows) -> "tuple[list[int], list[list[int]]]":

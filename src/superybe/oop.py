@@ -6,14 +6,11 @@ double, transport along representation isomorphisms, and a pruned
 exhaustive grid search used as a classification oracle.
 
 Every defect comes from one kernel, `_defect`, which sums on Python ints
-over cleared denominators: the structure constants and the action are
-scaled by L, the lcm of all their denominators, once per representation
-(`Representation._scaled_tables`), and the map's columns by D, the lcm of
-their denominators, once per map: `_defect` reads the map's cached
-integer view `GradedLinearMap._cleared_columns`, which T^s, T_r and the
-induced coadjoint operators inherit from their source instead of
-clearing again (the grid search scales its entry set once).  The sums
-are then D^2 L times the defect.  `oop_holds`,
+over one integer view per stored table, `_cleared`: the algebra's and the
+representation's, brought to one scale L once per representation
+(`Representation._joint`), and the map's, scaled by D (T^s, T_r and the
+induced operators inherit theirs; the grid search scales its entry set
+once).  The sums are then D^2 L times the defect.  `oop_holds`,
 `is_rota_baxter` and the grid search answer "any nonzero" on the ints;
 `oop_defect` and `is_oop` divide each nonzero slot back into a `Fraction`
 once, so every value they return is a `Fraction`.
@@ -83,7 +80,7 @@ def _defect(tables, P, parity: Parity, cols, i: int, j: int) -> dict:
     """D^2 L Op(v_i, v_j) as {k: int}, nonzero values only, for the map of
     the given parity whose image of v_m, times D, is the ascending (k, int)
     pairs cols[m], over a representation with the scaled tables
-    (L, bracket, action) of `Representation._scaled_tables` and a space V
+    (L, bracket, action) of `Representation._joint` and a space V
     with the parities P.  Every defect in this module is computed here:
 
         Op(v_i, v_j) = [T v_i, T v_j] - T(s1 rho(T v_i) v_j - s2 rho(T v_j) v_i)
@@ -142,9 +139,9 @@ def _check_candidate(t: GradedLinearMap, rho: Representation):
 def _defects(t: GradedLinearMap, rho: Representation, pairs):
     """(defects, D^2 L): the `_defect` dicts of the pairs (i, j), lazily,
     and their common scale.  T's columns, scaled by D, the lcm of their
-    denominators, are read off T's integer view `_cleared_columns`."""
-    tables = rho._scaled_tables
-    D, cols = t._cleared_columns
+    denominators, are read off T's integer view `_cleared`."""
+    tables = rho._joint
+    D, cols = t._cleared
     P, parity = rho.space.parities, t.parity
     return (_defect(tables, P, parity, cols, i, j) for i, j in pairs), D * D * tables[0]
 
@@ -304,7 +301,7 @@ def grid_search_oops(
         if d >= 0:
             tests[d].append((i, j))
 
-    tables, P = rho._scaled_tables, V.parities
+    tables, P = rho._joint, V.parities
     cols = [[] for _ in range(V.dim)]  # the scaled sparse columns of the partial map
     accepted = [] if nfree else [()]
     # stack[d]: how many values depth d has tried; the last one is set

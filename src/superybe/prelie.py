@@ -55,7 +55,8 @@ class PreLieSuperAlgebra:
     Stored as `nonzero`: nonzero[i][j] holds the pairs (k, p_ij^k) with
     p_ij^k != 0 in ascending k.  The public constructor scans a dense
     array once and keeps no copy; constructions use `_from_entries`.
-    The dense `product` view is built on first read.
+    The dense `product` view is built on first read, and so is the
+    integer view `_cleared` that the left-symmetry check reads.
     """
 
     space: SuperSpace
@@ -94,6 +95,11 @@ class PreLieSuperAlgebra:
         n = self.space.dim
         return tuple(tuple(dense_vector(n, cell) for cell in row) for row in self.nonzero)
 
+    @cached_property
+    def _cleared(self) -> "tuple[int, tuple]":
+        """(D, table): `nonzero` with each p_ij^k as the int D p_ij^k."""
+        return linalg._cleared_table(self.nonzero, 2)
+
     def multiply(self, x, y):
         return _bilinear(self.nonzero, x, y, self.space.dim)
 
@@ -119,14 +125,15 @@ def check_prelie(a: PreLieSuperAlgebra) -> CheckReport:
 
 def _commutator_entries(Q, table):
     """The ((i, j, k), c) entries of [x, y] = xy - (-1)^{Q_x Q_y} yx for
-    the sparse product table, with Q the parities of the basis."""
+    the sparse product table, with Q the parities of the basis: Fractions
+    for a table of Fractions, ints at the same scale for an integer view."""
     c: dict = {}
     for i, row in enumerate(table):
         for j, cell in enumerate(row):
             for k, x in cell:
-                c[i, j, k] = c.get((i, j, k), ZERO) + x
+                c[i, j, k] = c.get((i, j, k), 0) + x
             for k, x in _partner(cell, Q[i] & Q[j]):
-                c[j, i, k] = c.get((j, i, k), ZERO) + x
+                c[j, i, k] = c.get((j, i, k), 0) + x
     return c.items()
 
 
@@ -136,10 +143,13 @@ def _left_symmetry_failures(a: PreLieSuperAlgebra):
     (v, w, u) = (-1)^{Q_v Q_w} (w, v, u), where (x, y, z) = (xy)z - x(yz).
     That symmetry says that left multiplication, L(x)u = xu, satisfies
     L(v)L(w) - (-1)^{Q_v Q_w} L(w)L(v) = L(vw - (-1)^{Q_v Q_w} wv), so the
-    triples are those of `_hom_failures` with the product as the action."""
+    triples are those of `_hom_failures` with the product as the action.
+    Both tables are the product's integer view: the commutator's entries
+    are sums of its ints, so they are at its scale already."""
     Q = [(p + a.parity_shift) % 2 for p in a.space.parities]
-    commutator = _sparse_table(a.space.dim, _commutator_entries(Q, a.nonzero))
-    return _hom_failures(Q, commutator, a.nonzero, a.space.dim)
+    _, product = a._cleared
+    commutator = _sparse_table(a.space.dim, _commutator_entries(Q, product))
+    return _hom_failures(Q, commutator, product, a.space.dim)
 
 
 def shifted_left_symmetry_holds(a: PreLieSuperAlgebra) -> bool:

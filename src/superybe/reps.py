@@ -34,9 +34,8 @@ def check_representation(
     """Verify that the candidate action is a homogeneous Lie superalgebra
     homomorphism into gl(space); reports the first offending pair.  The
     defect is `liesuper._hom_failures`, the kernel of the Jacobi check
-    of `check_lie_axioms`: it is summed one basis vector at a time from
-    the sparse columns of the action and the structure constants, and no
-    composed map is built."""
+    of `check_lie_axioms`, on g's integer view and the action maps' views
+    at one scale; no composed map is built."""
     n = g.space.dim
     L = g.space.labels
 
@@ -53,11 +52,17 @@ def check_representation(
     shape_item = _first_failure("action shape and parity", shape_witnesses())
     hom = ()
     if shape_item.ok:
-        columns = [m.nonzero for m in action]
-        failures = _hom_failures(g.space.parities, g.nonzero, columns, space.dim)
+        _, (bracket, table) = linalg._rescaled(2, g._cleared, _action_view(action))
+        failures = _hom_failures(g.space.parities, bracket, table, space.dim)
         hom = (f"fails at pair ({L[i]}, {L[j]})" for i, j, _ in failures)
     hom_item = _first_failure("homomorphism property", hom)
     return CheckReport((shape_item, hom_item))
+
+
+def _action_view(action) -> "tuple[int, tuple]":
+    """The integer view of the maps' action table, from the maps' views."""
+    D, columns = linalg._rescaled(1, *(m._cleared for m in action))
+    return D, tuple(columns)
 
 
 @dataclass(frozen=True, init=False)
@@ -75,6 +80,8 @@ class Representation:
     table: `trivial_rep`, `dual_rep`, `parity_reverse_rep`, direct sums,
     `left_regular_rep` (the product table) and `adjoint(g)` (the bracket
     table, on g's kept `check_lie_axioms` report), as in the hierarchy.
+    The checked constructors and `parity_reverse_rep` write the integer
+    view `_cleared`; the adjoint reads g's.
     """
 
     algebra: LieSuperAlgebra
@@ -88,6 +95,7 @@ class Representation:
         if not report.ok:
             raise ValueError(f"not a representation: {report.failures()[0].detail}")
         vars(self).update(algebra=algebra, space=space, nonzero=tuple(m.nonzero for m in action))
+        linalg._with_view(self, _action_view(action))
 
     @classmethod
     def _trusted(cls, algebra: LieSuperAlgebra, space: SuperSpace, nonzero) -> "Representation":
@@ -126,22 +134,19 @@ class Representation:
         return self._hash
 
     @cached_property
-    def _scaled_tables(self) -> "tuple[int, tuple, tuple]":
-        """(L, bracket, action): L the lcm of the denominators of the
-        structure constants and of the action's entries, bracket[a][b] the
-        pairs (k, L c_ab^k) of algebra.nonzero[a][b] and action[a][v] the
-        pairs (m, L rho(e_a)_mv) of nonzero[a][v], as ints.  The integer
-        O-operator kernel reads the algebra and the action here."""
-        L, (bracket, action) = linalg._cleared_tables(self.algebra.nonzero, self.nonzero)
-        return L, bracket, action
+    def _cleared(self) -> "tuple[int, tuple]":
+        """(D, table): `nonzero` with each entry x as the int D x, D the lcm
+        of their denominators, once per representation."""
+        if self.nonzero is self.algebra.nonzero:
+            return self.algebra._cleared
+        return linalg._cleared_table(self.nonzero, 2)
 
     @cached_property
-    def _cleared_action(self) -> "tuple[int, tuple]":
-        """(D, table): D the lcm of the denominators of the action's entries
-        and table[a][v] the pairs (m, D rho(e_a)_mv) of nonzero[a][v], as
-        ints, once per representation; the intertwiner system reads it."""
-        D, (table,) = linalg._cleared_tables(self.nonzero)
-        return D, table
+    def _joint(self) -> "tuple[int, tuple, tuple]":
+        """(L, bracket, action): the algebra's view and this one's at one
+        scale L, once per representation, for the O-operator kernel."""
+        L, (bracket, action) = linalg._rescaled(2, self.algebra._cleared, self._cleared)
+        return L, bracket, action
 
     def apply_vec(self, x, v):
         """rho(x)v for an algebra coordinate vector x (applied termwise)."""
@@ -202,10 +207,11 @@ def _reversed_table(P, table, perm) -> "tuple[tuple[tuple, ...], ...]":
 
 
 def parity_reverse_rep(rho: Representation) -> Representation:
-    """(sV, rho^s) with rho^s(x)(sv) = (-1)^{|x|} s(rho(x)v)."""
+    """(sV, rho^s) with rho^s(x)(sv) = (-1)^{|x|} s(rho(x)v), and its view."""
     svspace, perm = rho.space.suspended_with_permutation()
-    table = _reversed_table(rho.algebra.space.parities, rho.nonzero, perm)
-    return Representation._trusted(rho.algebra, svspace, table)
+    P, (D, ints) = rho.algebra.space.parities, rho._cleared
+    srho = Representation._trusted(rho.algebra, svspace, _reversed_table(P, rho.nonzero, perm))
+    return linalg._with_view(srho, (D, _reversed_table(P, ints, perm)))
 
 
 def direct_sum_rep(rho1: Representation, rho2: Representation) -> Representation:
@@ -260,12 +266,9 @@ def _intertwiner_system(
     phi: V1 -> V2, and the nonzero rows of the system phi rho1(x) =
     rho2(x) phi, one per entry (k, j) of phi rho1(e_a) - rho2(e_a) phi, in
     (a, k, j) order, each as its (t, x) pairs in no order: x != 0 is the
-    coefficient of unknown t times D, a common multiple of the
-    denominators of both actions' entries, summed on ints; the system is
-    homogeneous, so one positive scale leaves its nullspace as it is.  Only
-    the nonzero entries of the action maps are read, off each
-    representation's integer table `_cleared_action`, rescaled to the lcm
-    of the two scales only when they differ."""
+    coefficient of unknown t times D, the common scale of the two
+    representations' integer views, summed on ints; the system is
+    homogeneous, so one positive scale leaves its nullspace as it is."""
     V1, V2 = rho1.space, rho2.space
     # unknowns: entries (k, i) with |w_k| = |v_i| (phi is even)
     P1, P2 = V1.parities, V2.parities
@@ -275,13 +278,7 @@ def _intertwiner_system(
     # the unknowns (k, t) in column i of phi, and (j, t) in its row l
     in_col = [[(k, pos_index[k, i]) for k in range(n2) if P2[k] == P1[i]] for i in range(n1)]
     in_row = [[(j, pos_index[l, j]) for j in range(n1) if P1[j] == P2[l]] for l in range(n2)]
-    (D1, table1), (D2, table2) = rho1._cleared_action, rho2._cleared_action
-    if D1 != D2:
-        L = lcm(D1, D2)
-        table1, table2 = (
-            tuple(tuple(tuple((m, x * (L // D)) for m, x in cell) for cell in row) for row in table)
-            for D, table in ((D1, table1), (D2, table2))
-        )
+    _, (table1, table2) = linalg._rescaled(2, rho1._cleared, rho2._cleared)
     rows = []
     for columns1, columns2 in zip(table1, table2):
         # (phi m1 - m2 phi)[k][j] = sum_i phi[k][i] m1[i][j] - sum_l m2[k][l] phi[l][j] at
@@ -424,6 +421,8 @@ def is_intertwiner(phi: GradedLinearMap, rho1: Representation, rho2: Representat
 
 
 def _check_isomorphism(phi: GradedLinearMap, rho1: Representation, rho2: Representation):
+    if phi.parity != EVEN:
+        raise ValueError("phi is not even")
     if not is_intertwiner(phi, rho1, rho2):
         raise ValueError("phi is not an intertwiner between the given representations")
     if not phi.is_invertible():

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from . import linalg
 from .graded import (
     EVEN,
     GradedLinearMap,
@@ -81,13 +82,10 @@ def _scybe_blocks(r: RMatrix) -> "tuple[int, Iterator[dict[int, int]]]":
     some term reaches.
 
     Every term is a product of two entries of r and one structure
-    constant, so the kernel runs on ints: with r's entries scaled by D, the
-    lcm of their denominators, and the structure constants by E (see
-    LieSuperAlgebra._scaled_nonzero), the integer sums are exactly
-    D^2 E [[r, r]] and scale is D^2 E.  The scaled entries are r's integer
-    view `Tensor2._cleared_values`: cleared once per tensor, or, for the
-    induced tensors and the hierarchy levels, written from the view of
-    the map or tensor they are built from, so those are never cleared.
+    constant, so the kernel runs on the one integer view `_cleared` of each:
+    r's entries scaled by D (written from its source's for the induced
+    tensors and the hierarchy levels) and g's constants by E, so the sums
+    are exactly D^2 E [[r, r]] and scale is D^2 E.
     With a_ij the entries of r, the slot (x, y, z) sums three families:
 
         [r12, r13]:  (-1)^{|y||k|} a_iy a_kz c_ik^x   over i, k;
@@ -103,13 +101,12 @@ def _scybe_blocks(r: RMatrix) -> "tuple[int, Iterator[dict[int, int]]]":
     g = r.algebra
     n = g.space.dim
     P = g.space.parities
-    E, _ = g._scaled_nonzero
+    E, _ = g._cleared
     left, into = g._scaled_join
-    entries = r.tensor.entries
-    D, ints = r.tensor._cleared_values
+    D, slots = r.tensor._cleared
     rows = [[] for _ in range(n)]
     cols = [[] for _ in range(n)]
-    for ((i, j), _), a in zip(entries, ints):
+    for (i, j), a in slots:
         rows[i].append((j, a))
         cols[j].append((i, a))
     # the Koszul signs, folded into copies with odd indices negated
@@ -190,16 +187,15 @@ def rmatrix_to_operator(r: RMatrix) -> GradedLinearMap:
     slots are row-major, so each column's rows j come out ascending.  T_r's
     integer view is r's, signed the same way."""
     P, n = r.space.parities, r.space.dim
-    D, ints = r.tensor._cleared_values
+    D, slots = r.tensor._cleared
     cols, icols = [[] for _ in range(n)], [[] for _ in range(n)]
-    for ((j, i), x), y in zip(r.tensor.entries, ints):
+    for ((j, i), x), (_, y) in zip(r.tensor.entries, slots):
         if P[i]:  # the sign of `_operator_entries`, on both views
             x, y = -x, -y
         cols[i].append((j, x))
         icols[i].append((j, y))
-    return GradedLinearMap._seeded(
-        r.space.dual(), r.space, r.parity, tuple(map(tuple, cols)), (D, tuple(map(tuple, icols)))
-    )
+    t = GradedLinearMap._trusted(r.space.dual(), r.space, r.parity, tuple(map(tuple, cols)))
+    return linalg._with_view(t, (D, tuple(map(tuple, icols))))
 
 
 def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
@@ -245,9 +241,7 @@ def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, D, entries, pa
     where e_k and v_i* sit at positions alg_pos[k] and mod_pos[i] of h.
     Algebra and module positions are disjoint, so no two terms share a slot.
     The entries are every nonzero x of a source map or tensor, with y = D x
-    read off the source's integer view; the tensor's view
-    `Tensor2._cleared_values` is written from the y, with the same D and the
-    same signs, so the tensor is never cleared."""
+    from the source's integer view; the tensor's view is written from the y."""
     slots = []
     for (k, i), x, y in entries:
         p, q = alg_pos[k], mod_pos[i]
@@ -257,8 +251,7 @@ def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, D, entries, pa
         slots.append(((q, p), x, y))
     slots.sort()  # the positions differ, so the values are never compared
     tensor = Tensor2._trusted(h.space, h.space, tuple((pq, x) for pq, x, _ in slots), parity)
-    vars(tensor)["_cleared_values"] = (D, [y for _, _, y in slots])
-    return RMatrix(h, tensor)
+    return RMatrix(h, linalg._with_view(tensor, (D, tuple((pq, y) for pq, _, y in slots))))
 
 
 def operator_to_rmatrix(
@@ -285,7 +278,7 @@ def operator_to_rmatrix(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     # T v_i has coordinate x = T[k][i] along e_k, and D x in T's integer view
-    D, ints = t._cleared_columns
+    D, ints = t._cleared
     entries = [
         ((k, i), x, y)
         for i, (col, icol) in enumerate(zip(t.nonzero, ints))
@@ -324,16 +317,14 @@ def _beta(r: RMatrix) -> "tuple[BilinearForm, list[dict[int, int]]]":
     nonzero integer scale, B[i] mapping each j with beta(e_i, e_j) != 0 to
     the scaled entry, for the int flag kernels of `liesuper`.
 
-    r's entries are cleared to ints by D, the lcm of their denominators
-    (`Tensor2._cleared_values`, shared with `_scybe_blocks`), and signed
-    into T_r's entries; no map T_r is built.  One
+    r's integer view, by D, is signed into T_r's entries; no map T_r is
+    built.  One
     `_block_inverse` gives the inverse of D T_r as y / q, with q the
     Bareiss pivot of its row, so beta's entries are D y / q, and B is the
     inverse at the scale Q, the lcm of the pivots: B holds y Q / q, which
     is Q / D times beta."""
-    entries = r.tensor.entries
-    D, ints = r.tensor._cleared_values
-    operator = _operator_entries(r.space.parities, zip((ji for ji, _ in entries), ints))
+    D, slots = r.tensor._cleared
+    operator = _operator_entries(r.space.parities, slots)
     inv = _block_inverse(r.space, r.space.dual(), r.parity, operator)
     if inv is None:
         raise DegenerateRMatrix("the tensor is degenerate (T_r is singular)")
@@ -390,8 +381,8 @@ def _step(r: RMatrix, letter: str) -> RMatrix:
     g |x_ad g for '+', or of its parity dual, in g |x_{ad^s} sg for '-'."""
     g = r.algebra
     # each slot with its value in r's integer view
-    D, ints = r.tensor._cleared_values
-    slots = ((ji, a, b) for (ji, a), b in zip(r.tensor.entries, ints))
+    D, ints = r.tensor._cleared
+    slots = ((ji, a, b) for (ji, a), (_, b) in zip(r.tensor.entries, ints))
     if letter == "+":
         # ad(e_a) e_j = [e_a, e_j] is the bracket table's cell (a, j), and
         # coefficient a_ji sits at tensor slot (j, i)

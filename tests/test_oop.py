@@ -264,7 +264,7 @@ class TestRotaBaxter:
         kept = vars(rebuilt)["_adjoint"]
         assert adjoint(rebuilt) is kept and kept.nonzero is rebuilt.nonzero
         assert len(gradings) == 1 and gradings[0][1] is rebuilt.nonzero
-        assert len(passes) == 1 and passes[0][1] is rebuilt.nonzero
+        assert len(passes) == 1 and passes[0][1] is rebuilt._cleared[1]
 
     def test_a_graded_algebra_that_fails_jacobi_is_refused_as_adjoint_refuses_it(self):
         # the grading holds, so only the Jacobi witness refuses g, with the
@@ -676,7 +676,8 @@ class TestIntegerKernel:
 
     def test_the_inputs_clear_distinct_denominators(self):
         def lcms(rho):
-            return rho.algebra._scaled_nonzero[0], _action_lcm(rho), rho._scaled_tables[0]
+            assert rho._cleared[0] == _action_lcm(rho)
+            return rho.algebra._cleared[0], rho._cleared[0], rho._joint[0]
 
         # ex2.3 with f1 halved and v1 scaled by -3/7, and a map with
         # entries 1/2 and 3/7: E = 2, action lcm 42, L = 42, D = 14
@@ -722,7 +723,7 @@ class TestIntegerKernel:
                 assert found == scan_search(r.algebra, r, parity, entries), entries
 
     def test_scaled_tables_are_built_once_per_representation(self, monkeypatch):
-        original = Representation.__dict__["_scaled_tables"]
+        original = Representation.__dict__["_joint"]
         built = []
 
         def counting(rho):
@@ -730,8 +731,8 @@ class TestIntegerKernel:
             return original.func(rho)
 
         tables = cached_property(counting)
-        tables.__set_name__(Representation, "_scaled_tables")
-        monkeypatch.setattr(Representation, "_scaled_tables", tables)
+        tables.__set_name__(Representation, "_joint")
+        monkeypatch.setattr(Representation, "_joint", tables)
         scalings = _count_calls(monkeypatch, "superybe.oop", "_defects")
         g, rho = CATALOG["ex3.7"]
         first, second = (Representation(g, rho.space, rho.action) for _ in range(2))
@@ -758,7 +759,7 @@ class TestSuperSkewHalf:
     @given(case=kernel_inputs())
     def test_the_dense_defect_is_super_skew_symmetric(self, case):
         t, rho = case
-        assume(rho._scaled_tables[0] != 1)
+        assume(rho._joint[0] != 1)
         dense = _dense_table(t, rho)
         odd = [p ^ t.parity for p in rho.space.parities]  # |T| + |v_i|
         for (i, j), d in dense.items():

@@ -29,6 +29,7 @@ from superybe import (
     is_rota_baxter,
     is_self_reversing,
     load_fixture,
+    oop_holds,
     parity_reverse_rep,
     self_reversing_double,
     semidirect_product,
@@ -599,7 +600,7 @@ class TestTrustBoundary:
         read(g)
         levels = [r.algebra for r in hierarchy_trace(g, fx.parts["r1"], "+-+")]
         hierarchy_trace(g, fx.parts["r1"], "-")
-        assert len(passes) == 1 and passes[0][1] is g.nonzero
+        assert len(passes) == 1 and passes[0][1] is g._cleared[1]
         for h in levels:
             coad = read(h)
             hosts = (semidirect_product(h, coad), _plain_semidirect(coad)[0], _dual_semidirect(coad)[0])
@@ -609,7 +610,7 @@ class TestTrustBoundary:
         # an equal algebra built apart is another object, checked once
         twin = LieSuperAlgebra(g.space, g.structure)
         read(twin)
-        assert len(passes) == 2 and passes[1][1] is twin.nonzero
+        assert len(passes) == 2 and passes[1][1] is twin._cleared[1]
         # a failing algebra is checked once too, and refused on every read
         bad = _non_jacobi_algebra()
         zero = GradedLinearMap.zero(bad.space, bad.space, EVEN)
@@ -620,7 +621,7 @@ class TestTrustBoundary:
                     call(bad)
             with pytest.raises(HierarchyError, match="super Jacobi"):
                 hierarchy_trace(bad, RMatrix.from_terms(bad, {}), "+")
-        assert len(passes) == 3 and passes[2][1] is bad.nonzero
+        assert len(passes) == 3 and passes[2][1] is bad._cleared[1]
 
     def test_coadjoint_checks_once(self, monkeypatch, rep_checks):
         # coadjoint reads the algebra's kept report: one check of the bracket
@@ -632,7 +633,7 @@ class TestTrustBoundary:
         passes = _count_calls(monkeypatch, "superybe.liesuper", "_hom_failures")
         coads = [coadjoint(g) for _ in range(3)]
         assert len(gradings) == 1 and gradings[0][1] is g.nonzero
-        assert len(passes) == 1 and passes[0][1] is g.nonzero
+        assert len(passes) == 1 and passes[0][1] is g._cleared[1]
         assert rep_checks == []
         assert all(coad.nonzero == coads[0].nonzero for coad in coads)
         assert _is_rep(coads[0])
@@ -1079,20 +1080,57 @@ def _dense_intertwiners(rho1, rho2):
 
 
 def test_the_intertwiner_system_reads_each_cached_table_once_per_object(monkeypatch):
-    # each representation's action is cleared once, by its own scale; the
-    # two scales differ here, so the system runs at their lcm, and the
-    # intertwiner basis and the verdicts are those of the Fraction oracle
+    # each representation's action is cleared once, by its own scale: the
+    # checked constructor clears g's table and the one action map, and
+    # writes the representation's view from the map's; the two scales
+    # differ here, so the system runs at their lcm, and the intertwiner
+    # basis and the verdicts are those of the Fraction oracle
+    tables = _count_calls(monkeypatch, "superybe.linalg", "_cleared_table")
     g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
     V = SuperSpace.make(even=["u0", "u1"])
     rho1 = Representation.from_images(g, V, {"z": {"u0": {"u1": Fraction(1, 2)}}})
     rho2 = Representation.from_images(g, V, {"z": {"u0": {"u1": Fraction(1, 3)}}})
-    tables = _count_calls(monkeypatch, "superybe.linalg", "_cleared_tables")
+    assert (rho1._cleared[0], rho2._cleared[0]) == (2, 3)
     for _ in range(3):
         for a, b in ((rho1, rho2), (rho2, rho1), (rho1, rho1)):
             basis = intertwiner_space(a, b)
             assert basis == _dense_intertwiners(a, b)
             assert find_even_isomorphism(a, b).found
-    assert tables == [(rho1.nonzero,), (rho2.nonzero,)]
+    assert tables == [(g.nonzero, 2), (rho1.nonzero[0], 1), (rho2.nonzero[0], 1)]
+
+
+def test_transport_refuses_an_odd_isomorphism():
+    # on ex2.3's reverse, an odd invertible phi commutes with the actions
+    # without signs; the odd candidate it once gave failed the identity
+    # that the even T satisfies
+    srho = parity_reverse_rep(load_fixture("ex2.3").parts["rho"])
+    images = {"sw1": {"sv2": -1}, "sw2": {"sv1": -1}, "sv1": {"sw2": -1}, "sv2": {"sw1": -1}}
+    phi = GradedLinearMap.from_images(srho.space, srho.space, ODD, images)
+    t = GradedLinearMap.from_images(
+        srho.space,
+        srho.algebra.space,
+        EVEN,
+        {"sw1": {"e1": -1}, "sw2": {"e1": -1}, "sv1": {"f1": 1, "f2": -1}, "sv2": {"f1": -1, "f2": 1}},
+    )
+    assert is_intertwiner(phi, srho, srho) and phi.is_invertible()
+    assert oop_holds(t, srho)
+    with pytest.raises(ValueError, match="^phi is not even$"):
+        transport_oop(t, srho, phi, srho)
+
+
+def test_is_self_reversing_clears_only_the_double_once(monkeypatch):
+    # the reverse's integer view is written from the double's, so five
+    # searches on a fresh double clear its table once and nothing else
+    cleared = _count_calls(monkeypatch, "superybe.linalg", "_cleared_table")
+    coad, rho = load_fixture("ex3.2").parts["coadjoint"], load_fixture("ex2.3").parts["rho"]
+    # the last: a basis vector scaled by -3/7 puts denominators in the table
+    for start in (coad, rho, _rescaled(rho, 0, Fraction(-3, 7))):
+        double = self_reversing_double(start)
+        cleared.clear()
+        for _ in range(5):
+            assert is_self_reversing(double).found
+        assert cleared == [(double.nonzero, 2)]
+    assert double._cleared[0] == 21
 
 
 def test_transport_refuses_an_isomorphism_across_algebras():

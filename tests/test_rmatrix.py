@@ -25,10 +25,12 @@ from superybe import (
     check_lie_axioms,
     classify_form,
     coadjoint,
+    extend_to_double,
     fixture_names,
     hierarchy_trace,
     hierarchy_walk,
     induced_coadjoint_operator,
+    is_intertwiner,
     is_oop,
     is_pan_supersymmetric,
     is_super_rmatrix,
@@ -41,6 +43,7 @@ from superybe import (
     rmatrix_to_operator,
     same_algebra_pair,
     scybe_defect,
+    self_reversing_double,
     suspend_map,
     twist,
 )
@@ -226,7 +229,7 @@ class TestIntegerKernel:
     Fraction values of the dense oracle."""
 
     def test_the_inputs_clear_denominators(self):
-        assert any(g._scaled_nonzero[0] != 1 for g in DEFECT_ALGEBRAS)
+        assert any(g._cleared[0] != 1 for g in DEFECT_ALGEBRAS)
         assert all(is_super_rmatrix(r) for r in KNOWN_SOLUTIONS)
         assert {r.space.dim for r in KNOWN_SOLUTIONS} == {2, 4, 8, 16}
 
@@ -242,7 +245,7 @@ class TestIntegerKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        g=st.sampled_from([g for g in DEFECT_ALGEBRAS if g._scaled_nonzero[0] != 1]),
+        g=st.sampled_from([g for g in DEFECT_ALGEBRAS if g._cleared[0] != 1]),
         parity=st.integers(0, 1),
         rnd=st.randoms(use_true_random=False),
     )
@@ -273,7 +276,7 @@ class TestIntegerKernel:
         g = load_fixture("ex3.2").parts["algebra"]
         half_e = _rescaled(g, g.space.index("e"), Fraction(1, 2))
         e, f = g.space.index("e"), g.space.index("f")
-        assert half_e._scaled_nonzero == (2, (((), ((f, 1),)), (((f, -1),), ())))
+        assert half_e._cleared == (2, (((), ((f, 1),)), (((f, -1),), ())))
         r = RMatrix.from_terms(half_e, {("e", "f"): Fraction(3, 7)})
         # the middle family alone: 3/7 * 3/7 * c_fe^f = -9/98 e (x) f (x) f
         assert dict(scybe_defect(r).nonzero()) == {(e, f, f): Fraction(-9, 98)}
@@ -294,7 +297,9 @@ class TestIntegerKernel:
         assert time.perf_counter() - start < 1.0
 
     def test_scaled_table_is_built_once_per_algebra(self, monkeypatch):
-        original = LieSuperAlgebra.__dict__["_scaled_nonzero"]
+        # loading the fixture checks its representations, which clears g
+        g = load_fixture("ex3.2").parts["algebra"]
+        original = LieSuperAlgebra.__dict__["_cleared"]
         built = []
 
         def counting(g):
@@ -302,9 +307,8 @@ class TestIntegerKernel:
             return original.func(g)
 
         table = cached_property(counting)
-        table.__set_name__(LieSuperAlgebra, "_scaled_nonzero")
-        monkeypatch.setattr(LieSuperAlgebra, "_scaled_nonzero", table)
-        g = load_fixture("ex3.2").parts["algebra"]
+        table.__set_name__(LieSuperAlgebra, "_cleared")
+        monkeypatch.setattr(LieSuperAlgebra, "_cleared", table)
         rebuilt = LieSuperAlgebra(g.space, g.structure)
         rnd = random.Random(1)
         for _ in range(5):
@@ -591,9 +595,9 @@ def _known_fractional_candidates():
 def _assert_seeded_map(t):
     """t's integer view was written when t was built, and it is a fresh
     clearing of t's own table: D the lcm of its denominators, D x as ints."""
-    assert "_cleared_columns" in vars(t)
-    D, cols = t._cleared_columns
-    assert (D, cols) == linalg._cleared_cells(t.nonzero)
+    assert "_cleared" in vars(t)
+    D, cols = t._cleared
+    assert (D, cols) == linalg._cleared_table(t.nonzero, 1)
     assert D == math.lcm(*(x.denominator for col in t.nonzero for _, x in col))
     for col, icol in zip(t.nonzero, cols, strict=True):
         assert [(k, D * x) for k, x in col] == list(icol)
@@ -601,19 +605,34 @@ def _assert_seeded_map(t):
 
 
 def _assert_seeded_tensor(tensor):
-    """The same for a 2-tensor's view of its slot values."""
-    assert "_cleared_values" in vars(tensor)
-    D, ints = tensor._cleared_values
+    """The same for a 2-tensor's view of its slots."""
+    assert "_cleared" in vars(tensor)
+    D, slots = tensor._cleared
     values = [x for _, x in tensor.entries]
-    assert (D, ints) == linalg._cleared(values)
+    assert (D, slots) == linalg._cleared_table(tensor.entries, 0)
     assert D == math.lcm(*(x.denominator for x in values))
-    assert ints == [D * x for x in values] and all(type(y) is int for y in ints)
+    assert slots == tuple((ij, D * x) for ij, x in tensor.entries)
+    assert all(type(y) is int for _, y in slots)
+
+
+def _assert_seeded_rep(rho):
+    """The same for a representation's view of its action table."""
+    assert "_cleared" in vars(rho)
+    D, table = rho._cleared
+    assert (D, table) == linalg._cleared_table(rho.nonzero, 2)
+    assert D == math.lcm(*(x.denominator for row in rho.nonzero for col in row for _, x in col))
+    for row, irow in zip(rho.nonzero, table, strict=True):
+        for col, icol in zip(row, irow, strict=True):
+            assert [(k, D * x) for k, x in col] == list(icol)
+            assert all(type(y) is int for _, y in icol)
 
 
 def _assert_derived_views_are_fresh(t, rho):
-    """Every object the correspondence derives from T, and the two
-    hierarchy levels of each induced tensor, carries a seeded view."""
+    """Every object the correspondence derives from T, the two hierarchy
+    levels of each induced tensor and rho's parity reverse carry a seeded
+    view."""
     _assert_seeded_map(suspend_map(t))
+    _assert_seeded_rep(parity_reverse_rep(rho))
     for variant in ("plain", "dual"):
         r = operator_to_rmatrix(t, rho, variant)
         _assert_seeded_tensor(r.tensor)
@@ -639,7 +658,7 @@ class TestSeededViews:
 
     def test_known_fractional_candidates(self):
         for t, rho in _known_fractional_candidates():
-            assert t._cleared_columns[0] != 1 and oop_holds(t, rho)
+            assert t._cleared[0] != 1 and oop_holds(t, rho)
             _assert_derived_views_are_fresh(t, rho)
 
     @pytest.mark.parametrize("scale", [Fraction(3, 7), Fraction(-2, 5)])
@@ -650,15 +669,15 @@ class TestSeededViews:
             for word in ("+", "-", "+-", "-+-"):
                 levels = hierarchy_trace(ex44["algebra"], r, word)
                 for level in levels:
-                    assert level.tensor._cleared_values[0] == scale.denominator
+                    assert level.tensor._cleared[0] == scale.denominator
                     _assert_seeded_tensor(level.tensor)
 
     def test_the_criterion_4_chain_clears_one_map_and_no_tensor(self, monkeypatch, rng):
         # the six statements of criterion 4 on one fresh map T: T is cleared
         # once, and T^s, r_T, r_{T^s} and the induced operators inherit it
-        maps = _count_calls(monkeypatch, "superybe.linalg", "_cleared_cells")
+        maps = _count_calls(monkeypatch, "superybe.linalg", "_cleared_table")
         values = _count_calls(monkeypatch, "superybe.linalg", "_cleared")
-        tables = _count_calls(monkeypatch, "superybe.linalg", "_cleared_tables")
+        tables = _count_calls(monkeypatch, "superybe.linalg", "_rescaled")
         for _, g, rho in equivalence_cases():
             srho = parity_reverse_rep(rho)
             zero = GradedLinearMap.zero(rho.space, g.space, EVEN)
@@ -684,7 +703,7 @@ class TestSeededViews:
                     calls.clear()
                 verdicts = chain(t)
                 assert len(set(verdicts)) == 1
-                assert maps == [(t.nonzero,)] and values == [] and tables == []
+                assert maps == [(t.nonzero, 1)] and values == [] and tables == []
 
 
 class TestInducedCoadjointOperator:
@@ -774,22 +793,22 @@ class TestBetaCocycle:
         # r's slot values; the scaled tensors are fresh, with no view cached
         # yet, while a hierarchy level inherits its view and is never cleared
         ex44 = load_fixture("ex4.4").parts
-        cleared = _count_calls(monkeypatch, "superybe.linalg", "_cleared")
+        cleared = _count_calls(monkeypatch, "superybe.linalg", "_cleared_table")
         for word in ("+", "-", "++"):
             r = hierarchy_walk(ex44["algebra"], ex44["r1"], word)
-            level_values = [x for _, x in r.tensor.entries]
+            level_values = r.tensor.entries
             cleared.clear()
             beta_cocycle_check(r)  # the host's own tables are cleared here
-            assert not any(list(args[0]) == level_values for args in cleared)
+            assert not any(args[0] == level_values for args in cleared)
             for c in (Fraction(3, 7), Fraction(-2)):
                 fresh = RMatrix(r.algebra, r.tensor.scale(c))
-                values = [x for _, x in fresh.tensor.entries]
+                values = fresh.tensor.entries
                 cleared.clear()
                 assert beta_cocycle_check(fresh)[1]
-                assert [args for args in cleared if list(args[0]) == values] == [(values,)]
+                assert [args for args in cleared if args[0] == values] == [(values, 0)]
                 cleared.clear()
                 beta_cocycle_check(fresh)
-                assert not any(list(args[0]) == values for args in cleared)
+                assert not any(args[0] == values for args in cleared)
 
     @pytest.mark.parametrize("word", ["+", "-", "++", "+-", "+++", "-+-", "----"])
     def test_hierarchy_levels_of_r1_are_verdict_true_cocycles(self, word):
@@ -1169,3 +1188,17 @@ class TestSameAlgebraPair:
         t = load_fixture("ex3.7").parts["T3"](1, 1, 1, 1)
         with pytest.raises(ValueError):
             same_algebra_pair(t, rho, bogus)
+
+    def test_an_odd_isomorphism_is_refused(self):
+        # on the ex3.2 coadjoint double, an odd invertible phi commutes with
+        # the actions without signs; it once gave r_{T^s} the parity |T|
+        ex32 = load_fixture("ex3.2").parts
+        double = self_reversing_double(ex32["coadjoint"])
+        reverse = parity_reverse_rep(double)
+        images = {"e*": {"se*": 1}, "sf*": {"f*": 1}, "f*": {"sf*": -1}, "se*": {"e*": -1}}
+        phi = GradedLinearMap.from_images(double.space, reverse.space, ODD, images)
+        assert is_intertwiner(phi, double, reverse) and phi.is_invertible()
+        t = extend_to_double(ex32["T1"], ex32["coadjoint"]).map
+        assert oop_holds(t, double)
+        with pytest.raises(ValueError, match="^phi is not even$"):
+            same_algebra_pair(t, double, phi)

@@ -50,6 +50,8 @@ from superybe import (
     left_regular_rep,
     linalg,
     load_fixture,
+    ODD,
+    classify_form,
     oop_holds,
     operator_to_rmatrix,
     operator_to_tensor,
@@ -71,7 +73,7 @@ from superybe.reps import IsoSearchResult, intertwiner_space
 from superybe.rmatrix import _pan_supersymmetric_tensor, _step
 
 import oracles
-from conftest import random_pan_supersymmetric
+from conftest import _count_calls, random_pan_supersymmetric
 
 
 def _algebras():
@@ -313,7 +315,7 @@ def test_rescaled_algebras_report_the_dense_first_witnesses(name, data):
     n, P = g.dim, g.space.parities
     p = data.draw(st.sampled_from([a for a in range(n) if any(g.nonzero[a])]))
     h = rescaled_algebra(g, p, data.draw(st.sampled_from(BASIS_SCALES)))
-    assume(h._scaled_nonzero[0] != 1)
+    assume(h._cleared[0] != 1)
     if data.draw(st.booleans()):
         i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
         delta = data.draw(st.sampled_from((HALF, Fraction(-1), Fraction(2))))
@@ -771,7 +773,7 @@ def stored_bases(draw):
     acting = [a for a, row in enumerate(rho.nonzero) if any(row)]
     if acting and draw(st.booleans()):
         rho = rescaled(rho, draw(st.sampled_from(acting)), draw(st.sampled_from(BASIS_SCALES)))
-        assert rho._scaled_tables[0] != 1
+        assert rho._joint[0] != 1
     return rho
 
 
@@ -1277,8 +1279,8 @@ def test_pan_supersymmetric_tensor_matches_the_dense_formula(name, parity, rnd):
     assert r.tensor.entries == nonzero_slots(array)
     assert is_pan_supersymmetric(r)
     # the tensor's integer view was written with it, and is a fresh clearing
-    assert "_cleared_values" in vars(r.tensor)
-    assert r.tensor._cleared_values == linalg._cleared([x for _, x in r.tensor.entries])
+    assert "_cleared" in vars(r.tensor)
+    assert r.tensor._cleared == linalg._cleared_table(r.tensor.entries, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1491,3 +1493,37 @@ def test_step_matches_the_dense_formula(name, letter, scale, parity, rnd):
     assert (level.space, level.algebra.structure) == (total, structure)
     assert level.tensor.coeffs == tuple(map(tuple, coeffs))
     assert level.parity == (parity if letter == "+" else parity ^ 1)
+
+
+# ---------------------------------------------------------------------------
+# one integer view per stored table
+
+
+def test_each_stored_table_is_cleared_once_across_check_and_use(monkeypatch):
+    """A fresh algebra with fractional constants ([f1, f2] = -7/3 e1, E = 3)
+    and a fractional representation (D = 7), two maps, a tensor and a form
+    over it: the checks and the kernels, run twice, clear each stored table
+    once, and the representation's table, whose view is written from its
+    action maps' views, never."""
+    ex23 = load_fixture("ex2.3").parts["rho"]
+    cleared = _count_calls(monkeypatch, "superybe.linalg", "_cleared_table")
+    s, V = Fraction(-3, 7), ex23.space
+    g = rescaled_algebra(ex23.algebra, 0, s)
+    maps = tuple(m.scale(s if a == 0 else 1) for a, m in enumerate(ex23.action))
+    t = GradedLinearMap.from_images(V, g.space, ODD, {"v1": {"f1": HALF}, "w2": {"e1": s}})
+    t_ad = GradedLinearMap.from_images(g.space, g.space, EVEN, {"e1": {"e1": HALF}, "f1": {"f2": s}})
+    r = RMatrix.from_terms(g, {("e1", "e1"): s, ("f1", "f2"): HALF, ("f2", "f1"): HALF})
+    terms = {("e1", "e1"): HALF, ("f1", "f2"): Fraction(2, 3), ("f2", "f1"): Fraction(-2, 3)}
+    beta = BilinearForm.from_terms(g.space, terms, EVEN)
+    for _ in range(2):
+        assert check_lie_axioms(g).ok
+        rho = Representation(g, V, maps)
+        assert rho._joint[0] == 21
+        oop_holds(t, rho)
+        oop_holds(t_ad, adjoint(g))
+        is_super_rmatrix(r)
+        classify_form(beta, g)
+    stored = [g.nonzero, *(m.nonzero for m in maps), t.nonzero, t_ad.nonzero, r.tensor.entries, beta.entries]
+    assert [sum(args[0] is table for args in cleared) for table in stored] == [1] * len(stored)
+    assert len(cleared) == len(stored)
+    assert rho._cleared == linalg._cleared_table(rho.nonzero, 2) and rho._cleared[0] == 7
