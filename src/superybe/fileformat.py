@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .graded import (
     EVEN,
     ODD,
@@ -30,7 +29,7 @@ from .graded import (
 )
 from .liesuper import BilinearForm, LieSuperAlgebra, _write_bracket
 from .prelie import PreLieSuperAlgebra
-from .reps import Representation, _action_view, check_representation
+from .reps import Representation
 
 ALGEBRA_SPACE_NAME = "g"
 
@@ -51,11 +50,8 @@ class RawRep:
     action: tuple[GradedLinearMap, ...]
 
     def verify(self, algebra: LieSuperAlgebra) -> Representation:
-        report = check_representation(algebra, self.space, self.action)
-        if not report.ok:
-            raise ValueError(f"rep {self.name}: {report.failures()[0].detail}")
-        rho = Representation._trusted(algebra, self.space, tuple(m.nonzero for m in self.action))
-        return linalg._with_view(rho, _action_view(self.action))
+        rho = Representation.__new__(Representation)
+        return rho._checked(algebra, self.space, self.action, f"rep {self.name}")
 
 
 @dataclass

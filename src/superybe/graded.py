@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
 from . import linalg
@@ -210,19 +211,74 @@ def format_vector(space: SuperSpace, v) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the stored-table core
+
+
+class _Stored:
+    """The storage rules of the classes that store one exact sparse table
+    (maps, tensors, forms, algebras, representations, pre-Lie products),
+    each naming its table field and nesting depth in its header.  The
+    fields are immutable, so the core keeps once per object the hash of
+    the fields and the integer view `_cleared`, (D, the table with each x
+    as the int D x), D the lcm of the denominators, unless a construction
+    wrote the view from its source's through `linalg._with_view`.  Each
+    class keeps its own explicit `_trusted`, the cheapest build."""
+
+    def __init_subclass__(cls, table: str, depth: int, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table, cls._depth = table, depth
+        cls._fields = attrgetter(*cls.__annotations__)
+        # bound on the class itself: a frozen dataclass with eq writes its
+        # own __hash__ over an inherited one
+        cls.__hash__ = _Stored.__hash__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._fields(self))
+
+    @cached_property
+    def _cleared(self) -> "tuple[int, tuple]":
+        return linalg._cleared_table(getattr(self, self._table), self._depth)
+
+
+def _dense_cells(table, n: int) -> tuple:
+    """The dense n x n x n array of rows of cells of (k, x) pairs: an
+    algebra's `structure`, a pre-Lie product's `product`."""
+    return tuple(tuple(dense_vector(n, cell) for cell in row) for row in table)
+
+
+def _scanned_slots(array, rows: int, cols: int, message: str) -> tuple:
+    """The nonzero ((i, j), x) of a dense rows x cols array, row-major;
+    ValueError(message) if the array has another shape."""
+    if len(array) != rows or any(len(row) != cols for row in array):
+        raise ValueError(message)
+    return tuple(((i, j), x) for i, row in enumerate(array) for j, x in enumerate(row) if x)
+
+
+def _dense_slots(entries, rows: int, cols: int) -> tuple:
+    """The dense rows x cols array of the slots ((i, j), x): a map's
+    `matrix`, a tensor's `coeffs`, a form's `gram`."""
+    slots = dict(entries)
+    return tuple(tuple(slots.get((i, j), ZERO) for j in range(cols)) for i in range(rows))
+
+
+# ---------------------------------------------------------------------------
 # homogeneous linear maps
 
 
-def _check_homogeneous(rows: SuperSpace, cols: SuperSpace, parity: Parity, positions, message):
-    """Raise ValueError if a (row, col) of the nonzero positions, a list in
-    any order, has parities that disagree with the declared parity.  The
-    verdict is one pass; only a failure searches the list again for the
-    witness the message names, the first offender in row-major order,
-    formatted with the two labels and the parity's name."""
+def _check_homogeneous(rows: SuperSpace, cols: SuperSpace, parity: Parity, slots, message):
+    """Raise ValueError if the (row, col) of a nonzero slot ((row, col), x)
+    of the list, in any order, has parities that disagree with the declared
+    parity.  The verdict is one pass; only a failure searches the list
+    again for the witness the message names, the first offender in
+    row-major order, formatted with the two labels and the parity's name."""
     R, C = rows.parities, cols.parities
-    if all(R[r] ^ C[c] == parity for r, c in positions):
+    if all(R[r] ^ C[c] == parity for (r, c), _ in slots):
         return
-    r, c = min((r, c) for r, c in positions if R[r] ^ C[c] != parity)
+    r, c = min((r, c) for (r, c), _ in slots if R[r] ^ C[c] != parity)
     raise ValueError(message.format(rows.labels[r], cols.labels[c], parity_name(parity)))
 
 
@@ -288,7 +344,7 @@ def _block_nonsingular(rows: SuperSpace, cols: SuperSpace, parity: Parity, entri
 
 
 @dataclass(frozen=True, init=False)
-class GradedLinearMap:
+class GradedLinearMap(_Stored, table="nonzero", depth=1):
     """A homogeneous linear map between superspaces.
 
     Stored as `nonzero`: nonzero[i] holds the pairs (k, m_ki) with m_ki != 0
@@ -300,8 +356,7 @@ class GradedLinearMap:
     T_r, intertwiners, the maps of a representation's `action` view) are
     homogeneous by theorem and skip it: `_from_entries` groups their
     entries, and `_trusted` takes a finished table.  The dense `matrix`
-    view is built on read, and so is the integer view `_cleared`, unless
-    a construction that relabels and signs a source's entries wrote it.
+    view is built on read; the hash and the integer view are `_Stored`'s.
     """
 
     domain: SuperSpace
@@ -323,12 +378,11 @@ class GradedLinearMap:
     def __post_init__(self):
         if self.parity not in (EVEN, ODD):
             raise ValueError("map parity must be 0 or 1")
-        positions = [(k, i) for i, col in enumerate(self.nonzero) for k, _ in col]
         message = (
             "inhomogeneous map: entry ({}, {}) nonzero but parities disagree "
             "with declared map parity {}"
         )
-        _check_homogeneous(self.codomain, self.domain, self.parity, positions, message)
+        _check_homogeneous(self.codomain, self.domain, self.parity, list(self._entries()), message)
 
     # -- constructors -------------------------------------------------
 
@@ -381,31 +435,16 @@ class GradedLinearMap:
     @cached_property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
         """The dense matrix, (codomain basis x domain basis); a derived view."""
-        return tuple(map(tuple, self._rows()))
+        return _dense_slots(self._entries(), self.codomain.dim, self.domain.dim)
 
     def _rows(self) -> "list[list[Scalar]]":
         """Fresh dense rows (codomain basis x domain basis) for `linalg`."""
-        rows = [[ZERO] * self.domain.dim for _ in range(self.codomain.dim)]
-        for (k, i), x in self._entries():
-            rows[k][i] = x
-        return rows
+        return list(map(list, _dense_slots(self._entries(), self.codomain.dim, self.domain.dim)))
 
-    def _entries(self):
-        """The ((k, i), m_ki) with m_ki != 0, column by column."""
-        for i, col in enumerate(self.nonzero):
-            for k, x in col:
-                yield (k, i), x
-
-    @cached_property
-    def _cleared(self) -> "tuple[int, tuple]":
-        """(D, columns): `nonzero` with each m_ki as the int D m_ki, D the
-        lcm of their denominators, once per map; every integer kernel
-        reads a map's entries here."""
-        return linalg._cleared_table(self.nonzero, 1)
-
-    def _int_entries(self):
-        """The ((k, i), D m_ki) of `_cleared`, column by column."""
-        for i, col in enumerate(self._cleared[1]):
+    def _entries(self, columns=None):
+        """The ((k, i), m_ki) with m_ki != 0, column by column; of the
+        integer view's columns when they are given."""
+        for i, col in enumerate(self.nonzero if columns is None else columns):
             for k, x in col:
                 yield (k, i), x
 
@@ -470,15 +509,16 @@ class GradedLinearMap:
         inverse entry is D y / q, one `Fraction` each."""
         if self.domain.dim != self.codomain.dim:
             raise ValueError("only square maps can be inverted")
-        D = self._cleared[0]
-        inv = _block_inverse(self.codomain, self.domain, self.parity, self._int_entries())
+        D, ints = self._cleared
+        inv = _block_inverse(self.codomain, self.domain, self.parity, self._entries(ints))
         if inv is None:
             raise ValueError("map is not invertible")
         entries = (((i, k), Fraction(D * y, q)) for (i, k), y, q in inv)
         return GradedLinearMap._from_entries(self.codomain, self.domain, self.parity, entries)
 
     def is_invertible(self) -> bool:
-        return _block_nonsingular(self.codomain, self.domain, self.parity, self._int_entries())
+        ints = self._entries(self._cleared[1])
+        return _block_nonsingular(self.codomain, self.domain, self.parity, ints)
 
 
 def suspend_map(t: GradedLinearMap) -> GradedLinearMap:
@@ -531,15 +571,14 @@ def _infer_parity(left: SuperSpace, right: SuperSpace, entries) -> "Parity | Non
 
 
 @dataclass(frozen=True, init=False)
-class Tensor2:
+class Tensor2(_Stored, table="entries", depth=0):
     """An element sum a_ij e_i (x) e_j, stored as its nonzero slots
     ((i, j), a_ij) in row-major order.  A declared parity is checked once,
     where a tensor enters: the public constructor, which scans a dense
     array and keeps no copy, and `from_terms` run `__post_init__`.  Derived
     tensors skip it: `_from_entries` sorts their slots, and `_trusted`
-    takes finished ones.  The dense `coeffs` view is built on first read,
-    and so is the integer view `_cleared`, unless the construction that
-    built the tensor wrote it from its source's.
+    takes finished ones.  The dense `coeffs` view is built on first read;
+    the hash and the integer view are `_Stored`'s.
 
     parity None means inhomogeneous (or an undeclared zero tensor).
     """
@@ -550,19 +589,14 @@ class Tensor2:
     parity: "Parity | None"
 
     def __init__(self, left: SuperSpace, right: SuperSpace, coeffs, parity: "Parity | None" = None):
-        if len(coeffs) != left.dim or any(len(r) != right.dim for r in coeffs):
-            raise ValueError("tensor coefficient shape mismatch")
-        entries = tuple(
-            ((i, j), x) for i, row in enumerate(coeffs) for j, x in enumerate(row) if x != 0
-        )
+        entries = _scanned_slots(coeffs, left.dim, right.dim, "tensor coefficient shape mismatch")
         vars(self).update(left=left, right=right, entries=entries, parity=parity)
         self.__post_init__()
 
     def __post_init__(self):
         if self.parity is not None:
-            positions = [ij for ij, _ in self.entries]
             message = "tensor entry ({}, {}) violates declared parity {}"
-            _check_homogeneous(self.left, self.right, self.parity, positions, message)
+            _check_homogeneous(self.left, self.right, self.parity, self.entries, message)
 
     @classmethod
     def _trusted(cls, left: SuperSpace, right: SuperSpace, entries, parity: "Parity | None"):
@@ -592,15 +626,8 @@ class Tensor2:
         return t
 
     @cached_property
-    def _cleared(self) -> "tuple[int, tuple]":
-        """(D, slots): the slots ((i, j), D a_ij) as ints, D the lcm of their
-        denominators, once per tensor."""
-        return linalg._cleared_table(self.entries, 0)
-
-    @cached_property
     def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:
-        slots, cols = dict(self.entries), range(self.right.dim)
-        return tuple(tuple(slots.get((i, j), ZERO) for j in cols) for i in range(self.left.dim))
+        return _dense_slots(self.entries, self.left.dim, self.right.dim)
 
     def is_zero(self) -> bool:
         return not self.entries

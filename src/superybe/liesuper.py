@@ -13,7 +13,6 @@ from functools import cached_property
 from itertools import islice
 from typing import Mapping, TYPE_CHECKING
 
-from . import linalg
 from .graded import (
     EVEN,
     ZERO,
@@ -24,7 +23,10 @@ from .graded import (
     SuperSpace,
     _block_nonsingular,
     _check_homogeneous,
-    dense_vector,
+    _dense_cells,
+    _dense_slots,
+    _scanned_slots,
+    _Stored,
     merge_spaces,
     rat,
 )
@@ -96,18 +98,15 @@ def _write_bracket(rows, space: SuperSpace, i: int, j: int, cell) -> None:
         rows[j][i] = _partner(cell, P[i] & P[j])
 
 
-def _dense_entries(n: int, table, message: str):
-    """The ((i, j, k), c) entries of a dense n x n x n table of checked shape."""
-    if len(table) != n or any(
-        len(row) != n or any(len(entry) != n for entry in row) for row in table
-    ):
+def _scanned_cells(n: int, table, message: str):
+    """The sparse table of a dense n x n x n array, the inverse of
+    `graded._dense_cells`, scanned as an n x n array of cells by
+    `graded._scanned_slots`; ValueError(message) on another shape."""
+    cells = _scanned_slots(table, n, n, message)
+    if any(len(entry) != n for _, entry in cells):
         raise ValueError(message)
-    return (
-        ((i, j, k), c)
-        for i, row in enumerate(table)
-        for j, entry in enumerate(row)
-        for k, c in enumerate(entry)
-    )
+    entries = (((i, j, k), c) for (i, j), entry in cells for k, c in enumerate(entry))
+    return _sparse_table(n, entries)
 
 
 def _bilinear(table, x, y, dim: int) -> tuple[Scalar, ...]:
@@ -127,14 +126,15 @@ def _bilinear(table, x, y, dim: int) -> tuple[Scalar, ...]:
 
 
 @dataclass(frozen=True, init=False)
-class LieSuperAlgebra:
+class LieSuperAlgebra(_Stored, table="nonzero", depth=2):
     """Structure constants c_ij^k with [e_i, e_j] = sum_k c_ij^k e_k.
 
     Stored as `nonzero`, which every kernel reads: nonzero[i][j] holds the
     pairs (k, c_ij^k) with c_ij^k != 0 in ascending k.  The public
     constructor scans a dense array once and keeps no copy; constructions
     use `_from_entries`, or `_trusted` when they hold the finished table.
-    The dense `structure` view is built on read.
+    The dense `structure` view is built on read; the hash and the integer
+    view `_cleared`, which every integer kernel reads, are `_Stored`'s.
     The constructor checks no axiom, not even super skew-symmetry, which
     the O-operator verdicts of `superybe.oop` assume; `check_lie_axioms`
     verifies them once per object and keeps the report, as `_report`.
@@ -144,8 +144,8 @@ class LieSuperAlgebra:
     nonzero: tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]
 
     def __init__(self, space: SuperSpace, structure):
-        entries = _dense_entries(space.dim, structure, "structure constant shape mismatch")
-        vars(self).update(space=space, nonzero=_sparse_table(space.dim, entries))
+        nonzero = _scanned_cells(space.dim, structure, "structure constant shape mismatch")
+        vars(self).update(space=space, nonzero=nonzero)
 
     @classmethod
     def _trusted(cls, space: SuperSpace, nonzero) -> "LieSuperAlgebra":
@@ -184,24 +184,7 @@ class LieSuperAlgebra:
     @cached_property
     def structure(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
         """The dense array structure[i][j][k] = c_ij^k; a derived view."""
-        n = self.space.dim
-        return tuple(tuple(dense_vector(n, cell) for cell in row) for row in self.nonzero)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.space, self.nonzero))
-
-    def __hash__(self) -> int:
-        # the fields are immutable, so hash them once: hosts are cached by
-        # representation and every cache lookup hashes its key
-        return self._hash
-
-    @cached_property
-    def _cleared(self) -> "tuple[int, tuple]":
-        """(E, table): E the lcm of the denominators of the structure
-        constants, table[i][j] the pairs (k, E c_ij^k) of nonzero[i][j] as
-        ints, once per algebra; every integer kernel reads them here."""
-        return linalg._cleared_table(self.nonzero, 2)
+        return _dense_cells(self.nonzero, self.space.dim)
 
     @cached_property
     def _scaled_join(self) -> "tuple[tuple, tuple]":
@@ -332,12 +315,14 @@ def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
 
 
 @dataclass(frozen=True, init=False)
-class BilinearForm:
+class BilinearForm(_Stored, table="entries", depth=0):
     """A homogeneous bilinear form, stored as its nonzero slots ((i, j),
     beta(e_i, e_j)) in row-major order, with the Gram matrix `gram` a
     derived view.  An even form vanishes on mixed-parity pairs, an odd form
     on equal-parity pairs: checked once, by the public constructor and
     `from_terms`; `beta_form` builds its form unchecked, by `_trusted`.
+    The slot code is `Tensor2`'s, and the hash and the integer view are
+    `_Stored`'s.
     """
 
     space: SuperSpace
@@ -345,17 +330,13 @@ class BilinearForm:
     parity: Parity
 
     def __init__(self, space: SuperSpace, gram, parity: Parity):
-        n = space.dim
-        if len(gram) != n or any(len(r) != n for r in gram):
-            raise ValueError("Gram matrix shape mismatch")
-        entries = tuple(((i, j), x) for i, row in enumerate(gram) for j, x in enumerate(row) if x)
+        entries = _scanned_slots(gram, space.dim, space.dim, "Gram matrix shape mismatch")
         vars(self).update(space=space, entries=entries, parity=parity)
         self.__post_init__()
 
     def __post_init__(self):
-        positions = [ij for ij, _ in self.entries]
         message = "form entry ({}, {}) violates declared parity {}"
-        _check_homogeneous(self.space, self.space, self.parity, positions, message)
+        _check_homogeneous(self.space, self.space, self.parity, self.entries, message)
 
     @classmethod
     def _trusted(cls, space: SuperSpace, entries, parity: Parity) -> "BilinearForm":
@@ -374,13 +355,7 @@ class BilinearForm:
     @cached_property
     def gram(self) -> tuple[tuple[Scalar, ...], ...]:
         """The dense Gram matrix gram[i][j] = beta(e_i, e_j); a derived view."""
-        slots, r = dict(self.entries), range(self.space.dim)
-        return tuple(tuple(slots.get((i, j), ZERO) for j in r) for i in r)
-
-    @cached_property
-    def _cleared(self) -> "tuple[int, tuple]":
-        """(D, slots): the slots as ints D beta(e_i, e_j), once per form."""
-        return linalg._cleared_table(self.entries, 0)
+        return _dense_slots(self.entries, self.space.dim, self.space.dim)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from .graded import (
     Scalar,
     SuperSpace,
     _block_sorted,
-    dense_vector,
+    _dense_cells,
+    _Stored,
     rat,
     sign,
     suspend_map,
@@ -32,11 +33,11 @@ from .liesuper import (
     CheckReport,
     LieSuperAlgebra,
     _bilinear,
-    _dense_entries,
     _first_failure,
     _grading_failures,
     _hom_failures,
     _partner,
+    _scanned_cells,
     _sparse_table,
 )
 from .oop import OOperatorCandidate, oop_holds
@@ -45,7 +46,7 @@ from .rmatrix import operator_to_rmatrix
 
 
 @dataclass(frozen=True, init=False)
-class PreLieSuperAlgebra:
+class PreLieSuperAlgebra(_Stored, table="nonzero", depth=2):
     """A graded product p_ij^k with e_i e_j = sum_k p_ij^k e_k.
 
     parity_shift 0 is a genuine pre-Lie product (left-symmetric
@@ -54,9 +55,10 @@ class PreLieSuperAlgebra:
 
     Stored as `nonzero`: nonzero[i][j] holds the pairs (k, p_ij^k) with
     p_ij^k != 0 in ascending k.  The public constructor scans a dense
-    array once and keeps no copy; constructions use `_from_entries`.
-    The dense `product` view is built on first read, and so is the
-    integer view `_cleared` that the left-symmetry check reads.
+    array once and keeps no copy; constructions use `_from_entries`,
+    which builds through `_trusted`.  The dense `product` view is built
+    on first read; the hash and the integer view `_cleared`, which the
+    left-symmetry check reads, are `_Stored`'s.
     """
 
     space: SuperSpace
@@ -64,18 +66,21 @@ class PreLieSuperAlgebra:
     parity_shift: Parity
 
     def __init__(self, space: SuperSpace, product, parity_shift: Parity = EVEN):
-        entries = _dense_entries(space.dim, product, "product table shape mismatch")
-        nonzero = _sparse_table(space.dim, entries)
+        nonzero = _scanned_cells(space.dim, product, "product table shape mismatch")
         vars(self).update(space=space, nonzero=nonzero, parity_shift=parity_shift)
+
+    @classmethod
+    def _trusted(cls, space: SuperSpace, nonzero, parity_shift: Parity):
+        """The product of a finished `nonzero` table, unchecked."""
+        a = object.__new__(cls)
+        vars(a).update(space=space, nonzero=nonzero, parity_shift=parity_shift)
+        return a
 
     @classmethod
     def _from_entries(cls, space: SuperSpace, entries, parity_shift: Parity):
         """The product with the given ((i, j, k), p) constants, each
         position given at most once, and zeros elsewhere."""
-        a = object.__new__(cls)
-        nonzero = _sparse_table(space.dim, entries)
-        vars(a).update(space=space, nonzero=nonzero, parity_shift=parity_shift)
-        return a
+        return cls._trusted(space, _sparse_table(space.dim, entries), parity_shift)
 
     @staticmethod
     def from_products(
@@ -92,13 +97,7 @@ class PreLieSuperAlgebra:
     @cached_property
     def product(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
         """The dense array product[i][j][k] = p_ij^k; a derived view."""
-        n = self.space.dim
-        return tuple(tuple(dense_vector(n, cell) for cell in row) for row in self.nonzero)
-
-    @cached_property
-    def _cleared(self) -> "tuple[int, tuple]":
-        """(D, table): `nonzero` with each p_ij^k as the int D p_ij^k."""
-        return linalg._cleared_table(self.nonzero, 2)
+        return _dense_cells(self.nonzero, self.space.dim)
 
     def multiply(self, x, y):
         return _bilinear(self.nonzero, x, y, self.space.dim)
@@ -171,9 +170,10 @@ def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
 def left_regular_rep(a: PreLieSuperAlgebra) -> Representation:
     """(A, L) with L(x)y = xy, a representation of the sub-adjacent algebra."""
     g = subadjacent(a)
-    # L(e_i) e_j = e_i e_j: L's table is the product table, and subadjacent has
-    # checked the grading and the pre-Lie identity that make L a representation
-    return Representation._trusted(g, a.space, a.nonzero)
+    # L(e_i) e_j = e_i e_j: L's table, and so its view, is the product's, and
+    # subadjacent has checked the grading and the pre-Lie identity that make
+    # L a representation
+    return linalg._with_view(Representation._trusted(g, a.space, a.nonzero), a._cleared)
 
 
 def identity_oop(a: PreLieSuperAlgebra) -> OOperatorCandidate:

@@ -22,6 +22,7 @@ from .graded import (
     Scalar,
     SuperSpace,
     _block_inverse,
+    _Stored,
     merge_spaces,
 )
 from .liesuper import CheckReport, LieSuperAlgebra, _bilinear, _first_failure
@@ -66,22 +67,22 @@ def _action_view(action) -> "tuple[int, tuple]":
 
 
 @dataclass(frozen=True, init=False)
-class Representation:
+class Representation(_Stored, table="nonzero", depth=2):
     """A verified action of a Lie superalgebra on a superspace, stored as
     its action table `nonzero`: nonzero[a][i] holds the pairs (k, x), x != 0,
     of rho(e_a) v_i in ascending k, as in `LieSuperAlgebra.nonzero`.  The
     maps `action` are a view, built on first read.
 
     Verification runs once, where an action enters from outside: the
-    public constructor, `from_images` and `RawRep.verify` run
-    `check_representation`, the super Jacobi kernel run on the action, and
-    raise `ValueError` on failure.  Constructions whose output is a
-    representation by theorem skip it and hand `_trusted` a finished
-    table: `trivial_rep`, `dual_rep`, `parity_reverse_rep`, direct sums,
-    `left_regular_rep` (the product table) and `adjoint(g)` (the bracket
-    table, on g's kept `check_lie_axioms` report), as in the hierarchy.
-    The checked constructors and `parity_reverse_rep` write the integer
-    view `_cleared`; the adjoint reads g's.
+    public constructor, `from_images` and `RawRep.verify` build through
+    `_checked`, which runs `check_representation`, the super Jacobi kernel
+    run on the action, raises `ValueError` on failure and writes the view
+    from the maps'.  Constructions whose output is a representation by
+    theorem skip it and hand `_trusted` a finished table: `trivial_rep`,
+    direct sums, and, each with its source's view, `dual_rep`,
+    `parity_reverse_rep`, `left_regular_rep` (the product table) and
+    `adjoint(g)` (the bracket table, on g's kept `check_lie_axioms`
+    report).  The hash and the integer view `_cleared` are `_Stored`'s.
     """
 
     algebra: LieSuperAlgebra
@@ -91,11 +92,16 @@ class Representation:
     def __init__(
         self, algebra: LieSuperAlgebra, space: SuperSpace, action: Sequence[GradedLinearMap]
     ):
+        self._checked(algebra, space, action, "not a representation")
+
+    def _checked(self, algebra: LieSuperAlgebra, space: SuperSpace, action, refusal: str):
+        """Fill self from the checked action, with the view written from
+        the maps'; a failing check raises `ValueError("<refusal>: ...")`."""
         report = check_representation(algebra, space, action)
         if not report.ok:
-            raise ValueError(f"not a representation: {report.failures()[0].detail}")
+            raise ValueError(f"{refusal}: {report.failures()[0].detail}")
         vars(self).update(algebra=algebra, space=space, nonzero=tuple(m.nonzero for m in action))
-        linalg._with_view(self, _action_view(action))
+        return linalg._with_view(self, _action_view(action))
 
     @classmethod
     def _trusted(cls, algebra: LieSuperAlgebra, space: SuperSpace, nonzero) -> "Representation":
@@ -125,23 +131,6 @@ class Representation:
         return tuple(GradedLinearMap._trusted(V, V, p, row) for p, row in zip(P, self.nonzero))
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.algebra, self.space, self.nonzero))
-
-    def __hash__(self) -> int:
-        # hashed once per object, as for LieSuperAlgebra: the semidirect
-        # hosts are cached by representation
-        return self._hash
-
-    @cached_property
-    def _cleared(self) -> "tuple[int, tuple]":
-        """(D, table): `nonzero` with each entry x as the int D x, D the lcm
-        of their denominators, once per representation."""
-        if self.nonzero is self.algebra.nonzero:
-            return self.algebra._cleared
-        return linalg._cleared_table(self.nonzero, 2)
-
-    @cached_property
     def _joint(self) -> "tuple[int, tuple, tuple]":
         """(L, bracket, action): the algebra's view and this one's at one
         scale L, once per representation, for the O-operator kernel."""
@@ -164,25 +153,36 @@ def adjoint(g: LieSuperAlgebra) -> Representation:
         for i, j, _ in g._jacobi_failure:
             L = g.space.labels
             raise ValueError(f"not a representation: fails at pair ({L[i]}, {L[j]})")
-    return vars(g).setdefault("_adjoint", Representation._trusted(g, g.space, g.nonzero))
+    if "_adjoint" not in vars(g):
+        ad = Representation._trusted(g, g.space, g.nonzero)
+        vars(g)["_adjoint"] = linalg._with_view(ad, g._cleared)
+    return g._adjoint
 
 
 def trivial_rep(g: LieSuperAlgebra, space: SuperSpace) -> Representation:
     return Representation._trusted(g, space, (((),) * space.dim,) * g.space.dim)
 
 
-def dual_rep(rho: Representation) -> Representation:
-    """(V*, rho*) with <rho*(x)u*, v> = -(-1)^{|x||u*|} <u*, rho(x)v>:
-    rho*(x) = -rho(x)*: pair (k, x) of cell (a, i) moves to cell (a, k) as
-    (i, x) if e_a and v_k are both odd, else (i, -x), in ascending i."""
-    Q, table = rho.space.parities, []
-    for pa, row in zip(rho.algebra.space.parities, rho.nonzero):
+def _dual_table(P, Q, table) -> "tuple[tuple[tuple, ...], ...]":
+    """The action table of rho* = -rho(x)* from rho's: pair (k, x) of cell
+    (a, i) moves to cell (a, k) as (i, x) if e_a and v_k are both odd, else
+    (i, -x), in ascending i; P are the parities of the e_a, Q of the v_k."""
+    out = []
+    for pa, row in zip(P, table):
         cells = [[] for _ in Q]
         for i, col in enumerate(row):
             for k, x in col:
                 cells[k].append((i, x if pa & Q[k] else -x))
-        table.append(tuple(map(tuple, cells)))
-    return Representation._trusted(rho.algebra, rho.space.dual(), tuple(table))
+        out.append(tuple(map(tuple, cells)))
+    return tuple(out)
+
+
+def dual_rep(rho: Representation) -> Representation:
+    """(V*, rho*) with <rho*(x)u*, v> = -(-1)^{|x||u*|} <u*, rho(x)v>, and its
+    view, rho's signed and moved the same way by `_dual_table`."""
+    P, Q, (D, ints) = rho.algebra.space.parities, rho.space.parities, rho._cleared
+    drho = Representation._trusted(rho.algebra, rho.space.dual(), _dual_table(P, Q, rho.nonzero))
+    return linalg._with_view(drho, (D, _dual_table(P, Q, ints)))
 
 
 def coadjoint(g: LieSuperAlgebra) -> Representation:

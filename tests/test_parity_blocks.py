@@ -158,6 +158,19 @@ def test_unequal_blocks_are_refused_without_an_elimination(monkeypatch):
     assert kernel == [[], [], []]
 
 
+def test_fractional_maps_of_both_parities_invert_on_integers():
+    # a 2|2 space, entries with denominators 2, 3, 5 and 7 in both blocks
+    sp = SuperSpace.make(even=["a", "b"], odd=["x", "y"])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    even = {"a": {"a": half, "b": 3}, "b": {"a": -third}, "x": {"x": Fraction(5, 7)}}
+    even["y"] = {"x": 1, "y": -half}
+    odd = {"a": {"x": half}, "b": {"y": Fraction(-3, 5)}, "x": {"a": 2, "b": third}}
+    odd["y"] = {"b": Fraction(7, 2)}
+    for parity, images in ((EVEN, even), (ODD, odd)):
+        t = GradedLinearMap.from_images(sp, sp, parity, images)
+        assert t.inverse().compose(t) == GradedLinearMap.identity(sp), parity
+
+
 def test_each_nonempty_block_is_eliminated_once(monkeypatch):
     # an even map of a 2|1 space inverts its 2x2 and 1x1 blocks; a 3|0
     # space has one block, the whole matrix, and an empty one

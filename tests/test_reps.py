@@ -1133,6 +1133,21 @@ def test_is_self_reversing_clears_only_the_double_once(monkeypatch):
     assert double._cleared[0] == 21
 
 
+def test_a_coadjoint_is_not_cleared_again(monkeypatch):
+    # the dual's view is rho's, signed and moved in the loop that moves its
+    # table, and the adjoint's is g's: on a fresh ex3.2 algebra, checking the
+    # zero operator on the coadjoint clears g's table, by the Jacobi check,
+    # and the zero map's, and no table of the adjoint or the coadjoint
+    ex32 = load_fixture("ex3.2").parts["algebra"]
+    cleared = _count_calls(monkeypatch, "superybe.linalg", "_cleared_table")
+    g = LieSuperAlgebra(ex32.space, ex32.structure)
+    coad = coadjoint(g)
+    zero = GradedLinearMap.zero(coad.space, g.space, EVEN)
+    assert oop_holds(zero, coad)
+    assert cleared == [(g.nonzero, 2), (zero.nonzero, 1)]
+    assert cleared[0][0] is g.nonzero and cleared[1][0] is zero.nonzero
+
+
 def test_transport_refuses_an_isomorphism_across_algebras():
     # transport_oop checks its isomorphism with is_intertwiner, the one
     # public path where the two representations come from the caller

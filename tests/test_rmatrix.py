@@ -47,7 +47,7 @@ from superybe import (
     suspend_map,
     twist,
 )
-from superybe.graded import merge_spaces, sign
+from superybe.graded import _Stored, merge_spaces, sign
 from superybe.liesuper import BilinearForm, _is_two_cocycle, _scaled_gram
 from superybe.rmatrix import (
     HOST_CACHE_SIZE,
@@ -299,16 +299,18 @@ class TestIntegerKernel:
     def test_scaled_table_is_built_once_per_algebra(self, monkeypatch):
         # loading the fixture checks its representations, which clears g
         g = load_fixture("ex3.2").parts["algebra"]
-        original = LieSuperAlgebra.__dict__["_cleared"]
+        # every stored table's view is the shared core's; count the algebras'
+        original = _Stored.__dict__["_cleared"]
         built = []
 
-        def counting(g):
-            built.append(g)
-            return original.func(g)
+        def counting(obj):
+            if isinstance(obj, LieSuperAlgebra):
+                built.append(obj)
+            return original.func(obj)
 
         table = cached_property(counting)
-        table.__set_name__(LieSuperAlgebra, "_cleared")
-        monkeypatch.setattr(LieSuperAlgebra, "_cleared", table)
+        table.__set_name__(_Stored, "_cleared")
+        monkeypatch.setattr(_Stored, "_cleared", table)
         rebuilt = LieSuperAlgebra(g.space, g.structure)
         rnd = random.Random(1)
         for _ in range(5):
@@ -866,6 +868,16 @@ class TestBetaCocycle:
         assert b0 and all(B[i][j] * s0 == S[i][j] * b0 for i, row in enumerate(S) for j in row)
         assert _is_two_cocycle(B, g) == _is_two_cocycle(S, g)
         assert beta_cocycle_check(r) == (beta, is_super_rmatrix(r) == _is_two_cocycle(S, g))
+
+    def test_beta_is_a_two_cocycle_on_scaled_r1_levels(self):
+        # the r1 levels + and ++ of ex4.4, as they are and scaled by 3/7,
+        # so that T_r and its inverse carry denominators
+        ex44 = load_fixture("ex4.4").parts
+        for word in ("+", "++"):
+            r = hierarchy_walk(ex44["algebra"], ex44["r1"], word)
+            for scale in (1, Fraction(3, 7)):
+                scaled = RMatrix(r.algebra, r.tensor.scale(scale))
+                assert beta_cocycle_check(scaled) == (beta_form(scaled), True), (word, scale)
 
     def test_scaling_inverts_the_form(self):
         fx = load_fixture("ex4.4")

@@ -73,7 +73,7 @@ from superybe.reps import IsoSearchResult, intertwiner_space
 from superybe.rmatrix import _pan_supersymmetric_tensor, _step
 
 import oracles
-from conftest import _count_calls, random_pan_supersymmetric
+from conftest import _count_calls, equivalence_cases, random_pan_supersymmetric
 
 
 def _algebras():
@@ -802,18 +802,86 @@ def test_derived_tables_equal_their_checked_rebuilds(rho):
         assert_checked_equal(summed)
 
 
+CRITERION_4 = equivalence_cases()
+
+
+@pytest.mark.parametrize("rho", [rho for *_, rho in CRITERION_4], ids=[c[0] for c in CRITERION_4])
+def test_the_criterion_4_derived_tables_equal_their_checked_rebuilds(rho):
+    # every one of the five criterion-4 representations, not a sample
+    derived = {
+        "itself": rho,
+        "dual": dual_rep(rho),
+        "parity reverse": parity_reverse_rep(rho),
+        "double": self_reversing_double(rho),
+        "sum with its dual": direct_sum_rep(rho, dual_rep(rho)),
+    }
+    for d in derived.values():
+        assert_checked_equal(d)
+
+
 # ---------------------------------------------------------------------------
 # the stored form
 #
-# Maps, algebras and pre-Lie products store only their nonzero table; the
-# public constructors take dense tables, scan them once and keep no copy:
-# the dense view is built only when it is read.
+# Maps, tensors, forms, algebras, representations and pre-Lie products store
+# only their nonzero table; the public constructors take dense tables, scan
+# them once and keep no copy: the dense view is built only when it is read.
+# Each keeps one hash and one integer view, the clearing of its table.
+
+# each stored class: its table field and the table's nesting depth
+STORED = {
+    GradedLinearMap: ("nonzero", 1),
+    Tensor2: ("entries", 0),
+    BilinearForm: ("entries", 0),
+    LieSuperAlgebra: ("nonzero", 2),
+    Representation: ("nonzero", 2),
+    PreLieSuperAlgebra: ("nonzero", 2),
+}
 
 
 def assert_same_object(dense, sparse, view):
+    """Two builds of one stored object: equal, with equal hashes, tables
+    and dense views, and each integer view the clearing of the table."""
+    field, depth = STORED[type(dense)]
     assert dense == sparse and hash(dense) == hash(sparse)
-    assert dense.nonzero == sparse.nonzero
+    assert getattr(dense, field) == getattr(sparse, field)
     assert getattr(dense, view) == getattr(sparse, view)
+    for built in (dense, sparse):
+        assert built._cleared == linalg._cleared_table(getattr(built, field), depth)
+
+
+def test_each_stored_class_hashes_its_fields_once(monkeypatch):
+    """A stored object hashes its fields on its first hash only: the core's
+    `__hash__` is bound on each class, where a frozen dataclass would write
+    its own over an inherited one.  The first hash of each fresh object
+    hashes its spaces; later hashes hash nothing."""
+    ex32, a0 = load_fixture("ex3.2").parts, load_fixture("closing-prelie").parts["prelie"]
+    g0, rho0, t0 = ex32["algebra"], ex32["coadjoint"], ex32["T1"]
+    beta0 = BilinearForm.from_terms(g0.space, {("e", "f"): 1, ("f", "e"): -1}, 1)
+    hashed = []
+    original = SuperSpace.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SuperSpace, "__hash__", counting)
+    g = LieSuperAlgebra._trusted(g0.space, g0.nonzero)
+    # each fresh object with the number of spaces its first hash hashes; the
+    # representation's algebra, hashed just before it, is not hashed again
+    fresh = [
+        (g, 1),
+        (Representation._trusted(g, rho0.space, rho0.nonzero), 1),
+        (GradedLinearMap._trusted(t0.domain, t0.codomain, t0.parity, t0.nonzero), 2),
+        (Tensor2._trusted(g0.space, g0.space, (((0, 1), Fraction(1)),), 1), 2),
+        (BilinearForm._trusted(beta0.space, beta0.entries, beta0.parity), 1),
+        (PreLieSuperAlgebra._trusted(a0.space, a0.nonzero, a0.parity_shift), 1),
+    ]
+    assert {type(x) for x, _ in fresh} == set(STORED)
+    for x, spaces in fresh:
+        hashed.clear()
+        first = hash(x)
+        assert all(hash(x) == first for _ in range(3))
+        assert len(hashed) == spaces, type(x).__name__
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -856,6 +924,19 @@ def test_dense_map_equals_the_sparse_one(rho, parity, rnd):
     assert "matrix" not in t.__dict__ and "matrix" not in sparse.__dict__
     assert t.matrix == matrix
     assert_same_object(t, sparse, "matrix")
+
+
+def test_checked_representations_equal_their_trusted_rebuilds():
+    """The checked constructor writes its view from the action maps', and
+    the adjoint, the coadjoint, the duals and the parity reverses write
+    theirs from a source's: each equals the trusted rebuild of its table,
+    hash and view included."""
+    written = [make(g) for g in ALGEBRAS.values() for make in (adjoint, coadjoint)]
+    for rho in REPS + written:
+        trusted = Representation._trusted(rho.algebra, rho.space, rho.nonzero)
+        checked = Representation(rho.algebra, rho.space, rho.action)
+        assert_same_object(checked, trusted, "action")
+        assert_same_object(rho, trusted, "action")
 
 
 def test_public_constructors_reject_misshapen_tables():
@@ -1181,6 +1262,23 @@ def test_dense_tensor_equals_the_sparse_one(space, parity, rnd):
     assert "coeffs" not in dense.__dict__ and "coeffs" not in sparse.__dict__
     assert dense.coeffs == array
     assert sparse.coeffs == array
+    assert_same_object(dense, sparse, "coeffs")
+    assert_same_object(dense, Tensor2._trusted(space, space, dense.entries, parity), "coeffs")
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=spaces, parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
+def test_dense_form_equals_the_sparse_one(space, parity, rnd):
+    array = random_array(rnd, space, space, parity)
+    L = space.labels
+    terms = {(L[i], L[j]): x for i, row in enumerate(array) for j, x in enumerate(row)}
+    dense = BilinearForm(space, array, parity)
+    sparse = BilinearForm.from_terms(space, terms, parity)
+    assert dense.entries == nonzero_slots(array)
+    assert "gram" not in dense.__dict__ and "gram" not in sparse.__dict__
+    assert dense.gram == array
+    assert_same_object(dense, sparse, "gram")
+    assert_same_object(dense, BilinearForm._trusted(space, dense.entries, parity), "gram")
 
 
 @settings(max_examples=80, deadline=None)
