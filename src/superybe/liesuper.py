@@ -135,9 +135,10 @@ class LieSuperAlgebra(_Stored, table="nonzero", depth=2):
     use `_from_entries`, or `_trusted` when they hold the finished table.
     The dense `structure` view is built on read; the hash and the integer
     view `_cleared`, which every integer kernel reads, are `_Stored`'s.
-    The constructor checks no axiom, not even super skew-symmetry, which
-    the O-operator verdicts of `superybe.oop` assume; `check_lie_axioms`
-    verifies them once per object and keeps the report, as `_report`.
+    The constructor checks no axiom; `check_lie_axioms` verifies them once
+    per object and keeps the report, as `_report`.  Its super
+    skew-symmetry item reads `_skew_failure`, kept per object, which the
+    O-operator verdicts of `superybe.oop` also read.
     """
 
     space: SuperSpace
@@ -203,6 +204,20 @@ class LieSuperAlgebra(_Stored, table="nonzero", depth=2):
                 for m, c in cell:
                     into[m].append((x, k, c))
         return tuple(map(tuple, left)), tuple(map(tuple, into))
+
+    @cached_property
+    def _skew_failure(self) -> "tuple[tuple[int, int], ...]":
+        """The first (i, j) at which c_ij^k != -(-1)^{|e_i||e_j|} c_ji^k for
+        some k, or () when the bracket is super skew-symmetric.  The failing
+        pairs are symmetric, so the n^2/2 pairs i <= j decide it."""
+        C, P, n = self.nonzero, self.space.parities, self.dim
+        pairs = (
+            (i, j)
+            for i in range(n)
+            for j in range(i, n)
+            if C[i][j] != _partner(C[j][i], P[i] & P[j])
+        )
+        return tuple(islice(pairs, 1))
 
     @cached_property
     def _jacobi_failure(self) -> "tuple[tuple[int, int, int], ...]":
@@ -278,32 +293,27 @@ def _hom_failures(P, bracket, action, m):
 
 def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
     """Verify parity consistency, super skew-symmetry and the super Jacobi
-    identity exhaustively; each axiom reports its first offending triple.
+    identity exhaustively; each axiom reports its first offending triple,
+    the last two read off g's kept `_skew_failure` and `_jacobi_failure`.
     The Jacobi defect at (i, j, k) is that of ad being a representation,
     on e_k: column k of ad(e_a) is nonzero[a][k].  Kept on g as `_report`."""
     if "_report" in vars(g):
         return g._report
-    n = g.space.dim
     L = g.space.labels
     P = g.space.parities
-    C = g.nonzero
-
-    def skew_witnesses():
-        # the failing pairs are symmetric, so the first one has i <= j
-        for i in range(n):
-            for j in range(i, n):
-                if C[i][j] != _partner(C[j][i], P[i] & P[j]):
-                    yield f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]"
-
+    skew = (
+        f"[{L[i]}, {L[j]}] != -(-1)^(|{L[i]}||{L[j]}|) [{L[j]}, {L[i]}]"
+        for i, j in g._skew_failure
+    )
     parity = (
         f"[{L[i]}, {L[j]}] has a component along {L[k]} of wrong parity"
-        for i, j, k in _grading_failures(P, C, EVEN)
+        for i, j, k in _grading_failures(P, g.nonzero, EVEN)
     )
     jacobi = (f"fails at triple ({L[i]}, {L[j]}, {L[k]})" for i, j, k in g._jacobi_failure)
     vars(g)["_report"] = CheckReport(
         (
             _first_failure("parity consistency", parity),
-            _first_failure("super skew-symmetry", skew_witnesses()),
+            _first_failure("super skew-symmetry", skew),
             _first_failure("super Jacobi", jacobi),
         )
     )

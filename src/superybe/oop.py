@@ -15,26 +15,37 @@ once).  The sums are then D^2 L times the defect.  `oop_holds`,
 `oop_defect` and `is_oop` divide each nonzero slot back into a `Fraction`
 once, so every value they return is a `Fraction`.
 
-`oop_holds`, `is_rota_baxter` and the grid search read only the
-super-skew half of the basis pairs, `_pairs`.  The identity is super
-skew-symmetric in its arguments,
+`oop_holds`, `is_rota_baxter` and the grid search read the pairs of
+`_read_pairs`.  The identity is super skew-symmetric in its arguments,
 
     Op(v_j, v_i) = -(-1)^{(|T|+|v_i|)(|T|+|v_j|)} Op(v_i, v_j),
 
 so a pair (i, j) with i > j vanishes exactly when (j, i) does, and
 Op(v_i, v_i) = 0 whenever |T| + |v_i| is even.  The action terms swap
 into each other with these signs by the Koszul rule alone; the bracket
-term needs the super skew-symmetry of g.  `from_brackets` (and so every
-parsed [bracket]), `subadjacent` and semidirect products build it in;
-the public `LieSuperAlgebra(space, structure)` constructor does not
-check it; `check_lie_axioms` does, once per object, and `is_rota_baxter`
-reads that report through `adjoint`.  `is_oop` computes all n^2 pairs for its table.
+term needs the super skew-symmetry of g.  So they read only the
+super-skew half, `_pairs`, when g's kept flag `_skew_failure` (the n^2/2
+comparisons that `check_lie_axioms`' skew item reads) is empty, and all
+n^2 pairs otherwise, and their verdicts are always `is_oop`'s.
+
+The grid search runs `_defect` itself over a polynomial ring, `_Poly`:
+on columns whose free entries are variables, x_d the d-th free position
+in column-major order, it gives every defect coordinate of every read
+pair as a quadratic form in the x_d, compiled once per representation
+and parity and kept on the representation, next to `_joint`, as
+`Representation._grid_tests`.  Each polynomial is tested at the depth of
+its last variable x_d, where it splits as a + x_d l + q x_d^2 with a and
+l over the assigned prefix: a node of depth d evaluates each a and l
+once, each candidate value then costs one a + v (l + v q), and a depth
+where no polynomial ends costs nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .graded import (
@@ -119,16 +130,26 @@ def _defect(tables, P, parity: Parity, cols, i: int, j: int) -> dict:
 
 
 def _pairs(P, parity: Parity):
-    """The basis pairs `oop_holds` and the grid search read, for a map of the
-    given parity on a space with the parities P: (i, j) with i < j, and
-    (i, i) only where |T| + |v_i| is odd; in row-major order.  The other
-    pairs follow by super skew-symmetry (see the module docstring)."""
+    """The super-skew half of the basis pairs, for a map of the given
+    parity on a space with the parities P: (i, j) with i < j, and (i, i)
+    only where |T| + |v_i| is odd; in row-major order.  Over a super
+    skew-symmetric g the other pairs follow (see the module docstring)."""
     n = len(P)
     for i in range(n):
         if P[i] != parity:
             yield i, i
         for j in range(i + 1, n):
             yield i, j
+
+
+def _read_pairs(rho: Representation, parity: Parity):
+    """The basis pairs `oop_holds` and the grid search read: `_pairs` when
+    g's bracket is super skew-symmetric, as g's kept `_skew_failure`
+    decides, else all n^2 pairs."""
+    P = rho.space.parities
+    if rho.algebra._skew_failure:
+        return itertools.product(range(len(P)), repeat=2)
+    return _pairs(P, parity)
 
 
 def _check_candidate(t: GradedLinearMap, rho: Representation):
@@ -160,8 +181,7 @@ def oop_defect(t: GradedLinearMap, rho: Representation, i: int, j: int):
 
 def is_oop(t: GradedLinearMap, rho: Representation) -> OopReport:
     """Check the O-operator identity on every homogeneous basis pair; all
-    n^2 pairs are computed.  The verdict agrees with `oop_holds` when g's
-    bracket is super skew-symmetric, as `check_lie_axioms` verifies."""
+    n^2 pairs are computed.  The verdict is `oop_holds`'s."""
     _check_candidate(t, rho)
     V = rho.space
     pairs = [(i, j) for i in range(V.dim) for j in range(V.dim)]
@@ -175,22 +195,19 @@ def is_oop(t: GradedLinearMap, rho: Representation) -> OopReport:
 
 
 def oop_holds(t: GradedLinearMap, rho: Representation) -> bool:
-    """Boolean fast path over `_pairs`, with early exit on the first
-    nonzero defect, which never leaves the ints.  Reading only that half
-    is exact when g's bracket is super skew-symmetric, as
-    `check_lie_axioms` verifies; on a non-skew g the verdict may differ
-    from `is_oop`'s."""
+    """Boolean fast path over `_read_pairs`, with early exit on the first
+    nonzero defect, which never leaves the ints; the verdict is
+    `is_oop`'s."""
     _check_candidate(t, rho)
-    defects, _ = _defects(t, rho, _pairs(rho.space.parities, t.parity))
+    defects, _ = _defects(t, rho, _read_pairs(rho, t.parity))
     return not any(defects)
 
 
 def is_rota_baxter(r: GradedLinearMap, g: LieSuperAlgebra) -> bool:
     """[Rx, Ry] = R((-1)^{(|R|+|x|)|R|}[Rx, y] + [x, Ry]) on basis pairs:
     the O-operator identity for `adjoint(g)`, kept once per algebra object,
-    which reads g's kept `check_lie_axioms` report and refuses as it does.  Like
-    `oop_holds`, it reads only `_pairs`, which needs g's bracket super
-    skew-symmetric, as that report verifies."""
+    which reads g's kept `check_lie_axioms` report and refuses as it does;
+    its verdict is `oop_holds`'s."""
     if r.domain != g.space or r.codomain != g.space:
         raise ValueError("a Rota-Baxter candidate must be an endomorphism of g")
     return oop_holds(r, adjoint(g))
@@ -233,6 +250,141 @@ def transport_oop(
 # grid search
 
 
+class _Poly(dict):
+    """A polynomial with int coefficients: {monomial: c}, every c != 0, a
+    monomial the sorted tuple of its variables, repeats included.  It is
+    the ring `_defect` runs over when T's free entries are variables, so
+    it has what `_defect` uses: +, -, * by a `_Poly` or an int, unary -,
+    truth, and int 0 on the left of + and -, where its sums start."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for m, c in _Poly._of(other).items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly({m: -c for m, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -_Poly._of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = _Poly()
+        for n, e in _Poly._of(other).items():
+            for m, c in self.items():
+                m = tuple(sorted(m + n))
+                c = out.get(m, 0) + c * e
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return out
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def _of(x) -> "_Poly":
+        return x if isinstance(x, _Poly) else _Poly({(): x} if x else {})
+
+
+def _compiled(rho: Representation, parity: Parity, order) -> list:
+    """The grid search's tests for maps of the given parity on rho, kept
+    on rho per parity, in `Representation._grid_tests`.
+
+    Variable x_d is the d-th free position (k, i) of order, the free
+    positions of that parity in column-major order.  One run of `_defect`
+    on columns of these variables, over each pair of `_read_pairs`, gives
+    each defect coordinate as a quadratic form p in them, scaled by L.
+    Only its zeros matter, so each nonzero p is divided by the gcd of its
+    coefficients and signed so that its least monomial's is positive, and
+    each distinct p is kept once, in tests[d] for its last variable x_d,
+    as the triple (a, l, q) with p = a + x_d l + q x_d^2: a holds the
+    (c, x, y) of the terms c x_x x_y and l the (c, x) of c x_x x_d, both
+    over x, y < d, and q is an int."""
+    tests = rho._grid_tests.get(parity)
+    if tests is None:
+        V = rho.space
+        cols = [[] for _ in range(V.dim)]
+        for d, (k, i) in enumerate(order):
+            cols[i].append((k, _Poly({(d,): 1})))
+        tests = [[] for _ in order]
+        seen = set()
+        for i, j in _read_pairs(rho, parity):
+            for p in _defect(rho._joint, V.parities, parity, cols, i, j).values():
+                unit = gcd(*p.values()) * (1 if p[min(p)] > 0 else -1)
+                p = frozenset((m, c // unit) for m, c in p.items())
+                if p in seen:
+                    continue
+                seen.add(p)
+                d = max(m[-1] for m, _ in p)
+                a, l, q = [], [], 0
+                for m, c in sorted(p):
+                    if m[-1] != d:
+                        a.append((c, *m))
+                    elif m[0] != d:
+                        l.append((c, m[0]))
+                    else:
+                        q = c
+                tests[d].append((tuple(a), tuple(l), q))
+        rho._grid_tests[parity] = tests
+    return tests
+
+
+def _walk(tests, values) -> list:
+    """The digit tuples, one digit per depth, whose values every test of
+    `_compiled` sends to zero, depth first in lexicographic order.  A node
+    of depth d evaluates each test's a and l once, and each value v left
+    then costs one a + v (l + v q); a depth with no test keeps every
+    value, and a value that one test rejects is tried on no other."""
+    every = range(len(values))
+    vals = [0] * len(tests)  # the scaled values of the assigned depths
+    digits = [0] * len(tests)
+
+    def allowed(d):
+        """The digits depth d may take under the values of depths < d."""
+        kept = every
+        for a_terms, l_terms, q in tests[d]:
+            a = l = 0
+            for c, x, y in a_terms:
+                a += c * vals[x] * vals[y]
+            for c, x in l_terms:
+                l += c * vals[x]
+            if l or q:
+                kept = [n for n in kept if not a + values[n] * (l + values[n] * q)]
+                if not kept:
+                    break
+            elif a:
+                return ()
+        return kept
+
+    accepted = [] if tests else [()]
+    stack = [iter(allowed(0))] if tests else []  # the digits left to try per depth
+    while stack:
+        d = len(stack) - 1
+        digit = next(stack[d], None)
+        if digit is None:
+            stack.pop()
+            continue
+        digits[d], vals[d] = digit, values[digit]
+        if d + 1 < len(tests):
+            stack.append(iter(allowed(d + 1)))
+        else:
+            accepted.append(tuple(digits))
+    return accepted
+
+
 class GridSearchCapExceeded(Exception):
     pass
 
@@ -251,14 +403,14 @@ def grid_search_oops(
     order of the entry assignment (positions row-major, values in the
     order given).
 
-    The free positions are assigned depth first, column by column.  Each
-    basis pair is tested at the first depth where every column its defect
-    can read is fixed, and a subtree is cut at its first nonzero defect;
-    only accepted assignments become maps.  Only the pairs of `_pairs` are
-    tested: the others vanish with them.  The entry set is scaled to ints
-    once, so every test runs on the integer kernel `_defect`.
-    GRID_SEARCH_CAP bounds the full grid, len(entry_set) ** (number of free
-    positions), pruned or not, and is checked before any search."""
+    The free positions are assigned depth first, column by column, by
+    `_walk`: a node keeps only the values of its position that every
+    defect polynomial of `_compiled` ending there sends to zero, so a
+    subtree is cut at its first nonzero defect; only accepted assignments
+    become maps.  The entry set is scaled to ints once.  GRID_SEARCH_CAP
+    bounds the full grid, len(entry_set) ** (number of free positions),
+    pruned or not, and is checked before any search or compiling.  A grid
+    of one candidate or none is decided on ints with nothing compiled."""
     if rho.algebra != g:
         raise ValueError("representation is not over this algebra")
     V = rho.space
@@ -278,52 +430,22 @@ def grid_search_oops(
             f"{len(entries)}^{nfree} = {total} candidates exceeds the cap {GRID_SEARCH_CAP}"
         )
 
-    order = sorted(positions, key=lambda ki: (ki[1], ki[0]))  # column by column
-    depth = {ki: d for d, ki in enumerate(order)}
-    row_major = [depth[ki] for ki in positions]
-    free_rows = [[k for k, i in order if i == c] for c in range(V.dim)]
-    fixed_at = [-1] * V.dim  # the depth that assigns a column's last free entry
-    for d, (_, i) in enumerate(order):
-        fixed_at[i] = d
-
-    # tests[d]: the pairs of `_pairs` whose defect is final once depth d is
-    # assigned.  A pair's read set is symmetric in i and j, so its mirror
-    # would be final at the same depth.  A pair that reads only columns
-    # without free positions reads zeros, so its defect vanishes and it is
-    # never tested.
-    tests = [[] for _ in range(nfree)]
-    for i, j in _pairs(V.parities, parity):
-        read = {i, j}
-        for c, other in ((i, j), (j, i)):
-            for a in free_rows[c]:
-                read.update(m for m, _ in rho.nonzero[a][other])
-        d = max(fixed_at[c] for c in read)
-        if d >= 0:
-            tests[d].append((i, j))
-
-    tables, P = rho._joint, V.parities
-    cols = [[] for _ in range(V.dim)]  # the scaled sparse columns of the partial map
-    accepted = [] if nfree else [()]
-    # stack[d]: how many values depth d has tried; the last one is set
-    stack = [0] if nfree and entries else []
-    while stack:
-        d = len(stack) - 1
-        digit = stack[d]
-        k, i = order[d]
-        if digit and values[digit - 1]:
-            cols[i].pop()
-        if digit == len(entries):
-            stack.pop()
-            continue
-        stack[d] = digit + 1
-        if values[digit]:
-            cols[i].append((k, values[digit]))
-        if any(_defect(tables, P, parity, cols, a, b) for a, b in tests[d]):
-            continue
-        if d + 1 < nfree:
-            stack.append(0)
-        else:
-            accepted.append(tuple(stack[r] - 1 for r in row_major))
+    if len(values) < 2:
+        # one candidate at most, whose free positions the cap does not
+        # bound: it is tested as it stands, on ints, with nothing compiled
+        cols = [[] for _ in range(V.dim)]
+        if values and values[0]:
+            for k, i in positions:
+                cols[i].append((k, values[0]))
+        tables, P = rho._joint, V.parities
+        holds = not any(_defect(tables, P, parity, cols, i, j) for i, j in _read_pairs(rho, parity))
+        accepted = [(0,) * nfree] if holds and (values or not nfree) else []
+    else:
+        column_major = sorted(positions, key=lambda ki: (ki[1], ki[0]))
+        depth = dict(zip(column_major, range(nfree)))
+        row_major = [depth[ki] for ki in positions]
+        walked = _walk(_compiled(rho, parity, column_major), values)
+        accepted = [tuple(digits[d] for d in row_major) for digits in walked]
 
     return [
         GradedLinearMap._from_entries(

@@ -37,6 +37,15 @@ def check_representation(
     defect is `liesuper._hom_failures`, the kernel of the Jacobi check
     of `check_lie_axioms`, on g's integer view and the action maps' views
     at one scale; no composed map is built."""
+    return _report_and_view(g, space, action)[0]
+
+
+def _report_and_view(
+    g: LieSuperAlgebra, space: SuperSpace, action
+) -> "tuple[CheckReport, tuple | None]":
+    """(report, view): `check_representation`'s report, and the integer
+    view of the action maps' table that its homomorphism item read, or
+    None when the shape item fails first."""
     n = g.space.dim
     L = g.space.labels
 
@@ -51,13 +60,13 @@ def check_representation(
                 yield f"action of {L[i]} must have parity of {L[i]}"
 
     shape_item = _first_failure("action shape and parity", shape_witnesses())
-    hom = ()
+    hom, view = (), None
     if shape_item.ok:
-        _, (bracket, table) = linalg._rescaled(2, g._cleared, _action_view(action))
+        _, (bracket, table) = linalg._rescaled(2, g._cleared, view := _action_view(action))
         failures = _hom_failures(g.space.parities, bracket, table, space.dim)
         hom = (f"fails at pair ({L[i]}, {L[j]})" for i, j, _ in failures)
     hom_item = _first_failure("homomorphism property", hom)
-    return CheckReport((shape_item, hom_item))
+    return CheckReport((shape_item, hom_item)), view
 
 
 def _action_view(action) -> "tuple[int, tuple]":
@@ -75,14 +84,14 @@ class Representation(_Stored, table="nonzero", depth=2):
 
     Verification runs once, where an action enters from outside: the
     public constructor, `from_images` and `RawRep.verify` build through
-    `_checked`, which runs `check_representation`, the super Jacobi kernel
-    run on the action, raises `ValueError` on failure and writes the view
-    from the maps'.  Constructions whose output is a representation by
-    theorem skip it and hand `_trusted` a finished table: `trivial_rep`,
-    direct sums, and, each with its source's view, `dual_rep`,
-    `parity_reverse_rep`, `left_regular_rep` (the product table) and
-    `adjoint(g)` (the bracket table, on g's kept `check_lie_axioms`
-    report).  The hash and the integer view `_cleared` are `_Stored`'s.
+    `_checked`, which runs `check_representation`'s check, the super
+    Jacobi kernel run on the action, raises `ValueError` on failure and
+    writes the view the check read from the maps'.  Constructions whose
+    output is a representation by theorem skip it and hand `_trusted` a
+    finished table: `trivial_rep`, direct sums, and, each with its
+    source's view, `dual_rep`, `parity_reverse_rep`, `left_regular_rep`
+    (the product table) and `adjoint(g)` (the bracket table, on g's kept
+    `check_lie_axioms` report).  The hash and the integer view `_cleared` are `_Stored`'s.
     """
 
     algebra: LieSuperAlgebra
@@ -95,13 +104,13 @@ class Representation(_Stored, table="nonzero", depth=2):
         self._checked(algebra, space, action, "not a representation")
 
     def _checked(self, algebra: LieSuperAlgebra, space: SuperSpace, action, refusal: str):
-        """Fill self from the checked action, with the view written from
-        the maps'; a failing check raises `ValueError("<refusal>: ...")`."""
-        report = check_representation(algebra, space, action)
+        """Fill self from the checked action, with the view the check read
+        from the maps'; a failing check raises `ValueError("<refusal>: ...")`."""
+        report, view = _report_and_view(algebra, space, action)
         if not report.ok:
             raise ValueError(f"{refusal}: {report.failures()[0].detail}")
         vars(self).update(algebra=algebra, space=space, nonzero=tuple(m.nonzero for m in action))
-        return linalg._with_view(self, _action_view(action))
+        return linalg._with_view(self, view)
 
     @classmethod
     def _trusted(cls, algebra: LieSuperAlgebra, space: SuperSpace, nonzero) -> "Representation":
@@ -136,6 +145,12 @@ class Representation(_Stored, table="nonzero", depth=2):
         scale L, once per representation, for the O-operator kernel."""
         L, (bracket, action) = linalg._rescaled(2, self.algebra._cleared, self._cleared)
         return L, bracket, action
+
+    @cached_property
+    def _grid_tests(self) -> dict:
+        """{parity: the grid search's compiled defect polynomials of the
+        maps of that parity into g}, filled by `oop._compiled`."""
+        return {}
 
     def apply_vec(self, x, v):
         """rho(x)v for an algebra coordinate vector x (applied termwise)."""

@@ -121,8 +121,10 @@ def _count_calls(monkeypatch, module_name, function_name):
 
 @pytest.fixture
 def rep_checks(monkeypatch):
-    """The check_representation calls made while the test runs."""
-    return _count_calls(monkeypatch, "superybe.reps", "check_representation")
+    """The representation checks made while the test runs: the calls of
+    `reps._report_and_view`, which `check_representation` and the checked
+    constructors run."""
+    return _count_calls(monkeypatch, "superybe.reps", "_report_and_view")
 
 
 @pytest.fixture

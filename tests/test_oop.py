@@ -19,6 +19,7 @@ from superybe import (
     Representation,
     SuperSpace,
     adjoint,
+    check_lie_axioms,
     coadjoint,
     compatible_prelie,
     dual_rep,
@@ -38,7 +39,7 @@ from superybe import (
     trivial_rep,
 )
 from superybe.graded import rat, relabel_domain, vec_is_zero
-from superybe.oop import _pairs, oop_defect
+from superybe.oop import _defect, _pairs, _Poly, oop_defect
 
 from conftest import _count_calls, equivalence_cases, random_homogeneous_map
 from oracles import first_principles_oop_ok
@@ -792,6 +793,7 @@ class TestSuperSkewHalf:
 
         diagonals = 0
         for name, (g, rho) in sorted(CATALOG.items()):
+            fresh = Representation(g, rho.space, rho.action)
             for parity in (EVEN, ODD):
                 for _ in range(10):
                     t = random_homogeneous_map(rng, rho.space, g.space, parity)
@@ -800,9 +802,136 @@ class TestSuperSkewHalf:
                     r = random_homogeneous_map(rng, g.space, g.space, parity)
                     is_rota_baxter(r, g)
                     diagonals += kept_only()
-                grid_search_oops(g, rho, parity, (-1, 0, Fraction(1, 2)))
+                # the search asks when it compiles fresh's polynomials of
+                # this parity, and a second search on them asks nothing
+                grid_search_oops(g, fresh, parity, (-1, 0, Fraction(1, 2)))
                 diagonals += kept_only()
+                grid_search_oops(g, fresh, parity, (0, 2))
+                assert asked == [], name
         assert diagonals
+
+    def test_a_bracket_that_is_not_super_skew_is_read_on_every_pair(self):
+        # [e, e] = e on one even e: the dense constructor takes it, and the
+        # even diagonal pair that the super-skew half leaves out fails
+        space = SuperSpace.make(even=["e"])
+        g = LieSuperAlgebra(space, [[[1]]])
+        rho = trivial_rep(g, SuperSpace.make(even=["v"]))
+        t = GradedLinearMap.from_images(rho.space, space, EVEN, {"v": {"e": 1}})
+        report = check_lie_axioms(g)
+        assert [item.name for item in report.failures()][:1] == ["super skew-symmetry"]
+        assert g._skew_failure == ((0, 0),)
+        assert not is_oop(t, rho).ok
+        assert not oop_holds(t, rho)
+        assert oop_defect(t, rho, 0, 0) == (1,)
+        zero = GradedLinearMap.zero(rho.space, space, EVEN)
+        assert grid_search_oops(g, rho, EVEN, [0, 1]) == [zero]
+        assert grid_search_oops(g, rho, EVEN, [1]) == []
+        assert grid_search_oops(g, rho, EVEN, [-1, 0, 1]) == scan_search(g, rho, EVEN, [-1, 0, 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_on_any_graded_dense_bracket_are_is_oops(self, data):
+        # the dense constructor checks no axiom, so the bracket may fail
+        # super skew-symmetry (and Jacobi); the trivial action is a
+        # representation of any bracket
+        space = SuperSpace.make(even=["a", "c"], odd=["b"])
+        P = space.parities
+        constants = st.sampled_from((-1, 0, 0, 1))
+        structure = [
+            [[data.draw(constants) if P[k] == P[i] ^ P[j] else 0 for k in range(3)] for j in range(3)]
+            for i in range(3)
+        ]
+        g = LieSuperAlgebra(space, structure)
+        rho = trivial_rep(g, SuperSpace.make(even=["u"], odd=["m"]))
+        parity = data.draw(st.integers(0, 1))
+        rng = data.draw(st.randoms(use_true_random=False))
+        for _ in range(5):
+            t = random_homogeneous_map(rng, rho.space, space, parity)
+            assert oop_holds(t, rho) == is_oop(t, rho).ok
+        found = grid_search_oops(g, rho, parity, (-1, 0, 1))
+        assert found == scan_search(g, rho, parity, (-1, 0, 1))
+        assert all(is_oop(t, rho).ok for t in found)
+
+
+def _evaluated(poly, point):
+    """The value of a `_Poly` at the int point: x_d is point[d]."""
+    return sum(c * math.prod(point[x] for x in m) for m, c in poly.items())
+
+
+class TestCompiledPolynomials:
+    """The grid search runs `_defect` over `_Poly` on columns of variables,
+    one per free position in column-major order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_the_polynomial_defect_at_an_int_point_is_the_int_defect(self, name, parity, data):
+        g, rho = CATALOG[name]
+        V, cod = rho.space, g.space
+        order = [
+            (k, i)
+            for i in range(V.dim)
+            for k in range(cod.dim)
+            if cod.parities[k] == V.parities[i] ^ parity
+        ]
+        point = data.draw(st.lists(st.integers(-6, 6), min_size=len(order), max_size=len(order)))
+        variables = [[] for _ in range(V.dim)]
+        ints = [[] for _ in range(V.dim)]
+        for d, (k, i) in enumerate(order):
+            variables[i].append((k, _Poly({(d,): 1})))
+            if point[d]:
+                ints[i].append((k, point[d]))
+        tables, P = rho._joint, V.parities
+        for i in range(V.dim):
+            for j in range(V.dim):
+                polys = _defect(tables, P, parity, variables, i, j)
+                assert all(isinstance(p, _Poly) and p for p in polys.values())
+                values = {k: _evaluated(p, point) for k, p in polys.items()}
+                assert {k: v for k, v in values.items() if v} == _defect(
+                    tables, P, parity, ints, i, j
+                ), (i, j)
+
+    def test_the_ring_operations_are_exact(self):
+        x, y = _Poly({(0,): 1}), _Poly({(1,): 2})
+        assert x * y == y * x == _Poly({(0, 1): 2})
+        assert (x + y) * (x - y) == _Poly({(0, 0): 1, (1, 1): -4})
+        assert 0 + x == x and 0 - x == -x == _Poly({(0,): -1}) and x * 3 == 3 * x
+        assert not (x - x) and not x * 0 and x + 0 == x
+        assert x * y - y * x == {} and isinstance(x * y - y * x, _Poly)
+
+    def test_compiled_once_per_representation_and_parity(self, monkeypatch):
+        g, rho = CATALOG["ex3.7"]
+        fresh = Representation(g, rho.space, rho.action)
+        compiled = _count_calls(monkeypatch, "superybe.oop", "_defect")
+        for parity in (EVEN, ODD):
+            for entries in ((0, 1), (-1, 0, 1), (Fraction(1, 2), 0)):
+                assert grid_search_oops(g, fresh, parity, entries) == grid_search_oops(
+                    g, rho, parity, entries
+                )
+        tests = fresh._grid_tests
+        assert sorted(tests) == [EVEN, ODD] and all(len(tests[p]) == 6 for p in tests)
+        # every polynomial of each parity was compiled on the first search
+        asked = len(compiled)
+        grid_search_oops(g, fresh, EVEN, (-2, -1, 0, 1, 2))
+        assert len(compiled) == asked and fresh._grid_tests is tests
+
+    def test_the_cap_is_checked_before_compiling(self, monkeypatch):
+        g, rho = CATALOG["ex3.7"]
+        fresh = Representation(g, rho.space, rho.action)
+        compiled = _count_calls(monkeypatch, "superybe.oop", "_defect")
+        with pytest.raises(GridSearchCapExceeded):
+            grid_search_oops(g, fresh, EVEN, range(30))
+        assert compiled == [] and fresh._grid_tests == {}
+
+    def test_one_candidate_is_tested_without_compiling(self):
+        g, rho = CATALOG["ex3.7"]
+        fresh = Representation(g, rho.space, rho.action)
+        for parity in (EVEN, ODD):
+            for entries in ([], [0], [1], [Fraction(-1, 2)]):
+                found = grid_search_oops(g, fresh, parity, entries)
+                assert found == scan_search(g, rho, parity, entries)
+        assert fresh._grid_tests == {}
 
 
 class TestRotaBaxterCaveat:

@@ -36,6 +36,7 @@ from superybe import (
     transport_oop,
     trivial_rep,
 )
+from superybe import linalg
 from superybe.graded import format_vector
 from superybe.reps import (
     _RANDOM_FALLBACK_TRIES,
@@ -1146,6 +1147,22 @@ def test_a_coadjoint_is_not_cleared_again(monkeypatch):
     assert oop_holds(zero, coad)
     assert cleared == [(g.nonzero, 2), (zero.nonzero, 1)]
     assert cleared[0][0] is g.nonzero and cleared[1][0] is zero.nonzero
+
+
+def test_a_checked_representation_rescales_its_action_views_once(monkeypatch):
+    # the check brings the action maps' views to one scale (depth 1) and
+    # then to g's (depth 2); the representation keeps the first as its view
+    parts = load_fixture("ex2.3").parts
+    g, rho = parts["algebra"], parts["rho"]
+    action = rho.action
+    for m in action:
+        m._cleared
+    g._cleared
+    rescaled = _count_calls(monkeypatch, "superybe.linalg", "_rescaled")
+    built = Representation(g, rho.space, action)
+    assert [depth for depth, *_ in rescaled] == [1, 2]
+    assert built._cleared == linalg._cleared_table(built.nonzero, 2)
+    assert rescaled[1][2] is built._cleared
 
 
 def test_transport_refuses_an_isomorphism_across_algebras():
