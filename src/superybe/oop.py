@@ -259,15 +259,20 @@ class _Poly(dict):
 
     __slots__ = ()
 
+    @staticmethod
+    def _summed(terms) -> "_Poly":
+        """The sum of the (monomial, c) terms."""
+        out = {}
+        for m, c in terms:
+            out[m] = out.get(m, 0) + c
+        return _Poly({m: c for m, c in out.items() if c})
+
+    @staticmethod
+    def _of(x) -> "_Poly":
+        return x if isinstance(x, _Poly) else _Poly({(): x} if x else {})
+
     def __add__(self, other):
-        out = _Poly(self)
-        for m, c in _Poly._of(other).items():
-            c += out.get(m, 0)
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return out
+        return _Poly._summed([*self.items(), *_Poly._of(other).items()])
 
     __radd__ = __add__
 
@@ -281,22 +286,10 @@ class _Poly(dict):
         return -self + other
 
     def __mul__(self, other):
-        out = _Poly()
-        for n, e in _Poly._of(other).items():
-            for m, c in self.items():
-                m = tuple(sorted(m + n))
-                c = out.get(m, 0) + c * e
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
-        return out
+        other = _Poly._of(other).items()
+        return _Poly._summed((tuple(sorted(m + n)), c * e) for m, c in self.items() for n, e in other)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _of(x) -> "_Poly":
-        return x if isinstance(x, _Poly) else _Poly({(): x} if x else {})
 
 
 def _compiled(rho: Representation, parity: Parity, order) -> list:
