@@ -1,5 +1,54 @@
 """Exact computer algebra for Lie superalgebras: O-operators, super
-r-matrices, parity duality and pre-Lie superalgebras over the rationals."""
+r-matrices, parity duality and pre-Lie superalgebras over the rationals.
+
+What each kernel assumes of its inputs, and the one place that
+establishes it; a kernel assumes nothing that is not listed.
+
+    kernel                   assumes                 established by
+    -----------------------  ----------------------  -------------------------
+    oop._defect, oop_holds,  T: V -> g fits rho      oop._check_candidate;
+    grid_search_oops                                 the search compares
+                                                     rho.algebra with g
+                             T, rho homogeneous      their checked
+                                                     constructors and parse
+                             g super skew-symmetric  LieSuperAlgebra.
+                             (to read half the       _skew_failure, kept per
+                             pairs)                  algebra; on a failure
+                                                     oop._read_pairs reads
+                                                     all n^2 pairs
+    rmatrix._scybe_blocks    r on g's space, of one  RMatrix.__post_init__
+                             parity
+    liesuper._hom_failures   bracket and action at   linalg._rescaled in
+                             one scale L             reps._report_and_view;
+                                                     the Jacobi and pre-Lie
+                                                     checks pass one view
+                                                     as both tables
+    rmatrix._beta,           r non-degenerate        _beta: DegenerateRMatrix
+    liesuper._is_two_cocycle                         when T_r is singular
+                             r of one parity         RMatrix.__post_init__
+                             r pan-supersymmetric    not checked: the caller
+                             over a Lie g, for       (beta_cocycle_check's
+                             the theorem             docstring)
+    rmatrix.hierarchy_trace  g Lie; r a pan-         hierarchy_trace, once,
+                             supersymmetric          before the first step;
+                             solution over g         each level by theorem,
+                                                     with the root's report
+                                                     (liesuper._semidirect)
+    prelie.product_from_oop  T an O-operator for     oop_holds, at its entry
+                             rho, on one algebra
+                             rho a representation    Representation, where
+                                                     it enters
+                             shift |T|; pre-Lie      prelie_from_oop, which
+                             only for an even T      suspends an odd T
+    reps.find_even_          rho1, rho2 over one     reps._require_common_
+    isomorphism              algebra                 algebra, first
+                             phi even                the even intertwiner
+                                                     basis, by construction
+                             phi non-degenerate      decided per candidate,
+                                                     graded._block_inverse
+    transport_oop,           phi an even             reps._check_isomorphism,
+    same_algebra_pair        invertible intertwiner  parity first
+"""
 
 from .graded import (
     EVEN,

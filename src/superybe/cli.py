@@ -239,8 +239,8 @@ def _cmd_build_rmatrix(args, rep: Reporter) -> None:
 
 def _cmd_hierarchy(args, rep: Reporter) -> None:
     doc = _load_document(args.file)
-    # argparse (Python 3.11) strips the value of --word=-- to an empty list;
-    # no other value arrives as a list
+    # argparse before Python 3.13 strips the value of --word=-- to an empty
+    # list, and 3.13 keeps '--'; no other value arrives as a list
     word = "--" if args.word == [] else args.word
     bad = set(word) - {"+", "-"}
     if bad:

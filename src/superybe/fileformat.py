@@ -6,9 +6,16 @@ only, the rest follow from the sign rule), and optional `[space NAME]`,
 `[rep NAME on SPACE]`, `[map NAME : SRC -> DST parity P]`,
 `[tensor NAME]`, `[prelie NAME]` and `[form NAME]` sections carry the
 other objects.  Each section is declared once: a second `[bracket]`, or
-a second section of one kind and name, is a FormatError.  `#` starts a
-comment.  emit() produces a canonical text whose parse returns equal
-objects.
+a second section of one kind and name, is a FormatError, as is a
+`[space]` label that holds `=` or starts with `[`, which no later line
+could name.  `#` starts a comment.  emit() produces a canonical text
+whose parse returns equal objects.
+
+Each object is built once, from its checked lines: every term is checked
+for parity as it is read, and a line becomes a finished sparse cell, so
+algebras and maps are built by `_trusted` with no second scan.  A
+`[bracket]` line is written by `liesuper._write_bracket`, which refuses
+it with `LieSuperAlgebra.from_brackets`' message.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Superspaces with an ordered homogeneous basis, homogeneous linear maps,
 2- and 3-index coefficient tensors, the suspension (parity reverse) and
 dual constructions, and the canonical pairings with their Koszul signs.
-Every scalar is an exact rational; equality everywhere is exact.
+Every scalar is an exact rational; equality everywhere is exact.  A
+Koszul sign is applied by negating an entry, not by multiplying it by
+`sign(...)`, which is left to the callers that need an int.
 """
 
 from __future__ import annotations
@@ -356,7 +358,8 @@ class GradedLinearMap(_Stored, table="nonzero", depth=1):
     T_r, intertwiners, the maps of a representation's `action` view) are
     homogeneous by theorem and skip it: `_from_entries` groups their
     entries, and `_trusted` takes a finished table.  The dense `matrix`
-    view is built on read; the hash and the integer view are `_Stored`'s.
+    view is built on read, and no library code reads it; the hash and the
+    integer view are `_Stored`'s.
     """
 
     domain: SuperSpace

@@ -486,6 +486,11 @@ def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
     embeddings are increasing, so the host's cells are written directly,
     already sparse and sorted: g's cells through alg_embed, the action's
     through mod_embed, and the swapped cell (v_i, e_a) by `_partner`.
+
+    Every caller passes a representation's table, so over a Lie g the
+    host is Lie by theorem: it keeps g's `check_lie_axioms` report when
+    that report passes, and a host over an unchecked or failing g keeps
+    none.
     """
     total, alg_embed, mod_embed = merge_spaces(g.space, V)
     rows = [[()] * total.dim for _ in range(total.dim)]
@@ -502,7 +507,6 @@ def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
                 cell = host_row[q] = tuple((mod_embed[k], x) for k, x in col)
                 rows[q][p] = _partner(cell, pa & pi)
     host = LieSuperAlgebra._trusted(total, tuple(map(tuple, rows)))
-    # every caller passes a representation's table: over a Lie g, a Lie host
     if "_report" in vars(g) and g._report.ok:
         vars(host)["_report"] = g._report
     return host, alg_embed, mod_embed
@@ -521,7 +525,8 @@ def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlg
 
 def form_to_dual_map(beta: BilinearForm, g: LieSuperAlgebra) -> GradedLinearMap:
     """phi: g -> g* with <phi(x), y> = beta(x, y), for an even
-    supersymmetric invariant non-degenerate form."""
+    supersymmetric invariant non-degenerate form; only the kernels of
+    those three flags run."""
     B = _scaled_gram(beta, g)
     problems = []
     if beta.parity != EVEN:

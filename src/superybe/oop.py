@@ -108,9 +108,11 @@ def _defect(tables, P, parity: Parity, cols, i: int, j: int) -> dict:
     for a, xa in x:
         row = bracket[a]
         for b, yb in y:
-            xy = xa * yb
-            for k, c in row[b]:
-                out[k] = out.get(k, 0) + xy * c
+            cell = row[b]
+            if cell:
+                xy = xa * yb
+                for k, c in cell:
+                    out[k] = out.get(k, 0) + xy * c
     # s1 = -1 exactly when T is odd and v_i even; -s2 = -1 unless v_i is
     # odd and |T| + |v_j| is odd
     negate1 = parity and not P[i]

@@ -158,7 +158,9 @@ def shifted_left_symmetry_holds(a: PreLieSuperAlgebra) -> bool:
 
 
 def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
-    """[x, y] = xy - (-1)^{|x||y|} yx in structure constants."""
+    """[x, y] = xy - (-1)^{|x||y|} yx in structure constants.  The algebra
+    keeps no `check_lie_axioms` report: `superybe prelie subadjacent`
+    prints that check as its verdict."""
     if a.parity_shift != EVEN:
         raise ValueError("only a genuine (shift 0) product has a sub-adjacent bracket")
     report = check_prelie(a)

@@ -161,7 +161,8 @@ def adjoint(g: LieSuperAlgebra) -> Representation:
     """The adjoint representation, kept once per algebra object: its table
     is the bracket table, once g's kept `check_lie_axioms` report passes;
     else the first ad map that breaks the grading, or the first Jacobi
-    witness, raises as the checked constructors do."""
+    witness, raises as the checked constructors do.  A bracket that fails
+    only super skew-symmetry still gets its adjoint."""
     if not check_lie_axioms(g).ok:
         for i, _, _ in _grading_failures(g.space.parities, g.nonzero, EVEN):
             g.ad(i).__post_init__()
@@ -436,6 +437,8 @@ def is_intertwiner(phi: GradedLinearMap, rho1: Representation, rho2: Representat
 
 
 def _check_isomorphism(phi: GradedLinearMap, rho1: Representation, rho2: Representation):
+    """Refuse phi unless it is an even invertible intertwiner rho1 -> rho2;
+    an odd phi is refused before it is tested as an intertwiner."""
     if phi.parity != EVEN:
         raise ValueError("phi is not even")
     if not is_intertwiner(phi, rho1, rho2):

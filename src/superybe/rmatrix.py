@@ -378,7 +378,10 @@ HIERARCHY_DIM_CAP = 256
 # `_semidirect` hands every level the root's passing report: no level is checked
 def _step(r: RMatrix, letter: str) -> RMatrix:
     """The level after r: the induced tensor of the operator r defines, in
-    g |x_ad g for '+', or of its parity dual, in g |x_{ad^s} sg for '-'."""
+    g |x_ad g for '+', or of its parity dual, in g |x_{ad^s} sg for '-'.
+    The letter picks only the module space, the action table, the tensor
+    entries and the parity; both letters then make the same `_semidirect`
+    and `_pan_supersymmetric_tensor` calls, and neither builds a map."""
     g = r.algebra
     # each slot with its value in r's integer view
     D, ints = r.tensor._cleared

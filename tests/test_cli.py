@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -477,6 +479,216 @@ class TestParser:
         assert main(["check-cybe", ex32_file]) == 2
         assert main(["no-such-command"]) == 2
         assert main(["check-cybe", ex32_file, "--tensor", "r0"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the command contract as a table: each row runs one command in process on
+# one document and names its exit code and its output lines
+
+
+# [x, y] = z, [y, z] = y breaks Jacobi; x and z act on v, which breaks the
+# homomorphism property; the product breaks left-symmetry
+FAILS = """\
+[space]
+even = x y z
+[bracket]
+x y = 1 z
+y z = 1 y
+[space V]
+even = v
+[rep rho on V]
+x v = 1 v
+z v = 1 v
+[space A]
+even = e
+odd = f
+[prelie P on A]
+e e = 1 e
+e f = 2 f
+f e = 1 f
+f f = -1 e
+"""
+
+# FAILS after z -> -3/7 z and e -> 1/2 e: the structure constants have
+# denominators 3 and 7 and the action 7, so the checks rescale their
+# tables, and every witness must be FAILS'
+RESCALED = """\
+[space]
+even = x y z
+[bracket]
+x y = -7/3 z
+y z = -3/7 y
+[space V]
+even = v
+[rep rho on V]
+x v = 1 v
+z v = -3/7 v
+[space A]
+even = e
+odd = f
+[prelie P on A]
+e e = 1/2 e
+e f = 1 f
+f e = 1/2 f
+f f = -2 e
+"""
+
+# gl(1|1) with its supertrace form and an odd form
+GL11_FORMS = """\
+[space]
+even = a b
+odd = x y
+[bracket]
+a x = 1 x
+a y = -1 y
+b x = -1 x
+b y = 1 y
+x y = 1 a + 1 b
+[form str]
+a a = 1
+b b = -1
+x y = 1
+y x = -1
+[form odd]
+a x = 1
+x a = 1
+"""
+
+EX32_TEXT = emit(fixture_document("ex3.2"))
+
+DOCUMENTS = {
+    "fails": FAILS,
+    "rescaled": RESCALED,
+    "gl11-forms": GL11_FORMS,
+    # B is not an O-operator; its defects come in mirrored pairs
+    "ex3.2-B": EX32_TEXT + "[map B : g* -> g parity even]\ne* = 1 e\nf* = 1 f\n",
+    # H is T1 scaled by 3/7, an O-operator; B is not one
+    "ex3.2-fractional": EX32_TEXT
+    + "[map H : g* -> g parity odd]\ne* = 3/7 f\nf* = -3/7 e\n"
+    + "[map B : g* -> g parity even]\ne* = 1/2 e\nf* = 2/3 f\n",
+}
+
+
+FAILS_REPORT = (
+    "algebra parity consistency: PASS",
+    "algebra super skew-symmetry: PASS",
+    "algebra super Jacobi: FAIL (fails at triple (x, y, z))",
+    "rep rho action shape and parity: PASS",
+    "rep rho homomorphism property: FAIL (fails at pair (x, y))",
+    "prelie P product grading: PASS",
+    "prelie P left-symmetric associator: FAIL (fails at triple (e, f, f))",
+)
+
+NOT_AN_OOP = "solves the super CYBE: FAIL (the map is not an O-operator)"
+
+# (document, the command line with the document's path left out, exit
+# code, output lines): the lines are the whole of stdout, with ...
+# standing for any run of lines
+COMMANDS = [
+    ("ex3.7", "search --rep rho --parity even --entries=-1/2,0,1/2 --json", 0,
+     (..., '  "count": 41', ...)),
+    ("ex3.7", "search --rep rho --parity odd --entries=-1/2,0,1/2 --json", 0,
+     (..., '  "count": 41', ...)),
+    ("ex3.7", "search --rep rho --parity even --entries=-2,-1,0,1,2 --json", 0,
+     (..., '  "count": 153', ...)),
+    ("ex3.7", "search --rep rho --parity odd --entries=-2,-1,0,1,2 --json", 0,
+     (..., '  "count": 153', ...)),
+    ("ex4.4", "check-cybe --tensor r0", 0,
+     ("r0 solves the super CYBE: PASS", "r0 is pan-supersymmetric: yes")),
+    ("ex4.4", "check-cybe --tensor r1", 0,
+     ("r1 solves the super CYBE: PASS", "r1 is pan-supersymmetric: yes")),
+    ("ex4.4", "hierarchy --tensor r1 --word=+++", 0, ("walked word '+++': PASS", "[space]", ...)),
+    # words that start like an option
+    ("ex4.4", "hierarchy --tensor r0 --word=--", 0,
+     ("walked word '--': PASS", ..., "[tensor r0_--]", ...)),
+    ("ex4.4", "hierarchy --tensor r0 --word=-+ --trace", 0,
+     ("walked word '-+': PASS", "# level 1: -", ..., "[tensor r0_-]", ...,
+      "# level 2: -+", ..., "[tensor r0_-+]", ...)),
+    # the dual variant's space holds the suspended and double-dual labels
+    ("ex3.2", "build-rmatrix --map T1 --rep coadjoint --variant dual", 0,
+     ("induced tensor (even) solves the super CYBE: PASS", "[space]", "even = e sf**",
+      "odd = f se**", ...)),
+    ("ex3.2-fractional", "build-rmatrix --map H --rep coadjoint", 0,
+     ("induced tensor (odd) solves the super CYBE: PASS", ...)),
+    ("ex3.2-fractional", "build-rmatrix --map H --rep coadjoint --variant dual", 0,
+     ("induced tensor (even) solves the super CYBE: PASS", ...)),
+    ("ex3.2-fractional", "build-rmatrix --map B --rep coadjoint", 1,
+     ("induced tensor (even) " + NOT_AN_OOP, ...)),
+    ("ex3.2-fractional", "build-rmatrix --map B --rep coadjoint --variant dual", 1,
+     ("induced tensor (odd) " + NOT_AN_OOP, ...)),
+    ("ex3.2-B", "check-oop --map B --rep coadjoint", 1,
+     ("B is an O-operator (even): FAIL (nonzero defects listed below)",
+      "defect[e*, f*] = 2 f", "defect[f*, e*] = -2 f", "defect[f*, f*] = 2 e")),
+    ("fails", "validate", 1, FAILS_REPORT),
+    ("rescaled", "validate", 1, FAILS_REPORT),
+    ("gl11-forms", "validate", 0,
+     ("algebra parity consistency: PASS", "algebra super skew-symmetry: PASS",
+      "algebra super Jacobi: PASS", "form str: supersymmetric, invariant, non-degenerate",
+      "form odd: supersymmetric")),
+    ("ex3.2", "dualize --map T1 --rep coadjoint", 0,
+     ("parity duality produced the suspended candidate: PASS", "[space]", ...)),
+    ("ex3.20", "prelie from-oop --map T --rep rho", 0,
+     ("induced product (grading shift 1) built: PASS", "[space]", ...)),
+    ("closing-prelie", "prelie rmatrix-pair", 0,
+     ("even tensor solves the super CYBE: PASS", "odd tensor solves the super CYBE: PASS",
+      "# plain variant", ...)),
+]
+
+
+def _text(document: str) -> str:
+    """A table document's text: an entry of DOCUMENTS, or a catalog fixture
+    as `emit` writes it."""
+    return DOCUMENTS.get(document) or emit(fixture_document(document))
+
+
+def _run(tmp_path, capsys, text: str, command: str):
+    """(exit code, stdout, stderr) of the command on a document text."""
+    path = tmp_path / "document.sy"
+    path.write_text(text, encoding="utf-8")
+    name, *rest = shlex.split(command)
+    code = main([name, str(path), *rest])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "document, command, code, lines", COMMANDS, ids=[f"{d}: {c}" for d, c, _, _ in COMMANDS]
+)
+def test_command(tmp_path, capsys, document, command, code, lines):
+    got, out, err = _run(tmp_path, capsys, _text(document), command)
+    assert got == code
+    pattern = "".join(r"(?:.*\n)*" if line is ... else re.escape(line) + r"\n" for line in lines)
+    assert re.fullmatch(pattern, out), (out, err)
+
+
+# (document, a command that emits a document, a command on that document,
+# its exit code): the emitted document, as its --json report gives it,
+# passes validate, and the second command answers as the first one did
+READ_BACK = [
+    ("ex3.2-fractional", "build-rmatrix --map H --rep coadjoint", "check-cybe --tensor r_H", 0),
+    ("ex3.2-fractional", "build-rmatrix --map H --rep coadjoint --variant dual",
+     "check-cybe --tensor r_H", 0),
+    ("ex3.2-fractional", "build-rmatrix --map B --rep coadjoint", "check-cybe --tensor r_B", 1),
+    ("ex3.2-fractional", "build-rmatrix --map B --rep coadjoint --variant dual",
+     "check-cybe --tensor r_B", 1),
+    ("ex3.2", "dualize --map T1 --rep coadjoint", "check-oop --map T1s --rep coadjoints", 0),
+    ("ex3.2", "build-rmatrix --map T1 --rep coadjoint --variant dual",
+     "check-cybe --tensor r_T1", 0),
+    ("ex4.4", "hierarchy --tensor r1 --word=+-", "check-cybe --tensor r1_+-", 0),
+    # the odd product of ex3.20's T: validate is the whole check
+    ("ex3.20", "prelie from-oop --map T --rep rho", "validate", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "document, command, then, code", READ_BACK, ids=[f"{d}: {c}" for d, c, _, _ in READ_BACK]
+)
+def test_emitted_document_reads_back(tmp_path, capsys, document, command, then, code):
+    got, out, _ = _run(tmp_path, capsys, _text(document), command + " --json")
+    assert got == code
+    emitted = json.loads(out)["document"]
+    assert _run(tmp_path, capsys, emitted, "validate")[0] == 0
+    assert _run(tmp_path, capsys, emitted, then)[0] == code
 
 
 class TestModuleEntryPoint:

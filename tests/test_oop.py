@@ -34,10 +34,13 @@ from superybe import (
     parity_reverse_rep,
     product_from_oop,
     same_algebra_pair,
+    semidirect_product,
+    subadjacent,
     suspend_map,
     transport_oop,
     trivial_rep,
 )
+from superybe.fileformat import parse
 from superybe.graded import rat, relabel_domain, vec_is_zero
 from superybe.oop import _defect, _pairs, _Poly, oop_defect
 
@@ -853,6 +856,121 @@ class TestSuperSkewHalf:
         assert all(is_oop(t, rho).ok for t in found)
 
 
+# the catalog's genuine pre-Lie products, whose sub-adjacent algebras are Lie
+GENUINE_PRELIE = (
+    load_fixture("ex3.20").parts["circ"],
+    load_fixture("ex3.20").parts["star"],
+    load_fixture("closing-prelie").parts["prelie"],
+)
+
+
+@st.composite
+def public_algebras(draw):
+    """An algebra from one of the public constructors: the dense one and
+    `from_brackets`, on drawn graded constants that may break super
+    skew-symmetry (dense) or the Jacobi identity (both); `parse` of the
+    same brackets; `subadjacent` of a catalog product; and
+    `semidirect_product` of a catalog representation."""
+    kind = draw(st.sampled_from(["dense", "from_brackets", "parsed", "subadjacent", "semidirect"]))
+    if kind == "subadjacent":
+        return subadjacent(draw(st.sampled_from(GENUINE_PRELIE)))
+    if kind == "semidirect":
+        return semidirect_product(*draw(st.sampled_from([CATALOG[n] for n in ("ex3.2", "ex2.3")])))
+    space = SuperSpace.make(even=["a", "c"], odd=["b"])
+    L, P = space.labels, space.parities
+    constants = st.sampled_from((-1, 0, 0, 1))
+    if kind == "dense":
+        structure = [
+            [[draw(constants) if P[k] == P[i] ^ P[j] else 0 for k in range(3)] for j in range(3)]
+            for i in range(3)
+        ]
+        return LieSuperAlgebra(space, structure)
+    brackets = {
+        (L[i], L[j]): {L[k]: draw(constants) for k in range(3) if P[k] == P[i] ^ P[j]}
+        for i in range(3)
+        for j in range(i, 3)
+        if i != j or P[i]
+    }
+    if kind == "from_brackets":
+        return LieSuperAlgebra.from_brackets(space, brackets)
+    lines = [
+        f"{x} {y} = " + (" + ".join(f"{c} {k}" for k, c in cell.items() if c) or "0")
+        for (x, y), cell in brackets.items()
+    ]
+    return parse("[space]\neven = a c\nodd = b\n[bracket]\n" + "\n".join(lines) + "\n").algebra
+
+
+def _images(rho):
+    """The {algebra label: {label: {label: c}}} images of rho's action."""
+    V = rho.space
+    return {
+        a: {V.labels[i]: {V.labels[k]: x for k, x in col} for i, col in enumerate(t.nonzero)}
+        for a, t in zip(rho.algebra.space.labels, rho.action)
+    }
+
+
+@st.composite
+def public_representations(draw, g):
+    """A representation of g from one of the public constructors:
+    `from_images` (of a trivial action, or a checked rebuild of the
+    adjoint's), `adjoint`, `coadjoint`, `dual_rep` or `parity_reverse_rep`.
+    The adjoint ones only where g's adjoint exists."""
+    trivial = Representation.from_images(g, SuperSpace.make(even=["u"], odd=["m"]), {})
+    try:
+        ad = adjoint(g)
+    except ValueError:
+        return draw(st.sampled_from([trivial, dual_rep(trivial), parity_reverse_rep(trivial)]))
+    kind = draw(st.sampled_from(["from_images", "adjoint", "coadjoint", "dual_rep", "reverse"]))
+    base = draw(st.sampled_from([trivial, ad]))
+    if kind == "from_images":
+        return Representation.from_images(g, base.space, _images(base))
+    if kind == "adjoint":
+        return ad
+    if kind == "coadjoint":
+        return coadjoint(g)
+    return dual_rep(base) if kind == "dual_rep" else parity_reverse_rep(base)
+
+
+class TestEveryPublicConstructor:
+    """The verdicts of `oop_holds`, the grid search and `is_rota_baxter`
+    are `is_oop`'s on every algebra and representation the public
+    constructors build, whatever axioms the algebra breaks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_are_is_oops(self, data):
+        g = data.draw(public_algebras())
+        rho = data.draw(public_representations(g))
+        parity = data.draw(st.integers(0, 1))
+        rng = data.draw(st.randoms(use_true_random=False))
+        for _ in range(5):
+            t = random_homogeneous_map(rng, rho.space, g.space, parity, lo=-1, hi=1)
+            assert oop_holds(t, rho) == is_oop(t, rho).ok
+        V, P = rho.space, g.space.parities
+        free = sum(P[k] == V.parities[i] ^ parity for k in range(g.dim) for i in range(V.dim))
+        entries = (-1, 0, 1) if free <= 7 else (0, 1) if free <= 11 else (1,)
+        found = grid_search_oops(g, rho, parity, entries)
+        assert all(oop_holds(t, rho) and is_oop(t, rho).ok for t in found)
+
+    def test_is_rota_baxter_on_brackets_that_fail_only_skew_symmetry(self):
+        # every dense 2|0 bracket over {-1, 0, 1} whose one failing axiom is
+        # super skew-symmetry, against all 81 even maps over {-1, 0, 1}
+        space = SuperSpace.make(even=["a", "b"])
+        maps = [
+            GradedLinearMap(space, space, EVEN, (m[:2], m[2:]))
+            for m in itertools.product((-1, 0, 1), repeat=4)
+        ]
+        algebras = 0
+        for c in itertools.product((-1, 0, 1), repeat=8):
+            g = LieSuperAlgebra(space, [[c[0:2], c[2:4]], [c[4:6], c[6:8]]])
+            if [item.name for item in check_lie_axioms(g).failures()] != ["super skew-symmetry"]:
+                continue
+            algebras += 1
+            ad = adjoint(g)
+            for r in maps:
+                assert is_rota_baxter(r, g) == is_oop(r, ad).ok
+        assert algebras == 32
+
 def _evaluated(poly, point):
     """The value of a `_Poly` at the int point: x_d is point[d]."""
     return sum(c * math.prod(point[x] for x in m) for m, c in poly.items())
@@ -915,6 +1033,24 @@ class TestCompiledPolynomials:
         asked = len(compiled)
         grid_search_oops(g, fresh, EVEN, (-2, -1, 0, 1, 2))
         assert len(compiled) == asked and fresh._grid_tests is tests
+
+    def test_an_empty_bracket_cell_costs_no_product(self, monkeypatch):
+        # an abelian algebra acting trivially: every bracket cell and every
+        # action cell is empty, so compiling forms no polynomial product
+        g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["a", "b"], odd=["c", "d"]), {})
+        rho = trivial_rep(g, SuperSpace.make(even=["u", "w"], odd=["m"]))
+        products = []
+        original = _Poly.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(_Poly, "__mul__", counting)
+        monkeypatch.setattr(_Poly, "__rmul__", counting)
+        for parity in (EVEN, ODD):
+            assert len(grid_search_oops(g, rho, parity, (0, 1))) == 2**6
+        assert sorted(rho._grid_tests) == [EVEN, ODD] and products == []
 
     def test_the_cap_is_checked_before_compiling(self, monkeypatch):
         g, rho = CATALOG["ex3.7"]

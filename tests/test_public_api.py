@@ -1,4 +1,5 @@
-"""The public names of the package and the signatures other code wraps.
+"""The public names of the package, README's naming of them, and the
+signatures other code wraps.
 
 Deletions may only remove private names: `superybe.__all__` is pinned
 here.  `GradedLinearMap.apply`, `column` and `__post_init__`,
@@ -7,7 +8,10 @@ the benchmark's tracer and called by the test oracles, so they keep
 their names and signatures.
 """
 
+import importlib
 import inspect
+import re
+from pathlib import Path
 
 import superybe
 from superybe import GradedLinearMap, LieSuperAlgebra, Representation
@@ -47,3 +51,36 @@ def test_wrapped_methods_keep_their_signatures():
     assert params(GradedLinearMap.__post_init__) == ["self"]
     assert params(Representation.apply_vec) == ["self", "x", "v"]
     assert params(LieSuperAlgebra.bracket) == ["self", "x", "y"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# a name in a code span, with no path or option before it: dotted, called
+# (an opening parenthesis after it), or neither
+_NAME = re.compile(r"(?<![\w./-])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\()?")
+
+
+def _resolve(dotted: str):
+    """The object a README name names in `superybe`, importing a
+    submodule that the package does not import itself."""
+    obj = superybe
+    for part in dotted.removeprefix("superybe.").split("."):
+        if not hasattr(obj, part) and inspect.ismodule(obj):
+            importlib.import_module(f"{obj.__name__}.{part}")
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_names_the_public_api():
+    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    names = [m for span in re.findall(r"`([^`]+)`", text) for m in _NAME.findall(span)]
+    unresolved = []
+    for dotted, called in names:
+        if "." in dotted or called:
+            try:
+                _resolve(dotted)
+            except (AttributeError, ImportError):
+                unresolved.append(dotted)
+    assert unresolved == []
+    parts = {part for dotted, _ in names for part in dotted.split(".")}
+    assert sorted(part for part in parts if part.startswith("_")) == []
+    assert sorted(set(superybe.__all__) - parts) == []
