@@ -16,8 +16,10 @@ establishes it; a kernel assumes nothing that is not listed.
                              pairs)                  algebra; on a failure
                                                      oop._read_pairs reads
                                                      all n^2 pairs
-    rmatrix._scybe_blocks    r on g's space, of one  RMatrix.__post_init__
-                             parity
+    rmatrix._scybe_blocks    r on g's space, of one  RMatrix.__post_init__;
+                             parity                  an induced tensor's
+                                                     host fixes both
+                                                     (RMatrix._trusted)
     liesuper._hom_failures   bracket and action at   linalg._rescaled in
                              one scale L             reps._report_and_view;
                                                      the Jacobi and pre-Lie
@@ -25,7 +27,8 @@ establishes it; a kernel assumes nothing that is not listed.
                                                      as both tables
     rmatrix._beta,           r non-degenerate        _beta: DegenerateRMatrix
     liesuper._is_two_cocycle                         when T_r is singular
-                             r of one parity         RMatrix.__post_init__
+                             r of one parity         RMatrix.__post_init__,
+                                                     or the host
                              r pan-supersymmetric    not checked: the caller
                              over a Lie g, for       (beta_cocycle_check's
                              the theorem             docstring)

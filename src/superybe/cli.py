@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -454,7 +455,7 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -475,6 +476,24 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
     return reporter.finish(args.command)
+
+
+def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # the reader closed standard output: point its descriptor at the
+        # null device, so the interpreter's last flush has nowhere to fail
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -29,15 +29,21 @@ comparisons that `check_lie_axioms`' skew item reads) is empty, and all
 n^2 pairs otherwise, and their verdicts are always `is_oop`'s.
 
 The grid search runs `_defect` itself over a polynomial ring, `_Poly`:
-on columns whose free entries are variables, x_d the d-th free position
-in column-major order, it gives every defect coordinate of every read
-pair as a quadratic form in the x_d, compiled once per representation
-and parity and kept on the representation, next to `_joint`, as
-`Representation._grid_tests`.  Each polynomial is tested at the depth of
-its last variable x_d, where it splits as a + x_d l + q x_d^2 with a and
-l over the assigned prefix: a node of depth d evaluates each a and l
-once, each candidate value then costs one a + v (l + v q), and a depth
-where no polynomial ends costs nothing.
+on columns whose free entries are variables, it gives every defect
+coordinate of every read pair as a quadratic form in them, compiled once
+per representation and parity.  From the supports of the distinct forms
+it chooses, once, the order in which the walk fixes the free positions,
+so that each form is tested as early as it can be: the next position is
+the one that completes the most forms, then the one that appears in the
+most.  The pair (order, tests) is kept on the representation, next to
+`_joint`, as `Representation._grid_tests`.  Each polynomial is tested at
+the depth of its last variable x_d, where it splits as
+a + x_d l + q x_d^2 with a and l over the assigned prefix: a node of
+depth d evaluates each a and l once, each candidate value then costs one
+a + v (l + v q), and a depth where no polynomial ends costs nothing.
+The walk keeps digit tuples, refused past GRID_SEARCH_SOLUTIONS_CAP as
+they accumulate; only the accepted tuples, sorted into row-major order,
+become maps, each written once from its digits.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from . import linalg
 from .graded import (
@@ -294,47 +301,95 @@ class _Poly(dict):
     __rmul__ = __mul__
 
 
-def _compiled(rho: Representation, parity: Parity, order) -> list:
-    """The grid search's tests for maps of the given parity on rho, kept
-    on rho per parity, in `Representation._grid_tests`.
+def _earliest_order(supports, n: int) -> list:
+    """depth[x] for the variables x < n of polynomials with the given
+    supports (sets of variables), chosen greedily, depth 0 first: the
+    next depth takes the unset variable that completes the most
+    polynomials (those whose only unset variable it is), then the one
+    that appears in the most, then the lowest x.  A count of unset
+    variables per polynomial is kept, so a pick updates only the
+    polynomials in which its variable appears."""
+    containing = [[] for _ in range(n)]
+    for p, support in enumerate(supports):
+        for x in support:
+            containing[x].append(p)
+    unset = [len(support) for support in supports]
+    completes = [0] * n
+    for support in supports:
+        if len(support) == 1:
+            (x,) = support
+            completes[x] += 1
+    depth = [None] * n
+    free = list(range(n))
+    for d in range(n):
+        x = max(free, key=lambda x: (completes[x], len(containing[x]), -x))
+        free.remove(x)
+        depth[x] = d
+        for p in containing[x]:
+            unset[p] -= 1
+            if unset[p] == 1:
+                (last,) = (y for y in supports[p] if depth[y] is None)
+                completes[last] += 1
+    return depth
 
-    Variable x_d is the d-th free position (k, i) of order, the free
-    positions of that parity in column-major order.  One run of `_defect`
-    on columns of these variables, over each pair of `_read_pairs`, gives
-    each defect coordinate as a quadratic form p in them, scaled by L.
-    Only its zeros matter, so each nonzero p is divided by the gcd of its
+
+def _compiled(rho: Representation, parity: Parity, positions) -> tuple:
+    """(order, tests): the grid search's depth order and tests for maps of
+    the given parity on rho, whose free positions (k, i) are positions;
+    kept on rho per parity, in `Representation._grid_tests`.
+
+    One run of `_defect` on columns of variables, x the x-th free position
+    in column-major order, over each pair of `_read_pairs`, gives each
+    defect coordinate as a quadratic form p in them, scaled by L.  Only
+    its zeros matter, so each nonzero p is divided by the gcd of its
     coefficients and signed so that its least monomial's is positive, and
-    each distinct p is kept once, in tests[d] for its last variable x_d,
-    as the triple (a, l, q) with p = a + x_d l + q x_d^2: a holds the
-    (c, x, y) of the terms c x_x x_y and l the (c, x) of c x_x x_d, both
-    over x, y < d, and q is an int."""
-    tests = rho._grid_tests.get(parity)
-    if tests is None:
+    each distinct p is kept once.  From their supports `_earliest_order`
+    chooses the depth of each position, once; order lists the positions
+    by depth.  With its variables renamed to depths, each p sits in
+    tests[d] for its last variable x_d, as the triple (a, l, q) with
+    p = a + x_d l + q x_d^2: a holds the (c, x, y) of the terms c x_x x_y
+    and l the (c, x) of c x_x x_d, both over x, y < d, and q is an int."""
+    kept = rho._grid_tests.get(parity)
+    if kept is None:
         V = rho.space
+        column_major = sorted(positions, key=lambda ki: (ki[1], ki[0]))
         cols = [[] for _ in range(V.dim)]
-        for d, (k, i) in enumerate(order):
-            cols[i].append((k, _Poly({(d,): 1})))
-        tests = [[] for _ in order]
-        seen = set()
+        for x, (k, i) in enumerate(column_major):
+            cols[i].append((k, _Poly({(x,): 1})))
+        polys = {}  # each distinct p once, in the order first found
         for i, j in _read_pairs(rho, parity):
             for p in _defect(rho._joint, V.parities, parity, cols, i, j).values():
                 unit = gcd(*p.values()) * (1 if p[min(p)] > 0 else -1)
-                p = frozenset((m, c // unit) for m, c in p.items())
-                if p in seen:
-                    continue
-                seen.add(p)
-                d = max(m[-1] for m, _ in p)
-                a, l, q = [], [], 0
-                for m, c in sorted(p):
-                    if m[-1] != d:
-                        a.append((c, *m))
-                    elif m[0] != d:
-                        l.append((c, m[0]))
-                    else:
-                        q = c
-                tests[d].append((tuple(a), tuple(l), q))
-        rho._grid_tests[parity] = tests
-    return tests
+                polys[frozenset((m, c // unit) for m, c in p.items())] = None
+        depth = _earliest_order([{x for m, _ in p for x in m} for p in polys], len(column_major))
+        order = [None] * len(column_major)
+        for x, ki in enumerate(column_major):
+            order[depth[x]] = ki
+        tests = [[] for _ in order]
+        for p in polys:
+            terms = sorted((tuple(sorted(depth[x] for x in m)), c) for m, c in p)
+            d = max(m[-1] for m, _ in terms)
+            a, l, q = [], [], 0
+            for m, c in terms:
+                if m[-1] != d:
+                    a.append((c, *m))
+                elif m[0] != d:
+                    l.append((c, m[0]))
+                else:
+                    q = c
+            tests[d].append((tuple(a), tuple(l), q))
+        kept = rho._grid_tests[parity] = (order, tests)
+    return kept
+
+
+class GridSearchCapExceeded(Exception):
+    pass
+
+
+GRID_SEARCH_CAP = 10**8
+# the most solutions one search may return; the digit tuples are counted
+# as the walk accepts them, before any map is built
+GRID_SEARCH_SOLUTIONS_CAP = 2**16
 
 
 def _walk(tests, values) -> list:
@@ -342,7 +397,9 @@ def _walk(tests, values) -> list:
     `_compiled` sends to zero, depth first in lexicographic order.  A node
     of depth d evaluates each test's a and l once, and each value v left
     then costs one a + v (l + v q); a depth with no test keeps every
-    value, and a value that one test rejects is tried on no other."""
+    value, and a value that one test rejects is tried on no other.  It
+    refuses with `GridSearchCapExceeded` at the first tuple past
+    GRID_SEARCH_SOLUTIONS_CAP."""
     every = range(len(values))
     vals = [0] * len(tests)  # the scaled values of the assigned depths
     digits = [0] * len(tests)
@@ -375,16 +432,14 @@ def _walk(tests, values) -> list:
         digits[d], vals[d] = digit, values[digit]
         if d + 1 < len(tests):
             stack.append(iter(allowed(d + 1)))
-        else:
+        elif len(accepted) < GRID_SEARCH_SOLUTIONS_CAP:
             accepted.append(tuple(digits))
+        else:
+            raise GridSearchCapExceeded(
+                f"more than {GRID_SEARCH_SOLUTIONS_CAP} solutions: the search exceeds "
+                f"the solutions cap {GRID_SEARCH_SOLUTIONS_CAP}"
+            )
     return accepted
-
-
-class GridSearchCapExceeded(Exception):
-    pass
-
-
-GRID_SEARCH_CAP = 10**8
 
 
 def grid_search_oops(
@@ -398,14 +453,18 @@ def grid_search_oops(
     order of the entry assignment (positions row-major, values in the
     order given).
 
-    The free positions are assigned depth first, column by column, by
-    `_walk`: a node keeps only the values of its position that every
-    defect polynomial of `_compiled` ending there sends to zero, so a
-    subtree is cut at its first nonzero defect; only accepted assignments
-    become maps.  The entry set is scaled to ints once.  GRID_SEARCH_CAP
-    bounds the full grid, len(entry_set) ** (number of free positions),
-    pruned or not, and is checked before any search or compiling.  A grid
-    of one candidate or none is decided on ints with nothing compiled."""
+    The free positions are assigned depth first by `_walk`, in the order
+    `_compiled` chose and kept with the tests: a node keeps only the
+    values of its position that every defect polynomial ending there
+    sends to zero, so a subtree is cut at its first nonzero defect.  The
+    accepted digit tuples are sorted into row-major order, and only they
+    become maps, each column written once from the digits, with zero
+    values dropped on their ints.  The entry set is scaled to ints once.
+    GRID_SEARCH_CAP bounds the full grid, len(entry_set) ** (number of
+    free positions), pruned or not, and is checked before any search or
+    compiling; GRID_SEARCH_SOLUTIONS_CAP bounds the solutions, and is
+    checked as the walk accepts them.  A grid of one candidate or none is
+    decided on ints with nothing compiled."""
     if rho.algebra != g:
         raise ValueError("representation is not over this algebra")
     V = rho.space
@@ -434,17 +493,27 @@ def grid_search_oops(
                 cols[i].append((k, values[0]))
         tables, P = rho._joint, V.parities
         holds = not any(_defect(tables, P, parity, cols, i, j) for i, j in _read_pairs(rho, parity))
-        accepted = [(0,) * nfree] if holds and (values or not nfree) else []
+        order, accepted = positions, [(0,) * nfree] if holds and (values or not nfree) else []
     else:
-        column_major = sorted(positions, key=lambda ki: (ki[1], ki[0]))
-        depth = dict(zip(column_major, range(nfree)))
-        row_major = [depth[ki] for ki in positions]
-        walked = _walk(_compiled(rho, parity, column_major), values)
-        accepted = [tuple(digits[d] for d in row_major) for digits in walked]
+        order, tests = _compiled(rho, parity, positions)
+        accepted = _walk(tests, values)
 
+    depth = {ki: d for d, ki in enumerate(order)}
+    if len(accepted) > 1:
+        accepted.sort(key=itemgetter(*(depth[ki] for ki in positions)))
+    # each column's free rows, in ascending k, with the depth of each
+    layout = [[] for _ in range(V.dim)]
+    for k, i in positions:
+        layout[i].append((k, depth[k, i]))
     return [
-        GradedLinearMap._from_entries(
-            V, cod, parity, ((ki, entries[digit]) for ki, digit in zip(positions, digits))
+        GradedLinearMap._trusted(
+            V,
+            cod,
+            parity,
+            tuple(
+                tuple((k, entries[digits[d]]) for k, d in col if values[digits[d]])
+                for col in layout
+            ),
         )
-        for digits in sorted(accepted)
+        for digits in accepted
     ]

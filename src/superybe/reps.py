@@ -148,8 +148,9 @@ class Representation(_Stored, table="nonzero", depth=2):
 
     @cached_property
     def _grid_tests(self) -> dict:
-        """{parity: the grid search's compiled defect polynomials of the
-        maps of that parity into g}, filled by `oop._compiled`."""
+        """{parity: (order, tests), the grid search's depth order of the
+        free positions and its compiled defect polynomials, for the maps
+        of that parity into g}, filled by `oop._compiled`."""
         return {}
 
     def apply_vec(self, x, v):

@@ -46,6 +46,14 @@ class RMatrix:
         if self.tensor.parity is None:
             raise ValueError("r-matrix candidates must be homogeneous")
 
+    @classmethod
+    def _trusted(cls, algebra: LieSuperAlgebra, tensor: Tensor2) -> "RMatrix":
+        """The r-matrix of a homogeneous tensor on the algebra's space,
+        unchecked: for the tensors a construction writes over its host."""
+        r = object.__new__(cls)
+        vars(r).update(algebra=algebra, tensor=tensor)
+        return r
+
     @staticmethod
     def from_terms(g: LieSuperAlgebra, terms, parity: "Parity | None" = None) -> "RMatrix":
         t = Tensor2.from_terms(g.space, g.space, terms, parity)
@@ -241,7 +249,9 @@ def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, D, entries, pa
     where e_k and v_i* sit at positions alg_pos[k] and mod_pos[i] of h.
     Algebra and module positions are disjoint, so no two terms share a slot.
     The entries are every nonzero x of a source map or tensor, with y = D x
-    from the source's integer view; the tensor's view is written from the y."""
+    from the source's integer view; the tensor's view is written from the y.
+    The host fixes the spaces and the parity of every term is |r|, so the
+    r-matrix is built through `RMatrix._trusted`."""
     slots = []
     for (k, i), x, y in entries:
         p, q = alg_pos[k], mod_pos[i]
@@ -251,7 +261,28 @@ def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, D, entries, pa
         slots.append(((q, p), x, y))
     slots.sort()  # the positions differ, so the values are never compared
     tensor = Tensor2._trusted(h.space, h.space, tuple((pq, x) for pq, x, _ in slots), parity)
-    return RMatrix(h, linalg._with_view(tensor, (D, tuple((pq, y) for pq, _, y in slots))))
+    return RMatrix._trusted(h, linalg._with_view(tensor, (D, tuple((pq, y) for pq, _, y in slots))))
+
+
+def _induced_source(t: GradedLinearMap, rho: Representation, variant: str):
+    """What both induced constructions read of (T, rho): the host h with
+    its slot positions, the module's parities, the parity of r, and T's
+    columns with their integer view at scale D, as the plain construction
+    reads them.  The dual variant's are those of (T^s, rho^s): T's
+    columns moved along `suspended_with_permutation`, with no T^s built."""
+    _check_candidate(t, rho)
+    D, ints = t._cleared
+    if variant == "plain":
+        h, alg_pos, mod_pos = _plain_semidirect(rho)
+        return h, alg_pos, mod_pos, rho.space.parities, t.parity, D, t.nonzero, ints
+    if variant != "dual":
+        raise ValueError(f"unknown variant {variant!r}")
+    h, alg_pos, mod_pos, srho = _dual_semidirect(rho)
+    _, perm = rho.space.suspended_with_permutation()
+    cols, icols = [()] * len(perm), [()] * len(perm)
+    for i, p in enumerate(perm):
+        cols[p], icols[p] = t.nonzero[i], ints[i]
+    return h, alg_pos, mod_pos, srho.space.parities, t.parity ^ 1, D, cols, icols
 
 
 def operator_to_rmatrix(
@@ -263,28 +294,19 @@ def operator_to_rmatrix(
            in g |x_{rho*} V*, parity |T|;
     dual:  r_{T^s} = sum_i (T v_i (x) (s v_i)* + (-1)^{|T||v_i|} (s v_i)* (x) T v_i)
            in g |x_{(rho^s)*} (sV)*, parity |T| + 1, the plain tensor of
-           (T^s, rho^s).
+           (T^s, rho^s), read off T's columns without building T^s.
 
     The tensor solves the super CYBE exactly when T satisfies the
     O-operator identity.
     """
-    _check_candidate(t, rho)
-    if variant == "plain":
-        h, alg_pos, mod_pos = _plain_semidirect(rho)
-    elif variant == "dual":
-        # the plain construction on the parity-dual pair (T^s, rho^s)
-        h, alg_pos, mod_pos, rho = _dual_semidirect(rho)
-        t = suspend_map(t)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    h, alg_pos, mod_pos, P, parity, D, cols, icols = _induced_source(t, rho, variant)
     # T v_i has coordinate x = T[k][i] along e_k, and D x in T's integer view
-    D, ints = t._cleared
     entries = [
         ((k, i), x, y)
-        for i, (col, icol) in enumerate(zip(t.nonzero, ints))
+        for i, (col, icol) in enumerate(zip(cols, icols))
         for (k, x), (_, y) in zip(col, icol)
     ]
-    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, rho.space.parities, D, entries, t.parity)
+    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, P, D, entries, parity)
 
 
 def induced_coadjoint_operator(
@@ -297,11 +319,30 @@ def induced_coadjoint_operator(
            the plain operator of (T^s, rho^s).
 
     By the r-matrix <-> O-operator correspondence it is T_r of the induced
-    tensor r, under the double-dual identification, and it is read off r
-    that way.  It is an O-operator for the coadjoint representation of h
-    exactly when T satisfies the identity.
+    tensor r, under the double-dual identification.  It is written, with
+    its integer view, straight from T's entries by the rules that build r
+    and read T_r off it, with no tensor in between: the slot (p, q) of r
+    is entry (p, q) of T_r, signed by (-1)^{|h_q|}.  It is an O-operator
+    for the coadjoint representation of h exactly when T satisfies the
+    identity.
     """
-    return rmatrix_to_operator(operator_to_rmatrix(t, rho, variant))
+    h, alg_pos, mod_pos, P, parity, D, cols, icols = _induced_source(t, rho, variant)
+    H = h.space.parities
+    out, iout = [[] for _ in H], [[] for _ in H]
+    for i, (col, icol) in enumerate(zip(cols, icols)):
+        q = mod_pos[i]
+        # slot (p, q) = x, and slot (q, p) = x with the sign of
+        # `_pan_supersymmetric_tensor`
+        mirror = (parity + 1) * (P[i] + 1) % 2
+        for (k, x), (_, y) in zip(col, icol):
+            p = alg_pos[k]
+            out[q].append((p, -x) if P[i] else (p, x))
+            iout[q].append((p, -y) if P[i] else (p, y))
+            # the modules' positions ascend with i, so column p stays sorted
+            out[p].append((q, -x) if mirror ^ H[p] else (q, x))
+            iout[p].append((q, -y) if mirror ^ H[p] else (q, y))
+    op = GradedLinearMap._trusted(h.space.dual(), h.space, parity, tuple(map(tuple, out)))
+    return linalg._with_view(op, (D, tuple(map(tuple, iout))))
 
 
 # ---------------------------------------------------------------------------

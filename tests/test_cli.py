@@ -439,6 +439,16 @@ class TestSearch:
         assert main(args) == 2
         assert "malformed rational '1/0'" in capsys.readouterr().err
 
+    def test_too_many_solutions_exit_two(self, sl11_file, capsys, monkeypatch):
+        args = ["search", sl11_file, "--rep", "rho", "--parity", "even", "--entries=-2,-1,0,1,2"]
+        assert main(args + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 153
+        monkeypatch.setattr("superybe.oop.GRID_SEARCH_SOLUTIONS_CAP", 152)
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: more than 152 solutions: the search exceeds the solutions cap 152\n"
+
 
 class TestDemo:
     def test_demo_ex44(self, capsys):
@@ -695,16 +705,15 @@ class TestModuleEntryPoint:
     """`python -m superybe` runs the same command line as `superybe`."""
 
     @staticmethod
-    def run(*argv):
+    def command(*argv):
+        """The argv and environment of `python -m superybe argv`."""
         src = str(Path(superybe.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run(
-            [sys.executable, "-m", "superybe", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=60,
-        )
+        return [sys.executable, "-m", "superybe", *argv], {**os.environ, "PYTHONPATH": path}
+
+    def run(self, *argv):
+        args, env = self.command(*argv)
+        return subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
 
     def test_help(self):
         done = self.run("--help")
@@ -729,3 +738,21 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         assert main(["check-cybe", str(path), "--tensor", "r1"]) == 0
         assert done.stdout == capsys.readouterr().out
+
+    def test_a_closed_stdout_exits_three_in_one_line(self, tmp_path):
+        # the traced ++++++ walk prints about 100 KB, more than a pipe
+        # buffer holds, so the reader closes the pipe before the walk's
+        # output is all written
+        path = tmp_path / "ex4.4.sy"
+        path.write_text(emit(fixture_document("ex4.4")), encoding="utf-8")
+        args, env = self.command("hierarchy", str(path), "--tensor", "r1", "--word=++++++", "--trace")
+        with subprocess.Popen(
+            args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=60)
+        assert first == "walked word '++++++': PASS\n"
+        assert proc.returncode == 3
+        assert stderr == "error: standard output was closed\n"
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -42,7 +42,14 @@ from superybe import (
 )
 from superybe.fileformat import parse
 from superybe.graded import rat, relabel_domain, vec_is_zero
-from superybe.oop import _defect, _pairs, _Poly, oop_defect
+from superybe.oop import (
+    GRID_SEARCH_SOLUTIONS_CAP,
+    _compiled,
+    _defect,
+    _pairs,
+    _Poly,
+    oop_defect,
+)
 
 from conftest import _count_calls, equivalence_cases, random_homogeneous_map
 from oracles import first_principles_oop_ok
@@ -544,6 +551,80 @@ class TestPrunedSearch:
         assert len(found) == 153
 
 
+def _free_positions(g, rho, parity):
+    """The free positions (k, i) of maps of the given parity, row-major."""
+    V, cod = rho.space, g.space
+    return [
+        (k, i)
+        for k in range(cod.dim)
+        for i in range(V.dim)
+        if cod.parities[k] == V.parities[i] ^ parity
+    ]
+
+
+class TestCanonicalSearchOutput:
+    """The search writes each map once, straight from its digits; the maps
+    are the ones the public constructor builds, in the scan's order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOG)),
+        parity=st.integers(0, 1),
+        nonzero=st.lists(st.sampled_from(NONZERO_POOL), min_size=1, max_size=2, unique=True),
+        zero=st.booleans(),
+    )
+    def test_maps_order_and_tests_are_canonical(self, name, parity, nonzero, zero):
+        g, rho = CATALOG[name]
+        entries = [*nonzero, Fraction(0)] if zero else nonzero
+        found = grid_search_oops(g, rho, parity, entries)
+        for t in found:
+            fresh = GradedLinearMap(rho.space, g.space, parity, t.matrix)
+            assert t == fresh and hash(t) == hash(fresh)
+        positions = _free_positions(g, rho, parity)
+        order, tests = _compiled(rho, parity, positions)
+        assert sorted(order) == sorted(positions) and len(tests) == len(order)
+        for d, at_depth in enumerate(tests):
+            for a, l, q in at_depth:
+                assert l or q  # the test holds x_d ...
+                earlier = [x for _, *xs in a for x in xs] + [x for _, x in l]
+                assert all(x < d for x in earlier)  # ... and no later variable
+        assert found == scan_search(g, rho, parity, entries)
+
+
+class TestSolutionsCap:
+    """GRID_SEARCH_SOLUTIONS_CAP bounds what a search returns.  An abelian
+    algebra acting trivially prunes nothing: every candidate solves."""
+
+    @staticmethod
+    def abelian_trivial(dim_g, dim_v):
+        g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=[f"a{n}" for n in range(dim_g)]), {})
+        return g, trivial_rep(g, SuperSpace.make(even=[f"u{n}" for n in range(dim_v)]))
+
+    def test_one_solution_past_the_cap_is_refused_before_any_map(self, monkeypatch):
+        g, rho = self.abelian_trivial(2, 3)  # 6 free positions, 2^6 solutions
+        monkeypatch.setattr("superybe.oop.GRID_SEARCH_SOLUTIONS_CAP", 2**6)
+        assert len(grid_search_oops(g, rho, EVEN, (0, 1))) == 2**6
+        monkeypatch.setattr("superybe.oop.GRID_SEARCH_SOLUTIONS_CAP", 2**6 - 1)
+        built, original = [], GradedLinearMap._trusted
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(GradedLinearMap, "_trusted", staticmethod(counting))
+        with pytest.raises(GridSearchCapExceeded, match=f"solutions cap {2**6 - 1}$"):
+            grid_search_oops(g, rho, EVEN, (0, 1))
+        assert built == []
+
+    def test_the_cap_refuses_the_abelian_grid(self):
+        # 20 free positions over {0, 1}: 2^20 candidates, within the grid
+        # cap, and every one a solution
+        g, rho = self.abelian_trivial(4, 5)
+        assert 2**20 > GRID_SEARCH_SOLUTIONS_CAP
+        with pytest.raises(GridSearchCapExceeded, match=f"solutions cap {GRID_SEARCH_SOLUTIONS_CAP}"):
+            grid_search_oops(g, rho, EVEN, (0, 1))
+
+
 class TestDefectKernel:
     """oop_defect and the defect table of is_oop against the dense formula."""
 
@@ -1028,7 +1109,9 @@ class TestCompiledPolynomials:
                     g, rho, parity, entries
                 )
         tests = fresh._grid_tests
-        assert sorted(tests) == [EVEN, ODD] and all(len(tests[p]) == 6 for p in tests)
+        # each parity keeps (order, tests): six free positions, one depth each
+        assert sorted(tests) == [EVEN, ODD]
+        assert all(len(order) == len(depths) == 6 for order, depths in tests.values())
         # every polynomial of each parity was compiled on the first search
         asked = len(compiled)
         grid_search_oops(g, fresh, EVEN, (-2, -1, 0, 1, 2))

@@ -644,6 +644,38 @@ def _assert_derived_views_are_fresh(t, rho):
             _assert_seeded_tensor(_step(r, letter).tensor)
 
 
+
+class TestDirectWriters:
+    """`induced_coadjoint_operator` writes T_{r_T} straight from T's
+    entries, and the dual variant reads T's columns through the
+    suspension's permutation; both give what the two-step constructions
+    give, views included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=st.sampled_from(CATALOG_REPS),
+        parity=st.integers(0, 1),
+        variant=st.sampled_from(["plain", "dual"]),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_the_induced_operator_is_t_r_of_the_induced_tensor(self, rho, parity, variant, rnd):
+        t = _fractional_map(rnd, rho, parity)
+        op = induced_coadjoint_operator(t, rho, variant)
+        read = rmatrix_to_operator(operator_to_rmatrix(t, rho, variant))
+        assert op == read and op._cleared == read._cleared
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=st.sampled_from(CATALOG_REPS),
+        parity=st.integers(0, 1),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_the_dual_tensor_is_the_plain_tensor_of_the_suspension(self, rho, parity, rnd):
+        t = _fractional_map(rnd, rho, parity)
+        dual = operator_to_rmatrix(t, rho, "dual")
+        plain = operator_to_rmatrix(suspend_map(t), parity_reverse_rep(rho), "plain")
+        assert dual == plain and dual.tensor._cleared == plain.tensor._cleared
+
 class TestSeededViews:
     """The derived objects of the correspondence inherit their source's
     integer view, with the same D and the same signs, and are never
