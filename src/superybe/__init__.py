@@ -32,10 +32,15 @@ establishes it; a kernel assumes nothing that is not listed.
                              r pan-supersymmetric    not checked: the caller
                              over a Lie g, for       (beta_cocycle_check's
                              the theorem             docstring)
-    rmatrix.hierarchy_trace  g Lie; r a pan-         hierarchy_trace, once,
-                             supersymmetric          before the first step;
-                             solution over g         each level by theorem,
-                                                     with the root's report
+    rmatrix.hierarchy_trace  g Lie                   hierarchy_trace, once
+                                                     per algebra value
+                                                     (rmatrix._level), before
+                                                     the first step
+                             r a pan-supersymmetric  hierarchy_trace, on
+                             solution over g         every call, before the
+                                                     first step
+                             each level Lie and a    by theorem, with the
+                             solution                root's report
                                                      (liesuper._semidirect)
     prelie.product_from_oop  T an O-operator for     oop_holds, at its entry
                              rho, on one algebra

@@ -220,10 +220,13 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
 
 
 # the semidirect hosts depend only on the representation, not on the
-# operator; cache them so bulk verdict checks build each host once.  The
-# bound keeps a caller that generates representations from holding every
-# host: bulk checks reuse a few (perfbench's equivalence workload warms
-# 6 representations per variant).
+# operator, and a hierarchy level's host only on the root algebra and the
+# word prefix, not on the tensor; cache them so bulk verdict checks and
+# repeated walks build each host once.  The bound keeps a caller that
+# generates representations or algebras from holding every host: bulk
+# checks reuse a few (perfbench's equivalence workload warms 6
+# representations per variant, and its hierarchy workload walks 14
+# (algebra, prefix) hosts per pass).
 HOST_CACHE_SIZE = 32
 
 
@@ -414,35 +417,60 @@ class HierarchyCapExceeded(Exception):
 HIERARCHY_DIM_CAP = 256
 
 
+def _host(g: LieSuperAlgebra, letter: str):
+    """The host of the level after any tensor over g, with what places
+    the tensor in it: (h, alg_pos, mod_pos, module parities, perm).  h is
+    g |x_ad g for '+' and g |x_{ad^s} sg for '-'; perm is the suspension's
+    permutation for '-' and None for '+'.  The letter picks only the
+    module space and the action table; both letters then make the same
+    `_semidirect` call."""
+    if letter == "+":
+        # ad(e_a) e_j = [e_a, e_j] is the bracket table's cell (a, j)
+        V, perm, action = g.space, None, g.nonzero
+    else:
+        # the parity reverse of the adjoint's table
+        V, perm = g.space.suspended_with_permutation()
+        action = _reversed_table(g.space.parities, g.nonzero, perm)
+    return (*_semidirect(g, V, action), V.parities, perm)
+
+
+@lru_cache(maxsize=HOST_CACHE_SIZE)
+def _level(root: LieSuperAlgebra, prefix: str):
+    """The host after the letters of prefix from root, as `_host` gives
+    it, its algebra first; (root,) for the empty prefix.  A key hashes
+    only root and a short string, so an algebra equal to one already
+    walked is that same object, with its kept report and views."""
+    if not prefix:
+        return (root,)
+    return _host(_level(root, prefix[:-1])[0], prefix[-1])
+
+
 # each step takes g to a semidirect product of g with a representation,
 # again a Lie superalgebra, so once hierarchy_trace has checked the root,
-# `_semidirect` hands every level the root's passing report: no level is checked
-def _step(r: RMatrix, letter: str) -> RMatrix:
+# `_semidirect` hands every level the root's passing report: no level is
+# checked.  The host depends only on g and the letter, so hierarchy_trace
+# shares it between walks through `_level`; the tensor is written per call
+def _step(r: RMatrix, letter: str, host=None) -> RMatrix:
     """The level after r: the induced tensor of the operator r defines, in
     g |x_ad g for '+', or of its parity dual, in g |x_{ad^s} sg for '-'.
-    The letter picks only the module space, the action table, the tensor
-    entries and the parity; both letters then make the same `_semidirect`
-    and `_pan_supersymmetric_tensor` calls, and neither builds a map."""
-    g = r.algebra
+    host is `_host(r.algebra, letter)`, built when not given.  The letter
+    picks only the tensor entries and the parity; both letters then make
+    the same `_pan_supersymmetric_tensor` call, and neither builds a map."""
+    h, alg_pos, mod_pos, module_parities, perm = host or _host(r.algebra, letter)
     # each slot with its value in r's integer view
     D, ints = r.tensor._cleared
     slots = ((ji, a, b) for (ji, a), (_, b) in zip(r.tensor.entries, ints))
     if letter == "+":
-        # ad(e_a) e_j = [e_a, e_j] is the bracket table's cell (a, j), and
         # coefficient a_ji sits at tensor slot (j, i)
-        V, action, entries, parity = g.space, g.nonzero, slots, r.parity
+        entries, parity = slots, r.parity
     else:
-        # the parity reverse of the adjoint's table; slot (j, i) moves to
-        # (j, si) with the sign (-1)^{|e_i|}
-        P = g.space.parities
-        V, perm = g.space.suspended_with_permutation()
-        action = _reversed_table(P, g.nonzero, perm)
+        # slot (j, i) moves to (j, si) with the sign (-1)^{|e_i|}
+        P = r.space.parities
         entries = (
             ((j, perm[i]), -a, -b) if P[i] else ((j, perm[i]), a, b) for (j, i), a, b in slots
         )
         parity = r.parity ^ 1
-    h, alg_pos, mod_pos = _semidirect(g, V, action)
-    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, V.parities, D, entries, parity)
+    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, module_parities, D, entries, parity)
 
 
 def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
@@ -450,32 +478,44 @@ def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
 
     Requires a Lie superalgebra and a pan-supersymmetric solution of the
     super CYBE over it to start; every level then remains one, so the
-    levels are not checked again.  A word whose last level would pass
-    HIERARCHY_DIM_CAP dimensions is refused before any check.
+    levels are not checked again.  The root's Lie check runs once per
+    algebra value: an algebra equal to one already walked is read through
+    `_level` as that same object, with its kept report.  The tensor is
+    checked on every call.  The hosts are shared between walks over equal
+    algebras; each level's tensor is written from r's entries.  A word
+    longer than any walk under HIERARCHY_DIM_CAP can be, or whose last
+    level would pass it, is refused before any check.
     """
-    # dim g * 2^len(word) > cap, without forming 2^len(word) for a long word
+    longest = HIERARCHY_DIM_CAP.bit_length() - 1
     dim, steps = g.space.dim, len(word)
-    if dim and (steps >= HIERARCHY_DIM_CAP.bit_length() or dim << steps > HIERARCHY_DIM_CAP):
+    if steps > longest:
+        raise HierarchyCapExceeded(
+            f"a {steps}-letter word is longer than {longest} letters, the longest walk "
+            f"the dimension cap {HIERARCHY_DIM_CAP} admits"
+        )
+    if dim << steps > HIERARCHY_DIM_CAP:
         raise HierarchyCapExceeded(
             f"a {steps}-letter word over a dim-{dim} algebra ends above the dimension cap "
             f"{HIERARCHY_DIM_CAP}"
         )
     if r.algebra != g:
         raise ValueError("tensor does not live over the given algebra")
+    (g,) = _level(g, "")
     failures = check_lie_axioms(g).failures()
     if failures:
         item = failures[0]
         raise HierarchyError(f"the algebra is not a Lie superalgebra: {item.name} {item.detail}")
-    if not is_pan_supersymmetric(r):
+    # r over the walked object, whose kept views the CYBE check reads
+    current = RMatrix._trusted(g, r.tensor)
+    if not is_pan_supersymmetric(current):
         raise HierarchyError("the starting tensor is not pan-supersymmetric")
-    if not is_super_rmatrix(r):
+    if not is_super_rmatrix(current):
         raise HierarchyError("the starting tensor does not solve the super CYBE")
     levels = []
-    current = r
-    for letter in word:
+    for depth, letter in enumerate(word, start=1):
         if letter not in ("+", "-"):
             raise HierarchyError(f"hierarchy word letters must be + or -, got {letter!r}")
-        current = _step(current, letter)
+        current = _step(current, letter, _level(g, word[:depth]))
         levels.append(current)
     return levels
 

@@ -285,6 +285,22 @@ class TestHierarchy:
         assert err.count("\n") == 1 and "dimension cap 256" in err
         assert semidirect_products == []
 
+    def test_long_word_over_a_dim_zero_algebra_exits_two(self, tmp_path, semidirect_products, capsys):
+        # no level of a dim-0 algebra passes the dimension cap, so the
+        # refusal is by length alone, and claims no overflow
+        path = tmp_path / "empty.sy"
+        path.write_text("[space]\neven =\nodd =\n\n[bracket]\n\n[tensor r]\n")
+        assert main(["hierarchy", str(path), "--tensor", "r", "--word", "+" * 8]) == 0
+        capsys.readouterr()
+        semidirect_products.clear()
+        for steps in (9, 20_000):
+            assert main(["hierarchy", str(path), "--tensor", "r", "--word", "+" * steps]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"a {steps}-letter word is longer than 8 letters" in err
+            assert "dim-0" not in err and "ends above" not in err
+        assert semidirect_products == []
+
     def test_malformed_word_exits_two(self, ex32_file):
         assert main(["hierarchy", ex32_file, "--tensor", "r0", "--word", "+x"]) == 2
 

@@ -26,6 +26,8 @@ from superybe import (
     classify_form,
     coadjoint,
     extend_to_double,
+    fileformat,
+    fixture_document,
     fixture_names,
     hierarchy_trace,
     hierarchy_walk,
@@ -53,6 +55,7 @@ from superybe.rmatrix import (
     HOST_CACHE_SIZE,
     _beta,
     _dual_semidirect,
+    _level,
     _plain_semidirect,
     _step,
 )
@@ -517,6 +520,7 @@ class TestOperatorToRMatrix:
         merges = _count_calls(monkeypatch, "superybe.graded", "merge_spaces")
         fx = load_fixture("ex4.4")
         g, r = fx.parts["algebra"], fx.parts["r1"]
+        _level.cache_clear()
         for word, module in (("+", g.space), ("-", g.space.suspended())):
             merges.clear()
             hierarchy_trace(g, r, word)
@@ -1111,6 +1115,88 @@ class TestHierarchy:
             hierarchy_trace(g, bad, "+" * 8)
         assert semidirect_products == []
 
+    def test_long_word_over_a_dim_zero_algebra_refused_before_any_step(self, semidirect_products):
+        # a dim-0 algebra never reaches the dimension cap; its walks are
+        # bounded by the longest one a nonzero algebra can take
+        g = LieSuperAlgebra.from_brackets(SuperSpace.make(), {})
+        zero = RMatrix.from_terms(g, {})
+        assert [level.algebra.dim for level in hierarchy_trace(g, zero, "+-" * 4)] == [0] * 8
+        semidirect_products.clear()
+        for steps in (9, 20_000):
+            with pytest.raises(HierarchyCapExceeded) as refused:
+                hierarchy_trace(g, zero, "+" * steps)
+            message = str(refused.value)
+            assert f"a {steps}-letter word is longer than 8 letters" in message
+            assert "ends above" not in message
+        assert semidirect_products == []
+
+    def test_a_walk_over_an_equal_algebra_builds_and_checks_nothing(
+        self, monkeypatch, semidirect_products
+    ):
+        # the second parse is another algebra object, equal to the first:
+        # its walk reads the first one's hosts and kept report
+        text = fileformat.emit(fixture_document("ex4.4"))
+        first, second = fileformat.parse(text), fileformat.parse(text)
+        assert first.algebra == second.algebra and first.algebra is not second.algebra
+        jacobi = _count_calls(monkeypatch, "superybe.liesuper", "_hom_failures")
+
+        def walk(doc):
+            return hierarchy_trace(doc.algebra, RMatrix(doc.algebra, doc.tensors["r1"]), "+-")
+
+        _level.cache_clear()
+        semidirect_products.clear()
+        cold = walk(first)
+        assert len(semidirect_products) == 2 and len(jacobi) == 1
+        semidirect_products.clear()
+        jacobi.clear()
+        warm = walk(second)
+        assert semidirect_products == [] and jacobi == []
+        assert warm == cold
+        assert all(w.algebra is c.algebra for w, c in zip(warm, cold))
+
+    def test_level_cache_stays_bounded(self):
+        # 40 distinct algebras [a, b] = n b, each walked along "+-", ask
+        # for 120 (algebra, prefix) keys
+        space = SuperSpace.make(even=["a"], odd=["b"])
+        misses = _level.cache_info().misses
+        for n in range(1, 41):
+            g = LieSuperAlgebra.from_brackets(space, {("a", "b"): {"b": n}})
+            hierarchy_trace(g, RMatrix.from_terms(g, {}), "+-")
+        info = _level.cache_info()
+        assert info.misses - misses == 120
+        assert info.maxsize == HOST_CACHE_SIZE
+        assert info.currsize <= HOST_CACHE_SIZE
+
+    def test_an_algebra_already_walked_still_refuses_a_bad_start(self):
+        fx = load_fixture("ex4.4")
+        level = hierarchy_walk(fx.parts["algebra"], fx.parts["r1"], "+")
+        h = level.algebra
+        hierarchy_trace(h, level, "+")
+        # the walked object and an unchecked equal copy
+        for algebra in (h, LieSuperAlgebra._trusted(h.space, h.nonzero)):
+            terms = {
+                ("(e,0)", "(0,e)"): 1,
+                ("(0,e)", "(e,0)"): -1,
+                ("(f,0)", "(f,0)"): 1,
+                ("(0,f)", "(0,f)"): 1,
+            }
+            not_solution = RMatrix.from_terms(algebra, terms, parity=EVEN)
+            assert is_pan_supersymmetric(not_solution)
+            with pytest.raises(HierarchyError, match="does not solve"):
+                hierarchy_trace(algebra, not_solution, "+")
+            not_pan = RMatrix.from_terms(algebra, {("(e,0)", "(e,0)"): 1})
+            with pytest.raises(HierarchyError, match="pan-supersymmetric"):
+                hierarchy_trace(algebra, not_pan, "+")
+        # an algebra that fails Jacobi is refused on every walk, whichever
+        # equal copy is given
+        space = SuperSpace.make(even=["x", "y", "z"])
+        brackets = {("x", "y"): {"z": 1}, ("y", "z"): {"y": 1}}
+        for _ in range(2):
+            bad = LieSuperAlgebra.from_brackets(space, brackets)
+            for _ in range(2):
+                with pytest.raises(HierarchyError, match="super Jacobi"):
+                    hierarchy_trace(bad, RMatrix.from_terms(bad, {}), "+")
+
     def test_trace_letters_compose(self):
         fx = load_fixture("ex4.4")
         g = fx.parts["algebra"]
@@ -1119,6 +1205,30 @@ class TestHierarchy:
         step1 = hierarchy_walk(g, r, "+")
         assert levels[0] == step1
         assert levels[1] == hierarchy_walk(step1.algebra, step1, "-")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.sampled_from(("r0", "r1")),
+    scale=st.fractions(-4, 4, max_denominator=6).filter(bool),
+    word=st.text("+-", max_size=4),
+)
+def test_a_warm_walk_is_the_cold_walk(start, scale, word):
+    # a walk whose hosts come from the level cache, over an equal copy of
+    # the algebra, equals the walk that builds them, level for level
+    fx = load_fixture("ex4.4")
+    g = fx.parts["algebra"]
+    r = RMatrix(g, fx.parts[start].tensor.scale(scale))
+    hierarchy_trace(g, r, word)
+    twin = LieSuperAlgebra._trusted(g.space, g.nonzero)
+    warm = hierarchy_trace(twin, RMatrix(twin, r.tensor), word)
+    _level.cache_clear()
+    cold = hierarchy_trace(g, r, word)
+    assert len(warm) == len(cold) == len(word)
+    for w, c in zip(warm, cold):
+        assert w.algebra == c.algebra
+        assert w.tensor == c.tensor
+        assert w.tensor._cleared == c.tensor._cleared
 
 
 def _printed_sl11_pair(parts, l1, l2, l3, l4):

@@ -70,7 +70,7 @@ from superybe import (
 from superybe.graded import merge_spaces, relabel_domain, sign, suspend_label
 from superybe.liesuper import _semidirect, _sparse_table
 from superybe.reps import IsoSearchResult, intertwiner_space
-from superybe.rmatrix import _pan_supersymmetric_tensor, _step
+from superybe.rmatrix import _level, _pan_supersymmetric_tensor, _step
 
 import oracles
 from conftest import _count_calls, equivalence_cases, random_pan_supersymmetric
@@ -1121,6 +1121,9 @@ def test_derived_spaces_are_built_once(monkeypatch):
 
 def test_hierarchy_levels_hold_no_dense_table():
     ex44 = load_fixture("ex4.4").parts
+    # walks over equal algebras share their hosts, and another test may
+    # have built a view on one
+    _level.cache_clear()
     tracemalloc.start()
     try:
         levels = hierarchy_trace(ex44["algebra"], ex44["r1"], "++++++")
