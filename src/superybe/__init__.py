@@ -32,7 +32,10 @@ establishes it; a kernel assumes nothing that is not listed.
                              r pan-supersymmetric    not checked: the caller
                              over a Lie g, for       (beta_cocycle_check's
                              the theorem             docstring)
-    rmatrix.hierarchy_trace  g Lie                   hierarchy_trace, once
+    rmatrix.hierarchy_trace  word of + and - only    hierarchy_trace, before
+                                                     the root checks and
+                                                     any host
+                             g Lie                   hierarchy_trace, once
                                                      per algebra value
                                                      (rmatrix._level), before
                                                      the first step

@@ -382,43 +382,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
         p.add_argument("--json", action="store_true", help="machine-readable report")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("validate", help="axiom and representation checks")
     p.add_argument("file")
-    common(p)
+    common(p, _cmd_validate)
 
     p = sub.add_parser("check-oop", help="O-operator identity with defect table")
     p.add_argument("file")
     p.add_argument("--map", required=True)
     p.add_argument("--rep", required=True)
-    common(p)
+    common(p, _cmd_check_oop)
 
     p = sub.add_parser("check-cybe", help="super CYBE defect of a tensor")
     p.add_argument("file")
     p.add_argument("--tensor", required=True)
-    common(p)
+    common(p, _cmd_check_cybe)
 
     p = sub.add_parser("dualize", help="emit the parity-dual candidate")
     p.add_argument("file")
     p.add_argument("--map", required=True)
     p.add_argument("--rep", required=True)
-    common(p)
+    common(p, _cmd_dualize)
 
     p = sub.add_parser("build-rmatrix", help="induced tensor in a semidirect product")
     p.add_argument("file")
     p.add_argument("--map", required=True)
     p.add_argument("--rep", required=True)
     p.add_argument("--variant", choices=["plain", "dual"], default="plain")
-    common(p)
+    common(p, _cmd_build_rmatrix)
 
     p = sub.add_parser("hierarchy", help="walk the +/- tree of tensors")
     p.add_argument("file")
     p.add_argument("--tensor", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--trace", action="store_true", help="emit every level")
-    common(p)
+    common(p, _cmd_hierarchy)
 
     p = sub.add_parser("prelie", help="pre-Lie constructions")
     p.add_argument("file")
@@ -426,33 +427,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prelie", default=None)
     p.add_argument("--map", default=None)
     p.add_argument("--rep", default=None)
-    common(p)
+    common(p, _cmd_prelie)
 
     p = sub.add_parser("search", help="grid search for O-operators")
     p.add_argument("file")
     p.add_argument("--rep", required=True)
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--entries", required=True, help="comma-separated rationals")
-    common(p)
+    common(p, _cmd_search)
 
     p = sub.add_parser("demo", help="run a catalog fixture's expectations")
     p.add_argument("name")
-    common(p)
+    common(p, _cmd_demo)
 
     return parser
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "check-oop": _cmd_check_oop,
-    "check-cybe": _cmd_check_cybe,
-    "dualize": _cmd_dualize,
-    "build-rmatrix": _cmd_build_rmatrix,
-    "hierarchy": _cmd_hierarchy,
-    "prelie": _cmd_prelie,
-    "search": _cmd_search,
-    "demo": _cmd_demo,
-}
 
 
 def _run(argv) -> int:
@@ -463,7 +451,7 @@ def _run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     reporter = Reporter(getattr(args, "json", False))
     try:
-        _HANDLERS[args.command](args, reporter)
+        args.handler(args, reporter)
     except (FormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

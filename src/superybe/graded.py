@@ -524,17 +524,23 @@ class GradedLinearMap(_Stored, table="nonzero", depth=1):
         return _block_nonsingular(self.codomain, self.domain, self.parity, ints)
 
 
+def _suspended_columns(t: GradedLinearMap) -> "tuple[int, tuple, tuple]":
+    """(D, columns, integer view) of T^s: T's, moved along the suspension's
+    permutation of its domain, for readers that build no T^s."""
+    _, perm = t.domain.suspended_with_permutation()
+    D, ints = t._cleared
+    cols, icols = [()] * len(perm), [()] * len(perm)
+    for i, p in enumerate(perm):
+        cols[p], icols[p] = t.nonzero[i], ints[i]
+    return D, tuple(cols), tuple(icols)
+
+
 def suspend_map(t: GradedLinearMap) -> GradedLinearMap:
     """T^s(su) = T(u): same images, suspended domain, parity flipped; its
     integer view is T's, its columns moved the same way."""
-    sdom, perm = t.domain.suspended_with_permutation()
-    D, ints = t._cleared
-    cols, icols = [()] * sdom.dim, [()] * sdom.dim
-    for i, p in enumerate(perm):
-        cols[p] = t.nonzero[i]
-        icols[p] = ints[i]
-    s = GradedLinearMap._trusted(sdom, t.codomain, t.parity ^ 1, tuple(cols))
-    return linalg._with_view(s, (D, tuple(icols)))
+    D, cols, icols = _suspended_columns(t)
+    s = GradedLinearMap._trusted(t.domain.suspended(), t.codomain, t.parity ^ 1, cols)
+    return linalg._with_view(s, (D, icols))
 
 
 def dual_map(t: GradedLinearMap) -> GradedLinearMap:

@@ -478,8 +478,9 @@ def classify_form(beta: BilinearForm, g: LieSuperAlgebra) -> FormFlags:
 def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
     """g |x V with [(x,u), (y,v)] = ([x,y], rho(x)v - (-1)^{|u||y|} rho(y)u),
     for the action table `action`: action[a][i] holds the nonzero pairs
-    (k, x) of rho(e_a) v_i in ascending k.  Returns the host with the
-    positions of its algebra and module slots.
+    (k, x) of rho(e_a) v_i in ascending k.  Returns the host shape of every
+    semidirect construction, (h, alg_pos, mod_pos, module_parities): h, the
+    positions of its algebra and module slots, and V's parities.
 
     Basis order: g first, then the module, re-sorted into canonical parity
     blocks; colliding labels take pair notation as in `merge_spaces`.  Both
@@ -509,7 +510,7 @@ def _semidirect(g: LieSuperAlgebra, V: SuperSpace, action):
     host = LieSuperAlgebra._trusted(total, tuple(map(tuple, rows)))
     if "_report" in vars(g) and g._report.ok:
         vars(host)["_report"] = g._report
-    return host, alg_embed, mod_embed
+    return host, alg_embed, mod_embed, V.parities
 
 
 def semidirect_product(g: LieSuperAlgebra, rho: "Representation") -> LieSuperAlgebra:

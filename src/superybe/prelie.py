@@ -58,7 +58,8 @@ class PreLieSuperAlgebra(_Stored, table="nonzero", depth=2):
     array once and keeps no copy; constructions use `_from_entries`,
     which builds through `_trusted`.  The dense `product` view is built
     on first read; the hash and the integer view `_cleared`, which the
-    left-symmetry check reads, are `_Stored`'s.
+    left-symmetry check reads, are `_Stored`'s.  `check_prelie` verifies a
+    product once per object and keeps the report, as `_report`.
     """
 
     space: SuperSpace
@@ -107,7 +108,10 @@ def check_prelie(a: PreLieSuperAlgebra) -> CheckReport:
     """Grading of the product, and (for shift 0) left-symmetry of the
     associator on all basis triples; each reports its first offending
     triple.  Left-symmetry is checked as `subadjacent`'s bracket having
-    left multiplication as a representation, by `liesuper._hom_failures`."""
+    left multiplication as a representation, by `liesuper._hom_failures`.
+    Kept on a as `_report`, as `check_lie_axioms` keeps an algebra's."""
+    if "_report" in vars(a):
+        return a._report
     L = a.space.labels
     grading = (
         f"{L[i]} {L[j]} has a component along {L[k]} of wrong parity"
@@ -119,7 +123,8 @@ def check_prelie(a: PreLieSuperAlgebra) -> CheckReport:
             f"fails at triple ({L[i]}, {L[j]}, {L[k]})" for i, j, k in _left_symmetry_failures(a)
         )
         items.append(_first_failure("left-symmetric associator", associator))
-    return CheckReport(tuple(items))
+    vars(a)["_report"] = CheckReport(tuple(items))
+    return a._report
 
 
 def _commutator_entries(Q, table):
@@ -158,15 +163,19 @@ def shifted_left_symmetry_holds(a: PreLieSuperAlgebra) -> bool:
 
 
 def subadjacent(a: PreLieSuperAlgebra) -> LieSuperAlgebra:
-    """[x, y] = xy - (-1)^{|x||y|} yx in structure constants.  The algebra
-    keeps no `check_lie_axioms` report: `superybe prelie subadjacent`
-    prints that check as its verdict."""
+    """[x, y] = xy - (-1)^{|x||y|} yx in structure constants, kept once per
+    product object as `_subadjacent`, as `adjoint` keeps an algebra's.  The
+    algebra is given no `check_lie_axioms` report: `superybe prelie
+    subadjacent` prints that check as its verdict."""
     if a.parity_shift != EVEN:
         raise ValueError("only a genuine (shift 0) product has a sub-adjacent bracket")
     report = check_prelie(a)
     if not report.ok:
         raise ValueError(f"invalid pre-Lie product: {report.failures()[0].detail}")
-    return LieSuperAlgebra._from_entries(a.space, _commutator_entries(a.space.parities, a.nonzero))
+    if "_subadjacent" not in vars(a):
+        entries = _commutator_entries(a.space.parities, a.nonzero)
+        vars(a)["_subadjacent"] = LieSuperAlgebra._from_entries(a.space, entries)
+    return a._subadjacent
 
 
 def left_regular_rep(a: PreLieSuperAlgebra) -> Representation:

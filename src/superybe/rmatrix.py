@@ -25,6 +25,7 @@ from .graded import (
     Tensor2,
     Tensor3,
     _block_inverse,
+    _suspended_columns,
     suspend_map,
 )
 from .liesuper import BilinearForm, LieSuperAlgebra, _semidirect, check_lie_axioms
@@ -219,42 +220,40 @@ def operator_to_tensor(t: GradedLinearMap) -> Tensor2:
 # O-operator -> r-matrix in a semidirect product
 
 
-# the semidirect hosts depend only on the representation, not on the
-# operator, and a hierarchy level's host only on the root algebra and the
-# word prefix, not on the tensor; cache them so bulk verdict checks and
-# repeated walks build each host once.  The bound keeps a caller that
-# generates representations or algebras from holding every host: bulk
-# checks reuse a few (perfbench's equivalence workload warms 6
-# representations per variant, and its hierarchy workload walks 14
-# (algebra, prefix) hosts per pass).
+# every host has `_semidirect`'s shape (h, alg_pos, mod_pos, module_parities),
+# and the dual host of rho is the plain host of rho^s.  A host depends only
+# on the representation, or a level's only on the root algebra and the word
+# prefix; cache them so bulk verdict checks and repeated walks build each
+# host once.  The bound keeps a caller that generates representations or
+# algebras from holding every host: bulk checks reuse a few (perfbench's
+# equivalence workload warms 6 representations per variant, and its
+# hierarchy workload walks 14 (algebra, prefix) hosts per pass).
 HOST_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
 def _plain_semidirect(rho: Representation):
-    """g |x_{rho*} V*, the host of the plain construction, with the
-    positions of its algebra and module slots."""
+    """g |x_{rho*} V*, the host of the plain construction."""
     drho = dual_rep(rho)
     return _semidirect(rho.algebra, drho.space, drho.nonzero)
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
 def _dual_semidirect(rho: Representation):
-    """The host of (rho^s) and its slot positions, with rho^s itself."""
-    srho = parity_reverse_rep(rho)
-    drho = dual_rep(srho)
-    return (*_semidirect(rho.algebra, drho.space, drho.nonzero), srho)
+    """The host of the dual construction, g |x_{(rho^s)*} (sV)*: rho^s's plain host."""
+    return _plain_semidirect.__wrapped__(parity_reverse_rep(rho))
 
 
-def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, D, entries, parity):
+def _pan_supersymmetric_tensor(host, D, entries, parity):
     """The sum over the entries ((k, i), x, y) of
     x (e_k (x) v_i* + (-1)^{(|r|+1)(|v_i|+1)} v_i* (x) e_k) in h, parity |r|,
-    where e_k and v_i* sit at positions alg_pos[k] and mod_pos[i] of h.
-    Algebra and module positions are disjoint, so no two terms share a slot.
+    where host = (h, alg_pos, mod_pos, |v|) puts e_k at alg_pos[k] and v_i*
+    at mod_pos[i]: disjoint positions, so no two terms share a slot.
     The entries are every nonzero x of a source map or tensor, with y = D x
     from the source's integer view; the tensor's view is written from the y.
     The host fixes the spaces and the parity of every term is |r|, so the
     r-matrix is built through `RMatrix._trusted`."""
+    h, alg_pos, mod_pos, mod_parities = host
     slots = []
     for (k, i), x, y in entries:
         p, q = alg_pos[k], mod_pos[i]
@@ -268,24 +267,18 @@ def _pan_supersymmetric_tensor(h, alg_pos, mod_pos, mod_parities, D, entries, pa
 
 
 def _induced_source(t: GradedLinearMap, rho: Representation, variant: str):
-    """What both induced constructions read of (T, rho): the host h with
-    its slot positions, the module's parities, the parity of r, and T's
-    columns with their integer view at scale D, as the plain construction
-    reads them.  The dual variant's are those of (T^s, rho^s): T's
-    columns moved along `suspended_with_permutation`, with no T^s built."""
+    """What both induced constructions read of (T, rho): (host, parity, D,
+    cols, icols), the host, the parity of r, and T's columns with their
+    integer view at scale D, as the plain construction reads them.  The
+    dual variant's are those of (T^s, rho^s): T's columns moved as
+    `suspend_map` moves them, with no T^s built."""
     _check_candidate(t, rho)
-    D, ints = t._cleared
     if variant == "plain":
-        h, alg_pos, mod_pos = _plain_semidirect(rho)
-        return h, alg_pos, mod_pos, rho.space.parities, t.parity, D, t.nonzero, ints
+        D, ints = t._cleared
+        return _plain_semidirect(rho), t.parity, D, t.nonzero, ints
     if variant != "dual":
         raise ValueError(f"unknown variant {variant!r}")
-    h, alg_pos, mod_pos, srho = _dual_semidirect(rho)
-    _, perm = rho.space.suspended_with_permutation()
-    cols, icols = [()] * len(perm), [()] * len(perm)
-    for i, p in enumerate(perm):
-        cols[p], icols[p] = t.nonzero[i], ints[i]
-    return h, alg_pos, mod_pos, srho.space.parities, t.parity ^ 1, D, cols, icols
+    return _dual_semidirect(rho), t.parity ^ 1, *_suspended_columns(t)
 
 
 def operator_to_rmatrix(
@@ -302,14 +295,14 @@ def operator_to_rmatrix(
     The tensor solves the super CYBE exactly when T satisfies the
     O-operator identity.
     """
-    h, alg_pos, mod_pos, P, parity, D, cols, icols = _induced_source(t, rho, variant)
+    host, parity, D, cols, icols = _induced_source(t, rho, variant)
     # T v_i has coordinate x = T[k][i] along e_k, and D x in T's integer view
     entries = [
         ((k, i), x, y)
         for i, (col, icol) in enumerate(zip(cols, icols))
         for (k, x), (_, y) in zip(col, icol)
     ]
-    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, P, D, entries, parity)
+    return _pan_supersymmetric_tensor(host, D, entries, parity)
 
 
 def induced_coadjoint_operator(
@@ -329,7 +322,7 @@ def induced_coadjoint_operator(
     for the coadjoint representation of h exactly when T satisfies the
     identity.
     """
-    h, alg_pos, mod_pos, P, parity, D, cols, icols = _induced_source(t, rho, variant)
+    (h, alg_pos, mod_pos, P), parity, D, cols, icols = _induced_source(t, rho, variant)
     H = h.space.parities
     out, iout = [[] for _ in H], [[] for _ in H]
     for i, (col, icol) in enumerate(zip(cols, icols)):
@@ -418,20 +411,16 @@ HIERARCHY_DIM_CAP = 256
 
 
 def _host(g: LieSuperAlgebra, letter: str):
-    """The host of the level after any tensor over g, with what places
-    the tensor in it: (h, alg_pos, mod_pos, module parities, perm).  h is
-    g |x_ad g for '+' and g |x_{ad^s} sg for '-'; perm is the suspension's
-    permutation for '-' and None for '+'.  The letter picks only the
-    module space and the action table; both letters then make the same
-    `_semidirect` call."""
+    """The host of the level after any tensor over g, in `_semidirect`'s
+    shape: g |x_ad g for '+' and g |x_{ad^s} sg for '-'.  The letter picks
+    only the module space and the action table, written with no integer
+    view; both letters then make the same `_semidirect` call."""
     if letter == "+":
         # ad(e_a) e_j = [e_a, e_j] is the bracket table's cell (a, j)
-        V, perm, action = g.space, None, g.nonzero
-    else:
-        # the parity reverse of the adjoint's table
-        V, perm = g.space.suspended_with_permutation()
-        action = _reversed_table(g.space.parities, g.nonzero, perm)
-    return (*_semidirect(g, V, action), V.parities, perm)
+        return _semidirect(g, g.space, g.nonzero)
+    # the parity reverse of the adjoint's table
+    V, perm = g.space.suspended_with_permutation()
+    return _semidirect(g, V, _reversed_table(g.space.parities, g.nonzero, perm))
 
 
 @lru_cache(maxsize=HOST_CACHE_SIZE)
@@ -450,13 +439,12 @@ def _level(root: LieSuperAlgebra, prefix: str):
 # `_semidirect` hands every level the root's passing report: no level is
 # checked.  The host depends only on g and the letter, so hierarchy_trace
 # shares it between walks through `_level`; the tensor is written per call
-def _step(r: RMatrix, letter: str, host=None) -> RMatrix:
+def _step(r: RMatrix, letter: str, host) -> RMatrix:
     """The level after r: the induced tensor of the operator r defines, in
     g |x_ad g for '+', or of its parity dual, in g |x_{ad^s} sg for '-'.
-    host is `_host(r.algebra, letter)`, built when not given.  The letter
-    picks only the tensor entries and the parity; both letters then make
-    the same `_pan_supersymmetric_tensor` call, and neither builds a map."""
-    h, alg_pos, mod_pos, module_parities, perm = host or _host(r.algebra, letter)
+    host is `_host(r.algebra, letter)`.  The letter picks only the tensor
+    entries and the parity; both letters then make the same
+    `_pan_supersymmetric_tensor` call, and neither builds a map."""
     # each slot with its value in r's integer view
     D, ints = r.tensor._cleared
     slots = ((ji, a, b) for (ji, a), (_, b) in zip(r.tensor.entries, ints))
@@ -465,12 +453,12 @@ def _step(r: RMatrix, letter: str, host=None) -> RMatrix:
         entries, parity = slots, r.parity
     else:
         # slot (j, i) moves to (j, si) with the sign (-1)^{|e_i|}
-        P = r.space.parities
+        P, (_, perm) = r.space.parities, r.space.suspended_with_permutation()
         entries = (
             ((j, perm[i]), -a, -b) if P[i] else ((j, perm[i]), a, b) for (j, i), a, b in slots
         )
         parity = r.parity ^ 1
-    return _pan_supersymmetric_tensor(h, alg_pos, mod_pos, module_parities, D, entries, parity)
+    return _pan_supersymmetric_tensor(host, D, entries, parity)
 
 
 def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
@@ -484,7 +472,8 @@ def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
     checked on every call.  The hosts are shared between walks over equal
     algebras; each level's tensor is written from r's entries.  A word
     longer than any walk under HIERARCHY_DIM_CAP can be, or whose last
-    level would pass it, is refused before any check.
+    level would pass it, is refused before any check, and then a word with
+    a letter other than + or - before the root's checks and any host.
     """
     longest = HIERARCHY_DIM_CAP.bit_length() - 1
     dim, steps = g.space.dim, len(word)
@@ -498,6 +487,9 @@ def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
             f"a {steps}-letter word over a dim-{dim} algebra ends above the dimension cap "
             f"{HIERARCHY_DIM_CAP}"
         )
+    bad = next((letter for letter in word if letter not in ("+", "-")), None)
+    if bad is not None:
+        raise HierarchyError(f"hierarchy word letters must be + or -, got {bad!r}")
     if r.algebra != g:
         raise ValueError("tensor does not live over the given algebra")
     (g,) = _level(g, "")
@@ -513,8 +505,6 @@ def hierarchy_trace(g: LieSuperAlgebra, r: RMatrix, word: str) -> list[RMatrix]:
         raise HierarchyError("the starting tensor does not solve the super CYBE")
     levels = []
     for depth, letter in enumerate(word, start=1):
-        if letter not in ("+", "-"):
-            raise HierarchyError(f"hierarchy word letters must be + or -, got {letter!r}")
         current = _step(current, letter, _level(g, word[:depth]))
         levels.append(current)
     return levels

@@ -312,12 +312,13 @@ def test_semidirect_cases_reach_dim_16_and_non_monotone_reversals():
 @given(name=st.sampled_from(sorted(_semidirect_cases())))
 def test_semidirect_table_matches_the_dense_formula(name):
     g, V, table, dense = _semidirect_cases()[name]
-    h, alg_pos, mod_pos = _semidirect(g, V, table)
+    h, alg_pos, mod_pos, module_parities = _semidirect(g, V, table)
     parities, structure, want_alg, want_mod = dense_semidirect(
         g.structure, g.space.parities, dense, V.parities
     )
     assert h.space.parities == parities
     assert (alg_pos, mod_pos) == (want_alg, want_mod)
+    assert module_parities == V.parities
     assert h.structure == structure
     assert h == LieSuperAlgebra(h.space, structure)
     for row in h.nonzero:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from superybe.liesuper import CheckItem
 from superybe.prelie import shifted_left_symmetry_holds
 
 import oracles
+from conftest import _count_calls
 
 
 class TestCheckPrelie:
@@ -162,6 +164,36 @@ class TestSubadjacent:
         fx = load_fixture("ex3.20")
         with pytest.raises(ValueError):
             subadjacent(fx.parts["dot"])
+
+
+class TestCheckedOnce:
+    """A product is verified once per object: `check_prelie` keeps its
+    report, and `subadjacent` its algebra, on the product."""
+
+    def test_the_closing_product_is_checked_once(self, monkeypatch):
+        kernels = _count_calls(monkeypatch, "superybe.prelie", "_left_symmetry_failures")
+        fx = load_fixture("closing-prelie")
+        star = fx.parts["prelie"]
+        g = subadjacent(star)
+        assert fx.parts["left_regular"].algebra is g and fx.parts["identity"].rep.algebra is g
+        assert left_regular_rep(star).algebra is g and check_prelie(star).ok
+        assert sum(args[0] is star for args in kernels) == 1
+
+    def test_a_bad_product_is_refused_on_every_call(self, monkeypatch):
+        kernels = _count_calls(monkeypatch, "superybe.prelie", "_left_symmetry_failures")
+        space = SuperSpace.make(even=["e"], odd=["f"])
+        products = {
+            ("e", "e"): {"e": 1},
+            ("e", "f"): {"f": 2},
+            ("f", "e"): {"f": 1},
+            ("f", "f"): {"e": -1},
+        }
+        bad = PreLieSuperAlgebra.from_products(space, products)
+        message = "invalid pre-Lie product: fails at triple (e, f, f)"
+        for build in (subadjacent, left_regular_rep, identity_oop, prelie_rmatrix_pair) * 2:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(bad)
+        assert len(kernels) == 1 and "_subadjacent" not in vars(bad)
 
 
 class TestLeftRegular:

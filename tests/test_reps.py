@@ -647,7 +647,7 @@ class TestTrustBoundary:
         checked = LieSuperAlgebra(space, structure)
         assert not check_lie_axioms(bad).ok and check_lie_axioms(checked).ok
         for g, seeded in ((bad, False), (unchecked, False), (checked, True)):
-            h, _, _ = _semidirect(g, g.space, g.nonzero)
+            h = _semidirect(g, g.space, g.nonzero)[0]
             assert ("_report" in vars(h)) == seeded
             if seeded:
                 assert check_lie_axioms(h) is check_lie_axioms(checked)

@@ -55,6 +55,7 @@ from superybe.rmatrix import (
     HOST_CACHE_SIZE,
     _beta,
     _dual_semidirect,
+    _host,
     _level,
     _plain_semidirect,
     _step,
@@ -645,7 +646,7 @@ def _assert_derived_views_are_fresh(t, rho):
         _assert_seeded_map(rmatrix_to_operator(r))
         _assert_seeded_map(induced_coadjoint_operator(t, rho, variant))
         for letter in "+-":
-            _assert_seeded_tensor(_step(r, letter).tensor)
+            _assert_seeded_tensor(_step(r, letter, _host(r.algebra, letter)).tensor)
 
 
 
@@ -1129,6 +1130,24 @@ class TestHierarchy:
             assert f"a {steps}-letter word is longer than 8 letters" in message
             assert "ends above" not in message
         assert semidirect_products == []
+
+    def test_a_bad_letter_is_refused_before_any_host(self, semidirect_products):
+        # on a cold level memo, "+x" builds no '+' host before it refuses x
+        fx = load_fixture("ex4.4")
+        _level.cache_clear()
+        with pytest.raises(HierarchyError, match=r"must be \+ or -, got 'x'"):
+            hierarchy_trace(fx.parts["algebra"], fx.parts["r1"], "+x")
+        assert semidirect_products == []
+
+    def test_a_bad_letter_is_refused_before_the_root_checks(self, monkeypatch):
+        # over an algebra that fails Jacobi, the letter is what is reported,
+        # and no Lie check runs
+        space = SuperSpace.make(even=["x", "y", "z"])
+        bad = LieSuperAlgebra.from_brackets(space, {("x", "y"): {"z": 1}, ("y", "z"): {"y": 1}})
+        jacobi = _count_calls(monkeypatch, "superybe.liesuper", "_hom_failures")
+        with pytest.raises(HierarchyError, match=r"must be \+ or -, got 'x'"):
+            hierarchy_trace(bad, RMatrix.from_terms(bad, {}), "x")
+        assert jacobi == []
 
     def test_a_walk_over_an_equal_algebra_builds_and_checks_nothing(
         self, monkeypatch, semidirect_products

@@ -70,7 +70,14 @@ from superybe import (
 from superybe.graded import merge_spaces, relabel_domain, sign, suspend_label
 from superybe.liesuper import _semidirect, _sparse_table
 from superybe.reps import IsoSearchResult, intertwiner_space
-from superybe.rmatrix import _level, _pan_supersymmetric_tensor, _step
+from superybe.rmatrix import (
+    _dual_semidirect,
+    _host,
+    _level,
+    _pan_supersymmetric_tensor,
+    _plain_semidirect,
+    _step,
+)
 
 import oracles
 from conftest import _count_calls, equivalence_cases, random_pan_supersymmetric
@@ -1332,10 +1339,10 @@ def test_operator_to_tensor_matches_the_dense_formula(name, parity, rnd):
 
 @functools.cache
 def adjoint_host(name):
-    """g |x_ad g and the positions of its two copies of g."""
+    """g |x_ad g, the positions of its two copies of g, and g's parities."""
     g = ALGEBRAS[name]
     _, alg_pos, mod_pos = merge_spaces(g.space, g.space)
-    return semidirect_product(g, adjoint(g)), alg_pos, mod_pos
+    return semidirect_product(g, adjoint(g)), alg_pos, mod_pos, g.space.parities
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -1351,15 +1358,23 @@ def test_the_bracket_table_is_the_adjoint_action_table(name):
     zero = RMatrix.from_terms(g, {})
     plus, minus = (hierarchy_walk(g, zero, word).algebra for word in "+-")
     assert plus == semidirect_product(g, adjoint(g))
-    assert minus == semidirect_product(g, parity_reverse_rep(adjoint(g)))
+    srho = parity_reverse_rep(adjoint(g))
+    assert minus == semidirect_product(g, srho)
+    # `_host` writes the table of ad^s itself; it is that representation's
+    assert _host(g, "-") == _semidirect(g, srho.space, srho.nonzero)
+
+
+def test_the_dual_host_is_the_plain_host_of_the_parity_reverse():
+    for rho in REPS:
+        assert _dual_semidirect(rho) == _plain_semidirect(parity_reverse_rep(rho))
 
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(NAMES), parity=st.integers(0, 1), rnd=st.randoms(use_true_random=False))
 def test_pan_supersymmetric_tensor_matches_the_dense_formula(name, parity, rnd):
     g = ALGEBRAS[name]
-    h, alg_pos, mod_pos = adjoint_host(name)
-    P = g.space.parities
+    host = adjoint_host(name)
+    h, alg_pos, mod_pos, P = host
     # the nonzero entries of a source table, each with its value in the
     # source's integer view at the lcm D of their denominators
     drawn = (
@@ -1371,7 +1386,7 @@ def test_pan_supersymmetric_tensor_matches_the_dense_formula(name, parity, rnd):
     entries = [(ki, x) for ki, x in drawn if x]
     D = math.lcm(*(x.denominator for _, x in entries))
     scaled = [(ki, x, int(D * x)) for ki, x in entries]
-    r = _pan_supersymmetric_tensor(h, alg_pos, mod_pos, P, D, scaled, parity)
+    r = _pan_supersymmetric_tensor(host, D, scaled, parity)
     array = [[Fraction(0)] * h.dim for _ in range(h.dim)]
     for (k, i), x in entries:
         array[alg_pos[k]][mod_pos[i]] += x
@@ -1570,7 +1585,7 @@ def test_step_matches_the_dense_formula(name, letter, scale, parity, rnd):
     values = INTEGRAL_VALUES if scale is None else FRACTIONAL_VALUES
     a = grid(n, n, lambda j, i: rnd.choice(values) if P[j] ^ P[i] == parity else 0)
     r = RMatrix(g, Tensor2(space, space, a, parity))
-    level = _step(r, letter)
+    level = _step(r, letter, _host(g, letter))
 
     ad = adjoint(g)
     if letter == "+":

@@ -1,6 +1,7 @@
 """The benchmark's tracer hooks library names by module attribute and by
-`Class.method`; every one of them must resolve, so that a refactor that
-moves or renames a hooked name fails here rather than in a traced run."""
+`Class.method`, and its runner empties and reads the host caches at every
+set-up; every one of them must resolve, so that a refactor that moves or
+renames a hooked name fails here rather than in a benchmark run."""
 
 import importlib
 import importlib.util
@@ -8,19 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from superybe import SuperSpace, Tensor2
+from superybe import SuperSpace, Tensor2, load_fixture, operator_to_rmatrix
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _tracing()
+tracing = _load("tracing")
 TARGETS = [(module, attr) for module, attrs in tracing.SPANS.items() for attr in attrs]
 TARGETS += list(tracing.LEAVES)
 
@@ -52,3 +53,17 @@ def test_entry_pair_count_reads_the_nonzero_slots():
     dense = Tensor2(space, space, sparse.coeffs, sparse.parity)
     for t in (sparse, dense):
         assert tracing._nnz(t) == len(t.entries) == 3
+
+
+def test_the_runner_counts_the_host_caches():
+    # run.py's main runs only under __main__, so loading it runs nothing
+    run = _load("run")
+    fx = load_fixture("ex3.2")
+    t, rho = fx.parts["T1"], fx.parts["coadjoint"]
+    run.clear_host_caches()
+    assert run.host_cache_info() == (0, 0)
+    for _ in range(2):
+        for variant in ("plain", "dual"):
+            operator_to_rmatrix(t, rho, variant)
+    # (hits, misses): one miss, then one hit, per variant
+    assert run.host_cache_info() == (2, 2)
