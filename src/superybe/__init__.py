@@ -59,6 +59,50 @@ establishes it; a kernel assumes nothing that is not listed.
                                                      graded._block_inverse
     transport_oop,           phi an even             reps._check_isomorphism,
     same_algebra_pair        invertible intertwiner  parity first
+
+Every cache the library keeps, and what it may hold; nothing else is kept
+on an object or in a module.  The dense views (`matrix`, `coeffs`,
+`structure`, `gram`, `product` and `action`) are plain properties, built
+on each read.  For the object that keeps a cache, nnz is the number of
+nonzeros of its stored table and n the dimension of its space.
+
+    cache              kept on              holds at most
+    -----------------  -------------------  --------------------------------
+    _positions         SuperSpace           n labels
+    _dual              SuperSpace           a space of n labels
+    _suspension        SuperSpace           a space of n labels and a
+                                            permutation of n
+    _hash              each stored table    one int
+    _cleared           each stored table    a copy of the table's layout,
+                                            with nnz ints
+    _scaled_join       LieSuperAlgebra      nnz triples, and one pair per
+                                            nonempty cell of `_cleared`,
+                                            whose cells it shares
+    _skew_failure      LieSuperAlgebra      one index pair
+    _jacobi_failure    LieSuperAlgebra      one index triple
+    _report            LieSuperAlgebra,     a report of 3 items (at most 2
+                       PreLieSuperAlgebra   for a product)
+    _adjoint           LieSuperAlgebra      a representation whose table and
+                                            `_cleared` are the algebra's: no
+                                            new nonzeros
+    _subadjacent       PreLieSuperAlgebra   an algebra of at most 2 nnz
+                                            nonzeros
+    _joint             Representation       nnz(g) + nnz ints, g its algebra
+    _grid_tests        Representation       per parity, at most n^2 dim(g)
+                                            quadratic forms, each of at most
+                                            f(f + 1)/2 terms in the f free
+                                            entries of the search
+    _plain_semidirect  rmatrix, up to       per representation, a host of
+                       HOST_CACHE_SIZE      nnz(g) + 2 nnz nonzeros
+    _dual_semidirect   rmatrix, up to       the same
+                       HOST_CACHE_SIZE
+    _level             rmatrix, up to       per algebra g and word prefix of
+                       HOST_CACHE_SIZE      L letters, a host of 3^L nnz(g)
+                                            nonzeros
+    _build_parser      cli, 1 entry         one argument parser
+
+A host in the three `rmatrix` memos keeps, while its entry lives, the
+caches above that callers fill on it, each within its bound.
 """
 
 from .graded import (

@@ -331,6 +331,10 @@ def _cmd_search(args, rep: Reporter) -> None:
         token = token.strip()
         if token:
             try:
+                # an exponent would make the work grow with its value, not
+                # with the token's length
+                if "e" in token.lower():
+                    raise ValueError(token)
                 entries.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
                 raise UsageError(f"malformed rational {token!r} in --entries")

@@ -129,6 +129,8 @@ def _parse_rational(token: str, line: int) -> Fraction:
         return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except ZeroDivisionError:
         raise FormatError(f"zero denominator in {token!r}", line) from None
+    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+        raise FormatError(f"rational of {len(token)} characters is too long", line) from None
 
 
 def _parse_terms(rhs: str, space: SuperSpace, line: int) -> "dict[str, Fraction]":

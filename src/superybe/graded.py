@@ -358,8 +358,8 @@ class GradedLinearMap(_Stored, table="nonzero", depth=1):
     T_r, intertwiners, the maps of a representation's `action` view) are
     homogeneous by theorem and skip it: `_from_entries` groups their
     entries, and `_trusted` takes a finished table.  The dense `matrix`
-    view is built on read, and no library code reads it; the hash and the
-    integer view are `_Stored`'s.
+    view is built on each read and kept nowhere; the hash and the integer
+    view are `_Stored`'s.
     """
 
     domain: SuperSpace
@@ -435,14 +435,14 @@ class GradedLinearMap(_Stored, table="nonzero", depth=1):
 
     # -- evaluation ----------------------------------------------------
 
-    @cached_property
+    @property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The dense matrix, (codomain basis x domain basis); a derived view."""
+        """The dense matrix, (codomain basis x domain basis), built on each read."""
         return _dense_slots(self._entries(), self.codomain.dim, self.domain.dim)
 
     def _rows(self) -> "list[list[Scalar]]":
         """Fresh dense rows (codomain basis x domain basis) for `linalg`."""
-        return list(map(list, _dense_slots(self._entries(), self.codomain.dim, self.domain.dim)))
+        return list(map(list, self.matrix))
 
     def _entries(self, columns=None):
         """The ((k, i), m_ki) with m_ki != 0, column by column; of the
@@ -586,8 +586,8 @@ class Tensor2(_Stored, table="entries", depth=0):
     where a tensor enters: the public constructor, which scans a dense
     array and keeps no copy, and `from_terms` run `__post_init__`.  Derived
     tensors skip it: `_from_entries` sorts their slots, and `_trusted`
-    takes finished ones.  The dense `coeffs` view is built on first read;
-    the hash and the integer view are `_Stored`'s.
+    takes finished ones.  The dense `coeffs` view is built on each read
+    and kept nowhere; the hash and the integer view are `_Stored`'s.
 
     parity None means inhomogeneous (or an undeclared zero tensor).
     """
@@ -634,8 +634,9 @@ class Tensor2(_Stored, table="entries", depth=0):
         t.__post_init__()
         return t
 
-    @cached_property
+    @property
     def coeffs(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense array coeffs[i][j] = a_ij, built on each read."""
         return _dense_slots(self.entries, self.left.dim, self.right.dim)
 
     def is_zero(self) -> bool:
@@ -678,13 +679,14 @@ def twist(t: Tensor2) -> Tensor2:
 class Tensor3:
     """An element of V (x) V (x) V over one superspace, stored as its
     nonzero slots ((i, j, k), value) in row-major order; the dense
-    `coeffs` array is a derived view."""
+    `coeffs` array is built on each read and kept nowhere."""
 
     space: SuperSpace
     entries: tuple[tuple[tuple[int, int, int], Scalar], ...]
 
-    @cached_property
+    @property
     def coeffs(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+        """The dense array coeffs[i][j][k], built on each read."""
         slots, r = dict(self.entries), range(self.space.dim)
         return tuple(tuple(tuple(slots.get((i, j, k), ZERO) for k in r) for j in r) for i in r)
 

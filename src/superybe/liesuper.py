@@ -133,12 +133,12 @@ class LieSuperAlgebra(_Stored, table="nonzero", depth=2):
     pairs (k, c_ij^k) with c_ij^k != 0 in ascending k.  The public
     constructor scans a dense array once and keeps no copy; constructions
     use `_from_entries`, or `_trusted` when they hold the finished table.
-    The dense `structure` view is built on read; the hash and the integer
-    view `_cleared`, which every integer kernel reads, are `_Stored`'s.
-    The constructor checks no axiom; `check_lie_axioms` verifies them once
-    per object and keeps the report, as `_report`.  Its super
-    skew-symmetry item reads `_skew_failure`, kept per object, which the
-    O-operator verdicts of `superybe.oop` also read.
+    The dense `structure` view is built on each read and kept nowhere;
+    the hash and the integer view `_cleared`, which every integer kernel
+    reads, are `_Stored`'s.  The constructor checks no axiom;
+    `check_lie_axioms` verifies them once per object and keeps the report,
+    as `_report`.  Its super skew-symmetry item reads `_skew_failure`, kept
+    per object, which the O-operator verdicts of `superybe.oop` also read.
     """
 
     space: SuperSpace
@@ -182,9 +182,9 @@ class LieSuperAlgebra(_Stored, table="nonzero", depth=2):
     def dim(self) -> int:
         return self.space.dim
 
-    @cached_property
+    @property
     def structure(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
-        """The dense array structure[i][j][k] = c_ij^k; a derived view."""
+        """The dense array structure[i][j][k] = c_ij^k, built on each read."""
         return _dense_cells(self.nonzero, self.space.dim)
 
     @cached_property
@@ -223,7 +223,7 @@ class LieSuperAlgebra(_Stored, table="nonzero", depth=2):
     def _jacobi_failure(self) -> "tuple[tuple[int, int, int], ...]":
         """The first failing (i, j, k) of the super Jacobi identity, or ()."""
         C = self._cleared[1]
-        return tuple(islice(_hom_failures(self.space.parities, C, C, self.dim), 1))
+        return tuple(islice(_hom_failures(self.space.parities, C, C), 1))
 
     def bracket(self, x, y) -> tuple[Scalar, ...]:
         """[x, y] for coordinate vectors x, y."""
@@ -255,27 +255,31 @@ def _grading_failures(P, table, shift):
                     yield i, j, k
 
 
-def _hom_failures(P, bracket, action, m):
+def _hom_failures(P, bracket, action):
     """The (i, j, v), in lexicographic order, at which
     A_i A_j - (-1)^{P_i P_j} A_j A_i - sum_k c_ij^k A_k is nonzero on e_v.
 
     bracket[i][j] holds the pairs (k, L c_ij^k) and action[a][v] the pairs
-    (q, L y) of A_a e_v, sparse integer views at one scale L; v runs over
-    the m basis vectors the A_a act on.  Every term is a product of two
-    scaled entries, so each defect is summed on ints as L^2 times the
-    defect, which vanishes exactly where the defect does.
+    (q, L y) of A_a e_v, sparse integer views at one scale L.  Every term
+    is a product of two scaled entries, so each defect is summed on ints
+    as L^2 times the defect, which vanishes exactly where the defect does.
+    Every term at (i, j, v) starts from A_i e_v, A_j e_v or an A_k e_v with
+    c_ij^k != 0, so only the v at which one of those is nonzero are visited.
     It is the one quadratic identity of the axiom checks: with A_a =
     rho(e_a) it says that rho is a representation, with A_a = ad(e_a)
     the super Jacobi identity, and with left multiplication the
     left-symmetric associator.
     """
     n = len(P)
+    # support[a]: the v with A_a e_v != 0
+    support = [{v for v, col in enumerate(cols) if col} for cols in action]
     for i in range(n):
         Ai = action[i]
         for j in range(n):
             Aj, Cij = action[j], bracket[i][j]
             odd = P[i] & P[j]
-            for v in range(m):
+            vs = support[i].union(support[j], *(support[k] for k, _ in Cij))
+            for v in sorted(vs):
                 defect: dict = {}
                 for k, x in Aj[v]:
                     for q, y in Ai[k]:
@@ -327,10 +331,11 @@ def check_lie_axioms(g: LieSuperAlgebra) -> CheckReport:
 @dataclass(frozen=True, init=False)
 class BilinearForm(_Stored, table="entries", depth=0):
     """A homogeneous bilinear form, stored as its nonzero slots ((i, j),
-    beta(e_i, e_j)) in row-major order, with the Gram matrix `gram` a
-    derived view.  An even form vanishes on mixed-parity pairs, an odd form
-    on equal-parity pairs: checked once, by the public constructor and
-    `from_terms`; `beta_form` builds its form unchecked, by `_trusted`.
+    beta(e_i, e_j)) in row-major order; the Gram matrix `gram` is built
+    on each read and kept nowhere.  An even form vanishes on mixed-parity
+    pairs, an odd form on equal-parity pairs: checked once, by the public
+    constructor and `from_terms`; `beta_form` builds its form unchecked, by
+    `_trusted`.
     The slot code is `Tensor2`'s, and the hash and the integer view are
     `_Stored`'s.
     """
@@ -362,9 +367,9 @@ class BilinearForm(_Stored, table="entries", depth=0):
         form.__post_init__()
         return form
 
-    @cached_property
+    @property
     def gram(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The dense Gram matrix gram[i][j] = beta(e_i, e_j); a derived view."""
+        """The dense Gram matrix gram[i][j] = beta(e_i, e_j), built on each read."""
         return _dense_slots(self.entries, self.space.dim, self.space.dim)
 
 

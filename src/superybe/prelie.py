@@ -9,7 +9,6 @@ parity pair of tensors every pre-Lie superalgebra generates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 from . import linalg
@@ -57,9 +56,10 @@ class PreLieSuperAlgebra(_Stored, table="nonzero", depth=2):
     p_ij^k != 0 in ascending k.  The public constructor scans a dense
     array once and keeps no copy; constructions use `_from_entries`,
     which builds through `_trusted`.  The dense `product` view is built
-    on first read; the hash and the integer view `_cleared`, which the
-    left-symmetry check reads, are `_Stored`'s.  `check_prelie` verifies a
-    product once per object and keeps the report, as `_report`.
+    on each read and kept nowhere; the hash and the integer view
+    `_cleared`, which the left-symmetry check reads, are `_Stored`'s.
+    `check_prelie` verifies a product once per object and keeps the
+    report, as `_report`.
     """
 
     space: SuperSpace
@@ -95,9 +95,9 @@ class PreLieSuperAlgebra(_Stored, table="nonzero", depth=2):
             entries += (((i, j, space.index(label)), rat(x)) for label, x in terms.items())
         return PreLieSuperAlgebra._from_entries(space, entries, parity_shift)
 
-    @cached_property
+    @property
     def product(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
-        """The dense array product[i][j][k] = p_ij^k; a derived view."""
+        """The dense array product[i][j][k] = p_ij^k, built on each read."""
         return _dense_cells(self.nonzero, self.space.dim)
 
     def multiply(self, x, y):
@@ -153,7 +153,7 @@ def _left_symmetry_failures(a: PreLieSuperAlgebra):
     Q = [(p + a.parity_shift) % 2 for p in a.space.parities]
     _, product = a._cleared
     commutator = _sparse_table(a.space.dim, _commutator_entries(Q, product))
-    return _hom_failures(Q, commutator, product, a.space.dim)
+    return _hom_failures(Q, commutator, product)
 
 
 def shifted_left_symmetry_holds(a: PreLieSuperAlgebra) -> bool:

@@ -63,7 +63,7 @@ def _report_and_view(
     hom, view = (), None
     if shape_item.ok:
         _, (bracket, table) = linalg._rescaled(2, g._cleared, view := _action_view(action))
-        failures = _hom_failures(g.space.parities, bracket, table, space.dim)
+        failures = _hom_failures(g.space.parities, bracket, table)
         hom = (f"fails at pair ({L[i]}, {L[j]})" for i, j, _ in failures)
     hom_item = _first_failure("homomorphism property", hom)
     return CheckReport((shape_item, hom_item)), view
@@ -80,7 +80,7 @@ class Representation(_Stored, table="nonzero", depth=2):
     """A verified action of a Lie superalgebra on a superspace, stored as
     its action table `nonzero`: nonzero[a][i] holds the pairs (k, x), x != 0,
     of rho(e_a) v_i in ascending k, as in `LieSuperAlgebra.nonzero`.  The
-    maps `action` are a view, built on first read.
+    maps `action` are a view, built on each read and kept nowhere.
 
     Verification runs once, where an action enters from outside: the
     public constructor, `from_images` and `RawRep.verify` build through
@@ -133,9 +133,9 @@ class Representation(_Stored, table="nonzero", depth=2):
         )
         return Representation(g, space, action)
 
-    @cached_property
+    @property
     def action(self) -> tuple[GradedLinearMap, ...]:
-        """The maps rho(e_a), column i of each being nonzero[a][i]; a view."""
+        """The maps rho(e_a), column i of each being nonzero[a][i], built on each read."""
         V, P = self.space, self.algebra.space.parities
         return tuple(GradedLinearMap._trusted(V, V, p, row) for p, row in zip(P, self.nonzero))
 
@@ -262,9 +262,9 @@ class IsoSearchResult:
 
     status "found" carries the isomorphism and its exact inverse, found
     by the seeded probe or on the grid; "none" is a proof of
-    non-isomorphism (the probe's candidate and every grid point singular);
-    "inconclusive" only arises in the randomized fallback, past the
-    grid's cost cap.
+    non-isomorphism (every grid point singular, or past the grid's cost
+    cap unequal intertwiner dimensions); "inconclusive" only arises in the
+    randomized fallback, past the grid's cost cap.
     """
 
     status: str
@@ -365,8 +365,11 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
     lexicographic order and the first hit is returned; vanishing on the
     whole grid proves that no invertible intertwiner exists.  When the
     grid costs more than ISO_GRID_COST_CAP (points times n^3), counted
-    before any scan, up to _RANDOM_FALLBACK_TRIES more random points are
-    tried instead, and absence is reported as "inconclusive".
+    before any scan, the dimensions of Hom(V1, V1), Hom(V2, V2) and
+    Hom(V2, V1) are compared with k: an isomorphism makes all four equal,
+    so any difference answers "none".  Only when they agree are up to
+    _RANDOM_FALLBACK_TRIES more random points tried, and absence is
+    reported as "inconclusive".
 
     Each attempt is one `graded._block_inverse` of the candidate summed on
     ints from `_intertwiner_basis`, cleared once by D, the lcm of its q's:
@@ -388,33 +391,43 @@ def find_even_isomorphism(rho1: Representation, rho2: Representation) -> IsoSear
     n = V1.dim
     D = lcm(*(q for entries in basis for _, _, q in entries))
     stored = [[(rc, x * (D // q)) for rc, x, q in entries] for entries in basis]
-    rng = random.Random(0x5EBE)  # a fixed seed: the same answer on every run
-    probe = [rng.randint(1, 8 * n) for _ in range(k)]
-    # (n + 1)^k n^3 grid cost, without forming a huge power: 2^k <= (n + 1)^k
-    on_grid = k < ISO_GRID_COST_CAP.bit_length() and (n + 1) ** k * n**3 <= ISO_GRID_COST_CAP
-    if on_grid:
-        points = itertools.product(range(n + 1), repeat=k)
-    else:
-        points = (
-            [rng.randrange(0, 1 << 20) for _ in range(k)] for _ in range(_RANDOM_FALLBACK_TRIES)
-        )
-    for ts in itertools.chain([probe], points):
+
+    def attempt(ts) -> "IsoSearchResult | None":
+        """"found" with the intertwiner of the point ts when it is invertible."""
         candidate = {}
         for t, entries in zip(ts, stored):
             if t:
                 for rc, x in entries:
                     candidate[rc] = candidate.get(rc, 0) + t * x
         inv = _block_inverse(V2, V1, EVEN, candidate.items())
-        if inv is not None:
-            # the candidate is D times the intertwiner, its inverse D y / q
-            iso = ((rc, Fraction(x, D)) for rc, x in candidate.items())
-            inverse = (((i, k), Fraction(D * y, q)) for (i, k), y, q in inv)
-            return IsoSearchResult(
-                "found",
-                GradedLinearMap._from_entries(V1, V2, EVEN, iso),
-                GradedLinearMap._from_entries(V2, V1, EVEN, inverse),
-            )
-    return IsoSearchResult("none" if on_grid else "inconclusive")
+        if inv is None:
+            return None
+        # the candidate is D times the intertwiner, its inverse D y / q
+        iso = ((rc, Fraction(x, D)) for rc, x in candidate.items())
+        inverse = (((i, k), Fraction(D * y, q)) for (i, k), y, q in inv)
+        return IsoSearchResult(
+            "found",
+            GradedLinearMap._from_entries(V1, V2, EVEN, iso),
+            GradedLinearMap._from_entries(V2, V1, EVEN, inverse),
+        )
+
+    rng = random.Random(0x5EBE)  # a fixed seed: the same answer on every run
+    found = attempt([rng.randint(1, 8 * n) for _ in range(k)])
+    if found:
+        return found
+    # (n + 1)^k n^3 grid cost, without forming a huge power: 2^k <= (n + 1)^k
+    on_grid = k < ISO_GRID_COST_CAP.bit_length() and (n + 1) ** k * n**3 <= ISO_GRID_COST_CAP
+    if on_grid:
+        points = itertools.product(range(n + 1), repeat=k)
+    elif any(len(_intertwiner_basis(*p)) != k for p in ((rho1, rho1), (rho2, rho2), (rho2, rho1))):
+        # an isomorphism makes the four Hom spaces of the pair isomorphic
+        return IsoSearchResult("none")
+    else:
+        points = (
+            [rng.randrange(0, 1 << 20) for _ in range(k)] for _ in range(_RANDOM_FALLBACK_TRIES)
+        )
+    found = next(filter(None, map(attempt, points)), None)
+    return found or IsoSearchResult("none" if on_grid else "inconclusive")
 
 
 def is_intertwiner(phi: GradedLinearMap, rho1: Representation, rho2: Representation) -> bool:

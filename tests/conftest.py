@@ -119,6 +119,20 @@ def _count_calls(monkeypatch, module_name, function_name):
     return calls
 
 
+def _spied_builds(monkeypatch):
+    """The list of `GradedLinearMap._trusted` builds made while the test
+    runs; every derived map, `_from_entries` included, is built there."""
+    built = []
+    original = GradedLinearMap._trusted
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(GradedLinearMap, "_trusted", staticmethod(counting))
+    return built
+
+
 @pytest.fixture
 def rep_checks(monkeypatch):
     """The representation checks made while the test runs: the calls of

@@ -35,7 +35,7 @@ def naive_scybe_defect(g, tensor):
     space = g.space
     n = space.dim
     P = space.parities
-    a = tensor.coeffs
+    a, S = tensor.coeffs, g.structure
     out = defaultdict(lambda: ZERO)
     for i in range(n):
         for j in range(n):
@@ -46,13 +46,13 @@ def naive_scybe_defect(g, tensor):
                         continue
                     swap = koszul(P[j], P[k])
                     for m in range(n):
-                        c1 = g.structure[i][k][m]
+                        c1 = S[i][k][m]
                         if c1 != 0:
                             out[(m, j, l)] += swap * c * c1
-                        c2 = g.structure[j][k][m]
+                        c2 = S[j][k][m]
                         if c2 != 0:
                             out[(i, m, l)] += c * c2
-                        c3 = g.structure[j][l][m]
+                        c3 = S[j][l][m]
                         if c3 != 0:
                             out[(i, k, m)] += swap * c * c3
     return {key: value for key, value in out.items() if value != 0}

@@ -592,6 +592,8 @@ DOCUMENTS = {
     "ex3.2-fractional": EX32_TEXT
     + "[map H : g* -> g parity odd]\ne* = 3/7 f\nf* = -3/7 e\n"
     + "[map B : g* -> g parity even]\ne* = 1/2 e\nf* = 2/3 f\n",
+    # a coefficient longer than Python reads as an int by default
+    "long-coefficient": "[space]\neven = e\nodd = f\n[bracket]\ne f = " + "1" * 5001 + " f\n",
 }
 
 
@@ -619,6 +621,11 @@ COMMANDS = [
      (..., '  "count": 153', ...)),
     ("ex3.7", "search --rep rho --parity odd --entries=-2,-1,0,1,2 --json", 0,
      (..., '  "count": 153', ...)),
+    # a rational costs work bounded by its length: no exponent, no integer
+    # past the digit limit
+    ("ex3.7", "search --rep rho --parity even --entries=0,1e10000000", 2, ()),
+    ("ex3.7", "search --rep rho --parity even --entries=0,1E2", 2, ()),
+    ("long-coefficient", "validate", 2, ()),
     ("ex4.4", "check-cybe --tensor r0", 0,
      ("r0 solves the super CYBE: PASS", "r0 is pan-supersymmetric: yes")),
     ("ex4.4", "check-cybe --tensor r1", 0,

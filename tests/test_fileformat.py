@@ -190,12 +190,9 @@ class TestParse:
         g, beta = gl11_with_supertrace()
         odd = BilinearForm.from_terms(g.space, {("a", "x"): 1, ("x", "a"): 1}, ODD)
         doc = Document({ALGEBRA_SPACE_NAME: g.space}, g, forms={"str": beta, "odd": odd})
-        text = emit(doc)
-        assert "gram" not in beta.__dict__ and "gram" not in odd.__dict__
-        again = parse(text)
+        again = parse(emit(doc))
         assert again.forms == {"str": beta, "odd": odd}
         assert [f.parity for f in again.forms.values()] == [EVEN, ODD]
-        assert not any("gram" in f.__dict__ for f in again.forms.values())
 
     def test_entry_outside_section_rejected(self):
         with pytest.raises(FormatError):

@@ -107,17 +107,12 @@ class TestClassifyForm:
         # swap the two odd basis elements everywhere
         space = SuperSpace.make(even=["a", "b"], odd=["y", "x"])
         perm = [0, 1, 3, 2]
-        n = 4
+        n, S, B = 4, g.structure, beta.gram
         structure = tuple(
-            tuple(
-                tuple(g.structure[perm[i]][perm[j]][perm[k]] for k in range(n))
-                for j in range(n)
-            )
+            tuple(tuple(S[perm[i]][perm[j]][perm[k]] for k in range(n)) for j in range(n))
             for i in range(n)
         )
-        gram = tuple(
-            tuple(beta.gram[perm[i]][perm[j]] for j in range(n)) for i in range(n)
-        )
+        gram = tuple(tuple(B[perm[i]][perm[j]] for j in range(n)) for i in range(n))
         g2 = LieSuperAlgebra(space, structure)
         assert check_lie_axioms(g2).ok
         beta2 = BilinearForm(space, gram, EVEN)

@@ -88,9 +88,9 @@ def dense_defect(C, A, T, parities, pt, i, j):
 def _dense_table(t, rho):
     """{(i, j): Op(v_i, v_j)} for every basis pair, by `dense_defect`."""
     C, A, P = rho.algebra.structure, [m.matrix for m in rho.action], rho.space.parities
-    n = rho.space.dim
+    n, T = rho.space.dim, t.matrix
     return {
-        (i, j): tuple(dense_defect(C, A, t.matrix, P, t.parity, i, j))
+        (i, j): tuple(dense_defect(C, A, T, P, t.parity, i, j))
         for i in range(n)
         for j in range(n)
     }
@@ -106,12 +106,13 @@ def scan_search(g, rho, parity, entry_set):
     together) and so keeps every verdict."""
     V, cod = rho.space, g.space
     entries = [rat(e) if not isinstance(e, int) else e for e in entry_set]
-    consts = [c for plane in g.structure for row in plane for c in row]
-    consts += [c for m in rho.action for row in m.matrix for c in row]
+    structure, mats = g.structure, [m.matrix for m in rho.action]
+    consts = [c for plane in structure for row in plane for c in row]
+    consts += [c for m in mats for row in m for c in row]
     D = math.lcm(1, *(Fraction(c).denominator for c in consts))
     E = math.lcm(1, *(Fraction(e).denominator for e in entries))
-    C = [[[int(D * c) for c in row] for row in plane] for plane in g.structure]
-    A = [[[int(D * c) for c in row] for row in m.matrix] for m in rho.action]
+    C = [[[int(D * c) for c in row] for row in plane] for plane in structure]
+    A = [[[int(D * c) for c in row] for row in m] for m in mats]
     values = [int(E * e) for e in entries]
     positions = [
         (k, i)
@@ -653,8 +654,9 @@ def _rescaled_rep(rho, p, t, q, u):
     n, d = g.space.dim, rho.space.dim
     f = [t if a == p else 1 for a in range(n)]
     h = [u if v == q else 1 for v in range(d)]
+    S, mats = g.structure, [m.matrix for m in rho.action]
     structure = tuple(
-        tuple(tuple(g.structure[a][b][k] * f[a] * f[b] / f[k] for k in range(n)) for b in range(n))
+        tuple(tuple(S[a][b][k] * f[a] * f[b] / f[k] for k in range(n)) for b in range(n))
         for a in range(n)
     )
     action = tuple(
@@ -662,9 +664,9 @@ def _rescaled_rep(rho, p, t, q, u):
             rho.space,
             rho.space,
             m.parity,
-            tuple(tuple(m.matrix[r][v] * f[a] * h[v] / h[r] for v in range(d)) for r in range(d)),
+            tuple(tuple(M[r][v] * f[a] * h[v] / h[r] for v in range(d)) for r in range(d)),
         )
-        for a, m in enumerate(rho.action)
+        for a, (m, M) in enumerate(zip(rho.action, mats))
     )
     return Representation(LieSuperAlgebra(g.space, structure), rho.space, action)
 
@@ -741,7 +743,8 @@ def _check_kernel(t, rho):
     g, V = rho.algebra, rho.space
     C, A = g.structure, [m.matrix for m in rho.action]
     pairs = [(i, j) for i in range(V.dim) for j in range(V.dim)]
-    dense = [tuple(dense_defect(C, A, t.matrix, V.parities, t.parity, i, j)) for i, j in pairs]
+    T = t.matrix
+    dense = [tuple(dense_defect(C, A, T, V.parities, t.parity, i, j)) for i, j in pairs]
     report = is_oop(t, rho)
     assert report.defects == tuple(
         ((V.labels[i], V.labels[j]), d) for (i, j), d in zip(pairs, dense)

@@ -12,6 +12,7 @@ from superybe import (
     PreLieSuperAlgebra,
     SuperSpace,
     adjoint,
+    beta_cocycle_check,
     check_lie_axioms,
     check_prelie,
     check_representation,
@@ -350,13 +351,10 @@ class TestInducedAndCompatible:
         # same product table up to the image labels T(w) = e, T(v) = f
         assert induced.space.labels == ("T(w)", "T(v)")
         relabel = {"T(w)": "e", "T(v)": "f"}
+        got, want = induced.product, star.product
         for i, a in enumerate(induced.space.labels):
             for j, b in enumerate(induced.space.labels):
-                got = induced.product[i][j]
-                want = star.product[star.space.index(relabel[a])][
-                    star.space.index(relabel[b])
-                ]
-                assert got == want
+                assert got[i][j] == want[star.space.index(relabel[a])][star.space.index(relabel[b])]
 
 
 NONINTEGRAL = (Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3), Fraction(-5), Fraction(7, 3))
@@ -418,6 +416,8 @@ class TestPrelieRMatrixPair:
         assert even_r == fx.parts["r_id"]
         assert even_r.parity == EVEN and odd_r.parity == ODD
         assert scybe_defect(even_r).is_zero() and scybe_defect(odd_r).is_zero()
+        # both are non-degenerate, so each beta is a 2-cocycle
+        assert beta_cocycle_check(even_r)[1] and beta_cocycle_check(odd_r)[1]
 
     def test_one_dimensional_even_zero_product(self):
         space = SuperSpace.make(even=["e"])

@@ -1,5 +1,5 @@
-"""The public names of the package, README's naming of them, and the
-signatures other code wraps.
+"""The public names of the package, README's naming of them, the
+signatures other code wraps, and the caches the package docstring lists.
 
 Deletions may only remove private names: `superybe.__all__` is pinned
 here.  `GradedLinearMap.apply`, `column` and `__post_init__`,
@@ -8,6 +8,7 @@ the benchmark's tracer and called by the test oracles, so they keep
 their names and signatures.
 """
 
+import ast
 import importlib
 import inspect
 import re
@@ -84,3 +85,38 @@ def test_readme_names_the_public_api():
     parts = {part for dotted, _ in names for part in dotted.split(".")}
     assert sorted(part for part in parts if part.startswith("_")) == []
     assert sorted(set(superybe.__all__) - parts) == []
+
+
+PACKAGE = Path(superybe.__file__).resolve().parent
+
+
+def _kept_names() -> set:
+    """Every name the package keeps a cache under: each `cached_property`
+    and `lru_cache` it defines, and each `vars(x)["_name"] = ...` it writes."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in ("cached_property", "lru_cache"):
+                        names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (
+                        isinstance(target, ast.Subscript)
+                        and isinstance(target.value, ast.Call)
+                        and getattr(target.value.func, "id", None) == "vars"
+                    ):
+                        names.add(target.slice.value)
+    return names
+
+
+def test_the_package_docstring_lists_every_cache():
+    """No cache is added without its row in the docstring's cache table,
+    which states what it may hold."""
+    table = superybe.__doc__.split("Every cache the library keeps", 1)[1]
+    listed = set(re.findall(r"^    (_\w+) ", table, flags=re.M))
+    assert listed == _kept_names()
+    assert len(listed) == 17

@@ -48,7 +48,7 @@ from superybe.liesuper import _semidirect
 from superybe.rmatrix import HierarchyError, RMatrix, _dual_semidirect, _plain_semidirect
 
 import oracles
-from conftest import _count_calls, equivalence_cases
+from conftest import _count_calls, _spied_builds, equivalence_cases
 
 
 class TestCheckRepresentation:
@@ -270,6 +270,28 @@ class TestDirectSumAndSelfReversing:
             direct_sum_rep(adjoint(g1), adjoint(g2))
 
 
+def _hom_blind_pair():
+    """Two representations of g = span(p, q, a, b), [p, a] = -a, [q, a] = a,
+    [p, b] = b, [q, b] = -b, on the 6|0 space of u0..u2, w0..w2: p and q
+    act as the projections onto the u's and the w's, and a maps each u_i to
+    w_i in the first and b each w_i to u_i in the second, the other by zero.
+    Every intertwiner phi has phi a = 0 on the first, so none is
+    invertible, yet each of the four Hom spaces of the pair has dimension
+    9, and the 7^9-point grid is over the cap."""
+    brackets = {("p", "a"): {"a": -1}, ("q", "a"): {"a": 1}, ("p", "b"): {"b": 1}}
+    brackets[("q", "b")] = {"b": -1}
+    g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["p", "q", "a", "b"]), brackets)
+    v = SuperSpace.make(even=["u0", "u1", "u2", "w0", "w1", "w2"])
+    p = {f"u{i}": {f"u{i}": 1} for i in range(3)}
+    q = {f"w{i}": {f"w{i}": 1} for i in range(3)}
+    a = {f"u{i}": {f"w{i}": 1} for i in range(3)}
+    b = {f"w{i}": {f"u{i}": 1} for i in range(3)}
+    return (
+        Representation.from_images(g, v, {"p": p, "q": q, "a": a}),
+        Representation.from_images(g, v, {"p": p, "q": q, "b": b}),
+    )
+
+
 class TestIsomorphismSearch:
     def test_identical_reps_give_an_isomorphism(self):
         rho = load_fixture("ex2.3").parts["rho"]
@@ -342,28 +364,32 @@ class TestIsomorphismSearch:
         assert is_intertwiner(result.iso, rho, rho)
 
     def test_large_intertwiner_space_without_isomorphism_is_inconclusive(self):
-        # 42 intertwiner dimensions but a forced zero row: no invertible
-        # element exists, and off the grid the search must say so honestly
-        space = SuperSpace.make(even=["z"])
-        g = LieSuperAlgebra.from_brackets(space, {})
-        v = SuperSpace.make(even=[f"u{i}" for i in range(7)])
-        rho1 = trivial_rep(g, v)
-        action = GradedLinearMap.from_images(v, v, EVEN, {"u6": {"u6": 1}})
-        rho2 = Representation(g, v, (action,))
+        # no invertible element exists, but off the grid, with four equal
+        # Hom dimensions, the search must say so honestly
+        rho1, rho2 = _hom_blind_pair()
         assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
 
-    def test_over_cap_grid_takes_the_randomized_path(self, monkeypatch):
-        # six intertwiner dimensions over a dim-6 space, 7^6 grid points: the
-        # intertwiners map into the kernel of a nilpotent Jordan block, so
-        # none is invertible, and the full grid would take 117,649 eliminations
+    def test_unequal_hom_dimensions_answer_none_past_the_cap(self, monkeypatch):
+        # z acts on 4|0 trivially and as a rank-1 idempotent: 12 intertwiner
+        # dimensions, 5^12 grid points, but End has dimension 16 and 10
         space = SuperSpace.make(even=["z"])
         g = LieSuperAlgebra.from_brackets(space, {})
-        v = SuperSpace.make(even=[f"u{i}" for i in range(6)])
-        shift = GradedLinearMap.from_images(
-            v, v, EVEN, {f"u{i}": {f"u{i - 1}": 1} for i in range(1, 6)}
-        )
-        rho1, rho2 = trivial_rep(g, v), Representation(g, v, (shift,))
-        assert len(intertwiner_space(rho1, rho2)) == 6 and 7**6 * 6**3 > ISO_GRID_COST_CAP
+        v = SuperSpace.make(even=[f"u{i}" for i in range(4)])
+        rho1 = trivial_rep(g, v)
+        rho2 = Representation(g, v, (GradedLinearMap.from_images(v, v, EVEN, {"u3": {"u3": 1}}),))
+        dims = [len(intertwiner_space(a, b)) for a, b in ((rho1, rho2), (rho1, rho1), (rho2, rho2))]
+        assert dims == [12, 16, 10] and 5**12 * 4**3 > ISO_GRID_COST_CAP
+        inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
+        assert find_even_isomorphism(rho1, rho2).status == "none"
+        assert find_even_isomorphism(rho2, rho1).status == "none"
+        # the probes alone: no random point is drawn
+        assert len(inverts) == 2
+
+    def test_over_cap_grid_takes_the_randomized_path(self, monkeypatch):
+        # nine intertwiner dimensions over a dim-6 space: the full grid would
+        # take 7^9 = 40,353,607 eliminations
+        rho1, rho2 = _hom_blind_pair()
+        assert len(intertwiner_space(rho1, rho2)) == 9 and 7**9 * 6**3 > ISO_GRID_COST_CAP
         inverts = _count_calls(monkeypatch, "superybe.linalg", "_inverse")
         assert find_even_isomorphism(rho1, rho2).status == "inconclusive"
         assert 0 < len(inverts) <= _RANDOM_FALLBACK_TRIES + 1
@@ -412,18 +438,28 @@ class TestIsomorphismSearch:
 
     def test_every_catalog_none_proof_scans_its_full_grid(self, monkeypatch):
         inverts = _count_calls(monkeypatch, "superybe.graded", "_block_inverse")
-        grids = []
+        grids, over = [], []
         for name, (rho1, rho2) in _iso_pairs().items():
             if rho1.space.parities != rho2.space.parities:
                 continue  # no grid: the dimensions already differ
-            k = len(intertwiner_space(rho1, rho2))
+            n, k = rho1.space.dim, len(intertwiner_space(rho1, rho2))
             inverts.clear()
-            if find_even_isomorphism(rho1, rho2).status == "none" and k:
-                grids.append((rho1.space.dim + 1) ** k)
-                assert len(inverts) == 1 + grids[-1], name
+            status = find_even_isomorphism(rho1, rho2).status
+            assert status != "inconclusive", name
+            if status == "none" and k:
+                if (n + 1) ** k * n**3 > ISO_GRID_COST_CAP:
+                    # unequal Hom dimensions decide it after the probe
+                    over.append(name)
+                    assert len(inverts) == 1, name
+                else:
+                    grids.append((n + 1) ** k)
+                    assert len(inverts) == 1 + grids[-1], name
         # the largest is the closing-prelie adjoint's double against its
         # dual, 9^4 points at n = 8
         assert len(grids) == 69 and max(grids) == 9**4
+        # the over-cap doubles against their duals, each "inconclusive"
+        # before the Hom dimensions were compared
+        assert len(over) == 7 and all(name.endswith("double / dual") for name in over)
 
     def test_grid_points_are_tried_in_order(self, monkeypatch):
         # z acts on a 3|0 space with the eigenvalues 0, 1, 2; the probe's
@@ -470,12 +506,7 @@ class TestIsomorphismSearch:
     def test_fallback_draws_are_tried_in_order(self, monkeypatch):
         # the over-cap grid of test_over_cap_grid_takes_the_randomized_path:
         # the fallback's draws come after the probe's, from the same generator
-        g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
-        v = SuperSpace.make(even=[f"u{i}" for i in range(6)])
-        shift = GradedLinearMap.from_images(
-            v, v, EVEN, {f"u{i}": {f"u{i - 1}": 1} for i in range(1, 6)}
-        )
-        rho1, rho2 = trivial_rep(g, v), Representation(g, v, (shift,))
+        rho1, rho2 = _hom_blind_pair()
         basis = intertwiner_space(rho1, rho2)
         rng = random.Random(0x5EBE)
         points = [[rng.randint(1, 8 * 6) for _ in basis]]
@@ -490,11 +521,9 @@ class TestIsomorphismSearch:
 
 def _candidate(basis, ts):
     """The rows of sum t_a phi_a, the candidate of the point ts."""
-    n = len(basis[0].matrix)
-    return [
-        [sum(t * phi.matrix[r][c] for t, phi in zip(ts, basis)) for c in range(n)]
-        for r in range(n)
-    ]
+    mats = [phi.matrix for phi in basis]
+    n = len(mats[0])
+    return [[sum(t * m[r][c] for t, m in zip(ts, mats)) for c in range(n)] for r in range(n)]
 
 
 def _basis_denominator(basis):
@@ -926,7 +955,11 @@ def test_isomorphism_search_matches_the_grid_oracle(pair, scales, data):
     k = len(basis)
     assert k == len(intertwiner_space(rho1, rho2))
     if (n + 1) ** k * n**3 > ISO_GRID_COST_CAP:
-        assert result.status in ("found", "inconclusive")
+        if not result.found:
+            # "none" exactly when the four Hom spaces differ in dimension
+            pairs = ((rho1, rho1), (rho2, rho2), (rho2, rho1))
+            dims = [len(oracles.dense_intertwiner_basis(a, b)) for a, b in pairs]
+            assert (result.status == "none") == (dims != [k] * 3)
         return
     for count, (_, d) in enumerate(oracles.lexicographic_grid_dets(basis, n), 1):
         if d != 0:
@@ -935,20 +968,6 @@ def test_isomorphism_search_matches_the_grid_oracle(pair, scales, data):
         if count == ORACLE_POINTS:
             return
     assert result.status == "none"
-
-
-def _spied_builds(monkeypatch):
-    """The list of `GradedLinearMap._trusted` builds made while the test
-    runs; every derived map, `_from_entries` included, is built there."""
-    built = []
-    original = GradedLinearMap._trusted
-
-    def counting(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(GradedLinearMap, "_trusted", staticmethod(counting))
-    return built
 
 
 def test_the_search_builds_no_map_before_its_hit(monkeypatch):
@@ -961,12 +980,7 @@ def test_the_search_builds_no_map_before_its_hit(monkeypatch):
     ad = adjoint(load_fixture("ex3.2").parts["algebra"])
     cases.append(("ex3.2 adjoint / dual", ad, dual_rep(ad), "none", 0))
     # the over-cap grid of test_over_cap_grid_takes_the_randomized_path
-    g = LieSuperAlgebra.from_brackets(SuperSpace.make(even=["z"]), {})
-    v = SuperSpace.make(even=[f"u{i}" for i in range(6)])
-    shift = GradedLinearMap.from_images(
-        v, v, EVEN, {f"u{i}": {f"u{i - 1}": 1} for i in range(1, 6)}
-    )
-    cases.append(("over cap", trivial_rep(g, v), Representation(g, v, (shift,)), "inconclusive", 0))
+    cases.append(("over cap", *_hom_blind_pair(), "inconclusive", 0))
     built = _spied_builds(monkeypatch)
     for name, rho1, rho2, status, builds in cases:
         built.clear()
@@ -996,11 +1010,6 @@ def _composed_verdict(phi, rho1, rho2):
 _FOREIGN = SuperSpace.make(even=["w0"], odd=["w1"])
 
 
-def _fresh(rho):
-    """An equal representation with no action view built yet."""
-    return Representation._trusted(rho.algebra, rho.space, rho.nonzero)
-
-
 def _perturbed(phi):
     """phi with 1 added to its first nonzero entry, same parity."""
     first = next(phi._entries())[0]
@@ -1015,10 +1024,11 @@ def _odd_map(domain, codomain):
     return GradedLinearMap._from_entries(domain, codomain, ODD, entries)
 
 
-def test_is_intertwiner_reads_the_tables():
+def test_is_intertwiner_reads_the_tables(monkeypatch):
     """The table verdict equals the composed one on each found isomorphism,
     the same with one entry perturbed, its inverse, the zero and an all-ones
-    odd map, and maps on the wrong spaces; no action view is built."""
+    odd map, and maps on the wrong spaces; the verdict builds no map."""
+    built = _spied_builds(monkeypatch)
     verdicts = {True: 0, False: 0}
     for name, (rho1, rho2) in _iso_pairs().items():
         result = find_even_isomorphism(rho1, rho2)
@@ -1030,10 +1040,10 @@ def test_is_intertwiner_reads_the_tables():
         if result.found and rho1.space.dim:
             maps += [result.iso, _perturbed(result.iso), result.inverse]
         for phi in maps:
-            fresh1, fresh2 = _fresh(rho1), _fresh(rho2)
-            verdict = is_intertwiner(phi, fresh1, fresh2)
+            built.clear()
+            verdict = is_intertwiner(phi, rho1, rho2)
+            assert built == [], name
             assert verdict == _composed_verdict(phi, rho1, rho2), name
-            assert "action" not in vars(fresh1) and "action" not in vars(fresh2), name
             verdicts[verdict] += 1
     # both verdicts occur often
     assert min(verdicts.values()) > 100

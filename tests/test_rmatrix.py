@@ -155,9 +155,9 @@ def _rescaled(g, p, t):
     """g in the basis with e_p replaced by t e_p:
     c'_ij^k = t^([i = p] + [j = p] - [k = p]) c_ij^k."""
     n = g.space.dim
-    f = [t if i == p else 1 for i in range(n)]
+    f, S = [t if i == p else 1 for i in range(n)], g.structure
     structure = tuple(
-        tuple(tuple(g.structure[i][j][k] * f[i] * f[j] / f[k] for k in range(n)) for j in range(n))
+        tuple(tuple(S[i][j][k] * f[i] * f[j] / f[k] for k in range(n)) for j in range(n))
         for i in range(n)
     )
     return LieSuperAlgebra(g.space, structure)
@@ -920,13 +920,8 @@ class TestBetaCocycle:
         fx = load_fixture("ex4.4")
         r1 = fx.parts["r1"]
         scaled = RMatrix(r1.algebra, r1.tensor.scale(Fraction(3, 2)))
-        beta1 = beta_form(r1)
-        beta2 = beta_form(scaled)
-        assert all(
-            beta2.gram[i][j] == Fraction(2, 3) * beta1.gram[i][j]
-            for i in range(2)
-            for j in range(2)
-        )
+        gram1, gram2 = beta_form(r1).gram, beta_form(scaled).gram
+        assert all(gram2[i][j] == Fraction(2, 3) * gram1[i][j] for i in range(2) for j in range(2))
         assert beta_cocycle_check(scaled)[1]
 
     def test_non_pan_supersymmetric_tensor_gives_non_skew_form(self):
@@ -953,11 +948,10 @@ class TestBetaCocycle:
                     # odd ones cannot be invertible on a 1|2 space
                     continue
                 found += 1
-                P = g.space.parities
-                n = g.space.dim
+                P, n, gram = g.space.parities, g.space.dim, beta.gram
                 for i in range(n):
                     for j in range(n):
-                        assert beta.gram[i][j] == -sign(P[i] * P[j]) * beta.gram[j][i]
+                        assert gram[i][j] == -sign(P[i] * P[j]) * gram[j][i]
         assert found > 0
 
 
